@@ -17,6 +17,7 @@ dense-grid cubic splines with direct-series spot checks, which keeps the
 section sweep honest without per-point series sums.
 """
 
+import copy
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -431,6 +432,12 @@ def make_perturbed_body(base: RevolutionBody, phi: SphereProfile,
 _CTX_CACHE: dict = {}
 
 
+def _clears(kappa: float, margin: float) -> bool:
+    """Curvature guard: True only for a finite kappa above the margin, so
+    NaN or inf from a degenerate profile counts as a violation."""
+    return bool(np.isfinite(kappa) and kappa > margin)
+
+
 class ConstructionContext:
     """Everything expensive about one geometry (n, a, cap_u0), computed
     once: the bump transform's spectrum, dense-grid splines for sweep
@@ -635,8 +642,13 @@ class ConstructionContext:
         return float(num / vol)
 
     def kappa_min(self, lam: float, eps: float) -> float:
-        """Minimum meridian curvature of the perturbed body, from the
-        precomputed theta tables (same formula as curvature())."""
+        """Minimum meridian curvature of the perturbed body."""
+        return self.kappa_report(lam, eps).kappa_min
+
+    def kappa_report(self, lam: float, eps: float) -> ConvexityReport:
+        """Meridian curvature report of the perturbed body, from the
+        precomputed theta tables (same formula and grid as curvature()),
+        held to the configured convexity margin."""
         n = self.n
         big = self._big_t
         ub = self._ut[big]
@@ -667,7 +679,12 @@ class ConstructionContext:
         rp = -st * r1
         rpp = st * st * r2 - ut * r1
         kap = (r * r + 2 * rp * rp - r * rpp) / (r * r + rp * rp) ** 1.5
-        return float(np.min(kap))
+        i = int(np.argmin(kap))
+        kmin = float(kap[i])
+        margin = self.config.tolerances["convexity_margin"]
+        return ConvexityReport(kappa_min=kmin,
+                               argmin_theta=float(self._theta[i]),
+                               is_convex=_clears(kmin, margin), margin=margin)
 
     def seed_value(self, u, lam: float):
         return (1.0 - lam) * self.bump(u) + lam * self.gap(u)
@@ -691,8 +708,8 @@ class ConstructionContext:
                 reason = "radial power profile loses positivity"
             elif not c0 < 0.0 < c1:
                 reason = f"centroid does not bracket zero ({c0}, {c1})"
-            elif min(self.kappa_min(0.0, eps),
-                     self.kappa_min(1.0, eps)) <= margin:
+            elif not (_clears(self.kappa_min(0.0, eps), margin)
+                      and _clears(self.kappa_min(1.0, eps), margin)):
                 reason = "meridian curvature margin violated"
             else:
                 return {"eps": eps, "halvings": halvings,
@@ -829,15 +846,6 @@ class ConstructionContext:
             out[~big] = self._w01 @ self.blend_ft_value(pts, lam, 1)
         return out
 
-    def branch_gap(self, lam: float, u: float) -> float:
-        """Relative disagreement of the two perturbation branches at u;
-        diagnostic for the u_switch placement."""
-        g0 = self.blend_ft_at_zero(lam)
-        quot = (float(self.blend_ft_value(np.array([u]), lam, 0)[0]) - g0) / u
-        pts = self._s01 * u
-        integ = float(self._w01 @ self.blend_ft_value(pts, lam, 1))
-        return abs(quot - integ) / max(abs(quot), 1e-300)
-
     def diameter(self, lam: float, eps: float) -> float:
         """Max over the theta grid of rho(u) + rho(-u) (axial symmetry
         makes antipodal pairs along meridians the extremal chords)."""
@@ -860,8 +868,13 @@ class ConstructionContext:
 
 def get_context(config: Optional[RunConfig] = None,
                 params: Optional[ConstructionParams] = None) -> ConstructionContext:
-    """Context for (n, a, cap_u0) with the given numeric configuration,
-    cached across calls."""
+    """Context for (n, a, cap_u0) bound to the given configuration.
+
+    The tables are cached across calls, keyed on the settings they are
+    built from; a cache hit returns a shallow copy that shares them but
+    carries the caller's configuration for everything read per call
+    (eps, halving budget, tolerances, sweep grid, spot-check seed).
+    """
     cfg = config or RunConfig()
     cfg.validate()
     if params is not None:
@@ -874,12 +887,13 @@ def get_context(config: Optional[RunConfig] = None,
         cap = us + cfg.cap_margin * (1.0 - us)
     key = (n, a, cap, cfg.bump_max_degree, cfg.bump_quad_pad,
            cfg.dense_eval_grid, cfg.section_quad_order, cfg.u_switch,
-           cfg.gl_order, cfg.curvature_grid, cfg.equator_grid,
-           cfg.alpha_grid)
+           cfg.gl_order, cfg.curvature_grid, cfg.equator_grid)
     ctx = _CTX_CACHE.get(key)
     if ctx is None:
-        ctx = ConstructionContext(n, a, cap, cfg)
-        _CTX_CACHE[key] = ctx
+        ctx = _CTX_CACHE[key] = ConstructionContext(n, a, cap, cfg)
+        return ctx
+    ctx = copy.copy(ctx)
+    ctx.config = cfg
     return ctx
 
 
@@ -983,8 +997,7 @@ def run_construction(config: Optional[RunConfig] = None) -> dict:
     body = ctx.perturbed_body(lam0, eps0)
     rep_base = curvature(ctx.base, grid=cfg.curvature_grid,
                          margin=tol["convexity_margin"])
-    rep_pert = curvature(body, grid=cfg.curvature_grid,
-                         margin=tol["convexity_margin"])
+    rep_pert = ctx.kappa_report(lam0, eps0)
 
     eq_scan = {lam: ctx.equator_ratio(lam)
                for lam in (0.0, 0.25, 0.5, 0.75, 1.0)}
@@ -1010,8 +1023,8 @@ def run_construction(config: Optional[RunConfig] = None) -> dict:
         "lambda0_interior": 0.0 < lam0 < 1.0,
         "root_within_tolerance": abs(root["centroid_at_root"]) <= tol["root_abs"],
         "bracket_sign_change": sel["centroid_at_0"] < 0.0 < sel["centroid_at_1"],
-        "base_convex": rep_base.kappa_min > tol["convexity_margin"],
-        "perturbed_convex": rep_pert.kappa_min > tol["convexity_margin"],
+        "base_convex": _clears(rep_base.kappa_min, tol["convexity_margin"]),
+        "perturbed_convex": rep_pert.is_convex,
         "identity_within_tolerance": sweep["max_rel_err"] <= tol["identity_rel"],
         "margin_positive": sweep["min_margin"] > 0.0,
         "pole_sections_zero": sweep["pole_abs"] <= tol["pole_section_abs"],

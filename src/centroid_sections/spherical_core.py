@@ -142,21 +142,50 @@ class Quadrature:
 # ---------------------------------------------------------------------------
 # Gegenbauer recurrences
 
-def _gegenbauer_all(lam, u, max_degree, dtype=LD):
-    """Value table C_0..C_max at points u, shape (max_degree+1, len(u)).
+# points per block of the recurrence sweep: the four work buffers of a block
+# stay in a per-core cache while the sweep walks every degree
+_BLOCK = 1 << 14
 
-    Only used where the full table is affordable; bulk paths use the rolling
-    accumulators below.
+
+def _gegenbauer_sweep(lam, u, max_degree, dtype):
+    """Walk the three-term recurrence for C_m^lam over the flattened u.
+
+    Yields (block, m, values) for each block of at most _BLOCK points and,
+    inside it, for m = 0..max_degree; values holds C_m^lam(u[block]) in a
+    work buffer that the next step overwrites, so consumers read it at
+    once and never write to it.  Each step computes
+    ((2u * (m + lam - 1)) * C_{m-1} - (m + 2 lam - 2) * C_{m-2}) / m in
+    exactly that operation order, which every caller relies on for
+    bit-stable results.
     """
-    u = np.atleast_1d(np.asarray(u, dtype=dtype))
+    dtype = np.dtype(dtype).type
+    u = np.asarray(u, dtype=dtype).reshape(-1)
     lam = dtype(lam)
-    T = np.empty((max_degree + 1, u.size), dtype=dtype)
-    T[0] = 1.0
-    if max_degree >= 1:
-        T[1] = 2 * lam * u
-    for m in range(2, max_degree + 1):
-        T[m] = (2 * u * (m + lam - 1) * T[m - 1] - (m + 2 * lam - 2) * T[m - 2]) / m
-    return T
+    m = np.arange(max_degree + 1).astype(dtype)
+    a = m + lam - 1
+    b = m + 2 * lam - 2
+    two_lam = 2 * lam
+    size = min(u.size, _BLOCK)
+    u2_buf, pm1_buf, p_buf, t_buf = (np.empty(size, dtype) for _ in range(4))
+    for start in range(0, u.size, _BLOCK):
+        block = slice(start, min(start + _BLOCK, u.size))
+        k = block.stop - start
+        u2, pm1, p, t = u2_buf[:k], pm1_buf[:k], p_buf[:k], t_buf[:k]
+        pm1.fill(1)
+        yield block, 0, pm1
+        if max_degree == 0:
+            continue
+        np.multiply(u[block], two_lam, out=p)
+        yield block, 1, p
+        np.multiply(u[block], 2, out=u2)
+        for j in range(2, max_degree + 1):
+            np.multiply(u2, a[j], out=t)
+            t *= p
+            pm1 *= b[j]
+            t -= pm1
+            t /= m[j]
+            pm1, p, t = p, t, pm1
+            yield block, j, p
 
 
 def _norm_ratios(lam, max_degree, dtype=LD):
@@ -173,48 +202,55 @@ def _norm_ratios(lam, max_degree, dtype=LD):
 
 
 def _rolling_accumulate(coeffs, lam, u, dtype=None):
-    """Sum_m coeffs[m] C_m^lam(u) without materializing the table."""
+    """Sum_m coeffs[m] C_m^lam(u), shaped like u, without a value table."""
     u = np.asarray(u)
     if dtype is None:
         dtype = np.result_type(coeffs.dtype, u.dtype, np.float64)
-    u = u.astype(dtype, copy=False)
-    lam = np.dtype(dtype).type(lam)
     c = np.asarray(coeffs, dtype=dtype)
-    M = len(c) - 1
-    acc = np.full(u.shape, c[0], dtype=dtype)
-    if M == 0:
-        return acc
-    pm1 = np.ones_like(u)
-    p = 2 * lam * u
-    if c[1] != 0:
-        acc += c[1] * p
-    for m in range(2, M + 1):
-        pm1, p = p, (2 * u * (m + lam - 1) * p - (m + 2 * lam - 2) * pm1) / m
-        if c[m] != 0:
-            acc += c[m] * p
-    return acc
+    acc = np.full(u.size, c[0], dtype=dtype)
+    term = np.empty(min(u.size, _BLOCK), dtype=dtype)
+    for block, m, p in _gegenbauer_sweep(lam, u, len(c) - 1, dtype):
+        if m and c[m] != 0:
+            tm = term[:p.size]
+            np.multiply(c[m], p, out=tm)
+            acc[block] += tm
+    return acc.reshape(u.shape)
 
 
 def _project_onto_basis(fw, lam, u, max_degree, norms, dtype=LD):
     """Coefficients <f, C_m>/h_m from weighted samples fw = f(u)*w."""
-    u = np.asarray(u, dtype=dtype)
     fw = np.asarray(fw, dtype=dtype)
-    lam = dtype(lam)
-    out = np.empty(max_degree + 1, dtype=dtype)
-    pm1 = np.ones_like(u)
-    out[0] = fw.sum() / norms[0]
-    if max_degree == 0:
-        return out
-    p = 2 * lam * u
-    out[1] = (fw @ p) / norms[1]
-    for m in range(2, max_degree + 1):
-        pm1, p = p, (2 * u * (m + lam - 1) * p - (m + 2 * lam - 2) * pm1) / m
-        out[m] = (fw @ p) / norms[m]
-    return out
+    out = np.zeros(max_degree + 1, dtype=dtype)
+    for block, m, p in _gegenbauer_sweep(lam, u, max_degree, dtype):
+        out[m] += fw[block].sum() if m == 0 else fw[block] @ p
+    return out / norms
+
+
+def _top_pair(lam, x, order):
+    """C_Q^lam and its derivative at x (Q = order), from one recurrence
+    pass that also yields C_{Q-1}, through
+    (1 - x^2) C_Q' = -Q x C_Q + (Q + 2 lam - 1) C_{Q-1}.
+    Returns (C_Q, C_{Q-1}, C_Q')."""
+    cq = np.empty_like(x)
+    cqm1 = np.empty_like(x)
+    for block, m, p in _gegenbauer_sweep(lam, x, order, LD):
+        if m == order - 1:
+            cqm1[block] = p
+        elif m == order:
+            cq[block] = p
+    lam = LD(lam)
+    dcq = ((-order * x * cq + (order + 2 * lam - 1) * cqm1)
+           / ((1 - x) * (1 + x)))
+    return cq, cqm1, dcq
 
 
 # ---------------------------------------------------------------------------
 # quadrature
+
+# scipy's float64 roots sit within a few 1e-16 of the true nodes, inside
+# Newton's quadratic basin; a larger first step means that start failed
+_NEWTON_STEP_MAX = 1e-14
+
 
 @lru_cache(maxsize=64)
 def _gauss_jacobi_cached(order: int, beta: float):
@@ -222,37 +258,21 @@ def _gauss_jacobi_cached(order: int, beta: float):
     x64, w64 = roots_jacobi(order, beta, beta)
     x = x64.astype(LD)
     if lam > 0.05:
-        # Newton refinement of the symmetric-Jacobi roots in extended
-        # precision; float64 nodes would reintroduce the 1e-16 noise floor
-        # that the longdouble pipeline exists to avoid.
-        lamd = LD(lam)
-        for _ in range(3):
-            pm1 = np.ones_like(x)
-            p = 2 * lamd * x
-            for m in range(2, order + 1):
-                pm1, p = p, (2 * x * (m + lamd - 1) * p - (m + 2 * lamd - 2) * pm1) / m
-            # derivative via C'_Q = 2 lam C_{Q-1}^{lam+1}
-            lam1 = lamd + 1
-            qm1 = np.ones_like(x)
-            q = 2 * lam1 * x
-            for m in range(2, order):
-                qm1, q = q, (2 * x * (m + lam1 - 1) * q - (m + 2 * lam1 - 2) * qm1) / m
-            dq = 2 * lamd * (q if order >= 2 else qm1)
-            x = x - p / dq
+        # one Newton step in extended precision from the float64 roots;
+        # float64 nodes would reintroduce the 1e-16 noise floor that the
+        # longdouble pipeline exists to avoid
+        cq, _, dcq = _top_pair(lam, x, order)
+        step = cq / dcq
+        if not np.all(np.abs(step) <= _NEWTON_STEP_MAX):
+            raise ValueError(
+                f"Gauss-Jacobi start outside the Newton basin at order "
+                f"{order}, beta {beta}: largest step "
+                f"{float(np.max(np.abs(step))):.3e}")
+        x = x - step
+        _, cqm1, dcq = _top_pair(lam, x, order)
         h = _norm_ratios(lam, order)
-        pm1 = np.ones_like(x)
-        p = 2 * LD(lam) * x
-        for m in range(2, order):
-            pm1, p = p, (2 * x * (m + LD(lam) - 1) * p - (m + 2 * LD(lam) - 2) * pm1) / m
-        CQm1 = p if order >= 2 else pm1
-        lam1 = LD(lam) + 1
-        qm1 = np.ones_like(x)
-        q = 2 * lam1 * x
-        for m in range(2, order):
-            qm1, q = q, (2 * x * (m + lam1 - 1) * q - (m + 2 * lam1 - 2) * qm1) / m
-        dCQ = 2 * LD(lam) * (q if order >= 2 else qm1)
         kratio = 2 * (LD(lam) + order - 1) / order
-        w = kratio * h[order - 1] / (CQm1 * dCQ)
+        w = kratio * h[order - 1] / (cqm1 * dcq)
     else:
         w = w64.astype(LD)
     idx = np.argsort(x)
@@ -396,7 +416,7 @@ def bochner_multiplier(m, p: float, n: int):
     return out.astype(np.float64)
 
 
-def _as_homogeneous(f, default_p=None):
+def _as_homogeneous(f):
     if isinstance(f, HomogeneousFunction):
         return f
     raise TypeError("expected a HomogeneousFunction")

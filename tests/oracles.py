@@ -33,6 +33,30 @@ def gegenbauer_value(m, lam, u):
     return special.eval_gegenbauer(m, lam, np.asarray(u, dtype=float))
 
 
+def gegenbauer_series_plain(coeffs, lam, u, dtype):
+    """Sum_m coeffs[m] C_m^lam(u) in the given dtype by the textbook
+    three-term recurrence, one degree at a time over the whole array.
+
+    Same operation order as the package kernel, which must reproduce it
+    bit for bit; zero coefficients are skipped, as there.
+    """
+    u = np.asarray(u).astype(dtype)
+    lam = dtype(lam)
+    c = np.asarray(coeffs, dtype=dtype)
+    acc = np.full(u.shape, c[0], dtype=dtype)
+    if len(c) == 1:
+        return acc
+    pm1 = np.ones_like(u)
+    p = 2 * lam * u
+    if c[1] != 0:
+        acc += c[1] * p
+    for m in range(2, len(c)):
+        pm1, p = p, (2 * u * (m + lam - 1) * p - (m + 2 * lam - 2) * pm1) / m
+        if c[m] != 0:
+            acc += c[m] * p
+    return acc
+
+
 def u_squared_coeffs(lam, nodes=(0.3, 0.7)):
     """Coefficients (c0, c2) with u^2 = c0*C_0 + c2*C_2 in the
     Gegenbauer basis, from a 2x2 collocation solve."""

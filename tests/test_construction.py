@@ -327,9 +327,21 @@ def test_kappa_min_tracks_base_as_eps_vanishes(ctx5):
 
 
 def test_perturbed_body_convex_at_root(construct_result, cert5):
+    # the certificate's curvature comes from the context tables; the
+    # generic pass over the perturbed body must give the same bits
     rep = curvature(construct_result["body"])
     assert rep.kappa_min > 0.0
-    assert abs(rep.kappa_min - cert5["kappa_min_perturbed"]) <= 1e-12
+    assert rep.kappa_min == cert5["kappa_min_perturbed"]
+    assert rep.argmin_theta == cert5["kappa_argmin_theta"]
+
+
+def test_perturbed_curvature_matches_generic_pass_n6():
+    res = run_construction(RunConfig(n=6))
+    cert = res["certificate"]
+    rep = curvature(res["body"])
+    assert rep.kappa_min > 0.0
+    assert rep.kappa_min == cert["kappa_min_perturbed"]
+    assert rep.argmin_theta == cert["kappa_argmin_theta"]
 
 
 # eps selection fallback
@@ -339,6 +351,27 @@ def test_select_eps_raises_after_exhausting_halvings(ctx5):
     cfg_eps = 10.0
     with pytest.raises(ConstructionError, match="eps too large"):
         ctx5.select_eps(cfg_eps)
+
+
+def test_select_eps_treats_nan_curvature_as_violation(ctx5, monkeypatch):
+    # min(1.0, nan) is 1.0, so a NaN at one endpoint must not hide
+    monkeypatch.setattr(ctx5, "kappa_min",
+                        lambda lam, eps: float("nan") if lam == 1.0 else 1.0)
+    with pytest.raises(ConstructionError, match="curvature"):
+        ctx5.select_eps()
+
+
+def test_context_cache_hit_binds_callers_config(ctx5, cert5):
+    cfg = RunConfig(eps_max_halvings=0, seed=7, alpha_grid=361)
+    cfg.tolerances["root_abs"] = 1e-20
+    ctx = get_context(cfg)
+    assert ctx.config is cfg and ctx5.config is not cfg
+    # the sweep grid is not a build input: the tables are shared
+    assert ctx.bump_ft_spectrum is ctx5.bump_ft_spectrum
+    assert ctx._x is ctx5._x
+    with pytest.raises(ConstructionError, match="after 0 halvings"):
+        ctx.select_eps()
+    assert ctx5.select_eps()["halvings"] == cert5["eps_halvings"]
 
 
 # certificate
