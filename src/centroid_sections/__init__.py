@@ -3,31 +3,57 @@ is the centroid of exactly one central hyperplane section, together with
 the spectral toolkit (Gegenbauer expansions, homogeneous-extension
 transforms, subsphere averages) used to certify it, and the planar
 three-chords counterpart.
+
+Importing the package loads none of its submodules, numpy or scipy: each
+name below is imported from its submodule on first access (PEP 562), so a
+process pays only for the parts it uses.
 """
 
-from .config import RunConfig, default_tolerances
-from .spherical_core import (GegenbauerSpectrum, HomogeneousFunction,
-                             Quadrature, SphereProfile, SpectrumProfile,
-                             bochner_multiplier, eval_spectrum,
-                             eval_spectrum_deriv, expand, ft_homogeneous,
-                             ft_via_radon, gauss_jacobi, parseval_residual,
-                             radon_subsphere, sphere_area, sphere_integral,
-                             spectrum_from_dict, spectrum_to_dict)
-from .revolution_bodies import (ConvexityReport, RevolutionBody,
-                                body_to_dict, centroid_axis, curvature,
-                                intersection_body_test, make_base_body,
-                                profile_csv_rows, reflect_body,
-                                section_centroid_axis, section_volume,
-                                volume)
-from .counterexample import (CERTIFICATE_SCHEMA, ConstructionContext,
-                             ConstructionError, ConstructionParams,
-                             auto_select_a, centroid_functional, find_root,
-                             get_context, make_blend, make_cap_bump,
-                             make_oblate_gap_profile, make_odd_perturbation,
-                             make_perturbed_body, negativity_threshold,
-                             run_construction, section_identity_check,
-                             verify_theorem)
-from .planar import (PlanarBody, bisected_chords, chord_defect_orthogonality,
-                     planar_centroid, polygon_body, radial_body, recenter)
+from importlib import import_module as _import_module
+
+_EXPORTS = {
+    "config": ("ConstructionError", "RunConfig", "default_tolerances"),
+    "spherical_core": (
+        "GegenbauerSpectrum", "HomogeneousFunction", "Quadrature",
+        "SphereProfile", "SpectrumProfile", "bochner_multiplier",
+        "eval_spectrum", "eval_spectrum_deriv", "expand", "ft_homogeneous",
+        "ft_via_radon", "gauss_jacobi", "parseval_residual",
+        "radon_subsphere", "sphere_area", "sphere_integral",
+        "spectrum_from_dict", "spectrum_to_dict"),
+    "revolution_bodies": (
+        "ConvexityReport", "RevolutionBody", "body_to_dict", "centroid_axis",
+        "curvature", "intersection_body_test", "make_base_body",
+        "profile_csv_rows", "reflect_body", "section_centroid_axis",
+        "section_volume", "volume"),
+    "counterexample": (
+        "CERTIFICATE_SCHEMA", "ConstructionContext", "ConstructionParams",
+        "auto_select_a", "centroid_functional", "find_root", "get_context",
+        "make_blend", "make_cap_bump", "make_oblate_gap_profile",
+        "make_odd_perturbation", "make_perturbed_body",
+        "negativity_threshold", "run_construction", "section_identity_check",
+        "verify_theorem"),
+    "planar": (
+        "PlanarBody", "bisected_chords", "chord_defect_orthogonality",
+        "planar_centroid", "polygon_body", "radial_body", "recenter"),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items()
+           for name in names}
+
+# the exported names and the submodules that hold them
+__all__ = sorted([*_ORIGIN, *_EXPORTS])
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return _import_module(f".{name}", __name__)
+    if name not in _ORIGIN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{_ORIGIN[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -6,6 +6,9 @@ intersection-test, planar, plot.  Exit codes: 0 success, 2 invalid
 input, 3 construction or check failure, 4 certificate verification
 failure.  All files are written atomically (temp file + rename) so a
 crash never leaves a half-written certificate.
+
+The construction modules (and scipy with them) are imported inside the
+subcommands that use them, so `planar` runs on numpy alone.
 """
 
 import argparse
@@ -19,12 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .config import RunConfig
-from . import counterexample as cx
-from .planar import (PlanarBody, bisected_chords, planar_centroid,
-                     polygon_body, radial_body, recenter)
-from .revolution_bodies import (body_to_dict, intersection_body_test,
-                                make_base_body)
+from .config import ConstructionError, RunConfig
+from .planar import PlanarBody, bisected_chords, polygon_body, radial_body
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -100,6 +99,8 @@ def _sections_rows(sweep):
 
 
 def cmd_construct(args) -> int:
+    from . import counterexample as cx
+    from .revolution_bodies import body_to_dict
     out = _outdir(args)
     try:
         cfg = _config_from_args(args)
@@ -108,7 +109,7 @@ def cmd_construct(args) -> int:
         return EXIT_USAGE
     try:
         res = cx.run_construction(cfg)
-    except cx.ConstructionError as exc:
+    except ConstructionError as exc:
         _write_atomic(os.path.join(out, "diagnostic.json"),
                       _json_text({"stage": "construction",
                                   "error": str(exc)}))
@@ -147,32 +148,48 @@ def _check(lines, name, ok, detail):
     return ok
 
 
-def cmd_verify(args) -> int:
+def _load_certificate(args):
+    """(certificate, config, context) for the certificate that verify and
+    plot read, or None after printing why it cannot be used.
+
+    The stored configuration sets the geometry and grids.  A stored
+    tolerance can only tighten the package default: the check uses the
+    smaller of the two, so a certificate cannot loosen its own checks.
+    """
+    from . import counterexample as cx
     try:
         with open(args.certificate) as fh:
             cert = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read certificate: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return None
     if cert.get("schema") != cx.CERTIFICATE_SCHEMA:
         print(f"error: unsupported certificate schema "
               f"{cert.get('schema')!r}", file=sys.stderr)
-        return EXIT_USAGE
+        return None
     cfg = RunConfig()
-    stored = cert.get("config", {})
-    for k, v in stored.items():
+    for k, v in cert.get("config", {}).items():
         if k == "tolerances":
-            cfg.tolerances.update(v)
+            for name, stored in v.items():
+                if name in cfg.tolerances:
+                    cfg.tolerances[name] = min(stored, cfg.tolerances[name])
         elif hasattr(cfg, k):
             setattr(cfg, k, v)
-    if args.alpha_grid is not None:
+    if getattr(args, "alpha_grid", None) is not None:
         cfg.alpha_grid = args.alpha_grid
     cfg.validate()
     p = cert["params"]
     params = cx.ConstructionParams(n=p["n"], a=p["a"], cap_u0=p["cap_u0"],
                                    cap_margin=p["cap_margin"], eps=p["eps"],
                                    lam=p["lambda"])
-    ctx = cx.get_context(cfg, params)
+    return cert, cfg, cx.get_context(cfg, params)
+
+
+def cmd_verify(args) -> int:
+    loaded = _load_certificate(args)
+    if loaded is None:
+        return EXIT_USAGE
+    cert, cfg, ctx = loaded
     tol = cfg.tolerances
     lam0, eps0 = cert["lambda0"], cert["eps0"]
     lines = []
@@ -224,12 +241,14 @@ def cmd_verify(args) -> int:
 # intersection test
 
 def cmd_intersection_test(args) -> int:
+    from .counterexample import auto_select_a
+    from .revolution_bodies import intersection_body_test, make_base_body
     try:
         cfg = _config_from_args(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    a = cfg.a if cfg.a is not None else cx.auto_select_a(cfg.n, cfg)
+    a = cfg.a if cfg.a is not None else auto_select_a(cfg.n, cfg)
     body = make_base_body(cfg.n, a)
     res = intersection_body_test(body, grid=cfg.equator_grid,
                                  max_degree=cfg.max_degree,
@@ -339,24 +358,10 @@ def cmd_planar(args) -> int:
 # plot data
 
 def cmd_plot(args) -> int:
-    try:
-        with open(args.certificate) as fh:
-            cert = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read certificate: {exc}", file=sys.stderr)
+    loaded = _load_certificate(args)
+    if loaded is None:
         return EXIT_USAGE
-    cfg = RunConfig()
-    for k, v in cert.get("config", {}).items():
-        if k == "tolerances":
-            cfg.tolerances.update(v)
-        elif hasattr(cfg, k):
-            setattr(cfg, k, v)
-    cfg.validate()
-    p = cert["params"]
-    params = cx.ConstructionParams(n=p["n"], a=p["a"], cap_u0=p["cap_u0"],
-                                   cap_margin=p["cap_margin"], eps=p["eps"],
-                                   lam=p["lambda"])
-    ctx = cx.get_context(cfg, params)
+    cert, cfg, ctx = loaded
     out = _outdir(args)
     lam0, eps0 = cert["lambda0"], cert["eps0"]
     u = np.linspace(-1.0, 1.0, cfg.plot_grid)
@@ -442,7 +447,7 @@ def main(argv: Optional[list] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except cx.ConstructionError as exc:
+    except ConstructionError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCT
 

@@ -4,6 +4,10 @@ from dataclasses import dataclass, field, asdict
 from typing import Optional
 
 
+class ConstructionError(RuntimeError):
+    """A precondition of the construction failed numerically."""
+
+
 def default_tolerances() -> dict:
     return {
         "quadrature_exactness": 1e-12,

@@ -23,10 +23,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.special import roots_legendre
 
-from .config import RunConfig, default_tolerances
+from .config import ConstructionError, RunConfig
 from .revolution_bodies import (ConvexityReport, RevolutionBody, curvature,
                                 make_base_body)
 from .spherical_core import (GegenbauerSpectrum, HomogeneousFunction,
@@ -45,10 +44,6 @@ __all__ = [
 ]
 
 CERTIFICATE_SCHEMA = "v1"
-
-
-class ConstructionError(RuntimeError):
-    """A precondition of the construction failed numerically."""
 
 
 @dataclass
@@ -431,6 +426,16 @@ def make_perturbed_body(base: RevolutionBody, phi: SphereProfile,
 
 _CTX_CACHE: dict = {}
 
+# Dense-grid points fitted beyond each end of the range the derivative
+# spline is read on.  A not-a-knot cubic spline forgets data k grid points
+# away like (2 - sqrt(3))^k, so at 64 points the fit inside the read range
+# is bit-identical to a fit over the whole grid.
+_SPLINE_PAD = 64
+
+# Small-|u| columns per block of the equator branch of _phi_bulk: each
+# (gl_order x block) temporary stays near 6 MB however long the sweep.
+_EQUATOR_BLOCK = 8192
+
 
 def _clears(kappa: float, margin: float) -> bool:
     """Curvature guard: True only for a finite kappa above the margin, so
@@ -482,11 +487,19 @@ class ConstructionContext:
         self._w01 = 0.5 * w_gl
 
         # dense splines of the bump transform and its first derivative,
-        # for bulk evaluation in the section sweep
+        # for bulk evaluation in the section sweep.  The derivative is read
+        # only by the equator branch (|u| < u_switch), so it is fitted on
+        # that range plus _SPLINE_PAD grid steps (the half step keeps the
+        # end points that the grid's rounding puts a few ulps further out);
+        # a read outside the window gives NaN, never an extrapolation.
+        from scipy.interpolate import CubicSpline
         ud = np.linspace(-1.0, 1.0, config.dense_eval_grid)
+        h = 2.0 / (config.dense_eval_grid - 1)
+        uw = ud[np.abs(ud) <= self.u_switch + (_SPLINE_PAD + 0.5) * h]
         self._spl = [
             CubicSpline(ud, eval_spectrum(self.bump_ft_spectrum, ud)),
-            CubicSpline(ud, eval_spectrum_deriv(self.bump_ft_spectrum, ud, 1)),
+            CubicSpline(uw, eval_spectrum_deriv(self.bump_ft_spectrum, uw, 1),
+                        extrapolate=False),
         ]
 
         # centroid quadrature: same nodes as the bump expansion, so every
@@ -813,9 +826,12 @@ class ConstructionContext:
         out[big] = (self._blend_ft_spline(ub, lam, 0)
                     - self.blend_ft_at_zero(lam)) / ub
         us = u[~big]
-        if us.size:
-            pts = np.outer(self._s01, us)
-            out[~big] = self._w01 @ self._blend_ft_spline(pts, lam, 1)
+        small = np.empty_like(us)
+        for i in range(0, us.size, _EQUATOR_BLOCK):
+            pts = np.outer(self._s01, us[i:i + _EQUATOR_BLOCK])
+            small[i:i + _EQUATOR_BLOCK] = (
+                self._w01 @ self._blend_ft_spline(pts, lam, 1))
+        out[~big] = small
         return out
 
     def _spot_check(self, u: np.ndarray, phi_bulk: np.ndarray, lam: float):

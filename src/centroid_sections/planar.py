@@ -157,9 +157,7 @@ def recenter(body: PlanarBody, resolution: int = 4096) -> PlanarBody:
 
     def shifted(theta):
         th = np.atleast_1d(np.asarray(theta, dtype=float))
-        out = np.empty_like(th)
-        for i, alpha in enumerate(th):
-            out[i] = _shifted_radius(fn, c, float(alpha))
+        out = _shifted_radii(fn, c, th.ravel()).reshape(th.shape)
         if np.ndim(theta) == 0:
             return float(out[0])
         return out
@@ -167,38 +165,48 @@ def recenter(body: PlanarBody, resolution: int = 4096) -> PlanarBody:
     return PlanarBody(radial_fn=shifted)
 
 
-def _shifted_radius(fn: Callable, c: np.ndarray, alpha: float) -> float:
-    """Radius about center c in direction alpha for a boundary given as a
-    radial profile about the origin: root of the cross product of the ray
-    direction with (boundary point - c)."""
+def _shifted_radii(fn: Callable, c: np.ndarray,
+                   alpha: np.ndarray) -> np.ndarray:
+    """Radii about center c in the directions alpha (1-d) for a boundary
+    given as a radial profile about the origin: per direction, the root of
+    the cross product of the ray direction with (boundary point - c).
+
+    One masked bisection runs over all directions; each direction widens
+    its own bracket and stops on its own rule, and fn is evaluated only at
+    the directions still working.
+    """
     ca, sa = np.cos(alpha), np.sin(alpha)
 
-    def h(theta):
-        r = float(fn(theta))
-        return ca * (r * np.sin(theta) - c[1]) - sa * (r * np.cos(theta) - c[0])
+    def h(theta, i):
+        r = np.asarray(fn(theta), dtype=float)
+        return (ca[i] * (r * np.sin(theta) - c[1])
+                - sa[i] * (r * np.cos(theta) - c[0]))
 
+    every = np.arange(alpha.size)
     lo, hi = alpha - np.pi / 2, alpha + np.pi / 2
-    flo, fhi = h(lo), h(hi)
-    k = 0
-    while flo * fhi > 0 and k < 20:
-        lo -= np.pi / 16
-        hi += np.pi / 16
-        flo, fhi = h(lo), h(hi)
-        k += 1
-    if flo * fhi > 0:
-        raise ValueError("failed to bracket the shifted boundary point")
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        fm = h(mid)
-        if hi - lo < 1e-14:
+    flo, fhi = h(lo, every), h(hi, every)
+    for _ in range(20):
+        i = np.nonzero(flo * fhi > 0)[0]
+        if not i.size:
             break
-        if (fm < 0) == (flo < 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
+        lo[i] -= np.pi / 16
+        hi[i] += np.pi / 16
+        flo[i], fhi[i] = h(lo[i], i), h(hi[i], i)
+    if np.any(flo * fhi > 0):
+        raise ValueError("failed to bracket the shifted boundary point")
+    i = every
+    for _ in range(100):
+        i = i[hi[i] - lo[i] >= 1e-14]
+        if not i.size:
+            break
+        mid = 0.5 * (lo[i] + hi[i])
+        fm = h(mid, i)
+        left = (fm < 0) == (flo[i] < 0)
+        lo[i[left]], flo[i[left]] = mid[left], fm[left]
+        hi[i[~left]] = mid[~left]
     theta = 0.5 * (lo + hi)
-    r = float(fn(theta))
-    return float(np.hypot(r * np.cos(theta) - c[0], r * np.sin(theta) - c[1]))
+    r = np.asarray(fn(theta), dtype=float)
+    return np.hypot(r * np.cos(theta) - c[0], r * np.sin(theta) - c[1])
 
 
 def _chord_defect(body: PlanarBody, theta):
@@ -259,24 +267,23 @@ def bisected_chords(body: PlanarBody, resolution: int = 4096,
         gaps = np.diff(np.concatenate([idx, [idx[0] + m]])) if idx.size else []
         if idx.size and np.min(gaps) < 3:
             continue                      # clustered: refine the scan
-        roots = []
-        for i in idx:
-            lo, hi = th[i], th[i] + spacing
-            flo = float(_chord_defect(body, lo))
-            for _ in range(200):
-                if hi - lo <= theta_tol:
-                    break
-                mid = 0.5 * (lo + hi)
-                fm = float(_chord_defect(body, mid))
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if (fm < 0) == (flo < 0):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
-            roots.append(0.5 * (lo + hi) % np.pi)
-        roots = sorted(roots)
+        # sharpen every crossing at once; each stops on its own rule
+        lo, hi = th[idx], th[idx] + spacing
+        flo = _chord_defect(body, lo)
+        k = np.arange(idx.size)
+        for _ in range(200):
+            k = k[hi[k] - lo[k] > theta_tol]
+            if not k.size:
+                break
+            mid = 0.5 * (lo[k] + hi[k])
+            fm = _chord_defect(body, mid)
+            hit = fm == 0.0
+            lo[k[hit]] = hi[k[hit]] = mid[hit]
+            left = ~hit & ((fm < 0) == (flo[k] < 0))
+            lo[k[left]], flo[k[left]] = mid[left], fm[left]
+            right = ~hit & ~left
+            hi[k[right]] = mid[right]
+        roots = sorted(float(t) for t in 0.5 * (lo + hi) % np.pi)
         count = len(roots)
         if count >= 3 and count % 2 == 1:
             return {"symmetric_all": False, "count": count,

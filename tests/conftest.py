@@ -1,8 +1,20 @@
 import json
+import os
+from pathlib import Path
 
 import pytest
 
+import centroid_sections
 from centroid_sections import RunConfig, get_context, run_construction
+
+
+@pytest.fixture(scope="session")
+def subprocess_env():
+    """Environment for a fresh interpreter that imports this checkout's
+    package, however pytest itself found it."""
+    src = str(Path(centroid_sections.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
 
 
 @pytest.fixture(scope="session")

@@ -202,6 +202,44 @@ def count_antipodal_sign_changes(radius_fn, resolution=1 << 16):
     return int(np.sum(s[1:] != s[:-1]))
 
 
+def shifted_radius_loop(fn, c, alpha):
+    """Radius about center c in the direction alpha (a float) of the curve
+    with radial profile fn about the origin, one scalar bisection per
+    direction: the per-angle loop that planar.recenter vectorizes.
+
+    Same bracket widening, stop rule and operation order as the package,
+    so with the same fn values the result is bit-equal.
+    """
+    ca, sa = np.cos(alpha), np.sin(alpha)
+
+    def h(theta):
+        r = float(fn(theta))
+        return ca * (r * np.sin(theta) - c[1]) - sa * (r * np.cos(theta) - c[0])
+
+    lo, hi = alpha - np.pi / 2, alpha + np.pi / 2
+    flo, fhi = h(lo), h(hi)
+    k = 0
+    while flo * fhi > 0 and k < 20:
+        lo -= np.pi / 16
+        hi += np.pi / 16
+        flo, fhi = h(lo), h(hi)
+        k += 1
+    if flo * fhi > 0:
+        raise ValueError("failed to bracket the shifted boundary point")
+    for _ in range(100):
+        if hi - lo < 1e-14:
+            break
+        mid = 0.5 * (lo + hi)
+        fm = h(mid)
+        if (fm < 0) == (flo < 0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    theta = 0.5 * (lo + hi)
+    r = float(fn(theta))
+    return float(np.hypot(r * np.cos(theta) - c[0], r * np.sin(theta) - c[1]))
+
+
 def random_convex_hull(rng, points=20):
     """Vertices of the convex hull of random points, counterclockwise."""
     from scipy.spatial import ConvexHull

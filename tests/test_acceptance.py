@@ -140,7 +140,7 @@ def test_c06_blend_transform_vanishes_at_equator(ctx5):
 
 
 @pytest.mark.parametrize("n,budget", [(5, 60.0), (6, 120.0)])
-def test_c07_construction_certificate(n, budget, tmp_path):
+def test_c07_construction_certificate(n, budget, tmp_path, subprocess_env):
     """A cold-cache CLI construction run succeeds within budget and its
     certificate pins the root inside (0,1), a centroid residual at most
     1e-12, positive curvature, the section identity to 1e-6 over the
@@ -150,7 +150,7 @@ def test_c07_construction_certificate(n, budget, tmp_path):
     t0 = time.perf_counter()
     res = subprocess.run(
         [sys.executable, "-m", "centroid_sections.cli", "construct",
-         "--n", str(n), "--outdir", str(out)],
+         "--n", str(n), "--outdir", str(out)], env=subprocess_env,
         capture_output=True, text=True, timeout=budget + 30.0)
     wall = time.perf_counter() - t0
     assert res.returncode == 0, res.stderr

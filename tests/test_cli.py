@@ -118,6 +118,31 @@ def test_verify_rejects_shifted_root(cli_outdir, tmp_path, capsys):
     assert "verification FAILED" in out
 
 
+def test_verify_holds_nudged_root_to_package_tolerance(cli_outdir, tmp_path,
+                                                      capsys):
+    # the file's root_abs of 1e-6 would pass |c| ~ 2.4e-13 at a root nudged
+    # by 0.1 %; a stored tolerance may only tighten the package's 1e-13
+    def mutate(cert):
+        cert["lambda0"] *= 1.0 + 1e-3
+        cert["config"]["tolerances"]["root_abs"] = 1e-6
+    path = _tampered(cli_outdir, tmp_path, mutate)
+    rc = cli.main(["verify", str(path)])
+    out = capsys.readouterr().out
+    assert rc == 4
+    assert "FAIL centroid_at_recorded_root" in out
+
+
+def test_verify_honours_tightened_tolerance(cli_outdir, tmp_path, capsys):
+    path = _tampered(
+        cli_outdir, tmp_path,
+        lambda c: c["config"]["tolerances"].update(equator_rel=1e-12))
+    rc = cli.main(["verify", str(path)])
+    out = capsys.readouterr().out
+    assert rc == 4
+    assert "FAIL equator_within_tolerance" in out
+    assert "PASS centroid_at_recorded_root" in out
+
+
 def test_verify_rejects_forged_margin(cli_outdir, tmp_path, capsys):
     path = _tampered(
         cli_outdir, tmp_path,
@@ -263,10 +288,10 @@ def test_no_subcommand_exits_2(capsys):
     capsys.readouterr()
 
 
-def test_console_script_help():
+def test_console_script_help(subprocess_env):
     res = subprocess.run([sys.executable, "-m", "centroid_sections.cli",
-                          "--help"], capture_output=True, text=True,
-                         timeout=60)
+                          "--help"], env=subprocess_env,
+                         capture_output=True, text=True, timeout=60)
     assert res.returncode == 0
     for word in ("construct", "verify", "intersection-test", "planar",
                  "plot"):

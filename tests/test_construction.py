@@ -1,11 +1,15 @@
+import copy
+import functools
 import json
 from unittest import mock
 
 import numpy as np
 import pytest
 
+from centroid_sections import counterexample
 from centroid_sections import (ConstructionError, ConstructionParams,
                                HomogeneousFunction, RunConfig, curvature,
+                               eval_spectrum_deriv,
                                find_root, get_context, make_base_body,
                                make_blend, make_cap_bump,
                                make_oblate_gap_profile, make_odd_perturbation,
@@ -311,6 +315,61 @@ def test_identity_check_rejects_foreign_body(cert5):
                                 eps=cert5["eps0"])
     with pytest.raises(ValueError):
         section_identity_check(make_base_body(5, 0.4), params)
+
+
+# bulk evaluation: windowed derivative spline, blocked equator branch
+
+
+def _phi_bulk_unblocked(ctx, u, lam):
+    """The bulk quotient with the whole equator branch in one
+    (gl_order x N) evaluation, as before blocking."""
+    out = np.empty_like(u)
+    big = np.abs(u) >= ctx.config.u_switch
+    ub = u[big]
+    out[big] = (ctx._blend_ft_spline(ub, lam, 0)
+                - ctx.blend_ft_at_zero(lam)) / ub
+    pts = np.outer(ctx._s01, u[~big])
+    out[~big] = ctx._w01 @ ctx._blend_ft_spline(pts, lam, 1)
+    return out
+
+
+def test_identity_sweep_bit_equal_to_full_range_unblocked(ctx5, cert5):
+    from scipy.interpolate import CubicSpline
+    lam, eps = cert5["lambda0"], cert5["eps0"]
+    grid = np.linspace(-1.0, 1.0, 1441)
+    r = np.sqrt(1.0 - grid ** 2)
+    small = np.abs(r[:, None] * ctx5._ts[None, :]) < ctx5.config.u_switch
+    assert small.sum() > 2 * counterexample._EQUATOR_BLOCK
+    # reference built the old way: derivative spline over the whole dense
+    # grid, equator branch unblocked
+    ud = np.linspace(-1.0, 1.0, ctx5.config.dense_eval_grid)
+    ref = copy.copy(ctx5)
+    ref._spl = [ctx5._spl[0],
+                CubicSpline(ud, eval_spectrum_deriv(ctx5.bump_ft_spectrum,
+                                                    ud, 1))]
+    ref._phi_bulk = functools.partial(_phi_bulk_unblocked, ref)
+    # the window fit itself, where the equator branch reads it (eps0 is
+    # small enough that the sweep alone would hide a last-bit change)
+    pts = np.outer(ctx5._s01, (r[:, None] * ctx5._ts[None, :])[small])
+    assert np.array_equal(ctx5._spl[1](pts), ref._spl[1](pts))
+    want = ref.identity_sweep(lam, eps, grid)
+    got = ctx5.identity_sweep(lam, eps, grid)
+    assert np.array_equal(got["lhs"], want["lhs"])
+    assert np.array_equal(got["centroid_quadrature"],
+                          want["centroid_quadrature"])
+
+
+def test_derivative_spline_nan_outside_its_window(ctx5):
+    spl = ctx5._spl[1]
+    h = 2.0 / (ctx5.config.dense_eval_grid - 1)
+    u_switch = ctx5.config.u_switch
+    lo, hi = spl.x[0], spl.x[-1]
+    assert round((hi - u_switch) / h) == counterexample._SPLINE_PAD
+    assert round((-u_switch - lo) / h) == counterexample._SPLINE_PAD
+    assert np.all(np.isfinite(spl(np.array([lo, -u_switch, 0.0,
+                                            u_switch, hi]))))
+    outside = spl(np.array([lo - h / 4, hi + h / 4, -1.0, 0.5, 1.0]))
+    assert np.all(np.isnan(outside))
 
 
 # convexity of the perturbed body

@@ -5,7 +5,9 @@ from centroid_sections import (bisected_chords, chord_defect_orthogonality,
                                planar_centroid, polygon_body, radial_body,
                                recenter)
 
-from oracles import SEED, count_antipodal_sign_changes, random_convex_hull
+from centroid_sections import planar
+from oracles import (SEED, count_antipodal_sign_changes, random_convex_hull,
+                     shifted_radius_loop)
 
 
 def _shifted_disk(center=(0.2, 0.0), r=1.0):
@@ -17,6 +19,32 @@ def _shifted_disk(center=(0.2, 0.0), r=1.0):
         return b + np.sqrt(b * b + r * r - cx * cx - cy * cy)
 
     return radial_body(rho)
+
+
+def _tilted_ellipse_rho(b=0.3, offset=0.8, tilt=np.pi / 4):
+    """Radial profile about the origin of the ellipse with semi-axes 1 and
+    b, major axis at angle tilt, centered offset along that axis from the
+    origin; also returns the center and the quadratic form Q with x - center
+    on the boundary iff (x - center)^T Q (x - center) = 1."""
+    R = np.array([[np.cos(tilt), -np.sin(tilt)],
+                  [np.sin(tilt), np.cos(tilt)]])
+    Q = R @ np.diag([1.0, 1.0 / b ** 2]) @ R.T
+    center = -offset * R[:, 0]
+
+    # elementwise arithmetic only, so scalar and array calls agree bit
+    # for bit (a matrix product need not)
+    (q00, q01), (_, q11) = Q
+    p0, p1 = Q @ center
+    C = center @ Q @ center - 1.0
+
+    def rho(t):
+        t = np.asarray(t, float)
+        ct, st = np.cos(t), np.sin(t)
+        A = q00 * ct * ct + 2.0 * q01 * ct * st + q11 * st * st
+        B = -2.0 * (ct * p0 + st * p1)
+        return (-B + np.sqrt(B * B - 4.0 * A * C)) / (2.0 * A)
+
+    return rho, center, Q
 
 
 def _equilateral(side=2.0):
@@ -75,6 +103,53 @@ def test_recenter_triangle_keeps_asymmetry():
     t = np.linspace(0.0, np.pi, 181, endpoint=False)
     defect = centered.radius(t) - centered.radius(t + np.pi)
     assert np.max(np.abs(defect)) > 1e-2
+
+
+def test_recenter_matches_scalar_loop_and_closed_form():
+    # off-center tilted ellipse: most directions widen the first bracket
+    rho, center, Q = _tilted_ellipse_rho()
+    body = radial_body(rho)
+    c = planar_centroid(body)
+    assert np.max(np.abs(c - center)) <= 1e-12
+    t = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
+    ca, sa = np.cos(t), np.sin(t)
+
+    def cross(theta):
+        r = rho(theta)
+        return ca * (r * np.sin(theta) - c[1]) - sa * (r * np.cos(theta) - c[0])
+
+    widened = cross(t - np.pi / 2) * cross(t + np.pi / 2) > 0
+    assert 0 < widened.sum() < t.size
+    want = np.array([shifted_radius_loop(rho, c, a) for a in t])
+    got = recenter(body).radius(t)
+    assert np.array_equal(got, want)
+    # independent: the radial function of the ellipse about its center
+    u = np.stack([ca, sa], axis=-1)
+    exact = 1.0 / np.sqrt(np.einsum("...i,ij,...j->...", u, Q, u))
+    assert np.max(np.abs(got - exact)) <= 1e-12
+
+
+def test_recenter_scalar_and_2d_theta():
+    blob = radial_body(lambda t: 1.0 + 0.3 * np.cos(t) + 0.1 * np.sin(2.0 * t))
+    centered = recenter(blob)
+    t = np.linspace(0.0, 2.0 * np.pi, 12).reshape(3, 4)
+    grid = centered.radius(t)
+    assert grid.shape == (3, 4)
+    one = centered.radial_fn(0.7)
+    assert isinstance(one, float)
+    assert one == float(centered.radius(np.array([0.7]))[0])
+    assert np.array_equal(grid.ravel(), centered.radius(t.ravel()))
+
+
+def test_shifted_radii_raise_without_bracket():
+    # from (3, 0) the vertical line misses the unit circle, the horizontal
+    # one does not: one direction without a bracket fails the whole call
+    circle = lambda t: np.ones_like(np.asarray(t, float))
+    c = np.array([3.0, 0.0])
+    ok = planar._shifted_radii(circle, c, np.array([np.pi]))
+    assert np.all(np.isfinite(ok))
+    with pytest.raises(ValueError, match="bracket"):
+        planar._shifted_radii(circle, c, np.array([np.pi, np.pi / 2]))
 
 
 def test_defect_orthogonality_after_recenter():
