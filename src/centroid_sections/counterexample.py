@@ -149,9 +149,10 @@ def make_oblate_gap_profile(n: int) -> SphereProfile:
     ball and the inscribed oblate ellipsoid with polar semi-axis 1/2.
 
     The degree -1 extension has transform c_n (1 - (1 + 3u^2)^{-(n-1)/2}),
-    attached as ft_profile with three closed-form derivatives: zero at the
-    equator, positive elsewhere.  This one-sided transform is what lets a
-    blend weight move the centroid without touching the equator value.
+    attached as ft_profile with three closed-form derivatives and its odd
+    quotient ft(u)/u (.quotient, 0 at u = 0): zero at the equator,
+    positive elsewhere.  This one-sided transform is what lets a blend
+    weight move the centroid without touching the equator value.
     """
     if n < 5:
         raise ValueError("gap profile used for n >= 5 only")
@@ -190,6 +191,13 @@ def make_oblate_gap_profile(n: int) -> SphereProfile:
         return (-108.0 * q * (q + 1) * cn * u * B ** (-q - 3)
                 * (1.0 - (2 * q + 1) * u * u))
 
+    def ft_quotient(u):
+        # ft(u) / u with no 0/0 and no cancellation near the equator:
+        # 1 - B^{-q} = -expm1(-q log1p(3u^2)), which is 0 at u = 0
+        u = np.asarray(u)
+        return (-cn * np.expm1(-q * np.log1p(3.0 * u * u))
+                / np.where(u == 0, 1.0, u))
+
     prof = SphereProfile(n=n, eval=gap, parity="even",
                          smoothness_note="analytic",
                          derivs=(gap_du, gap_du2))
@@ -197,6 +205,7 @@ def make_oblate_gap_profile(n: int) -> SphereProfile:
                            smoothness_note="closed form transform",
                            derivs=(ft_d1, ft_d2, ft_d3))
     ftprof.value_at_zero = 0.0
+    ftprof.quotient = ft_quotient
     prof.ft_profile = ftprof
     return prof
 
@@ -280,17 +289,27 @@ def make_odd_perturbation(ghat: SphereProfile,
     if ghat.derivs is None or len(ghat.derivs) < 3:
         raise TypeError("transform profile needs three attached "
                         "derivatives for the perturbation")
-    n = ghat.n
-    ug = np.linspace(-1.0, 1.0, equator_grid)
-    vals = np.asarray(ghat(ug), dtype=float)
-    scale = float(np.max(np.abs(vals)))
     g0 = getattr(ghat, "value_at_zero", None)
     if g0 is None:
         g0 = float(ghat(0.0))
-    if abs(g0) > equator_rel * max(scale, 1e-300):
+    ug = np.linspace(-1.0, 1.0, equator_grid)
+    _equator_gate(g0, ghat(ug), equator_rel)
+    return _odd_quotient(ghat, g0, u_switch, gl_order)
+
+
+def _equator_gate(g0: float, vals, equator_rel: float):
+    """Raise unless |g0| <= equator_rel max |vals|; NaN or inf fails."""
+    scale = float(np.max(np.abs(np.asarray(vals, dtype=float))))
+    if not abs(g0) <= equator_rel * max(scale, 1e-300):
         raise ConstructionError(
             f"transform does not vanish at the equator: |value| {abs(g0):.3e}"
             f" exceeds {equator_rel:.1e} of max {scale:.3e}")
+
+
+def _odd_quotient(ghat: SphereProfile, g0: float, u_switch: float,
+                  gl_order: int) -> SphereProfile:
+    """The odd profile of make_odd_perturbation, past its equator gate."""
+    n = ghat.n
     s_gl, w_gl = roots_legendre(gl_order)
     s01 = 0.5 * (s_gl + 1.0)
     w01 = 0.5 * w_gl
@@ -363,19 +382,30 @@ def make_perturbed_body(base: RevolutionBody, phi: SphereProfile,
     checked on a dense grid; convexity is the caller's problem (see
     curvature).
     """
+    _positivity_gate(base, phi, eps)
+    return _perturbed(base, phi, eps, quad_order)
+
+
+def _positivity_gate(base: RevolutionBody, phi, eps: float):
+    """Raise unless rho_base^n + eps phi > 0 on a 4001-point grid; NaN or
+    inf fails."""
     if base.kind != "base":
         raise ValueError("perturbation is defined over the base body")
     if eps < 0:
         raise ValueError("perturbation size must be nonnegative")
-    n = base.n
-    rho_b = base.rho
-
     ug = np.linspace(-1.0, 1.0, 4001)
-    fmin = np.min(np.asarray(rho_b(ug), dtype=float) ** n
+    fmin = np.min(np.asarray(base.rho(ug), dtype=float) ** base.n
                   + eps * np.asarray(phi(ug), dtype=float))
-    if fmin <= 0:
+    if not fmin > 0:
         raise ConstructionError(
             f"rho^n + eps phi reaches {fmin:.3e} <= 0: eps too large")
+
+
+def _perturbed(base: RevolutionBody, phi: SphereProfile, eps: float,
+               quad_order: Optional[int]) -> RevolutionBody:
+    """The body of make_perturbed_body, past its positivity gate."""
+    n = base.n
+    rho_b = base.rho
 
     def rho(u):
         f = (np.asarray(rho_b(u), dtype=float) ** n
@@ -432,10 +462,6 @@ _CTX_CACHE: dict = {}
 # is bit-identical to a fit over the whole grid.
 _SPLINE_PAD = 64
 
-# Small-|u| columns per block of the equator branch of _phi_bulk: each
-# (gl_order x block) temporary stays near 6 MB however long the sweep.
-_EQUATOR_BLOCK = 8192
-
 
 def _clears(kappa: float, margin: float) -> bool:
     """Curvature guard: True only for a finite kappa above the margin, so
@@ -487,11 +513,11 @@ class ConstructionContext:
         self._w01 = 0.5 * w_gl
 
         # dense splines of the bump transform and its first derivative,
-        # for bulk evaluation in the section sweep.  The derivative is read
-        # only by the equator branch (|u| < u_switch), so it is fitted on
-        # that range plus _SPLINE_PAD grid steps (the half step keeps the
-        # end points that the grid's rounding puts a few ulps further out);
-        # a read outside the window gives NaN, never an extrapolation.
+        # for bulk evaluation in the section sweep.  The derivative feeds
+        # only the equator branch (|u| < u_switch), so it is fitted on that
+        # range plus _SPLINE_PAD grid steps (the half step keeps the end
+        # points that the grid's rounding puts a few ulps further out); a
+        # read outside the window gives NaN, never an extrapolation.
         from scipy.interpolate import CubicSpline
         ud = np.linspace(-1.0, 1.0, config.dense_eval_grid)
         h = 2.0 / (config.dense_eval_grid - 1)
@@ -501,6 +527,13 @@ class ConstructionContext:
             CubicSpline(uw, eval_spectrum_deriv(self.bump_ft_spectrum, uw, 1),
                         extrapolate=False),
         ]
+        # odd quotient of the bump transform, (b(u) - b(0)) / u, tabulated
+        # once on the window's knots by the integral form
+        # int_0^1 b'(s u) ds and splined, so the sweep's equator branch
+        # reads it once per point
+        self._q_spl = CubicSpline(
+            uw, self._w01 @ self._spl[1](np.outer(self._s01, uw)),
+            extrapolate=False)
 
         # centroid quadrature: same nodes as the bump expansion, so every
         # retained harmonic is integrated exactly
@@ -574,13 +607,6 @@ class ConstructionContext:
     def blend_ft_at_zero(self, lam: float) -> float:
         return (1.0 - lam) * self.bump_ft_at_zero
 
-    def _blend_ft_spline(self, u, lam: float, k: int = 0):
-        """Spline route for bulk points; bump part interpolated."""
-        return ((1.0 - lam) * self._spl[k](u)
-                + lam * np.asarray(self._gap_ft.derivs[k - 1](u)
-                                   if k else self._gap_ft(u),
-                                   dtype=np.float64))
-
     def blend(self, lam: float) -> HomogeneousFunction:
         """Seed profile at weight lam with cached transform attached."""
         bump, gap, ctx = self.bump, self.gap, self
@@ -607,17 +633,22 @@ class ConstructionContext:
         return out
 
     def perturbation(self, lam: float) -> SphereProfile:
-        tol = self.config.tolerances
-        prof = make_odd_perturbation(
-            self.blend(lam).ft, u_switch=self.config.u_switch,
-            gl_order=self.config.gl_order,
-            equator_rel=tol["equator_rel"],
-            equator_grid=self.config.equator_grid)
+        """make_odd_perturbation of the blended transform; its equator
+        gate reads the tabulated equator grid, with the same bits."""
+        cfg = self.config
+        g0 = self.blend_ft_at_zero(lam)
+        _equator_gate(g0, (1.0 - lam) * self._bft_eq + lam * self._gft_eq,
+                      cfg.tolerances["equator_rel"])
+        prof = _odd_quotient(self.blend(lam).ft, g0, cfg.u_switch,
+                             cfg.gl_order)
         prof.recommended_order = self.bump_order
         return prof
 
     def perturbed_body(self, lam: float, eps: float) -> RevolutionBody:
-        body = make_perturbed_body(self.base, self.perturbation(lam), eps)
+        """make_perturbed_body over perturbation(lam), with the positivity
+        gate read from the spline route instead of the series."""
+        _positivity_gate(self.base, lambda u: self._phi_bulk(u, lam), eps)
+        body = _perturbed(self.base, self.perturbation(lam), eps, None)
         body.params.update({"lambda": float(lam), "n": self.n,
                             "cap_u0": self.cap_u0})
         return body
@@ -823,21 +854,23 @@ class ConstructionContext:
         out = np.empty_like(u)
         big = np.abs(u) >= self.config.u_switch
         ub = u[big]
-        out[big] = (self._blend_ft_spline(ub, lam, 0)
+        out[big] = (((1.0 - lam) * self._spl[0](ub)
+                     + lam * np.asarray(self._gap_ft(ub), dtype=np.float64))
                     - self.blend_ft_at_zero(lam)) / ub
         us = u[~big]
-        small = np.empty_like(us)
-        for i in range(0, us.size, _EQUATOR_BLOCK):
-            pts = np.outer(self._s01, us[i:i + _EQUATOR_BLOCK])
-            small[i:i + _EQUATOR_BLOCK] = (
-                self._w01 @ self._blend_ft_spline(pts, lam, 1))
-        out[~big] = small
+        out[~big] = ((1.0 - lam) * self._q_spl(us)
+                     + lam * self._gap_ft.quotient(us))
         return out
 
     def _spot_check(self, u: np.ndarray, phi_bulk: np.ndarray, lam: float):
         """Re-evaluate a random subset by direct series summation; the
-        spline route must agree to a tenth of the identity tolerance."""
+        spline route must agree to a tenth of the identity tolerance, and
+        every bulk value must be finite."""
         cfg = self.config
+        bad = int(np.count_nonzero(~np.isfinite(phi_bulk)))
+        if bad:
+            raise ConstructionError(
+                f"spline evaluation gives {bad} non-finite values")
         rng = np.random.default_rng(cfg.seed)
         k = min(200, u.size)
         idx = rng.choice(u.size, size=k, replace=False)
@@ -845,7 +878,7 @@ class ConstructionContext:
         scale = max(float(np.max(np.abs(phi_bulk))), 1e-300)
         err = float(np.max(np.abs(phi_bulk[idx] - direct))) / scale
         tol = cfg.tolerances["identity_rel"] / 10.0
-        if err > tol:
+        if not err <= tol:
             raise ConstructionError(
                 f"spline evaluation disagrees with direct series: "
                 f"rel {err:.3e} > {tol:.1e}")

@@ -256,27 +256,37 @@ _NEWTON_STEP_MAX = 1e-14
 def _gauss_jacobi_cached(order: int, beta: float):
     lam = beta + 0.5
     x64, w64 = roots_jacobi(order, beta, beta)
-    x = x64.astype(LD)
-    if lam > 0.05:
-        # one Newton step in extended precision from the float64 roots;
-        # float64 nodes would reintroduce the 1e-16 noise floor that the
-        # longdouble pipeline exists to avoid
-        cq, _, dcq = _top_pair(lam, x, order)
-        step = cq / dcq
-        if not np.all(np.abs(step) <= _NEWTON_STEP_MAX):
-            raise ValueError(
-                f"Gauss-Jacobi start outside the Newton basin at order "
-                f"{order}, beta {beta}: largest step "
-                f"{float(np.max(np.abs(step))):.3e}")
-        x = x - step
-        _, cqm1, dcq = _top_pair(lam, x, order)
-        h = _norm_ratios(lam, order)
-        kratio = 2 * (LD(lam) + order - 1) / order
-        w = kratio * h[order - 1] / (cqm1 * dcq)
-    else:
-        w = w64.astype(LD)
-    idx = np.argsort(x)
-    return x[idx], w[idx]
+    idx = np.argsort(x64)
+    x64, w64 = x64[idx], w64[idx]
+    if lam <= 0.05:
+        return x64.astype(LD), w64.astype(LD)
+    # one Newton step in extended precision from the float64 roots; float64
+    # nodes would reintroduce the 1e-16 noise floor that the longdouble
+    # pipeline exists to avoid.  scipy symmetrizes the roots, and IEEE
+    # rounding is sign-symmetric, so the recurrence is exactly odd or even
+    # in x: the step runs on the nonnegative half and is mirrored, nodes
+    # odd and weights even, with the same bits as a full pass.
+    x = x64[order // 2:].astype(LD)
+    cq, _, dcq = _top_pair(lam, x, order)
+    step = cq / dcq
+    if not np.all(np.abs(step) <= _NEWTON_STEP_MAX):
+        raise ValueError(
+            f"Gauss-Jacobi start outside the Newton basin at order "
+            f"{order}, beta {beta}: largest step "
+            f"{float(np.max(np.abs(step))):.3e}")
+    if not np.array_equal(x64, -x64[::-1]):
+        raise ValueError(
+            f"Gauss-Jacobi start at order {order}, beta {beta} is not "
+            f"antisymmetric, so its half cannot be mirrored")
+    x = x - step
+    _, cqm1, dcq = _top_pair(lam, x, order)
+    h = _norm_ratios(lam, order)
+    kratio = 2 * (LD(lam) + order - 1) / order
+    w = kratio * h[order - 1] / (cqm1 * dcq)
+    # an odd order has its middle node at 0 on the half, not mirrored
+    tail = slice(order % 2, None)
+    return (np.concatenate([-x[tail][::-1], x]),
+            np.concatenate([w[tail][::-1], w]))
 
 
 def gauss_jacobi(order: int, beta: float) -> Quadrature:

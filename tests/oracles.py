@@ -246,3 +246,55 @@ def random_convex_hull(rng, points=20):
     pts = rng.random((points, 2)) * 2.0 - 1.0
     hull = ConvexHull(pts)
     return pts[hull.vertices]
+
+
+def gauss_jacobi_full_newton(order, beta):
+    """Gauss-Jacobi rule for (1-u^2)^beta: one longdouble Newton step from
+    scipy's float64 roots, taken at every node, and the weights
+    2 (lam + Q - 1) / Q * h_{Q-1} / (C_{Q-1} C_Q') at the refined nodes.
+
+    The full-node form of the package's step, in its operation order
+    (plain three-term recurrence, the (1 - x^2) C_Q' identity, the norm
+    ratio recurrence), so the package's mirrored half must match it bit
+    for bit.
+    """
+    LD = np.longdouble
+    lam = LD(beta + 0.5)
+    x64, _ = special.roots_jacobi(order, beta, beta)
+    x = np.sort(x64).astype(LD)
+
+    def top_pair(x):
+        pm1, p = np.ones_like(x), 2 * lam * x
+        for m in range(2, order + 1):
+            pm1, p = p, (2 * x * (m + lam - 1) * p - (m + 2 * lam - 2) * pm1) / m
+        dcq = ((-order * x * p + (order + 2 * lam - 1) * pm1)
+               / ((1 - x) * (1 + x)))
+        return p, pm1, dcq
+
+    cq, _, dcq = top_pair(x)
+    x = x - cq / dcq
+    _, cqm1, dcq = top_pair(x)
+    h = LD(np.sqrt(np.pi) * np.exp(special.gammaln(float(lam) + 0.5)
+                                   - special.gammaln(float(lam) + 1.0)))
+    for m in range(1, order):
+        h = h * (m - 1 + 2 * lam) * (m - 1 + lam) / ((m + lam) * m)
+    return x, 2 * (lam + order - 1) / order * h / (cqm1 * dcq)
+
+
+def phi_bulk_gauss_legendre(ctx, u, lam):
+    """The sweep's odd quotient by the route that reads the derivative
+    spline at gl_order Gauss-Legendre points per small-|u| point:
+    int_0^1 ghat'(s u) ds for |u| < u_switch, the difference quotient of
+    the value spline elsewhere, with the whole equator branch in one
+    (gl_order x N) evaluation."""
+    out = np.empty_like(u)
+    big = np.abs(u) >= ctx.config.u_switch
+    ub = u[big]
+    out[big] = (((1.0 - lam) * ctx._spl[0](ub)
+                 + lam * np.asarray(ctx._gap_ft(ub), dtype=np.float64))
+                - ctx.blend_ft_at_zero(lam)) / ub
+    pts = np.outer(ctx._s01, u[~big])
+    out[~big] = ctx._w01 @ (
+        (1.0 - lam) * ctx._spl[1](pts)
+        + lam * np.asarray(ctx._gap_ft.derivs[0](pts), dtype=np.float64))
+    return out

@@ -143,6 +143,21 @@ def test_verify_honours_tightened_tolerance(cli_outdir, tmp_path, capsys):
     assert "PASS centroid_at_recorded_root" in out
 
 
+def test_verify_fails_when_recheck_precondition_fails(cli_outdir, tmp_path,
+                                                      capsys):
+    # a stored identity_rel of 1e-30 makes the sweep's spot check raise;
+    # that refutes the certificate (exit 4), it is no construction failure
+    path = _tampered(
+        cli_outdir, tmp_path,
+        lambda c: c["config"]["tolerances"].update(identity_rel=1e-30))
+    rc = cli.main(["verify", str(path)])
+    out = capsys.readouterr().out
+    assert rc == 4
+    assert "PASS centroid_at_recorded_root" in out
+    assert "FAIL recheck_completes" in out
+    assert "verification FAILED" in out
+
+
 def test_verify_rejects_forged_margin(cli_outdir, tmp_path, capsys):
     path = _tampered(
         cli_outdir, tmp_path,

@@ -18,7 +18,8 @@ from centroid_sections import (ConstructionError, ConstructionParams,
                                section_identity_check, section_volume,
                                sphere_integral)
 
-from oracles import SEED, bisect_sign_change, fd_deriv
+from oracles import (SEED, bisect_sign_change, fd_deriv,
+                     phi_bulk_gauss_legendre)
 
 C5 = 16.0 * np.pi ** 2
 
@@ -207,6 +208,30 @@ def test_perturbed_body_rejects_huge_eps(ctx5):
         make_perturbed_body(ctx5.base, ctx5.perturbation(1.0), 1e3)
 
 
+def test_context_perturbed_body_bit_equal_to_public_route(ctx5, cert5):
+    # the context gates on its tables and splines instead of the series;
+    # the body it returns must be the one the public functions build
+    lam, eps = cert5["lambda0"], cert5["eps0"]
+    cfg = ctx5.config
+    phi = make_odd_perturbation(
+        ctx5.blend(lam).ft, u_switch=cfg.u_switch, gl_order=cfg.gl_order,
+        equator_rel=cfg.tolerances["equator_rel"],
+        equator_grid=cfg.equator_grid)
+    want = make_perturbed_body(ctx5.base, phi, eps,
+                               quad_order=ctx5.bump_order)
+    got = ctx5.perturbed_body(lam, eps)
+    u = np.linspace(-1.0, 1.0, 1001)
+    for f, g in [(got.rho, want.rho), *zip(got.rho.derivs, want.rho.derivs)]:
+        assert np.array_equal(f(u), g(u))
+    assert got.quad_order == want.quad_order
+    with pytest.raises(ConstructionError, match="eps too large"):
+        ctx5.perturbed_body(1.0, 1e3)
+    tight = copy.deepcopy(cfg)
+    tight.tolerances["equator_rel"] = 1e-30
+    with pytest.raises(ConstructionError, match="equator"):
+        get_context(tight).perturbation(0.5)
+
+
 # centroid functional
 
 
@@ -317,20 +342,7 @@ def test_identity_check_rejects_foreign_body(cert5):
         section_identity_check(make_base_body(5, 0.4), params)
 
 
-# bulk evaluation: windowed derivative spline, blocked equator branch
-
-
-def _phi_bulk_unblocked(ctx, u, lam):
-    """The bulk quotient with the whole equator branch in one
-    (gl_order x N) evaluation, as before blocking."""
-    out = np.empty_like(u)
-    big = np.abs(u) >= ctx.config.u_switch
-    ub = u[big]
-    out[big] = (ctx._blend_ft_spline(ub, lam, 0)
-                - ctx.blend_ft_at_zero(lam)) / ub
-    pts = np.outer(ctx._s01, u[~big])
-    out[~big] = ctx._w01 @ ctx._blend_ft_spline(pts, lam, 1)
-    return out
+# bulk evaluation: windowed derivative spline, tabulated equator quotient
 
 
 def test_identity_sweep_bit_equal_to_full_range_unblocked(ctx5, cert5):
@@ -339,17 +351,17 @@ def test_identity_sweep_bit_equal_to_full_range_unblocked(ctx5, cert5):
     grid = np.linspace(-1.0, 1.0, 1441)
     r = np.sqrt(1.0 - grid ** 2)
     small = np.abs(r[:, None] * ctx5._ts[None, :]) < ctx5.config.u_switch
-    assert small.sum() > 2 * counterexample._EQUATOR_BLOCK
+    assert small.sum() > 100_000
     # reference built the old way: derivative spline over the whole dense
-    # grid, equator branch unblocked
+    # grid, read at gl_order points per small-|u| point
     ud = np.linspace(-1.0, 1.0, ctx5.config.dense_eval_grid)
     ref = copy.copy(ctx5)
     ref._spl = [ctx5._spl[0],
                 CubicSpline(ud, eval_spectrum_deriv(ctx5.bump_ft_spectrum,
                                                     ud, 1))]
-    ref._phi_bulk = functools.partial(_phi_bulk_unblocked, ref)
-    # the window fit itself, where the equator branch reads it (eps0 is
-    # small enough that the sweep alone would hide a last-bit change)
+    ref._phi_bulk = functools.partial(phi_bulk_gauss_legendre, ref)
+    # the window fit itself, where the reference reads it (eps0 is small
+    # enough that the sweep alone would hide a last-bit change)
     pts = np.outer(ctx5._s01, (r[:, None] * ctx5._ts[None, :])[small])
     assert np.array_equal(ctx5._spl[1](pts), ref._spl[1](pts))
     want = ref.identity_sweep(lam, eps, grid)
@@ -370,6 +382,58 @@ def test_derivative_spline_nan_outside_its_window(ctx5):
                                             u_switch, hi]))))
     outside = spl(np.array([lo - h / 4, hi + h / 4, -1.0, 0.5, 1.0]))
     assert np.all(np.isnan(outside))
+
+
+@pytest.mark.parametrize("which", ["0", "lambda0", "1"])
+def test_phi_bulk_matches_direct_series_over_window(ctx5, cert5, which):
+    # the quotient spline's whole window, the points where 0/0 or the
+    # branch switch could bite, and a coarse full-range grid that sets
+    # max |phi| as the sweep's spot check does
+    lam = {"0": 0.0, "lambda0": cert5["lambda0"], "1": 1.0}[which]
+    u_switch = ctx5.config.u_switch
+    hi = ctx5._q_spl.x[-1]
+    special = [0.0, 1e-300, 1e-14, u_switch * (1.0 - 2.0 ** -52), u_switch]
+    u = np.concatenate([np.linspace(-hi, hi, 2001), special,
+                        np.negative(special), np.linspace(-1.0, 1.0, 401)])
+    direct = ctx5._phi_direct(u, lam)
+    got = ctx5._phi_bulk(u, lam)
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - direct)) <= 1e-12 * np.max(np.abs(direct))
+    assert np.all(got[u == 0.0] == 0.0)
+
+
+def test_gap_quotient_matches_integral_form(ctx5):
+    ft = ctx5._gap_ft
+    u_switch = ctx5.config.u_switch
+    u = np.concatenate([np.linspace(-u_switch, u_switch, 4001),
+                        [1e-300, -1e-300, 1e-14, -1e-14]])
+    want = ctx5._w01 @ ft.derivs[0](np.outer(ctx5._s01, u))
+    got = ft.quotient(u)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert ft.quotient(0.0) == 0.0
+    # away from the equator it is the plain difference quotient
+    ub = np.array([-1.0, -0.5, 0.2, 0.9])
+    assert np.allclose(ft.quotient(ub), ft(ub) / ub, rtol=1e-14, atol=0.0)
+
+
+def test_quotient_spline_nan_outside_its_window(ctx5):
+    spl = ctx5._q_spl
+    assert np.array_equal(spl.x, ctx5._spl[1].x)
+    h = 2.0 / (ctx5.config.dense_eval_grid - 1)
+    lo, hi = spl.x[0], spl.x[-1]
+    u_switch = ctx5.config.u_switch
+    assert np.all(np.isfinite(spl(np.array([lo, -u_switch, 0.0,
+                                            u_switch, hi]))))
+    outside = spl(np.array([lo - h / 4, hi + h / 4, -1.0, 0.5, 1.0]))
+    assert np.all(np.isnan(outside))
+
+
+def test_spot_check_fails_on_nan_quotient(ctx5, cert5):
+    ctx = copy.copy(ctx5)
+    ctx._q_spl = lambda u: np.full(np.shape(u), np.nan)
+    with pytest.raises(ConstructionError, match="non-finite"):
+        ctx.identity_sweep(cert5["lambda0"], cert5["eps0"],
+                           np.linspace(-1.0, 1.0, 361))
 
 
 # convexity of the perturbed body

@@ -7,7 +7,8 @@ from scipy.special import roots_jacobi
 
 from centroid_sections import gauss_jacobi, spherical_core as sc
 
-from oracles import SEED, gegenbauer_series_plain, weight_moment
+from oracles import (SEED, gauss_jacobi_full_newton, gegenbauer_series_plain,
+                     weight_moment)
 
 LD = np.longdouble
 B = sc._BLOCK
@@ -76,4 +77,23 @@ def test_newton_start_outside_basin_raises(monkeypatch):
     x, w = roots_jacobi(64, 1.0, 1.0)
     monkeypatch.setattr(sc, "roots_jacobi", lambda n, a, b: (x + 1e-9, w))
     with pytest.raises(ValueError, match="Newton basin"):
+        sc._gauss_jacobi_cached.__wrapped__(64, 1.0)
+
+
+@pytest.mark.parametrize("order,beta", [(3392, 1.0), (3392, 1.5), (1728, 0.5),
+                                        (1728, 1.0), (256, 1.0), (257, 1.0),
+                                        (1729, 0.5)])
+def test_mirrored_half_step_bit_equal_to_full_node_step(order, beta):
+    x, w = gauss_jacobi_full_newton(order, beta)
+    q = gauss_jacobi(order, beta)
+    assert np.array_equal(q.nodes, x)
+    assert np.array_equal(q.weights, w)
+
+
+def test_asymmetric_start_raises(monkeypatch):
+    x, w = roots_jacobi(64, 1.0, 1.0)
+    x = x.copy()
+    x[0] = np.nextafter(x[0], -1.0)
+    monkeypatch.setattr(sc, "roots_jacobi", lambda n, a, b: (x, w))
+    with pytest.raises(ValueError, match="antisymmetric"):
         sc._gauss_jacobi_cached.__wrapped__(64, 1.0)
