@@ -68,8 +68,7 @@ def _csv_text(header, rows) -> str:
 def _config_from_args(args) -> RunConfig:
     cfg = RunConfig()
     for name in ("n", "a", "eps", "cap_margin", "quad_order", "max_degree",
-                 "alpha_grid", "seed", "bump_max_degree",
-                 "section_quad_order", "curvature_grid"):
+                 "alpha_grid", "seed"):
         val = getattr(args, name, None)
         if val is not None:
             setattr(cfg, name, val)
@@ -149,7 +148,7 @@ def _check(lines, name, ok, detail):
 
 
 def _load_certificate(args):
-    """(certificate, config, context) for the certificate that verify and
+    """(certificate, config, params) for the certificate that verify and
     plot read, or None after printing why it cannot be used.
 
     The stored configuration sets the geometry and grids.  A stored
@@ -182,17 +181,27 @@ def _load_certificate(args):
     params = cx.ConstructionParams(n=p["n"], a=p["a"], cap_u0=p["cap_u0"],
                                    cap_margin=p["cap_margin"], eps=p["eps"],
                                    lam=p["lambda"])
-    return cert, cfg, cx.get_context(cfg, params)
+    return cert, cfg, params
+
+
+def _context(cfg, params):
+    """The construction context for recorded parameters; parameters that
+    admit no body are a failed precondition, not a crash."""
+    from . import counterexample as cx
+    try:
+        return cx.get_context(cfg, params)
+    except ValueError as exc:
+        raise ConstructionError(str(exc)) from exc
 
 
 def cmd_verify(args) -> int:
     loaded = _load_certificate(args)
     if loaded is None:
         return EXIT_USAGE
-    cert, cfg, ctx = loaded
+    cert, cfg, params = loaded
     lines = []
     try:
-        ok = _recheck(lines, cert, cfg, ctx)
+        ok = _recheck(lines, cert, cfg, _context(cfg, params))
     except ConstructionError as exc:
         # a precondition that fails on the recorded parameters refutes the
         # certificate; it is not a construction run that failed
@@ -219,9 +228,10 @@ def _recheck(lines, cert, cfg, ctx) -> bool:
                  abs(root["lambda0"] - lam0) <= 1e-8,
                  f"recomputed lambda0 = {root['lambda0']:.9e}")
 
-    km = ctx.kappa_min(lam0, eps0)
-    ok &= _check(lines, "perturbed_convex", km > 0.0,
-                 f"kappa_min = {km:.6f}")
+    rep = ctx.kappa_report(lam0, eps0)
+    km = rep.kappa_min
+    ok &= _check(lines, "perturbed_convex", rep.is_convex,
+                 f"kappa_min = {km:.6f}, margin = {rep.margin:.1e}")
     ok &= _check(lines, "kappa_matches_certificate",
                  abs(km - cert["kappa_min_perturbed"])
                  <= 1e-6 * max(1.0, abs(km)),
@@ -371,7 +381,8 @@ def cmd_plot(args) -> int:
     loaded = _load_certificate(args)
     if loaded is None:
         return EXIT_USAGE
-    cert, cfg, ctx = loaded
+    cert, cfg, params = loaded
+    ctx = _context(cfg, params)
     out = _outdir(args)
     lam0, eps0 = cert["lambda0"], cert["eps0"]
     u = np.linspace(-1.0, 1.0, cfg.plot_grid)

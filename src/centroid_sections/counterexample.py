@@ -12,14 +12,16 @@ one whose centroid hits the body centroid.
 
 All heavy spectral work is done once per parameter set and cached in a
 ConstructionContext: the bump's transform is expanded in extended
-precision to a few thousand Gegenbauer degrees, then evaluated through
-dense-grid cubic splines with direct-series spot checks, which keeps the
-section sweep honest without per-point series sums.
+precision to a few thousand Gegenbauer degrees and divided by u once,
+then evaluated through a dense-grid cubic spline with direct-series spot
+checks, which keeps the section sweep honest without per-point series
+sums.
 """
 
 import copy
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -30,7 +32,7 @@ from .revolution_bodies import (ConvexityReport, RevolutionBody, curvature,
                                 make_base_body)
 from .spherical_core import (GegenbauerSpectrum, HomogeneousFunction,
                              SphereProfile, _bochner_multipliers_ld,
-                             _rolling_accumulate, eval_spectrum,
+                             _divide_by_u, _rolling_accumulate, eval_spectrum,
                              eval_spectrum_deriv, expand, gauss_jacobi,
                              parseval_residual, sphere_area)
 
@@ -282,7 +284,9 @@ def make_odd_perturbation(ghat: SphereProfile,
     is the difference quotient; for |u| < u_switch it is evaluated as
     int_0^1 ghat'(s u) ds (Gauss-Legendre), which is the same function
     without the 0/0 cancellation.  Derivatives for curvature use the
-    matching quotient / integral forms.
+    matching quotient / integral forms.  A transform that carries its
+    quotient as .odd_quotient (ConstructionContext.blend does) hands that
+    profile over instead, and u_switch and gl_order play no part.
     """
     if isinstance(ghat, HomogeneousFunction):
         ghat = getattr(ghat, "ft", None) or ghat.profile
@@ -294,6 +298,8 @@ def make_odd_perturbation(ghat: SphereProfile,
         g0 = float(ghat(0.0))
     ug = np.linspace(-1.0, 1.0, equator_grid)
     _equator_gate(g0, ghat(ug), equator_rel)
+    if getattr(ghat, "odd_quotient", None) is not None:
+        return ghat.odd_quotient
     return _odd_quotient(ghat, g0, u_switch, gl_order)
 
 
@@ -456,12 +462,6 @@ def _perturbed(base: RevolutionBody, phi: SphereProfile, eps: float,
 
 _CTX_CACHE: dict = {}
 
-# Dense-grid points fitted beyond each end of the range the derivative
-# spline is read on.  A not-a-knot cubic spline forgets data k grid points
-# away like (2 - sqrt(3))^k, so at 64 points the fit inside the read range
-# is bit-identical to a fit over the whole grid.
-_SPLINE_PAD = 64
-
 
 def _clears(kappa: float, margin: float) -> bool:
     """Curvature guard: True only for a finite kappa above the margin, so
@@ -471,9 +471,10 @@ def _clears(kappa: float, margin: float) -> bool:
 
 class ConstructionContext:
     """Everything expensive about one geometry (n, a, cap_u0), computed
-    once: the bump transform's spectrum, dense-grid splines for sweep
-    evaluation, and quadrature-node tables that make the centroid and
-    curvature of the perturbed family cheap per (lam, eps).
+    once: the bump transform's spectrum and its odd quotient series, a
+    dense-grid spline of that quotient for sweep evaluation, and
+    quadrature-node tables that make the centroid and curvature of the
+    perturbed family cheap per (lam, eps).
     """
 
     def __init__(self, n: int, a: float, cap_u0: float, config: RunConfig):
@@ -483,16 +484,13 @@ class ConstructionContext:
         self.a = float(a)
         self.cap_u0 = float(cap_u0)
         self.lam_index = (n - 2) / 2.0
-        self.cn = float(_bochner_multipliers_ld(n, 1, 0)[0])
         self.base = make_base_body(n, a)
         self.bump = make_cap_bump(n, cap_u0)
         self.gap = make_oblate_gap_profile(n)
-        self.u_switch = config.u_switch
 
         md = config.bump_max_degree
         self.bump_order = md + config.bump_quad_pad
         spec = expand(self.bump, n, md, order=self.bump_order, parity="even")
-        self.bump_spectrum = spec
         mu = _bochner_multipliers_ld(n, 1, md)
         co_ld = np.asarray(spec.coeffs, dtype=mu.dtype) * mu
         # equator value of the bump transform in extended precision; the
@@ -507,33 +505,39 @@ class ConstructionContext:
             tail_rel=spec.tail_rel,
             truncation_warning=spec.truncation_warning)
 
+        # bump part of the odd quotient, q_b(u) = (b(u) - b(0)) / u, as an
+        # odd series one degree lower: synthetic division of the extended
+        # precision coefficients, so b(0) is never subtracted
+        self.bump_quotient = GegenbauerSpectrum(
+            n=n, lambda_index=self.lam_index, parity="odd",
+            coeffs=_divide_by_u(co_ld, self.lam_index).astype(np.float64))
+        # the gap part keeps the public route
         self._gap_ft = self.gap.ft_profile
-        s_gl, w_gl = roots_legendre(config.gl_order)
-        self._s01 = 0.5 * (s_gl + 1.0)
-        self._w01 = 0.5 * w_gl
+        self._gap_q = _odd_quotient(self._gap_ft, 0.0, config.u_switch,
+                                    config.gl_order)
 
-        # dense splines of the bump transform and its first derivative,
-        # for bulk evaluation in the section sweep.  The derivative feeds
-        # only the equator branch (|u| < u_switch), so it is fitted on that
-        # range plus _SPLINE_PAD grid steps (the half step keeps the end
-        # points that the grid's rounding puts a few ulps further out); a
-        # read outside the window gives NaN, never an extrapolation.
+        eq = np.linspace(-1.0, 1.0, config.equator_grid)
+        self._bft_eq = eval_spectrum(self.bump_ft_spectrum, eq)
+        self._gft_eq = np.asarray(self._gap_ft(eq), dtype=np.float64)
+        # the division must give back b(u) - b(0) on the equator grid
+        resid = float(np.max(np.abs(
+            eq * eval_spectrum(self.bump_quotient, eq)
+            - (self._bft_eq - self.bump_ft_at_zero))))
+        resid /= max(float(np.max(np.abs(self._bft_eq))), 1e-300)
+        tol = config.tolerances["identity_rel"] / 10.0
+        if not resid <= tol:
+            raise ConstructionError(
+                f"odd quotient series does not reproduce the transform: "
+                f"rel {resid:.3e} > {tol:.1e}")
+
+        # dense spline of q_b for the section sweep, on a grid made exactly
+        # antisymmetric so the series is summed once per |u|; a read
+        # outside [-1, 1] gives NaN, never an extrapolation
         from scipy.interpolate import CubicSpline
         ud = np.linspace(-1.0, 1.0, config.dense_eval_grid)
-        h = 2.0 / (config.dense_eval_grid - 1)
-        uw = ud[np.abs(ud) <= self.u_switch + (_SPLINE_PAD + 0.5) * h]
-        self._spl = [
-            CubicSpline(ud, eval_spectrum(self.bump_ft_spectrum, ud)),
-            CubicSpline(uw, eval_spectrum_deriv(self.bump_ft_spectrum, uw, 1),
-                        extrapolate=False),
-        ]
-        # odd quotient of the bump transform, (b(u) - b(0)) / u, tabulated
-        # once on the window's knots by the integral form
-        # int_0^1 b'(s u) ds and splined, so the sweep's equator branch
-        # reads it once per point
-        self._q_spl = CubicSpline(
-            uw, self._w01 @ self._spl[1](np.outer(self._s01, uw)),
-            extrapolate=False)
+        ud = 0.5 * (ud - ud[::-1])
+        self._q_spl = CubicSpline(ud, eval_spectrum(self.bump_quotient, ud),
+                                  extrapolate=False)
 
         # centroid quadrature: same nodes as the bump expansion, so every
         # retained harmonic is integrated exactly
@@ -544,16 +548,11 @@ class ConstructionContext:
         self._surf = sphere_area(n - 2)
         rho_x = np.asarray(self.base.rho(self._x), dtype=np.float64)
         self._rho_n_x = rho_x ** n
-        self._bft_x = eval_spectrum(self.bump_ft_spectrum, self._x)
-        self._gft_x = np.asarray(self._gap_ft(self._x), dtype=np.float64)
-        self._big_x = np.abs(self._x) >= config.u_switch
-        pts = np.outer(self._s01, self._x[~self._big_x])
-        self._bft_d1_small_x = eval_spectrum_deriv(self.bump_ft_spectrum,
-                                                   pts, 1)
-        self._gft_d1_small_x = np.asarray(self._gap_ft.derivs[0](pts),
-                                          dtype=np.float64)
+        self._bq_x = eval_spectrum(self.bump_quotient, self._x)
+        self._gq_x = self._gap_q(self._x)
 
-        # curvature tables on an inclusive theta grid
+        # curvature tables on an inclusive theta grid: the odd quotient and
+        # its first two derivatives, in the bump and gap parts
         theta = np.linspace(0.0, np.pi, config.curvature_grid)
         self._theta = theta
         ut = np.cos(theta)
@@ -564,18 +563,9 @@ class ConstructionContext:
                                     dtype=np.float64)
         self._rho_t_d2 = np.asarray(self.base.rho.derivs[1](ut),
                                     dtype=np.float64)
-        self._bft_t = [eval_spectrum(self.bump_ft_spectrum, ut),
-                       eval_spectrum_deriv(self.bump_ft_spectrum, ut, 1),
-                       eval_spectrum_deriv(self.bump_ft_spectrum, ut, 2)]
-        self._gft_t = [np.asarray(self._gap_ft(ut), dtype=np.float64),
-                       np.asarray(self._gap_ft.derivs[0](ut), dtype=np.float64),
-                       np.asarray(self._gap_ft.derivs[1](ut), dtype=np.float64)]
-        self._big_t = np.abs(ut) >= config.u_switch
-        pts_t = np.outer(self._s01, ut[~self._big_t])
-        self._bft_t_small = [eval_spectrum_deriv(self.bump_ft_spectrum,
-                                                 pts_t, k) for k in (1, 2, 3)]
-        self._gft_t_small = [np.asarray(self._gap_ft.derivs[k - 1](pts_t),
-                                        dtype=np.float64) for k in (1, 2, 3)]
+        self._bq_t = [eval_spectrum_deriv(self.bump_quotient, ut, k)
+                      for k in range(3)]
+        self._gq_t = [g(ut) for g in (self._gap_q, *self._gap_q.derivs)]
 
         # subsphere quadrature for the section sweep; order chosen so the
         # band-limited integrand is integrated without aliasing
@@ -584,11 +574,6 @@ class ConstructionContext:
         self._tw = np.asarray(qs.weights, dtype=np.float64)
         # slices of the section subsphere S^{n-2} are of dimension n-3
         self._subsurf = sphere_area(n - 3)
-
-        eq = np.linspace(-1.0, 1.0, config.equator_grid)
-        self._eq_grid = eq
-        self._bft_eq = eval_spectrum(self.bump_ft_spectrum, eq)
-        self._gft_eq = np.asarray(self._gap_ft(eq), dtype=np.float64)
 
         self.build_seconds = time.perf_counter() - t_start
 
@@ -608,39 +593,40 @@ class ConstructionContext:
         return (1.0 - lam) * self.bump_ft_at_zero
 
     def blend(self, lam: float) -> HomogeneousFunction:
-        """Seed profile at weight lam with cached transform attached."""
-        bump, gap, ctx = self.bump, self.gap, self
-
-        def seed(u):
-            return (1.0 - lam) * bump(u) + lam * gap(u)
-
-        def ft_eval(u):
-            return ctx.blend_ft_value(u, lam, 0)
-
+        """Seed profile at weight lam with cached transform attached; the
+        transform carries its odd quotient (see make_odd_perturbation)."""
+        ft = [partial(self.blend_ft_value, lam=lam, k=k) for k in range(4)]
         ftprof = SphereProfile(
-            n=self.n, eval=ft_eval, parity="even",
-            smoothness_note="spectral bump part plus closed gap part",
-            derivs=tuple(
-                (lambda kk: lambda u: ctx.blend_ft_value(u, lam, kk))(k)
-                for k in (1, 2, 3)))
+            n=self.n, eval=ft[0], parity="even", derivs=tuple(ft[1:]),
+            smoothness_note="spectral bump part plus closed gap part")
         ftprof.value_at_zero = self.blend_ft_at_zero(lam)
+        ftprof.odd_quotient = self._quotient_profile(lam)
         out = HomogeneousFunction(
-            profile=SphereProfile(n=self.n, eval=seed, parity="even",
+            profile=SphereProfile(n=self.n, parity="even",
+                                  eval=partial(self.seed_value, lam=lam),
                                   smoothness_note="blend of bump and gap"),
             degree_p=1.0)
         out.ft = ftprof
         out.lam = float(lam)
         return out
 
+    def _quotient_profile(self, lam: float) -> SphereProfile:
+        """Odd profile (ghat(u) - ghat(0)) / u of the blended transform,
+        with two derivatives (see _phi_direct)."""
+        phi = [partial(self._phi_direct, lam=lam, k=k) for k in range(3)]
+        prof = SphereProfile(
+            n=self.n, eval=phi[0], parity="odd", derivs=tuple(phi[1:]),
+            smoothness_note="odd part of transform quotient")
+        prof.equator_subtracted = self.blend_ft_at_zero(lam)
+        return prof
+
     def perturbation(self, lam: float) -> SphereProfile:
         """make_odd_perturbation of the blended transform; its equator
         gate reads the tabulated equator grid, with the same bits."""
-        cfg = self.config
         g0 = self.blend_ft_at_zero(lam)
         _equator_gate(g0, (1.0 - lam) * self._bft_eq + lam * self._gft_eq,
-                      cfg.tolerances["equator_rel"])
-        prof = _odd_quotient(self.blend(lam).ft, g0, cfg.u_switch,
-                             cfg.gl_order)
+                      self.config.tolerances["equator_rel"])
+        prof = self._quotient_profile(lam)
         prof.recommended_order = self.bump_order
         return prof
 
@@ -661,22 +647,14 @@ class ConstructionContext:
 
     # -- fast per-(lam, eps) functionals ----------------------------------
 
-    def _phi_nodes(self, lam: float) -> np.ndarray:
-        g = ((1.0 - lam) * self._bft_x + lam * self._gft_x
-             - self.blend_ft_at_zero(lam))
-        out = np.empty_like(self._x)
-        out[self._big_x] = g[self._big_x] / self._x[self._big_x]
-        out[~self._big_x] = self._w01 @ ((1.0 - lam) * self._bft_d1_small_x
-                                         + lam * self._gft_d1_small_x)
-        return out
-
     def centroid(self, lam: float, eps: float) -> Optional[float]:
         """Axis centroid of the perturbed body; None if the radial power
         profile loses positivity at the quadrature nodes."""
         if eps == 0.0:
             # unperturbed body: symmetric, so the centroid is exactly 0
             return 0.0
-        f = self._rho_n_x + eps * self._phi_nodes(lam)
+        f = self._rho_n_x + eps * ((1.0 - lam) * self._bq_x
+                                   + lam * self._gq_x)
         if np.any(f <= 0):
             return None
         n = self.n
@@ -694,22 +672,10 @@ class ConstructionContext:
         precomputed theta tables (same formula and grid as curvature()),
         held to the configured convexity margin."""
         n = self.n
-        big = self._big_t
-        ub = self._ut[big]
-        gt = [(1.0 - lam) * self._bft_t[k] + lam * self._gft_t[k]
-              for k in range(3)]
-        g = gt[0][big] - self.blend_ft_at_zero(lam)
-        phi = np.empty_like(self._ut)
-        ph1 = np.empty_like(self._ut)
-        ph2 = np.empty_like(self._ut)
-        phi[big] = g / ub
-        ph1[big] = (gt[1][big] * ub - g) / ub ** 2
-        ph2[big] = (gt[2][big] * ub ** 2 - 2 * ub * gt[1][big] + 2 * g) / ub ** 3
-        gd = [(1.0 - lam) * self._bft_t_small[k] + lam * self._gft_t_small[k]
-              for k in range(3)]
-        phi[~big] = self._w01 @ gd[0]
-        ph1[~big] = (self._w01 * self._s01) @ gd[1]
-        ph2[~big] = (self._w01 * self._s01 ** 2) @ gd[2]
+        # the operation order of _phi_direct, so a curvature pass over the
+        # perturbed body gives the same bits
+        phi, ph1, ph2 = ((1.0 - lam) * b + lam * g
+                         for b, g in zip(self._bq_t, self._gq_t))
         rb, rb1, rb2 = self._rho_t, self._rho_t_d1, self._rho_t_d2
         f = rb ** n + eps * phi
         f1 = n * rb ** (n - 1) * rb1 + eps * ph1
@@ -851,16 +817,10 @@ class ConstructionContext:
         }
 
     def _phi_bulk(self, u: np.ndarray, lam: float) -> np.ndarray:
-        out = np.empty_like(u)
-        big = np.abs(u) >= self.config.u_switch
-        ub = u[big]
-        out[big] = (((1.0 - lam) * self._spl[0](ub)
-                     + lam * np.asarray(self._gap_ft(ub), dtype=np.float64))
-                    - self.blend_ft_at_zero(lam)) / ub
-        us = u[~big]
-        out[~big] = ((1.0 - lam) * self._q_spl(us)
-                     + lam * self._gap_ft.quotient(us))
-        return out
+        """Odd quotient for the sweep: the dense spline of the bump part
+        and the gap part's closed form."""
+        return ((1.0 - lam) * self._q_spl(u)
+                + lam * self._gap_ft.quotient(u))
 
     def _spot_check(self, u: np.ndarray, phi_bulk: np.ndarray, lam: float):
         """Re-evaluate a random subset by direct series summation; the
@@ -883,36 +843,22 @@ class ConstructionContext:
                 f"spline evaluation disagrees with direct series: "
                 f"rel {err:.3e} > {tol:.1e}")
 
-    def _phi_direct(self, u: np.ndarray, lam: float) -> np.ndarray:
-        out = np.empty_like(u)
-        big = np.abs(u) >= self.config.u_switch
-        ub = u[big]
-        out[big] = (self.blend_ft_value(ub, lam, 0)
-                    - self.blend_ft_at_zero(lam)) / ub
-        us = u[~big]
-        if us.size:
-            pts = np.outer(self._s01, us)
-            out[~big] = self._w01 @ self.blend_ft_value(pts, lam, 1)
-        return out
+    def _phi_direct(self, u, lam: float, k: int = 0):
+        """k-th derivative of the odd quotient of the blended transform:
+        the bump part from its quotient series, the gap part by the
+        public route, both in float64 as that route evaluates."""
+        u = np.asarray(u, dtype=np.float64)
+        g = self._gap_q if k == 0 else self._gap_q.derivs[k - 1]
+        return ((1.0 - lam) * eval_spectrum_deriv(self.bump_quotient, u, k)
+                + lam * g(u))
 
     def diameter(self, lam: float, eps: float) -> float:
         """Max over the theta grid of rho(u) + rho(-u) (axial symmetry
         makes antipodal pairs along meridians the extremal chords)."""
-        phi_t = self._phi_theta_values(lam)
+        phi_t = (1.0 - lam) * self._bq_t[0] + lam * self._gq_t[0]
         f = self._rho_t ** self.n + eps * phi_t
         r = f ** (1.0 / self.n)
         return float(np.max(r + r[::-1]))
-
-    def _phi_theta_values(self, lam: float) -> np.ndarray:
-        big = self._big_t
-        gt0 = (1.0 - lam) * self._bft_t[0] + lam * self._gft_t[0]
-        g = gt0[big] - self.blend_ft_at_zero(lam)
-        out = np.empty_like(self._ut)
-        out[big] = g / self._ut[big]
-        gd = ((1.0 - lam) * self._bft_t_small[0]
-              + lam * self._gft_t_small[0])
-        out[~big] = self._w01 @ gd
-        return out
 
 
 def get_context(config: Optional[RunConfig] = None,

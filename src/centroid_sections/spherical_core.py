@@ -217,6 +217,35 @@ def _rolling_accumulate(coeffs, lam, u, dtype=None):
     return acc.reshape(u.shape)
 
 
+def _divide_by_u(coeffs, lam):
+    """Coefficients of (f(u) - f(0)) / u, one degree lower, for the series
+    f = sum_m coeffs[m] C_m^lam: synthetic division from the top degree
+    through u C_k = [(k+1) C_{k+1} + (k+2 lam-1) C_{k-1}] / (2 (k+lam)).
+    The remainder f(0) is never formed, so nothing cancels near u = 0."""
+    c = np.asarray(coeffs)
+    lam = c.dtype.type(lam)
+    top = len(c) - 1
+    d = np.zeros(top + 2, dtype=c.dtype)
+    for m in range(top, 0, -1):
+        d[m - 1] = ((c[m] - d[m + 1] * (m + 2 * lam) / (2 * (m + 1 + lam)))
+                    * (2 * (m - 1 + lam)) / m)
+    return d[:top]
+
+
+def _folded_accumulate(coeffs, lam, u, parity):
+    """_rolling_accumulate over u, a series of definite parity once per
+    distinct |u| and mirrored: IEEE rounding is sign-symmetric, so the
+    recurrence is exactly even or odd in u and the fold moves no bit."""
+    u = np.asarray(u)
+    if parity not in ("even", "odd"):
+        return _rolling_accumulate(coeffs, lam, u)
+    a, inv = np.unique(np.abs(u).ravel(), return_inverse=True)
+    out = _rolling_accumulate(coeffs, lam, a)[inv].reshape(u.shape)
+    if parity == "odd":
+        np.negative(out, out=out, where=u < 0)
+    return out
+
+
 def _project_onto_basis(fw, lam, u, max_degree, norms, dtype=LD):
     """Coefficients <f, C_m>/h_m from weighted samples fw = f(u)*w."""
     fw = np.asarray(fw, dtype=dtype)
@@ -330,7 +359,8 @@ def expand(f, n: int, max_degree: int, order: Optional[int] = None,
 
     The tail estimate is the largest coefficient among the last 10% of
     degrees relative to the overall largest; a slowly decaying tail flags
-    truncation_warning on the result rather than failing.
+    truncation_warning on the result rather than failing.  A declared even
+    or odd parity is trusted: f is sampled on the nonnegative nodes only.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
@@ -340,9 +370,15 @@ def expand(f, n: int, max_degree: int, order: Optional[int] = None,
     if order is None:
         order = max(256, max_degree + 64)
     q = gauss_jacobi(order, (n - 3) / 2)
-    vals = np.asarray(f(q.nodes), dtype=LD)
+    x, w = q.nodes, q.weights
+    if parity in ("even", "odd"):
+        # f C_m is even for every degree that survives, so the symmetric
+        # rule folds onto its nonnegative nodes with doubled weights
+        x = x[order // 2:]
+        w = w[order // 2:] * np.where(x > 0, 2, 1)
+    vals = np.asarray(f(x), dtype=LD)
     norms = _norm_ratios(lam, max_degree)
-    co = _project_onto_basis(vals * q.weights, lam, q.nodes, max_degree, norms)
+    co = _project_onto_basis(vals * w, lam, x, max_degree, norms)
     if parity == "even":
         co[1::2] = 0
     elif parity == "odd":
@@ -357,9 +393,11 @@ def expand(f, n: int, max_degree: int, order: Optional[int] = None,
 
 
 def eval_spectrum(s: GegenbauerSpectrum, u):
-    """Evaluate the expansion at u via the three-term recurrence."""
+    """Evaluate the expansion at u via the three-term recurrence; an even
+    or odd expansion is summed once per distinct |u|."""
     scalar = np.isscalar(u) or np.ndim(u) == 0
-    out = _rolling_accumulate(s.coeffs, s.lambda_index, np.atleast_1d(u))
+    out = _folded_accumulate(s.coeffs, s.lambda_index, np.atleast_1d(u),
+                             s.parity)
     out = out.astype(np.float64)
     return float(out[0]) if scalar else out
 
@@ -381,7 +419,11 @@ def eval_spectrum_deriv(s: GegenbauerSpectrum, u, k: int = 1):
         z = np.zeros(np.atleast_1d(u).shape)
         return 0.0 if scalar else z
     pref = np.prod([2 * (lam + j) for j in range(k)])
-    out = pref * _rolling_accumulate(co[k:], lam + k, np.atleast_1d(u))
+    # an odd derivative swaps the parity of the series
+    parity = s.parity
+    if k % 2:
+        parity = {"even": "odd", "odd": "even"}.get(parity)
+    out = pref * _folded_accumulate(co[k:], lam + k, np.atleast_1d(u), parity)
     out = out.astype(np.float64)
     return float(out[0]) if scalar else out
 

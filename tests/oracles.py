@@ -281,20 +281,24 @@ def gauss_jacobi_full_newton(order, beta):
     return x, 2 * (lam + order - 1) / order * h / (cqm1 * dcq)
 
 
-def phi_bulk_gauss_legendre(ctx, u, lam):
-    """The sweep's odd quotient by the route that reads the derivative
-    spline at gl_order Gauss-Legendre points per small-|u| point:
-    int_0^1 ghat'(s u) ds for |u| < u_switch, the difference quotient of
-    the value spline elsewhere, with the whole equator branch in one
-    (gl_order x N) evaluation."""
-    out = np.empty_like(u)
-    big = np.abs(u) >= ctx.config.u_switch
-    ub = u[big]
-    out[big] = (((1.0 - lam) * ctx._spl[0](ub)
-                 + lam * np.asarray(ctx._gap_ft(ub), dtype=np.float64))
-                - ctx.blend_ft_at_zero(lam)) / ub
-    pts = np.outer(ctx._s01, u[~big])
-    out[~big] = ctx._w01 @ (
-        (1.0 - lam) * ctx._spl[1](pts)
-        + lam * np.asarray(ctx._gap_ft.derivs[0](pts), dtype=np.float64))
-    return out
+def odd_quotient_integral(coeffs, lam, u, order=96):
+    """(f(u) - f(0)) / u for f = sum_m coeffs[m] C_m^lam as the integral
+    int_0^1 f'(s u) ds by order-point Gauss-Legendre, with
+    f' = 2 lam sum_m coeffs[m] C_{m-1}^{lam+1} by the plain recurrence.
+    Accurate near u = 0, where the difference quotient cancels."""
+    s, w = special.roots_legendre(order)
+    pts = np.outer(0.5 * (s + 1.0), np.asarray(u, dtype=float))
+    d1 = 2 * lam * gegenbauer_series_plain(
+        np.asarray(coeffs, dtype=float)[1:], lam + 1, pts, np.float64)
+    return (0.5 * w) @ d1
+
+
+def odd_quotient_difference(coeffs, lam, u):
+    """(f(u) - f(0)) / u for f = sum_m coeffs[m] C_m^lam, summed by the
+    plain recurrence in longdouble.  Accurate away from u = 0."""
+    LD = np.longdouble
+    c = np.asarray(coeffs, dtype=float)
+    u = np.asarray(u, dtype=float).astype(LD)
+    f = gegenbauer_series_plain(c, lam, u, LD)
+    f0 = gegenbauer_series_plain(c, lam, np.zeros(1, dtype=LD), LD)[0]
+    return ((f - f0) / u).astype(float)

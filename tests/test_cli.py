@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
@@ -156,6 +157,40 @@ def test_verify_fails_when_recheck_precondition_fails(cli_outdir, tmp_path,
     assert "PASS centroid_at_recorded_root" in out
     assert "FAIL recheck_completes" in out
     assert "verification FAILED" in out
+
+
+def test_verify_fails_when_no_base_body_exists(cli_outdir, tmp_path,
+                                               capsys):
+    # a = 0.9 makes the n = 5 base profile negative, so no context can be
+    # built for the recorded parameters
+    path = _tampered(cli_outdir, tmp_path,
+                     lambda c: c["params"].update(a=0.9))
+    rc = cli.main(["verify", str(path)])
+    out = capsys.readouterr().out
+    assert rc == 4
+    assert "FAIL recheck_completes: profile not positive" in out
+    assert "verification FAILED" in out
+
+
+@pytest.mark.parametrize("kappa", ["half_margin", "nan"])
+def test_verify_holds_perturbed_convexity_to_margin(cli_outdir, monkeypatch,
+                                                    capsys, kappa):
+    # a curvature above 0 but below the convexity margin, or NaN, refutes
+    # the certificate's perturbed_convex check
+    from centroid_sections import counterexample as cx
+    real = cx.ConstructionContext.kappa_report
+
+    def report(self, lam, eps):
+        rep = real(self, lam, eps)
+        k = rep.margin / 2 if kappa == "half_margin" else float("nan")
+        return dataclasses.replace(rep, kappa_min=k,
+                                   is_convex=cx._clears(k, rep.margin))
+
+    monkeypatch.setattr(cx.ConstructionContext, "kappa_report", report)
+    rc = cli.main(["verify", str(cli_outdir / "certificate.json")])
+    out = capsys.readouterr().out
+    assert rc == 4
+    assert "FAIL perturbed_convex" in out
 
 
 def test_verify_rejects_forged_margin(cli_outdir, tmp_path, capsys):

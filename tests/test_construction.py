@@ -1,5 +1,4 @@
 import copy
-import functools
 import json
 from unittest import mock
 
@@ -9,7 +8,7 @@ import pytest
 from centroid_sections import counterexample
 from centroid_sections import (ConstructionError, ConstructionParams,
                                HomogeneousFunction, RunConfig, curvature,
-                               eval_spectrum_deriv,
+                               eval_spectrum, eval_spectrum_deriv,
                                find_root, get_context, make_base_body,
                                make_blend, make_cap_bump,
                                make_oblate_gap_profile, make_odd_perturbation,
@@ -19,7 +18,7 @@ from centroid_sections import (ConstructionError, ConstructionParams,
                                sphere_integral)
 
 from oracles import (SEED, bisect_sign_change, fd_deriv,
-                     phi_bulk_gauss_legendre)
+                     odd_quotient_difference, odd_quotient_integral)
 
 C5 = 16.0 * np.pi ** 2
 
@@ -158,7 +157,10 @@ def test_odd_perturbation_branch_consistency(ctx5, cert5):
     # around the shipped switch point 0.05 the difference-quotient and
     # integral branches must hand off seamlessly
     lam0 = cert5["lambda0"]
-    ghat = ctx5.blend(lam0).ft
+    # without the quotient the context's blend carries, so the public
+    # route's own two branches are compared
+    ghat = copy.copy(ctx5.blend(lam0).ft)
+    ghat.odd_quotient = None
     narrow = make_odd_perturbation(ghat, u_switch=0.04)
     wide = make_odd_perturbation(ghat, u_switch=0.06)
     u = np.concatenate([np.linspace(0.045, 0.055, 21),
@@ -342,28 +344,25 @@ def test_identity_check_rejects_foreign_body(cert5):
         section_identity_check(make_base_body(5, 0.4), params)
 
 
-# bulk evaluation: windowed derivative spline, tabulated equator quotient
+# bulk evaluation: the bump part's quotient series and its dense spline
 
 
-def test_identity_sweep_bit_equal_to_full_range_unblocked(ctx5, cert5):
+def test_identity_sweep_bit_equal_to_unfolded_spline(ctx5, cert5):
     from scipy.interpolate import CubicSpline
     lam, eps = cert5["lambda0"], cert5["eps0"]
     grid = np.linspace(-1.0, 1.0, 1441)
-    r = np.sqrt(1.0 - grid ** 2)
-    small = np.abs(r[:, None] * ctx5._ts[None, :]) < ctx5.config.u_switch
-    assert small.sum() > 100_000
-    # reference built the old way: derivative spline over the whole dense
-    # grid, read at gl_order points per small-|u| point
-    ud = np.linspace(-1.0, 1.0, ctx5.config.dense_eval_grid)
+    # reference spline from the series summed at every knot, not once per
+    # |u| and mirrored
+    knots = ctx5._q_spl.x
+    spec = ctx5.bump_quotient
     ref = copy.copy(ctx5)
-    ref._spl = [ctx5._spl[0],
-                CubicSpline(ud, eval_spectrum_deriv(ctx5.bump_ft_spectrum,
-                                                    ud, 1))]
-    ref._phi_bulk = functools.partial(phi_bulk_gauss_legendre, ref)
-    # the window fit itself, where the reference reads it (eps0 is small
-    # enough that the sweep alone would hide a last-bit change)
-    pts = np.outer(ctx5._s01, (r[:, None] * ctx5._ts[None, :])[small])
-    assert np.array_equal(ctx5._spl[1](pts), ref._spl[1](pts))
+    ref._q_spl = CubicSpline(
+        knots, counterexample._rolling_accumulate(spec.coeffs,
+                                                  spec.lambda_index, knots),
+        extrapolate=False)
+    # the fit itself (eps0 is small enough that the sweep alone would hide
+    # a last-bit change)
+    assert np.array_equal(ctx5._q_spl.c, ref._q_spl.c)
     want = ref.identity_sweep(lam, eps, grid)
     got = ctx5.identity_sweep(lam, eps, grid)
     assert np.array_equal(got["lhs"], want["lhs"])
@@ -371,17 +370,75 @@ def test_identity_sweep_bit_equal_to_full_range_unblocked(ctx5, cert5):
                           want["centroid_quadrature"])
 
 
-def test_derivative_spline_nan_outside_its_window(ctx5):
-    spl = ctx5._spl[1]
-    h = 2.0 / (ctx5.config.dense_eval_grid - 1)
-    u_switch = ctx5.config.u_switch
-    lo, hi = spl.x[0], spl.x[-1]
-    assert round((hi - u_switch) / h) == counterexample._SPLINE_PAD
-    assert round((-u_switch - lo) / h) == counterexample._SPLINE_PAD
-    assert np.all(np.isfinite(spl(np.array([lo, -u_switch, 0.0,
-                                            u_switch, hi]))))
-    outside = spl(np.array([lo - h / 4, hi + h / 4, -1.0, 0.5, 1.0]))
-    assert np.all(np.isnan(outside))
+@pytest.mark.parametrize("n", [5, 6])
+def test_bump_quotient_series_matches_oracles(ctx5, n):
+    # q_b(u) = (b(u) - b(0)) / u from the synthetic division, against the
+    # integral form near the equator and the difference quotient elsewhere
+    ctx = ctx5 if n == 5 else get_context(RunConfig(n=n))
+    spec = ctx.bump_ft_spectrum
+    q = ctx.bump_quotient
+    assert q.parity == "odd" and q.max_degree == spec.max_degree - 1
+    rng = np.random.default_rng(SEED)
+    u_switch = ctx.config.u_switch
+    small = np.concatenate([rng.uniform(-u_switch, u_switch, 150),
+                            [1e-300, -1e-14, 1e-14]])
+    big = np.concatenate([rng.uniform(u_switch, 1.0, 300) *
+                          rng.choice([-1.0, 1.0], 300), [-1.0, 1.0]])
+    want_small = odd_quotient_integral(spec.coeffs, spec.lambda_index, small,
+                                       ctx.config.gl_order)
+    want_big = odd_quotient_difference(spec.coeffs, spec.lambda_index, big)
+    got_small = eval_spectrum(q, small)
+    got_big = eval_spectrum(q, big)
+    scale = max(np.max(np.abs(want_small)), np.max(np.abs(want_big)))
+    assert np.max(np.abs(got_small - want_small)) <= 1e-13 * scale
+    assert np.max(np.abs(got_big - want_big)) <= 1e-13 * scale
+    assert eval_spectrum(q, 0.0) == 0.0
+    assert np.array_equal(eval_spectrum(q, -big), -got_big)
+
+
+def _flipped_division(coeffs, lam):
+    # the package's synthetic division with one sign flipped
+    c = np.asarray(coeffs)
+    lam = c.dtype.type(lam)
+    top = len(c) - 1
+    d = np.zeros(top + 2, dtype=c.dtype)
+    for m in range(top, 0, -1):
+        d[m - 1] = ((c[m] + d[m + 1] * (m + 2 * lam) / (2 * (m + 1 + lam)))
+                    * (2 * (m - 1 + lam)) / m)
+    return d[:top]
+
+
+def _nan_division(coeffs, lam):
+    d = np.zeros(len(coeffs) - 1, dtype=np.asarray(coeffs).dtype)
+    d[1::2] = np.nan
+    return d
+
+
+@pytest.mark.parametrize("division", [_flipped_division, _nan_division],
+                         ids=["flipped_sign", "nan"])
+def test_context_build_rejects_a_wrong_quotient_series(ctx5, monkeypatch,
+                                                       division):
+    monkeypatch.setattr(counterexample, "_divide_by_u", division)
+    with pytest.raises(ConstructionError, match="odd quotient series"):
+        counterexample.ConstructionContext(5, ctx5.a, ctx5.cap_u0,
+                                           RunConfig())
+
+
+def test_context_build_series_work_budget(ctx5, monkeypatch):
+    # points x coefficients over every series sum of one n = 5 build; the
+    # old value, derivative and quotient tables took ~475 M
+    from centroid_sections import spherical_core
+    work = []
+    real = spherical_core._rolling_accumulate
+
+    def counted(coeffs, lam, u, dtype=None):
+        work.append(np.size(u) * len(coeffs))
+        return real(coeffs, lam, u, dtype)
+
+    monkeypatch.setattr(spherical_core, "_rolling_accumulate", counted)
+    monkeypatch.setattr(counterexample, "_rolling_accumulate", counted)
+    counterexample.ConstructionContext(5, ctx5.a, ctx5.cap_u0, RunConfig())
+    assert sum(work) <= 200_000_000
 
 
 @pytest.mark.parametrize("which", ["0", "lambda0", "1"])
@@ -403,11 +460,13 @@ def test_phi_bulk_matches_direct_series_over_window(ctx5, cert5, which):
 
 
 def test_gap_quotient_matches_integral_form(ctx5):
+    from scipy.special import roots_legendre
     ft = ctx5._gap_ft
     u_switch = ctx5.config.u_switch
     u = np.concatenate([np.linspace(-u_switch, u_switch, 4001),
                         [1e-300, -1e-300, 1e-14, -1e-14]])
-    want = ctx5._w01 @ ft.derivs[0](np.outer(ctx5._s01, u))
+    s, w = roots_legendre(ctx5.config.gl_order)
+    want = (0.5 * w) @ ft.derivs[0](np.outer(0.5 * (s + 1.0), u))
     got = ft.quotient(u)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     assert ft.quotient(0.0) == 0.0
@@ -417,14 +476,17 @@ def test_gap_quotient_matches_integral_form(ctx5):
 
 
 def test_quotient_spline_nan_outside_its_window(ctx5):
+    # one spline over the whole dense grid, which is exactly antisymmetric
+    # so the odd series is summed once per |u|; it never extrapolates
     spl = ctx5._q_spl
-    assert np.array_equal(spl.x, ctx5._spl[1].x)
-    h = 2.0 / (ctx5.config.dense_eval_grid - 1)
-    lo, hi = spl.x[0], spl.x[-1]
-    u_switch = ctx5.config.u_switch
-    assert np.all(np.isfinite(spl(np.array([lo, -u_switch, 0.0,
-                                            u_switch, hi]))))
-    outside = spl(np.array([lo - h / 4, hi + h / 4, -1.0, 0.5, 1.0]))
+    x = spl.x
+    assert x.size == ctx5.config.dense_eval_grid
+    assert x[0] == -1.0 and x[-1] == 1.0
+    assert np.array_equal(x, -x[::-1])
+    assert np.array_equal(spl(x), -spl(-x))
+    assert np.all(np.isfinite(spl(np.array([-1.0, -0.5, 0.0, 0.5, 1.0]))))
+    h = 2.0 / (x.size - 1)
+    outside = spl(np.array([-1.0 - h / 4, 1.0 + h / 4, -2.0, 2.0]))
     assert np.all(np.isnan(outside))
 
 

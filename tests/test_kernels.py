@@ -97,3 +97,51 @@ def test_asymmetric_start_raises(monkeypatch):
     monkeypatch.setattr(sc, "roots_jacobi", lambda n, a, b: (x, w))
     with pytest.raises(ValueError, match="antisymmetric"):
         sc._gauss_jacobi_cached.__wrapped__(64, 1.0)
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("shape", [(1000,), (37, 41)])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_folded_series_bit_equal_to_direct_sum(parity, shape, k):
+    # an even or odd series is summed once per |u| and mirrored; on random
+    # u that are not symmetric, with some exact mirror pairs and signed
+    # zeros mixed in, that must change no bit
+    rng = np.random.default_rng(SEED)
+    coeffs = rng.standard_normal(301)
+    coeffs[slice(1 if parity == "even" else 0, None, 2)] = 0.0
+    spec = sc.GegenbauerSpectrum(n=5, lambda_index=1.5, coeffs=coeffs,
+                                 parity=parity)
+    u = rng.uniform(-1.0, 1.0, shape)
+    u.flat[:50] = -u.flat[50:100]
+    u.flat[100:102] = 0.0, -0.0
+    pref = np.prod([2 * (1.5 + j) for j in range(k)])
+    want = pref * sc._rolling_accumulate(coeffs[k:], 1.5 + k, u)
+    got = sc.eval_spectrum_deriv(spec, u, k)
+    assert got.shape == u.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("order", [256, 257])
+def test_folded_projection_matches_full_node_projection(parity, order):
+    # a declared parity projects on the nonnegative half of the symmetric
+    # rule with doubled weights (the middle node of an odd order counts
+    # once); the full-node projection is the reference
+    def f(u):
+        u = np.asarray(u)
+        g = np.exp(-3.0 * u * u) + 0.5 * u ** 4
+        return g if parity == "even" else u * g
+
+    max_degree = 200
+    q = gauss_jacobi(order, 1.0)
+    norms = sc._norm_ratios(1.5, max_degree)
+    full = sc._project_onto_basis(f(q.nodes) * q.weights, 1.5, q.nodes,
+                                  max_degree, norms)
+    got = sc.expand(f, 5, max_degree, order=order, parity=parity).coeffs
+    wrong = slice(1 if parity == "even" else 0, None, 2)
+    assert np.all(got[wrong] == 0)
+    keep = slice(0 if parity == "even" else 1, None, 2)
+    scale = float(np.max(np.abs(full)))
+    assert float(np.max(np.abs(got[keep] - full[keep]))) <= 1e-17 * scale
+    assert float(np.max(np.abs(full[wrong]))) <= 1e-17 * scale
