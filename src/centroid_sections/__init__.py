@@ -18,23 +18,19 @@ _EXPORTS = {
         "SphereProfile", "SpectrumProfile", "bochner_multiplier",
         "eval_spectrum", "eval_spectrum_deriv", "expand", "ft_homogeneous",
         "ft_via_radon", "gauss_jacobi", "parseval_residual",
-        "radon_subsphere", "sphere_area", "sphere_integral",
-        "spectrum_from_dict", "spectrum_to_dict"),
+        "radon_subsphere", "sphere_area", "sphere_integral"),
     "revolution_bodies": (
         "ConvexityReport", "RevolutionBody", "body_to_dict", "centroid_axis",
         "curvature", "intersection_body_test", "make_base_body",
-        "profile_csv_rows", "reflect_body", "section_centroid_axis",
-        "section_volume", "volume"),
+        "section_centroid_axis", "section_volume", "volume"),
     "counterexample": (
         "CERTIFICATE_SCHEMA", "ConstructionContext", "ConstructionParams",
-        "auto_select_a", "centroid_functional", "find_root", "get_context",
-        "make_blend", "make_cap_bump", "make_oblate_gap_profile",
-        "make_odd_perturbation", "make_perturbed_body",
-        "negativity_threshold", "run_construction", "section_identity_check",
-        "verify_theorem"),
+        "auto_select_a", "get_context", "make_cap_bump",
+        "make_oblate_gap_profile", "make_odd_perturbation",
+        "make_perturbed_body", "negativity_threshold", "run_construction"),
     "planar": (
-        "PlanarBody", "bisected_chords", "chord_defect_orthogonality",
-        "planar_centroid", "polygon_body", "radial_body", "recenter"),
+        "PlanarBody", "bisected_chords", "planar_centroid", "polygon_body",
+        "radial_body", "recenter"),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items()
            for name in names}

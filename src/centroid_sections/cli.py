@@ -1,11 +1,12 @@
 """Command line front end.
 
-Subcommands: construct (build the body and emit certificate + data
-files), verify (recompute a certificate's checks from its parameters),
-intersection-test, planar, plot.  Exit codes: 0 success, 2 invalid
-input, 3 construction or check failure, 4 certificate verification
-failure.  All files are written atomically (temp file + rename) so a
-crash never leaves a half-written certificate.
+Subcommands: construct (build the body and emit the certificate with
+its data files: profiles.csv, sections.csv and body.json), verify
+(recompute a certificate's checks from its parameters),
+intersection-test, planar.  Exit codes: 0 success, 2 invalid input, 3
+construction or check failure, 4 certificate verification failure.  All
+files are written atomically (temp file + rename) so a crash never
+leaves a half-written certificate.
 
 The construction modules (and scipy with them) are imported inside the
 subcommands that use them, so `planar` runs on numpy alone.
@@ -31,6 +32,9 @@ EXIT_CONSTRUCT = 3
 EXIT_VERIFY = 4
 
 ENV_OUTDIR = "CENTROID_SECTIONS_OUTDIR"
+
+# rows of profiles.csv, uniform in u on [-1, 1]
+PROFILE_GRID = 1001
 
 
 def _outdir(args) -> str:
@@ -79,15 +83,13 @@ def _config_from_args(args) -> RunConfig:
 # ---------------------------------------------------------------------------
 # construct
 
-def _profiles_rows(ctx, lam0: float, eps0: float, grid: int):
-    u = np.linspace(-1.0, 1.0, grid)
-    rho_b = np.asarray(ctx.base.rho(u), dtype=float)
-    phi = ctx._phi_direct(u, lam0)
-    rho_k = (rho_b ** ctx.n + eps0 * phi) ** (1.0 / ctx.n)
-    seed = np.asarray(ctx.seed_value(u, lam0), dtype=float)
-    ghat = ctx.blend_ft_value(u, lam0, 0)
-    return [(float(u[i]), float(rho_b[i]), float(phi[i]), float(rho_k[i]),
-             float(seed[i]), float(ghat[i])) for i in range(grid)]
+def _profiles_rows(res):
+    ctx, lam0 = res["context"], res["root"]["lambda0"]
+    u = np.linspace(-1.0, 1.0, PROFILE_GRID)
+    columns = (u, ctx.base.rho(u), ctx._phi_direct(u, lam0),
+               res["body"].rho(u), ctx.seed_value(u, lam0),
+               ctx.blend_ft_value(u, lam0, 0))
+    return zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
 
 
 def _sections_rows(sweep):
@@ -115,14 +117,12 @@ def cmd_construct(args) -> int:
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCT
     cert = res["certificate"]
-    ctx = res["context"]
     _write_atomic(os.path.join(out, "certificate.json"), _json_text(cert))
     _write_atomic(
         os.path.join(out, "profiles.csv"),
         _csv_text(["u", "rho_base", "perturbation", "rho_perturbed",
                    "blend", "blend_transform"],
-                  _profiles_rows(ctx, cert["lambda0"], cert["eps0"],
-                                 cfg.plot_grid)))
+                  _profiles_rows(res)))
     _write_atomic(
         os.path.join(out, "sections.csv"),
         _csv_text(["u_xi", "centroid_quadrature", "centroid_analytic",
@@ -148,8 +148,8 @@ def _check(lines, name, ok, detail):
 
 
 def _load_certificate(args):
-    """(certificate, config, params) for the certificate that verify and
-    plot read, or None after printing why it cannot be used.
+    """(certificate, config, params) for the certificate that verify
+    reads, or None after printing why it cannot be used.
 
     The stored configuration sets the geometry and grids.  A stored
     tolerance can only tighten the package default: the check uses the
@@ -176,7 +176,12 @@ def _load_certificate(args):
             setattr(cfg, k, v)
     if getattr(args, "alpha_grid", None) is not None:
         cfg.alpha_grid = args.alpha_grid
-    cfg.validate()
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        print(f"error: invalid certificate configuration: {exc}",
+              file=sys.stderr)
+        return None
     p = cert["params"]
     params = cx.ConstructionParams(n=p["n"], a=p["a"], cap_u0=p["cap_u0"],
                                    cap_margin=p["cap_margin"], eps=p["eps"],
@@ -375,35 +380,6 @@ def cmd_planar(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# plot data
-
-def cmd_plot(args) -> int:
-    loaded = _load_certificate(args)
-    if loaded is None:
-        return EXIT_USAGE
-    cert, cfg, params = loaded
-    ctx = _context(cfg, params)
-    out = _outdir(args)
-    lam0, eps0 = cert["lambda0"], cert["eps0"]
-    u = np.linspace(-1.0, 1.0, cfg.plot_grid)
-    rho_b = np.asarray(ctx.base.rho(u), dtype=float)
-    rho_k = (rho_b ** ctx.n + eps0 * ctx._phi_direct(u, lam0)) ** (1.0 / ctx.n)
-    _write_atomic(os.path.join(out, "plot_profile.csv"),
-                  _csv_text(["u", "value"],
-                            [(float(u[i]), float(rho_k[i]))
-                             for i in range(len(u))]))
-    sweep = ctx.identity_sweep(lam0, eps0)
-    _write_atomic(os.path.join(out, "plot_sections.csv"),
-                  _csv_text(["u_xi", "centroid"],
-                            [(float(sweep["u_grid"][i]),
-                              float(sweep["centroid_quadrature"][i]))
-                             for i in range(len(sweep["u_grid"]))]))
-    print(f"wrote plot_profile.csv ({cfg.plot_grid} rows) and "
-          f"plot_sections.csv ({cfg.alpha_grid} rows)")
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -452,11 +428,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     default=1e-10)
     pp.add_argument("--outdir", default=None)
     pp.set_defaults(func=cmd_planar)
-
-    pl = sub.add_parser("plot", help="emit plot data from a certificate")
-    pl.add_argument("certificate", help="path to certificate.json")
-    pl.add_argument("--outdir", default=None)
-    pl.set_defaults(func=cmd_plot)
     return ap
 
 

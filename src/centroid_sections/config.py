@@ -3,6 +3,8 @@
 from dataclasses import dataclass, field, asdict
 from typing import Optional
 
+__all__ = ["ConstructionError", "RunConfig", "default_tolerances"]
+
 
 class ConstructionError(RuntimeError):
     """A precondition of the construction failed numerically."""
@@ -10,18 +12,12 @@ class ConstructionError(RuntimeError):
 
 def default_tolerances() -> dict:
     return {
-        "quadrature_exactness": 1e-12,
-        "roundtrip_rel": 1e-8,
-        "route_agreement_rel": 1e-7,
         "parseval_rel": 1e-8,
         "equator_rel": 1e-8,
         "identity_rel": 1e-6,
         "root_abs": 1e-13,
         "convexity_margin": 1e-6,
         "pole_section_abs": 1e-12,
-        "symmetric_rel": 1e-10,
-        "branch_consistency_rel": 1e-9,
-        "tail_warn_rel": 1e-6,
         "intersection_rel": 1e-9,
     }
 
@@ -63,9 +59,6 @@ class RunConfig:
     equator_grid: int = 2001
     eps_max_halvings: int = 20
     root_max_iter: int = 200
-    plot_grid: int = 1001
-    planar_resolution: int = 4096
-    planar_theta_tol: float = 1e-10
 
     auto_a_candidates: tuple = (0.5, 0.4, 0.3, 0.2, 0.1, 0.05)
 
@@ -81,6 +74,8 @@ class RunConfig:
                 "exists for n = 3 or 4")
         if self.a is not None and not 0 < self.a < 1:
             raise ValueError("a must lie in (0, 1)")
+        if self.a is not None and 1 - 2 * self.a ** (self.n - 2) <= 0:
+            raise ValueError("profile not positive: a too large for this n")
         if not 0 < self.cap_margin < 1:
             raise ValueError("cap_margin must lie in (0, 1)")
         if self.eps <= 0:

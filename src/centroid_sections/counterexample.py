@@ -15,21 +15,25 @@ ConstructionContext: the bump's transform is expanded in extended
 precision to a few thousand Gegenbauer degrees and divided by u once,
 then evaluated through a dense-grid cubic spline with direct-series spot
 checks, which keeps the section sweep honest without per-point series
-sums.
+sums.  get_context returns it; its methods are the per-(lam, eps)
+functionals (centroid, kappa_report, select_eps, find_root,
+identity_sweep), and run_construction chains them into the certificate.
+make_odd_perturbation and make_perturbed_body are the public route to the
+same body for any transform.
 """
 
 import copy
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import roots_legendre
 
 from .config import ConstructionError, RunConfig
-from .revolution_bodies import (ConvexityReport, RevolutionBody, curvature,
-                                make_base_body)
+from .revolution_bodies import (ConvexityReport, RevolutionBody, _clears,
+                                _meridian_report, curvature, make_base_body)
 from .spherical_core import (GegenbauerSpectrum, HomogeneousFunction,
                              SphereProfile, _bochner_multipliers_ld,
                              _divide_by_u, _rolling_accumulate, eval_spectrum,
@@ -39,10 +43,8 @@ from .spherical_core import (GegenbauerSpectrum, HomogeneousFunction,
 __all__ = [
     "ConstructionError", "ConstructionParams", "negativity_threshold",
     "auto_select_a", "make_cap_bump", "make_oblate_gap_profile",
-    "make_blend", "make_odd_perturbation", "make_perturbed_body",
-    "centroid_functional", "find_root", "section_identity_check",
-    "verify_theorem", "run_construction", "get_context",
-    "ConstructionContext", "CERTIFICATE_SCHEMA",
+    "make_odd_perturbation", "make_perturbed_body", "run_construction",
+    "get_context", "ConstructionContext", "CERTIFICATE_SCHEMA",
 ]
 
 CERTIFICATE_SCHEMA = "v1"
@@ -212,65 +214,6 @@ def make_oblate_gap_profile(n: int) -> SphereProfile:
     return prof
 
 
-def make_blend(bump: SphereProfile, gap: SphereProfile, lam: float,
-               max_degree: Optional[int] = None,
-               order: Optional[int] = None) -> HomogeneousFunction:
-    """Seed profile (1-lam) bump + lam gap as a degree -1 extension, with
-    its transform attached as .ft (a profile with three derivatives).
-
-    The bump part of the transform is spectral (the bump has no closed
-    transform); the gap part uses the closed form when the gap carries
-    one.  Expanding the bump honestly takes a few thousand degrees, so
-    repeated blends at the same geometry should go through a
-    ConstructionContext instead.
-    """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("blend weight must lie in [0, 1]")
-    n = bump.n
-    if gap.n != n:
-        raise ValueError("profiles live on spheres of different dimension")
-    md = RunConfig().bump_max_degree if max_degree is None else max_degree
-    qo = order if order is not None else md + RunConfig().bump_quad_pad
-    spec = expand(bump, n, md, order=qo, parity="even")
-    mu = _bochner_multipliers_ld(n, 1, md)
-    co_ld = np.asarray(spec.coeffs, dtype=mu.dtype) * mu
-    value0 = float(_rolling_accumulate(co_ld, (n - 2) / 2.0,
-                                       np.zeros(1, dtype=mu.dtype))[0])
-    spec_ft = GegenbauerSpectrum(n=n, lambda_index=(n - 2) / 2.0,
-                                 coeffs=co_ld.astype(np.float64),
-                                 parity="even", tail_rel=spec.tail_rel,
-                                 truncation_warning=spec.truncation_warning)
-    gap_ft = getattr(gap, "ft_profile", None)
-    if gap_ft is None:
-        raise ValueError("gap profile must carry a transform profile")
-
-    def seed(u):
-        return (1.0 - lam) * bump(u) + lam * gap(u)
-
-    def ft_eval(u):
-        return ((1.0 - lam) * eval_spectrum(spec_ft, u)
-                + lam * gap_ft(u))
-
-    def ft_d(k):
-        def d(u):
-            return ((1.0 - lam) * eval_spectrum_deriv(spec_ft, u, k)
-                    + lam * gap_ft.derivs[k - 1](u))
-        return d
-
-    ftprof = SphereProfile(n=n, eval=ft_eval, parity="even",
-                           smoothness_note="spectral bump part plus closed "
-                                           "gap part",
-                           derivs=(ft_d(1), ft_d(2), ft_d(3)))
-    ftprof.value_at_zero = (1.0 - lam) * value0
-    out = HomogeneousFunction(
-        profile=SphereProfile(n=n, eval=seed, parity="even",
-                              smoothness_note="blend of bump and gap"),
-        degree_p=1.0)
-    out.ft = ftprof
-    out.lam = float(lam)
-    return out
-
-
 def make_odd_perturbation(ghat: SphereProfile,
                           u_switch: float = 0.05,
                           gl_order: int = 96,
@@ -412,40 +355,23 @@ def _perturbed(base: RevolutionBody, phi: SphereProfile, eps: float,
     """The body of make_perturbed_body, past its positivity gate."""
     n = base.n
     rho_b = base.rho
+    base_fns = (rho_b, *(rho_b.derivs or ()))
+    phi_fns = (phi, *(phi.derivs or ()))
 
-    def rho(u):
-        f = (np.asarray(rho_b(u), dtype=float) ** n
-             + eps * np.asarray(phi(u), dtype=float))
-        return f ** (1.0 / n)
+    def u_derivative(k):
+        def d(u):
+            return _root_jet(n, eps,
+                             [np.asarray(f(u), dtype=float)
+                              for f in base_fns[:k + 1]],
+                             [np.asarray(f(u), dtype=float)
+                              for f in phi_fns[:k + 1]])[k]
+        return d
 
     derivs = None
     if rho_b.derivs is not None and phi.derivs is not None:
-        b1, b2 = rho_b.derivs[0], rho_b.derivs[1]
-        p1, p2 = phi.derivs[0], phi.derivs[1]
+        derivs = (u_derivative(1), u_derivative(2))
 
-        def parts(u):
-            rb = np.asarray(rho_b(u), dtype=float)
-            f = rb ** n + eps * np.asarray(phi(u), dtype=float)
-            f1 = (n * rb ** (n - 1) * np.asarray(b1(u), dtype=float)
-                  + eps * np.asarray(p1(u), dtype=float))
-            return rb, f, f1
-
-        def rho_du(u):
-            _, f, f1 = parts(u)
-            return (1.0 / n) * f ** (1.0 / n - 1) * f1
-
-        def rho_du2(u):
-            rb, f, f1 = parts(u)
-            f2 = (n * (n - 1) * rb ** (n - 2)
-                  * np.asarray(b1(u), dtype=float) ** 2
-                  + n * rb ** (n - 1) * np.asarray(b2(u), dtype=float)
-                  + eps * np.asarray(p2(u), dtype=float))
-            return ((1.0 / n) * (1.0 / n - 1) * f ** (1.0 / n - 2) * f1 ** 2
-                    + (1.0 / n) * f ** (1.0 / n - 1) * f2)
-
-        derivs = (rho_du, rho_du2)
-
-    prof = SphereProfile(n=n, eval=rho, parity="mixed",
+    prof = SphereProfile(n=n, eval=u_derivative(0), parity="mixed",
                          smoothness_note="base plus odd perturbation",
                          derivs=derivs)
     qo = quad_order
@@ -457,16 +383,28 @@ def _perturbed(base: RevolutionBody, phi: SphereProfile, eps: float,
                           quad_order=qo)
 
 
+def _root_jet(n: int, eps: float, base, phi) -> list:
+    """r = (rho_b^n + eps phi)^{1/n} and its u-derivatives, to the order
+    that base (rho_b, rho_b', rho_b'') and phi (phi, phi', phi'') carry:
+    one entry each gives [r], all three give [r, r', r'']."""
+    rb, p = base[0], phi[0]
+    f = rb ** n + eps * p
+    out = [f ** (1.0 / n)]
+    if len(base) > 1:
+        f1 = n * rb ** (n - 1) * base[1] + eps * phi[1]
+        out.append((1.0 / n) * f ** (1.0 / n - 1) * f1)
+    if len(base) > 2:
+        f2 = (n * (n - 1) * rb ** (n - 2) * base[1] ** 2
+              + n * rb ** (n - 1) * base[2] + eps * phi[2])
+        out.append((1.0 / n) * (1.0 / n - 1) * f ** (1.0 / n - 2) * f1 ** 2
+                   + (1.0 / n) * f ** (1.0 / n - 1) * f2)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # cached heavy machinery
 
 _CTX_CACHE: dict = {}
-
-
-def _clears(kappa: float, margin: float) -> bool:
-    """Curvature guard: True only for a finite kappa above the margin, so
-    NaN or inf from a degenerate profile counts as a violation."""
-    return bool(np.isfinite(kappa) and kappa > margin)
 
 
 class ConstructionContext:
@@ -556,8 +494,6 @@ class ConstructionContext:
         theta = np.linspace(0.0, np.pi, config.curvature_grid)
         self._theta = theta
         ut = np.cos(theta)
-        self._ut = ut
-        self._st = np.sin(theta)
         self._rho_t = np.asarray(self.base.rho(ut), dtype=np.float64)
         self._rho_t_d1 = np.asarray(self.base.rho.derivs[0](ut),
                                     dtype=np.float64)
@@ -671,30 +607,14 @@ class ConstructionContext:
         """Meridian curvature report of the perturbed body, from the
         precomputed theta tables (same formula and grid as curvature()),
         held to the configured convexity margin."""
-        n = self.n
         # the operation order of _phi_direct, so a curvature pass over the
         # perturbed body gives the same bits
-        phi, ph1, ph2 = ((1.0 - lam) * b + lam * g
-                         for b, g in zip(self._bq_t, self._gq_t))
-        rb, rb1, rb2 = self._rho_t, self._rho_t_d1, self._rho_t_d2
-        f = rb ** n + eps * phi
-        f1 = n * rb ** (n - 1) * rb1 + eps * ph1
-        f2 = (n * (n - 1) * rb ** (n - 2) * rb1 ** 2
-              + n * rb ** (n - 1) * rb2 + eps * ph2)
-        r = f ** (1.0 / n)
-        r1 = (1.0 / n) * f ** (1.0 / n - 1) * f1
-        r2 = ((1.0 / n) * (1.0 / n - 1) * f ** (1.0 / n - 2) * f1 ** 2
-              + (1.0 / n) * f ** (1.0 / n - 1) * f2)
-        st, ut = self._st, self._ut
-        rp = -st * r1
-        rpp = st * st * r2 - ut * r1
-        kap = (r * r + 2 * rp * rp - r * rpp) / (r * r + rp * rp) ** 1.5
-        i = int(np.argmin(kap))
-        kmin = float(kap[i])
-        margin = self.config.tolerances["convexity_margin"]
-        return ConvexityReport(kappa_min=kmin,
-                               argmin_theta=float(self._theta[i]),
-                               is_convex=_clears(kmin, margin), margin=margin)
+        phi = [(1.0 - lam) * b + lam * g
+               for b, g in zip(self._bq_t, self._gq_t)]
+        r = _root_jet(self.n, eps,
+                      (self._rho_t, self._rho_t_d1, self._rho_t_d2), phi)
+        return _meridian_report(self._theta, *r,
+                                self.config.tolerances["convexity_margin"])
 
     def seed_value(self, u, lam: float):
         return (1.0 - lam) * self.bump(u) + lam * self.gap(u)
@@ -856,8 +776,7 @@ class ConstructionContext:
         """Max over the theta grid of rho(u) + rho(-u) (axial symmetry
         makes antipodal pairs along meridians the extremal chords)."""
         phi_t = (1.0 - lam) * self._bq_t[0] + lam * self._gq_t[0]
-        f = self._rho_t ** self.n + eps * phi_t
-        r = f ** (1.0 / self.n)
+        r = _root_jet(self.n, eps, (self._rho_t,), (phi_t,))[0]
         return float(np.max(r + r[::-1]))
 
 
@@ -892,72 +811,9 @@ def get_context(config: Optional[RunConfig] = None,
     return ctx
 
 
-# ---------------------------------------------------------------------------
-# public functionals
-
-def centroid_functional(params: ConstructionParams,
-                        config: Optional[RunConfig] = None) -> float:
-    """Axis centroid of the perturbed body at the given parameters.
-
-    Odd perturbations move the centroid along the axis only; this scalar
-    is the full story.  Raises if eps breaks positivity.
-    """
-    ctx = get_context(config, params)
-    c = ctx.centroid(params.lam, params.eps)
-    if c is None:
-        raise ConstructionError("radial power profile loses positivity: "
-                                "eps too large")
-    return c
-
-
-def find_root(params: Optional[ConstructionParams] = None,
-              config: Optional[RunConfig] = None) -> dict:
-    """Blend weight at which the centroid vanishes, with the eps used.
-
-    Halves eps first if the sign bracket or the convexity margin fails at
-    the endpoints, then bisects.  Returns lambda0, centroid_at_root,
-    iterations, eps, halvings and the endpoint centroids.
-    """
-    if params is None:
-        ctx = get_context(config)
-        eps_start = (config or RunConfig()).eps
-    else:
-        ctx = get_context(config, params)
-        eps_start = params.eps
-    sel = ctx.select_eps(eps_start)
-    root = ctx.find_root(sel["eps"])
-    root.update(eps=sel["eps"], halvings=sel["halvings"],
-                centroid_at_0=sel["centroid_at_0"],
-                centroid_at_1=sel["centroid_at_1"])
-    return root
-
-
-def section_identity_check(body: RevolutionBody,
-                           params: ConstructionParams,
-                           u_grid: Optional[np.ndarray] = None,
-                           config: Optional[RunConfig] = None) -> float:
-    """Max relative gap between quadrature section centroids of the
-    perturbed body and their closed-form prediction over a direction grid.
-
-    The body must be the perturbed body for params (checked on a sample);
-    the sweep itself re-derives profile values from the cached spectral
-    data, with direct-series spot checks.
-    """
-    if body.kind != "perturbed":
-        raise ValueError("identity holds for the perturbed body")
-    ctx = get_context(config, params)
-    us = np.linspace(-0.9, 0.9, 7)
-    mine = ctx.perturbed_body(params.lam, params.eps).rho(us)
-    theirs = np.asarray(body.rho(us), dtype=float)
-    if np.max(np.abs(mine - theirs)) > 1e-12 * np.max(np.abs(theirs)):
-        raise ValueError("body does not match the given parameters")
-    sweep = ctx.identity_sweep(params.lam, params.eps, u_grid)
-    return sweep["max_rel_err"]
-
-
-def verify_theorem(config: Optional[RunConfig] = None,
-                   return_context: bool = False):
-    """Run the full construction and return a certificate dict.
+def run_construction(config: Optional[RunConfig] = None) -> dict:
+    """Run the full construction: the certificate dict, with the context,
+    sweep, perturbed body, root and eps selection behind it.
 
     Pipeline: pick the geometry, expand the bump transform, halve eps to
     an admissible size, bisect the blend weight to put the centroid at
@@ -967,15 +823,6 @@ def verify_theorem(config: Optional[RunConfig] = None,
     The certificate records every residual with the tolerance it was held
     to, and valid is True only if all of them pass.
     """
-    res = run_construction(config)
-    if return_context:
-        return res["certificate"], res["context"]
-    return res["certificate"]
-
-
-def run_construction(config: Optional[RunConfig] = None) -> dict:
-    """verify_theorem plus the intermediate objects (context, sweep,
-    perturbed body) for callers that emit data files."""
     t0 = time.perf_counter()
     cfg = config or RunConfig()
     cfg.validate()

@@ -9,13 +9,13 @@ module finds those directions numerically for polygons and for smooth
 radial profiles.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 __all__ = ["PlanarBody", "polygon_body", "radial_body", "planar_centroid",
-           "recenter", "bisected_chords", "chord_defect_orthogonality"]
+           "recenter", "bisected_chords"]
 
 
 def _cross2(a, b):
@@ -211,24 +211,6 @@ def _shifted_radii(fn: Callable, c: np.ndarray,
 
 def _chord_defect(body: PlanarBody, theta):
     return body.radius(theta) - body.radius(np.asarray(theta) + np.pi)
-
-
-def chord_defect_orthogonality(body: PlanarBody,
-                               resolution: int = 4096) -> np.ndarray:
-    """Integrals of (rho(theta) - rho(theta+pi)) rho-weighted against cos
-    and sin over [0, pi), normalized by the profile scale.
-
-    Both vanish when the centroid is at the origin: they are the two
-    components of the centroid written as boundary integrals.  This is
-    the mechanism behind the minimum of three bisected chords, so it is
-    exposed for direct checking.
-    """
-    body = recenter(body, resolution)
-    th = np.linspace(0.0, 2 * np.pi, resolution, endpoint=False)
-    r3 = body.radius(th) ** 3
-    ic = np.mean(r3 * np.cos(th)) * 2 * np.pi
-    is_ = np.mean(r3 * np.sin(th)) * 2 * np.pi
-    return np.array([ic, is_]) / (3.0 * np.max(r3))
 
 
 def bisected_chords(body: PlanarBody, resolution: int = 4096,

@@ -7,16 +7,14 @@ from typing import Optional
 import numpy as np
 
 from .spherical_core import (
-    LD, HomogeneousFunction, SphereProfile, Quadrature, expand,
-    eval_spectrum, eval_spectrum_deriv, ft_homogeneous, gauss_jacobi,
-    radon_subsphere, sphere_area,
+    LD, HomogeneousFunction, SphereProfile, expand, eval_spectrum,
+    eval_spectrum_deriv, ft_homogeneous, gauss_jacobi, sphere_area,
 )
 
 __all__ = [
     "RevolutionBody", "ConvexityReport", "make_base_body", "curvature",
     "volume", "centroid_axis", "section_centroid_axis", "section_volume",
-    "intersection_body_test", "reflect_body", "body_to_dict",
-    "profile_csv_rows",
+    "intersection_body_test", "body_to_dict",
 ]
 
 
@@ -51,7 +49,6 @@ class ConvexityReport:
     argmin_theta: float
     is_convex: bool
     margin: float
-    low_confidence: bool = False
 
 
 def make_base_body(n: int, a: float) -> RevolutionBody:
@@ -123,26 +120,35 @@ def curvature(body: RevolutionBody, grid: int = 4001,
     """
     theta = np.linspace(0.0, np.pi, grid)
     u = np.cos(theta)
-    st = np.sin(theta)
-    low_confidence = False
     if body.rho.derivs is not None:
         r = np.asarray(body.rho(u), dtype=float)
         fu1 = np.asarray(body.rho.derivs[0](u), dtype=float)
         fu2 = np.asarray(body.rho.derivs[1](u), dtype=float)
     else:
         spec = expand(body.rho, body.n, max_degree)
-        low_confidence = spec.truncation_warning
         r = eval_spectrum(spec, u)
         fu1 = eval_spectrum_deriv(spec, u, 1)
         fu2 = eval_spectrum_deriv(spec, u, 2)
-    rp = -st * fu1
-    rpp = st * st * fu2 - u * fu1
+    return _meridian_report(theta, r, fu1, fu2, margin)
+
+
+def _clears(kappa: float, margin: float) -> bool:
+    """Curvature guard: True only for a finite kappa above the margin, so
+    NaN or inf from a degenerate profile counts as a violation."""
+    return bool(np.isfinite(kappa) and kappa > margin)
+
+
+def _meridian_report(theta, r, r_u, r_uu, margin: float) -> ConvexityReport:
+    """ConvexityReport of the meridian with profile values r and their
+    u-derivatives r_u, r_uu at u = cos(theta)."""
+    u, st = np.cos(theta), np.sin(theta)
+    rp = -st * r_u
+    rpp = st * st * r_uu - u * r_u
     kappa = (r * r + 2 * rp * rp - r * rpp) / (r * r + rp * rp) ** 1.5
     i = int(np.argmin(kappa))
     kmin = float(kappa[i])
     return ConvexityReport(kappa_min=kmin, argmin_theta=float(theta[i]),
-                           is_convex=bool(kmin > margin), margin=margin,
-                           low_confidence=low_confidence)
+                           is_convex=_clears(kmin, margin), margin=margin)
 
 
 def volume(body: RevolutionBody, order: Optional[int] = None) -> float:
@@ -230,20 +236,6 @@ def intersection_body_test(body: RevolutionBody, grid: int = 2001,
     }
 
 
-def reflect_body(body: RevolutionBody) -> RevolutionBody:
-    """Body with the profile reflected u -> -u."""
-    rho = body.rho
-
-    def ref_eval(u):
-        return rho(np.negative(u))
-
-    parity = rho.parity
-    prof = SphereProfile(n=body.n, eval=ref_eval, parity=parity,
-                         smoothness_note=rho.smoothness_note)
-    return RevolutionBody(n=body.n, rho=prof, kind="custom",
-                          params=dict(body.params), quad_order=body.quad_order)
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -258,22 +250,3 @@ def body_to_dict(body: RevolutionBody, order: Optional[int] = None) -> dict:
         "profile_samples": [[float(a), float(b)] for a, b in zip(u, rho)],
     }
 
-
-def profile_csv_rows(body: RevolutionBody, grid: int = 1001) -> list:
-    """Rows "u,rho,kappa" on a uniform theta grid, ascending in u."""
-    theta = np.linspace(np.pi, 0.0, grid)
-    u = np.cos(theta)
-    if body.rho.derivs is not None:
-        fu1 = np.asarray(body.rho.derivs[0](u), dtype=float)
-        fu2 = np.asarray(body.rho.derivs[1](u), dtype=float)
-        r = np.asarray(body.rho(u), dtype=float)
-    else:
-        spec = expand(body.rho, body.n, 120)
-        r = eval_spectrum(spec, u)
-        fu1 = eval_spectrum_deriv(spec, u, 1)
-        fu2 = eval_spectrum_deriv(spec, u, 2)
-    st = np.sin(theta)
-    rp = -st * fu1
-    rpp = st * st * fu2 - u * fu1
-    kappa = (r * r + 2 * rp * rp - r * rpp) / (r * r + rp * rp) ** 1.5
-    return [(float(a), float(b), float(k)) for a, b, k in zip(u, r, kappa)]

@@ -25,7 +25,7 @@ near 1e-9 while extended precision reaches ~1e-13.
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import gammaln, roots_jacobi
@@ -37,8 +37,7 @@ __all__ = [
     "HomogeneousFunction", "Quadrature", "gauss_jacobi", "sphere_area",
     "sphere_integral", "expand", "eval_spectrum", "eval_spectrum_deriv",
     "bochner_multiplier", "ft_homogeneous", "radon_subsphere",
-    "ft_via_radon", "parseval_residual", "spectrum_to_dict",
-    "spectrum_from_dict",
+    "ft_via_radon", "parseval_residual",
 ]
 
 
@@ -555,17 +554,3 @@ def parseval_residual(f: HomogeneousFunction, g: HomogeneousFunction,
     # residual sits at the longdouble noise floor, well under 1e-16
     return float(abs(A - B) / max(abs(A), abs(B), LD(floor)))
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def spectrum_to_dict(s: GegenbauerSpectrum) -> dict:
-    return {"n": s.n, "parity": s.parity,
-            "coeffs": [float(c) for c in s.coeffs]}
-
-
-def spectrum_from_dict(d: dict) -> GegenbauerSpectrum:
-    n = int(d["n"])
-    return GegenbauerSpectrum(
-        n=n, lambda_index=(n - 2) / 2,
-        coeffs=np.asarray(d["coeffs"], dtype=float), parity=d["parity"])

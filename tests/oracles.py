@@ -202,6 +202,21 @@ def count_antipodal_sign_changes(radius_fn, resolution=1 << 16):
     return int(np.sum(s[1:] != s[:-1]))
 
 
+def chord_defect_orthogonality(radius_fn, resolution=4096):
+    """Integrals of rho(t)^3 - rho(t+pi)^3 against cos and sin over
+    [0, pi), normalized by the profile scale.
+
+    Both vanish when the centroid is at the origin: they are the two
+    components of the centroid written as boundary integrals, which is
+    the mechanism behind the minimum of three bisected chords.
+    """
+    t = np.linspace(0.0, 2 * np.pi, resolution, endpoint=False)
+    r3 = radius_fn(t) ** 3
+    ic = np.mean(r3 * np.cos(t)) * 2 * np.pi
+    is_ = np.mean(r3 * np.sin(t)) * 2 * np.pi
+    return np.array([ic, is_]) / (3.0 * np.max(r3))
+
+
 def shifted_radius_loop(fn, c, alpha):
     """Radius about center c in the direction alpha (a float) of the curve
     with radial profile fn about the origin, one scalar bisection per

@@ -90,6 +90,15 @@ def test_construct_low_dimension_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["construct", "intersection-test"])
+def test_too_large_a_exits_2(command, tmp_path, capsys):
+    # at n = 5, 1 - 2 a^3 < 0 for a = 0.8: no base body exists, although
+    # a lies in (0, 1) and the base transform still changes sign
+    rc = cli.main([command, "--a", "0.8", "--outdir", str(tmp_path)])
+    assert rc == 2
+    assert "error: profile not positive" in capsys.readouterr().err
+
+
 # verify
 
 
@@ -203,6 +212,35 @@ def test_verify_rejects_forged_margin(cli_outdir, tmp_path, capsys):
     assert "FAIL margin_positive" in out
 
 
+# configuration keys and tolerances that certificates carried while the
+# package still had them; nothing reads them now
+DROPPED_CONFIG = {"plot_grid": 1001, "planar_resolution": 4096,
+                  "planar_theta_tol": 1e-10}
+DROPPED_TOLERANCES = {"quadrature_exactness": 1e-12, "roundtrip_rel": 1e-8,
+                      "route_agreement_rel": 1e-7, "symmetric_rel": 1e-10,
+                      "branch_consistency_rel": 1e-9, "tail_warn_rel": 1e-6}
+
+
+def test_verify_accepts_certificate_with_dropped_keys(cli_outdir, tmp_path,
+                                                      capsys):
+    def mutate(cert):
+        cert["config"].update(DROPPED_CONFIG)
+        cert["config"]["tolerances"].update(DROPPED_TOLERANCES)
+        cert["tolerances"].update(DROPPED_TOLERANCES)
+    path = _tampered(cli_outdir, tmp_path, mutate)
+    rc = cli.main(["verify", str(path)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "verification PASSED" in out
+
+
+def test_verify_rejects_invalid_stored_config(cli_outdir, tmp_path, capsys):
+    path = _tampered(cli_outdir, tmp_path,
+                     lambda c: c["config"].update(a=0.9))
+    assert cli.main(["verify", str(path)]) == 2
+    assert "profile not positive" in capsys.readouterr().err
+
+
 def test_verify_rejects_unknown_schema(cli_outdir, tmp_path, capsys):
     path = _tampered(cli_outdir, tmp_path,
                      lambda c: c.update(schema="v0"))
@@ -305,20 +343,6 @@ def test_planar_missing_input_file_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
-# plot
-
-
-def test_plot_row_counts(cli_outdir, tmp_path, capsys):
-    rc = cli.main(["plot", str(cli_outdir / "certificate.json"),
-                   "--outdir", str(tmp_path)])
-    assert rc == 0
-    assert "wrote plot_profile.csv" in capsys.readouterr().out
-    header, rows = _read_csv(tmp_path / "plot_profile.csv")
-    assert header == ["u", "value"] and len(rows) == 1001
-    header, rows = _read_csv(tmp_path / "plot_sections.csv")
-    assert header == ["u_xi", "centroid"] and len(rows) == 721
-
-
 # plumbing
 
 
@@ -343,6 +367,5 @@ def test_console_script_help(subprocess_env):
                           "--help"], env=subprocess_env,
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 0
-    for word in ("construct", "verify", "intersection-test", "planar",
-                 "plot"):
+    for word in ("construct", "verify", "intersection-test", "planar"):
         assert word in res.stdout

@@ -7,15 +7,12 @@ import pytest
 
 from centroid_sections import counterexample
 from centroid_sections import (ConstructionError, ConstructionParams,
-                               HomogeneousFunction, RunConfig, curvature,
-                               eval_spectrum, eval_spectrum_deriv,
-                               find_root, get_context, make_base_body,
-                               make_blend, make_cap_bump,
+                               RunConfig, curvature, eval_spectrum,
+                               get_context, make_base_body, make_cap_bump,
                                make_oblate_gap_profile, make_odd_perturbation,
                                make_perturbed_body, negativity_threshold,
                                run_construction, section_centroid_axis,
-                               section_identity_check, section_volume,
-                               sphere_integral)
+                               section_volume, sphere_integral)
 
 from oracles import (SEED, bisect_sign_change, fd_deriv,
                      odd_quotient_difference, odd_quotient_integral)
@@ -98,14 +95,11 @@ def test_gap_transform_derivatives_match_fd():
 # blend
 
 
-def test_blend_endpoints():
-    bump = make_cap_bump(5, 0.98)
-    gap = make_oblate_gap_profile(5)
-    for lam, ref in ((0.0, bump), (1.0, gap)):
-        blend = make_blend(bump, gap, lam)
-        u = np.linspace(-1.0, 1.0, 41)
-        assert np.max(np.abs(blend.profile(u) - ref(u))) <= 1e-14
-        assert blend.degree_p == 1.0
+def test_blend_endpoints(ctx5):
+    u = np.linspace(-1.0, 1.0, 41)
+    for lam, ref in ((0.0, ctx5.bump), (1.0, ctx5.gap)):
+        assert np.max(np.abs(ctx5.seed_value(u, lam) - ref(u))) <= 1e-14
+        assert ctx5.blend(lam).degree_p == 1.0
 
 
 def test_blend_transform_linearity(ctx5):
@@ -252,10 +246,12 @@ def test_centroid_nearly_linear_in_eps(ctx5):
     assert abs(r1 - r2) <= 0.02 * abs(r2)
 
 
-def test_centroid_functional_wrapper(ctx5, cert5):
+def test_centroid_functional_wrapper(cert5):
+    # the centroid at recorded parameters, through a context keyed on
+    # ConstructionParams as verify builds it
     params = ConstructionParams(n=5, a=0.4, lam=cert5["lambda0"],
                                 eps=cert5["eps0"])
-    val = __import__("centroid_sections").centroid_functional(params)
+    val = get_context(params=params).centroid(params.lam, params.eps)
     assert abs(val) <= 1e-12
 
 
@@ -285,9 +281,12 @@ def test_root_of_default_run(cert5):
 
 
 def test_find_root_module_level_matches(cert5):
-    res = find_root(config=RunConfig())
+    # eps selection and bisection again, on the package-level context
+    ctx = get_context(RunConfig())
+    sel = ctx.select_eps(RunConfig().eps)
+    res = ctx.find_root(sel["eps"])
     assert abs(res["lambda0"] - cert5["lambda0"]) <= 1e-15
-    assert res["eps"] == cert5["eps0"]
+    assert sel["eps"] == cert5["eps0"]
 
 
 # section-centroid identity
@@ -330,18 +329,16 @@ def test_identity_at_spec_parameters():
 
 
 def test_identity_check_public_wrapper(construct_result, cert5):
-    body = construct_result["body"]
+    # the sweep at recorded parameters, through a context keyed on
+    # ConstructionParams, which builds the body the construction returned
     params = ConstructionParams(n=5, a=0.4, cap_u0=cert5["params"]["cap_u0"],
                                 lam=cert5["lambda0"], eps=cert5["eps0"])
-    err = section_identity_check(body, params)
-    assert err <= 1e-6
-
-
-def test_identity_check_rejects_foreign_body(cert5):
-    params = ConstructionParams(n=5, a=0.4, lam=cert5["lambda0"],
-                                eps=cert5["eps0"])
-    with pytest.raises(ValueError):
-        section_identity_check(make_base_body(5, 0.4), params)
+    ctx = get_context(params=params)
+    u = np.linspace(-0.9, 0.9, 7)
+    assert np.array_equal(ctx.perturbed_body(params.lam, params.eps).rho(u),
+                          construct_result["body"].rho(u))
+    sweep = ctx.identity_sweep(params.lam, params.eps)
+    assert sweep["max_rel_err"] <= 1e-6
 
 
 # bulk evaluation: the bump part's quotient series and its dense spline

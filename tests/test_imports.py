@@ -11,27 +11,23 @@ import pytest
 
 import centroid_sections
 
-# the names `import *` gave, and dir() listed, when the package imported
-# every submodule eagerly
+# the public names of the package root: its submodules and the names
+# `import *` gives
 ROOT_NAMES = {
     "CERTIFICATE_SCHEMA", "ConstructionContext", "ConstructionError",
     "ConstructionParams", "ConvexityReport", "GegenbauerSpectrum",
     "HomogeneousFunction", "PlanarBody", "Quadrature", "RevolutionBody",
     "RunConfig", "SpectrumProfile", "SphereProfile", "auto_select_a",
     "bisected_chords", "bochner_multiplier", "body_to_dict", "centroid_axis",
-    "centroid_functional", "chord_defect_orthogonality", "config",
-    "counterexample", "curvature", "default_tolerances", "eval_spectrum",
-    "eval_spectrum_deriv", "expand", "find_root", "ft_homogeneous",
+    "config", "counterexample", "curvature", "default_tolerances",
+    "eval_spectrum", "eval_spectrum_deriv", "expand", "ft_homogeneous",
     "ft_via_radon", "gauss_jacobi", "get_context", "intersection_body_test",
-    "make_base_body", "make_blend", "make_cap_bump",
-    "make_oblate_gap_profile", "make_odd_perturbation",
-    "make_perturbed_body", "negativity_threshold", "parseval_residual",
-    "planar", "planar_centroid", "polygon_body", "profile_csv_rows",
-    "radial_body", "radon_subsphere", "recenter", "reflect_body",
-    "revolution_bodies", "run_construction", "section_centroid_axis",
-    "section_identity_check", "section_volume", "spectrum_from_dict",
-    "spectrum_to_dict", "sphere_area", "sphere_integral", "spherical_core",
-    "verify_theorem", "volume",
+    "make_base_body", "make_cap_bump", "make_oblate_gap_profile",
+    "make_odd_perturbation", "make_perturbed_body", "negativity_threshold",
+    "parseval_residual", "planar", "planar_centroid", "polygon_body",
+    "radial_body", "radon_subsphere", "recenter", "revolution_bodies",
+    "run_construction", "section_centroid_axis", "section_volume",
+    "sphere_area", "sphere_integral", "spherical_core", "volume",
 }
 
 
@@ -83,6 +79,17 @@ def test_root_names_resolve_on_access():
     assert centroid_sections.gauss_jacobi is spherical_core.gauss_jacobi
     with pytest.raises(AttributeError, match="no_such_name"):
         centroid_sections.no_such_name
+
+
+@pytest.mark.parametrize("module", sorted(centroid_sections._EXPORTS))
+def test_export_map_matches_submodule(module):
+    # a name the map lists must be public in its submodule, and every
+    # public name of the submodule must resolve to the same object from
+    # the root, so a deleted function cannot linger in the map
+    sub = getattr(centroid_sections, module)
+    assert set(centroid_sections._EXPORTS[module]) <= set(sub.__all__)
+    for name in sub.__all__:
+        assert getattr(centroid_sections, name) is getattr(sub, name)
 
 
 def test_dir_and_star_import_list_the_eager_names(fresh):

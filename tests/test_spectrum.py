@@ -1,11 +1,8 @@
-import json
-
 import numpy as np
 import pytest
 
 from centroid_sections import (GegenbauerSpectrum, SphereProfile, eval_spectrum,
-                               eval_spectrum_deriv, expand, make_base_body,
-                               spectrum_from_dict, spectrum_to_dict)
+                               eval_spectrum_deriv, expand, make_base_body)
 
 from oracles import SEED, fd_deriv, gegenbauer_value, u_squared_coeffs
 
@@ -102,16 +99,6 @@ def test_derivatives_match_finite_differences():
     d2 = eval_spectrum_deriv(s, u, 2)
     assert np.max(np.abs(d1 - fd_deriv(f, u, 1))) <= 1e-9
     assert np.max(np.abs(d2 - fd_deriv(f, u, 2))) <= 1e-7
-
-
-def test_serialization_roundtrip():
-    s = expand(lambda u: u * u, 5, 12)
-    d = spectrum_to_dict(s)
-    text = json.dumps(d)  # must be plain JSON types
-    s2 = spectrum_from_dict(json.loads(text))
-    assert s2.n == s.n and s2.parity == s.parity
-    assert np.array_equal(np.asarray(s2.coeffs, float),
-                          np.asarray(s.coeffs, float))
 
 
 def test_profile_parity_check_rejects_mislabel():
