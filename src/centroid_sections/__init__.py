@@ -17,8 +17,8 @@ _EXPORTS = {
         "GegenbauerSpectrum", "HomogeneousFunction", "Quadrature",
         "SphereProfile", "SpectrumProfile", "bochner_multiplier",
         "eval_spectrum", "eval_spectrum_deriv", "expand", "ft_homogeneous",
-        "ft_via_radon", "gauss_jacobi", "parseval_residual",
-        "radon_subsphere", "sphere_area", "sphere_integral"),
+        "gauss_jacobi", "parseval_residual", "sphere_area",
+        "sphere_integral"),
     "revolution_bodies": (
         "ConvexityReport", "RevolutionBody", "body_to_dict", "centroid_axis",
         "curvature", "intersection_body_test", "make_base_body",
@@ -26,8 +26,8 @@ _EXPORTS = {
     "counterexample": (
         "CERTIFICATE_SCHEMA", "ConstructionContext", "ConstructionParams",
         "auto_select_a", "get_context", "make_cap_bump",
-        "make_oblate_gap_profile", "make_odd_perturbation",
-        "make_perturbed_body", "negativity_threshold", "run_construction"),
+        "make_oblate_gap_profile", "negativity_threshold",
+        "run_construction"),
     "planar": (
         "PlanarBody", "bisected_chords", "planar_centroid", "polygon_body",
         "radial_body", "recenter"),

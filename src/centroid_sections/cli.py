@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -147,10 +148,52 @@ def _check(lines, name, ok, detail):
     return ok
 
 
+def _is_number(value, kind) -> bool:
+    """True for a finite int (kind int) or a finite int or float (kind
+    float); a bool is not a number here."""
+    types = (int,) if kind is int else (int, float)
+    return (isinstance(value, types) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _malformed(cert) -> Optional[str]:
+    """Why a value that verify reads from the certificate is missing or
+    not a finite number, or None if every one is."""
+    params, config = cert.get("params"), cert.get("config", {})
+    if not (isinstance(params, dict) and isinstance(config, dict)
+            and isinstance(config.get("tolerances", {}), dict)):
+        return "params, config and config.tolerances must be objects"
+    entries = [("params.n", params.get("n"), int)]
+    entries += [(f"params.{k}", params.get(k), float) for k in
+                ("a", "cap_u0", "cap_margin", "eps", "lambda")]
+    entries += [(k, cert.get(k), float) for k in
+                ("lambda0", "eps0", "kappa_min_perturbed",
+                 "min_section_margin")]
+    defaults = RunConfig()
+    for k, v in config.items():
+        # a stored config value replaces the default of the same type;
+        # a = None asks for the automatic choice
+        default = getattr(defaults, k, None)
+        if k == "tolerances":
+            entries += [(f"config.tolerances.{name}", stored, float)
+                        for name, stored in v.items()
+                        if name in defaults.tolerances]
+        elif k == "a" and v is not None:
+            entries.append(("config.a", v, float))
+        elif type(default) in (int, float):
+            entries.append((f"config.{k}", v, type(default)))
+    for name, value, kind in entries:
+        if not _is_number(value, kind):
+            what = "an integer" if kind is int else "a finite number"
+            return f"{name} must be {what}, not {value!r}"
+    return None
+
+
 def _load_certificate(args):
     """(certificate, config, params) for the certificate that verify
     reads, or None after printing why it cannot be used.
 
+    Every value that verify reads must be present and a finite number.
     The stored configuration sets the geometry and grids.  A stored
     tolerance can only tighten the package default: the check uses the
     smaller of the two, so a certificate cannot loosen its own checks.
@@ -162,9 +205,14 @@ def _load_certificate(args):
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read certificate: {exc}", file=sys.stderr)
         return None
-    if cert.get("schema") != cx.CERTIFICATE_SCHEMA:
-        print(f"error: unsupported certificate schema "
-              f"{cert.get('schema')!r}", file=sys.stderr)
+    schema = cert.get("schema") if isinstance(cert, dict) else None
+    if schema != cx.CERTIFICATE_SCHEMA:
+        print(f"error: unsupported certificate schema {schema!r}",
+              file=sys.stderr)
+        return None
+    why = _malformed(cert)
+    if why is not None:
+        print(f"error: invalid certificate: {why}", file=sys.stderr)
         return None
     cfg = RunConfig()
     for k, v in cert.get("config", {}).items():

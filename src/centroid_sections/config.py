@@ -53,8 +53,6 @@ class RunConfig:
     # dense grid backing the fast evaluator used inside the section sweep
     dense_eval_grid: int = 80001
 
-    u_switch: float = 0.05
-    gl_order: int = 96
     curvature_grid: int = 4001
     equator_grid: int = 2001
     eps_max_halvings: int = 20

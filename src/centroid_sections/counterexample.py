@@ -18,8 +18,10 @@ checks, which keeps the section sweep honest without per-point series
 sums.  get_context returns it; its methods are the per-(lam, eps)
 functionals (centroid, kappa_report, select_eps, find_root,
 identity_sweep), and run_construction chains them into the certificate.
-make_odd_perturbation and make_perturbed_body are the public route to the
-same body for any transform.
+The context is also the only producer of the odd perturbation
+phi = (ghat(u) - ghat(0)) / u of the blended transform ghat and of the
+perturbed body (rho_base^n + eps phi)^{1/n}: perturbation and
+perturbed_body.
 """
 
 import copy
@@ -36,18 +38,24 @@ from .revolution_bodies import (ConvexityReport, RevolutionBody, _clears,
                                 _meridian_report, curvature, make_base_body)
 from .spherical_core import (GegenbauerSpectrum, HomogeneousFunction,
                              SphereProfile, _bochner_multipliers_ld,
-                             _divide_by_u, _rolling_accumulate, eval_spectrum,
+                             _divide_by_u, _rolling_accumulate,
+                             bochner_multiplier, eval_spectrum,
                              eval_spectrum_deriv, expand, gauss_jacobi,
                              parseval_residual, sphere_area)
 
 __all__ = [
     "ConstructionError", "ConstructionParams", "negativity_threshold",
     "auto_select_a", "make_cap_bump", "make_oblate_gap_profile",
-    "make_odd_perturbation", "make_perturbed_body", "run_construction",
-    "get_context", "ConstructionContext", "CERTIFICATE_SCHEMA",
+    "run_construction", "get_context", "ConstructionContext",
+    "CERTIFICATE_SCHEMA",
 ]
 
 CERTIFICATE_SCHEMA = "v1"
+
+# the gap's odd quotient is summed as an integral for |u| < _U_SWITCH, by
+# a _GL_ORDER-point Gauss-Legendre rule (see _gap_quotient)
+_U_SWITCH = 0.05
+_GL_ORDER = 96
 
 
 @dataclass
@@ -142,10 +150,7 @@ def make_cap_bump(n: int, cap_u0: float) -> SphereProfile:
             return float(out[0])
         return out
 
-    prof = SphereProfile(n=n, eval=bump, parity="even",
-                         smoothness_note="smooth, compact support in caps")
-    prof.cap_u0 = cap
-    return prof
+    return SphereProfile(n=n, eval=bump, parity="even")
 
 
 def make_oblate_gap_profile(n: int) -> SphereProfile:
@@ -160,7 +165,7 @@ def make_oblate_gap_profile(n: int) -> SphereProfile:
     """
     if n < 5:
         raise ValueError("gap profile used for n >= 5 only")
-    cn = float(_bochner_multipliers_ld(n, 1, 0)[0])
+    cn = bochner_multiplier(0, 1, n)
     q = (n - 1) / 2.0
 
     def gap(u):
@@ -203,184 +208,54 @@ def make_oblate_gap_profile(n: int) -> SphereProfile:
                 / np.where(u == 0, 1.0, u))
 
     prof = SphereProfile(n=n, eval=gap, parity="even",
-                         smoothness_note="analytic",
                          derivs=(gap_du, gap_du2))
     ftprof = SphereProfile(n=n, eval=ft, parity="even",
-                           smoothness_note="closed form transform",
                            derivs=(ft_d1, ft_d2, ft_d3))
-    ftprof.value_at_zero = 0.0
     ftprof.quotient = ft_quotient
     prof.ft_profile = ftprof
     return prof
 
 
-def make_odd_perturbation(ghat: SphereProfile,
-                          u_switch: float = 0.05,
-                          gl_order: int = 96,
-                          equator_rel: float = 1e-8,
-                          equator_grid: int = 2001) -> SphereProfile:
-    """Odd profile phi with u * phi(u) equal to the even transform ghat
-    minus its equator value.
+def _gap_quotient(ft: SphereProfile) -> SphereProfile:
+    """Odd profile ft(u) / u of the gap's transform, which vanishes at the
+    equator, with two derivatives.
 
-    Requires |ghat(0)| <= equator_rel * max |ghat|; the subtracted equator
-    value is recorded on the returned profile.  Away from the equator phi
-    is the difference quotient; for |u| < u_switch it is evaluated as
-    int_0^1 ghat'(s u) ds (Gauss-Legendre), which is the same function
-    without the 0/0 cancellation.  Derivatives for curvature use the
-    matching quotient / integral forms.  A transform that carries its
-    quotient as .odd_quotient (ConstructionContext.blend does) hands that
-    profile over instead, and u_switch and gl_order play no part.
+    Away from the equator it is the difference quotient; for
+    |u| < _U_SWITCH the k-th derivative is int_0^1 s^k ft^(k+1)(s u) ds by
+    Gauss-Legendre, the same function without the 0/0 cancellation.  The
+    quotient series route of the bump (expand, then _divide_by_u) is no
+    substitute here: at degree 120 and n = 5 its second derivative is off
+    by 2.2e-9 of max at the poles, this form by 8e-14 (against mpmath).
     """
-    if isinstance(ghat, HomogeneousFunction):
-        ghat = getattr(ghat, "ft", None) or ghat.profile
-    if ghat.derivs is None or len(ghat.derivs) < 3:
-        raise TypeError("transform profile needs three attached "
-                        "derivatives for the perturbation")
-    g0 = getattr(ghat, "value_at_zero", None)
-    if g0 is None:
-        g0 = float(ghat(0.0))
-    ug = np.linspace(-1.0, 1.0, equator_grid)
-    _equator_gate(g0, ghat(ug), equator_rel)
-    if getattr(ghat, "odd_quotient", None) is not None:
-        return ghat.odd_quotient
-    return _odd_quotient(ghat, g0, u_switch, gl_order)
-
-
-def _equator_gate(g0: float, vals, equator_rel: float):
-    """Raise unless |g0| <= equator_rel max |vals|; NaN or inf fails."""
-    scale = float(np.max(np.abs(np.asarray(vals, dtype=float))))
-    if not abs(g0) <= equator_rel * max(scale, 1e-300):
-        raise ConstructionError(
-            f"transform does not vanish at the equator: |value| {abs(g0):.3e}"
-            f" exceeds {equator_rel:.1e} of max {scale:.3e}")
-
-
-def _odd_quotient(ghat: SphereProfile, g0: float, u_switch: float,
-                  gl_order: int) -> SphereProfile:
-    """The odd profile of make_odd_perturbation, past its equator gate."""
-    n = ghat.n
-    s_gl, w_gl = roots_legendre(gl_order)
+    s_gl, w_gl = roots_legendre(_GL_ORDER)
     s01 = 0.5 * (s_gl + 1.0)
     w01 = 0.5 * w_gl
+    fns = (ft, *ft.derivs)
 
-    def split(u):
+    def quotient(u, k):
         uu = np.atleast_1d(np.asarray(u, dtype=float))
-        return uu, np.abs(uu) >= u_switch
-
-    def phi(u):
-        uu, big = split(u)
+        big = np.abs(uu) >= _U_SWITCH
         out = np.empty_like(uu)
         ub = uu[big]
-        out[big] = (np.asarray(ghat(ub), dtype=float) - g0) / ub
+        g = [np.asarray(f(ub), dtype=float) for f in fns[:k + 1]]
+        if k == 0:
+            out[big] = g[0] / ub
+        elif k == 1:
+            out[big] = (g[1] * ub - g[0]) / ub ** 2
+        else:
+            out[big] = (g[2] * ub ** 2 - 2 * ub * g[1] + 2 * g[0]) / ub ** 3
         us = uu[~big]
         if us.size:
             pts = np.outer(s01, us)
-            out[~big] = w01 @ np.asarray(ghat.derivs[0](pts), dtype=float)
+            out[~big] = (w01 * s01 ** k) @ np.asarray(fns[k + 1](pts),
+                                                      dtype=float)
         if np.ndim(u) == 0:
             return float(out[0])
         return out
 
-    def phi_d1(u):
-        uu, big = split(u)
-        out = np.empty_like(uu)
-        ub = uu[big]
-        g = np.asarray(ghat(ub), dtype=float) - g0
-        g1 = np.asarray(ghat.derivs[0](ub), dtype=float)
-        out[big] = (g1 * ub - g) / ub ** 2
-        us = uu[~big]
-        if us.size:
-            pts = np.outer(s01, us)
-            out[~big] = (w01 * s01) @ np.asarray(ghat.derivs[1](pts),
-                                                dtype=float)
-        if np.ndim(u) == 0:
-            return float(out[0])
-        return out
-
-    def phi_d2(u):
-        uu, big = split(u)
-        out = np.empty_like(uu)
-        ub = uu[big]
-        g = np.asarray(ghat(ub), dtype=float) - g0
-        g1 = np.asarray(ghat.derivs[0](ub), dtype=float)
-        g2 = np.asarray(ghat.derivs[1](ub), dtype=float)
-        out[big] = (g2 * ub ** 2 - 2 * ub * g1 + 2 * g) / ub ** 3
-        us = uu[~big]
-        if us.size:
-            pts = np.outer(s01, us)
-            out[~big] = (w01 * s01 ** 2) @ np.asarray(ghat.derivs[2](pts),
-                                                     dtype=float)
-        if np.ndim(u) == 0:
-            return float(out[0])
-        return out
-
-    prof = SphereProfile(n=n, eval=phi, parity="odd",
-                         smoothness_note="odd part of transform quotient",
-                         derivs=(phi_d1, phi_d2))
-    prof.equator_subtracted = g0
-    prof.u_switch = float(u_switch)
-    return prof
-
-
-def make_perturbed_body(base: RevolutionBody, phi: SphereProfile,
-                        eps: float,
-                        quad_order: Optional[int] = None) -> RevolutionBody:
-    """Body with radial profile (rho_base^n + eps phi)^{1/n}.
-
-    Chosen so that section and centroid integrands, which involve rho^n,
-    are exactly linear in eps.  Positivity of rho_base^n + eps phi is
-    checked on a dense grid; convexity is the caller's problem (see
-    curvature).
-    """
-    _positivity_gate(base, phi, eps)
-    return _perturbed(base, phi, eps, quad_order)
-
-
-def _positivity_gate(base: RevolutionBody, phi, eps: float):
-    """Raise unless rho_base^n + eps phi > 0 on a 4001-point grid; NaN or
-    inf fails."""
-    if base.kind != "base":
-        raise ValueError("perturbation is defined over the base body")
-    if eps < 0:
-        raise ValueError("perturbation size must be nonnegative")
-    ug = np.linspace(-1.0, 1.0, 4001)
-    fmin = np.min(np.asarray(base.rho(ug), dtype=float) ** base.n
-                  + eps * np.asarray(phi(ug), dtype=float))
-    if not fmin > 0:
-        raise ConstructionError(
-            f"rho^n + eps phi reaches {fmin:.3e} <= 0: eps too large")
-
-
-def _perturbed(base: RevolutionBody, phi: SphereProfile, eps: float,
-               quad_order: Optional[int]) -> RevolutionBody:
-    """The body of make_perturbed_body, past its positivity gate."""
-    n = base.n
-    rho_b = base.rho
-    base_fns = (rho_b, *(rho_b.derivs or ()))
-    phi_fns = (phi, *(phi.derivs or ()))
-
-    def u_derivative(k):
-        def d(u):
-            return _root_jet(n, eps,
-                             [np.asarray(f(u), dtype=float)
-                              for f in base_fns[:k + 1]],
-                             [np.asarray(f(u), dtype=float)
-                              for f in phi_fns[:k + 1]])[k]
-        return d
-
-    derivs = None
-    if rho_b.derivs is not None and phi.derivs is not None:
-        derivs = (u_derivative(1), u_derivative(2))
-
-    prof = SphereProfile(n=n, eval=u_derivative(0), parity="mixed",
-                         smoothness_note="base plus odd perturbation",
-                         derivs=derivs)
-    qo = quad_order
-    if qo is None:
-        qo = getattr(phi, "recommended_order", None)
-    params = dict(base.params)
-    params["eps"] = float(eps)
-    return RevolutionBody(n=n, rho=prof, kind="perturbed", params=params,
-                          quad_order=qo)
+    phi = [partial(quotient, k=k) for k in range(3)]
+    return SphereProfile(n=ft.n, eval=phi[0], parity="odd",
+                         derivs=tuple(phi[1:]))
 
 
 def _root_jet(n: int, eps: float, base, phi) -> list:
@@ -429,7 +304,7 @@ class ConstructionContext:
         md = config.bump_max_degree
         self.bump_order = md + config.bump_quad_pad
         spec = expand(self.bump, n, md, order=self.bump_order, parity="even")
-        mu = _bochner_multipliers_ld(n, 1, md)
+        mu = _bochner_multipliers_ld(n, 1, np.arange(md + 1))
         co_ld = np.asarray(spec.coeffs, dtype=mu.dtype) * mu
         # equator value of the bump transform in extended precision; the
         # float64 series at 0 would add ~1e-14 relative noise to a value
@@ -439,9 +314,7 @@ class ConstructionContext:
                                 np.zeros(1, dtype=mu.dtype))[0])
         self.bump_ft_spectrum = GegenbauerSpectrum(
             n=n, lambda_index=self.lam_index,
-            coeffs=co_ld.astype(np.float64), parity="even",
-            tail_rel=spec.tail_rel,
-            truncation_warning=spec.truncation_warning)
+            coeffs=co_ld.astype(np.float64), parity="even")
 
         # bump part of the odd quotient, q_b(u) = (b(u) - b(0)) / u, as an
         # odd series one degree lower: synthetic division of the extended
@@ -449,10 +322,9 @@ class ConstructionContext:
         self.bump_quotient = GegenbauerSpectrum(
             n=n, lambda_index=self.lam_index, parity="odd",
             coeffs=_divide_by_u(co_ld, self.lam_index).astype(np.float64))
-        # the gap part keeps the public route
+        # the gap part: its closed-form transform and the quotient of that
         self._gap_ft = self.gap.ft_profile
-        self._gap_q = _odd_quotient(self._gap_ft, 0.0, config.u_switch,
-                                    config.gl_order)
+        self._gap_q = _gap_quotient(self._gap_ft)
 
         eq = np.linspace(-1.0, 1.0, config.equator_grid)
         self._bft_eq = eval_spectrum(self.bump_ft_spectrum, eq)
@@ -528,52 +400,56 @@ class ConstructionContext:
     def blend_ft_at_zero(self, lam: float) -> float:
         return (1.0 - lam) * self.bump_ft_at_zero
 
-    def blend(self, lam: float) -> HomogeneousFunction:
-        """Seed profile at weight lam with cached transform attached; the
-        transform carries its odd quotient (see make_odd_perturbation)."""
-        ft = [partial(self.blend_ft_value, lam=lam, k=k) for k in range(4)]
-        ftprof = SphereProfile(
-            n=self.n, eval=ft[0], parity="even", derivs=tuple(ft[1:]),
-            smoothness_note="spectral bump part plus closed gap part")
-        ftprof.value_at_zero = self.blend_ft_at_zero(lam)
-        ftprof.odd_quotient = self._quotient_profile(lam)
-        out = HomogeneousFunction(
-            profile=SphereProfile(n=self.n, parity="even",
-                                  eval=partial(self.seed_value, lam=lam),
-                                  smoothness_note="blend of bump and gap"),
-            degree_p=1.0)
-        out.ft = ftprof
-        out.lam = float(lam)
-        return out
-
-    def _quotient_profile(self, lam: float) -> SphereProfile:
-        """Odd profile (ghat(u) - ghat(0)) / u of the blended transform,
-        with two derivatives (see _phi_direct)."""
-        phi = [partial(self._phi_direct, lam=lam, k=k) for k in range(3)]
-        prof = SphereProfile(
-            n=self.n, eval=phi[0], parity="odd", derivs=tuple(phi[1:]),
-            smoothness_note="odd part of transform quotient")
-        prof.equator_subtracted = self.blend_ft_at_zero(lam)
-        return prof
-
     def perturbation(self, lam: float) -> SphereProfile:
-        """make_odd_perturbation of the blended transform; its equator
-        gate reads the tabulated equator grid, with the same bits."""
-        g0 = self.blend_ft_at_zero(lam)
-        _equator_gate(g0, (1.0 - lam) * self._bft_eq + lam * self._gft_eq,
-                      self.config.tolerances["equator_rel"])
-        prof = self._quotient_profile(lam)
-        prof.recommended_order = self.bump_order
-        return prof
+        """Odd profile phi = (ghat(u) - ghat(0)) / u of the blended
+        transform ghat, with two derivatives (see _phi_direct).  Raises
+        unless ghat vanishes at the equator to the configured tolerance,
+        relative to its max over the equator grid."""
+        ratio = self.equator_ratio(lam)
+        tol = self.config.tolerances["equator_rel"]
+        if not ratio <= tol:
+            raise ConstructionError(
+                f"transform does not vanish at the equator: |value| is "
+                f"{ratio:.3e} of its max, above {tol:.1e}")
+        phi = [partial(self._phi_direct, lam=lam, k=k) for k in range(3)]
+        return SphereProfile(n=self.n, eval=phi[0], parity="odd",
+                             derivs=tuple(phi[1:]))
 
     def perturbed_body(self, lam: float, eps: float) -> RevolutionBody:
-        """make_perturbed_body over perturbation(lam), with the positivity
-        gate read from the spline route instead of the series."""
-        _positivity_gate(self.base, lambda u: self._phi_bulk(u, lam), eps)
-        body = _perturbed(self.base, self.perturbation(lam), eps, None)
-        body.params.update({"lambda": float(lam), "n": self.n,
-                            "cap_u0": self.cap_u0})
-        return body
+        """Body with radial profile (rho_base^n + eps phi)^{1/n}, phi the
+        perturbation at lam, so that the section and centroid integrands,
+        which involve rho^n, are exactly linear in eps.  Raises unless
+        rho_base^n + eps phi > 0 on a 4001-point grid, phi read from the
+        spline route (NaN or inf fails); convexity is kappa_report's."""
+        if eps < 0:
+            raise ValueError("perturbation size must be nonnegative")
+        n = self.n
+        ug = np.linspace(-1.0, 1.0, 4001)
+        fmin = np.min(np.asarray(self.base.rho(ug), dtype=float) ** n
+                      + eps * self._phi_bulk(ug, lam))
+        if not fmin > 0:
+            raise ConstructionError(
+                f"rho^n + eps phi reaches {fmin:.3e} <= 0: eps too large")
+        phi = self.perturbation(lam)
+        base_fns = (self.base.rho, *self.base.rho.derivs)
+        phi_fns = (phi, *phi.derivs)
+
+        def u_derivative(k):
+            def d(u):
+                return _root_jet(n, eps,
+                                 [np.asarray(f(u), dtype=float)
+                                  for f in base_fns[:k + 1]],
+                                 [np.asarray(f(u), dtype=float)
+                                  for f in phi_fns[:k + 1]])[k]
+            return d
+
+        prof = SphereProfile(n=n, eval=u_derivative(0), parity="mixed",
+                             derivs=(u_derivative(1), u_derivative(2)))
+        params = dict(self.base.params, eps=float(eps), n=n,
+                      cap_u0=self.cap_u0)
+        params["lambda"] = float(lam)
+        return RevolutionBody(n=n, rho=prof, kind="perturbed", params=params,
+                              quad_order=self.bump_order)
 
     def equator_ratio(self, lam: float) -> float:
         """|transform at equator| relative to its max over the grid."""
@@ -765,8 +641,8 @@ class ConstructionContext:
 
     def _phi_direct(self, u, lam: float, k: int = 0):
         """k-th derivative of the odd quotient of the blended transform:
-        the bump part from its quotient series, the gap part by the
-        public route, both in float64 as that route evaluates."""
+        the bump part from its quotient series, the gap part from
+        _gap_quotient, both in float64."""
         u = np.asarray(u, dtype=np.float64)
         g = self._gap_q if k == 0 else self._gap_q.derivs[k - 1]
         return ((1.0 - lam) * eval_spectrum_deriv(self.bump_quotient, u, k)
@@ -800,8 +676,8 @@ def get_context(config: Optional[RunConfig] = None,
         us = negativity_threshold(n, a)
         cap = us + cfg.cap_margin * (1.0 - us)
     key = (n, a, cap, cfg.bump_max_degree, cfg.bump_quad_pad,
-           cfg.dense_eval_grid, cfg.section_quad_order, cfg.u_switch,
-           cfg.gl_order, cfg.curvature_grid, cfg.equator_grid)
+           cfg.dense_eval_grid, cfg.section_quad_order, cfg.curvature_grid,
+           cfg.equator_grid)
     ctx = _CTX_CACHE.get(key)
     if ctx is None:
         ctx = _CTX_CACHE[key] = ConstructionContext(n, a, cap, cfg)
@@ -910,8 +786,6 @@ def run_construction(config: Optional[RunConfig] = None) -> dict:
             "alpha_grid": cfg.alpha_grid,
             "curvature_grid": cfg.curvature_grid,
             "equator_grid": cfg.equator_grid,
-            "gl_order": cfg.gl_order,
-            "u_switch": cfg.u_switch,
         },
         "tolerances": dict(tol),
         "checks": checks,

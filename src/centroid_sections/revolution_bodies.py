@@ -94,9 +94,8 @@ def make_base_body(n: int, a: float) -> RevolutionBody:
         return cn * (1.0 - 2 * an1 * (1 - u * u + a * a * u * u) ** (-(n - 1) / 2.0))
 
     prof = SphereProfile(n=n, eval=rho, parity="even",
-                         smoothness_note="analytic", derivs=(rho_du, rho_du2))
-    ftprof = SphereProfile(n=n, eval=ft, parity="even",
-                           smoothness_note="closed form transform")
+                         derivs=(rho_du, rho_du2))
+    ftprof = SphereProfile(n=n, eval=ft, parity="even")
     return RevolutionBody(n=n, rho=prof, kind="base", params={"a": a},
                           ft_profile=ftprof)
 

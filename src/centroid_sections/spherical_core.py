@@ -8,7 +8,6 @@ that one-dimensional representation:
   - expansion in Gegenbauer polynomials C_m^lambda with lambda = (n-2)/2,
   - the diagonal multiplier action realizing the Fourier transform of
     homogeneous extensions |x|^{-p} f(x/|x|) for 0 < p < n,
-  - the great-subsphere (Radon) integral and the transform route through it,
   - a Parseval-type pairing residual.
 
 Convention: forward transform kernel e^{-i<x,y>} with no 2*pi factor, so a
@@ -36,8 +35,7 @@ __all__ = [
     "GegenbauerSpectrum", "SphereProfile", "SpectrumProfile",
     "HomogeneousFunction", "Quadrature", "gauss_jacobi", "sphere_area",
     "sphere_integral", "expand", "eval_spectrum", "eval_spectrum_deriv",
-    "bochner_multiplier", "ft_homogeneous", "radon_subsphere",
-    "ft_via_radon", "parseval_residual",
+    "bochner_multiplier", "ft_homogeneous", "parseval_residual",
 ]
 
 
@@ -56,22 +54,10 @@ class SphereProfile:
     n: int
     eval: Callable
     parity: str = "mixed"
-    smoothness_note: str = ""
     derivs: Optional[Sequence[Callable]] = None
 
     def __call__(self, u):
         return self.eval(u)
-
-    def check_parity(self, u_samples, rtol=1e-10):
-        u = np.asarray(u_samples, dtype=float)
-        a = np.asarray(self.eval(u), dtype=float)
-        b = np.asarray(self.eval(-u), dtype=float)
-        scale = max(float(np.max(np.abs(a))), 1e-300)
-        if self.parity == "even":
-            return float(np.max(np.abs(a - b))) <= rtol * scale
-        if self.parity == "odd":
-            return float(np.max(np.abs(a + b))) <= rtol * scale
-        return True
 
 
 @dataclass
@@ -98,11 +84,10 @@ class GegenbauerSpectrum:
 class SpectrumProfile(SphereProfile):
     """SphereProfile backed by a GegenbauerSpectrum."""
 
-    def __init__(self, spectrum: GegenbauerSpectrum, smoothness_note=""):
+    def __init__(self, spectrum: GegenbauerSpectrum):
         self.spectrum = spectrum
         super().__init__(n=spectrum.n, eval=self._eval,
                          parity=spectrum.parity,
-                         smoothness_note=smoothness_note,
                          derivs=(lambda u: self.deriv(u, 1),
                                  lambda u: self.deriv(u, 2)))
 
@@ -430,17 +415,13 @@ def eval_spectrum_deriv(s: GegenbauerSpectrum, u, k: int = 1):
 # ---------------------------------------------------------------------------
 # Fourier side
 
-def _bochner_multipliers_ld(n: int, p: float, m_max: int) -> np.ndarray:
-    """Multiplier vector for degrees 0..m_max in extended precision.
-
-    Same values as bochner_multiplier but kept in longdouble so that
-    coefficient-by-coefficient products do not round twice.
-    """
-    m_all = np.arange(m_max + 1)
-    half = np.where(m_all % 2 == 0, m_all // 2, (m_all - 1) // 2)
-    sign = np.where(half % 2 == 0, 1.0, -1.0).astype(LD)
+def _bochner_multipliers_ld(n: int, p: float, m) -> np.ndarray:
+    """bochner_multiplier at the nonnegative integer degrees of the array
+    m, kept in longdouble so that coefficient-by-coefficient products do
+    not round twice."""
+    sign = np.where((m // 2) % 2 == 0, 1.0, -1.0)
     logmag = ((n / 2) * np.log(np.pi) + (n - p) * np.log(2.0)
-              + gammaln((n - p + m_all) / 2) - gammaln((p + m_all) / 2))
+              + gammaln((n - p + m) / 2) - gammaln((p + m) / 2))
     return sign * np.exp(logmag.astype(LD))
 
 
@@ -457,11 +438,7 @@ def bochner_multiplier(m, p: float, n: int):
     m_arr = np.atleast_1d(np.asarray(m))
     if np.any(m_arr < 0):
         raise ValueError("harmonic degree must be nonnegative")
-    half = np.where(m_arr % 2 == 0, m_arr // 2, (m_arr - 1) // 2)
-    sign = np.where(half % 2 == 0, 1.0, -1.0)
-    logmag = ((n / 2) * np.log(np.pi) + (n - p) * np.log(2.0)
-              + gammaln((n - p + m_arr) / 2) - gammaln((p + m_arr) / 2))
-    out = sign * np.exp(logmag.astype(LD))
+    out = _bochner_multipliers_ld(n, p, m_arr)
     if np.isscalar(m) or np.ndim(m) == 0:
         return float(out[0])
     return out.astype(np.float64)
@@ -484,41 +461,13 @@ def ft_homogeneous(f: HomogeneousFunction, max_degree: int = 120,
     n = f.n
     p = f.degree_p
     spec = expand(f.profile, n, max_degree, order=order)
-    mu = _bochner_multipliers_ld(n, p, max_degree)
+    mu = _bochner_multipliers_ld(n, p, np.arange(max_degree + 1))
     out = GegenbauerSpectrum(
         n=n, lambda_index=spec.lambda_index, coeffs=spec.coeffs * mu,
         parity=spec.parity, tail_rel=spec.tail_rel,
         truncation_warning=spec.truncation_warning)
-    prof = SpectrumProfile(out, smoothness_note="spectral transform")
+    prof = SpectrumProfile(out)
     return HomogeneousFunction(profile=prof, degree_p=n - p)
-
-
-def radon_subsphere(f, n: int, u_xi: float, order: int = 256) -> float:
-    """Integral of f over the great subsphere orthogonal to xi.
-
-    With r = sqrt(1-u_xi^2), equals
-    |S^{n-3}| int_{-1}^{1} f(t r) (1-t^2)^{(n-4)/2} dt.  Requires n >= 5 so
-    the weight exponent is at least 1/2; lower dimensions need a different
-    reduction and are rejected.
-    """
-    if n < 5:
-        raise ValueError("subsphere reduction implemented for n >= 5 only")
-    if not -1 <= u_xi <= 1:
-        raise ValueError("u_xi must lie in [-1, 1]")
-    q = gauss_jacobi(order, (n - 4) / 2)
-    r = np.sqrt(max(0.0, 1.0 - float(u_xi) ** 2))
-    vals = np.asarray(f(q.nodes * LD(r)), dtype=LD)
-    return float(sphere_area(n - 3) * (q.weights @ vals))
-
-
-def ft_via_radon(f: HomogeneousFunction, u_xi: float,
-                 order: int = 256) -> float:
-    """Pointwise transform of a degree -(n-1) extension via the subsphere
-    route: pi times the great-subsphere integral of the profile."""
-    f = _as_homogeneous(f)
-    if abs(f.degree_p - (f.n - 1)) > 1e-9:
-        raise ValueError("subsphere transform route needs degree n-1")
-    return float(np.pi) * radon_subsphere(f.profile, f.n, u_xi, order=order)
 
 
 def parseval_residual(f: HomogeneousFunction, g: HomogeneousFunction,

@@ -317,3 +317,31 @@ def odd_quotient_difference(coeffs, lam, u):
     f = gegenbauer_series_plain(c, lam, u, LD)
     f0 = gegenbauer_series_plain(c, lam, np.zeros(1, dtype=LD), LD)[0]
     return ((f - f0) / u).astype(float)
+
+
+def radon_subsphere(f, n, u_xi, order=256):
+    """Integral of f(x_n) over the great subsphere of S^{n-1} orthogonal
+    to a direction xi with <xi, e_n> = u_xi.
+
+    With r = sqrt(1-u_xi^2) this is
+    |S^{n-3}| int_{-1}^{1} f(t r) (1-t^2)^{(n-4)/2} dt, summed by scipy's
+    float64 Gauss-Jacobi rule.  Requires n >= 5 so the weight exponent is
+    at least 1/2.
+    """
+    if n < 5:
+        raise ValueError("subsphere reduction implemented for n >= 5 only")
+    if not -1 <= u_xi <= 1:
+        raise ValueError("u_xi must lie in [-1, 1]")
+    beta = (n - 4) / 2.0
+    t, w = special.roots_jacobi(order, beta, beta)
+    r = np.sqrt(max(0.0, 1.0 - float(u_xi) ** 2))
+    return float(surface_area(n - 2) * (w @ np.asarray(f(t * r), dtype=float)))
+
+
+def ft_via_radon(f, u_xi, order=256):
+    """Pointwise transform of a degree -(n-1) homogeneous extension f (a
+    profile f.profile on S^{n-1}, f.n, f.degree_p) by the subsphere route:
+    pi times the great-subsphere integral of the profile."""
+    if abs(f.degree_p - (f.n - 1)) > 1e-9:
+        raise ValueError("subsphere transform route needs degree n-1")
+    return np.pi * radon_subsphere(f.profile, f.n, u_xi, order=order)

@@ -17,12 +17,11 @@ from scipy import special
 from centroid_sections import (GegenbauerSpectrum, HomogeneousFunction,
                                SphereProfile, auto_select_a,
                                bochner_multiplier, bisected_chords,
-                               eval_spectrum, ft_homogeneous, ft_via_radon,
-                               make_base_body, make_oblate_gap_profile,
-                               parseval_residual, polygon_body, radial_body,
-                               volume)
+                               eval_spectrum, ft_homogeneous, make_base_body,
+                               make_oblate_gap_profile, parseval_residual,
+                               polygon_body, radial_body, volume)
 
-from oracles import SEED, mc_membership, random_convex_hull
+from oracles import SEED, ft_via_radon, mc_membership, random_convex_hull
 
 C5 = 16.0 * np.pi ** 2
 

@@ -212,10 +212,11 @@ def test_verify_rejects_forged_margin(cli_outdir, tmp_path, capsys):
     assert "FAIL margin_positive" in out
 
 
-# configuration keys and tolerances that certificates carried while the
-# package still had them; nothing reads them now
+# configuration keys, grids and tolerances that certificates carried while
+# the package still had them; nothing reads them now
 DROPPED_CONFIG = {"plot_grid": 1001, "planar_resolution": 4096,
-                  "planar_theta_tol": 1e-10}
+                  "planar_theta_tol": 1e-10, "u_switch": 0.05, "gl_order": 96}
+DROPPED_GRIDS = {"u_switch": 0.05, "gl_order": 96}
 DROPPED_TOLERANCES = {"quadrature_exactness": 1e-12, "roundtrip_rel": 1e-8,
                       "route_agreement_rel": 1e-7, "symmetric_rel": 1e-10,
                       "branch_consistency_rel": 1e-9, "tail_warn_rel": 1e-6}
@@ -225,6 +226,7 @@ def test_verify_accepts_certificate_with_dropped_keys(cli_outdir, tmp_path,
                                                       capsys):
     def mutate(cert):
         cert["config"].update(DROPPED_CONFIG)
+        cert["grids"].update(DROPPED_GRIDS)
         cert["config"]["tolerances"].update(DROPPED_TOLERANCES)
         cert["tolerances"].update(DROPPED_TOLERANCES)
     path = _tampered(cli_outdir, tmp_path, mutate)
@@ -239,6 +241,35 @@ def test_verify_rejects_invalid_stored_config(cli_outdir, tmp_path, capsys):
                      lambda c: c["config"].update(a=0.9))
     assert cli.main(["verify", str(path)]) == 2
     assert "profile not positive" in capsys.readouterr().err
+
+
+def _drop_params(cert):
+    del cert["params"]
+
+
+def _string_lambda0(cert):
+    cert["lambda0"] = "x"
+
+
+def _string_a(cert):
+    cert["params"]["a"] = "0.4"
+
+
+def _fractional_grid(cert):
+    cert["config"]["alpha_grid"] = 721.5
+
+
+@pytest.mark.parametrize("mutate", [_drop_params, _string_lambda0, _string_a,
+                                    _fractional_grid],
+                         ids=["no_params", "string_lambda0", "string_a",
+                              "fractional_grid"])
+def test_verify_rejects_malformed_certificate(cli_outdir, tmp_path, capsys,
+                                              mutate):
+    # a value verify reads that is missing or not a number is invalid
+    # input, named on stderr, not a traceback
+    path = _tampered(cli_outdir, tmp_path, mutate)
+    assert cli.main(["verify", str(path)]) == 2
+    assert "error: invalid certificate: " in capsys.readouterr().err
 
 
 def test_verify_rejects_unknown_schema(cli_outdir, tmp_path, capsys):

@@ -9,8 +9,7 @@ from centroid_sections import counterexample
 from centroid_sections import (ConstructionError, ConstructionParams,
                                RunConfig, curvature, eval_spectrum,
                                get_context, make_base_body, make_cap_bump,
-                               make_oblate_gap_profile, make_odd_perturbation,
-                               make_perturbed_body, negativity_threshold,
+                               make_oblate_gap_profile, negativity_threshold,
                                run_construction, section_centroid_axis,
                                section_volume, sphere_integral)
 
@@ -99,7 +98,6 @@ def test_blend_endpoints(ctx5):
     u = np.linspace(-1.0, 1.0, 41)
     for lam, ref in ((0.0, ctx5.bump), (1.0, ctx5.gap)):
         assert np.max(np.abs(ctx5.seed_value(u, lam) - ref(u))) <= 1e-14
-        assert ctx5.blend(lam).degree_p == 1.0
 
 
 def test_blend_transform_linearity(ctx5):
@@ -116,8 +114,8 @@ def test_blend_pairing_changes_sign(ctx5):
     base_ft = ctx5.base.ft_profile
 
     def pairing(lam):
-        blend = ctx5.blend(lam)
-        return sphere_integral(lambda u: base_ft(u) * blend.profile(u), 5)
+        return sphere_integral(
+            lambda u: base_ft(u) * ctx5.seed_value(u, lam), 5)
 
     assert pairing(0.0) < 0.0 < pairing(1.0)
 
@@ -127,7 +125,7 @@ def test_equator_vanishing(ctx5, lam):
     assert ctx5.equator_ratio(lam) <= 1e-8
 
 
-# odd perturbation from an even transform
+# odd quotient of an even transform
 
 
 def test_odd_perturbation_polynomial_case():
@@ -138,44 +136,73 @@ def test_odd_perturbation_polynomial_case():
                          derivs=(lambda u: 2.0 * np.asarray(u, float),
                                  lambda u: np.full_like(np.asarray(u, float), 2.0),
                                  lambda u: np.zeros_like(np.asarray(u, float))))
-    quad.value_at_zero = 0.0
-    phi = make_odd_perturbation(quad, u_switch=0.05)
+    phi = counterexample._gap_quotient(quad)
     u = np.array([-0.9, -0.3, -0.04, -1e-4, 0.0, 1e-4, 0.04, 0.3, 0.9])
     assert np.max(np.abs(phi(u) - u)) <= 1e-12
     assert phi(0.0) == 0.0
-    d1 = phi.derivs[0](u)
-    assert np.max(np.abs(d1 - 1.0)) <= 1e-10
+    assert np.max(np.abs(phi.derivs[0](u) - 1.0)) <= 1e-10
+    assert np.max(np.abs(phi.derivs[1](u))) <= 1e-10
+    # the gap's transform: against its closed-form quotient and the finite
+    # differences of that
+    for n in (5, 6):
+        ft = make_oblate_gap_profile(n).ft_profile
+        q = counterexample._gap_quotient(ft)
+        fns = (q, *q.derivs)
+        grid = np.linspace(-1.0, 1.0, 2001)
+        scales = [np.max(np.abs(f(grid))) for f in fns]
+        switch = counterexample._U_SWITCH
+        u = np.array([-0.8, -0.3, -switch, -0.02, 0.0, 0.01, 0.049, 0.051,
+                      0.6])
+        assert np.max(np.abs(q(u) - ft.quotient(u))) <= 1e-13 * scales[0]
+        assert q(0.0) == 0.0
+        for k in (1, 2):
+            ref = fd_deriv(ft.quotient, u, k, h=1e-3)
+            assert np.max(np.abs(fns[k](u) - ref)) <= 1e-9 * scales[k]
 
 
-def test_odd_perturbation_branch_consistency(ctx5, cert5):
-    # around the shipped switch point 0.05 the difference-quotient and
-    # integral branches must hand off seamlessly
-    lam0 = cert5["lambda0"]
-    # without the quotient the context's blend carries, so the public
-    # route's own two branches are compared
-    ghat = copy.copy(ctx5.blend(lam0).ft)
-    ghat.odd_quotient = None
-    narrow = make_odd_perturbation(ghat, u_switch=0.04)
-    wide = make_odd_perturbation(ghat, u_switch=0.06)
-    u = np.concatenate([np.linspace(0.045, 0.055, 21),
-                        -np.linspace(0.045, 0.055, 21)])
-    a = narrow(u)  # direct branch everywhere here
-    b = wide(u)    # integral branch everywhere here
-    scale = np.max(np.abs(a))
-    assert np.max(np.abs(a - b)) <= 1e-9 * scale
+def test_odd_perturbation_branch_consistency(monkeypatch):
+    # value, phi' and phi'': the difference-quotient and integral branches
+    # of the gap's quotient hand off across +-_U_SWITCH
+    switch = counterexample._U_SWITCH
+    for n in (5, 6):
+        q = counterexample._gap_quotient(make_oblate_gap_profile(n).ft_profile)
+        fns = (q, *q.derivs)
+        grid = np.linspace(-1.0, 1.0, 2001)
+        scales = [np.max(np.abs(f(grid))) for f in fns]
+        edge = np.nextafter(switch, 0.0)
+        at = np.array([-switch, -edge, edge, switch])
+        for f, scale in zip(fns, scales):
+            # the two points either side of each switch, one in each branch
+            vals = f(at)
+            assert abs(vals[0] - vals[1]) <= 1e-9 * scale
+            assert abs(vals[2] - vals[3]) <= 1e-9 * scale
+        # both branches over a window around the switch
+        window = switch * np.concatenate([np.linspace(0.9, 1.1, 21),
+                                          -np.linspace(0.9, 1.1, 21)])
+        monkeypatch.setattr(counterexample, "_U_SWITCH", 0.8 * switch)
+        direct = [f(window) for f in fns]
+        monkeypatch.setattr(counterexample, "_U_SWITCH", 1.2 * switch)
+        integral = [f(window) for f in fns]
+        monkeypatch.undo()
+        for a, b, scale in zip(direct, integral, scales):
+            assert np.max(np.abs(a - b)) <= 1e-9 * scale
 
 
-def test_odd_perturbation_rejects_nonvanishing_equator():
-    from centroid_sections import SphereProfile
-
-    shifted = SphereProfile(5, lambda u: np.asarray(u, float) ** 2 + 0.3,
-                            parity="even",
-                            derivs=(lambda u: 2.0 * np.asarray(u, float),
-                                    lambda u: np.full_like(np.asarray(u, float), 2.0),
-                                    lambda u: np.zeros_like(np.asarray(u, float))))
-    shifted.value_at_zero = 0.3
-    with pytest.raises(ConstructionError):
-        make_odd_perturbation(shifted)
+def test_odd_perturbation_rejects_nonvanishing_equator(ctx5, cert5):
+    # the blended transform must vanish at the equator, relative to the
+    # configured tolerance
+    tight = copy.deepcopy(ctx5.config)
+    tight.tolerances["equator_rel"] = 1e-30
+    with pytest.raises(ConstructionError, match="equator"):
+        get_context(tight).perturbation(0.5)
+    with pytest.raises(ConstructionError, match="equator"):
+        get_context(tight).perturbed_body(cert5["lambda0"], cert5["eps0"])
+    # a transform that does not vanish at the equator, or is NaN there
+    for g0 in (0.3 * np.max(np.abs(ctx5._bft_eq)), float("nan")):
+        shifted = copy.copy(ctx5)
+        shifted.bump_ft_at_zero = g0
+        with pytest.raises(ConstructionError, match="equator"):
+            shifted.perturbation(0.5)
 
 
 # perturbed body
@@ -199,33 +226,37 @@ def test_perturbed_body_defining_identity(ctx5, cert5):
     assert abs(body.rho(0.0) - ctx5.base.rho(0.0)) <= 1e-16
 
 
-def test_perturbed_body_rejects_huge_eps(ctx5):
-    with pytest.raises(ConstructionError):
-        make_perturbed_body(ctx5.base, ctx5.perturbation(1.0), 1e3)
+def test_perturbed_body_rejects_huge_eps(ctx5, cert5):
+    # eps must be nonnegative and small enough for rho^n + eps phi > 0
+    with pytest.raises(ConstructionError, match="eps too large"):
+        ctx5.perturbed_body(1.0, 1e3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        ctx5.perturbed_body(cert5["lambda0"], -cert5["eps0"])
 
 
 def test_context_perturbed_body_bit_equal_to_public_route(ctx5, cert5):
-    # the context gates on its tables and splines instead of the series;
-    # the body it returns must be the one the public functions build
+    # the context gates on its tables and splines; the body it returns must
+    # be (rho_base^n + eps phi)^{1/n} of its public base body and
+    # perturbation, derivatives by the chain rule, at the bump's order
     lam, eps = cert5["lambda0"], cert5["eps0"]
-    cfg = ctx5.config
-    phi = make_odd_perturbation(
-        ctx5.blend(lam).ft, u_switch=cfg.u_switch, gl_order=cfg.gl_order,
-        equator_rel=cfg.tolerances["equator_rel"],
-        equator_grid=cfg.equator_grid)
-    want = make_perturbed_body(ctx5.base, phi, eps,
-                               quad_order=ctx5.bump_order)
+    n = ctx5.n
     got = ctx5.perturbed_body(lam, eps)
+    assert got.quad_order == ctx5.bump_order
+    phi = ctx5.perturbation(lam)
     u = np.linspace(-1.0, 1.0, 1001)
-    for f, g in [(got.rho, want.rho), *zip(got.rho.derivs, want.rho.derivs)]:
-        assert np.array_equal(f(u), g(u))
-    assert got.quad_order == want.quad_order
-    with pytest.raises(ConstructionError, match="eps too large"):
-        ctx5.perturbed_body(1.0, 1e3)
-    tight = copy.deepcopy(cfg)
-    tight.tolerances["equator_rel"] = 1e-30
-    with pytest.raises(ConstructionError, match="equator"):
-        get_context(tight).perturbation(0.5)
+    rb, rb1, rb2 = (np.asarray(f(u), dtype=float)
+                    for f in (ctx5.base.rho, *ctx5.base.rho.derivs))
+    p, p1, p2 = (np.asarray(f(u), dtype=float) for f in (phi, *phi.derivs))
+    f = rb ** n + eps * p
+    f1 = n * rb ** (n - 1) * rb1 + eps * p1
+    f2 = (n * (n - 1) * rb ** (n - 2) * rb1 ** 2
+          + n * rb ** (n - 1) * rb2 + eps * p2)
+    want = (f ** (1.0 / n),
+            (1.0 / n) * f ** (1.0 / n - 1) * f1,
+            (1.0 / n) * (1.0 / n - 1) * f ** (1.0 / n - 2) * f1 ** 2
+            + (1.0 / n) * f ** (1.0 / n - 1) * f2)
+    for g, w in zip((got.rho, *got.rho.derivs), want):
+        assert np.array_equal(g(u), w)
 
 
 # centroid functional
@@ -376,13 +407,13 @@ def test_bump_quotient_series_matches_oracles(ctx5, n):
     q = ctx.bump_quotient
     assert q.parity == "odd" and q.max_degree == spec.max_degree - 1
     rng = np.random.default_rng(SEED)
-    u_switch = ctx.config.u_switch
+    u_switch = counterexample._U_SWITCH
     small = np.concatenate([rng.uniform(-u_switch, u_switch, 150),
                             [1e-300, -1e-14, 1e-14]])
     big = np.concatenate([rng.uniform(u_switch, 1.0, 300) *
                           rng.choice([-1.0, 1.0], 300), [-1.0, 1.0]])
     want_small = odd_quotient_integral(spec.coeffs, spec.lambda_index, small,
-                                       ctx.config.gl_order)
+                                       counterexample._GL_ORDER)
     want_big = odd_quotient_difference(spec.coeffs, spec.lambda_index, big)
     got_small = eval_spectrum(q, small)
     got_big = eval_spectrum(q, big)
@@ -444,7 +475,7 @@ def test_phi_bulk_matches_direct_series_over_window(ctx5, cert5, which):
     # branch switch could bite, and a coarse full-range grid that sets
     # max |phi| as the sweep's spot check does
     lam = {"0": 0.0, "lambda0": cert5["lambda0"], "1": 1.0}[which]
-    u_switch = ctx5.config.u_switch
+    u_switch = counterexample._U_SWITCH
     hi = ctx5._q_spl.x[-1]
     special = [0.0, 1e-300, 1e-14, u_switch * (1.0 - 2.0 ** -52), u_switch]
     u = np.concatenate([np.linspace(-hi, hi, 2001), special,
@@ -459,10 +490,10 @@ def test_phi_bulk_matches_direct_series_over_window(ctx5, cert5, which):
 def test_gap_quotient_matches_integral_form(ctx5):
     from scipy.special import roots_legendre
     ft = ctx5._gap_ft
-    u_switch = ctx5.config.u_switch
+    u_switch = counterexample._U_SWITCH
     u = np.concatenate([np.linspace(-u_switch, u_switch, 4001),
                         [1e-300, -1e-300, 1e-14, -1e-14]])
-    s, w = roots_legendre(ctx5.config.gl_order)
+    s, w = roots_legendre(counterexample._GL_ORDER)
     want = (0.5 * w) @ ft.derivs[0](np.outer(0.5 * (s + 1.0), u))
     got = ft.quotient(u)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))

@@ -6,12 +6,12 @@ from scipy import special
 
 from centroid_sections import (GegenbauerSpectrum, HomogeneousFunction,
                                SphereProfile, bochner_multiplier, eval_spectrum,
-                               expand, ft_homogeneous, ft_via_radon,
-                               make_base_body, make_oblate_gap_profile,
-                               parseval_residual, radon_subsphere, sphere_area,
-                               sphere_integral)
+                               expand, ft_homogeneous, make_base_body,
+                               make_oblate_gap_profile, parseval_residual,
+                               sphere_area, sphere_integral)
 
-from oracles import SEED, mc_sphere_mean, mc_subsphere_integral
+from oracles import (SEED, ft_via_radon, mc_sphere_mean,
+                     mc_subsphere_integral, radon_subsphere)
 
 C5 = 16.0 * np.pi ** 2
 

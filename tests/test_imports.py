@@ -21,11 +21,10 @@ ROOT_NAMES = {
     "bisected_chords", "bochner_multiplier", "body_to_dict", "centroid_axis",
     "config", "counterexample", "curvature", "default_tolerances",
     "eval_spectrum", "eval_spectrum_deriv", "expand", "ft_homogeneous",
-    "ft_via_radon", "gauss_jacobi", "get_context", "intersection_body_test",
+    "gauss_jacobi", "get_context", "intersection_body_test",
     "make_base_body", "make_cap_bump", "make_oblate_gap_profile",
-    "make_odd_perturbation", "make_perturbed_body", "negativity_threshold",
-    "parseval_residual", "planar", "planar_centroid", "polygon_body",
-    "radial_body", "radon_subsphere", "recenter", "revolution_bodies",
+    "negativity_threshold", "parseval_residual", "planar", "planar_centroid",
+    "polygon_body", "radial_body", "recenter", "revolution_bodies",
     "run_construction", "section_centroid_axis", "section_volume",
     "sphere_area", "sphere_integral", "spherical_core", "volume",
 }

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from centroid_sections import (GegenbauerSpectrum, SphereProfile, eval_spectrum,
+from centroid_sections import (GegenbauerSpectrum, eval_spectrum,
                                eval_spectrum_deriv, expand, make_base_body)
 
 from oracles import SEED, fd_deriv, gegenbauer_value, u_squared_coeffs
@@ -100,10 +100,3 @@ def test_derivatives_match_finite_differences():
     assert np.max(np.abs(d1 - fd_deriv(f, u, 1))) <= 1e-9
     assert np.max(np.abs(d2 - fd_deriv(f, u, 2))) <= 1e-7
 
-
-def test_profile_parity_check_rejects_mislabel():
-    u = np.linspace(-1.0, 1.0, 17)
-    odd = SphereProfile(5, lambda x: np.asarray(x, float), parity="even")
-    assert not odd.check_parity(u)
-    even = SphereProfile(5, lambda x: np.asarray(x, float) ** 2, parity="even")
-    assert even.check_parity(u)
