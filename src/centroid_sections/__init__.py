@@ -1,7 +1,7 @@
 """Numerical construction of a convex body in R^n (n >= 5) whose centroid
 is the centroid of exactly one central hyperplane section, together with
 the spectral toolkit (Gegenbauer expansions, homogeneous-extension
-transforms, subsphere averages) used to certify it, and the planar
+transforms, the pairing check) used to certify it, and the planar
 three-chords counterpart.
 
 Importing the package loads none of its submodules, numpy or scipy: each
@@ -14,20 +14,17 @@ from importlib import import_module as _import_module
 _EXPORTS = {
     "config": ("ConstructionError", "RunConfig", "default_tolerances"),
     "spherical_core": (
-        "GegenbauerSpectrum", "HomogeneousFunction", "Quadrature",
-        "SphereProfile", "SpectrumProfile", "bochner_multiplier",
-        "eval_spectrum", "eval_spectrum_deriv", "expand", "ft_homogeneous",
-        "gauss_jacobi", "parseval_residual", "sphere_area",
-        "sphere_integral"),
+        "GegenbauerSpectrum", "Quadrature", "SphereProfile",
+        "bochner_multiplier", "eval_spectrum", "eval_spectrum_deriv",
+        "expand", "ft_homogeneous", "gauss_jacobi", "parseval_residual",
+        "sphere_area"),
     "revolution_bodies": (
-        "ConvexityReport", "RevolutionBody", "body_to_dict", "centroid_axis",
-        "curvature", "intersection_body_test", "make_base_body",
-        "section_centroid_axis", "section_volume", "volume"),
+        "ConvexityReport", "RevolutionBody", "body_to_dict", "curvature",
+        "intersection_body_test", "make_base_body"),
     "counterexample": (
-        "CERTIFICATE_SCHEMA", "ConstructionContext", "ConstructionParams",
-        "auto_select_a", "get_context", "make_cap_bump",
-        "make_oblate_gap_profile", "negativity_threshold",
-        "run_construction"),
+        "CERTIFICATE_SCHEMA", "ConstructionContext", "auto_select_a",
+        "get_context", "make_cap_bump", "make_oblate_gap_profile",
+        "negativity_threshold", "run_construction"),
     "planar": (
         "PlanarBody", "bisected_chords", "planar_centroid", "polygon_body",
         "radial_body", "recenter"),

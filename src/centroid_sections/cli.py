@@ -14,6 +14,7 @@ subcommands that use them, so `planar` runs on numpy alone.
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -170,18 +171,22 @@ def _malformed(cert) -> Optional[str]:
                 ("lambda0", "eps0", "kappa_min_perturbed",
                  "min_section_margin")]
     defaults = RunConfig()
-    for k, v in config.items():
-        # a stored config value replaces the default of the same type;
+    for f in dataclasses.fields(RunConfig):
+        # a stored config field replaces the default of the same type;
         # a = None asks for the automatic choice
-        default = getattr(defaults, k, None)
-        if k == "tolerances":
+        if f.name not in config:
+            continue
+        v = config[f.name]
+        if f.name == "tolerances":
             entries += [(f"config.tolerances.{name}", stored, float)
                         for name, stored in v.items()
                         if name in defaults.tolerances]
-        elif k == "a" and v is not None:
-            entries.append(("config.a", v, float))
-        elif type(default) in (int, float):
-            entries.append((f"config.{k}", v, type(default)))
+        elif f.name == "a":
+            if v is not None:
+                entries.append(("config.a", v, float))
+        else:
+            entries.append((f"config.{f.name}", v,
+                            type(getattr(defaults, f.name))))
     for name, value, kind in entries:
         if not _is_number(value, kind):
             what = "an integer" if kind is int else "a finite number"
@@ -190,13 +195,15 @@ def _malformed(cert) -> Optional[str]:
 
 
 def _load_certificate(args):
-    """(certificate, config, params) for the certificate that verify
+    """(certificate, config, cap_u0) for the certificate that verify
     reads, or None after printing why it cannot be used.
 
     Every value that verify reads must be present and a finite number.
-    The stored configuration sets the geometry and grids.  A stored
-    tolerance can only tighten the package default: the check uses the
-    smaller of the two, so a certificate cannot loosen its own checks.
+    The recorded parameters set the geometry.  Grid sizes are package
+    constants, never read from the file, and the sweep grid can only be
+    raised above the package's.  A stored tolerance can only tighten the
+    package default: the check uses the smaller of the two, so a
+    certificate cannot loosen or coarsen its own checks.
     """
     from . import counterexample as cx
     try:
@@ -214,16 +221,14 @@ def _load_certificate(args):
     if why is not None:
         print(f"error: invalid certificate: {why}", file=sys.stderr)
         return None
-    cfg = RunConfig()
-    for k, v in cert.get("config", {}).items():
-        if k == "tolerances":
-            for name, stored in v.items():
+    cfg, stored = RunConfig(), cert.get("config", {})
+    for f in dataclasses.fields(RunConfig):
+        if f.name == "tolerances":
+            for name, v in stored.get("tolerances", {}).items():
                 if name in cfg.tolerances:
-                    cfg.tolerances[name] = min(stored, cfg.tolerances[name])
-        elif hasattr(cfg, k):
-            setattr(cfg, k, v)
-    if getattr(args, "alpha_grid", None) is not None:
-        cfg.alpha_grid = args.alpha_grid
+                    cfg.tolerances[name] = min(v, cfg.tolerances[name])
+        elif f.name in stored:
+            setattr(cfg, f.name, stored[f.name])
     try:
         cfg.validate()
     except ValueError as exc:
@@ -231,18 +236,17 @@ def _load_certificate(args):
               file=sys.stderr)
         return None
     p = cert["params"]
-    params = cx.ConstructionParams(n=p["n"], a=p["a"], cap_u0=p["cap_u0"],
-                                   cap_margin=p["cap_margin"], eps=p["eps"],
-                                   lam=p["lambda"])
-    return cert, cfg, params
+    cfg.n, cfg.a = p["n"], p["a"]
+    cfg.alpha_grid = max(cfg.alpha_grid, RunConfig.alpha_grid)
+    return cert, cfg, p["cap_u0"]
 
 
-def _context(cfg, params):
+def _context(cfg, cap_u0):
     """The construction context for recorded parameters; parameters that
     admit no body are a failed precondition, not a crash."""
     from . import counterexample as cx
     try:
-        return cx.get_context(cfg, params)
+        return cx.get_context(cfg, cap_u0)
     except ValueError as exc:
         raise ConstructionError(str(exc)) from exc
 
@@ -251,10 +255,10 @@ def cmd_verify(args) -> int:
     loaded = _load_certificate(args)
     if loaded is None:
         return EXIT_USAGE
-    cert, cfg, params = loaded
+    cert, cfg, cap_u0 = loaded
     lines = []
     try:
-        ok = _recheck(lines, cert, cfg, _context(cfg, params))
+        ok = _recheck(lines, cert, cfg, _context(cfg, cap_u0))
     except ConstructionError as exc:
         # a precondition that fails on the recorded parameters refutes the
         # certificate; it is not a construction run that failed
@@ -459,7 +463,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="recheck a certificate")
     pv.add_argument("certificate", help="path to certificate.json")
-    pv.add_argument("--alpha-grid", dest="alpha_grid", type=int, default=None)
     pv.set_defaults(func=cmd_verify)
 
     pi = sub.add_parser("intersection-test",

@@ -1,7 +1,8 @@
 """Run configuration shared by the construction pipeline and the CLI."""
 
-from dataclasses import dataclass, field, asdict
-from typing import Optional
+import math
+from dataclasses import dataclass, field
+from typing import ClassVar, Optional
 
 __all__ = ["ConstructionError", "RunConfig", "default_tolerances"]
 
@@ -26,8 +27,11 @@ def default_tolerances() -> dict:
 class RunConfig:
     """Numerical parameters for one end-to-end run.
 
-    ``a`` is the flattening parameter of the base body; ``None`` selects the
-    largest candidate whose convexity certificate passes with margin.
+    The fields are what a caller sets; ``a`` is the flattening parameter
+    of the base body, ``None`` selecting the largest candidate whose
+    convexity certificate passes with margin.  The class constants are
+    the package's resolution: no caller sets them, and a certificate
+    records them in its ``grids`` block, not in its configuration.
     """
 
     n: int = 5
@@ -43,27 +47,22 @@ class RunConfig:
     # spectral resolution for the compactly supported cap bump; its Gegenbauer
     # coefficients decay sub-geometrically, so it needs far more degrees than
     # the analytic profiles covered by max_degree
-    bump_max_degree: int = 3200
-    bump_quad_pad: int = 192
+    bump_max_degree: ClassVar[int] = 3200
+    bump_quad_pad: ClassVar[int] = 192
 
     # subsphere quadrature for section sweeps of the perturbed body; must
     # resolve polynomial degree bump_max_degree to avoid aliasing
-    section_quad_order: int = 1728
+    section_quad_order: ClassVar[int] = 1728
 
     # dense grid backing the fast evaluator used inside the section sweep
-    dense_eval_grid: int = 80001
+    dense_eval_grid: ClassVar[int] = 80001
 
-    curvature_grid: int = 4001
-    equator_grid: int = 2001
-    eps_max_halvings: int = 20
-    root_max_iter: int = 200
+    curvature_grid: ClassVar[int] = 4001
+    equator_grid: ClassVar[int] = 2001
+    eps_max_halvings: ClassVar[int] = 20
+    root_max_iter: ClassVar[int] = 200
 
-    auto_a_candidates: tuple = (0.5, 0.4, 0.3, 0.2, 0.1, 0.05)
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["auto_a_candidates"] = list(self.auto_a_candidates)
-        return d
+    auto_a_candidates: ClassVar[tuple] = (0.5, 0.4, 0.3, 0.2, 0.1, 0.05)
 
     def validate(self):
         if self.n < 5:
@@ -76,8 +75,13 @@ class RunConfig:
             raise ValueError("profile not positive: a too large for this n")
         if not 0 < self.cap_margin < 1:
             raise ValueError("cap_margin must lie in (0, 1)")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not 0 < self.eps < math.inf:
+            raise ValueError("eps must be positive and finite")
         if self.quad_order < 2 or self.max_degree < 0:
             raise ValueError("bad quadrature order or degree")
+        if self.alpha_grid < 3:
+            # the sweep needs both poles and a direction between them
+            raise ValueError("alpha_grid must be at least 3")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         return self

@@ -26,7 +26,7 @@ perturbed_body.
 
 import copy
 import time
-from dataclasses import dataclass
+from dataclasses import asdict
 from functools import partial
 from typing import Optional, Sequence
 
@@ -36,15 +36,14 @@ from scipy.special import roots_legendre
 from .config import ConstructionError, RunConfig
 from .revolution_bodies import (ConvexityReport, RevolutionBody, _clears,
                                 _meridian_report, curvature, make_base_body)
-from .spherical_core import (GegenbauerSpectrum, HomogeneousFunction,
-                             SphereProfile, _bochner_multipliers_ld,
+from .spherical_core import (GegenbauerSpectrum, SphereProfile,
                              _divide_by_u, _rolling_accumulate,
                              bochner_multiplier, eval_spectrum,
-                             eval_spectrum_deriv, expand, gauss_jacobi,
-                             parseval_residual, sphere_area)
+                             eval_spectrum_deriv, ft_homogeneous,
+                             gauss_jacobi, parseval_residual, sphere_area)
 
 __all__ = [
-    "ConstructionError", "ConstructionParams", "negativity_threshold",
+    "ConstructionError", "negativity_threshold",
     "auto_select_a", "make_cap_bump", "make_oblate_gap_profile",
     "run_construction", "get_context", "ConstructionContext",
     "CERTIFICATE_SCHEMA",
@@ -56,34 +55,6 @@ CERTIFICATE_SCHEMA = "v1"
 # a _GL_ORDER-point Gauss-Legendre rule (see _gap_quotient)
 _U_SWITCH = 0.05
 _GL_ORDER = 96
-
-
-@dataclass
-class ConstructionParams:
-    """Parameters pinning one instance of the construction.
-
-    lam is the blend weight in [0, 1]; eps the perturbation size.
-    cap_u0 defaults to u* + cap_margin (1 - u*) with u* the negativity
-    threshold of the base body's transform.
-    """
-
-    n: int = 5
-    a: float = 0.4
-    cap_u0: Optional[float] = None
-    cap_margin: float = 0.5
-    eps: float = 1e-3
-    lam: float = 0.5
-
-    def resolve_cap(self) -> float:
-        if self.cap_u0 is not None:
-            return float(self.cap_u0)
-        us = negativity_threshold(self.n, self.a)
-        return us + self.cap_margin * (1.0 - us)
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "a": self.a, "cap_u0": self.resolve_cap(),
-                "cap_margin": self.cap_margin, "eps": self.eps,
-                "lambda": self.lam}
 
 
 def negativity_threshold(n: int, a: float) -> float:
@@ -303,15 +274,14 @@ class ConstructionContext:
 
         md = config.bump_max_degree
         self.bump_order = md + config.bump_quad_pad
-        spec = expand(self.bump, n, md, order=self.bump_order, parity="even")
-        mu = _bochner_multipliers_ld(n, 1, np.arange(md + 1))
-        co_ld = np.asarray(spec.coeffs, dtype=mu.dtype) * mu
+        co_ld = ft_homogeneous(self.bump, 1.0, md,
+                               order=self.bump_order).coeffs
         # equator value of the bump transform in extended precision; the
         # float64 series at 0 would add ~1e-14 relative noise to a value
         # that must cancel exactly in the odd quotient
         self.bump_ft_at_zero = float(
             _rolling_accumulate(co_ld, self.lam_index,
-                                np.zeros(1, dtype=mu.dtype))[0])
+                                np.zeros(1, dtype=co_ld.dtype))[0])
         self.bump_ft_spectrum = GegenbauerSpectrum(
             n=n, lambda_index=self.lam_index,
             coeffs=co_ld.astype(np.float64), parity="even")
@@ -657,30 +627,27 @@ class ConstructionContext:
 
 
 def get_context(config: Optional[RunConfig] = None,
-                params: Optional[ConstructionParams] = None) -> ConstructionContext:
+                cap_u0: Optional[float] = None) -> ConstructionContext:
     """Context for (n, a, cap_u0) bound to the given configuration.
 
-    The tables are cached across calls, keyed on the settings they are
-    built from; a cache hit returns a shallow copy that shares them but
-    carries the caller's configuration for everything read per call
-    (eps, halving budget, tolerances, sweep grid, spot-check seed).
+    cap_u0 defaults to u* + cap_margin (1 - u*), u* the negativity
+    threshold of the base body's transform.  The tables are cached across
+    calls, keyed on (n, a, cap_u0); a cache hit returns a shallow copy
+    that shares them but carries the caller's configuration for
+    everything read per call (eps, tolerances, sweep grid, spot-check
+    seed).
     """
     cfg = config or RunConfig()
     cfg.validate()
-    if params is not None:
-        n, a = params.n, params.a
-        cap = params.resolve_cap()
-    else:
-        n = cfg.n
-        a = cfg.a if cfg.a is not None else auto_select_a(n, cfg)
+    n = cfg.n
+    a = cfg.a if cfg.a is not None else auto_select_a(n, cfg)
+    if cap_u0 is None:
         us = negativity_threshold(n, a)
-        cap = us + cfg.cap_margin * (1.0 - us)
-    key = (n, a, cap, cfg.bump_max_degree, cfg.bump_quad_pad,
-           cfg.dense_eval_grid, cfg.section_quad_order, cfg.curvature_grid,
-           cfg.equator_grid)
+        cap_u0 = us + cfg.cap_margin * (1.0 - us)
+    key = (n, a, float(cap_u0))
     ctx = _CTX_CACHE.get(key)
     if ctx is None:
-        ctx = _CTX_CACHE[key] = ConstructionContext(n, a, cap, cfg)
+        ctx = _CTX_CACHE[key] = ConstructionContext(n, a, cap_u0, cfg)
         return ctx
     ctx = copy.copy(ctx)
     ctx.config = cfg
@@ -722,10 +689,8 @@ def run_construction(config: Optional[RunConfig] = None) -> dict:
     eq_rel0 = ctx.equator_ratio(lam0)
     eq_abs0 = abs(ctx.blend_ft_at_zero(lam0))
 
-    ext_base = HomogeneousFunction(profile=ctx.base.rho, degree_p=1.0)
-    ext_gap = HomogeneousFunction(profile=ctx.gap, degree_p=float(ctx.n - 1))
-    pv = parseval_residual(ext_base, ext_gap, max_degree=cfg.max_degree,
-                           order=cfg.quad_order)
+    pv = parseval_residual(ctx.base.rho, ctx.gap, 1.0,
+                           max_degree=cfg.max_degree, order=cfg.quad_order)
 
     # observed slope of the blended transform near the equator (recorded,
     # not asserted; the construction only needs grid values)
@@ -733,9 +698,6 @@ def run_construction(config: Optional[RunConfig] = None) -> dict:
     slope_max = float(np.max(np.abs(ctx.blend_ft_value(ueq, lam0, 1))))
 
     diam = ctx.diameter(lam0, eps0)
-    params = ConstructionParams(n=ctx.n, a=ctx.a, cap_u0=ctx.cap_u0,
-                                cap_margin=cfg.cap_margin, eps=eps0,
-                                lam=lam0)
 
     checks = {
         "lambda0_interior": 0.0 < lam0 < 1.0,
@@ -753,7 +715,9 @@ def run_construction(config: Optional[RunConfig] = None) -> dict:
 
     cert = {
         "schema": CERTIFICATE_SCHEMA,
-        "params": params.to_dict(),
+        "params": {"n": ctx.n, "a": ctx.a, "cap_u0": ctx.cap_u0,
+                   "cap_margin": cfg.cap_margin, "eps": eps0,
+                   "lambda": lam0},
         "bump_form": "exp(-1/s - 1/(1-s)) on s = (|u| - cap_u0)/(1 - cap_u0)",
         "lambda0": lam0,
         "eps0": eps0,
@@ -777,7 +741,7 @@ def run_construction(config: Optional[RunConfig] = None) -> dict:
         "transform_slope_near_equator": slope_max,
         "transform_slope_note": "grid-verified",
         "negativity_threshold": negativity_threshold(ctx.n, ctx.a),
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "grids": {
             "bump_max_degree": cfg.bump_max_degree,
             "bump_quad_order": ctx.bump_order,

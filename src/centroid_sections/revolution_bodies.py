@@ -1,5 +1,5 @@
-"""Star and convex bodies of revolution: profiles, convexity, volume,
-centroids, hyperplane-section centroids, and the intersection-body test."""
+"""Star and convex bodies of revolution: profiles, convexity, the
+intersection-body test and serialization."""
 
 from dataclasses import dataclass, field
 from typing import Optional
@@ -7,13 +7,12 @@ from typing import Optional
 import numpy as np
 
 from .spherical_core import (
-    LD, HomogeneousFunction, SphereProfile, expand, eval_spectrum,
-    eval_spectrum_deriv, ft_homogeneous, gauss_jacobi, sphere_area,
+    SphereProfile, bochner_multiplier, expand, eval_spectrum,
+    eval_spectrum_deriv, ft_homogeneous, gauss_jacobi,
 )
 
 __all__ = [
     "RevolutionBody", "ConvexityReport", "make_base_body", "curvature",
-    "volume", "centroid_axis", "section_centroid_axis", "section_volume",
     "intersection_body_test", "body_to_dict",
 ]
 
@@ -25,8 +24,8 @@ class RevolutionBody:
     rho is the radial profile as a function of u = <xi, e_n>.  kind is one
     of "base" (closed-form flattened ball), "perturbed" (base plus odd
     perturbation), "custom".  quad_order, when set, is the minimum
-    quadrature order that resolves the profile's spectral content; section
-    and centroid integrals take max(requested, quad_order).
+    quadrature order that resolves the profile's spectral content;
+    body_to_dict samples at max(requested, quad_order) nodes.
     """
 
     n: int
@@ -87,7 +86,7 @@ def make_base_body(n: int, a: float) -> RevolutionBody:
         D = 1 - u * u + u * u * inv_a2
         return 2 * an2 * (g * D ** (-1.5) - 3 * g * g * u * u * D ** (-2.5))
 
-    cn = _c_constant(n)
+    cn = bochner_multiplier(0, 1, n)
 
     def ft(u):
         u = np.asarray(u)
@@ -98,11 +97,6 @@ def make_base_body(n: int, a: float) -> RevolutionBody:
     ftprof = SphereProfile(n=n, eval=ft, parity="even")
     return RevolutionBody(n=n, rho=prof, kind="base", params={"a": a},
                           ft_profile=ftprof)
-
-
-def _c_constant(n: int) -> float:
-    from .spherical_core import bochner_multiplier
-    return bochner_multiplier(0, 1, n)
 
 
 def curvature(body: RevolutionBody, grid: int = 4001,
@@ -150,64 +144,6 @@ def _meridian_report(theta, r, r_u, r_uu, margin: float) -> ConvexityReport:
                            is_convex=_clears(kmin, margin), margin=margin)
 
 
-def volume(body: RevolutionBody, order: Optional[int] = None) -> float:
-    """|K| = (|S^{n-2}| / n) int rho^n (1-u^2)^{(n-3)/2} du."""
-    n = body.n
-    q = gauss_jacobi(body.resolve_order(order), (n - 3) / 2)
-    vals = np.asarray(body.rho(q.nodes), dtype=LD) ** n
-    return float(sphere_area(n - 2) / n * (q.weights @ vals))
-
-
-def centroid_axis(body: RevolutionBody, order: Optional[int] = None) -> float:
-    """Axis component of the centroid; off-axis components vanish by
-    rotational symmetry and are not computed.
-
-    |K| <c, e_n> = (|S^{n-2}| / (n+1)) int u rho^{n+1} (1-u^2)^{(n-3)/2} du.
-    """
-    n = body.n
-    q = gauss_jacobi(body.resolve_order(order), (n - 3) / 2)
-    rho = np.asarray(body.rho(q.nodes), dtype=LD)
-    num = sphere_area(n - 2) / (n + 1) * float(q.weights @ (q.nodes * rho ** (n + 1)))
-    vol = sphere_area(n - 2) / n * float(q.weights @ rho ** n)
-    return num / vol
-
-
-def _section_parts(body: RevolutionBody, u_xi: float, order: Optional[int]):
-    n = body.n
-    q = gauss_jacobi(body.resolve_order(order), (n - 4) / 2)
-    r = np.sqrt(max(0.0, 1.0 - float(u_xi) ** 2))
-    t = q.nodes
-    rho = np.asarray(body.rho(t * LD(r)), dtype=LD)
-    sub = sphere_area(n - 3)
-    # x_n on the subsphere is t * sqrt(1 - u_xi^2)
-    num = sub / n * float(q.weights @ (t * LD(r) * rho ** n))
-    vol = sub / (n - 1) * float(q.weights @ rho ** (n - 1))
-    return num, vol
-
-
-def section_volume(body: RevolutionBody, u_xi: float,
-                   order: Optional[int] = None) -> float:
-    """(n-1)-volume of the hyperplane section through the origin orthogonal
-    to a direction xi with <xi, e_n> = u_xi."""
-    if body.n < 5:
-        raise ValueError("section reduction implemented for n >= 5 only")
-    _, vol = _section_parts(body, u_xi, order)
-    return vol
-
-
-def section_centroid_axis(body: RevolutionBody, u_xi: float,
-                          order: Optional[int] = None) -> float:
-    """Axis component of the centroid of the section orthogonal to xi.
-
-    Well defined by rotational symmetry: any xi with the same <xi, e_n>
-    gives a congruent section.
-    """
-    if body.n < 5:
-        raise ValueError("section reduction implemented for n >= 5 only")
-    num, vol = _section_parts(body, u_xi, order)
-    return num / vol
-
-
 def intersection_body_test(body: RevolutionBody, grid: int = 2001,
                            max_degree: int = 120,
                            order: Optional[int] = None,
@@ -220,10 +156,9 @@ def intersection_body_test(body: RevolutionBody, grid: int = 2001,
     form, when present, is deliberately not consulted here so that test
     bodies and constructed bodies share one code path).
     """
-    f = HomogeneousFunction(profile=body.rho, degree_p=1.0)
-    fhat = ft_homogeneous(f, max_degree=max_degree, order=order)
+    fhat = ft_homogeneous(body.rho, 1.0, max_degree=max_degree, order=order)
     u = np.linspace(-1.0, 1.0, grid)
-    vals = np.asarray(fhat.profile(u), dtype=float)
+    vals = eval_spectrum(fhat, u)
     i = int(np.argmin(vals))
     scale = float(np.max(np.abs(vals)))
     min_value = float(vals[i])
@@ -231,7 +166,7 @@ def intersection_body_test(body: RevolutionBody, grid: int = 2001,
         "min_value": min_value,
         "argmin_u": float(u[i]),
         "is_intersection": bool(min_value >= -rel_tol * max(scale, 1e-300)),
-        "truncation_warning": fhat.profile.spectrum.truncation_warning,
+        "truncation_warning": fhat.truncation_warning,
     }
 
 

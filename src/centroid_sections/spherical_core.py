@@ -22,7 +22,7 @@ coefficient noise near u = +-1; 64-bit coefficients would cap pole accuracy
 near 1e-9 while extended precision reaches ~1e-13.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
@@ -32,9 +32,8 @@ from scipy.special import gammaln, roots_jacobi
 LD = np.longdouble
 
 __all__ = [
-    "GegenbauerSpectrum", "SphereProfile", "SpectrumProfile",
-    "HomogeneousFunction", "Quadrature", "gauss_jacobi", "sphere_area",
-    "sphere_integral", "expand", "eval_spectrum", "eval_spectrum_deriv",
+    "GegenbauerSpectrum", "SphereProfile", "Quadrature", "gauss_jacobi",
+    "sphere_area", "expand", "eval_spectrum", "eval_spectrum_deriv",
     "bochner_multiplier", "ft_homogeneous", "parseval_residual",
 ]
 
@@ -79,40 +78,6 @@ class GegenbauerSpectrum:
     @property
     def max_degree(self) -> int:
         return len(self.coeffs) - 1
-
-
-class SpectrumProfile(SphereProfile):
-    """SphereProfile backed by a GegenbauerSpectrum."""
-
-    def __init__(self, spectrum: GegenbauerSpectrum):
-        self.spectrum = spectrum
-        super().__init__(n=spectrum.n, eval=self._eval,
-                         parity=spectrum.parity,
-                         derivs=(lambda u: self.deriv(u, 1),
-                                 lambda u: self.deriv(u, 2)))
-
-    def _eval(self, u):
-        return eval_spectrum(self.spectrum, u)
-
-    def deriv(self, u, k: int):
-        return eval_spectrum_deriv(self.spectrum, u, k)
-
-
-@dataclass
-class HomogeneousFunction:
-    """Profile extended to R^n minus origin as |x|^{-p} profile(x/|x|)."""
-
-    profile: SphereProfile
-    degree_p: float
-
-    def __post_init__(self):
-        n = self.profile.n
-        if not 0 < self.degree_p < n:
-            raise ValueError("homogeneity degree must lie in (0, n)")
-
-    @property
-    def n(self) -> int:
-        return self.profile.n
 
 
 @dataclass
@@ -321,18 +286,6 @@ def sphere_area(k: int) -> float:
     return float(2 * np.pi ** ((k + 1) / 2) / np.exp(gammaln((k + 1) / 2)))
 
 
-def sphere_integral(f, n: int, order: int = 256) -> float:
-    """Integral over S^{n-1} of a rotationally invariant function.
-
-    Reduces to |S^{n-2}| * int_{-1}^{1} f(u) (1-u^2)^{(n-3)/2} du.
-    """
-    if n < 3:
-        raise ValueError("need ambient dimension n >= 3")
-    q = gauss_jacobi(order, (n - 3) / 2)
-    vals = np.asarray(f(q.nodes), dtype=LD)
-    return float(sphere_area(n - 2) * (q.weights @ vals))
-
-
 # ---------------------------------------------------------------------------
 # expansion and evaluation
 
@@ -444,62 +397,45 @@ def bochner_multiplier(m, p: float, n: int):
     return out.astype(np.float64)
 
 
-def _as_homogeneous(f):
-    if isinstance(f, HomogeneousFunction):
-        return f
-    raise TypeError("expected a HomogeneousFunction")
-
-
-def ft_homogeneous(f: HomogeneousFunction, max_degree: int = 120,
-                   order: Optional[int] = None) -> HomogeneousFunction:
-    """Transform of the degree -p extension, returned at degree -(n-p).
+def ft_homogeneous(profile: SphereProfile, p: float, max_degree: int = 120,
+                   order: Optional[int] = None) -> GegenbauerSpectrum:
+    """Transform of the degree -p extension |x|^{-p} profile(x/|x|), a
+    function of degree -(n-p), as its Gegenbauer spectrum.
 
     Diagonal in the Gegenbauer expansion: coefficient m picks up
-    bochner_multiplier(m, p, n).
+    bochner_multiplier(m, p, n).  The coefficients stay in longdouble.
     """
-    f = _as_homogeneous(f)
-    n = f.n
-    p = f.degree_p
-    spec = expand(f.profile, n, max_degree, order=order)
+    n = profile.n
+    if not 0 < p < n:
+        raise ValueError("homogeneity degree must lie in (0, n)")
+    spec = expand(profile, n, max_degree, order=order)
     mu = _bochner_multipliers_ld(n, p, np.arange(max_degree + 1))
-    out = GegenbauerSpectrum(
-        n=n, lambda_index=spec.lambda_index, coeffs=spec.coeffs * mu,
-        parity=spec.parity, tail_rel=spec.tail_rel,
-        truncation_warning=spec.truncation_warning)
-    prof = SpectrumProfile(out)
-    return HomogeneousFunction(profile=prof, degree_p=n - p)
+    return replace(spec, coeffs=spec.coeffs * mu)
 
 
-def parseval_residual(f: HomogeneousFunction, g: HomogeneousFunction,
+def parseval_residual(f: SphereProfile, g: SphereProfile, p: float,
                       max_degree: int = 120, order: int = 256,
                       floor: float = 1e-30) -> float:
     """Residual of the sphere pairing identity for complementary degrees.
 
-    For declared degrees p and n-p the transform acts at degree p on both
-    profiles; the identity compared is
+    f is extended at degree -p and g at degree -(n-p); the transform acts
+    at degree p on both profiles, and the identity compared is
         int (T_p f) g  =  int f (T_p g)
     over S^{n-1}, each side computed by quadrature from pointwise values.
     Residual is |A - B| / max(|A|, |B|, floor).
     """
-    f = _as_homogeneous(f)
-    g = _as_homogeneous(g)
     n = f.n
     if g.n != n:
         raise ValueError("dimension mismatch")
-    if abs((f.degree_p + g.degree_p) - n) > 1e-9:
-        raise ValueError("degrees must be complementary: p and n - p")
-    p = f.degree_p
-    fhat = ft_homogeneous(f, max_degree=max_degree, order=order)
-    ghat = ft_homogeneous(HomogeneousFunction(g.profile, p),
-                          max_degree=max_degree, order=order)
+    fhat = ft_homogeneous(f, p, max_degree=max_degree, order=order)
+    ghat = ft_homogeneous(g, p, max_degree=max_degree, order=order)
     q = gauss_jacobi(order, (n - 3) / 2)
     x = q.nodes
     area = LD(sphere_area(n - 2))
-    A = area * (q.weights @ (np.asarray(fhat.profile(x), dtype=LD)
-                             * np.asarray(g.profile(x), dtype=LD)))
-    B = area * (q.weights @ (np.asarray(f.profile(x), dtype=LD)
-                             * np.asarray(ghat.profile(x), dtype=LD)))
+    A = area * (q.weights @ (np.asarray(eval_spectrum(fhat, x), dtype=LD)
+                             * np.asarray(g(x), dtype=LD)))
+    B = area * (q.weights @ (np.asarray(f(x), dtype=LD)
+                             * np.asarray(eval_spectrum(ghat, x), dtype=LD)))
     # difference taken before any float64 cast: for analytic pairs the
     # residual sits at the longdouble noise floor, well under 1e-16
     return float(abs(A - B) / max(abs(A), abs(B), LD(floor)))
-

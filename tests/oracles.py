@@ -1,9 +1,10 @@
 """Independent reference computations used as oracles.
 
 Everything here deliberately avoids the package's own quadrature,
-recurrences, and transform code: scipy special functions, Monte-Carlo
-sampling, finite differences, and brute-force scans only.  Tests
-compute the oracle value first, then compare the package against it.
+recurrences, and transform code: scipy special functions and quadrature
+rules, Monte-Carlo sampling, finite differences, and brute-force scans
+only.  Tests compute the oracle value first, then compare the package
+against it.
 """
 
 import numpy as np
@@ -338,10 +339,66 @@ def radon_subsphere(f, n, u_xi, order=256):
     return float(surface_area(n - 2) * (w @ np.asarray(f(t * r), dtype=float)))
 
 
-def ft_via_radon(f, u_xi, order=256):
-    """Pointwise transform of a degree -(n-1) homogeneous extension f (a
-    profile f.profile on S^{n-1}, f.n, f.degree_p) by the subsphere route:
-    pi times the great-subsphere integral of the profile."""
-    if abs(f.degree_p - (f.n - 1)) > 1e-9:
+def ft_via_radon(profile, p, u_xi, order=256):
+    """Pointwise transform of the degree -p homogeneous extension of a
+    profile on S^{n-1} (profile.n = n) by the subsphere route, which needs
+    p = n - 1: pi times the great-subsphere integral of the profile."""
+    if abs(p - (profile.n - 1)) > 1e-9:
         raise ValueError("subsphere transform route needs degree n-1")
-    return np.pi * radon_subsphere(f.profile, f.n, u_xi, order=order)
+    return np.pi * radon_subsphere(profile, profile.n, u_xi, order=order)
+
+
+def sphere_integral(f, n, order=256):
+    """Integral over S^{n-1} of a rotationally invariant function:
+    |S^{n-2}| int_{-1}^{1} f(u) (1-u^2)^{(n-3)/2} du."""
+    beta = (n - 3) / 2.0
+    u, w = special.roots_jacobi(order, beta, beta)
+    return float(surface_area(n - 1) * (w @ np.asarray(f(u), dtype=float)))
+
+
+def volume(body, order=256):
+    """|K| = (|S^{n-2}| / n) int rho^n (1-u^2)^{(n-3)/2} du for a body of
+    revolution with radial profile body.rho."""
+    n = body.n
+    return sphere_integral(lambda u: np.asarray(body.rho(u), float) ** n,
+                           n, order) / n
+
+
+def centroid_axis(body, order=256):
+    """Axis component of the centroid of a body of revolution:
+    |K| <c, e_n> = (|S^{n-2}| / (n+1)) int u rho^{n+1} (1-u^2)^{(n-3)/2} du.
+    """
+    n = body.n
+    beta = (n - 3) / 2.0
+    u, w = special.roots_jacobi(order, beta, beta)
+    rho = np.asarray(body.rho(u), dtype=float)
+    return ((w @ (u * rho ** (n + 1))) / (n + 1)) / ((w @ rho ** n) / n)
+
+
+def _section_parts(body, u_xi, order):
+    """(integral of x_n over the section, |section|) for the central
+    section orthogonal to a direction xi with <xi, e_n> = u_xi; on its
+    unit subsphere x_n = t sqrt(1 - u_xi^2)."""
+    n = body.n
+    if n < 5:
+        raise ValueError("section reduction implemented for n >= 5 only")
+    beta = (n - 4) / 2.0
+    t, w = special.roots_jacobi(order, beta, beta)
+    r = np.sqrt(max(0.0, 1.0 - float(u_xi) ** 2))
+    rho = np.asarray(body.rho(t * r), dtype=float)
+    sub = surface_area(n - 2)
+    return (sub / n * (w @ (t * r * rho ** n)),
+            sub / (n - 1) * (w @ rho ** (n - 1)))
+
+
+def section_volume(body, u_xi, order=256):
+    """(n-1)-volume of the central hyperplane section orthogonal to a
+    direction xi with <xi, e_n> = u_xi."""
+    return float(_section_parts(body, u_xi, order)[1])
+
+
+def section_centroid_axis(body, u_xi, order=256):
+    """Axis component of the centroid of that section; by rotational
+    symmetry any xi with the same <xi, e_n> gives a congruent section."""
+    num, vol = _section_parts(body, u_xi, order)
+    return float(num / vol)

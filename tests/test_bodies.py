@@ -3,13 +3,13 @@ import pytest
 from scipy import integrate
 
 from centroid_sections import (RevolutionBody, SphereProfile, body_to_dict,
-                               bochner_multiplier, centroid_axis, curvature,
+                               bochner_multiplier, curvature,
                                intersection_body_test, make_base_body,
-                               sphere_area, section_centroid_axis,
-                               section_volume, volume)
+                               sphere_area)
 
-from oracles import (SEED, ball_volume, fd_curvature, mc_membership,
-                     mc_subsphere_integral, quad_weighted)
+from oracles import (ball_volume, centroid_axis, fd_curvature,
+                     mc_membership, mc_subsphere_integral, quad_weighted,
+                     section_centroid_axis, section_volume, volume)
 
 C5 = 16.0 * np.pi ** 2
 

@@ -90,6 +90,20 @@ def test_construct_low_dimension_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--alpha-grid", "0"], "alpha_grid must be at least 3"),
+    (["--alpha-grid", "2"], "alpha_grid must be at least 3"),
+    (["--seed", "-1"], "seed must be nonnegative"),
+    (["--eps", "nan"], "eps must be positive and finite"),
+], ids=["alpha_grid_0", "alpha_grid_2", "negative_seed", "nan_eps"])
+def test_construct_rejects_invalid_setting(argv, message, tmp_path, capsys):
+    # each is invalid input, named on stderr, before any construction work
+    rc = cli.main(["construct", *argv, "--outdir", str(tmp_path)])
+    assert rc == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "diagnostic.json").exists()
+
+
 @pytest.mark.parametrize("command", ["construct", "intersection-test"])
 def test_too_large_a_exits_2(command, tmp_path, capsys):
     # at n = 5, 1 - 2 a^3 < 0 for a = 0.8: no base body exists, although
@@ -213,9 +227,15 @@ def test_verify_rejects_forged_margin(cli_outdir, tmp_path, capsys):
 
 
 # configuration keys, grids and tolerances that certificates carried while
-# the package still had them; nothing reads them now
+# the package still had them, or while they were configuration rather than
+# package constants; nothing reads them now
 DROPPED_CONFIG = {"plot_grid": 1001, "planar_resolution": 4096,
-                  "planar_theta_tol": 1e-10, "u_switch": 0.05, "gl_order": 96}
+                  "planar_theta_tol": 1e-10, "u_switch": 0.05, "gl_order": 96,
+                  "bump_max_degree": 3200, "bump_quad_pad": 192,
+                  "section_quad_order": 1728, "dense_eval_grid": 80001,
+                  "curvature_grid": 4001, "equator_grid": 2001,
+                  "eps_max_halvings": 20, "root_max_iter": 200,
+                  "auto_a_candidates": [0.5, 0.4, 0.3, 0.2, 0.1, 0.05]}
 DROPPED_GRIDS = {"u_switch": 0.05, "gl_order": 96}
 DROPPED_TOLERANCES = {"quadrature_exactness": 1e-12, "roundtrip_rel": 1e-8,
                       "route_agreement_rel": 1e-7, "symmetric_rel": 1e-10,
@@ -237,10 +257,33 @@ def test_verify_accepts_certificate_with_dropped_keys(cli_outdir, tmp_path,
 
 
 def test_verify_rejects_invalid_stored_config(cli_outdir, tmp_path, capsys):
+    # a stored setting that construct would reject is invalid input
+    for key, value, message in (("a", 0.9, "profile not positive"),
+                                ("alpha_grid", 0,
+                                 "alpha_grid must be at least 3")):
+        path = _tampered(cli_outdir, tmp_path,
+                         lambda c: c["config"].update({key: value}))
+        assert cli.main(["verify", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stored", [
+    {"curvature_grid": 41, "section_quad_order": 1000}, {"alpha_grid": 3},
+], ids=["grid_constants", "alpha_grid_3"])
+def test_verify_ignores_coarse_stored_grids(cli_outdir, tmp_path, capsys,
+                                            monkeypatch, stored):
+    # grid sizes are package constants, and a stored alpha_grid may raise
+    # the doubled sweep grid but never lower it: coarse grids in the file
+    # change no line of the verdict
+    from centroid_sections import counterexample as cx
+    assert cli.main(["verify", str(cli_outdir / "certificate.json")]) == 0
+    want = capsys.readouterr().out
     path = _tampered(cli_outdir, tmp_path,
-                     lambda c: c["config"].update(a=0.9))
-    assert cli.main(["verify", str(path)]) == 2
-    assert "profile not positive" in capsys.readouterr().err
+                     lambda c: c["config"].update(stored))
+    # a fresh build, as in a new process, so no cached table hides a grid
+    monkeypatch.setattr(cx, "_CTX_CACHE", {})
+    assert cli.main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out == want
 
 
 def _drop_params(cert):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 from unittest import mock
 
@@ -6,15 +7,14 @@ import numpy as np
 import pytest
 
 from centroid_sections import counterexample
-from centroid_sections import (ConstructionError, ConstructionParams,
-                               RunConfig, curvature, eval_spectrum,
-                               get_context, make_base_body, make_cap_bump,
-                               make_oblate_gap_profile, negativity_threshold,
-                               run_construction, section_centroid_axis,
-                               section_volume, sphere_integral)
+from centroid_sections import (ConstructionError, RunConfig, curvature,
+                               eval_spectrum, get_context, make_base_body,
+                               make_cap_bump, make_oblate_gap_profile,
+                               negativity_threshold, run_construction)
 
 from oracles import (SEED, bisect_sign_change, fd_deriv,
-                     odd_quotient_difference, odd_quotient_integral)
+                     odd_quotient_difference, odd_quotient_integral,
+                     section_centroid_axis, section_volume, sphere_integral)
 
 C5 = 16.0 * np.pi ** 2
 
@@ -278,11 +278,10 @@ def test_centroid_nearly_linear_in_eps(ctx5):
 
 
 def test_centroid_functional_wrapper(cert5):
-    # the centroid at recorded parameters, through a context keyed on
-    # ConstructionParams as verify builds it
-    params = ConstructionParams(n=5, a=0.4, lam=cert5["lambda0"],
-                                eps=cert5["eps0"])
-    val = get_context(params=params).centroid(params.lam, params.eps)
+    # the centroid at recorded parameters, through a context for the
+    # recorded n, a and cap edge, as verify builds it
+    ctx = get_context(RunConfig(n=5, a=0.4), cert5["params"]["cap_u0"])
+    val = ctx.centroid(cert5["lambda0"], cert5["eps0"])
     assert abs(val) <= 1e-12
 
 
@@ -339,36 +338,35 @@ def test_identity_shipped_run(construct_result):
 
 def test_identity_poles_exactly_zero(construct_result):
     body = construct_result["body"]
+    order = construct_result["context"].bump_order
     for u_xi in (-1.0, 1.0):
-        assert abs(section_centroid_axis(body, u_xi)) <= 1e-12
+        assert abs(section_centroid_axis(body, u_xi, order)) <= 1e-12
 
 
 def test_identity_at_spec_parameters():
     # fixed mid-range parameters, equatorial direction: the quadrature
     # route and the seed-series route must agree and stay positive
-    params = ConstructionParams(n=5, a=0.3, lam=0.5, eps=1e-3)
-    ctx = get_context(params=params)
+    ctx = get_context(RunConfig(n=5, a=0.3))
     body = ctx.perturbed_body(0.5, 1e-3)
-    got = section_centroid_axis(body, 0.0)
+    got = section_centroid_axis(body, 0.0, ctx.bump_order)
     assert got > 0.0
     seed = ctx.seed_value(0.0, 0.5)
     expected = 1e-3 * (2.0 * np.pi) ** 5 / np.pi * seed / (
-        5.0 * section_volume(body, 0.0))
+        5.0 * section_volume(body, 0.0, ctx.bump_order))
     assert abs(got - expected) <= 1e-6 * abs(expected)
     # the seed at the equator is the gap value scaled by the blend weight
     assert abs(seed - 0.5 * 0.5) <= 1e-8
 
 
 def test_identity_check_public_wrapper(construct_result, cert5):
-    # the sweep at recorded parameters, through a context keyed on
-    # ConstructionParams, which builds the body the construction returned
-    params = ConstructionParams(n=5, a=0.4, cap_u0=cert5["params"]["cap_u0"],
-                                lam=cert5["lambda0"], eps=cert5["eps0"])
-    ctx = get_context(params=params)
+    # the sweep at recorded parameters, through a context for the recorded
+    # n, a and cap edge, which builds the body the construction returned
+    ctx = get_context(RunConfig(n=5, a=0.4), cert5["params"]["cap_u0"])
+    lam, eps = cert5["lambda0"], cert5["eps0"]
     u = np.linspace(-0.9, 0.9, 7)
-    assert np.array_equal(ctx.perturbed_body(params.lam, params.eps).rho(u),
+    assert np.array_equal(ctx.perturbed_body(lam, eps).rho(u),
                           construct_result["body"].rho(u))
-    sweep = ctx.identity_sweep(params.lam, params.eps)
+    sweep = ctx.identity_sweep(lam, eps)
     assert sweep["max_rel_err"] <= 1e-6
 
 
@@ -575,14 +573,15 @@ def test_select_eps_treats_nan_curvature_as_violation(ctx5, monkeypatch):
 
 
 def test_context_cache_hit_binds_callers_config(ctx5, cert5):
-    cfg = RunConfig(eps_max_halvings=0, seed=7, alpha_grid=361)
+    cfg = RunConfig(eps=10.0, seed=7, alpha_grid=361)
     cfg.tolerances["root_abs"] = 1e-20
     ctx = get_context(cfg)
     assert ctx.config is cfg and ctx5.config is not cfg
     # the sweep grid is not a build input: the tables are shared
     assert ctx.bump_ft_spectrum is ctx5.bump_ft_spectrum
     assert ctx._x is ctx5._x
-    with pytest.raises(ConstructionError, match="after 0 halvings"):
+    # the caller's starting eps, not the cached context's
+    with pytest.raises(ConstructionError, match="after 20 halvings"):
         ctx.select_eps()
     assert ctx5.select_eps()["halvings"] == cert5["eps_halvings"]
 
@@ -603,7 +602,7 @@ def test_certificate_structure_and_checks(cert5):
     assert cert5["transform_slope_near_equator"] > 0.0
     ref = negativity_threshold(5, 0.4)
     assert abs(cert5["negativity_threshold"] - ref) <= 1e-15
-    assert cert5["config"] == RunConfig().to_dict()
+    assert cert5["config"] == dataclasses.asdict(RunConfig())
     assert cert5["equator_scan"]["1.00"] == 0.0
 
 

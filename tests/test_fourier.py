@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from scipy import special
 
-from centroid_sections import (GegenbauerSpectrum, HomogeneousFunction,
-                               SphereProfile, bochner_multiplier, eval_spectrum,
-                               expand, ft_homogeneous, make_base_body,
+from centroid_sections import (GegenbauerSpectrum, SphereProfile,
+                               bochner_multiplier, eval_spectrum,
+                               ft_homogeneous, make_base_body,
                                make_oblate_gap_profile, parseval_residual,
-                               sphere_area, sphere_integral)
+                               sphere_area)
 
 from oracles import (SEED, ft_via_radon, mc_sphere_mean,
-                     mc_subsphere_integral, radon_subsphere)
+                     mc_subsphere_integral, radon_subsphere, sphere_integral)
 
 C5 = 16.0 * np.pi ** 2
 
@@ -22,6 +22,11 @@ def _even_profile(n, fn):
 
 def _const_profile(n):
     return _even_profile(n, lambda u: np.ones_like(np.asarray(u, float)))
+
+
+def _as_profile(spec):
+    return SphereProfile(spec.n, lambda u: eval_spectrum(spec, u),
+                         parity=spec.parity)
 
 
 def _bandlimited(n, rng, degree=20, parity="even"):
@@ -104,11 +109,16 @@ def test_sphere_integral_u_squared_with_mc_oracle():
 
 
 def test_ft_constant_profile_gives_constant():
-    f = HomogeneousFunction(_const_profile(5), 1.0)
-    g = ft_homogeneous(f)
-    assert g.degree_p == 4.0
+    g = ft_homogeneous(_const_profile(5), 1.0)
+    assert g.n == 5 and g.coeffs.dtype == np.longdouble
     u = np.linspace(-1.0, 1.0, 101)
-    assert np.max(np.abs(g.profile(u) - C5)) <= 1e-10 * C5
+    assert np.max(np.abs(eval_spectrum(g, u) - C5)) <= 1e-10 * C5
+
+
+@pytest.mark.parametrize("p", [0.0, -1.0, 5.0, 6.0])
+def test_ft_degree_out_of_range(p):
+    with pytest.raises(ValueError, match="homogeneity degree"):
+        ft_homogeneous(_const_profile(5), p)
 
 
 @pytest.mark.parametrize("b", [0.3, 0.5, 2.0])
@@ -121,30 +131,32 @@ def test_ft_ellipsoid_profile_closed_form(b):
         u = np.asarray(u, float)
         return C5 * b * (1.0 - u * u + (b * u) ** 2) ** -2.0
 
-    g = ft_homogeneous(HomogeneousFunction(_even_profile(5, prof), 1.0))
+    g = ft_homogeneous(_even_profile(5, prof), 1.0)
     u = np.linspace(-1.0, 1.0, 1001)
     ref = expected(u)
-    assert np.max(np.abs(g.profile(u) - ref) / np.abs(ref)) <= 1e-7
+    assert np.max(np.abs(eval_spectrum(g, u) - ref) / np.abs(ref)) <= 1e-7
 
 
 def test_ft_base_profile_matches_attached_closed_form():
     body = make_base_body(5, 0.3)
-    g = ft_homogeneous(HomogeneousFunction(body.rho, 1.0), max_degree=160)
+    g = ft_homogeneous(body.rho, 1.0, max_degree=160)
     u = np.linspace(-1.0, 1.0, 1001)
     ref = body.ft_profile(u)
-    assert np.max(np.abs(g.profile(u) - ref) / np.max(np.abs(ref))) <= 1e-7
+    assert np.max(np.abs(eval_spectrum(g, u) - ref)
+                  / np.max(np.abs(ref))) <= 1e-7
     for pole in (-1.0, 1.0):
-        assert abs(g.profile(pole) + C5) <= 1e-9 * C5
+        assert abs(eval_spectrum(g, pole) + C5) <= 1e-9 * C5
 
 
 def test_double_ft_recovers_scaled_original():
     rng = np.random.default_rng(SEED)
-    f = HomogeneousFunction(_bandlimited(5, rng), 1.0)
-    gg = ft_homogeneous(ft_homogeneous(f))
-    assert gg.degree_p == 1.0
+    f = _bandlimited(5, rng)
+    # degree -1 goes to degree -4, whose transform is at p = 4
+    gg = ft_homogeneous(_as_profile(ft_homogeneous(f, 1.0)), 4.0)
     u = np.linspace(-0.99, 0.99, 97)
-    ref = (2.0 * np.pi) ** 5 * f.profile(u)
-    assert np.max(np.abs(gg.profile(u) - ref) / np.max(np.abs(ref))) <= 1e-8
+    ref = (2.0 * np.pi) ** 5 * f(u)
+    assert np.max(np.abs(eval_spectrum(gg, u) - ref)
+                  / np.max(np.abs(ref))) <= 1e-8
 
 
 # subsphere averages
@@ -177,17 +189,17 @@ def test_radon_unsupported_dimension():
 
 
 def test_ft_via_radon_constant():
-    f = HomogeneousFunction(_const_profile(5), 4.0)
+    f = _const_profile(5)
     expected = 2.0 * np.pi ** 3
     for u_xi in (-0.8, 0.0, 0.5):
-        got = ft_via_radon(f, u_xi)
+        got = ft_via_radon(f, 4.0, u_xi)
         assert abs(got - expected) <= 1e-10 * expected
-    assert abs(ft_via_radon(f, 0.0) - bochner_multiplier(0, 4, 5)) <= 1e-10 * expected
+    assert abs(ft_via_radon(f, 4.0, 0.0) - bochner_multiplier(0, 4, 5)) <= 1e-10 * expected
 
 
 def test_ft_via_radon_wrong_degree_raises():
     with pytest.raises(ValueError):
-        ft_via_radon(HomogeneousFunction(_const_profile(5), 1.0), 0.0)
+        ft_via_radon(_const_profile(5), 1.0, 0.0)
 
 
 def test_route_agreement_even_profiles():
@@ -197,19 +209,17 @@ def test_route_agreement_even_profiles():
                 _bandlimited(5, rng)]
     u = np.linspace(-1.0, 1.0, 50)
     for prof in profiles:
-        f = HomogeneousFunction(prof, 4.0)
-        spectral = ft_homogeneous(f, max_degree=80)
-        vals = spectral.profile(u)
+        vals = eval_spectrum(ft_homogeneous(prof, 4.0, max_degree=80), u)
         scale = np.max(np.abs(vals))
         for i, u_xi in enumerate(u):
-            assert abs(ft_via_radon(f, u_xi) - vals[i]) <= 1e-7 * scale
+            assert abs(ft_via_radon(prof, 4.0, u_xi) - vals[i]) <= 1e-7 * scale
 
 
 def test_route_agreement_gap_transform_profile():
     gap = make_oblate_gap_profile(5)
-    ghat = ft_homogeneous(HomogeneousFunction(gap, 1.0), max_degree=120)
+    ghat = ft_homogeneous(gap, 1.0, max_degree=120)
     u = np.linspace(-1.0, 1.0, 50)
-    vals = ghat.profile(u)
+    vals = eval_spectrum(ghat, u)
     scale = np.max(np.abs(vals))
     ref = gap.ft_profile(u)
     assert np.max(np.abs(vals - ref)) <= 1e-9 * scale
@@ -217,47 +227,45 @@ def test_route_agreement_gap_transform_profile():
     back = (2.0 * np.pi) ** -5
     gmax = np.max(np.abs(gap(u)))
     for i, u_xi in enumerate(u):
-        assert abs(ft_via_radon(ghat, u_xi) * back - gap(u_xi)) <= 1e-7 * gmax
+        assert abs(ft_via_radon(_as_profile(ghat), 4.0, u_xi) * back
+                   - gap(u_xi)) <= 1e-7 * gmax
 
 
 # the symmetric pairing check
 
 
 def test_parseval_radially_constant_pair():
-    f = HomogeneousFunction(_const_profile(5), 1.0)
-    g = HomogeneousFunction(_const_profile(5), 4.0)
-    assert parseval_residual(f, g) <= 1e-10
+    assert parseval_residual(_const_profile(5), _const_profile(5),
+                             1.0) <= 1e-10
 
 
 def test_parseval_base_with_gap_extension():
     body = make_base_body(5, 0.4)
     gap = make_oblate_gap_profile(5)
-    f = HomogeneousFunction(body.rho, 1.0)
-    g = HomogeneousFunction(gap, 4.0)
-    assert parseval_residual(f, g, max_degree=160) <= 1e-8
+    assert parseval_residual(body.rho, gap, 1.0, max_degree=160) <= 1e-8
     # the common pairing value is positive
-    fhat = ft_homogeneous(f, max_degree=160)
-    paired = sphere_integral(lambda u: fhat.profile(u) * gap(u), 5)
+    fhat = ft_homogeneous(body.rho, 1.0, max_degree=160)
+    paired = sphere_integral(lambda u: eval_spectrum(fhat, u) * gap(u), 5)
     assert paired > 0.0
 
 
 def test_parseval_random_bandlimited_pairs():
     rng = np.random.default_rng(SEED)
     for _ in range(20):
-        f = HomogeneousFunction(_bandlimited(5, rng, degree=16), 1.0)
-        g = HomogeneousFunction(_bandlimited(5, rng, degree=16), 4.0)
-        r = parseval_residual(f, g, max_degree=60)
+        f = _bandlimited(5, rng, degree=16)
+        g = _bandlimited(5, rng, degree=16)
+        r = parseval_residual(f, g, 1.0, max_degree=60)
         assert r <= 1e-8
         # self-consistency at doubled quadrature order
-        assert parseval_residual(f, g, max_degree=60, order=512) <= 1e-8
+        assert parseval_residual(f, g, 1.0, max_degree=60, order=512) <= 1e-8
 
 
 def test_parseval_positive_weighted_pair():
     # profiles with strictly positive mean keep both pairing sides away
     # from the floor, exercising the normalization branch
-    f = HomogeneousFunction(_even_profile(5, lambda u: 1.0 + 0.3 * np.asarray(u, float) ** 2), 1.0)
-    g = HomogeneousFunction(_even_profile(5, lambda u: 1.0 - 0.2 * np.asarray(u, float) ** 4), 4.0)
-    assert parseval_residual(f, g, max_degree=40) <= 1e-10
+    f = _even_profile(5, lambda u: 1.0 + 0.3 * np.asarray(u, float) ** 2)
+    g = _even_profile(5, lambda u: 1.0 - 0.2 * np.asarray(u, float) ** 4)
+    assert parseval_residual(f, g, 1.0, max_degree=40) <= 1e-10
 
 
 def test_sphere_area_closed_values():

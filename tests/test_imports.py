@@ -15,18 +15,16 @@ import centroid_sections
 # `import *` gives
 ROOT_NAMES = {
     "CERTIFICATE_SCHEMA", "ConstructionContext", "ConstructionError",
-    "ConstructionParams", "ConvexityReport", "GegenbauerSpectrum",
-    "HomogeneousFunction", "PlanarBody", "Quadrature", "RevolutionBody",
-    "RunConfig", "SpectrumProfile", "SphereProfile", "auto_select_a",
-    "bisected_chords", "bochner_multiplier", "body_to_dict", "centroid_axis",
-    "config", "counterexample", "curvature", "default_tolerances",
-    "eval_spectrum", "eval_spectrum_deriv", "expand", "ft_homogeneous",
-    "gauss_jacobi", "get_context", "intersection_body_test",
-    "make_base_body", "make_cap_bump", "make_oblate_gap_profile",
-    "negativity_threshold", "parseval_residual", "planar", "planar_centroid",
-    "polygon_body", "radial_body", "recenter", "revolution_bodies",
-    "run_construction", "section_centroid_axis", "section_volume",
-    "sphere_area", "sphere_integral", "spherical_core", "volume",
+    "ConvexityReport", "GegenbauerSpectrum", "PlanarBody", "Quadrature",
+    "RevolutionBody", "RunConfig", "SphereProfile", "auto_select_a",
+    "bisected_chords", "bochner_multiplier", "body_to_dict", "config",
+    "counterexample", "curvature", "default_tolerances", "eval_spectrum",
+    "eval_spectrum_deriv", "expand", "ft_homogeneous", "gauss_jacobi",
+    "get_context", "intersection_body_test", "make_base_body",
+    "make_cap_bump", "make_oblate_gap_profile", "negativity_threshold",
+    "parseval_residual", "planar", "planar_centroid", "polygon_body",
+    "radial_body", "recenter", "revolution_bodies", "run_construction",
+    "sphere_area", "spherical_core",
 }
 
 

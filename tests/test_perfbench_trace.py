@@ -1,0 +1,45 @@
+"""The benchmark's traced mode still finds the entry points it patches.
+
+perfbench/tracer.py wraps package functions by name; a renamed function or
+a caller that stops going through the patched name would silently drop a
+layer from every traced run.  A fresh interpreter installs the tracer and
+runs one CLI command, as the benchmark's worker does.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+CODE = f"""
+import json, sys
+sys.path.insert(0, {str(PERFBENCH)!r})
+from tracer import Tracer
+from centroid_sections import cli
+tracer = Tracer()
+tracer.install()
+try:
+    rc = cli.main(["intersection-test", "--n", "5"])
+finally:
+    tracer.uninstall()
+dump = tracer.dump()
+print(json.dumps({{"rc": rc, "spans": sorted({{s[0] for s in dump["spans"]}}),
+                   "counters": dump["counters"]}}))
+"""
+
+
+def test_traced_intersection_test_records_its_layers(subprocess_env):
+    # no bytecode cache is left inside the benchmark's directory
+    env = dict(subprocess_env, PYTHONDONTWRITEBYTECODE="1")
+    res = subprocess.run([sys.executable, "-c", CODE], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    got = json.loads(res.stdout.splitlines()[-1])
+    assert got["rc"] == 0
+    assert {"cli.intersection_test",
+            "revolution_bodies.intersection_body_test",
+            "spherical_core.ft_homogeneous", "spherical_core.expand",
+            "spherical_core.gauss_jacobi"} <= set(got["spans"])
+    assert got["counters"]["spherical_core.gauss_jacobi_calls"] > 0
