@@ -73,11 +73,10 @@ def _csv_text(header, rows) -> str:
 
 def _config_from_args(args) -> RunConfig:
     cfg = RunConfig()
-    for name in ("n", "a", "eps", "cap_margin", "quad_order", "max_degree",
-                 "alpha_grid", "seed"):
-        val = getattr(args, name, None)
+    for f in dataclasses.fields(RunConfig):
+        val = getattr(args, f.name, None)
         if val is not None:
-            setattr(cfg, name, val)
+            setattr(cfg, f.name, val)
     cfg.validate()
     return cfg
 
@@ -327,9 +326,7 @@ def cmd_intersection_test(args) -> int:
         return EXIT_USAGE
     a = cfg.a if cfg.a is not None else auto_select_a(cfg.n, cfg)
     body = make_base_body(cfg.n, a)
-    res = intersection_body_test(body, grid=cfg.equator_grid,
-                                 max_degree=cfg.max_degree,
-                                 order=cfg.quad_order,
+    res = intersection_body_test(body,
                                  rel_tol=cfg.tolerances["intersection_rel"])
     verdict = ("IS an intersection body" if res["is_intersection"]
                else "NOT an intersection body")
@@ -374,8 +371,8 @@ _DEMOS.update(triangle=_demo_triangle, ellipse=_demo_ellipse,
 def _planar_from_csv(path: str) -> PlanarBody:
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    if not rows:
-        raise ValueError("empty CSV")
+    if len(rows) < 2:
+        raise ValueError("CSV needs a header and at least one data row")
     header = [c.strip().lower() for c in rows[0]]
     data = np.array([[float(x) for x in r] for r in rows[1:]])
     if header[:2] == ["x", "y"]:
@@ -412,8 +409,7 @@ def cmd_planar(args) -> int:
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    res = bisected_chords(body, resolution=args.resolution,
-                          theta_tol=args.theta_tol)
+    res = bisected_chords(body)
     if res["symmetric_all"]:
         payload = {"count": "symmetric_all", "directions": []}
         print("every chord through the centroid is bisected "
@@ -452,10 +448,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(pc)
     pc.add_argument("--eps", type=float, default=None,
                     help="starting perturbation size")
-    pc.add_argument("--cap-margin", dest="cap_margin", type=float,
-                    default=None, help="relative cap inset in (0,1)")
-    pc.add_argument("--quad-order", dest="quad_order", type=int, default=None)
-    pc.add_argument("--max-degree", dest="max_degree", type=int, default=None)
     pc.add_argument("--alpha-grid", dest="alpha_grid", type=int, default=None,
                     help="number of section directions")
     pc.add_argument("--seed", type=int, default=None)
@@ -474,9 +466,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--input", default=None,
                     help="CSV with header x,y (polygon) or theta,rho")
     pp.add_argument("--demo", choices=sorted(_DEMOS), default=None)
-    pp.add_argument("--resolution", type=int, default=4096)
-    pp.add_argument("--theta-tol", dest="theta_tol", type=float,
-                    default=1e-10)
     pp.add_argument("--outdir", default=None)
     pp.set_defaults(func=cmd_planar)
     return ap

@@ -37,12 +37,18 @@ class RunConfig:
     n: int = 5
     a: Optional[float] = None
     eps: float = 1e-3
-    cap_margin: float = 0.5
-    quad_order: int = 256
-    max_degree: int = 120
     alpha_grid: int = 721
     seed: int = 0x5EED
     tolerances: dict = field(default_factory=default_tolerances)
+
+    # the polar caps start this far from the negativity threshold u* of the
+    # base transform towards the pole: cap_u0 = u* + cap_margin (1 - u*)
+    cap_margin: ClassVar[float] = 0.5
+
+    # quadrature order and degree of the analytic profiles' expansions
+    # (pairing check, intersection-body test, body.json samples)
+    quad_order: ClassVar[int] = 256
+    max_degree: ClassVar[int] = 120
 
     # spectral resolution for the compactly supported cap bump; its Gegenbauer
     # coefficients decay sub-geometrically, so it needs far more degrees than
@@ -73,12 +79,8 @@ class RunConfig:
             raise ValueError("a must lie in (0, 1)")
         if self.a is not None and 1 - 2 * self.a ** (self.n - 2) <= 0:
             raise ValueError("profile not positive: a too large for this n")
-        if not 0 < self.cap_margin < 1:
-            raise ValueError("cap_margin must lie in (0, 1)")
         if not 0 < self.eps < math.inf:
             raise ValueError("eps must be positive and finite")
-        if self.quad_order < 2 or self.max_degree < 0:
-            raise ValueError("bad quadrature order or degree")
         if self.alpha_grid < 3:
             # the sweep needs both poles and a direction between them
             raise ValueError("alpha_grid must be at least 3")

@@ -28,7 +28,7 @@ import copy
 import time
 from dataclasses import asdict
 from functools import partial
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.special import roots_legendre
@@ -89,7 +89,7 @@ def auto_select_a(n: int, config: Optional[RunConfig] = None) -> float:
         except ConstructionError:
             continue
         body = make_base_body(n, a)
-        rep = curvature(body, grid=cfg.curvature_grid, margin=margin)
+        rep = curvature(body, margin=margin)
         if rep.kappa_min > margin:
             return float(a)
     raise ConstructionError("no candidate flattening parameter is convex "
@@ -143,15 +143,6 @@ def make_oblate_gap_profile(n: int) -> SphereProfile:
         u = np.asarray(u)
         return 1.0 - (4.0 - 3.0 * u * u) ** -0.5
 
-    def gap_du(u):
-        u = np.asarray(u)
-        return -3.0 * u * (4.0 - 3.0 * u * u) ** -1.5
-
-    def gap_du2(u):
-        u = np.asarray(u)
-        A = 4.0 - 3.0 * u * u
-        return -3.0 * A ** -1.5 - 27.0 * u * u * A ** -2.5
-
     def ft(u):
         u = np.asarray(u)
         return cn * (1.0 - (1.0 + 3.0 * u * u) ** -q)
@@ -178,8 +169,7 @@ def make_oblate_gap_profile(n: int) -> SphereProfile:
         return (-cn * np.expm1(-q * np.log1p(3.0 * u * u))
                 / np.where(u == 0, 1.0, u))
 
-    prof = SphereProfile(n=n, eval=gap, parity="even",
-                         derivs=(gap_du, gap_du2))
+    prof = SphereProfile(n=n, eval=gap, parity="even")
     ftprof = SphereProfile(n=n, eval=ft, parity="even",
                            derivs=(ft_d1, ft_d2, ft_d3))
     ftprof.quotient = ft_quotient
@@ -497,14 +487,13 @@ class ConstructionContext:
             eps *= 0.5
             halvings += 1
 
-    def find_root(self, eps: float,
-                  bracket: Sequence[float] = (0.0, 1.0)) -> dict:
-        """Bisect the blend weight until the centroid is below the root
-        tolerance.  The centroid is monotone enough in lam for plain
-        bisection; no derivative information is required."""
+    def find_root(self, eps: float) -> dict:
+        """Bisect the blend weight over [0, 1] until the centroid is below
+        the root tolerance.  The centroid is monotone enough in lam for
+        plain bisection; no derivative information is required."""
         cfg = self.config
         tol = cfg.tolerances["root_abs"]
-        lo, hi = float(bracket[0]), float(bracket[1])
+        lo, hi = 0.0, 1.0
         clo = self.centroid(lo, eps)
         chi = self.centroid(hi, eps)
         if clo is None or chi is None or not clo < 0.0 < chi:
@@ -680,8 +669,7 @@ def run_construction(config: Optional[RunConfig] = None) -> dict:
     sweep = ctx.identity_sweep(lam0, eps0)
 
     body = ctx.perturbed_body(lam0, eps0)
-    rep_base = curvature(ctx.base, grid=cfg.curvature_grid,
-                         margin=tol["convexity_margin"])
+    rep_base = curvature(ctx.base, margin=tol["convexity_margin"])
     rep_pert = ctx.kappa_report(lam0, eps0)
 
     eq_scan = {lam: ctx.equator_ratio(lam)

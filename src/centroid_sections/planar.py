@@ -17,6 +17,11 @@ import numpy as np
 __all__ = ["PlanarBody", "polygon_body", "radial_body", "planar_centroid",
            "recenter", "bisected_chords"]
 
+# uniform angles of the centroid quadrature and of the first chord scan
+_GRID = 4096
+# angles at which a radial profile is checked and a body's size is read
+_CHECK_GRID = 720
+
 
 def _cross2(a, b):
     """z-component of the cross product of stacked 2-vectors."""
@@ -49,15 +54,17 @@ class PlanarBody:
         return _polygon_radius(self.vertices, np.asarray(theta, dtype=float))
 
 
-def polygon_body(vertices, collinear_tol: float = 1e-12) -> PlanarBody:
+def polygon_body(vertices) -> PlanarBody:
     """Validate and orient a convex polygon.
 
     Clockwise input is reversed; consecutive collinear vertices are
-    tolerated, reflex angles are not.
+    tolerated, reflex angles and non-finite coordinates are not.
     """
     v = np.asarray(vertices, dtype=float)
     if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
         raise ValueError("need at least three planar vertices")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("polygon vertices must be finite")
     if np.allclose(v[0], v[-1]):
         v = v[:-1]
     area2 = float(np.sum(_cross2(v, np.roll(v, -1, axis=0))))
@@ -68,14 +75,14 @@ def polygon_body(vertices, collinear_tol: float = 1e-12) -> PlanarBody:
     e = np.roll(v, -1, axis=0) - v
     turn = _cross2(e, np.roll(e, -1, axis=0))
     scale = float(np.max(np.abs(e))) ** 2
-    if np.any(turn < -collinear_tol * scale):
+    if np.any(turn < -1e-12 * scale):
         raise ValueError("polygon is not convex")
     return PlanarBody(vertices=v)
 
 
-def radial_body(fn: Callable, check_grid: int = 720) -> PlanarBody:
+def radial_body(fn: Callable) -> PlanarBody:
     """Wrap a positive 2 pi periodic radial profile."""
-    th = np.linspace(0.0, 2 * np.pi, check_grid, endpoint=False)
+    th = np.linspace(0.0, 2 * np.pi, _CHECK_GRID, endpoint=False)
     r = np.asarray(fn(th), dtype=float)
     if r.shape != th.shape:
         raise ValueError("radial profile must evaluate elementwise")
@@ -122,7 +129,7 @@ def _polygon_radius(v: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def planar_centroid(body: PlanarBody, resolution: int = 4096) -> np.ndarray:
+def planar_centroid(body: PlanarBody) -> np.ndarray:
     """Centroid of the region.  Polygons use the exact shoelace sums;
     radial profiles use the trapezoid rule on a uniform angular grid,
     which converges spectrally for smooth boundaries."""
@@ -133,7 +140,7 @@ def planar_centroid(body: PlanarBody, resolution: int = 4096) -> np.ndarray:
         area = 0.5 * np.sum(cr)
         c = np.sum((v + w) * cr[:, None], axis=0) / (6.0 * area)
         return c
-    th = np.linspace(0.0, 2 * np.pi, resolution, endpoint=False)
+    th = np.linspace(0.0, 2 * np.pi, _GRID, endpoint=False)
     r = body.radius(th)
     area = 0.5 * np.mean(r ** 2) * 2 * np.pi
     cx = np.mean(r ** 3 * np.cos(th)) * 2 * np.pi / 3.0
@@ -141,14 +148,14 @@ def planar_centroid(body: PlanarBody, resolution: int = 4096) -> np.ndarray:
     return np.array([cx, cy]) / area
 
 
-def recenter(body: PlanarBody, resolution: int = 4096) -> PlanarBody:
+def recenter(body: PlanarBody) -> PlanarBody:
     """Same region with its centroid moved to the origin.
 
     Polygons translate exactly.  Radial profiles are re-parameterized
     about the new center by solving, for each query angle, for the
     boundary point of the old curve seen in that direction.
     """
-    c = planar_centroid(body, resolution)
+    c = planar_centroid(body)
     if body.is_polygon:
         return PlanarBody(vertices=body.vertices - c[None, :])
     if float(np.hypot(*c)) < 1e-14:
@@ -213,29 +220,27 @@ def _chord_defect(body: PlanarBody, theta):
     return body.radius(theta) - body.radius(np.asarray(theta) + np.pi)
 
 
-def bisected_chords(body: PlanarBody, resolution: int = 4096,
-                    theta_tol: float = 1e-10,
-                    symmetric_rel: float = 1e-10,
-                    max_refine: int = 3) -> dict:
+def bisected_chords(body: PlanarBody) -> dict:
     """Directions of chords through the centroid that the centroid
     bisects.
 
     Recenters first, then scans rho(theta) - rho(theta+pi) on [0, pi) for
     sign changes and sharpens each by bisection.  Returns
-    {"symmetric_all": True, ...} when the defect vanishes identically at
-    the working tolerance (centrally symmetric body), else a direction
-    list with an odd count >= 3.  Tightly clustered roots trigger a
-    rescan at doubled resolution rather than a miscount.
+    {"symmetric_all": True, ...} when the defect stays within 1e-10 of
+    the largest radius (centrally symmetric body), else a direction
+    list with an odd count >= 3, each to within 1e-10.  Tightly clustered
+    roots trigger a rescan at doubled resolution, up to three times,
+    rather than a miscount.
     """
-    body = recenter(body, resolution)
-    scale = float(np.max(body.radius(np.linspace(0, 2 * np.pi, 720,
+    body = recenter(body)
+    scale = float(np.max(body.radius(np.linspace(0, 2 * np.pi, _CHECK_GRID,
                                                  endpoint=False))))
-    for attempt in range(max_refine + 1):
-        m = resolution * 2 ** attempt
+    for attempt in range(4):
+        m = _GRID * 2 ** attempt
         th = np.linspace(0.0, np.pi, m, endpoint=False)
         f = _chord_defect(body, th)
         fmax = float(np.max(np.abs(f)))
-        if fmax <= symmetric_rel * scale:
+        if fmax <= 1e-10 * scale:
             return {"symmetric_all": True, "count": None, "directions": [],
                     "max_defect": fmax}
         g = np.append(f, -f[0])          # f(pi) = -f(0) by antiperiodicity
@@ -254,7 +259,7 @@ def bisected_chords(body: PlanarBody, resolution: int = 4096,
         flo = _chord_defect(body, lo)
         k = np.arange(idx.size)
         for _ in range(200):
-            k = k[hi[k] - lo[k] > theta_tol]
+            k = k[hi[k] - lo[k] > 1e-10]
             if not k.size:
                 break
             mid = 0.5 * (lo[k] + hi[k])

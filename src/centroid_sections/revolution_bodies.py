@@ -6,9 +6,10 @@ from typing import Optional
 
 import numpy as np
 
+from .config import RunConfig
 from .spherical_core import (
-    SphereProfile, bochner_multiplier, expand, eval_spectrum,
-    eval_spectrum_deriv, ft_homogeneous, gauss_jacobi,
+    SphereProfile, bochner_multiplier, eval_spectrum, ft_homogeneous,
+    gauss_jacobi,
 )
 
 __all__ = [
@@ -25,7 +26,7 @@ class RevolutionBody:
     of "base" (closed-form flattened ball), "perturbed" (base plus odd
     perturbation), "custom".  quad_order, when set, is the minimum
     quadrature order that resolves the profile's spectral content;
-    body_to_dict samples at max(requested, quad_order) nodes.
+    body_to_dict samples at max(RunConfig.quad_order, quad_order) nodes.
     """
 
     n: int
@@ -34,12 +35,6 @@ class RevolutionBody:
     params: dict = field(default_factory=dict)
     ft_profile: Optional[SphereProfile] = None
     quad_order: Optional[int] = None
-
-    def resolve_order(self, order: Optional[int], fallback: int = 256) -> int:
-        base = fallback if order is None else order
-        if self.quad_order is not None:
-            return max(base, self.quad_order)
-        return base
 
 
 @dataclass
@@ -99,29 +94,22 @@ def make_base_body(n: int, a: float) -> RevolutionBody:
                           ft_profile=ftprof)
 
 
-def curvature(body: RevolutionBody, grid: int = 4001,
-              margin: float = 1e-6, max_degree: int = 120) -> ConvexityReport:
-    """Minimum meridian curvature over a theta grid on [0, pi].
+def curvature(body: RevolutionBody, margin: float = 1e-6) -> ConvexityReport:
+    """Minimum meridian curvature over RunConfig.curvature_grid angles
+    theta on [0, pi].
 
     The meridian curve theta -> rho(cos theta) (sin theta, cos theta) has
     curvature kappa = (rho^2 + 2 rho'^2 - rho rho'') / (rho^2 + rho'^2)^{3/2}
     with ' = d/d theta.  A body of revolution is convex iff its meridian is.
-    u-derivatives come from attached closed forms when the profile carries
-    them, otherwise by spectral differentiation of its expansion.  The
-    coordinate poles are regular points of the formula (even extension in
-    theta), so the inclusive endpoint grid covers them.
+    The u-derivatives are the profile's closed forms rho.derivs[0] and
+    rho.derivs[1], which the profile must carry.  The coordinate poles are
+    regular points of the formula (even extension in theta), so the
+    inclusive endpoint grid covers them.
     """
-    theta = np.linspace(0.0, np.pi, grid)
+    theta = np.linspace(0.0, np.pi, RunConfig.curvature_grid)
     u = np.cos(theta)
-    if body.rho.derivs is not None:
-        r = np.asarray(body.rho(u), dtype=float)
-        fu1 = np.asarray(body.rho.derivs[0](u), dtype=float)
-        fu2 = np.asarray(body.rho.derivs[1](u), dtype=float)
-    else:
-        spec = expand(body.rho, body.n, max_degree)
-        r = eval_spectrum(spec, u)
-        fu1 = eval_spectrum_deriv(spec, u, 1)
-        fu2 = eval_spectrum_deriv(spec, u, 2)
+    r, fu1, fu2 = (np.asarray(f(u), dtype=float)
+                   for f in (body.rho, *body.rho.derivs[:2]))
     return _meridian_report(theta, r, fu1, fu2, margin)
 
 
@@ -144,20 +132,21 @@ def _meridian_report(theta, r, r_u, r_uu, margin: float) -> ConvexityReport:
                            is_convex=_clears(kmin, margin), margin=margin)
 
 
-def intersection_body_test(body: RevolutionBody, grid: int = 2001,
-                           max_degree: int = 120,
-                           order: Optional[int] = None,
+def intersection_body_test(body: RevolutionBody,
                            rel_tol: float = 1e-9) -> dict:
     """Criterion for smooth origin-symmetric bodies: the body is an
     intersection body iff the transform of the degree -1 extension of its
     radial profile is nonnegative.
 
-    Always evaluates the numerical spectral transform (an attached closed
-    form, when present, is deliberately not consulted here so that test
-    bodies and constructed bodies share one code path).
+    Always evaluates the numerical spectral transform, to degree
+    RunConfig.max_degree by RunConfig.quad_order nodes, on
+    RunConfig.equator_grid points (an attached closed form, when present,
+    is deliberately not consulted here so that test bodies and constructed
+    bodies share one code path).
     """
-    fhat = ft_homogeneous(body.rho, 1.0, max_degree=max_degree, order=order)
-    u = np.linspace(-1.0, 1.0, grid)
+    fhat = ft_homogeneous(body.rho, 1.0, max_degree=RunConfig.max_degree,
+                          order=RunConfig.quad_order)
+    u = np.linspace(-1.0, 1.0, RunConfig.equator_grid)
     vals = eval_spectrum(fhat, u)
     i = int(np.argmin(vals))
     scale = float(np.max(np.abs(vals)))
@@ -173,8 +162,9 @@ def intersection_body_test(body: RevolutionBody, grid: int = 2001,
 # ---------------------------------------------------------------------------
 # serialization
 
-def body_to_dict(body: RevolutionBody, order: Optional[int] = None) -> dict:
-    q = gauss_jacobi(body.resolve_order(order), (body.n - 3) / 2)
+def body_to_dict(body: RevolutionBody) -> dict:
+    order = max(RunConfig.quad_order, body.quad_order or 0)
+    q = gauss_jacobi(order, (body.n - 3) / 2)
     u = np.asarray(q.nodes, dtype=float)
     rho = np.asarray(body.rho(u), dtype=float)
     return {

@@ -46,8 +46,8 @@ class SphereProfile:
     """Restriction of a rotationally invariant sphere function to u in [-1,1].
 
     parity is one of "even", "odd", "mixed".  derivs, when present, holds
-    callables for d/du, d2/du2, ... and is used by curvature code instead of
-    spectral differentiation.
+    closed-form callables for d/du, d2/du2, ...; curvature() reads the
+    first two and needs them.
     """
 
     n: int
@@ -290,12 +290,11 @@ def sphere_area(k: int) -> float:
 # expansion and evaluation
 
 def expand(f, n: int, max_degree: int, order: Optional[int] = None,
-           parity: Optional[str] = None,
-           tail_warn_rel: float = 1e-6) -> GegenbauerSpectrum:
+           parity: Optional[str] = None) -> GegenbauerSpectrum:
     """Expand a profile in C_m^{(n-2)/2} against the S^{n-1} surface weight.
 
     The tail estimate is the largest coefficient among the last 10% of
-    degrees relative to the overall largest; a slowly decaying tail flags
+    degrees relative to the overall largest; a tail above 1e-6 of it flags
     truncation_warning on the result rather than failing.  A declared even
     or odd parity is trusted: f is sampled on the nonnegative nodes only.
     """
@@ -326,7 +325,7 @@ def expand(f, n: int, max_degree: int, order: Optional[int] = None,
     tail_rel = tail / amax if amax > 0 else 0.0
     return GegenbauerSpectrum(
         n=n, lambda_index=lam, coeffs=co, parity=parity, tail_rel=tail_rel,
-        truncation_warning=bool(tail_rel > tail_warn_rel))
+        truncation_warning=bool(tail_rel > 1e-6))
 
 
 def eval_spectrum(s: GegenbauerSpectrum, u):
@@ -414,15 +413,14 @@ def ft_homogeneous(profile: SphereProfile, p: float, max_degree: int = 120,
 
 
 def parseval_residual(f: SphereProfile, g: SphereProfile, p: float,
-                      max_degree: int = 120, order: int = 256,
-                      floor: float = 1e-30) -> float:
+                      max_degree: int = 120, order: int = 256) -> float:
     """Residual of the sphere pairing identity for complementary degrees.
 
     f is extended at degree -p and g at degree -(n-p); the transform acts
     at degree p on both profiles, and the identity compared is
         int (T_p f) g  =  int f (T_p g)
     over S^{n-1}, each side computed by quadrature from pointwise values.
-    Residual is |A - B| / max(|A|, |B|, floor).
+    Residual is |A - B| / max(|A|, |B|, 1e-30).
     """
     n = f.n
     if g.n != n:
@@ -438,4 +436,4 @@ def parseval_residual(f: SphereProfile, g: SphereProfile, p: float,
                              * np.asarray(eval_spectrum(ghat, x), dtype=LD)))
     # difference taken before any float64 cast: for analytic pairs the
     # residual sits at the longdouble noise floor, well under 1e-16
-    return float(abs(A - B) / max(abs(A), abs(B), LD(floor)))
+    return float(abs(A - B) / max(abs(A), abs(B), LD(1e-30)))

@@ -14,13 +14,17 @@ from oracles import (ball_volume, centroid_axis, fd_curvature,
 C5 = 16.0 * np.pi ** 2
 
 
-def _custom(n, fn, parity="even"):
-    return RevolutionBody(n=n, rho=SphereProfile(n, fn, parity=parity),
+def _custom(n, fn, parity="even", derivs=None):
+    return RevolutionBody(n=n, rho=SphereProfile(n, fn, parity=parity,
+                                                 derivs=derivs),
                           kind="custom", params={})
 
 
 def _ball(n, radius=1.0):
-    return _custom(n, lambda u: np.full_like(np.asarray(u, float), radius))
+    def zero(u):
+        return np.zeros_like(np.asarray(u, float))
+    return _custom(n, lambda u: np.full_like(np.asarray(u, float), radius),
+                   derivs=(zero, zero))
 
 
 # base body closed forms
@@ -72,7 +76,17 @@ def test_curvature_ellipse_of_revolution():
         u = np.asarray(u, float)
         return (1.0 - u * u + (u / 2.0) ** 2) ** -0.5
 
-    rep = curvature(_custom(5, prof))
+    # closed-form u-derivatives of (1 - 3u^2/4)^{-1/2}
+    def prof_du(u):
+        u = np.asarray(u, float)
+        return 0.75 * u * (1.0 - 0.75 * u * u) ** -1.5
+
+    def prof_du2(u):
+        u = np.asarray(u, float)
+        A = 1.0 - 0.75 * u * u
+        return 0.75 * A ** -1.5 + 1.6875 * u * u * A ** -2.5
+
+    rep = curvature(_custom(5, prof, derivs=(prof_du, prof_du2)))
     assert abs(rep.kappa_min - oracle) <= 1e-6
 
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import json
@@ -229,7 +230,8 @@ def test_verify_rejects_forged_margin(cli_outdir, tmp_path, capsys):
 # configuration keys, grids and tolerances that certificates carried while
 # the package still had them, or while they were configuration rather than
 # package constants; nothing reads them now
-DROPPED_CONFIG = {"plot_grid": 1001, "planar_resolution": 4096,
+DROPPED_CONFIG = {"cap_margin": 0.5, "quad_order": 256, "max_degree": 120,
+                  "plot_grid": 1001, "planar_resolution": 4096,
                   "planar_theta_tol": 1e-10, "u_switch": 0.05, "gl_order": 96,
                   "bump_max_degree": 3200, "bump_quad_pad": 192,
                   "section_quad_order": 1728, "dense_eval_grid": 80001,
@@ -407,6 +409,22 @@ def test_planar_bad_header_exits_2(tmp_path, capsys):
     assert "header" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("header", ["x,y", "theta,rho"])
+def test_planar_header_without_data_exits_2(tmp_path, capsys, header):
+    path = tmp_path / "empty.csv"
+    path.write_text(header + "\n")
+    assert cli.main(["planar", "--input", str(path)]) == 2
+    assert "data row" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_planar_nonfinite_vertex_exits_2(tmp_path, capsys, bad):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"x,y\n0.0,0.0\n2.0,0.0\n0.6,{bad}\n")
+    assert cli.main(["planar", "--input", str(path)]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_planar_requires_a_source(capsys):
     assert cli.main(["planar"]) == 2
     assert "provide" in capsys.readouterr().err
@@ -427,8 +445,37 @@ def test_outdir_env_var(tmp_path, monkeypatch):
 
 
 def test_unknown_flag_exits_2(capsys):
-    assert cli.main(["construct", "--bogus"]) == 2
-    capsys.readouterr()
+    # flags the CLI had before their settings became package constants are
+    # unknown now, like any other
+    for argv in (["construct", "--bogus"],
+                 ["construct", "--cap-margin", "0.5"],
+                 ["construct", "--quad-order", "2"],
+                 ["construct", "--max-degree", "0"],
+                 ["planar", "--demo", "blob", "--resolution", "0"],
+                 ["planar", "--demo", "blob", "--theta-tol", "nan"]):
+        assert cli.main(argv) == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# every option string of every subcommand; a flag is added or removed
+# together with this table
+SUBCOMMAND_OPTIONS = {
+    "construct": {"--n", "--a", "--outdir", "--eps", "--alpha-grid",
+                  "--seed"},
+    "verify": set(),
+    "intersection-test": {"--n", "--a", "--outdir"},
+    "planar": {"--input", "--demo", "--outdir"},
+}
+
+
+def test_subcommand_options_are_pinned():
+    ap = cli._build_parser()
+    sub = next(a for a in ap._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: {opt for a in p._actions for opt in a.option_strings
+                  if not isinstance(a, argparse._HelpAction)}
+           for name, p in sub.choices.items()}
+    assert got == SUBCOMMAND_OPTIONS
 
 
 def test_no_subcommand_exits_2(capsys):

@@ -236,6 +236,12 @@ def test_polygon_rejects_degenerate_input():
         polygon_body([(0, 0), (2, 0), (1, 0.2), (1, 2)])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_polygon_rejects_nonfinite_vertices(bad):
+    with pytest.raises(ValueError, match="finite"):
+        polygon_body([(0.0, 0.0), (2.0, 0.0), (0.6, bad)])
+
+
 def test_radial_rejects_nonpositive_profile():
     with pytest.raises(ValueError):
         radial_body(lambda t: np.cos(t))
