@@ -8,8 +8,9 @@ construction or check failure, 4 certificate verification failure.  All
 files are written atomically (temp file + rename) so a crash never
 leaves a half-written certificate.
 
-The construction modules (and scipy with them) are imported inside the
-subcommands that use them, so `planar` runs on numpy alone.
+The construction modules are imported inside the subcommands that use
+them, and they run on numpy alone: the only scipy import is the periodic
+spline of `planar --input` with a theta,rho CSV, made when it is read.
 """
 
 import argparse

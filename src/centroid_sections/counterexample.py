@@ -13,8 +13,8 @@ one whose centroid hits the body centroid.
 All heavy spectral work is done once per parameter set and cached in a
 ConstructionContext: the bump's transform is expanded in extended
 precision to a few thousand Gegenbauer degrees and divided by u once,
-then evaluated through a dense-grid cubic spline with direct-series spot
-checks, which keeps the section sweep honest without per-point series
+then evaluated through a dense-grid piecewise quintic with direct-series
+spot checks, which keeps the section sweep honest without per-point series
 sums.  get_context returns it; its methods are the per-(lam, eps)
 functionals (centroid, kappa_report, select_eps, find_root,
 identity_sweep), and run_construction chains them into the certificate.
@@ -31,12 +31,11 @@ from functools import partial
 from typing import Optional
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .config import ConstructionError, RunConfig
 from .revolution_bodies import (ConvexityReport, RevolutionBody, _clears,
                                 _meridian_report, curvature, make_base_body)
-from .spherical_core import (GegenbauerSpectrum, SphereProfile,
+from .spherical_core import (GegenbauerSpectrum, SphereProfile, _BLOCK,
                              _divide_by_u, _rolling_accumulate,
                              bochner_multiplier, eval_spectrum,
                              eval_spectrum_deriv, ft_homogeneous,
@@ -188,9 +187,9 @@ def _gap_quotient(ft: SphereProfile) -> SphereProfile:
     substitute here: at degree 120 and n = 5 its second derivative is off
     by 2.2e-9 of max at the poles, this form by 8e-14 (against mpmath).
     """
-    s_gl, w_gl = roots_legendre(_GL_ORDER)
-    s01 = 0.5 * (s_gl + 1.0)
-    w01 = 0.5 * w_gl
+    gl = gauss_jacobi(_GL_ORDER, 0.0)
+    s01 = 0.5 * (gl.nodes.astype(np.float64) + 1.0)
+    w01 = 0.5 * gl.weights.astype(np.float64)
     fns = (ft, *ft.derivs)
 
     def quotient(u, k):
@@ -237,6 +236,71 @@ def _root_jet(n: int, eps: float, base, phi) -> list:
     return out
 
 
+def _stencil_rows(offset: int) -> np.ndarray:
+    """Map from six samples at t = offset, ..., offset + 5 to the t^1..t^5
+    coefficients of the quintic through them: each Lagrange basis
+    polynomial from its integer roots, which float64 multiplies out
+    exactly, divided once by its integer denominator."""
+    nodes = range(offset, offset + 6)
+    cols = [np.polynomial.polynomial.polyfromroots(
+                [r for r in nodes if r != i])
+            / np.prod([i - r for r in nodes if r != i]) for i in nodes]
+    return np.array(cols).T[1:]
+
+
+class _DenseQuintic:
+    """Piecewise quintic interpolant of samples y at the knots x of a
+    uniform grid of [-1, 1], built without solving a system.
+
+    Cell j, [x_j, x_{j+1}], carries the quintic through the samples
+    j-2 .. j+3 (shifted inward in the two outermost cells at each end) in
+    t = (u - x_j) (N - 1) / 2, with its constant term the sample y_j
+    itself.  The nearest knot k is the rounded (u + 1) (N - 1) / 2, a
+    product that is within 1e-10 of the index at every knot but not always
+    equal to it, and the offset is measured from x_k: a knot has offset 0
+    and gives back its sample bit for bit, and u below x_k reads cell
+    k - 1.  Points are evaluated _BLOCK at a time; u outside [-1, 1] or
+    NaN gives NaN.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        self.x = x
+        last = x.size - 1
+        j = np.arange(last)
+        offset = np.clip(j - 2, 0, last - 5) - j
+        windows = np.lib.stride_tricks.sliding_window_view(y, 6)
+        # rows t^0 .. t^5; the last knot is a cell of its own, constant
+        self.c = np.zeros((6, last + 1))
+        self.c[0] = y
+        for off in np.unique(offset):
+            cells = j[offset == off]
+            self.c[1:, cells] = _stencil_rows(off) @ windows[cells + off].T
+
+    def __call__(self, u) -> np.ndarray:
+        u = np.asarray(u, dtype=np.float64)
+        flat = u.reshape(-1)
+        out = np.empty(flat.size)
+        x, c = self.x, self.c
+        last = x.size - 1
+        half = last / 2
+        for start in range(0, flat.size, _BLOCK):
+            v = flat[start:start + _BLOCK]
+            inside = np.abs(v) <= 1.0
+            v = np.where(inside, v, 0.0)
+            k = np.rint((v + 1.0) * half).astype(np.intp)
+            d = (v - x[k]) * half
+            below = d < 0
+            j = k - below
+            t = d + below
+            r = c[5, j]
+            for deg in range(4, -1, -1):
+                r *= t
+                r += c[deg, j]
+            r[~inside] = np.nan
+            out[start:start + _BLOCK] = r
+        return out.reshape(u.shape)
+
+
 # ---------------------------------------------------------------------------
 # cached heavy machinery
 
@@ -246,7 +310,7 @@ _CTX_CACHE: dict = {}
 class ConstructionContext:
     """Everything expensive about one geometry (n, a, cap_u0), computed
     once: the bump transform's spectrum and its odd quotient series, a
-    dense-grid spline of that quotient for sweep evaluation, and
+    dense-grid interpolant of that quotient for sweep evaluation, and
     quadrature-node tables that make the centroid and curvature of the
     perturbed family cheap per (lam, eps).
     """
@@ -300,14 +364,13 @@ class ConstructionContext:
                 f"odd quotient series does not reproduce the transform: "
                 f"rel {resid:.3e} > {tol:.1e}")
 
-        # dense spline of q_b for the section sweep, on a grid made exactly
-        # antisymmetric so the series is summed once per |u|; a read
+        # dense interpolant of q_b for the section sweep, on a grid made
+        # exactly antisymmetric so the series is summed once per |u|; a read
         # outside [-1, 1] gives NaN, never an extrapolation
-        from scipy.interpolate import CubicSpline
         ud = np.linspace(-1.0, 1.0, config.dense_eval_grid)
         ud = 0.5 * (ud - ud[::-1])
-        self._q_spl = CubicSpline(ud, eval_spectrum(self.bump_quotient, ud),
-                                  extrapolate=False)
+        self._q_dense = _DenseQuintic(ud,
+                                      eval_spectrum(self.bump_quotient, ud))
 
         # centroid quadrature: same nodes as the bump expansion, so every
         # retained harmonic is integrated exactly
@@ -380,7 +443,7 @@ class ConstructionContext:
         perturbation at lam, so that the section and centroid integrands,
         which involve rho^n, are exactly linear in eps.  Raises unless
         rho_base^n + eps phi > 0 on a 4001-point grid, phi read from the
-        spline route (NaN or inf fails); convexity is kappa_report's."""
+        dense interpolant (NaN or inf fails); convexity is kappa_report's."""
         if eps < 0:
             raise ValueError("perturbation size must be nonnegative")
         n = self.n
@@ -526,7 +589,7 @@ class ConstructionContext:
         Left side: subsphere quadrature of the axis coordinate times
         rho^n over the unit subsphere orthogonal to the direction.  Right
         side: eps (2 pi)^n / pi times the seed at the direction's axis
-        coordinate.  Bulk profile values come from the dense splines; a
+        coordinate.  Bulk profile values come from the dense interpolant; a
         random subset is re-evaluated by direct series summation and must
         agree, else the sweep aborts.
         """
@@ -572,20 +635,20 @@ class ConstructionContext:
         }
 
     def _phi_bulk(self, u: np.ndarray, lam: float) -> np.ndarray:
-        """Odd quotient for the sweep: the dense spline of the bump part
+        """Odd quotient for the sweep: the dense interpolant of the bump part
         and the gap part's closed form."""
-        return ((1.0 - lam) * self._q_spl(u)
+        return ((1.0 - lam) * self._q_dense(u)
                 + lam * self._gap_ft.quotient(u))
 
     def _spot_check(self, u: np.ndarray, phi_bulk: np.ndarray, lam: float):
         """Re-evaluate a random subset by direct series summation; the
-        spline route must agree to a tenth of the identity tolerance, and
+        dense route must agree to a tenth of the identity tolerance, and
         every bulk value must be finite."""
         cfg = self.config
         bad = int(np.count_nonzero(~np.isfinite(phi_bulk)))
         if bad:
             raise ConstructionError(
-                f"spline evaluation gives {bad} non-finite values")
+                f"dense evaluation gives {bad} non-finite values")
         rng = np.random.default_rng(cfg.seed)
         k = min(200, u.size)
         idx = rng.choice(u.size, size=k, replace=False)
@@ -595,7 +658,7 @@ class ConstructionContext:
         tol = cfg.tolerances["identity_rel"] / 10.0
         if not err <= tol:
             raise ConstructionError(
-                f"spline evaluation disagrees with direct series: "
+                f"dense evaluation disagrees with direct series: "
                 f"rel {err:.3e} > {tol:.1e}")
 
     def _phi_direct(self, u, lam: float, k: int = 0):
@@ -677,8 +740,7 @@ def run_construction(config: Optional[RunConfig] = None) -> dict:
     eq_rel0 = ctx.equator_ratio(lam0)
     eq_abs0 = abs(ctx.blend_ft_at_zero(lam0))
 
-    pv = parseval_residual(ctx.base.rho, ctx.gap, 1.0,
-                           max_degree=cfg.max_degree, order=cfg.quad_order)
+    pv = parseval_residual(ctx.base.rho, ctx.gap, 1.0)
 
     # observed slope of the blended transform near the equator (recorded,
     # not asserted; the construction only needs grid values)

@@ -14,6 +14,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .config import ConstructionError
+
 __all__ = ["PlanarBody", "polygon_body", "radial_body", "planar_centroid",
            "recenter", "bisected_chords"]
 
@@ -21,6 +23,9 @@ __all__ = ["PlanarBody", "polygon_body", "radial_body", "planar_centroid",
 _GRID = 4096
 # angles at which a radial profile is checked and a body's size is read
 _CHECK_GRID = 720
+# largest accepted |coordinate| of a polygon vertex: the centroid sums are
+# cubic in the coordinates and must not overflow
+_COORD_MAX = 1e100
 
 
 def _cross2(a, b):
@@ -58,13 +63,17 @@ def polygon_body(vertices) -> PlanarBody:
     """Validate and orient a convex polygon.
 
     Clockwise input is reversed; consecutive collinear vertices are
-    tolerated, reflex angles and non-finite coordinates are not.
+    tolerated, reflex angles, non-finite coordinates and coordinates above
+    _COORD_MAX in magnitude are not.
     """
     v = np.asarray(vertices, dtype=float)
     if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
         raise ValueError("need at least three planar vertices")
     if not np.all(np.isfinite(v)):
         raise ValueError("polygon vertices must be finite")
+    if np.max(np.abs(v)) > _COORD_MAX:
+        raise ValueError(f"polygon coordinates must be at most "
+                         f"{_COORD_MAX:.0e} in magnitude")
     if np.allclose(v[0], v[-1]):
         v = v[:-1]
     area2 = float(np.sum(_cross2(v, np.roll(v, -1, axis=0))))
@@ -230,7 +239,8 @@ def bisected_chords(body: PlanarBody) -> dict:
     the largest radius (centrally symmetric body), else a direction
     list with an odd count >= 3, each to within 1e-10.  Tightly clustered
     roots trigger a rescan at doubled resolution, up to three times,
-    rather than a miscount.
+    rather than a miscount; a scan that still cannot resolve them raises
+    ConstructionError.
     """
     body = recenter(body)
     scale = float(np.max(body.radius(np.linspace(0, 2 * np.pi, _CHECK_GRID,
@@ -276,5 +286,6 @@ def bisected_chords(body: PlanarBody) -> dict:
             return {"symmetric_all": False, "count": count,
                     "directions": roots, "max_defect": fmax}
         # even or short counts mean the scan missed a crossing
-    raise RuntimeError("could not resolve an odd number (>= 3) of bisected "
-                       "chords; boundary may be non-convex or degenerate")
+    raise ConstructionError(
+        "could not resolve an odd number (>= 3) of bisected chords; "
+        "boundary may be non-convex or degenerate")

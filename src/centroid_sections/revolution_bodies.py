@@ -144,8 +144,7 @@ def intersection_body_test(body: RevolutionBody,
     is deliberately not consulted here so that test bodies and constructed
     bodies share one code path).
     """
-    fhat = ft_homogeneous(body.rho, 1.0, max_degree=RunConfig.max_degree,
-                          order=RunConfig.quad_order)
+    fhat = ft_homogeneous(body.rho, 1.0, order=RunConfig.quad_order)
     u = np.linspace(-1.0, 1.0, RunConfig.equator_grid)
     vals = eval_spectrum(fhat, u)
     i = int(np.argmin(vals))

@@ -22,12 +22,14 @@ coefficient noise near u = +-1; 64-bit coefficients would cap pole accuracy
 near 1e-9 while extended precision reaches ~1e-13.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln, roots_jacobi
+
+from .config import RunConfig
 
 LD = np.longdouble
 
@@ -142,7 +144,8 @@ def _norm_ratios(lam, max_degree, dtype=LD):
     recurrence from h_0 so only one gamma evaluation enters."""
     lam_f = float(lam)
     h = np.empty(max_degree + 1, dtype=dtype)
-    h0 = np.sqrt(np.pi) * np.exp(gammaln(lam_f + 0.5) - gammaln(lam_f + 1.0))
+    h0 = np.sqrt(np.pi) * np.exp(math.lgamma(lam_f + 0.5)
+                                 - math.lgamma(lam_f + 1.0))
     h[0] = dtype(h0)
     lam = dtype(lam)
     for m in range(1, max_degree + 1):
@@ -206,17 +209,17 @@ def _project_onto_basis(fw, lam, u, max_degree, norms, dtype=LD):
 
 def _top_pair(lam, x, order):
     """C_Q^lam and its derivative at x (Q = order), from one recurrence
-    pass that also yields C_{Q-1}, through
+    pass in the dtype of x that also yields C_{Q-1}, through
     (1 - x^2) C_Q' = -Q x C_Q + (Q + 2 lam - 1) C_{Q-1}.
     Returns (C_Q, C_{Q-1}, C_Q')."""
     cq = np.empty_like(x)
     cqm1 = np.empty_like(x)
-    for block, m, p in _gegenbauer_sweep(lam, x, order, LD):
+    for block, m, p in _gegenbauer_sweep(lam, x, order, x.dtype):
         if m == order - 1:
             cqm1[block] = p
         elif m == order:
             cq[block] = p
-    lam = LD(lam)
+    lam = x.dtype.type(lam)
     dcq = ((-order * x * cq + (order + 2 * lam - 1) * cqm1)
            / ((1 - x) * (1 + x)))
     return cq, cqm1, dcq
@@ -225,26 +228,67 @@ def _top_pair(lam, x, order):
 # ---------------------------------------------------------------------------
 # quadrature
 
-# scipy's float64 roots sit within a few 1e-16 of the true nodes, inside
-# Newton's quadratic basin; a larger first step means that start failed
+# the float64 start stops once every Newton step is within four ulp of 1/2
+# (the recurrence's rounding noise is absolute, so nodes nearer 0 get the
+# same bound), and gives up after _START_MAX_ITER steps
+_START_TOL = 4 * np.spacing(0.5)
+_START_MAX_ITER = 20
+
+# the float64 start sits within a few 1e-16 of the true nodes, inside
+# Newton's quadratic basin; a larger longdouble step means that start failed
 _NEWTON_STEP_MAX = 1e-14
+
+
+def _gauss_jacobi_start(order: int, beta: float) -> np.ndarray:
+    """Float64 nonnegative nodes of the order-point rule for (1-u^2)^beta,
+    ascending, with the middle node of an odd order exactly 0.
+
+    Gatteschi's interior guess theta_k = phi_k + (1/4 - beta^2)
+    (cot(phi_k/2) - tan(phi_k/2)) / (4 rho^2), phi_k = (k + beta/2 - 1/4)
+    pi / rho, rho = Q + beta + 1/2 (Hale & Townsend, SIAM J. Sci. Comput.
+    35, 2013), then float64 Newton steps on C_Q^{beta+1/2} until every step
+    is within _START_TOL.  Raises unless that happens within
+    _START_MAX_ITER steps and the nodes come out strictly increasing in
+    (0, 1), which rules out two guesses falling into one root.
+    """
+    lam = beta + 0.5
+    rho = order + lam
+    k = np.arange(order // 2, 0, -1)
+    phi = (k + beta / 2 - 0.25) * np.pi / rho
+    x = np.cos(phi + (0.25 - beta * beta)
+               * (1 / np.tan(phi / 2) - np.tan(phi / 2)) / (4 * rho * rho))
+    for _ in range(_START_MAX_ITER):
+        cq, _, dcq = _top_pair(lam, x, order)
+        step = cq / dcq
+        x = x - step
+        if np.all(np.abs(step) <= _START_TOL):
+            break
+    else:
+        raise ValueError(
+            f"Gauss-Jacobi float64 start did not converge at order {order}, "
+            f"beta {beta}: last step {float(np.max(np.abs(step))):.3e} "
+            f"after {_START_MAX_ITER} Newton steps")
+    if not (np.all(np.diff(x) > 0) and 0 < x[0] and x[-1] < 1):
+        raise ValueError(
+            f"Gauss-Jacobi float64 start at order {order}, beta {beta} "
+            f"does not separate the nodes")
+    return np.concatenate([np.zeros(order % 2), x])
 
 
 @lru_cache(maxsize=64)
 def _gauss_jacobi_cached(order: int, beta: float):
     lam = beta + 0.5
-    x64, w64 = roots_jacobi(order, beta, beta)
-    idx = np.argsort(x64)
-    x64, w64 = x64[idx], w64[idx]
     if lam <= 0.05:
-        return x64.astype(LD), w64.astype(LD)
-    # one Newton step in extended precision from the float64 roots; float64
+        raise ValueError(
+            f"Gauss-Jacobi rule needs beta > -0.45: the Gegenbauer "
+            f"recurrence degenerates at lam = beta + 1/2 = {lam:.3g}")
+    # one Newton step in extended precision from the float64 start; float64
     # nodes would reintroduce the 1e-16 noise floor that the longdouble
-    # pipeline exists to avoid.  scipy symmetrizes the roots, and IEEE
-    # rounding is sign-symmetric, so the recurrence is exactly odd or even
-    # in x: the step runs on the nonnegative half and is mirrored, nodes
-    # odd and weights even, with the same bits as a full pass.
-    x = x64[order // 2:].astype(LD)
+    # pipeline exists to avoid.  IEEE rounding is sign-symmetric, so the
+    # recurrence is exactly odd or even in x: the step runs on the
+    # nonnegative half and is mirrored, nodes odd and weights even, with
+    # the same bits as a full pass.
+    x = _gauss_jacobi_start(order, beta).astype(LD)
     cq, _, dcq = _top_pair(lam, x, order)
     step = cq / dcq
     if not np.all(np.abs(step) <= _NEWTON_STEP_MAX):
@@ -252,10 +296,6 @@ def _gauss_jacobi_cached(order: int, beta: float):
             f"Gauss-Jacobi start outside the Newton basin at order "
             f"{order}, beta {beta}: largest step "
             f"{float(np.max(np.abs(step))):.3e}")
-    if not np.array_equal(x64, -x64[::-1]):
-        raise ValueError(
-            f"Gauss-Jacobi start at order {order}, beta {beta} is not "
-            f"antisymmetric, so its half cannot be mirrored")
     x = x - step
     _, cqm1, dcq = _top_pair(lam, x, order)
     h = _norm_ratios(lam, order)
@@ -283,7 +323,7 @@ def gauss_jacobi(order: int, beta: float) -> Quadrature:
 
 def sphere_area(k: int) -> float:
     """Surface area of the unit sphere S^k in R^{k+1}."""
-    return float(2 * np.pi ** ((k + 1) / 2) / np.exp(gammaln((k + 1) / 2)))
+    return float(2 * np.pi ** ((k + 1) / 2) / np.exp(math.lgamma((k + 1) / 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -367,13 +407,16 @@ def eval_spectrum_deriv(s: GegenbauerSpectrum, u, k: int = 1):
 # ---------------------------------------------------------------------------
 # Fourier side
 
+_lgamma = np.vectorize(math.lgamma, otypes=[np.float64])
+
+
 def _bochner_multipliers_ld(n: int, p: float, m) -> np.ndarray:
     """bochner_multiplier at the nonnegative integer degrees of the array
     m, kept in longdouble so that coefficient-by-coefficient products do
     not round twice."""
     sign = np.where((m // 2) % 2 == 0, 1.0, -1.0)
     logmag = ((n / 2) * np.log(np.pi) + (n - p) * np.log(2.0)
-              + gammaln((n - p + m) / 2) - gammaln((p + m) / 2))
+              + _lgamma((n - p + m) / 2) - _lgamma((p + m) / 2))
     return sign * np.exp(logmag.astype(LD))
 
 
@@ -396,7 +439,8 @@ def bochner_multiplier(m, p: float, n: int):
     return out.astype(np.float64)
 
 
-def ft_homogeneous(profile: SphereProfile, p: float, max_degree: int = 120,
+def ft_homogeneous(profile: SphereProfile, p: float,
+                   max_degree: int = RunConfig.max_degree,
                    order: Optional[int] = None) -> GegenbauerSpectrum:
     """Transform of the degree -p extension |x|^{-p} profile(x/|x|), a
     function of degree -(n-p), as its Gegenbauer spectrum.
@@ -413,7 +457,8 @@ def ft_homogeneous(profile: SphereProfile, p: float, max_degree: int = 120,
 
 
 def parseval_residual(f: SphereProfile, g: SphereProfile, p: float,
-                      max_degree: int = 120, order: int = 256) -> float:
+                      max_degree: int = RunConfig.max_degree,
+                      order: int = RunConfig.quad_order) -> float:
     """Residual of the sphere pairing identity for complementary degrees.
 
     f is extended at degree -p and g at degree -(n-p); the transform acts

@@ -7,6 +7,8 @@ only.  Tests compute the oracle value first, then compare the package
 against it.
 """
 
+import math
+
 import numpy as np
 from scipy import integrate, special
 
@@ -264,20 +266,20 @@ def random_convex_hull(rng, points=20):
     return pts[hull.vertices]
 
 
-def gauss_jacobi_full_newton(order, beta):
+def gauss_jacobi_full_newton(order, beta, x64):
     """Gauss-Jacobi rule for (1-u^2)^beta: one longdouble Newton step from
-    scipy's float64 roots, taken at every node, and the weights
-    2 (lam + Q - 1) / Q * h_{Q-1} / (C_{Q-1} C_Q') at the refined nodes.
+    the float64 start x64 (all order nodes), taken at every node, and the
+    weights 2 (lam + Q - 1) / Q * h_{Q-1} / (C_{Q-1} C_Q') at the refined
+    nodes.
 
     The full-node form of the package's step, in its operation order
     (plain three-term recurrence, the (1 - x^2) C_Q' identity, the norm
-    ratio recurrence), so the package's mirrored half must match it bit
-    for bit.
+    ratio recurrence from math.lgamma's h_0), so the package's mirrored
+    half must match it bit for bit when both start from the same nodes.
     """
     LD = np.longdouble
     lam = LD(beta + 0.5)
-    x64, _ = special.roots_jacobi(order, beta, beta)
-    x = np.sort(x64).astype(LD)
+    x = np.sort(np.asarray(x64, dtype=np.float64)).astype(LD)
 
     def top_pair(x):
         pm1, p = np.ones_like(x), 2 * lam * x
@@ -290,8 +292,8 @@ def gauss_jacobi_full_newton(order, beta):
     cq, _, dcq = top_pair(x)
     x = x - cq / dcq
     _, cqm1, dcq = top_pair(x)
-    h = LD(np.sqrt(np.pi) * np.exp(special.gammaln(float(lam) + 0.5)
-                                   - special.gammaln(float(lam) + 1.0)))
+    h = LD(np.sqrt(np.pi) * np.exp(math.lgamma(float(lam) + 0.5)
+                                   - math.lgamma(float(lam) + 1.0)))
     for m in range(1, order):
         h = h * (m - 1 + 2 * lam) * (m - 1 + lam) / ((m + lam) * m)
     return x, 2 * (lam + order - 1) / order * h / (cqm1 * dcq)

@@ -425,6 +425,24 @@ def test_planar_nonfinite_vertex_exits_2(tmp_path, capsys, bad):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("size", ["1e110", "1e300"])
+def test_planar_huge_coordinates_exit_2(tmp_path, capsys, size):
+    # finite, but the polygon's cubic centroid sums would overflow
+    path = tmp_path / "huge.csv"
+    path.write_text(f"x,y\n0,0\n{size},0\n0,{size}\n")
+    assert cli.main(["planar", "--input", str(path)]) == 2
+    assert "at most" in capsys.readouterr().err
+
+
+def test_planar_unresolved_thin_triangle_exits_3(tmp_path, capsys):
+    # three crossings within ~1e-6 rad that the scan cannot separate
+    path = tmp_path / "thin.csv"
+    path.write_text("x,y\n0,0\n1,0\n0.5,1e-6\n")
+    assert cli.main(["planar", "--input", str(path)]) == 3
+    assert ("construction failed: could not resolve"
+            in capsys.readouterr().err)
+
+
 def test_planar_requires_a_source(capsys):
     assert cli.main(["planar"]) == 2
     assert "provide" in capsys.readouterr().err

@@ -370,30 +370,65 @@ def test_identity_check_public_wrapper(construct_result, cert5):
     assert sweep["max_rel_err"] <= 1e-6
 
 
-# bulk evaluation: the bump part's quotient series and its dense spline
+# bulk evaluation: the bump part's quotient series and its dense interpolant
 
 
 def test_identity_sweep_bit_equal_to_unfolded_spline(ctx5, cert5):
-    from scipy.interpolate import CubicSpline
     lam, eps = cert5["lambda0"], cert5["eps0"]
     grid = np.linspace(-1.0, 1.0, 1441)
-    # reference spline from the series summed at every knot, not once per
-    # |u| and mirrored
-    knots = ctx5._q_spl.x
+    # reference interpolant from the series summed at every knot, not once
+    # per |u| and mirrored
+    knots = ctx5._q_dense.x
     spec = ctx5.bump_quotient
     ref = copy.copy(ctx5)
-    ref._q_spl = CubicSpline(
+    ref._q_dense = counterexample._DenseQuintic(
         knots, counterexample._rolling_accumulate(spec.coeffs,
-                                                  spec.lambda_index, knots),
-        extrapolate=False)
+                                                  spec.lambda_index, knots))
     # the fit itself (eps0 is small enough that the sweep alone would hide
     # a last-bit change)
-    assert np.array_equal(ctx5._q_spl.c, ref._q_spl.c)
+    assert np.array_equal(ctx5._q_dense.c, ref._q_dense.c)
     want = ref.identity_sweep(lam, eps, grid)
     got = ctx5.identity_sweep(lam, eps, grid)
     assert np.array_equal(got["lhs"], want["lhs"])
     assert np.array_equal(got["centroid_quadrature"],
                           want["centroid_quadrature"])
+
+
+def test_dense_quintic_reproduces_quintics_in_every_cell():
+    # the six-point stencils, one-sided at both ends, are exact for degree
+    # 5, so only rounding separates the interpolant from the polynomial
+    x = np.linspace(-1.0, 1.0, 101)
+    x = 0.5 * (x - x[::-1])
+    def p(u):
+        return 0.3 - u + 2.0 * u ** 2 - 0.5 * u ** 3 + 1.5 * u ** 4 - u ** 5
+    dense = counterexample._DenseQuintic(x, p(x))
+    u = np.concatenate([np.random.default_rng(SEED).uniform(-1.0, 1.0, 5000),
+                        0.5 * (x[:-1] + x[1:])])
+    assert np.max(np.abs(dense(u) - p(u))) <= 1e-14
+    assert np.array_equal(dense(x), p(x))
+
+
+def test_dense_quintic_matches_series_by_cell(ctx5):
+    # off-knot points against the series itself, bounds relative to
+    # max|q_b|.  Toward the poles the degree-3199 series oscillates on the
+    # grid's own scale, so no interpolant on this grid follows it there:
+    # 1e-12 holds for |u| <= 0.99 (cells 400 to N - 401), and the bands
+    # nearer each pole are held to a few times their measured errors,
+    # 2.7e-9 in cells 11 to 399 and 1.1e-6 in cells 0 to 10
+    dense = ctx5._q_dense
+    x = dense.x
+    cells = x.size - 1
+    rng = np.random.default_rng(SEED)
+    t = np.array([0.13, 0.5, 0.77])
+    scale = float(np.max(np.abs(dense.c[0])))
+    bands = [(np.r_[0:11, cells - 11:cells], 1e-5),
+             (np.r_[11:400, cells - 400:cells - 11], 1e-8),
+             (rng.choice(np.arange(400, cells - 400), 2000, replace=False),
+              1e-12)]
+    for cell, bound in bands:
+        u = (x[cell, None] + t * (x[cell + 1] - x[cell])[:, None]).ravel()
+        err = np.abs(dense(u) - eval_spectrum(ctx5.bump_quotient, u))
+        assert np.max(err) <= bound * scale
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -469,12 +504,12 @@ def test_context_build_series_work_budget(ctx5, monkeypatch):
 
 @pytest.mark.parametrize("which", ["0", "lambda0", "1"])
 def test_phi_bulk_matches_direct_series_over_window(ctx5, cert5, which):
-    # the quotient spline's whole window, the points where 0/0 or the
+    # the dense interpolant's whole window, the points where 0/0 or the
     # branch switch could bite, and a coarse full-range grid that sets
     # max |phi| as the sweep's spot check does
     lam = {"0": 0.0, "lambda0": cert5["lambda0"], "1": 1.0}[which]
     u_switch = counterexample._U_SWITCH
-    hi = ctx5._q_spl.x[-1]
+    hi = ctx5._q_dense.x[-1]
     special = [0.0, 1e-300, 1e-14, u_switch * (1.0 - 2.0 ** -52), u_switch]
     u = np.concatenate([np.linspace(-hi, hi, 2001), special,
                         np.negative(special), np.linspace(-1.0, 1.0, 401)])
@@ -502,23 +537,26 @@ def test_gap_quotient_matches_integral_form(ctx5):
 
 
 def test_quotient_spline_nan_outside_its_window(ctx5):
-    # one spline over the whole dense grid, which is exactly antisymmetric
-    # so the odd series is summed once per |u|; it never extrapolates
-    spl = ctx5._q_spl
-    x = spl.x
+    # one interpolant over the whole dense grid, which is exactly
+    # antisymmetric so the odd series is summed once per |u|; it gives back
+    # every knot sample and never extrapolates
+    dense = ctx5._q_dense
+    x = dense.x
     assert x.size == ctx5.config.dense_eval_grid
     assert x[0] == -1.0 and x[-1] == 1.0
     assert np.array_equal(x, -x[::-1])
-    assert np.array_equal(spl(x), -spl(-x))
-    assert np.all(np.isfinite(spl(np.array([-1.0, -0.5, 0.0, 0.5, 1.0]))))
+    assert np.array_equal(dense(x), dense.c[0])
+    assert np.array_equal(dense(x), -dense(-x))
+    assert dense(np.array([0.0]))[0] == 0.0
+    assert np.all(np.isfinite(dense(np.array([-1.0, -0.5, 0.0, 0.5, 1.0]))))
     h = 2.0 / (x.size - 1)
-    outside = spl(np.array([-1.0 - h / 4, 1.0 + h / 4, -2.0, 2.0]))
+    outside = dense(np.array([-1.0 - h / 4, 1.0 + h / 4, -2.0, 2.0, np.nan]))
     assert np.all(np.isnan(outside))
 
 
 def test_spot_check_fails_on_nan_quotient(ctx5, cert5):
     ctx = copy.copy(ctx5)
-    ctx._q_spl = lambda u: np.full(np.shape(u), np.nan)
+    ctx._q_dense = lambda u: np.full(np.shape(u), np.nan)
     with pytest.raises(ConstructionError, match="non-finite"):
         ctx.identity_sweep(cert5["lambda0"], cert5["eps0"],
                            np.linspace(-1.0, 1.0, 361))

@@ -1,11 +1,14 @@
 """What each entry point loads.  Importing the package loads no submodule,
-numpy or scipy; `planar` runs on numpy alone; `intersection-test` does
-not load scipy.interpolate.  Fresh interpreters, so nothing that another
-test imported hides a regression."""
+numpy or scipy; `planar` runs on numpy alone; `construct`, `verify` and
+`intersection-test` load no scipy, and the only scipy import in the source
+is the one of the theta,rho CSV reader.  Fresh interpreters, so nothing
+that another test imported hides a regression."""
 
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -61,13 +64,52 @@ def test_planar_demo_loads_no_scipy(fresh, tmp_path):
     assert got == [0, []]
 
 
-def test_intersection_test_loads_no_scipy_interpolate(fresh, tmp_path):
-    got = fresh("import json, sys\n"
+def test_construct_verify_intersection_test_load_no_scipy(fresh, tmp_path):
+    out = str(tmp_path)
+    got = fresh("import json, os, sys\n"
                 "from centroid_sections import cli\n"
-                "rc = cli.main(['intersection-test', '--outdir', "
-                f"{str(tmp_path)!r}])\n"
-                f"print(json.dumps([rc, {_loaded('scipy.interpolate')}]))")
-    assert got == [0, []]
+                f"out = {out!r}\n"
+                "rc = [cli.main(['construct', '--n', '5', '--outdir', out]),\n"
+                "      cli.main(['verify', "
+                "os.path.join(out, 'certificate.json')]),\n"
+                "      cli.main(['intersection-test', '--outdir', out])]\n"
+                f"print(json.dumps([rc, {_loaded('scipy')}]))")
+    assert got == [[0, 0, 0], []]
+
+
+class _ScipyImports(ast.NodeVisitor):
+    """(file, enclosing function or <module>, module) of each scipy
+    import in one source file."""
+
+    def __init__(self, name):
+        self.name, self.where, self.found = name, [], []
+
+    def visit_FunctionDef(self, node):
+        self.where.append(node.name)
+        self.generic_visit(node)
+        self.where.pop()
+
+    def visit_Import(self, node):
+        for alias in node.names:
+            self._add(alias.name)
+
+    def visit_ImportFrom(self, node):
+        if not node.level:
+            self._add(node.module)
+
+    def _add(self, module):
+        if module.split(".")[0] == "scipy":
+            self.found.append((self.name, ".".join(self.where) or "<module>",
+                               module))
+
+
+def test_only_the_radial_csv_reader_imports_scipy():
+    found = []
+    for path in sorted(Path(centroid_sections.__file__).parent.glob("*.py")):
+        visitor = _ScipyImports(path.name)
+        visitor.visit(ast.parse(path.read_text()))
+        found += visitor.found
+    assert found == [("cli.py", "_planar_from_csv", "scipy.interpolate")]
 
 
 def test_root_names_resolve_on_access():

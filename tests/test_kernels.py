@@ -73,30 +73,67 @@ def test_one_step_quadrature_at_shipped_orders(order, beta):
         assert abs(got - exact) <= 1e-14 * exact
 
 
+def _full_start(order, beta):
+    """The package's float64 start, mirrored onto all order nodes."""
+    half = sc._gauss_jacobi_start(order, beta)
+    return np.concatenate([-half[order % 2:][::-1], half])
+
+
+@pytest.mark.parametrize("order,beta", [(96, 0.0), (256, 1.0), (257, 1.0),
+                                        (1728, 0.5), (1729, 0.5),
+                                        (3392, 1.0), (3392, 1.5)])
+def test_float64_start_within_two_ulp_of_scipy(order, beta):
+    # scipy's Golub-Welsch roots as the oracle; the recurrence's rounding
+    # noise is absolute, so nodes nearer 0 than 1/2 are held to the ulp of
+    # 1/2 instead of their own finer one
+    ref = np.sort(roots_jacobi(order, beta, beta)[0])
+    x = _full_start(order, beta)
+    assert x.dtype == np.float64 and x.shape == (order,)
+    assert np.array_equal(x, -x[::-1])
+    if order % 2:
+        assert x[order // 2] == 0.0
+    ulp = np.spacing(np.maximum(np.abs(ref), 0.5))
+    assert np.all(np.abs(x - ref) <= 2 * ulp)
+
+
 def test_newton_start_outside_basin_raises(monkeypatch):
-    x, w = roots_jacobi(64, 1.0, 1.0)
-    monkeypatch.setattr(sc, "roots_jacobi", lambda n, a, b: (x + 1e-9, w))
+    x = sc._gauss_jacobi_start(64, 1.0)
+    monkeypatch.setattr(sc, "_gauss_jacobi_start",
+                        lambda order, beta: x + 1e-9)
     with pytest.raises(ValueError, match="Newton basin"):
         sc._gauss_jacobi_cached.__wrapped__(64, 1.0)
+
+
+def test_float64_start_iteration_cap_raises(monkeypatch):
+    # the guess for beta = 1 needs three Newton steps at order 64
+    monkeypatch.setattr(sc, "_START_MAX_ITER", 1)
+    with pytest.raises(ValueError, match="did not converge"):
+        sc._gauss_jacobi_start(64, 1.0)
+
+
+def test_float64_start_merged_nodes_raise(monkeypatch):
+    # a float64 function whose only root is 0.5 pulls every guess there:
+    # Newton converges, but the nodes do not separate
+    real = sc._top_pair
+
+    def one_root(lam, x, order):
+        if x.dtype != np.float64:
+            return real(lam, x, order)
+        return x - 0.5, None, np.ones_like(x)
+
+    monkeypatch.setattr(sc, "_top_pair", one_root)
+    with pytest.raises(ValueError, match="does not separate"):
+        sc._gauss_jacobi_start(64, 1.0)
 
 
 @pytest.mark.parametrize("order,beta", [(3392, 1.0), (3392, 1.5), (1728, 0.5),
                                         (1728, 1.0), (256, 1.0), (257, 1.0),
                                         (1729, 0.5)])
 def test_mirrored_half_step_bit_equal_to_full_node_step(order, beta):
-    x, w = gauss_jacobi_full_newton(order, beta)
+    x, w = gauss_jacobi_full_newton(order, beta, _full_start(order, beta))
     q = gauss_jacobi(order, beta)
     assert np.array_equal(q.nodes, x)
     assert np.array_equal(q.weights, w)
-
-
-def test_asymmetric_start_raises(monkeypatch):
-    x, w = roots_jacobi(64, 1.0, 1.0)
-    x = x.copy()
-    x[0] = np.nextafter(x[0], -1.0)
-    monkeypatch.setattr(sc, "roots_jacobi", lambda n, a, b: (x, w))
-    with pytest.raises(ValueError, match="antisymmetric"):
-        sc._gauss_jacobi_cached.__wrapped__(64, 1.0)
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from centroid_sections import (bisected_chords, planar_centroid,
-                               polygon_body, radial_body, recenter)
+from centroid_sections import (ConstructionError, bisected_chords,
+                               planar_centroid, polygon_body, radial_body,
+                               recenter)
 
 from centroid_sections import planar
 from oracles import (SEED, chord_defect_orthogonality,
@@ -240,6 +241,16 @@ def test_polygon_rejects_degenerate_input():
 def test_polygon_rejects_nonfinite_vertices(bad):
     with pytest.raises(ValueError, match="finite"):
         polygon_body([(0.0, 0.0), (2.0, 0.0), (0.6, bad)])
+
+
+def test_polygon_rejects_huge_coordinates():
+    with pytest.raises(ValueError, match="at most"):
+        polygon_body([(0.0, 0.0), (1e300, 0.0), (0.0, 1e300)])
+
+
+def test_unresolved_scan_is_a_construction_error():
+    with pytest.raises(ConstructionError, match="could not resolve"):
+        bisected_chords(polygon_body([(0.0, 0.0), (1.0, 0.0), (0.5, 1e-6)]))
 
 
 def test_radial_rejects_nonpositive_profile():

@@ -59,7 +59,8 @@ def test_nodes_symmetric_about_origin():
 
 
 @pytest.mark.parametrize("order,beta", [(1, 0.5), (0, 0.5), (-3, 0.5),
-                                        (8, -1.0), (8, -1.5)])
+                                        (8, -1.0), (8, -1.5), (8, -0.45),
+                                        (8, -0.5)])
 def test_invalid_parameters_raise(order, beta):
     with pytest.raises(ValueError):
         gauss_jacobi(order, beta)
