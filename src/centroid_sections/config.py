@@ -60,8 +60,9 @@ class RunConfig:
     # resolve polynomial degree bump_max_degree to avoid aliasing
     section_quad_order: ClassVar[int] = 1728
 
-    # dense grid backing the fast evaluator used inside the section sweep
-    dense_eval_grid: ClassVar[int] = 80001
+    # knots of the half theta table [0, pi/2] that the section sweep reads
+    # the bump quotient from: spacing pi/80000
+    dense_eval_grid: ClassVar[int] = 40001
 
     curvature_grid: ClassVar[int] = 4001
     equator_grid: ClassVar[int] = 2001

@@ -13,9 +13,9 @@ one whose centroid hits the body centroid.
 All heavy spectral work is done once per parameter set and cached in a
 ConstructionContext: the bump's transform is expanded in extended
 precision to a few thousand Gegenbauer degrees and divided by u once,
-then evaluated through a dense-grid piecewise quintic with direct-series
-spot checks, which keeps the section sweep honest without per-point series
-sums.  get_context returns it; its methods are the per-(lam, eps)
+then tabulated in theta = arccos u by one FFT of its cosine series and
+read through a piecewise quintic with direct-series spot checks, which
+keeps the section sweep honest without per-point series sums.  get_context returns it; its methods are the per-(lam, eps)
 functionals (centroid, kappa_report, select_eps, find_root,
 identity_sweep), and run_construction chains them into the certificate.
 The context is also the only producer of the odd perturbation
@@ -36,10 +36,11 @@ from .config import ConstructionError, RunConfig
 from .revolution_bodies import (ConvexityReport, RevolutionBody, _clears,
                                 _meridian_report, curvature, make_base_body)
 from .spherical_core import (GegenbauerSpectrum, SphereProfile, _BLOCK,
-                             _divide_by_u, _rolling_accumulate,
-                             bochner_multiplier, eval_spectrum,
-                             eval_spectrum_deriv, ft_homogeneous,
-                             gauss_jacobi, parseval_residual, sphere_area)
+                             _cosine_coeffs, _divide_by_u,
+                             _rolling_accumulate, bochner_multiplier,
+                             eval_spectrum, eval_spectrum_deriv,
+                             ft_homogeneous, gauss_jacobi, parseval_residual,
+                             sphere_area)
 
 __all__ = [
     "ConstructionError", "negativity_threshold",
@@ -249,54 +250,63 @@ def _stencil_rows(offset: int) -> np.ndarray:
 
 
 class _DenseQuintic:
-    """Piecewise quintic interpolant of samples y at the knots x of a
-    uniform grid of [-1, 1], built without solving a system.
+    """Exactly odd read q(u) = sign(u) Q(arccos |u|) of a piecewise quintic
+    Q through samples y at the K knots theta_i = i (pi/2) / (K - 1) of
+    [0, pi/2], built without solving a system.
 
-    Cell j, [x_j, x_{j+1}], carries the quintic through the samples
-    j-2 .. j+3 (shifted inward in the two outermost cells at each end) in
-    t = (u - x_j) (N - 1) / 2, with its constant term the sample y_j
-    itself.  The nearest knot k is the rounded (u + 1) (N - 1) / 2, a
-    product that is within 1e-10 of the index at every knot but not always
-    equal to it, and the offset is measured from x_k: a knot has offset 0
-    and gives back its sample bit for bit, and u below x_k reads cell
-    k - 1.  Points are evaluated _BLOCK at a time; u outside [-1, 1] or
-    NaN gives NaN.
+    Cell j, [theta_j, theta_{j+1}], carries the quintic through the
+    samples j-2 .. j+3 (shifted inward in the two outermost cells at each
+    end) in the index variable t = (theta - theta_j) (K - 1) / (pi/2), with
+    its constant term the sample y_j itself; the coefficients are stored
+    knot-major, (K, 6), so a point gathers one row.  The nearest knot k is
+    the rounded theta (K - 1) / (pi/2) and the offset is measured from the
+    stored theta_k: a knot read at its own angle gives back its sample bit
+    for bit, and theta below theta_k reads cell k - 1.  np.arccos(0.0) is
+    the last knot, pi/2, exactly, so u = 0 reads the last sample.  Points
+    are evaluated _BLOCK at a time; u outside [-1, 1] or NaN gives NaN.
     """
 
-    def __init__(self, x: np.ndarray, y: np.ndarray):
-        self.x = x
-        last = x.size - 1
+    def __init__(self, y: np.ndarray):
+        last = y.size - 1
+        self.theta = np.linspace(0.0, np.pi / 2, last + 1)
+        self.scale = last / (np.pi / 2)
         j = np.arange(last)
         offset = np.clip(j - 2, 0, last - 5) - j
         windows = np.lib.stride_tricks.sliding_window_view(y, 6)
-        # rows t^0 .. t^5; the last knot is a cell of its own, constant
-        self.c = np.zeros((6, last + 1))
-        self.c[0] = y
+        # columns t^0 .. t^5; the last knot is a cell of its own, constant
+        self.c = np.zeros((last + 1, 6))
+        self.c[:, 0] = y
         for off in np.unique(offset):
             cells = j[offset == off]
-            self.c[1:, cells] = _stencil_rows(off) @ windows[cells + off].T
+            self.c[cells, 1:] = windows[cells + off] @ _stencil_rows(off).T
+
+    def at_theta(self, theta: np.ndarray) -> np.ndarray:
+        """Q at angles in [0, pi/2]."""
+        k = np.rint(theta * self.scale).astype(np.intp)
+        t = (theta - self.theta[k]) * self.scale
+        below = t < 0
+        k -= below
+        t += below
+        c = np.take(self.c, k, axis=0)
+        r = c[:, 5] * t
+        for deg in range(4, 0, -1):
+            r += c[:, deg]
+            r *= t
+        r += c[:, 0]
+        return r
 
     def __call__(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=np.float64)
         flat = u.reshape(-1)
         out = np.empty(flat.size)
-        x, c = self.x, self.c
-        last = x.size - 1
-        half = last / 2
         for start in range(0, flat.size, _BLOCK):
             v = flat[start:start + _BLOCK]
-            inside = np.abs(v) <= 1.0
-            v = np.where(inside, v, 0.0)
-            k = np.rint((v + 1.0) * half).astype(np.intp)
-            d = (v - x[k]) * half
-            below = d < 0
-            j = k - below
-            t = d + below
-            r = c[5, j]
-            for deg in range(4, -1, -1):
-                r *= t
-                r += c[deg, j]
-            r[~inside] = np.nan
+            a = np.abs(v)
+            outside = ~(a <= 1.0)
+            # fmin also takes NaN to 1, so every angle indexes the table
+            r = self.at_theta(np.arccos(np.fmin(a, 1.0, out=a)))
+            np.negative(r, out=r, where=v < 0)
+            r[outside] = np.nan
             out[start:start + _BLOCK] = r
         return out.reshape(u.shape)
 
@@ -343,9 +353,10 @@ class ConstructionContext:
         # bump part of the odd quotient, q_b(u) = (b(u) - b(0)) / u, as an
         # odd series one degree lower: synthetic division of the extended
         # precision coefficients, so b(0) is never subtracted
+        qco_ld = _divide_by_u(co_ld, self.lam_index)
         self.bump_quotient = GegenbauerSpectrum(
             n=n, lambda_index=self.lam_index, parity="odd",
-            coeffs=_divide_by_u(co_ld, self.lam_index).astype(np.float64))
+            coeffs=qco_ld.astype(np.float64))
         # the gap part: its closed-form transform and the quotient of that
         self._gap_ft = self.gap.ft_profile
         self._gap_q = _gap_quotient(self._gap_ft)
@@ -364,13 +375,18 @@ class ConstructionContext:
                 f"odd quotient series does not reproduce the transform: "
                 f"rel {resid:.3e} > {tol:.1e}")
 
-        # dense interpolant of q_b for the section sweep, on a grid made
-        # exactly antisymmetric so the series is summed once per |u|; a read
-        # outside [-1, 1] gives NaN, never an extrapolation
-        ud = np.linspace(-1.0, 1.0, config.dense_eval_grid)
-        ud = 0.5 * (ud - ud[::-1])
-        self._q_dense = _DenseQuintic(ud,
-                                      eval_spectrum(self.bump_quotient, ud))
+        # dense interpolant of q_b for the section sweep: q_b(cos theta) is
+        # the cosine series of _cosine_coeffs, and its samples at
+        # theta_i = 2 pi i / L, L = 4 (K - 1), i < K, are one real FFT.
+        # Every odd cosine vanishes at theta = pi/2 (u = 0), where an FFT
+        # may leave rounding noise: that sample is set to exactly 0, and so
+        # q_b(0) = 0.  A read outside [-1, 1] gives NaN, never an
+        # extrapolation
+        knots = config.dense_eval_grid
+        cos_co = _cosine_coeffs(qco_ld, self.lam_index).astype(np.float64)
+        q_theta = np.fft.rfft(cos_co, 4 * (knots - 1)).real[:knots]
+        q_theta[-1] = 0.0
+        self._q_dense = _DenseQuintic(q_theta)
 
         # centroid quadrature: same nodes as the bump expansion, so every
         # retained harmonic is integrated exactly
@@ -598,24 +614,33 @@ class ConstructionContext:
             u_grid = np.linspace(-1.0, 1.0, cfg.alpha_grid)
         u_grid = np.asarray(u_grid, dtype=float)
         n = self.n
+        ts = self._ts
+        half = ts.size // 2
         r = np.sqrt(np.maximum(0.0, 1.0 - u_grid ** 2))
-        V = r[:, None] * self._ts[None, :]
-        flat = V.ravel()
-        phi_flat = self._phi_bulk(flat, lam)
-        self._spot_check(flat, phi_flat, lam)
-        phi_V = phi_flat.reshape(V.shape)
-        rho_V = np.asarray(self.base.rho(flat), dtype=np.float64)
-        rho_n_V = (rho_V ** n).reshape(V.shape)
-        f_V = rho_n_V + eps * phi_V
-        lhs = self._subsurf * (((r[:, None] * self._ts[None, :]) * f_V)
-                               @ self._tw)
+        # the section rule is mirrored bit for bit, rho is even and both
+        # quotient parts are exactly odd: the profile is read on the
+        # nonnegative nodes and mirrored, which moves no bit
+        v_half = r[:, None] * ts[None, half:]
+        phi = self._phi_bulk(v_half, lam)
+        self._spot_check(r, phi, lam)
+        rho_n = np.asarray(self.base.rho(v_half), dtype=np.float64) ** n
+        # f and buf are the only full-size arrays: the halves go first
+        del v_half
+        phi *= eps
+        f = np.empty((r.size, ts.size))
+        np.add(rho_n, phi, out=f[:, half:])
+        np.subtract(rho_n, phi, out=f[:, half - 1::-1])
+        del rho_n, phi
+        buf = np.multiply(r[:, None], ts[None, :])
+        buf *= f
+        lhs = self._subsurf * (buf @ self._tw)
         seed = np.asarray(self.seed_value(u_grid, lam), dtype=float)
         rhs = eps * (2.0 * np.pi) ** n / np.pi * seed
         scale = max(float(np.max(np.abs(rhs))), 1e-300)
         rel = np.abs(lhs - rhs) / scale
         # section centroids for reporting: lhs / (n |section|)
-        sec_vol = self._subsurf / (n - 1) * (f_V ** ((n - 1.0) / n)
-                                             @ self._tw)
+        np.power(f, (n - 1.0) / n, out=buf)
+        sec_vol = self._subsurf / (n - 1) * (buf @ self._tw)
         centroids = lhs / (n * sec_vol)
         centroids_analytic = rhs / (n * sec_vol)
         inner = np.abs(u_grid) < 1.0
@@ -637,24 +662,35 @@ class ConstructionContext:
     def _phi_bulk(self, u: np.ndarray, lam: float) -> np.ndarray:
         """Odd quotient for the sweep: the dense interpolant of the bump part
         and the gap part's closed form."""
-        return ((1.0 - lam) * self._q_dense(u)
-                + lam * self._gap_ft.quotient(u))
+        out = self._q_dense(u)
+        out *= 1.0 - lam
+        out += lam * self._gap_ft.quotient(u)
+        return out
 
-    def _spot_check(self, u: np.ndarray, phi_bulk: np.ndarray, lam: float):
-        """Re-evaluate a random subset by direct series summation; the
-        dense route must agree to a tenth of the identity tolerance, and
-        every bulk value must be finite."""
+    def _spot_check(self, r: np.ndarray, phi_half: np.ndarray, lam: float):
+        """Re-evaluate a random subset of the sweep's points r_i t_j by
+        direct series summation; the dense route, phi_half on the
+        nonnegative section nodes mirrored oddly onto the others, must
+        agree to a tenth of the identity tolerance, and every bulk value
+        must be finite."""
         cfg = self.config
-        bad = int(np.count_nonzero(~np.isfinite(phi_bulk)))
+        # each value stands for itself and its mirror image
+        bad = 2 * int(np.count_nonzero(~np.isfinite(phi_half)))
         if bad:
             raise ConstructionError(
                 f"dense evaluation gives {bad} non-finite values")
+        ts = self._ts
+        half = ts.size // 2
         rng = np.random.default_rng(cfg.seed)
-        k = min(200, u.size)
-        idx = rng.choice(u.size, size=k, replace=False)
-        direct = self._phi_direct(u[idx], lam)
-        scale = max(float(np.max(np.abs(phi_bulk))), 1e-300)
-        err = float(np.max(np.abs(phi_bulk[idx] - direct))) / scale
+        k = min(200, r.size * ts.size)
+        row, col = np.divmod(rng.choice(r.size * ts.size, size=k,
+                                        replace=False), ts.size)
+        mirrored = col < half
+        bulk = phi_half[row, np.where(mirrored, half - 1 - col, col - half)]
+        np.negative(bulk, out=bulk, where=mirrored)
+        direct = self._phi_direct(r[row] * ts[col], lam)
+        scale = max(float(np.max(np.abs(phi_half))), 1e-300)
+        err = float(np.max(np.abs(bulk - direct))) / scale
         tol = cfg.tolerances["identity_rel"] / 10.0
         if not err <= tol:
             raise ConstructionError(

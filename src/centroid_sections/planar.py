@@ -74,7 +74,8 @@ def polygon_body(vertices) -> PlanarBody:
     if np.max(np.abs(v)) > _COORD_MAX:
         raise ValueError(f"polygon coordinates must be at most "
                          f"{_COORD_MAX:.0e} in magnitude")
-    if np.allclose(v[0], v[-1]):
+    # a repeated closing vertex, to a tolerance relative to the size
+    if np.max(np.abs(v[0] - v[-1])) <= 1e-8 * np.max(np.ptp(v, axis=0)):
         v = v[:-1]
     area2 = float(np.sum(_cross2(v, np.roll(v, -1, axis=0))))
     if area2 == 0.0:
@@ -267,6 +268,9 @@ def bisected_chords(body: PlanarBody) -> dict:
         # sharpen every crossing at once; each stops on its own rule
         lo, hi = th[idx], th[idx] + spacing
         flo = _chord_defect(body, lo)
+        # a zero defect at the left end is the root; the side test below
+        # would count it as positive
+        hi[flo == 0.0] = lo[flo == 0.0]
         k = np.arange(idx.size)
         for _ in range(200):
             k = k[hi[k] - lo[k] > 1e-10]

@@ -404,3 +404,19 @@ def section_centroid_axis(body, u_xi, order=256):
     symmetry any xi with the same <xi, e_n> gives a congruent section."""
     num, vol = _section_parts(body, u_xi, order)
     return float(num / vol)
+
+
+def unfolded_sweep(ctx, lam, eps, u_grid):
+    """(lhs, section centroids) of ctx.identity_sweep with the profile
+    read at every node of the section rule, negative nodes included,
+    where the sweep reads the nonnegative half and mirrors it.  Same
+    rule, tables and operation order, so the two must agree bit for
+    bit."""
+    n = ctx.n
+    r = np.sqrt(np.maximum(0.0, 1.0 - u_grid ** 2))
+    v = r[:, None] * ctx._ts[None, :]
+    f = (np.asarray(ctx.base.rho(v), dtype=np.float64) ** n
+         + eps * ctx._phi_bulk(v, lam))
+    lhs = ctx._subsurf * ((v * f) @ ctx._tw)
+    sec_vol = ctx._subsurf / (n - 1) * (f ** ((n - 1.0) / n) @ ctx._tw)
+    return lhs, lhs / (n * sec_vol)

@@ -135,7 +135,7 @@ def test_c06_blend_transform_vanishes_at_equator(ctx5):
         assert ctx5.equator_ratio(lam) <= 1e-8
 
 
-@pytest.mark.parametrize("n,budget", [(5, 60.0), (6, 120.0)])
+@pytest.mark.parametrize("n,budget", [(5, 60.0), (6, 120.0), (7, 120.0)])
 def test_c07_construction_certificate(n, budget, tmp_path, subprocess_env):
     """A cold-cache CLI construction run succeeds within budget and its
     certificate pins the root inside (0,1), a centroid residual at most

@@ -85,6 +85,14 @@ def test_construct_eps_too_large_exits_3(tmp_path, capsys):
     assert not (tmp_path / "certificate.json").exists()
 
 
+def test_construct_and_verify_n7(tmp_path, capsys):
+    # the sweep's spot check holds at n = 7, where the near-pole table
+    # error once exceeded it (exit 3)
+    assert cli.main(["construct", "--n", "7", "--outdir", str(tmp_path)]) == 0
+    assert cli.main(["verify", str(tmp_path / "certificate.json")]) == 0
+    assert "verification PASSED" in capsys.readouterr().out
+
+
 def test_construct_low_dimension_exits_2(tmp_path, capsys):
     rc = cli.main(["construct", "--n", "4", "--outdir", str(tmp_path)])
     assert rc == 2
@@ -383,6 +391,14 @@ def test_planar_polygon_csv_input(tmp_path, capsys):
         w.writerows([(0.0, 0.0), (2.0, 0.0), (0.6, 1.5)])
     rc = cli.main(["planar", "--input", str(path)])
     assert rc == 0
+    assert "3 bisected chords" in capsys.readouterr().out
+
+
+def test_planar_tiny_polygon_csv_input(tmp_path, capsys):
+    # legs of 1e-10: no vertex is taken for a repeated closing vertex
+    path = tmp_path / "tiny.csv"
+    path.write_text("x,y\n0,0\n1e-10,0\n0,1e-10\n")
+    assert cli.main(["planar", "--input", str(path)]) == 0
     assert "3 bisected chords" in capsys.readouterr().out
 
 

@@ -12,9 +12,11 @@ from centroid_sections import (ConstructionError, RunConfig, curvature,
                                make_cap_bump, make_oblate_gap_profile,
                                negativity_threshold, run_construction)
 
+from centroid_sections.spherical_core import _rolling_accumulate
 from oracles import (SEED, bisect_sign_change, fd_deriv,
                      odd_quotient_difference, odd_quotient_integral,
-                     section_centroid_axis, section_volume, sphere_integral)
+                     section_centroid_axis, section_volume, sphere_integral,
+                     unfolded_sweep)
 
 C5 = 16.0 * np.pi ** 2
 
@@ -373,62 +375,99 @@ def test_identity_check_public_wrapper(construct_result, cert5):
 # bulk evaluation: the bump part's quotient series and its dense interpolant
 
 
-def test_identity_sweep_bit_equal_to_unfolded_spline(ctx5, cert5):
-    lam, eps = cert5["lambda0"], cert5["eps0"]
-    grid = np.linspace(-1.0, 1.0, 1441)
-    # reference interpolant from the series summed at every knot, not once
-    # per |u| and mirrored
-    knots = ctx5._q_dense.x
-    spec = ctx5.bump_quotient
-    ref = copy.copy(ctx5)
-    ref._q_dense = counterexample._DenseQuintic(
-        knots, counterexample._rolling_accumulate(spec.coeffs,
-                                                  spec.lambda_index, knots))
-    # the fit itself (eps0 is small enough that the sweep alone would hide
-    # a last-bit change)
-    assert np.array_equal(ctx5._q_dense.c, ref._q_dense.c)
-    want = ref.identity_sweep(lam, eps, grid)
-    got = ctx5.identity_sweep(lam, eps, grid)
-    assert np.array_equal(got["lhs"], want["lhs"])
-    assert np.array_equal(got["centroid_quadrature"],
-                          want["centroid_quadrature"])
+def test_section_rule_exactly_antisymmetric(ctx5):
+    # the sweep reads the profile on the nonnegative nodes and mirrors it,
+    # which needs every negative node to be a nonnegative one negated
+    ts = ctx5._ts
+    assert ts.size % 2 == 0 and np.all(ts[ts.size // 2:] >= 0.0)
+    assert np.array_equal(ts, -ts[::-1])
+
+
+def test_identity_sweep_bit_equal_to_unfolded_sweep(ctx5, cert5):
+    # the folded sweep against a reference that reads every section node,
+    # at the recorded root (n = 5) and at a root of n = 6.  eps0 is small
+    # enough that the sweep alone could hide a last-bit change in phi, so
+    # phi's exact oddness across the nodes is checked on its own
+    ctx6 = get_context(RunConfig(n=6))
+    eps6 = ctx6.select_eps()["eps"]
+    for ctx, lam, eps in ((ctx5, cert5["lambda0"], cert5["eps0"]),
+                          (ctx6, ctx6.find_root(eps6)["lambda0"], eps6)):
+        half = ctx._ts.size // 2
+        for size in (361, 721, 1441):
+            grid = np.linspace(-1.0, 1.0, size)
+            want_lhs, want_centroids = unfolded_sweep(ctx, lam, eps, grid)
+            got = ctx.identity_sweep(lam, eps, grid)
+            assert np.array_equal(got["lhs"], want_lhs)
+            assert np.array_equal(got["centroid_quadrature"], want_centroids)
+        phi = ctx._phi_bulk(np.sqrt(1.0 - grid[:, None] ** 2) * ctx._ts, lam)
+        assert np.array_equal(phi[:, :half], -phi[:, half:][:, ::-1])
 
 
 def test_dense_quintic_reproduces_quintics_in_every_cell():
     # the six-point stencils, one-sided at both ends, are exact for degree
-    # 5, so only rounding separates the interpolant from the polynomial
-    x = np.linspace(-1.0, 1.0, 101)
-    x = 0.5 * (x - x[::-1])
-    def p(u):
-        return 0.3 - u + 2.0 * u ** 2 - 0.5 * u ** 3 + 1.5 * u ** 4 - u ** 5
-    dense = counterexample._DenseQuintic(x, p(x))
-    u = np.concatenate([np.random.default_rng(SEED).uniform(-1.0, 1.0, 5000),
-                        0.5 * (x[:-1] + x[1:])])
-    assert np.max(np.abs(dense(u) - p(u))) <= 1e-14
-    assert np.array_equal(dense(x), p(x))
+    # 5 in the index variable, so only rounding separates the interpolant
+    # from the polynomial; the read at u is sign(u) Q(arccos |u|)
+    def p(theta):
+        s = theta / (np.pi / 2)
+        return 0.3 - s + 2.0 * s ** 2 - 0.5 * s ** 3 + 1.5 * s ** 4 - s ** 5
+    theta = np.linspace(0.0, np.pi / 2, 101)
+    dense = counterexample._DenseQuintic(p(theta))
+    rng = np.random.default_rng(SEED)
+    th = np.concatenate([rng.uniform(0.0, np.pi / 2, 5000),
+                         0.5 * (theta[:-1] + theta[1:])])
+    assert np.max(np.abs(dense.at_theta(th) - p(th))) <= 1e-14
+    assert np.array_equal(dense.at_theta(theta), p(theta))
+    u = rng.uniform(-1.0, 1.0, 5000)
+    want = np.sign(u) * p(np.arccos(np.abs(u)))
+    assert np.max(np.abs(dense(u) - want)) <= 1e-14
 
 
 def test_dense_quintic_matches_series_by_cell(ctx5):
-    # off-knot points against the series itself, bounds relative to
-    # max|q_b|.  Toward the poles the degree-3199 series oscillates on the
-    # grid's own scale, so no interpolant on this grid follows it there:
-    # 1e-12 holds for |u| <= 0.99 (cells 400 to N - 401), and the bands
-    # nearer each pole are held to a few times their measured errors,
-    # 2.7e-9 in cells 11 to 399 and 1.1e-6 in cells 0 to 10
-    dense = ctx5._q_dense
-    x = dense.x
-    cells = x.size - 1
+    # off-knot points against the longdouble series, bounds relative to
+    # max|q_b|: 1e-12 in 2000 random cells with |u| <= 0.99, and 1e-11 in
+    # every cell nearer the poles and at probes down to 1 -+ 1e-12.  Near
+    # a pole the degree-3199 series varies on the scale 1/M^2 in u but
+    # 2 pi/M in theta, so the theta table follows it there too
     rng = np.random.default_rng(SEED)
     t = np.array([0.13, 0.5, 0.77])
-    scale = float(np.max(np.abs(dense.c[0])))
-    bands = [(np.r_[0:11, cells - 11:cells], 1e-5),
-             (np.r_[11:400, cells - 400:cells - 11], 1e-8),
-             (rng.choice(np.arange(400, cells - 400), 2000, replace=False),
-              1e-12)]
-    for cell, bound in bands:
-        u = (x[cell, None] + t * (x[cell + 1] - x[cell])[:, None]).ravel()
-        err = np.abs(dense(u) - eval_spectrum(ctx5.bump_quotient, u))
-        assert np.max(err) <= bound * scale
+    for ctx in (ctx5, get_context(RunConfig(n=6))):
+        dense = ctx._q_dense
+        theta = dense.theta
+        polar = np.nonzero(np.cos(theta[:-1]) > 0.99)[0]
+        inner = rng.choice(np.arange(polar[-1] + 1, theta.size - 1), 2000,
+                           replace=False)
+        probes = 1.0 - np.concatenate([10.0 ** -np.arange(1, 13),
+                                       10.0 ** -rng.uniform(0, 12, 500)])
+        spec = ctx.bump_quotient
+        scale = float(np.max(np.abs(dense.c[:, 0])))
+        for cells, extra, bound in ((polar, probes, 1e-11),
+                                    (inner, [], 1e-12)):
+            th = (theta[cells, None]
+                  + t * (theta[cells + 1] - theta[cells])[:, None]).ravel()
+            u = np.concatenate([np.cos(th), extra])
+            u *= rng.choice([-1.0, 1.0], u.size)
+            want = _rolling_accumulate(spec.coeffs, spec.lambda_index,
+                                       u.astype(np.longdouble))
+            assert np.max(np.abs(dense(u) - want)) <= bound * scale
+
+
+def test_theta_table_matches_series_at_knots(ctx5):
+    # the FFT samples against the longdouble recurrence at the exact knot
+    # angles i (pi/2) / (K - 1), the 400 outermost at each end and 2000
+    # between; the sample at u = 0 is exactly 0
+    rng = np.random.default_rng(SEED)
+    pi = np.arccos(np.longdouble(-1.0))
+    for ctx in (ctx5, get_context(RunConfig(n=6))):
+        table = ctx._q_dense.c[:, 0]
+        last = table.size - 1
+        i = np.r_[0:400, last - 399:last + 1,
+                  rng.choice(np.arange(400, last - 399), 2000, replace=False)]
+        spec = ctx.bump_quotient
+        want = _rolling_accumulate(spec.coeffs, spec.lambda_index,
+                                   np.cos(i * (pi / 2) / last))
+        scale = float(np.max(np.abs(table)))
+        assert np.max(np.abs(table[i] - want)) <= 5e-14 * scale
+        assert table[-1] == 0.0
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -487,7 +526,8 @@ def test_context_build_rejects_a_wrong_quotient_series(ctx5, monkeypatch,
 
 def test_context_build_series_work_budget(ctx5, monkeypatch):
     # points x coefficients over every series sum of one n = 5 build; the
-    # old value, derivative and quotient tables took ~475 M
+    # old value, derivative and quotient tables took ~475 M and the u-grid
+    # quotient table 128 M; the theta table, filled by FFT, takes none
     from centroid_sections import spherical_core
     work = []
     real = spherical_core._rolling_accumulate
@@ -499,7 +539,7 @@ def test_context_build_series_work_budget(ctx5, monkeypatch):
     monkeypatch.setattr(spherical_core, "_rolling_accumulate", counted)
     monkeypatch.setattr(counterexample, "_rolling_accumulate", counted)
     counterexample.ConstructionContext(5, ctx5.a, ctx5.cap_u0, RunConfig())
-    assert sum(work) <= 200_000_000
+    assert sum(work) <= 60_000_000
 
 
 @pytest.mark.parametrize("which", ["0", "lambda0", "1"])
@@ -509,9 +549,8 @@ def test_phi_bulk_matches_direct_series_over_window(ctx5, cert5, which):
     # max |phi| as the sweep's spot check does
     lam = {"0": 0.0, "lambda0": cert5["lambda0"], "1": 1.0}[which]
     u_switch = counterexample._U_SWITCH
-    hi = ctx5._q_dense.x[-1]
     special = [0.0, 1e-300, 1e-14, u_switch * (1.0 - 2.0 ** -52), u_switch]
-    u = np.concatenate([np.linspace(-hi, hi, 2001), special,
+    u = np.concatenate([np.linspace(-1.0, 1.0, 2001), special,
                         np.negative(special), np.linspace(-1.0, 1.0, 401)])
     direct = ctx5._phi_direct(u, lam)
     got = ctx5._phi_bulk(u, lam)
@@ -537,20 +576,21 @@ def test_gap_quotient_matches_integral_form(ctx5):
 
 
 def test_quotient_spline_nan_outside_its_window(ctx5):
-    # one interpolant over the whole dense grid, which is exactly
-    # antisymmetric so the odd series is summed once per |u|; it gives back
-    # every knot sample and never extrapolates
+    # one interpolant over the half theta table [0, pi/2], read exactly odd
+    # at |u|: it gives back every knot sample at its own angle, q(0) = 0,
+    # and it never extrapolates
     dense = ctx5._q_dense
-    x = dense.x
-    assert x.size == ctx5.config.dense_eval_grid
-    assert x[0] == -1.0 and x[-1] == 1.0
-    assert np.array_equal(x, -x[::-1])
-    assert np.array_equal(dense(x), dense.c[0])
-    assert np.array_equal(dense(x), -dense(-x))
-    assert dense(np.array([0.0]))[0] == 0.0
+    theta = dense.theta
+    assert theta.size == ctx5.config.dense_eval_grid
+    assert theta[0] == 0.0 and theta[-1] == np.arccos(0.0)
+    assert np.array_equal(dense.at_theta(theta), dense.c[:, 0])
+    u = np.random.default_rng(SEED).uniform(-1.0, 1.0, 10000)
+    assert np.array_equal(dense(-u), -dense(u))
+    assert np.all(dense(np.array([0.0, -0.0])) == 0.0)
     assert np.all(np.isfinite(dense(np.array([-1.0, -0.5, 0.0, 0.5, 1.0]))))
-    h = 2.0 / (x.size - 1)
-    outside = dense(np.array([-1.0 - h / 4, 1.0 + h / 4, -2.0, 2.0, np.nan]))
+    outside = dense(np.array([np.nextafter(-1.0, -2.0),
+                              np.nextafter(1.0, 2.0), -2.0, 2.0, np.nan,
+                              np.inf, -np.inf]))
     assert np.all(np.isnan(outside))
 
 

@@ -213,6 +213,16 @@ def test_blob_count_matches_brute_scan():
     assert res["count"] >= 3 and res["count"] % 2 == 1
 
 
+def test_root_on_a_scan_angle_is_that_angle():
+    # the chord defect of this triangle is exactly 0 at the scan angles 0
+    # and pi/2 and rises through 0 at pi/2: the bracket's left end is the
+    # root, not a point one scan step beyond it
+    res = bisected_chords(polygon_body([(0.0, 0.0), (3.0, 0.0), (0.0, 3.0)]))
+    assert res["count"] == 3
+    got = np.asarray(res["directions"])
+    assert np.min(np.abs(got - np.pi / 2)) <= 1e-10
+
+
 def test_random_convex_polygons_have_odd_count_at_least_three():
     rng = np.random.default_rng(SEED)
     counts = {}
@@ -235,6 +245,16 @@ def test_polygon_rejects_degenerate_input():
         polygon_body([(0, 0), (1, 0), (2, 0)])
     with pytest.raises(ValueError):  # reflex vertex
         polygon_body([(0, 0), (2, 0), (1, 0.2), (1, 2)])
+
+
+def test_polygon_closing_vertex_is_relative_to_size():
+    # a repeated closing vertex is dropped, and a polygon far smaller than
+    # any absolute tolerance keeps every vertex
+    closed = polygon_body([(0, 0), (1, 0), (1, 1), (0, 1), (0, 0)])
+    assert closed.vertices.shape == (4, 2)
+    tiny = polygon_body([(0.0, 0.0), (1e-10, 0.0), (0.0, 1e-10)])
+    assert tiny.vertices.shape == (3, 2)
+    assert bisected_chords(tiny)["count"] == 3
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
