@@ -90,7 +90,7 @@ def _profiles_rows(res):
     u = np.linspace(-1.0, 1.0, PROFILE_GRID)
     columns = (u, ctx.base.rho(u), ctx._phi_direct(u, lam0),
                res["body"].rho(u), ctx.seed_value(u, lam0),
-               ctx.blend_ft_value(u, lam0, 0))
+               ctx.blend_ft_value(u, lam0))
     return zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
 
 

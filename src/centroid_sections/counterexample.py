@@ -15,12 +15,14 @@ ConstructionContext: the bump's transform is expanded in extended
 precision to a few thousand Gegenbauer degrees and divided by u once,
 then tabulated in theta = arccos u by one FFT of its cosine series and
 read through a piecewise quintic with direct-series spot checks, which
-keeps the section sweep honest without per-point series sums.  get_context returns it; its methods are the per-(lam, eps)
-functionals (centroid, kappa_report, select_eps, find_root,
-identity_sweep), and run_construction chains them into the certificate.
-The context is also the only producer of the odd perturbation
-phi = (ghat(u) - ghat(0)) / u of the blended transform ghat and of the
-perturbed body (rho_base^n + eps phi)^{1/n}: perturbation and
+keeps the section sweep honest without per-point series sums.  The gap's
+transform has a closed form, and so has its quotient by u
+(_gap_quotient).  get_context returns the context; its methods are the
+per-(lam, eps) functionals (centroid, kappa_report, select_eps,
+find_root, identity_sweep), and run_construction chains them into the
+certificate.  The context is also the only producer of the odd
+perturbation phi = (ghat(u) - ghat(0)) / u of the blended transform ghat
+and of the perturbed body (rho_base^n + eps phi)^{1/n}: perturbation and
 perturbed_body.
 """
 
@@ -51,10 +53,10 @@ __all__ = [
 
 CERTIFICATE_SCHEMA = "v1"
 
-# the gap's odd quotient is summed as an integral for |u| < _U_SWITCH, by
-# a _GL_ORDER-point Gauss-Legendre rule (see _gap_quotient)
+# the derivatives of the gap's odd quotient are summed as a series of
+# _GAP_SERIES_TERMS terms for |u| < _U_SWITCH (see _gap_quotient)
 _U_SWITCH = 0.05
-_GL_ORDER = 96
+_GAP_SERIES_TERMS = 16
 
 
 def negativity_threshold(n: int, a: float) -> float:
@@ -129,10 +131,10 @@ def make_oblate_gap_profile(n: int) -> SphereProfile:
     ball and the inscribed oblate ellipsoid with polar semi-axis 1/2.
 
     The degree -1 extension has transform c_n (1 - (1 + 3u^2)^{-(n-1)/2}),
-    attached as ft_profile with three closed-form derivatives and its odd
-    quotient ft(u)/u (.quotient, 0 at u = 0): zero at the equator,
-    positive elsewhere.  This one-sided transform is what lets a blend
-    weight move the centroid without touching the equator value.
+    attached as ft_profile: zero at the equator, positive elsewhere.  This
+    one-sided transform is what lets a blend weight move the centroid
+    without touching the equator value.  Its odd quotient is
+    _gap_quotient's.
     """
     if n < 5:
         raise ValueError("gap profile used for n >= 5 only")
@@ -147,76 +149,66 @@ def make_oblate_gap_profile(n: int) -> SphereProfile:
         u = np.asarray(u)
         return cn * (1.0 - (1.0 + 3.0 * u * u) ** -q)
 
-    def ft_d1(u):
-        u = np.asarray(u)
-        return 6.0 * q * cn * u * (1.0 + 3.0 * u * u) ** (-q - 1)
+    prof = SphereProfile(n=n, eval=gap, parity="even")
+    prof.ft_profile = SphereProfile(n=n, eval=ft, parity="even")
+    return prof
 
-    def ft_d2(u):
-        u = np.asarray(u)
-        B = 1.0 + 3.0 * u * u
-        return 6.0 * q * cn * B ** (-q - 2) * (1.0 - 3.0 * (2 * q + 1) * u * u)
 
-    def ft_d3(u):
-        u = np.asarray(u)
-        B = 1.0 + 3.0 * u * u
-        return (-108.0 * q * (q + 1) * cn * u * B ** (-q - 3)
-                * (1.0 - (2 * q + 1) * u * u))
+def _gap_quotient(n: int) -> tuple:
+    """(q_g, q_g', q_g''): the gap's transform c_n E divided by u, where
+    E = 1 - B^{-q}, B = 1 + 3u^2 and q = (n - 1)/2, and its first two
+    derivatives.
 
-    def ft_quotient(u):
-        # ft(u) / u with no 0/0 and no cancellation near the equator:
-        # 1 - B^{-q} = -expm1(-q log1p(3u^2)), which is 0 at u = 0
+    q_g is -c_n expm1(-q log1p(3u^2)) / u, 0 at u = 0, at every u.  For
+    |u| >= _U_SWITCH the derivatives are the closed forms
+
+        q_g'  = c_n (6q B^{-q-1} - E / u^2),
+        q_g'' = c_n (2E / u^3 - 6q B^{-q-1} / u - 36q(q+1) u B^{-q-2});
+
+    below it, where those terms cancel, they are the termwise derivatives
+    of q_g = sum_{k>=1} a_k u^{2k-1}, a_k = c_n (-1)^{k+1}
+    binom(q+k-1, k) 3^k, by Horner in u^2.  The term ratio there is
+    3u^2 (q+k)/(k+1) <= 0.0075 (q+k)/(k+1), so _GAP_SERIES_TERMS terms
+    reach float64 for every n up to 26 (beyond that the Gauss-Jacobi rules
+    of the context build fail first).  Against mpmath, c_n divided out,
+    the three are within 5e-16, 5e-16 and 4e-15 of their max over [-1, 1]
+    at n = 5 to 26.  A Gegenbauer quotient series, as for the bump, is no
+    substitute: at degree 120 and n = 5 its second derivative is off by
+    2.2e-9 of max at the poles.
+    """
+    cn = bochner_multiplier(0, 1, n)
+    q = (n - 1) / 2.0
+    a = [3.0 * q * cn]
+    for k in range(1, _GAP_SERIES_TERMS):
+        a.append(-a[-1] * 3.0 * (q + k) / (k + 1))
+    # coefficients of q_g' and of q_g'' / u, by power of u^2
+    d1 = [(2 * k + 1) * ak for k, ak in enumerate(a)]
+    d2 = [(2 * k + 3) * (2 * k + 2) * ak for k, ak in enumerate(a[1:])]
+    polyval = np.polynomial.polynomial.polyval
+
+    def value(u):
         u = np.asarray(u)
         return (-cn * np.expm1(-q * np.log1p(3.0 * u * u))
                 / np.where(u == 0, 1.0, u))
 
-    prof = SphereProfile(n=n, eval=gap, parity="even")
-    ftprof = SphereProfile(n=n, eval=ft, parity="even",
-                           derivs=(ft_d1, ft_d2, ft_d3))
-    ftprof.quotient = ft_quotient
-    prof.ft_profile = ftprof
-    return prof
-
-
-def _gap_quotient(ft: SphereProfile) -> SphereProfile:
-    """Odd profile ft(u) / u of the gap's transform, which vanishes at the
-    equator, with two derivatives.
-
-    Away from the equator it is the difference quotient; for
-    |u| < _U_SWITCH the k-th derivative is int_0^1 s^k ft^(k+1)(s u) ds by
-    Gauss-Legendre, the same function without the 0/0 cancellation.  The
-    quotient series route of the bump (expand, then _divide_by_u) is no
-    substitute here: at degree 120 and n = 5 its second derivative is off
-    by 2.2e-9 of max at the poles, this form by 8e-14 (against mpmath).
-    """
-    gl = gauss_jacobi(_GL_ORDER, 0.0)
-    s01 = 0.5 * (gl.nodes.astype(np.float64) + 1.0)
-    w01 = 0.5 * gl.weights.astype(np.float64)
-    fns = (ft, *ft.derivs)
-
-    def quotient(u, k):
-        uu = np.atleast_1d(np.asarray(u, dtype=float))
-        big = np.abs(uu) >= _U_SWITCH
-        out = np.empty_like(uu)
-        ub = uu[big]
-        g = [np.asarray(f(ub), dtype=float) for f in fns[:k + 1]]
-        if k == 0:
-            out[big] = g[0] / ub
-        elif k == 1:
-            out[big] = (g[1] * ub - g[0]) / ub ** 2
+    def derivative(u, k):
+        u = np.asarray(u, dtype=np.float64)
+        small = np.abs(u) < _U_SWITCH
+        us = np.where(small, u, 0.0)
+        ub = np.where(small, _U_SWITCH, u)
+        log_b = np.log1p(3.0 * ub * ub)
+        e = -np.expm1(-q * log_b)
+        b1 = 6.0 * q * np.exp(-(q + 1) * log_b)
+        if k == 1:
+            series = polyval(us * us, d1)
+            closed = cn * (b1 - e / ub ** 2)
         else:
-            out[big] = (g[2] * ub ** 2 - 2 * ub * g[1] + 2 * g[0]) / ub ** 3
-        us = uu[~big]
-        if us.size:
-            pts = np.outer(s01, us)
-            out[~big] = (w01 * s01 ** k) @ np.asarray(fns[k + 1](pts),
-                                                      dtype=float)
-        if np.ndim(u) == 0:
-            return float(out[0])
-        return out
+            series = us * polyval(us * us, d2)
+            closed = cn * (2.0 * e / ub ** 3 - b1 / ub - 36.0 * q * (q + 1)
+                           * ub * np.exp(-(q + 2) * log_b))
+        return np.where(small, series, closed)
 
-    phi = [partial(quotient, k=k) for k in range(3)]
-    return SphereProfile(n=ft.n, eval=phi[0], parity="odd",
-                         derivs=tuple(phi[1:]))
+    return value, partial(derivative, k=1), partial(derivative, k=2)
 
 
 def _root_jet(n: int, eps: float, base, phi) -> list:
@@ -359,7 +351,7 @@ class ConstructionContext:
             coeffs=qco_ld.astype(np.float64))
         # the gap part: its closed-form transform and the quotient of that
         self._gap_ft = self.gap.ft_profile
-        self._gap_q = _gap_quotient(self._gap_ft)
+        self._gap_q = _gap_quotient(n)
 
         eq = np.linspace(-1.0, 1.0, config.equator_grid)
         self._bft_eq = eval_spectrum(self.bump_ft_spectrum, eq)
@@ -398,7 +390,7 @@ class ConstructionContext:
         rho_x = np.asarray(self.base.rho(self._x), dtype=np.float64)
         self._rho_n_x = rho_x ** n
         self._bq_x = eval_spectrum(self.bump_quotient, self._x)
-        self._gq_x = self._gap_q(self._x)
+        self._gq_x = self._gap_q[0](self._x)
 
         # curvature tables on an inclusive theta grid: the odd quotient and
         # its first two derivatives, in the bump and gap parts
@@ -412,7 +404,7 @@ class ConstructionContext:
                                     dtype=np.float64)
         self._bq_t = [eval_spectrum_deriv(self.bump_quotient, ut, k)
                       for k in range(3)]
-        self._gq_t = [g(ut) for g in (self._gap_q, *self._gap_q.derivs)]
+        self._gq_t = [g(ut) for g in self._gap_q]
 
         # subsphere quadrature for the section sweep; order chosen so the
         # band-limited integrand is integrated without aliasing
@@ -426,14 +418,10 @@ class ConstructionContext:
 
     # -- transform of the blended seed ------------------------------------
 
-    def blend_ft_value(self, u, lam: float, k: int = 0):
-        """k-th derivative of the blended transform, direct series route."""
-        if k == 0:
-            b = eval_spectrum(self.bump_ft_spectrum, u)
-            g = self._gap_ft(u)
-        else:
-            b = eval_spectrum_deriv(self.bump_ft_spectrum, u, k)
-            g = self._gap_ft.derivs[k - 1](u)
+    def blend_ft_value(self, u, lam: float):
+        """The blended transform, direct series route."""
+        b = eval_spectrum(self.bump_ft_spectrum, u)
+        g = self._gap_ft(u)
         return (1.0 - lam) * b + lam * np.asarray(g, dtype=np.float64)
 
     def blend_ft_at_zero(self, lam: float) -> float:
@@ -664,7 +652,7 @@ class ConstructionContext:
         and the gap part's closed form."""
         out = self._q_dense(u)
         out *= 1.0 - lam
-        out += lam * self._gap_ft.quotient(u)
+        out += lam * self._gap_q[0](u)
         return out
 
     def _spot_check(self, r: np.ndarray, phi_half: np.ndarray, lam: float):
@@ -700,11 +688,10 @@ class ConstructionContext:
     def _phi_direct(self, u, lam: float, k: int = 0):
         """k-th derivative of the odd quotient of the blended transform:
         the bump part from its quotient series, the gap part from
-        _gap_quotient, both in float64."""
+        _gap_quotient's closed form, both in float64."""
         u = np.asarray(u, dtype=np.float64)
-        g = self._gap_q if k == 0 else self._gap_q.derivs[k - 1]
         return ((1.0 - lam) * eval_spectrum_deriv(self.bump_quotient, u, k)
-                + lam * g(u))
+                + lam * self._gap_q[k](u))
 
     def diameter(self, lam: float, eps: float) -> float:
         """Max over the theta grid of rho(u) + rho(-u) (axial symmetry
@@ -778,11 +765,6 @@ def run_construction(config: Optional[RunConfig] = None) -> dict:
 
     pv = parseval_residual(ctx.base.rho, ctx.gap, 1.0)
 
-    # observed slope of the blended transform near the equator (recorded,
-    # not asserted; the construction only needs grid values)
-    ueq = np.linspace(-0.1, 0.1, 201)
-    slope_max = float(np.max(np.abs(ctx.blend_ft_value(ueq, lam0, 1))))
-
     diam = ctx.diameter(lam0, eps0)
 
     checks = {
@@ -824,8 +806,6 @@ def run_construction(config: Optional[RunConfig] = None) -> dict:
         "identity_max_relerr": sweep["max_rel_err"],
         "pole_section_abs": sweep["pole_abs"],
         "near_pole_section_abs": sweep["near_pole_abs"],
-        "transform_slope_near_equator": slope_max,
-        "transform_slope_note": "grid-verified",
         "negativity_threshold": negativity_threshold(ctx.n, ctx.a),
         "config": asdict(cfg),
         "grids": {

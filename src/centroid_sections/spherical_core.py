@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .config import RunConfig
+from .config import ConstructionError, RunConfig
 
 LD = np.longdouble
 
@@ -285,12 +285,12 @@ def _gauss_jacobi_start(order: int, beta: float) -> np.ndarray:
         if np.all(np.abs(step) <= _START_TOL):
             break
     else:
-        raise ValueError(
+        raise ConstructionError(
             f"Gauss-Jacobi float64 start did not converge at order {order}, "
             f"beta {beta}: last step {float(np.max(np.abs(step))):.3e} "
             f"after {_START_MAX_ITER} Newton steps")
     if not (np.all(np.diff(x) > 0) and 0 < x[0] and x[-1] < 1):
-        raise ValueError(
+        raise ConstructionError(
             f"Gauss-Jacobi float64 start at order {order}, beta {beta} "
             f"does not separate the nodes")
     return np.concatenate([np.zeros(order % 2), x])
@@ -313,7 +313,7 @@ def _gauss_jacobi_cached(order: int, beta: float):
     cq, _, dcq = _top_pair(lam, x, order)
     step = cq / dcq
     if not np.all(np.abs(step) <= _NEWTON_STEP_MAX):
-        raise ValueError(
+        raise ConstructionError(
             f"Gauss-Jacobi start outside the Newton basin at order "
             f"{order}, beta {beta}: largest step "
             f"{float(np.max(np.abs(step))):.3e}")

@@ -9,6 +9,7 @@ against it.
 
 import math
 
+import mpmath
 import numpy as np
 from scipy import integrate, special
 
@@ -309,6 +310,23 @@ def odd_quotient_integral(coeffs, lam, u, order=96):
     d1 = 2 * lam * gegenbauer_series_plain(
         np.asarray(coeffs, dtype=float)[1:], lam + 1, pts, np.float64)
     return (0.5 * w) @ d1
+
+
+def gap_quotient_mp(n, u):
+    """(phi, phi', phi'') at u for phi(t) = -c_n expm1(-q log1p(3t^2)) / t,
+    q = (n-1)/2 and c_n = pi^{n/2} 2^{n-1} Gamma(q) / Gamma(1/2): the gap
+    transform's odd quotient, by mpmath's Taylor coefficients at 40 digits.
+    At u = 0 the exact values 0, 3q c_n and 0."""
+    with mpmath.workdps(40):
+        q = mpmath.mpf(n - 1) / 2
+        cn = (mpmath.pi ** (mpmath.mpf(n) / 2) * 2 ** (n - 1)
+              * mpmath.gamma(q) / mpmath.gamma(mpmath.mpf(1) / 2))
+        if u == 0:
+            return 0.0, float(3 * q * cn), 0.0
+        c = mpmath.taylor(
+            lambda t: -cn * mpmath.expm1(-q * mpmath.log1p(3 * t * t)) / t,
+            mpmath.mpf(u), 2)
+        return float(c[0]), float(c[1]), float(2 * c[2])
 
 
 def odd_quotient_difference(coeffs, lam, u):

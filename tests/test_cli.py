@@ -85,6 +85,24 @@ def test_construct_eps_too_large_exits_3(tmp_path, capsys):
     assert not (tmp_path / "certificate.json").exists()
 
 
+@pytest.mark.parametrize("command", ["construct", "intersection-test"])
+def test_gauss_jacobi_failure_is_a_named_precondition(command, tmp_path,
+                                                      subprocess_env):
+    # at n = 27 the float64 start of the beta = 12 rule fails: a named
+    # construction failure (exit 3), not a traceback
+    res = subprocess.run([sys.executable, "-m", "centroid_sections.cli",
+                          command, "--n", "27", "--outdir", str(tmp_path)],
+                         env=subprocess_env, capture_output=True, text=True,
+                         timeout=120)
+    assert res.returncode == 3
+    assert "Traceback" not in res.stderr
+    assert "construction failed: Gauss-Jacobi" in res.stderr
+    if command == "construct":
+        diag = json.loads((tmp_path / "diagnostic.json").read_text())
+        assert diag["stage"] == "construction"
+        assert "Gauss-Jacobi" in diag["error"]
+
+
 def test_construct_and_verify_n7(tmp_path, capsys):
     # the sweep's spot check holds at n = 7, where the near-pole table
     # error once exceeded it (exit 3)
@@ -235,9 +253,9 @@ def test_verify_rejects_forged_margin(cli_outdir, tmp_path, capsys):
     assert "FAIL margin_positive" in out
 
 
-# configuration keys, grids and tolerances that certificates carried while
-# the package still had them, or while they were configuration rather than
-# package constants; nothing reads them now
+# configuration keys, grids, tolerances and records that certificates
+# carried while the package still had them, or while they were
+# configuration rather than package constants; nothing reads them now
 DROPPED_CONFIG = {"cap_margin": 0.5, "quad_order": 256, "max_degree": 120,
                   "plot_grid": 1001, "planar_resolution": 4096,
                   "planar_theta_tol": 1e-10, "u_switch": 0.05, "gl_order": 96,
@@ -247,6 +265,8 @@ DROPPED_CONFIG = {"cap_margin": 0.5, "quad_order": 256, "max_degree": 120,
                   "eps_max_halvings": 20, "root_max_iter": 200,
                   "auto_a_candidates": [0.5, 0.4, 0.3, 0.2, 0.1, 0.05]}
 DROPPED_GRIDS = {"u_switch": 0.05, "gl_order": 96}
+DROPPED_KEYS = {"transform_slope_near_equator": 1.0,
+                "transform_slope_note": "grid-verified"}
 DROPPED_TOLERANCES = {"quadrature_exactness": 1e-12, "roundtrip_rel": 1e-8,
                       "route_agreement_rel": 1e-7, "symmetric_rel": 1e-10,
                       "branch_consistency_rel": 1e-9, "tail_warn_rel": 1e-6}
@@ -259,6 +279,7 @@ def test_verify_accepts_certificate_with_dropped_keys(cli_outdir, tmp_path,
         cert["grids"].update(DROPPED_GRIDS)
         cert["config"]["tolerances"].update(DROPPED_TOLERANCES)
         cert["tolerances"].update(DROPPED_TOLERANCES)
+        cert.update(DROPPED_KEYS)
     path = _tampered(cli_outdir, tmp_path, mutate)
     rc = cli.main(["verify", str(path)])
     out = capsys.readouterr().out

@@ -12,8 +12,9 @@ from centroid_sections import (ConstructionError, RunConfig, curvature,
                                make_cap_bump, make_oblate_gap_profile,
                                negativity_threshold, run_construction)
 
-from centroid_sections.spherical_core import _rolling_accumulate
-from oracles import (SEED, bisect_sign_change, fd_deriv,
+from centroid_sections.spherical_core import (_rolling_accumulate,
+                                              bochner_multiplier)
+from oracles import (SEED, bisect_sign_change, fd_deriv, gap_quotient_mp,
                      odd_quotient_difference, odd_quotient_integral,
                      section_centroid_axis, section_volume, sphere_integral,
                      unfolded_sweep)
@@ -83,16 +84,6 @@ def test_gap_profile_closed_values():
     assert np.min(ft(u)) >= -1e-9 * C5
 
 
-def test_gap_transform_derivatives_match_fd():
-    ft = make_oblate_gap_profile(5).ft_profile
-    u = np.array([-0.6, -0.15, 0.2, 0.7])
-    for k in (1, 2, 3):
-        got = ft.derivs[k - 1](u)
-        ref = fd_deriv(ft, u, k, h=1e-3)
-        scale = max(float(np.max(np.abs(ref))), 1.0)
-        assert np.max(np.abs(got - ref)) <= 1e-5 * scale
-
-
 # blend
 
 
@@ -130,45 +121,54 @@ def test_equator_vanishing(ctx5, lam):
 # odd quotient of an even transform
 
 
-def test_odd_perturbation_polynomial_case():
-    # quadratic transform: phi must be exactly the identity map
-    from centroid_sections import SphereProfile
-
-    quad = SphereProfile(5, lambda u: np.asarray(u, float) ** 2, parity="even",
-                         derivs=(lambda u: 2.0 * np.asarray(u, float),
-                                 lambda u: np.full_like(np.asarray(u, float), 2.0),
-                                 lambda u: np.zeros_like(np.asarray(u, float))))
-    phi = counterexample._gap_quotient(quad)
-    u = np.array([-0.9, -0.3, -0.04, -1e-4, 0.0, 1e-4, 0.04, 0.3, 0.9])
-    assert np.max(np.abs(phi(u) - u)) <= 1e-12
-    assert phi(0.0) == 0.0
-    assert np.max(np.abs(phi.derivs[0](u) - 1.0)) <= 1e-10
-    assert np.max(np.abs(phi.derivs[1](u))) <= 1e-10
-    # the gap's transform: against its closed-form quotient and the finite
-    # differences of that
+def test_gap_quotient_derivatives_match_finite_differences():
+    # the gap's quotient against the finite differences of its value, on
+    # both sides of the switch
     for n in (5, 6):
-        ft = make_oblate_gap_profile(n).ft_profile
-        q = counterexample._gap_quotient(ft)
-        fns = (q, *q.derivs)
+        fns = counterexample._gap_quotient(n)
         grid = np.linspace(-1.0, 1.0, 2001)
         scales = [np.max(np.abs(f(grid))) for f in fns]
         switch = counterexample._U_SWITCH
         u = np.array([-0.8, -0.3, -switch, -0.02, 0.0, 0.01, 0.049, 0.051,
                       0.6])
-        assert np.max(np.abs(q(u) - ft.quotient(u))) <= 1e-13 * scales[0]
-        assert q(0.0) == 0.0
+        assert fns[0](0.0) == 0.0
         for k in (1, 2):
-            ref = fd_deriv(ft.quotient, u, k, h=1e-3)
+            ref = fd_deriv(fns[0], u, k, h=1e-3)
             assert np.max(np.abs(fns[k](u) - ref)) <= 1e-9 * scales[k]
 
 
-def test_odd_perturbation_branch_consistency(monkeypatch):
-    # value, phi' and phi'': the difference-quotient and integral branches
-    # of the gap's quotient hand off across +-_U_SWITCH
+@pytest.mark.parametrize("n", [5, 6, 7, 10])
+def test_gap_quotient_matches_mpmath(n):
+    # value, phi' and phi'' of the gap's quotient against mpmath at 40
+    # digits: a grid over [-1, 1], random points about the series branch,
+    # the switch and its float neighbour, and points near and at the
+    # equator.  Both sides are divided by their own multiplier c_n, so the
+    # bounds hold the quotient, not the package's c_n (whose float64 log
+    # magnitude leaves it off by up to 1e-15 relative)
     switch = counterexample._U_SWITCH
-    for n in (5, 6):
-        q = counterexample._gap_quotient(make_oblate_gap_profile(n).ft_profile)
-        fns = (q, *q.derivs)
+    edge = np.nextafter(switch, 0.0)
+    rng = np.random.default_rng(SEED)
+    u = np.concatenate([np.linspace(-1.0, 1.0, 201),
+                        rng.uniform(-0.06, 0.06, 100),
+                        [switch, -switch, edge, -edge, 1e-8, 1e-300,
+                         -1e-300, 0.0]])
+    q = 0.5 * (n - 1)
+    want = np.array([gap_quotient_mp(n, float(v)) for v in u]).T
+    want /= gap_quotient_mp(n, 0.0)[1] / (3.0 * q)
+    cn = bochner_multiplier(0, 1, n)
+    fns = counterexample._gap_quotient(n)
+    for f, w, bound in zip(fns, want, (1e-15, 5e-15, 3e-14)):
+        got = np.asarray(f(u), dtype=float) / cn
+        assert np.max(np.abs(got - w)) <= bound * np.max(np.abs(w))
+    assert fns[0](0.0) == 0.0 and fns[2](0.0) == 0.0
+
+
+def test_odd_perturbation_branch_consistency(monkeypatch):
+    # phi' and phi'': the closed-form and series branches of the gap's
+    # quotient hand off across +-_U_SWITCH
+    switch = counterexample._U_SWITCH
+    for n in (5, 6, 7, 10):
+        fns = counterexample._gap_quotient(n)[1:]
         grid = np.linspace(-1.0, 1.0, 2001)
         scales = [np.max(np.abs(f(grid))) for f in fns]
         edge = np.nextafter(switch, 0.0)
@@ -176,18 +176,18 @@ def test_odd_perturbation_branch_consistency(monkeypatch):
         for f, scale in zip(fns, scales):
             # the two points either side of each switch, one in each branch
             vals = f(at)
-            assert abs(vals[0] - vals[1]) <= 1e-9 * scale
-            assert abs(vals[2] - vals[3]) <= 1e-9 * scale
+            assert abs(vals[0] - vals[1]) <= 1e-13 * scale
+            assert abs(vals[2] - vals[3]) <= 1e-13 * scale
         # both branches over a window around the switch
         window = switch * np.concatenate([np.linspace(0.9, 1.1, 21),
                                           -np.linspace(0.9, 1.1, 21)])
         monkeypatch.setattr(counterexample, "_U_SWITCH", 0.8 * switch)
-        direct = [f(window) for f in fns]
+        closed = [f(window) for f in fns]
         monkeypatch.setattr(counterexample, "_U_SWITCH", 1.2 * switch)
-        integral = [f(window) for f in fns]
+        series = [f(window) for f in fns]
         monkeypatch.undo()
-        for a, b, scale in zip(direct, integral, scales):
-            assert np.max(np.abs(a - b)) <= 1e-9 * scale
+        for a, b, scale in zip(closed, series, scales):
+            assert np.max(np.abs(a - b)) <= 1e-13 * scale
 
 
 def test_odd_perturbation_rejects_nonvanishing_equator(ctx5, cert5):
@@ -484,8 +484,7 @@ def test_bump_quotient_series_matches_oracles(ctx5, n):
                             [1e-300, -1e-14, 1e-14]])
     big = np.concatenate([rng.uniform(u_switch, 1.0, 300) *
                           rng.choice([-1.0, 1.0], 300), [-1.0, 1.0]])
-    want_small = odd_quotient_integral(spec.coeffs, spec.lambda_index, small,
-                                       counterexample._GL_ORDER)
+    want_small = odd_quotient_integral(spec.coeffs, spec.lambda_index, small)
     want_big = odd_quotient_difference(spec.coeffs, spec.lambda_index, big)
     got_small = eval_spectrum(q, small)
     got_big = eval_spectrum(q, big)
@@ -542,6 +541,24 @@ def test_context_build_series_work_budget(ctx5, monkeypatch):
     assert sum(work) <= 60_000_000
 
 
+def test_context_build_requests_two_gauss_jacobi_rules(ctx5, monkeypatch):
+    # the bump expansion and centroid share one rule, the section sweep has
+    # the other; the gap's quotient needs none
+    from centroid_sections import revolution_bodies, spherical_core
+    rules = set()
+    real = spherical_core.gauss_jacobi
+
+    def counted(order, beta):
+        rules.add((order, beta))
+        return real(order, beta)
+
+    for module in (spherical_core, counterexample, revolution_bodies):
+        monkeypatch.setattr(module, "gauss_jacobi", counted)
+    cfg = RunConfig()
+    ctx = counterexample.ConstructionContext(5, ctx5.a, ctx5.cap_u0, cfg)
+    assert rules == {(ctx.bump_order, 1.0), (cfg.section_quad_order, 0.5)}
+
+
 @pytest.mark.parametrize("which", ["0", "lambda0", "1"])
 def test_phi_bulk_matches_direct_series_over_window(ctx5, cert5, which):
     # the dense interpolant's whole window, the points where 0/0 or the
@@ -557,22 +574,6 @@ def test_phi_bulk_matches_direct_series_over_window(ctx5, cert5, which):
     assert np.all(np.isfinite(got))
     assert np.max(np.abs(got - direct)) <= 1e-12 * np.max(np.abs(direct))
     assert np.all(got[u == 0.0] == 0.0)
-
-
-def test_gap_quotient_matches_integral_form(ctx5):
-    from scipy.special import roots_legendre
-    ft = ctx5._gap_ft
-    u_switch = counterexample._U_SWITCH
-    u = np.concatenate([np.linspace(-u_switch, u_switch, 4001),
-                        [1e-300, -1e-300, 1e-14, -1e-14]])
-    s, w = roots_legendre(counterexample._GL_ORDER)
-    want = (0.5 * w) @ ft.derivs[0](np.outer(0.5 * (s + 1.0), u))
-    got = ft.quotient(u)
-    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-    assert ft.quotient(0.0) == 0.0
-    # away from the equator it is the plain difference quotient
-    ub = np.array([-1.0, -0.5, 0.2, 0.9])
-    assert np.allclose(ft.quotient(ub), ft(ub) / ub, rtol=1e-14, atol=0.0)
 
 
 def test_quotient_spline_nan_outside_its_window(ctx5):
@@ -676,8 +677,8 @@ def test_certificate_structure_and_checks(cert5):
     assert cert5["params"]["a"] == 0.4
     assert 0.0 < cert5["params"]["cap_u0"] < 1.0
     assert "exp(-1/s - 1/(1-s))" in cert5["bump_form"]
-    assert cert5["transform_slope_note"] == "grid-verified"
-    assert cert5["transform_slope_near_equator"] > 0.0
+    assert "transform_slope_near_equator" not in cert5
+    assert "transform_slope_note" not in cert5
     ref = negativity_threshold(5, 0.4)
     assert abs(cert5["negativity_threshold"] - ref) <= 1e-15
     assert cert5["config"] == dataclasses.asdict(RunConfig())

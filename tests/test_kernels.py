@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.special import roots_jacobi
 
-from centroid_sections import gauss_jacobi, spherical_core as sc
+from centroid_sections import (ConstructionError, gauss_jacobi,
+                               spherical_core as sc)
 
 from oracles import (SEED, gauss_jacobi_full_newton, gegenbauer_series_plain,
                      weight_moment)
@@ -100,14 +101,14 @@ def test_newton_start_outside_basin_raises(monkeypatch):
     x = sc._gauss_jacobi_start(64, 1.0)
     monkeypatch.setattr(sc, "_gauss_jacobi_start",
                         lambda order, beta: x + 1e-9)
-    with pytest.raises(ValueError, match="Newton basin"):
+    with pytest.raises(ConstructionError, match="Newton basin"):
         sc._gauss_jacobi_cached.__wrapped__(64, 1.0)
 
 
 def test_float64_start_iteration_cap_raises(monkeypatch):
     # the guess for beta = 1 needs three Newton steps at order 64
     monkeypatch.setattr(sc, "_START_MAX_ITER", 1)
-    with pytest.raises(ValueError, match="did not converge"):
+    with pytest.raises(ConstructionError, match="did not converge"):
         sc._gauss_jacobi_start(64, 1.0)
 
 
@@ -122,7 +123,7 @@ def test_float64_start_merged_nodes_raise(monkeypatch):
         return x - 0.5, None, np.ones_like(x)
 
     monkeypatch.setattr(sc, "_top_pair", one_root)
-    with pytest.raises(ValueError, match="does not separate"):
+    with pytest.raises(ConstructionError, match="does not separate"):
         sc._gauss_jacobi_start(64, 1.0)
 
 
