@@ -54,7 +54,9 @@ class RunConfig:
     # coefficients decay sub-geometrically, so it needs far more degrees than
     # the analytic profiles covered by max_degree
     bump_max_degree: ClassVar[int] = 3200
-    bump_quad_pad: ClassVar[int] = 192
+    # intervals of the uniform theta grid on [0, pi] whose trapezoid sums,
+    # one longdouble FFT, give the bump's cosine moments
+    bump_theta_samples: ClassVar[int] = 8192
 
     # subsphere quadrature for section sweeps of the perturbed body; must
     # resolve polynomial degree bump_max_degree to avoid aliasing

@@ -12,10 +12,11 @@ one whose centroid hits the body centroid.
 
 All heavy spectral work is done once per parameter set and cached in a
 ConstructionContext: the bump's transform is expanded in extended
-precision to a few thousand Gegenbauer degrees and divided by u once,
-then tabulated in theta = arccos u by one FFT of its cosine series and
-read through a piecewise quintic with direct-series spot checks, which
-keeps the section sweep honest without per-point series sums.  The gap's
+precision to a few thousand Gegenbauer degrees, from one FFT of its
+samples in theta, and divided by u once, then tabulated in
+theta = arccos u by one FFT of its cosine series and read through a
+piecewise quintic with direct-series spot checks, which keeps the
+section sweep honest without per-point series sums.  The gap's
 transform has a closed form, and so has its quotient by u
 (_gap_quotient).  get_context returns the context; its methods are the
 per-(lam, eps) functionals (centroid, kappa_report, select_eps,
@@ -37,12 +38,12 @@ import numpy as np
 from .config import ConstructionError, RunConfig
 from .revolution_bodies import (ConvexityReport, RevolutionBody, _clears,
                                 _meridian_report, curvature, make_base_body)
-from .spherical_core import (GegenbauerSpectrum, SphereProfile, _BLOCK,
-                             _cosine_coeffs, _divide_by_u,
+from .spherical_core import (LD, _PI_LD, GegenbauerSpectrum, SphereProfile,
+                             _BLOCK, _bochner_multipliers_ld, _cosine_coeffs,
+                             _divide_by_u, _gegenbauer_moments, _norm_ratios,
                              _rolling_accumulate, bochner_multiplier,
                              eval_spectrum, eval_spectrum_deriv,
-                             ft_homogeneous, gauss_jacobi, parseval_residual,
-                             sphere_area)
+                             gauss_jacobi, parseval_residual, sphere_area)
 
 __all__ = [
     "ConstructionError", "negativity_threshold",
@@ -57,6 +58,10 @@ CERTIFICATE_SCHEMA = "v1"
 # _GAP_SERIES_TERMS terms for |u| < _U_SWITCH (see _gap_quotient)
 _U_SWITCH = 0.05
 _GAP_SERIES_TERMS = 16
+
+# the centroid's theta nodes are every _CENTROID_STRIDE-th knot of the dense
+# table: spacing pi/4000, 4001 nodes on [0, pi]
+_CENTROID_STRIDE = 20
 
 
 def negativity_threshold(n: int, a: float) -> float:
@@ -169,12 +174,12 @@ def _gap_quotient(n: int) -> tuple:
     of q_g = sum_{k>=1} a_k u^{2k-1}, a_k = c_n (-1)^{k+1}
     binom(q+k-1, k) 3^k, by Horner in u^2.  The term ratio there is
     3u^2 (q+k)/(k+1) <= 0.0075 (q+k)/(k+1), so _GAP_SERIES_TERMS terms
-    reach float64 for every n up to 26 (beyond that the Gauss-Jacobi rules
-    of the context build fail first).  Against mpmath, c_n divided out,
-    the three are within 5e-16, 5e-16 and 4e-15 of their max over [-1, 1]
-    at n = 5 to 26.  A Gegenbauer quotient series, as for the bump, is no
-    substitute: at degree 120 and n = 5 its second derivative is off by
-    2.2e-9 of max at the poles.
+    reach float64 for every n up to 27 (beyond that the section rule of
+    the context build fails first).  Against mpmath the three are within
+    5e-16, 5e-16 and 4e-15 of their max over [-1, 1] at n = 5 to 27.  A
+    Gegenbauer quotient series, as for the bump, is no substitute: at
+    degree 120 and n = 5 its second derivative is off by 2.2e-9 of max at
+    the poles.
     """
     cn = bochner_multiplier(0, 1, n)
     q = (n - 1) / 2.0
@@ -209,6 +214,32 @@ def _gap_quotient(n: int) -> tuple:
         return np.where(small, series, closed)
 
     return value, partial(derivative, k=1), partial(derivative, k=2)
+
+
+def _bump_transform_coeffs(bump: SphereProfile,
+                           config: RunConfig) -> np.ndarray:
+    """Longdouble Gegenbauer coefficients, degrees 0..bump_max_degree, of
+    the transform of the bump's degree -1 extension.
+
+    The cosine moments F_k = int_0^pi b(cos theta) sin^{n-2} theta
+    cos(k theta) dtheta are trapezoid sums over theta_i = i pi / K,
+    K = bump_theta_samples: one real FFT of the samples, mirrored to the
+    full period.  b vanishes to all orders at the poles, so the sums are
+    spectrally accurate.  The moments against C_m follow by the
+    transpose of the cosine conversion (_gegenbauer_moments), and each
+    coefficient is that moment over the norm h_m times the multiplier
+    mu_m.  The odd coefficients of the even bump are set to exactly 0.
+    """
+    n, md, k = bump.n, config.bump_max_degree, config.bump_theta_samples
+    lam = (n - 2) / 2
+    theta = np.arange(k + 1, dtype=LD) * (_PI_LD / k)
+    y = np.asarray(bump(np.cos(theta)), dtype=LD) * np.sin(theta) ** (n - 2)
+    moments = np.fft.rfft(np.concatenate([y, y[-2:0:-1]])).real[:md + 1]
+    moments *= _PI_LD / (2 * k)
+    co = (_gegenbauer_moments(moments, lam) / _norm_ratios(lam, md)
+          * _bochner_multipliers_ld(n, 1.0, np.arange(md + 1)))
+    co[1::2] = 0
+    return co
 
 
 def _root_jet(n: int, eps: float, base, phi) -> list:
@@ -328,38 +359,50 @@ class ConstructionContext:
         self.bump = make_cap_bump(n, cap_u0)
         self.gap = make_oblate_gap_profile(n)
 
-        md = config.bump_max_degree
-        self.bump_order = md + config.bump_quad_pad
-        co_ld = ft_homogeneous(self.bump, 1.0, md,
-                               order=self.bump_order).coeffs
+        # the bump transform's coefficients and, one degree lower, those of
+        # its odd quotient q_b(u) = (b(u) - b(0)) / u: synthetic division of
+        # the extended precision coefficients, so b(0) is never subtracted.
+        # At large n they outgrow float64, which is named here, not warned
+        # about
+        with np.errstate(over="ignore", invalid="ignore"):
+            co_ld = _bump_transform_coeffs(self.bump, config)
+            qco_ld = _divide_by_u(co_ld, self.lam_index)
+            co, qco = co_ld.astype(np.float64), qco_ld.astype(np.float64)
+        for name, c in (("bump transform", co), ("odd quotient series", qco)):
+            bad = int(np.count_nonzero(~np.isfinite(c)))
+            if bad:
+                raise ConstructionError(
+                    f"{name} has {bad} Gegenbauer coefficients that are not "
+                    f"finite in float64 at n = {n}")
+        self.bump_ft_spectrum = GegenbauerSpectrum(
+            n=n, lambda_index=self.lam_index, coeffs=co, parity="even")
+        self.bump_quotient = GegenbauerSpectrum(
+            n=n, lambda_index=self.lam_index, coeffs=qco, parity="odd")
         # equator value of the bump transform in extended precision; the
         # float64 series at 0 would add ~1e-14 relative noise to a value
         # that must cancel exactly in the odd quotient
         self.bump_ft_at_zero = float(
             _rolling_accumulate(co_ld, self.lam_index,
                                 np.zeros(1, dtype=co_ld.dtype))[0])
-        self.bump_ft_spectrum = GegenbauerSpectrum(
-            n=n, lambda_index=self.lam_index,
-            coeffs=co_ld.astype(np.float64), parity="even")
-
-        # bump part of the odd quotient, q_b(u) = (b(u) - b(0)) / u, as an
-        # odd series one degree lower: synthetic division of the extended
-        # precision coefficients, so b(0) is never subtracted
-        qco_ld = _divide_by_u(co_ld, self.lam_index)
-        self.bump_quotient = GegenbauerSpectrum(
-            n=n, lambda_index=self.lam_index, parity="odd",
-            coeffs=qco_ld.astype(np.float64))
         # the gap part: its closed-form transform and the quotient of that
         self._gap_ft = self.gap.ft_profile
         self._gap_q = _gap_quotient(n)
 
         eq = np.linspace(-1.0, 1.0, config.equator_grid)
-        self._bft_eq = eval_spectrum(self.bump_ft_spectrum, eq)
+        # at large n, C_m^lam near the poles outgrows float64: a series that
+        # overflows is named below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._bft_eq = eval_spectrum(self.bump_ft_spectrum, eq)
+            # the division must give back b(u) - b(0) on the equator grid
+            resid = float(np.max(np.abs(
+                eq * eval_spectrum(self.bump_quotient, eq)
+                - (self._bft_eq - self.bump_ft_at_zero))))
+        bad = int(np.count_nonzero(~np.isfinite(self._bft_eq)))
+        if bad:
+            raise ConstructionError(
+                f"bump transform series is not finite in float64 at {bad} "
+                f"of {eq.size} equator-grid points (n = {n})")
         self._gft_eq = np.asarray(self._gap_ft(eq), dtype=np.float64)
-        # the division must give back b(u) - b(0) on the equator grid
-        resid = float(np.max(np.abs(
-            eq * eval_spectrum(self.bump_quotient, eq)
-            - (self._bft_eq - self.bump_ft_at_zero))))
         resid /= max(float(np.max(np.abs(self._bft_eq))), 1e-300)
         tol = config.tolerances["identity_rel"] / 10.0
         if not resid <= tol:
@@ -380,16 +423,24 @@ class ConstructionContext:
         q_theta[-1] = 0.0
         self._q_dense = _DenseQuintic(q_theta)
 
-        # centroid quadrature: same nodes as the bump expansion, so every
-        # retained harmonic is integrated exactly
-        q = gauss_jacobi(self.bump_order, (n - 3) / 2)
-        self._x = np.asarray(q.nodes, dtype=np.float64)
-        self._w = np.asarray(q.weights, dtype=np.float64)
+        # centroid quadrature: the trapezoid rule in theta on every
+        # _CENTROID_STRIDE-th knot of the dense table, theta_i = i pi / 4000
+        # on [0, pi/2], mirrored onto [pi/2, pi] with q_b exactly odd.  The
+        # weight of S^{n-1} in theta is sin^{n-2} theta; the integrands are
+        # periodic and band-limited far below the rule's aliasing degree
+        theta_c = self._q_dense.theta[::_CENTROID_STRIDE]
+        x = np.cos(theta_c)
+        # cos(pi/2) rounds to 6e-17; the table's last knot is u = 0 exactly
+        x[-1] = 0.0
+        w = np.sin(theta_c) ** (n - 2) * (np.pi / (2 * (theta_c.size - 1)))
+        bq = q_theta[::_CENTROID_STRIDE]
+        self._x = np.concatenate([x, -x[-2::-1]])
+        self._w = np.concatenate([w, w[-2::-1]])
+        self._bq_x = np.concatenate([bq, -bq[-2::-1]])
         # latitude slices of S^{n-1} are spheres of dimension n-2
         self._surf = sphere_area(n - 2)
         rho_x = np.asarray(self.base.rho(self._x), dtype=np.float64)
         self._rho_n_x = rho_x ** n
-        self._bq_x = eval_spectrum(self.bump_quotient, self._x)
         self._gq_x = self._gap_q[0](self._x)
 
         # curvature tables on an inclusive theta grid: the odd quotient and
@@ -476,7 +527,7 @@ class ConstructionContext:
                       cap_u0=self.cap_u0)
         params["lambda"] = float(lam)
         return RevolutionBody(n=n, rho=prof, kind="perturbed", params=params,
-                              quad_order=self.bump_order)
+                              samples=self._x.size)
 
     def equator_ratio(self, lam: float) -> float:
         """|transform at equator| relative to its max over the grid."""
@@ -514,10 +565,13 @@ class ConstructionContext:
         # perturbed body gives the same bits
         phi = [(1.0 - lam) * b + lam * g
                for b, g in zip(self._bq_t, self._gq_t)]
-        r = _root_jet(self.n, eps,
-                      (self._rho_t, self._rho_t_d1, self._rho_t_d2), phi)
-        return _meridian_report(self._theta, *r,
-                                self.config.tolerances["convexity_margin"])
+        # where rho^n + eps phi < 0 the root is NaN, and so is kappa_min,
+        # which the report's guard (_clears) counts as not convex
+        with np.errstate(invalid="ignore"):
+            r = _root_jet(self.n, eps,
+                          (self._rho_t, self._rho_t_d1, self._rho_t_d2), phi)
+            return _meridian_report(
+                self._theta, *r, self.config.tolerances["convexity_margin"])
 
     def seed_value(self, u, lam: float):
         return (1.0 - lam) * self.bump(u) + lam * self.gap(u)
@@ -810,7 +864,7 @@ def run_construction(config: Optional[RunConfig] = None) -> dict:
         "config": asdict(cfg),
         "grids": {
             "bump_max_degree": cfg.bump_max_degree,
-            "bump_quad_order": ctx.bump_order,
+            "bump_theta_samples": cfg.bump_theta_samples,
             "dense_eval_grid": cfg.dense_eval_grid,
             "section_quad_order": cfg.section_quad_order,
             "alpha_grid": cfg.alpha_grid,

@@ -9,7 +9,6 @@ import numpy as np
 from .config import RunConfig
 from .spherical_core import (
     SphereProfile, bochner_multiplier, eval_spectrum, ft_homogeneous,
-    gauss_jacobi,
 )
 
 __all__ = [
@@ -24,9 +23,9 @@ class RevolutionBody:
 
     rho is the radial profile as a function of u = <xi, e_n>.  kind is one
     of "base" (closed-form flattened ball), "perturbed" (base plus odd
-    perturbation), "custom".  quad_order, when set, is the minimum
-    quadrature order that resolves the profile's spectral content;
-    body_to_dict samples at max(RunConfig.quad_order, quad_order) nodes.
+    perturbation), "custom".  samples, when set, is the number of points
+    uniform in theta = arccos u that resolve the profile's spectral
+    content; body_to_dict samples at max(RunConfig.quad_order, samples).
     """
 
     n: int
@@ -34,7 +33,7 @@ class RevolutionBody:
     kind: str = "custom"
     params: dict = field(default_factory=dict)
     ft_profile: Optional[SphereProfile] = None
-    quad_order: Optional[int] = None
+    samples: Optional[int] = None
 
 
 @dataclass
@@ -162,9 +161,11 @@ def intersection_body_test(body: RevolutionBody,
 # serialization
 
 def body_to_dict(body: RevolutionBody) -> dict:
-    order = max(RunConfig.quad_order, body.quad_order or 0)
-    q = gauss_jacobi(order, (body.n - 3) / 2)
-    u = np.asarray(q.nodes, dtype=float)
+    """The body's parameters and its radial profile at the N points
+    u = -cos(i pi / (N - 1)), N = max(RunConfig.quad_order, body.samples),
+    ascending."""
+    count = max(RunConfig.quad_order, body.samples or 0)
+    u = -np.cos(np.linspace(0.0, np.pi, count))
     rho = np.asarray(body.rho(u), dtype=float)
     return {
         "n": body.n,

@@ -184,25 +184,47 @@ def _divide_by_u(coeffs, lam):
     return d[:top]
 
 
+def _connection_weights(lam, size: int, dtype) -> np.ndarray:
+    """g_j = (lam)_j / j! for j < size, in dtype: the weights of
+    C_k^lam(cos theta) = sum_j g_j g_{k-j} cos((k - 2j) theta) (Szego,
+    Orthogonal Polynomials, 4.9).  Every g_j is positive."""
+    j = np.arange(1, size, dtype=dtype)
+    return np.concatenate([np.ones(1, dtype=dtype),
+                           np.cumprod((dtype(lam) + j - 1) / j)])
+
+
 def _cosine_coeffs(coeffs, lam):
     """Coefficients d of sum_m d[m] cos(m theta) = f(cos theta) for the
-    series f = sum_k coeffs[k] C_k^lam, in the dtype of coeffs, from
-    C_k^lam(cos theta) = sum_j g_j g_{k-j} cos((k - 2j) theta) with
-    g_j = (lam)_j / j! (Szego, Orthogonal Polynomials, 4.9):
-    d_m = 2 sum_s coeffs[m+2s] g_s g_{m+s} for m >= 1.  Every g_j is
-    positive, so the conversion adds no cancellation of its own; for the
-    bump quotient sum |d_m| is about twice max |f|."""
+    series f = sum_k coeffs[k] C_k^lam, in the dtype of coeffs:
+    d_m = 2 sum_s coeffs[m+2s] g_s g_{m+s} for m >= 1, g the connection
+    weights.  They are positive, so the conversion adds no cancellation of
+    its own; for the bump quotient sum |d_m| is about twice max |f|."""
     c = np.asarray(coeffs)
     size = len(c)
-    j = np.arange(1, size, dtype=c.dtype)
-    g = np.concatenate([np.ones(1, dtype=c.dtype),
-                        np.cumprod((c.dtype.type(lam) + j - 1) / j)])
+    g = _connection_weights(lam, size, c.dtype.type)
     d = np.zeros(size, dtype=c.dtype)
     for s in range((size + 1) // 2):
         top = size - 2 * s
         d[:top] += g[s] * (c[2 * s:] * g[s:s + top])
     d[1:] *= 2
     return d
+
+
+def _gegenbauer_moments(moments, lam):
+    """The transpose of _cosine_coeffs: from the cosine moments
+    F_k = int f(cos theta) cos(k theta) dtheta of a function, its moments
+    P_m = int f(cos theta) C_m^lam(cos theta) dtheta
+        = sum_j g_j g_{m-j} F_{|m-2j|},
+    m < len(moments), in the dtype of moments."""
+    f = np.array(moments)
+    size = len(f)
+    g = _connection_weights(lam, size, f.dtype.type)
+    f[1:] *= 2
+    p = np.zeros(size, dtype=f.dtype)
+    for s in range((size + 1) // 2):
+        top = size - 2 * s
+        p[2 * s:] += g[s] * (f[:top] * g[s:s + top])
+    return p
 
 
 def _folded_accumulate(coeffs, lam, u, parity):
@@ -428,17 +450,39 @@ def eval_spectrum_deriv(s: GegenbauerSpectrum, u, k: int = 1):
 # ---------------------------------------------------------------------------
 # Fourier side
 
-_lgamma = np.vectorize(math.lgamma, otypes=[np.float64])
+_PI_LD = np.arccos(LD(-1))
+
+
+def _gamma_ld(x: float):
+    """Gamma(x) in longdouble.  When 2x is a positive integer it is the
+    product (x - 1)(x - 2)... down to 1 or 1/2, times sqrt(pi) for a
+    half-integer; otherwise exp of the float64 lgamma."""
+    if not (x > 0 and 2 * x == int(2 * x)):
+        return np.exp(LD(math.lgamma(x)))
+    out = LD(1) if x == int(x) else np.sqrt(_PI_LD)
+    t = LD(x) - 1
+    while t > 0:
+        out *= t
+        t -= 1
+    return out
 
 
 def _bochner_multipliers_ld(n: int, p: float, m) -> np.ndarray:
     """bochner_multiplier at the nonnegative integer degrees of the array
-    m, kept in longdouble so that coefficient-by-coefficient products do
+    m, in longdouble: mu(0) and mu(1) from _gamma_ld, then the running
+    product mu(m + 2) = -mu(m) (n - p + m) / (p + m), so that no float64
+    log magnitude rounds them and coefficient-by-coefficient products do
     not round twice."""
-    sign = np.where((m // 2) % 2 == 0, 1.0, -1.0)
-    logmag = ((n / 2) * np.log(np.pi) + (n - p) * np.log(2.0)
-              + _lgamma((n - p + m) / 2) - _lgamma((p + m) / 2))
-    return sign * np.exp(logmag.astype(LD))
+    m = np.asarray(m).astype(np.intp)
+    top = int(np.max(m, initial=1))
+    scale = _PI_LD ** (LD(n) / 2) * LD(2) ** (n - p)
+    mu = np.empty(top + 1, dtype=LD)
+    for start in (0, 1):
+        mu[start] = (scale * _gamma_ld((n - p + start) / 2)
+                     / _gamma_ld((p + start) / 2))
+        k = np.arange(start, top - 1, 2, dtype=LD)
+        mu[start + 2::2] = mu[start] * np.cumprod(-(n - p + k) / (p + k))
+    return mu[m]
 
 
 def bochner_multiplier(m, p: float, n: int):

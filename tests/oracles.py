@@ -329,6 +329,26 @@ def gap_quotient_mp(n, u):
         return float(c[0]), float(c[1]), float(2 * c[2])
 
 
+def bochner_multiplier_mp(m, p, n):
+    """(-1)^{floor(m/2)} pi^{n/2} 2^{n-p} Gamma((n-p+m)/2) / Gamma((p+m)/2)
+    by mpmath at 40 digits, as an mpf."""
+    with mpmath.workdps(40):
+        sign = 1 if (m // 2) % 2 == 0 else -1
+        return +(sign * mpmath.pi ** (mpmath.mpf(n) / 2)
+                 * mpmath.mpf(2) ** (n - p)
+                 * mpmath.gamma(mpmath.mpf(n - p + m) / 2)
+                 / mpmath.gamma(mpmath.mpf(p + m) / 2))
+
+
+def longdouble_to_mpf(x):
+    """The exact value of a longdouble as an mpf: its 64-bit significand
+    times a power of two."""
+    mant, exp = np.frexp(np.longdouble(x))
+    with mpmath.workdps(40):
+        return mpmath.ldexp(mpmath.mpf(int(np.ldexp(mant, 64))),
+                            int(exp) - 64)
+
+
 def odd_quotient_difference(coeffs, lam, u):
     """(f(u) - f(0)) / u for f = sum_m coeffs[m] C_m^lam, summed by the
     plain recurrence in longdouble.  Accurate away from u = 0."""

@@ -85,13 +85,18 @@ def test_construct_eps_too_large_exits_3(tmp_path, capsys):
     assert not (tmp_path / "certificate.json").exists()
 
 
-@pytest.mark.parametrize("command", ["construct", "intersection-test"])
-def test_gauss_jacobi_failure_is_a_named_precondition(command, tmp_path,
+@pytest.mark.parametrize("command,n", [
+    pytest.param("construct", 28, id="construct"),
+    pytest.param("intersection-test", 27, id="intersection-test")])
+def test_gauss_jacobi_failure_is_a_named_precondition(command, n, tmp_path,
                                                       subprocess_env):
-    # at n = 27 the float64 start of the beta = 12 rule fails: a named
-    # construction failure (exit 3), not a traceback
+    # the float64 start of a beta = 12 rule fails: the order-1728 section
+    # rule at n = 28 (the smallest n where a construction reaches a failing
+    # rule; n = 27 ends in "eps too large"), the order-256 rule of the
+    # intersection test at n = 27.  A named construction failure (exit 3),
+    # not a traceback
     res = subprocess.run([sys.executable, "-m", "centroid_sections.cli",
-                          command, "--n", "27", "--outdir", str(tmp_path)],
+                          command, "--n", str(n), "--outdir", str(tmp_path)],
                          env=subprocess_env, capture_output=True, text=True,
                          timeout=120)
     assert res.returncode == 3
@@ -101,6 +106,21 @@ def test_gauss_jacobi_failure_is_a_named_precondition(command, tmp_path,
         diag = json.loads((tmp_path / "diagnostic.json").read_text())
         assert diag["stage"] == "construction"
         assert "Gauss-Jacobi" in diag["error"]
+
+
+@pytest.mark.parametrize("n", [8, 200])
+def test_large_n_failure_is_one_named_line(n, tmp_path, subprocess_env):
+    # n = 8 has no bracket; at n = 200 the bump's float64 series overflow
+    # near the poles.  Either way the only stderr line names the failure:
+    # no numpy warning on the way
+    res = subprocess.run([sys.executable, "-m", "centroid_sections.cli",
+                          "construct", "--n", str(n), "--outdir",
+                          str(tmp_path)],
+                         env=subprocess_env, capture_output=True, text=True,
+                         timeout=120)
+    assert res.returncode == 3
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("construction failed: ")
 
 
 def test_construct_and_verify_n7(tmp_path, capsys):
@@ -264,7 +284,7 @@ DROPPED_CONFIG = {"cap_margin": 0.5, "quad_order": 256, "max_degree": 120,
                   "curvature_grid": 4001, "equator_grid": 2001,
                   "eps_max_halvings": 20, "root_max_iter": 200,
                   "auto_a_candidates": [0.5, 0.4, 0.3, 0.2, 0.1, 0.05]}
-DROPPED_GRIDS = {"u_switch": 0.05, "gl_order": 96}
+DROPPED_GRIDS = {"u_switch": 0.05, "gl_order": 96, "bump_quad_order": 3392}
 DROPPED_KEYS = {"transform_slope_near_equator": 1.0,
                 "transform_slope_note": "grid-verified"}
 DROPPED_TOLERANCES = {"quadrature_exactness": 1e-12, "roundtrip_rel": 1e-8,

@@ -12,8 +12,9 @@ from centroid_sections import (ConstructionError, RunConfig, curvature,
                                make_cap_bump, make_oblate_gap_profile,
                                negativity_threshold, run_construction)
 
-from centroid_sections.spherical_core import (_rolling_accumulate,
-                                              bochner_multiplier)
+from centroid_sections.spherical_core import (_divide_by_u,
+                                              _rolling_accumulate,
+                                              ft_homogeneous)
 from oracles import (SEED, bisect_sign_change, fd_deriv, gap_quotient_mp,
                      odd_quotient_difference, odd_quotient_integral,
                      section_centroid_axis, section_volume, sphere_integral,
@@ -142,9 +143,7 @@ def test_gap_quotient_matches_mpmath(n):
     # value, phi' and phi'' of the gap's quotient against mpmath at 40
     # digits: a grid over [-1, 1], random points about the series branch,
     # the switch and its float neighbour, and points near and at the
-    # equator.  Both sides are divided by their own multiplier c_n, so the
-    # bounds hold the quotient, not the package's c_n (whose float64 log
-    # magnitude leaves it off by up to 1e-15 relative)
+    # equator.  The bounds hold the multiplier c_n as well as the quotient
     switch = counterexample._U_SWITCH
     edge = np.nextafter(switch, 0.0)
     rng = np.random.default_rng(SEED)
@@ -152,13 +151,10 @@ def test_gap_quotient_matches_mpmath(n):
                         rng.uniform(-0.06, 0.06, 100),
                         [switch, -switch, edge, -edge, 1e-8, 1e-300,
                          -1e-300, 0.0]])
-    q = 0.5 * (n - 1)
     want = np.array([gap_quotient_mp(n, float(v)) for v in u]).T
-    want /= gap_quotient_mp(n, 0.0)[1] / (3.0 * q)
-    cn = bochner_multiplier(0, 1, n)
     fns = counterexample._gap_quotient(n)
     for f, w, bound in zip(fns, want, (1e-15, 5e-15, 3e-14)):
-        got = np.asarray(f(u), dtype=float) / cn
+        got = np.asarray(f(u), dtype=float)
         assert np.max(np.abs(got - w)) <= bound * np.max(np.abs(w))
     assert fns[0](0.0) == 0.0 and fns[2](0.0) == 0.0
 
@@ -239,11 +235,12 @@ def test_perturbed_body_rejects_huge_eps(ctx5, cert5):
 def test_context_perturbed_body_bit_equal_to_public_route(ctx5, cert5):
     # the context gates on its tables and splines; the body it returns must
     # be (rho_base^n + eps phi)^{1/n} of its public base body and
-    # perturbation, derivatives by the chain rule, at the bump's order
+    # perturbation, derivatives by the chain rule, serialized at the
+    # centroid's 4001 theta nodes
     lam, eps = cert5["lambda0"], cert5["eps0"]
     n = ctx5.n
     got = ctx5.perturbed_body(lam, eps)
-    assert got.quad_order == ctx5.bump_order
+    assert got.samples == 4001
     phi = ctx5.perturbation(lam)
     u = np.linspace(-1.0, 1.0, 1001)
     rb, rb1, rb2 = (np.asarray(f(u), dtype=float)
@@ -340,9 +337,8 @@ def test_identity_shipped_run(construct_result):
 
 def test_identity_poles_exactly_zero(construct_result):
     body = construct_result["body"]
-    order = construct_result["context"].bump_order
     for u_xi in (-1.0, 1.0):
-        assert abs(section_centroid_axis(body, u_xi, order)) <= 1e-12
+        assert abs(section_centroid_axis(body, u_xi, 3392)) <= 1e-12
 
 
 def test_identity_at_spec_parameters():
@@ -350,11 +346,11 @@ def test_identity_at_spec_parameters():
     # route and the seed-series route must agree and stay positive
     ctx = get_context(RunConfig(n=5, a=0.3))
     body = ctx.perturbed_body(0.5, 1e-3)
-    got = section_centroid_axis(body, 0.0, ctx.bump_order)
+    got = section_centroid_axis(body, 0.0, 3392)
     assert got > 0.0
     seed = ctx.seed_value(0.0, 0.5)
     expected = 1e-3 * (2.0 * np.pi) ** 5 / np.pi * seed / (
-        5.0 * section_volume(body, 0.0, ctx.bump_order))
+        5.0 * section_volume(body, 0.0, 3392))
     assert abs(got - expected) <= 1e-6 * abs(expected)
     # the seed at the equator is the gap value scaled by the blend weight
     assert abs(seed - 0.5 * 0.5) <= 1e-8
@@ -454,7 +450,9 @@ def test_dense_quintic_matches_series_by_cell(ctx5):
 def test_theta_table_matches_series_at_knots(ctx5):
     # the FFT samples against the longdouble recurrence at the exact knot
     # angles i (pi/2) / (K - 1), the 400 outermost at each end and 2000
-    # between; the sample at u = 0 is exactly 0
+    # between; the sample at u = 0 is exactly 0.  The series has the
+    # longdouble quotient coefficients the table is filled from: their
+    # float64 casts alone move it by up to 5.5e-14 of max near the poles
     rng = np.random.default_rng(SEED)
     pi = np.arccos(np.longdouble(-1.0))
     for ctx in (ctx5, get_context(RunConfig(n=6))):
@@ -462,12 +460,31 @@ def test_theta_table_matches_series_at_knots(ctx5):
         last = table.size - 1
         i = np.r_[0:400, last - 399:last + 1,
                   rng.choice(np.arange(400, last - 399), 2000, replace=False)]
-        spec = ctx.bump_quotient
-        want = _rolling_accumulate(spec.coeffs, spec.lambda_index,
-                                   np.cos(i * (pi / 2) / last))
+        lam = ctx.lam_index
+        coeffs = _divide_by_u(counterexample._bump_transform_coeffs(
+            ctx.bump, ctx.config), lam)
+        want = _rolling_accumulate(coeffs, lam, np.cos(i * (pi / 2) / last))
         scale = float(np.max(np.abs(table)))
         assert np.max(np.abs(table[i] - want)) <= 5e-14 * scale
         assert table[-1] == 0.0
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_bump_coefficients_match_order_4992_projection(ctx5, n,
+                                                       monkeypatch):
+    # the theta-FFT coefficients of the bump transform against a
+    # Gauss-Jacobi projection of order 4992 (an order-3392 projection is
+    # off by 2.2e-10 of max at n = 5 and 2.9e-11 at n = 6), and against
+    # themselves with the theta grid doubled
+    ctx = ctx5 if n == 5 else get_context(RunConfig(n=n))
+    want = ft_homogeneous(ctx.bump, 1.0, 3200, order=4992).coeffs
+    got = counterexample._bump_transform_coeffs(ctx.bump, RunConfig(n=n))
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+    monkeypatch.setattr(RunConfig, "bump_theta_samples",
+                        2 * RunConfig.bump_theta_samples)
+    doubled = counterexample._bump_transform_coeffs(ctx.bump, RunConfig(n=n))
+    assert np.max(np.abs(doubled - got)) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -541,9 +558,12 @@ def test_context_build_series_work_budget(ctx5, monkeypatch):
     assert sum(work) <= 60_000_000
 
 
-def test_context_build_requests_two_gauss_jacobi_rules(ctx5, monkeypatch):
-    # the bump expansion and centroid share one rule, the section sweep has
-    # the other; the gap's quotient needs none
+def test_construction_requests_no_rule_above_order_2000(ctx5, monkeypatch):
+    # a whole n = 5 construction and its body.json samples: the bump's
+    # coefficients come from one FFT in theta and the centroid integrates
+    # on the dense table's knots, so the section rule is the only rule
+    # above the analytic profiles' order 256, and none reaches the
+    # bump's 3200 degrees
     from centroid_sections import revolution_bodies, spherical_core
     rules = set()
     real = spherical_core.gauss_jacobi
@@ -553,10 +573,13 @@ def test_context_build_requests_two_gauss_jacobi_rules(ctx5, monkeypatch):
         return real(order, beta)
 
     for module in (spherical_core, counterexample, revolution_bodies):
-        monkeypatch.setattr(module, "gauss_jacobi", counted)
-    cfg = RunConfig()
-    ctx = counterexample.ConstructionContext(5, ctx5.a, ctx5.cap_u0, cfg)
-    assert rules == {(ctx.bump_order, 1.0), (cfg.section_quad_order, 0.5)}
+        if hasattr(module, "gauss_jacobi"):
+            monkeypatch.setattr(module, "gauss_jacobi", counted)
+    monkeypatch.setattr(counterexample, "_CTX_CACHE", {})
+    res = run_construction(RunConfig())
+    revolution_bodies.body_to_dict(res["body"])
+    assert {rule for rule in rules if rule[0] > 256} == {(1728, 0.5)}
+    assert max(order for order, _ in rules) <= 2000
 
 
 @pytest.mark.parametrize("which", ["0", "lambda0", "1"])

@@ -10,8 +10,10 @@ from centroid_sections import (GegenbauerSpectrum, SphereProfile,
                                make_oblate_gap_profile, parseval_residual,
                                sphere_area)
 
-from oracles import (SEED, ft_via_radon, mc_sphere_mean,
-                     mc_subsphere_integral, radon_subsphere, sphere_integral)
+from centroid_sections.spherical_core import _bochner_multipliers_ld
+from oracles import (SEED, bochner_multiplier_mp, ft_via_radon,
+                     longdouble_to_mpf, mc_sphere_mean, mc_subsphere_integral,
+                     radon_subsphere, sphere_integral)
 
 C5 = 16.0 * np.pi ** 2
 
@@ -76,6 +78,18 @@ def test_multiplier_odd_degree_product():
     for m in (1, 3, 7, 21):
         prod = bochner_multiplier(m, 1, 5) * bochner_multiplier(m, 4, 5)
         assert abs(prod - target) <= 1e-10 * abs(target)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 10])
+def test_longdouble_multipliers_match_mpmath(n):
+    # the multipliers the bump's 3200 degrees are scaled by, against
+    # mpmath at 40 digits; a float64 log magnitude leaves them off by up
+    # to 2.6e-12 relative
+    degrees = [0, 1, 2, 3, 10, 101, 1000, 3199, 3200]
+    want = [bochner_multiplier_mp(m, 1, n) for m in degrees]
+    got = _bochner_multipliers_ld(n, 1.0, np.arange(3201))[degrees]
+    for w, g in zip(want, got):
+        assert abs(longdouble_to_mpf(g) - w) <= 1e-17 * abs(w)
 
 
 @pytest.mark.parametrize("p", [0.0, -1.0, 5.0, 6.0])
