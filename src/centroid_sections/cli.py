@@ -88,7 +88,7 @@ def _config_from_args(args) -> RunConfig:
 def _profiles_rows(res):
     ctx, lam0 = res["context"], res["root"]["lambda0"]
     u = np.linspace(-1.0, 1.0, PROFILE_GRID)
-    columns = (u, ctx.base.rho(u), ctx._phi_direct(u, lam0),
+    columns = (u, ctx.base.rho(u), ctx.perturbation(lam0)(u),
                res["body"].rho(u), ctx.seed_value(u, lam0),
                ctx.blend_ft_value(u, lam0))
     return zip(*(np.asarray(c, dtype=float).tolist() for c in columns))

@@ -16,9 +16,10 @@ precision to a few thousand Gegenbauer degrees, from one FFT of its
 samples in theta, and divided by u once, then tabulated in
 theta = arccos u by one FFT of its cosine series and read through a
 piecewise quintic with direct-series spot checks, which keeps the
-section sweep honest without per-point series sums.  The gap's
-transform has a closed form, and so has its quotient by u
-(_gap_quotient).  get_context returns the context; its methods are the
+section sweep honest without per-point series sums; the perturbed
+body's curvature reads the same series differentiated termwise in
+theta.  The gap's transform has a closed form, and so has its quotient
+by u (_gap_quotient).  get_context returns the context; its methods are the
 per-(lam, eps) functionals (centroid, kappa_report, select_eps,
 find_root, identity_sweep), and run_construction chains them into the
 certificate.  The context is also the only producer of the odd
@@ -37,13 +38,14 @@ import numpy as np
 
 from .config import ConstructionError, RunConfig
 from .revolution_bodies import (ConvexityReport, RevolutionBody, _clears,
-                                _meridian_report, curvature, make_base_body)
+                                _meridian_report, _theta_jet, curvature,
+                                make_base_body)
 from .spherical_core import (LD, _PI_LD, GegenbauerSpectrum, SphereProfile,
                              _BLOCK, _bochner_multipliers_ld, _cosine_coeffs,
                              _divide_by_u, _gegenbauer_moments, _norm_ratios,
                              _rolling_accumulate, bochner_multiplier,
-                             eval_spectrum, eval_spectrum_deriv,
-                             gauss_jacobi, parseval_residual, sphere_area)
+                             eval_spectrum, gauss_jacobi, parseval_residual,
+                             sphere_area)
 
 __all__ = [
     "ConstructionError", "negativity_threshold",
@@ -58,11 +60,6 @@ CERTIFICATE_SCHEMA = "v1"
 # _GAP_SERIES_TERMS terms for |u| < _U_SWITCH (see _gap_quotient)
 _U_SWITCH = 0.05
 _GAP_SERIES_TERMS = 16
-
-# the centroid's theta nodes are every _CENTROID_STRIDE-th knot of the dense
-# table: spacing pi/4000, 4001 nodes on [0, pi]
-_CENTROID_STRIDE = 20
-
 
 def negativity_threshold(n: int, a: float) -> float:
     """Smallest u0 such that the base body's transform is negative for
@@ -260,6 +257,11 @@ def _root_jet(n: int, eps: float, base, phi) -> list:
     return out
 
 
+def _mirror(half: np.ndarray, sign: int) -> np.ndarray:
+    """Values on [0, pi/2] extended to [0, pi] by f(pi - t) = sign f(t)."""
+    return np.concatenate([half, sign * half[-2::-1]])
+
+
 def _stencil_rows(offset: int) -> np.ndarray:
     """Map from six samples at t = offset, ..., offset + 5 to the t^1..t^5
     coefficients of the quintic through them: each Lagrange basis
@@ -358,6 +360,10 @@ class ConstructionContext:
         self.base = make_base_body(n, a)
         self.bump = make_cap_bump(n, cap_u0)
         self.gap = make_oblate_gap_profile(n)
+        # c_n outgrows float64 from n = 229: named here, not warned about
+        if not np.isfinite(bochner_multiplier(0, 1, n)):
+            raise ConstructionError(
+                f"transform constant c_n overflows float64 at n = {n}")
 
         # the bump transform's coefficients and, one degree lower, those of
         # its odd quotient q_b(u) = (b(u) - b(0)) / u: synthetic division of
@@ -411,51 +417,53 @@ class ConstructionContext:
                 f"rel {resid:.3e} > {tol:.1e}")
 
         # dense interpolant of q_b for the section sweep: q_b(cos theta) is
-        # the cosine series of _cosine_coeffs, and its samples at
-        # theta_i = 2 pi i / L, L = 4 (K - 1), i < K, are one real FFT.
-        # Every odd cosine vanishes at theta = pi/2 (u = 0), where an FFT
-        # may leave rounding noise: that sample is set to exactly 0, and so
-        # q_b(0) = 0.  A read outside [-1, 1] gives NaN, never an
+        # the cosine series sum d_m cos(m theta) of _cosine_coeffs, and its
+        # samples at theta_i = 2 pi i / L, L = 4 (K - 1), i < K, are one real
+        # FFT.  Every odd cosine vanishes at theta = pi/2 (u = 0), where an
+        # FFT may leave rounding noise: that sample is set to exactly 0, and
+        # so q_b(0) = 0.  A read outside [-1, 1] gives NaN, never an
         # extrapolation
         knots = config.dense_eval_grid
-        cos_co = _cosine_coeffs(qco_ld, self.lam_index).astype(np.float64)
-        q_theta = np.fft.rfft(cos_co, 4 * (knots - 1)).real[:knots]
+        cos_co = _cosine_coeffs(qco_ld, self.lam_index)
+        q_theta = np.fft.rfft(cos_co.astype(np.float64),
+                              4 * (knots - 1)).real[:knots]
         q_theta[-1] = 0.0
         self._q_dense = _DenseQuintic(q_theta)
 
-        # centroid quadrature: the trapezoid rule in theta on every
-        # _CENTROID_STRIDE-th knot of the dense table, theta_i = i pi / 4000
-        # on [0, pi/2], mirrored onto [pi/2, pi] with q_b exactly odd.  The
-        # weight of S^{n-1} in theta is sin^{n-2} theta; the integrands are
-        # periodic and band-limited far below the rule's aliasing degree
-        theta_c = self._q_dense.theta[::_CENTROID_STRIDE]
-        x = np.cos(theta_c)
+        # the perturbed body's nodes, which the centroid, the curvature, the
+        # diameter and the positivity guard all read: every stride-th knot
+        # of the dense table, theta_i = i pi / (curvature_grid - 1) on
+        # [0, pi/2], mirrored onto [pi/2, pi].  Their tables are theta-jets
+        # (f, f_theta, f_theta_theta); the bump's are the table's samples
+        # and the termwise derivatives -sum m d_m sin(m theta) and
+        # -sum m^2 d_m cos(m theta), two more real FFTs; the second is odd
+        # about pi/2 like q_b, and its sample there is set to exactly 0
+        half = (config.curvature_grid + 1) // 2
+        stride = (knots - 1) // (half - 1)
+        theta = self._q_dense.theta[::stride]
+        m = np.arange(cos_co.size)
+        bq1, bq2 = (np.fft.rfft((m ** k * cos_co).astype(np.float64),
+                                4 * (half - 1))[:half] for k in (1, 2))
+        bq2[-1] = 0.0
+        x = np.cos(theta)
         # cos(pi/2) rounds to 6e-17; the table's last knot is u = 0 exactly
         x[-1] = 0.0
-        w = np.sin(theta_c) ** (n - 2) * (np.pi / (2 * (theta_c.size - 1)))
-        bq = q_theta[::_CENTROID_STRIDE]
-        self._x = np.concatenate([x, -x[-2::-1]])
-        self._w = np.concatenate([w, w[-2::-1]])
-        self._bq_x = np.concatenate([bq, -bq[-2::-1]])
+        self._theta = np.concatenate([theta, np.pi - theta[-2::-1]])
+        self._x = _mirror(x, -1)
+        s = _mirror(np.sin(theta), 1)
+        self._bq = (_mirror(q_theta[::stride], -1), _mirror(bq1.imag, 1),
+                    _mirror(-bq2.real, -1))
+        self._gq = _theta_jet(self._x, s, *(g(self._x) for g in self._gap_q))
+        self._rho = _theta_jet(
+            self._x, s, *(np.asarray(f(self._x), dtype=np.float64)
+                          for f in (self.base.rho, *self.base.rho.derivs)))
+        self._rho_n = self._rho[0] ** n
+        # centroid quadrature: the trapezoid rule in theta on the nodes.
+        # The weight of S^{n-1} in theta is sin^{n-2} theta; the integrands
+        # are periodic and band-limited far below the rule's aliasing degree
+        self._w = s ** (n - 2) * (np.pi / (2 * (half - 1)))
         # latitude slices of S^{n-1} are spheres of dimension n-2
         self._surf = sphere_area(n - 2)
-        rho_x = np.asarray(self.base.rho(self._x), dtype=np.float64)
-        self._rho_n_x = rho_x ** n
-        self._gq_x = self._gap_q[0](self._x)
-
-        # curvature tables on an inclusive theta grid: the odd quotient and
-        # its first two derivatives, in the bump and gap parts
-        theta = np.linspace(0.0, np.pi, config.curvature_grid)
-        self._theta = theta
-        ut = np.cos(theta)
-        self._rho_t = np.asarray(self.base.rho(ut), dtype=np.float64)
-        self._rho_t_d1 = np.asarray(self.base.rho.derivs[0](ut),
-                                    dtype=np.float64)
-        self._rho_t_d2 = np.asarray(self.base.rho.derivs[1](ut),
-                                    dtype=np.float64)
-        self._bq_t = [eval_spectrum_deriv(self.bump_quotient, ut, k)
-                      for k in range(3)]
-        self._gq_t = [g(ut) for g in self._gap_q]
 
         # subsphere quadrature for the section sweep; order chosen so the
         # band-limited integrand is integrated without aliasing
@@ -480,53 +488,42 @@ class ConstructionContext:
 
     def perturbation(self, lam: float) -> SphereProfile:
         """Odd profile phi = (ghat(u) - ghat(0)) / u of the blended
-        transform ghat, with two derivatives (see _phi_direct).  Raises
-        unless ghat vanishes at the equator to the configured tolerance,
-        relative to its max over the equator grid."""
+        transform ghat, values only, the bump part read from the dense
+        table (see _phi_bulk).  Raises unless ghat vanishes at the equator
+        to the configured tolerance, relative to its max over the equator
+        grid."""
         ratio = self.equator_ratio(lam)
         tol = self.config.tolerances["equator_rel"]
         if not ratio <= tol:
             raise ConstructionError(
                 f"transform does not vanish at the equator: |value| is "
                 f"{ratio:.3e} of its max, above {tol:.1e}")
-        phi = [partial(self._phi_direct, lam=lam, k=k) for k in range(3)]
-        return SphereProfile(n=self.n, eval=phi[0], parity="odd",
-                             derivs=tuple(phi[1:]))
+        return SphereProfile(n=self.n, eval=partial(self._phi_bulk, lam=lam),
+                             parity="odd")
 
     def perturbed_body(self, lam: float, eps: float) -> RevolutionBody:
         """Body with radial profile (rho_base^n + eps phi)^{1/n}, phi the
         perturbation at lam, so that the section and centroid integrands,
         which involve rho^n, are exactly linear in eps.  Raises unless
-        rho_base^n + eps phi > 0 on a 4001-point grid, phi read from the
-        dense interpolant (NaN or inf fails); convexity is kappa_report's."""
+        rho_base^n + eps phi > 0 at the nodes (NaN or inf fails).  Values
+        only: convexity is kappa_report's."""
         if eps < 0:
             raise ValueError("perturbation size must be nonnegative")
-        n = self.n
-        ug = np.linspace(-1.0, 1.0, 4001)
-        fmin = np.min(np.asarray(self.base.rho(ug), dtype=float) ** n
-                      + eps * self._phi_bulk(ug, lam))
+        fmin = np.min(self._power(lam, eps))
         if not fmin > 0:
             raise ConstructionError(
                 f"rho^n + eps phi reaches {fmin:.3e} <= 0: eps too large")
-        phi = self.perturbation(lam)
-        base_fns = (self.base.rho, *self.base.rho.derivs)
-        phi_fns = (phi, *phi.derivs)
+        n, rho, phi = self.n, self.base.rho, self.perturbation(lam)
 
-        def u_derivative(k):
-            def d(u):
-                return _root_jet(n, eps,
-                                 [np.asarray(f(u), dtype=float)
-                                  for f in base_fns[:k + 1]],
-                                 [np.asarray(f(u), dtype=float)
-                                  for f in phi_fns[:k + 1]])[k]
-            return d
+        def value(u):
+            return _root_jet(n, eps, (np.asarray(rho(u), dtype=float),),
+                             (phi(u),))[0]
 
-        prof = SphereProfile(n=n, eval=u_derivative(0), parity="mixed",
-                             derivs=(u_derivative(1), u_derivative(2)))
         params = dict(self.base.params, eps=float(eps), n=n,
                       cap_u0=self.cap_u0)
         params["lambda"] = float(lam)
-        return RevolutionBody(n=n, rho=prof, kind="perturbed", params=params,
+        return RevolutionBody(n=n, rho=SphereProfile(n=n, eval=value),
+                              kind="perturbed", params=params,
                               samples=self._x.size)
 
     def equator_ratio(self, lam: float) -> float:
@@ -543,8 +540,7 @@ class ConstructionContext:
         if eps == 0.0:
             # unperturbed body: symmetric, so the centroid is exactly 0
             return 0.0
-        f = self._rho_n_x + eps * ((1.0 - lam) * self._bq_x
-                                   + lam * self._gq_x)
+        f = self._power(lam, eps)
         if np.any(f <= 0):
             return None
         n = self.n
@@ -553,23 +549,23 @@ class ConstructionContext:
             self._w @ (self._x * f ** ((n + 1.0) / n)))
         return float(num / vol)
 
+    def _power(self, lam: float, eps: float) -> np.ndarray:
+        """rho_base^n + eps phi at the nodes."""
+        return self._rho_n + eps * ((1.0 - lam) * self._bq[0]
+                                    + lam * self._gq[0])
+
     def kappa_min(self, lam: float, eps: float) -> float:
         """Minimum meridian curvature of the perturbed body."""
         return self.kappa_report(lam, eps).kappa_min
 
     def kappa_report(self, lam: float, eps: float) -> ConvexityReport:
-        """Meridian curvature report of the perturbed body, from the
-        precomputed theta tables (same formula and grid as curvature()),
-        held to the configured convexity margin."""
-        # the operation order of _phi_direct, so a curvature pass over the
-        # perturbed body gives the same bits
-        phi = [(1.0 - lam) * b + lam * g
-               for b, g in zip(self._bq_t, self._gq_t)]
+        """Meridian curvature report of the perturbed body from the
+        theta-jets at the nodes, held to the configured margin."""
+        phi = [(1.0 - lam) * b + lam * g for b, g in zip(self._bq, self._gq)]
         # where rho^n + eps phi < 0 the root is NaN, and so is kappa_min,
         # which the report's guard (_clears) counts as not convex
         with np.errstate(invalid="ignore"):
-            r = _root_jet(self.n, eps,
-                          (self._rho_t, self._rho_t_d1, self._rho_t_d2), phi)
+            r = _root_jet(self.n, eps, self._rho, phi)
             return _meridian_report(
                 self._theta, *r, self.config.tolerances["convexity_margin"])
 
@@ -739,19 +735,18 @@ class ConstructionContext:
                 f"dense evaluation disagrees with direct series: "
                 f"rel {err:.3e} > {tol:.1e}")
 
-    def _phi_direct(self, u, lam: float, k: int = 0):
-        """k-th derivative of the odd quotient of the blended transform:
-        the bump part from its quotient series, the gap part from
-        _gap_quotient's closed form, both in float64."""
+    def _phi_direct(self, u, lam: float):
+        """The spot check's reference for phi: the bump's quotient series
+        and the gap's closed form (_gap_quotient), both in float64."""
         u = np.asarray(u, dtype=np.float64)
-        return ((1.0 - lam) * eval_spectrum_deriv(self.bump_quotient, u, k)
-                + lam * self._gap_q[k](u))
+        return ((1.0 - lam) * eval_spectrum(self.bump_quotient, u)
+                + lam * self._gap_q[0](u))
 
     def diameter(self, lam: float, eps: float) -> float:
-        """Max over the theta grid of rho(u) + rho(-u) (axial symmetry
-        makes antipodal pairs along meridians the extremal chords)."""
-        phi_t = (1.0 - lam) * self._bq_t[0] + lam * self._gq_t[0]
-        r = _root_jet(self.n, eps, (self._rho_t,), (phi_t,))[0]
+        """Max over the nodes of rho(u) + rho(-u) (axial symmetry makes
+        antipodal pairs along meridians the extremal chords)."""
+        phi = (1.0 - lam) * self._bq[0] + lam * self._gq[0]
+        r = _root_jet(self.n, eps, self._rho[:1], (phi,))[0]
         return float(np.max(r + r[::-1]))
 
 

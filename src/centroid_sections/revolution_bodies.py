@@ -95,21 +95,17 @@ def make_base_body(n: int, a: float) -> RevolutionBody:
 
 def curvature(body: RevolutionBody, margin: float = 1e-6) -> ConvexityReport:
     """Minimum meridian curvature over RunConfig.curvature_grid angles
-    theta on [0, pi].
-
-    The meridian curve theta -> rho(cos theta) (sin theta, cos theta) has
-    curvature kappa = (rho^2 + 2 rho'^2 - rho rho'') / (rho^2 + rho'^2)^{3/2}
-    with ' = d/d theta.  A body of revolution is convex iff its meridian is.
-    The u-derivatives are the profile's closed forms rho.derivs[0] and
-    rho.derivs[1], which the profile must carry.  The coordinate poles are
-    regular points of the formula (even extension in theta), so the
-    inclusive endpoint grid covers them.
+    theta on [0, pi], from the u-derivatives rho.derivs[0] and
+    rho.derivs[1], which the profile must carry (see _meridian_report).
+    The coordinate poles are regular points of the formula (even extension
+    in theta), so the inclusive endpoint grid covers them.
     """
     theta = np.linspace(0.0, np.pi, RunConfig.curvature_grid)
     u = np.cos(theta)
-    r, fu1, fu2 = (np.asarray(f(u), dtype=float)
-                   for f in (body.rho, *body.rho.derivs[:2]))
-    return _meridian_report(theta, r, fu1, fu2, margin)
+    r, r_u, r_uu = (np.asarray(f(u), dtype=float)
+                    for f in (body.rho, *body.rho.derivs[:2]))
+    jet = _theta_jet(u, np.sin(theta), r, r_u, r_uu)
+    return _meridian_report(theta, *jet, margin)
 
 
 def _clears(kappa: float, margin: float) -> bool:
@@ -118,13 +114,17 @@ def _clears(kappa: float, margin: float) -> bool:
     return bool(np.isfinite(kappa) and kappa > margin)
 
 
-def _meridian_report(theta, r, r_u, r_uu, margin: float) -> ConvexityReport:
-    """ConvexityReport of the meridian with profile values r and their
-    u-derivatives r_u, r_uu at u = cos(theta)."""
-    u, st = np.cos(theta), np.sin(theta)
-    rp = -st * r_u
-    rpp = st * st * r_uu - u * r_u
-    kappa = (r * r + 2 * rp * rp - r * rpp) / (r * r + rp * rp) ** 1.5
+def _theta_jet(u, s, f, f_u, f_uu) -> tuple:
+    """(f, f_theta, f_theta_theta) at u = cos theta, s = sin theta, from f
+    and its u-derivatives: d/dtheta = -s d/du."""
+    return f, -s * f_u, s * s * f_uu - u * f_u
+
+
+def _meridian_report(theta, r, r_t, r_tt, margin: float) -> ConvexityReport:
+    """ConvexityReport of the meridian theta -> r (sin theta, cos theta),
+    r_t and r_tt its theta-derivatives: its curvature is (r^2 + 2 r_t^2 -
+    r r_tt) / (r^2 + r_t^2)^{3/2}, and the body is convex iff it is."""
+    kappa = (r * r + 2 * r_t * r_t - r * r_tt) / (r * r + r_t * r_t) ** 1.5
     i = int(np.argmin(kappa))
     kmin = float(kappa[i])
     return ConvexityReport(kappa_min=kmin, argmin_theta=float(theta[i]),

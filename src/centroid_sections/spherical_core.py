@@ -472,16 +472,18 @@ def _bochner_multipliers_ld(n: int, p: float, m) -> np.ndarray:
     m, in longdouble: mu(0) and mu(1) from _gamma_ld, then the running
     product mu(m + 2) = -mu(m) (n - p + m) / (p + m), so that no float64
     log magnitude rounds them and coefficient-by-coefficient products do
-    not round twice."""
+    not round twice.  Beyond longdouble (c_n is from n = 2611) they are
+    inf or NaN, without a warning: callers name that."""
     m = np.asarray(m).astype(np.intp)
     top = int(np.max(m, initial=1))
-    scale = _PI_LD ** (LD(n) / 2) * LD(2) ** (n - p)
     mu = np.empty(top + 1, dtype=LD)
-    for start in (0, 1):
-        mu[start] = (scale * _gamma_ld((n - p + start) / 2)
-                     / _gamma_ld((p + start) / 2))
-        k = np.arange(start, top - 1, 2, dtype=LD)
-        mu[start + 2::2] = mu[start] * np.cumprod(-(n - p + k) / (p + k))
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = _PI_LD ** (LD(n) / 2) * LD(2) ** (n - p)
+        for start in (0, 1):
+            mu[start] = (scale * _gamma_ld((n - p + start) / 2)
+                         / _gamma_ld((p + start) / 2))
+            k = np.arange(start, top - 1, 2, dtype=LD)
+            mu[start + 2::2] = mu[start] * np.cumprod(-(n - p + k) / (p + k))
     return mu[m]
 
 

@@ -458,3 +458,55 @@ def unfolded_sweep(ctx, lam, eps, u_grid):
     lhs = ctx._subsurf * ((v * f) @ ctx._tw)
     sec_vol = ctx._subsurf / (n - 1) * (f ** ((n - 1.0) / n) @ ctx._tw)
     return lhs, lhs / (n * sec_vol)
+
+
+def quotient_theta_jet_ld(coeffs, lam, nodes):
+    """(q, q_theta, q_theta_theta) at theta_i = i (pi/2) / (nodes - 1),
+    i < nodes, for the series q(u) = sum_m coeffs[m] C_m^lam(u),
+    u = cos theta, all in longdouble: the angles exact to longdouble, the
+    plain recurrence for q and, through d/du C_m^lam = 2 lam
+    C_{m-1}^{lam+1}, for q' and q'', then d/dtheta = -sin theta d/du.
+    Returned in float64."""
+    LD = np.longdouble
+    c = np.asarray(coeffs, dtype=LD)
+    pi = np.arccos(LD(-1))
+    theta = np.arange(nodes, dtype=LD) * (pi / (2 * (nodes - 1)))
+    u, s = np.cos(theta), np.sin(theta)
+    q = gegenbauer_series_plain(c, lam, u, LD)
+    q1 = 2 * LD(lam) * gegenbauer_series_plain(c[1:], lam + 1, u, LD)
+    q2 = (4 * LD(lam) * (LD(lam) + 1)
+          * gegenbauer_series_plain(c[2:], lam + 2, u, LD))
+    return tuple(np.asarray(j, dtype=float)
+                 for j in (q, -s * q1, s * s * q2 - u * q1))
+
+
+def kappa_series_route(ctx, lam, eps):
+    """(kappa_min, argmin theta) of the perturbed body of a construction
+    context by the u-form route: on theta_i = i pi / 4000, the bump
+    quotient's derivatives from its float64 Gegenbauer series
+    (eval_spectrum_deriv), the gap quotient's from its closed forms, the
+    chain rule for r = (rho^n + eps phi)^{1/n} in u, and the meridian
+    curvature written in u-derivatives,
+
+        kappa = (r^2 + 2 s^2 r'^2 - r (s^2 r'' - u r'))
+                / (r^2 + s^2 r'^2)^{3/2},  s = sin theta."""
+    from centroid_sections import eval_spectrum_deriv
+    n = ctx.n
+    theta = np.linspace(0.0, np.pi, 4001)
+    u, s = np.cos(theta), np.sin(theta)
+    phi = [(1.0 - lam) * eval_spectrum_deriv(ctx.bump_quotient, u, k)
+           + lam * ctx._gap_q[k](u) for k in range(3)]
+    rb, rb1, rb2 = (np.asarray(f(u), dtype=float)
+                    for f in (ctx.base.rho, *ctx.base.rho.derivs))
+    f = rb ** n + eps * phi[0]
+    f1 = n * rb ** (n - 1) * rb1 + eps * phi[1]
+    f2 = (n * (n - 1) * rb ** (n - 2) * rb1 ** 2 + n * rb ** (n - 1) * rb2
+          + eps * phi[2])
+    r = f ** (1.0 / n)
+    r1 = f ** (1.0 / n - 1) * f1 / n
+    r2 = ((1.0 / n - 1) * f ** (1.0 / n - 2) * f1 ** 2 / n
+          + f ** (1.0 / n - 1) * f2 / n)
+    kappa = ((r * r + 2 * s * s * r1 * r1 - r * (s * s * r2 - u * r1))
+             / (r * r + s * s * r1 * r1) ** 1.5)
+    i = int(np.argmin(kappa))
+    return float(kappa[i]), float(theta[i])

@@ -108,10 +108,11 @@ def test_gauss_jacobi_failure_is_a_named_precondition(command, n, tmp_path,
         assert "Gauss-Jacobi" in diag["error"]
 
 
-@pytest.mark.parametrize("n", [8, 200])
+@pytest.mark.parametrize("n", [8, 200, 3000])
 def test_large_n_failure_is_one_named_line(n, tmp_path, subprocess_env):
     # n = 8 has no bracket; at n = 200 the bump's float64 series overflow
-    # near the poles.  Either way the only stderr line names the failure:
+    # near the poles; at n = 3000 the transform constant c_n overflows
+    # even longdouble.  Either way the only stderr line names the failure:
     # no numpy warning on the way
     res = subprocess.run([sys.executable, "-m", "centroid_sections.cli",
                           "construct", "--n", str(n), "--outdir",
@@ -121,6 +122,8 @@ def test_large_n_failure_is_one_named_line(n, tmp_path, subprocess_env):
     assert res.returncode == 3
     lines = res.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("construction failed: ")
+    if n == 3000:
+        assert "c_n overflows" in lines[0]
 
 
 def test_construct_and_verify_n7(tmp_path, capsys):

@@ -16,7 +16,8 @@ from centroid_sections.spherical_core import (_divide_by_u,
                                               _rolling_accumulate,
                                               ft_homogeneous)
 from oracles import (SEED, bisect_sign_change, fd_deriv, gap_quotient_mp,
-                     odd_quotient_difference, odd_quotient_integral,
+                     kappa_series_route, odd_quotient_difference,
+                     odd_quotient_integral, quotient_theta_jet_ld,
                      section_centroid_axis, section_volume, sphere_integral,
                      unfolded_sweep)
 
@@ -233,29 +234,18 @@ def test_perturbed_body_rejects_huge_eps(ctx5, cert5):
 
 
 def test_context_perturbed_body_bit_equal_to_public_route(ctx5, cert5):
-    # the context gates on its tables and splines; the body it returns must
-    # be (rho_base^n + eps phi)^{1/n} of its public base body and
-    # perturbation, derivatives by the chain rule, serialized at the
-    # centroid's 4001 theta nodes
+    # the context gates on its tables; the body it returns must be
+    # (rho_base^n + eps phi)^{1/n} of its public base body and
+    # perturbation, values only, serialized at the 4001 theta nodes
     lam, eps = cert5["lambda0"], cert5["eps0"]
     n = ctx5.n
     got = ctx5.perturbed_body(lam, eps)
     assert got.samples == 4001
-    phi = ctx5.perturbation(lam)
+    assert got.rho.derivs is None
     u = np.linspace(-1.0, 1.0, 1001)
-    rb, rb1, rb2 = (np.asarray(f(u), dtype=float)
-                    for f in (ctx5.base.rho, *ctx5.base.rho.derivs))
-    p, p1, p2 = (np.asarray(f(u), dtype=float) for f in (phi, *phi.derivs))
-    f = rb ** n + eps * p
-    f1 = n * rb ** (n - 1) * rb1 + eps * p1
-    f2 = (n * (n - 1) * rb ** (n - 2) * rb1 ** 2
-          + n * rb ** (n - 1) * rb2 + eps * p2)
-    want = (f ** (1.0 / n),
-            (1.0 / n) * f ** (1.0 / n - 1) * f1,
-            (1.0 / n) * (1.0 / n - 1) * f ** (1.0 / n - 2) * f1 ** 2
-            + (1.0 / n) * f ** (1.0 / n - 1) * f2)
-    for g, w in zip((got.rho, *got.rho.derivs), want):
-        assert np.array_equal(g(u), w)
+    f = (np.asarray(ctx5.base.rho(u), dtype=float) ** n
+         + eps * ctx5.perturbation(lam)(u))
+    assert np.array_equal(got.rho(u), f ** (1.0 / n))
 
 
 # centroid functional
@@ -555,7 +545,26 @@ def test_context_build_series_work_budget(ctx5, monkeypatch):
     monkeypatch.setattr(spherical_core, "_rolling_accumulate", counted)
     monkeypatch.setattr(counterexample, "_rolling_accumulate", counted)
     counterexample.ConstructionContext(5, ctx5.a, ctx5.cap_u0, RunConfig())
-    assert sum(work) <= 60_000_000
+    # measured 9.15 M: the bump transform and its quotient on the equator
+    # grid (1429 distinct |u| each) and the transform at u = 0; the
+    # curvature and diameter tables come from FFTs and take none
+    assert sum(work) <= 10_000_000
+
+
+def test_construction_makes_no_derivative_series_call(monkeypatch):
+    # a whole n = 5 construction and its body.json: the curvature, the
+    # diameter and the served phi read the cosine series' theta tables
+    from centroid_sections import revolution_bodies, spherical_core
+
+    def refused(*args, **kwargs):
+        raise AssertionError("eval_spectrum_deriv called")
+
+    monkeypatch.setattr(spherical_core, "eval_spectrum_deriv", refused)
+    monkeypatch.setattr(counterexample, "_CTX_CACHE", {})
+    assert not hasattr(counterexample, "eval_spectrum_deriv")
+    res = run_construction(RunConfig())
+    revolution_bodies.body_to_dict(res["body"])
+    assert res["certificate"]["valid"]
 
 
 def test_construction_requests_no_rule_above_order_2000(ctx5, monkeypatch):
@@ -639,22 +648,46 @@ def test_kappa_min_tracks_base_as_eps_vanishes(ctx5):
         assert d <= 1.5 * fitted * e
 
 
-def test_perturbed_body_convex_at_root(construct_result, cert5):
-    # the certificate's curvature comes from the context tables; the
-    # generic pass over the perturbed body must give the same bits
-    rep = curvature(construct_result["body"])
+def _assert_kappa_matches_series_route(ctx, cert):
+    # the certificate's curvature comes from the theta-jets at the nodes;
+    # the u-form route through the float64 Gegenbauer series must give
+    # the same minimum to 1e-13 and the same argmin node (spacing pi/4000)
+    lam, eps = cert["lambda0"], cert["eps0"]
+    rep = ctx.kappa_report(lam, eps)
     assert rep.kappa_min > 0.0
-    assert rep.kappa_min == cert5["kappa_min_perturbed"]
-    assert rep.argmin_theta == cert5["kappa_argmin_theta"]
+    assert rep.kappa_min == cert["kappa_min_perturbed"]
+    assert rep.argmin_theta == cert["kappa_argmin_theta"]
+    kmin, argmin = kappa_series_route(ctx, lam, eps)
+    assert abs(rep.kappa_min - kmin) <= 1e-13 * kmin
+    assert abs(rep.argmin_theta - argmin) < np.pi / 8000
+
+
+def test_perturbed_body_convex_at_root(construct_result, cert5):
+    _assert_kappa_matches_series_route(construct_result["context"], cert5)
 
 
 def test_perturbed_curvature_matches_generic_pass_n6():
     res = run_construction(RunConfig(n=6))
-    cert = res["certificate"]
-    rep = curvature(res["body"])
-    assert rep.kappa_min > 0.0
-    assert rep.kappa_min == cert["kappa_min_perturbed"]
-    assert rep.argmin_theta == cert["kappa_argmin_theta"]
+    _assert_kappa_matches_series_route(res["context"], res["certificate"])
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_bump_theta_jets_match_longdouble_series(n):
+    # the bump quotient's theta-jets at the nodes on [0, pi/2], the table's
+    # samples and two FFTs of the float64 cosine series, against its
+    # longdouble Gegenbauer series at exact angles; the float64 recurrence
+    # converted from u was off by 2.0e-13 (n = 6) and 1.3e-11 (n = 7)
+    ctx = get_context(RunConfig(n=n))
+    half = ctx._x.size // 2 + 1
+    qco = _divide_by_u(counterexample._bump_transform_coeffs(ctx.bump,
+                                                             ctx.config),
+                       ctx.lam_index)
+    want = quotient_theta_jet_ld(qco, ctx.lam_index, half)
+    for got, ref in zip(ctx._bq, want):
+        assert np.max(np.abs(got[:half] - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # mirrored onto [pi/2, pi]: q and q_theta_theta odd, q_theta even
+    for got, sign in zip(ctx._bq, (-1, 1, -1)):
+        assert np.array_equal(got[half - 1:], sign * got[half - 1::-1])
 
 
 # eps selection fallback

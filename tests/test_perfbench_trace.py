@@ -21,7 +21,7 @@ from centroid_sections import cli
 tracer = Tracer()
 tracer.install()
 try:
-    rc = cli.main(["intersection-test", "--n", "5"])
+    rc = cli.main(sys.argv[1:])
 finally:
     tracer.uninstall()
 dump = tracer.dump()
@@ -30,16 +30,32 @@ print(json.dumps({{"rc": rc, "spans": sorted({{s[0] for s in dump["spans"]}}),
 """
 
 
-def test_traced_intersection_test_records_its_layers(subprocess_env):
+def _traced(subprocess_env, *argv):
     # no bytecode cache is left inside the benchmark's directory
     env = dict(subprocess_env, PYTHONDONTWRITEBYTECODE="1")
-    res = subprocess.run([sys.executable, "-c", CODE], env=env,
+    res = subprocess.run([sys.executable, "-c", CODE, *argv], env=env,
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     got = json.loads(res.stdout.splitlines()[-1])
     assert got["rc"] == 0
+    return got
+
+
+def test_traced_intersection_test_records_its_layers(subprocess_env):
+    got = _traced(subprocess_env, "intersection-test", "--n", "5")
     assert {"cli.intersection_test",
             "revolution_bodies.intersection_body_test",
             "spherical_core.ft_homogeneous", "spherical_core.expand",
             "spherical_core.gauss_jacobi"} <= set(got["spans"])
     assert got["counters"]["spherical_core.gauss_jacobi_calls"] > 0
+
+
+def test_traced_construct_records_its_layers(subprocess_env, tmp_path):
+    got = _traced(subprocess_env, "construct", "--n", "5",
+                  "--outdir", str(tmp_path))
+    assert {"cli.construct", "counterexample.run_construction",
+            "counterexample.context_build", "counterexample.select_eps",
+            "counterexample.find_root", "counterexample.identity_sweep",
+            "counterexample.kappa_min", "revolution_bodies.curvature",
+            "revolution_bodies.body_to_dict"} <= set(got["spans"])
+    assert got["counters"]["counterexample.centroid_calls"] > 0
