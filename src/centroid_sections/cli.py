@@ -299,6 +299,17 @@ def _recheck(lines, cert, cfg, ctx) -> bool:
     ok &= _check(lines, "identity_on_doubled_grid",
                  sweep["max_rel_err"] <= tol["identity_rel"],
                  f"max rel err = {sweep['max_rel_err']:.3e}")
+    # the other route for lhs, at the 4 worst directions and the 2 interior
+    # ones nearest each pole
+    picks = np.union1d(np.argsort(sweep["rel_err"])[-4:],
+                       [1, 2, grid.size - 3, grid.size - 2])
+    dev = (np.max(np.abs(ctx.quadrature_lhs(lam0, eps0, grid[picks])
+                         - sweep["lhs"][picks]))
+           / max(float(np.max(np.abs(sweep["rhs"]))), 1e-300))
+    ok &= _check(lines, "identity_by_quadrature",
+                 dev <= tol["identity_rel"] / 10.0,
+                 f"max |lhs difference| = {dev:.3e} of max |rhs| at "
+                 f"{picks.size} directions")
     ok &= _check(lines, "margin_positive",
                  sweep["min_margin"] > 0.0
                  and cert["min_section_margin"] > 0.0,
@@ -451,7 +462,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="starting perturbation size")
     pc.add_argument("--alpha-grid", dest="alpha_grid", type=int, default=None,
                     help="number of section directions")
-    pc.add_argument("--seed", type=int, default=None)
+    pc.add_argument("--seed", type=int, default=None,
+                    help="accepted and ignored: the construction is "
+                         "deterministic")
     pc.set_defaults(func=cmd_construct)
 
     pv = sub.add_parser("verify", help="recheck a certificate")

@@ -38,7 +38,6 @@ class RunConfig:
     a: Optional[float] = None
     eps: float = 1e-3
     alpha_grid: int = 721
-    seed: int = 0x5EED
     tolerances: dict = field(default_factory=default_tolerances)
 
     # the polar caps start this far from the negativity threshold u* of the
@@ -46,7 +45,8 @@ class RunConfig:
     cap_margin: ClassVar[float] = 0.5
 
     # quadrature order and degree of the analytic profiles' expansions
-    # (pairing check, intersection-body test, body.json samples)
+    # (pairing check, intersection-body test, body.json samples); the
+    # order of the rule for the sweep's section volumes
     quad_order: ClassVar[int] = 256
     max_degree: ClassVar[int] = 120
 
@@ -58,13 +58,10 @@ class RunConfig:
     # one longdouble FFT, give the bump's cosine moments
     bump_theta_samples: ClassVar[int] = 8192
 
-    # subsphere quadrature for section sweeps of the perturbed body; must
-    # resolve polynomial degree bump_max_degree to avoid aliasing
+    # subsphere rule of verify's quadrature route for the section sweep,
+    # over rho^n with the perturbation read from its degree bump_max_degree
+    # - 1 series: it must resolve that degree to avoid aliasing
     section_quad_order: ClassVar[int] = 1728
-
-    # knots of the half theta table [0, pi/2] that the section sweep reads
-    # the bump quotient from: spacing pi/80000
-    dense_eval_grid: ClassVar[int] = 40001
 
     curvature_grid: ClassVar[int] = 4001
     equator_grid: ClassVar[int] = 2001
@@ -87,6 +84,4 @@ class RunConfig:
         if self.alpha_grid < 3:
             # the sweep needs both poles and a direction between them
             raise ValueError("alpha_grid must be at least 3")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
         return self

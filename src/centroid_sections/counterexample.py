@@ -13,13 +13,14 @@ one whose centroid hits the body centroid.
 All heavy spectral work is done once per parameter set and cached in a
 ConstructionContext: the bump's transform is expanded in extended
 precision to a few thousand Gegenbauer degrees, from one FFT of its
-samples in theta, and divided by u once, then tabulated in
-theta = arccos u by one FFT of its cosine series and read through a
-piecewise quintic with direct-series spot checks, which keeps the
-section sweep honest without per-point series sums; the perturbed
-body's curvature reads the same series differentiated termwise in
-theta.  The gap's transform has a closed form, and so has its quotient
-by u (_gap_quotient).  get_context returns the context; its methods are the
+samples in theta, and divided by u once; the perturbed body's centroid
+and curvature read that quotient on theta = arccos u nodes, by FFTs of
+its cosine series and of their termwise theta-derivatives.  The section
+sweep needs no section quadrature: by Funk-Hecke its left side is a
+multiple of the bump's own series, whose coefficients are the
+transform's over its multipliers (identity_sweep).  The gap's transform
+has a closed form, and so has its quotient by u (_gap_quotient).
+get_context returns the context; its methods are the
 per-(lam, eps) functionals (centroid, kappa_report, select_eps,
 find_root, identity_sweep), and run_construction chains them into the
 certificate.  The context is also the only producer of the odd
@@ -41,7 +42,7 @@ from .revolution_bodies import (ConvexityReport, RevolutionBody, _clears,
                                 _meridian_report, _theta_jet, curvature,
                                 make_base_body)
 from .spherical_core import (LD, _PI_LD, GegenbauerSpectrum, SphereProfile,
-                             _BLOCK, _bochner_multipliers_ld, _cosine_coeffs,
+                             _bochner_multipliers_ld, _cosine_coeffs,
                              _divide_by_u, _gegenbauer_moments, _norm_ratios,
                              _rolling_accumulate, bochner_multiplier,
                              eval_spectrum, gauss_jacobi, parseval_residual,
@@ -262,80 +263,6 @@ def _mirror(half: np.ndarray, sign: int) -> np.ndarray:
     return np.concatenate([half, sign * half[-2::-1]])
 
 
-def _stencil_rows(offset: int) -> np.ndarray:
-    """Map from six samples at t = offset, ..., offset + 5 to the t^1..t^5
-    coefficients of the quintic through them: each Lagrange basis
-    polynomial from its integer roots, which float64 multiplies out
-    exactly, divided once by its integer denominator."""
-    nodes = range(offset, offset + 6)
-    cols = [np.polynomial.polynomial.polyfromroots(
-                [r for r in nodes if r != i])
-            / np.prod([i - r for r in nodes if r != i]) for i in nodes]
-    return np.array(cols).T[1:]
-
-
-class _DenseQuintic:
-    """Exactly odd read q(u) = sign(u) Q(arccos |u|) of a piecewise quintic
-    Q through samples y at the K knots theta_i = i (pi/2) / (K - 1) of
-    [0, pi/2], built without solving a system.
-
-    Cell j, [theta_j, theta_{j+1}], carries the quintic through the
-    samples j-2 .. j+3 (shifted inward in the two outermost cells at each
-    end) in the index variable t = (theta - theta_j) (K - 1) / (pi/2), with
-    its constant term the sample y_j itself; the coefficients are stored
-    knot-major, (K, 6), so a point gathers one row.  The nearest knot k is
-    the rounded theta (K - 1) / (pi/2) and the offset is measured from the
-    stored theta_k: a knot read at its own angle gives back its sample bit
-    for bit, and theta below theta_k reads cell k - 1.  np.arccos(0.0) is
-    the last knot, pi/2, exactly, so u = 0 reads the last sample.  Points
-    are evaluated _BLOCK at a time; u outside [-1, 1] or NaN gives NaN.
-    """
-
-    def __init__(self, y: np.ndarray):
-        last = y.size - 1
-        self.theta = np.linspace(0.0, np.pi / 2, last + 1)
-        self.scale = last / (np.pi / 2)
-        j = np.arange(last)
-        offset = np.clip(j - 2, 0, last - 5) - j
-        windows = np.lib.stride_tricks.sliding_window_view(y, 6)
-        # columns t^0 .. t^5; the last knot is a cell of its own, constant
-        self.c = np.zeros((last + 1, 6))
-        self.c[:, 0] = y
-        for off in np.unique(offset):
-            cells = j[offset == off]
-            self.c[cells, 1:] = windows[cells + off] @ _stencil_rows(off).T
-
-    def at_theta(self, theta: np.ndarray) -> np.ndarray:
-        """Q at angles in [0, pi/2]."""
-        k = np.rint(theta * self.scale).astype(np.intp)
-        t = (theta - self.theta[k]) * self.scale
-        below = t < 0
-        k -= below
-        t += below
-        c = np.take(self.c, k, axis=0)
-        r = c[:, 5] * t
-        for deg in range(4, 0, -1):
-            r += c[:, deg]
-            r *= t
-        r += c[:, 0]
-        return r
-
-    def __call__(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=np.float64)
-        flat = u.reshape(-1)
-        out = np.empty(flat.size)
-        for start in range(0, flat.size, _BLOCK):
-            v = flat[start:start + _BLOCK]
-            a = np.abs(v)
-            outside = ~(a <= 1.0)
-            # fmin also takes NaN to 1, so every angle indexes the table
-            r = self.at_theta(np.arccos(np.fmin(a, 1.0, out=a)))
-            np.negative(r, out=r, where=v < 0)
-            r[outside] = np.nan
-            out[start:start + _BLOCK] = r
-        return out.reshape(u.shape)
-
-
 # ---------------------------------------------------------------------------
 # cached heavy machinery
 
@@ -344,10 +271,11 @@ _CTX_CACHE: dict = {}
 
 class ConstructionContext:
     """Everything expensive about one geometry (n, a, cap_u0), computed
-    once: the bump transform's spectrum and its odd quotient series, a
-    dense-grid interpolant of that quotient for sweep evaluation, and
-    quadrature-node tables that make the centroid and curvature of the
-    perturbed family cheap per (lam, eps).
+    once: the bump transform's spectrum, its odd quotient series and the
+    bump's own series that the transform coefficients stand for, the
+    node tables that make the centroid and curvature of the perturbed
+    family cheap per (lam, eps), and the section rule of the sweep's
+    volumes.
     """
 
     def __init__(self, n: int, a: float, cap_u0: float, config: RunConfig):
@@ -365,16 +293,20 @@ class ConstructionContext:
             raise ConstructionError(
                 f"transform constant c_n overflows float64 at n = {n}")
 
-        # the bump transform's coefficients and, one degree lower, those of
-        # its odd quotient q_b(u) = (b(u) - b(0)) / u: synthetic division of
-        # the extended precision coefficients, so b(0) is never subtracted.
-        # At large n they outgrow float64, which is named here, not warned
-        # about
+        # the bump transform's coefficients co; one degree lower, those of
+        # its odd quotient q_b(u) = (b(u) - b(0)) / u, by synthetic division
+        # of the extended precision coefficients, so b(0) is never
+        # subtracted; and co / mu, mu the transform's multipliers, those of
+        # the degree-M bump series b_M that the sweep reads.  At large n
+        # they outgrow float64, which is named here, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
             co_ld = _bump_transform_coeffs(self.bump, config)
             qco_ld = _divide_by_u(co_ld, self.lam_index)
+            bco = (co_ld / _bochner_multipliers_ld(
+                n, 1.0, np.arange(co_ld.size))).astype(np.float64)
             co, qco = co_ld.astype(np.float64), qco_ld.astype(np.float64)
-        for name, c in (("bump transform", co), ("odd quotient series", qco)):
+        for name, c in (("bump transform", co), ("odd quotient series", qco),
+                        ("bump series", bco)):
             bad = int(np.count_nonzero(~np.isfinite(c)))
             if bad:
                 raise ConstructionError(
@@ -384,6 +316,8 @@ class ConstructionContext:
             n=n, lambda_index=self.lam_index, coeffs=co, parity="even")
         self.bump_quotient = GegenbauerSpectrum(
             n=n, lambda_index=self.lam_index, coeffs=qco, parity="odd")
+        self.bump_series = GegenbauerSpectrum(
+            n=n, lambda_index=self.lam_index, coeffs=bco, parity="even")
         # equator value of the bump transform in extended precision; the
         # float64 series at 0 would add ~1e-14 relative noise to a value
         # that must cancel exactly in the odd quotient
@@ -394,7 +328,9 @@ class ConstructionContext:
         self._gap_ft = self.gap.ft_profile
         self._gap_q = _gap_quotient(n)
 
-        eq = np.linspace(-1.0, 1.0, config.equator_grid)
+        # mirrored bit for bit, so the folded series run once per |u|
+        eq = np.linspace(0.0, 1.0, (config.equator_grid + 1) // 2)
+        eq = np.concatenate([-eq[:0:-1], eq])
         # at large n, C_m^lam near the poles outgrows float64: a series that
         # overflows is named below, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
@@ -416,42 +352,32 @@ class ConstructionContext:
                 f"odd quotient series does not reproduce the transform: "
                 f"rel {resid:.3e} > {tol:.1e}")
 
-        # dense interpolant of q_b for the section sweep: q_b(cos theta) is
-        # the cosine series sum d_m cos(m theta) of _cosine_coeffs, and its
-        # samples at theta_i = 2 pi i / L, L = 4 (K - 1), i < K, are one real
-        # FFT.  Every odd cosine vanishes at theta = pi/2 (u = 0), where an
-        # FFT may leave rounding noise: that sample is set to exactly 0, and
-        # so q_b(0) = 0.  A read outside [-1, 1] gives NaN, never an
-        # extrapolation
-        knots = config.dense_eval_grid
-        cos_co = _cosine_coeffs(qco_ld, self.lam_index)
-        q_theta = np.fft.rfft(cos_co.astype(np.float64),
-                              4 * (knots - 1)).real[:knots]
-        q_theta[-1] = 0.0
-        self._q_dense = _DenseQuintic(q_theta)
-
         # the perturbed body's nodes, which the centroid, the curvature, the
-        # diameter and the positivity guard all read: every stride-th knot
-        # of the dense table, theta_i = i pi / (curvature_grid - 1) on
-        # [0, pi/2], mirrored onto [pi/2, pi].  Their tables are theta-jets
-        # (f, f_theta, f_theta_theta); the bump's are the table's samples
-        # and the termwise derivatives -sum m d_m sin(m theta) and
-        # -sum m^2 d_m cos(m theta), two more real FFTs; the second is odd
-        # about pi/2 like q_b, and its sample there is set to exactly 0
+        # diameter and the positivity guard all read: theta_i = i pi /
+        # (curvature_grid - 1) on [0, pi/2], mirrored onto [pi/2, pi].
+        # Their tables are theta-jets (f, f_theta, f_theta_theta).  The
+        # bump's are q_b(cos theta) = sum d_m cos(m theta), d the cosine
+        # series of _cosine_coeffs, and its termwise derivatives
+        # -sum m d_m sin(m theta) and -sum m^2 d_m cos(m theta): three real
+        # FFTs of length 4 (K - 1), K nodes on [0, pi/2].  The first and
+        # the third are odd about pi/2 (u = 0), where an FFT may leave
+        # rounding noise: their samples there are set to exactly 0
         half = (config.curvature_grid + 1) // 2
-        stride = (knots - 1) // (half - 1)
-        theta = self._q_dense.theta[::stride]
+        # the angles rounded as every 20th point of a 20-fold finer
+        # linspace rounds them: the node bits that certificates carry
+        theta = np.linspace(0.0, np.pi / 2, 20 * (half - 1) + 1)[::20]
+        cos_co = _cosine_coeffs(qco_ld, self.lam_index)
         m = np.arange(cos_co.size)
-        bq1, bq2 = (np.fft.rfft((m ** k * cos_co).astype(np.float64),
-                                4 * (half - 1))[:half] for k in (1, 2))
-        bq2[-1] = 0.0
+        bq0, bq1, bq2 = (np.fft.rfft((m ** k * cos_co).astype(np.float64),
+                                     4 * (half - 1))[:half] for k in range(3))
+        bq0[-1] = bq2[-1] = 0.0
         x = np.cos(theta)
-        # cos(pi/2) rounds to 6e-17; the table's last knot is u = 0 exactly
+        # cos(pi/2) rounds to 6e-17; the last node is u = 0 exactly
         x[-1] = 0.0
         self._theta = np.concatenate([theta, np.pi - theta[-2::-1]])
         self._x = _mirror(x, -1)
         s = _mirror(np.sin(theta), 1)
-        self._bq = (_mirror(q_theta[::stride], -1), _mirror(bq1.imag, 1),
+        self._bq = (_mirror(bq0.real, -1), _mirror(bq1.imag, 1),
                     _mirror(-bq2.real, -1))
         self._gq = _theta_jet(self._x, s, *(g(self._x) for g in self._gap_q))
         self._rho = _theta_jet(
@@ -465,9 +391,10 @@ class ConstructionContext:
         # latitude slices of S^{n-1} are spheres of dimension n-2
         self._surf = sphere_area(n - 2)
 
-        # subsphere quadrature for the section sweep; order chosen so the
-        # band-limited integrand is integrated without aliasing
-        qs = gauss_jacobi(config.section_quad_order, (n - 4) / 2)
+        # subsphere rule for the sweep's section volumes, which are the
+        # base body's: rho_b^{n-1} is analytic, and order 256 is within
+        # 1.3e-15 of order 1728 at n = 5 to 7
+        qs = gauss_jacobi(config.quad_order, (n - 4) / 2)
         self._ts = np.asarray(qs.nodes, dtype=np.float64)
         self._tw = np.asarray(qs.weights, dtype=np.float64)
         # slices of the section subsphere S^{n-2} are of dimension n-3
@@ -488,17 +415,16 @@ class ConstructionContext:
 
     def perturbation(self, lam: float) -> SphereProfile:
         """Odd profile phi = (ghat(u) - ghat(0)) / u of the blended
-        transform ghat, values only, the bump part read from the dense
-        table (see _phi_bulk).  Raises unless ghat vanishes at the equator
-        to the configured tolerance, relative to its max over the equator
-        grid."""
+        transform ghat, values only (see _phi).  Raises unless ghat
+        vanishes at the equator to the configured tolerance, relative to
+        its max over the equator grid."""
         ratio = self.equator_ratio(lam)
         tol = self.config.tolerances["equator_rel"]
         if not ratio <= tol:
             raise ConstructionError(
                 f"transform does not vanish at the equator: |value| is "
                 f"{ratio:.3e} of its max, above {tol:.1e}")
-        return SphereProfile(n=self.n, eval=partial(self._phi_bulk, lam=lam),
+        return SphereProfile(n=self.n, eval=partial(self._phi, lam=lam),
                              parity="odd")
 
     def perturbed_body(self, lam: float, eps: float) -> RevolutionBody:
@@ -640,47 +566,44 @@ class ConstructionContext:
         """Compare n |section| <centroid, axis> against the closed-form
         multiple of the seed over a grid of section directions.
 
-        Left side: subsphere quadrature of the axis coordinate times
-        rho^n over the unit subsphere orthogonal to the direction.  Right
-        side: eps (2 pi)^n / pi times the seed at the direction's axis
-        coordinate.  Bulk profile values come from the dense interpolant; a
-        random subset is re-evaluated by direct series summation and must
-        agree, else the sweep aborts.
+        Left side: the integral of s (rho_b^n + eps phi)(s), s = <eta, e_n>,
+        over the unit subsphere orthogonal to the direction.  The rho_b^n
+        part is odd and drops out, and s phi(s) = ghat(s) - ghat(0), so what
+        remains is eps times the spherical Radon transform of
+        ghat - ghat(0).  By Funk-Hecke that transform multiplies degree k by
+        |S^{n-2}| C_k(0) / C_k(1), which times the transform's multiplier
+        mu_k is (2 pi)^n / pi at every even k.  So, for the body as built,
+
+            lhs(u) = eps (2 pi)^n / pi [(1 - lam)(b_M(u) - b_M(1))
+                                        + lam gap(u)],
+
+        b_M the bump series (bump_series), summed once per distinct |u| of
+        the grid and 1; the poles' lhs is exactly 0.  Right side: eps
+        (2 pi)^n / pi times the seed, so the two differ by the bump's
+        truncation b_M - b alone.  The reported section centroids divide
+        lhs by n times the base body's section volume: the perturbation's
+        first-order term is odd over the section and adds nothing to it.
         """
         cfg = self.config
         if u_grid is None:
             u_grid = np.linspace(-1.0, 1.0, cfg.alpha_grid)
         u_grid = np.asarray(u_grid, dtype=float)
         n = self.n
-        ts = self._ts
-        half = ts.size // 2
+        scale = eps * (2.0 * np.pi) ** n / np.pi
+        b = eval_spectrum(self.bump_series, np.append(u_grid, 1.0))
+        lhs = scale * ((1.0 - lam) * (b[:-1] - b[-1])
+                       + lam * np.asarray(self.gap(u_grid), dtype=float))
+        rhs = scale * np.asarray(self.seed_value(u_grid, lam), dtype=float)
+        rel = np.abs(lhs - rhs) / max(float(np.max(np.abs(rhs))), 1e-300)
+        # the rule is mirrored bit for bit and rho_b is even: the volume
+        # reads rho_b on the nonnegative nodes, with doubled weights
+        half = self._ts.size // 2
         r = np.sqrt(np.maximum(0.0, 1.0 - u_grid ** 2))
-        # the section rule is mirrored bit for bit, rho is even and both
-        # quotient parts are exactly odd: the profile is read on the
-        # nonnegative nodes and mirrored, which moves no bit
-        v_half = r[:, None] * ts[None, half:]
-        phi = self._phi_bulk(v_half, lam)
-        self._spot_check(r, phi, lam)
-        rho_n = np.asarray(self.base.rho(v_half), dtype=np.float64) ** n
-        # f and buf are the only full-size arrays: the halves go first
-        del v_half
-        phi *= eps
-        f = np.empty((r.size, ts.size))
-        np.add(rho_n, phi, out=f[:, half:])
-        np.subtract(rho_n, phi, out=f[:, half - 1::-1])
-        del rho_n, phi
-        buf = np.multiply(r[:, None], ts[None, :])
-        buf *= f
-        lhs = self._subsurf * (buf @ self._tw)
-        seed = np.asarray(self.seed_value(u_grid, lam), dtype=float)
-        rhs = eps * (2.0 * np.pi) ** n / np.pi * seed
-        scale = max(float(np.max(np.abs(rhs))), 1e-300)
-        rel = np.abs(lhs - rhs) / scale
-        # section centroids for reporting: lhs / (n |section|)
-        np.power(f, (n - 1.0) / n, out=buf)
-        sec_vol = self._subsurf / (n - 1) * (buf @ self._tw)
+        rho = np.asarray(self.base.rho(r[:, None] * self._ts[half:]),
+                         dtype=float)
+        sec_vol = (self._subsurf / (n - 1)
+                   * (rho ** (n - 1) @ (2.0 * self._tw[half:])))
         centroids = lhs / (n * sec_vol)
-        centroids_analytic = rhs / (n * sec_vol)
         inner = np.abs(u_grid) < 1.0
         pole = ~inner
         diam = self.diameter(lam, eps)
@@ -689,7 +612,7 @@ class ConstructionContext:
             "u_grid": u_grid,
             "lhs": lhs, "rhs": rhs, "rel_err": rel,
             "centroid_quadrature": centroids,
-            "centroid_analytic": centroids_analytic,
+            "centroid_analytic": rhs / (n * sec_vol),
             "max_rel_err": float(np.max(rel)),
             "min_margin": margin,
             "pole_abs": float(np.max(np.abs(centroids[pole]))) if pole.any() else 0.0,
@@ -697,47 +620,23 @@ class ConstructionContext:
                              if u_grid.size > 2 else np.nan,
         }
 
-    def _phi_bulk(self, u: np.ndarray, lam: float) -> np.ndarray:
-        """Odd quotient for the sweep: the dense interpolant of the bump part
-        and the gap part's closed form."""
-        out = self._q_dense(u)
-        out *= 1.0 - lam
-        out += lam * self._gap_q[0](u)
-        return out
+    def quadrature_lhs(self, lam: float, eps: float, u) -> np.ndarray:
+        """The sweep's lhs at directions u by the other route: the section
+        rule of order section_quad_order over (rho_b^n + eps phi) at the
+        rule's nodes, phi the quotient series (_phi).  verify compares it
+        with identity_sweep's."""
+        n = self.n
+        qs = gauss_jacobi(self.config.section_quad_order, (n - 4) / 2)
+        ts, tw = (np.asarray(x, dtype=np.float64)
+                  for x in (qs.nodes, qs.weights))
+        v = np.sqrt(np.maximum(0.0, 1.0 - np.asarray(u) ** 2))[:, None] * ts
+        f = (np.asarray(self.base.rho(v), dtype=np.float64) ** n
+             + eps * self._phi(v, lam))
+        return self._subsurf * ((v * f) @ tw)
 
-    def _spot_check(self, r: np.ndarray, phi_half: np.ndarray, lam: float):
-        """Re-evaluate a random subset of the sweep's points r_i t_j by
-        direct series summation; the dense route, phi_half on the
-        nonnegative section nodes mirrored oddly onto the others, must
-        agree to a tenth of the identity tolerance, and every bulk value
-        must be finite."""
-        cfg = self.config
-        # each value stands for itself and its mirror image
-        bad = 2 * int(np.count_nonzero(~np.isfinite(phi_half)))
-        if bad:
-            raise ConstructionError(
-                f"dense evaluation gives {bad} non-finite values")
-        ts = self._ts
-        half = ts.size // 2
-        rng = np.random.default_rng(cfg.seed)
-        k = min(200, r.size * ts.size)
-        row, col = np.divmod(rng.choice(r.size * ts.size, size=k,
-                                        replace=False), ts.size)
-        mirrored = col < half
-        bulk = phi_half[row, np.where(mirrored, half - 1 - col, col - half)]
-        np.negative(bulk, out=bulk, where=mirrored)
-        direct = self._phi_direct(r[row] * ts[col], lam)
-        scale = max(float(np.max(np.abs(phi_half))), 1e-300)
-        err = float(np.max(np.abs(bulk - direct))) / scale
-        tol = cfg.tolerances["identity_rel"] / 10.0
-        if not err <= tol:
-            raise ConstructionError(
-                f"dense evaluation disagrees with direct series: "
-                f"rel {err:.3e} > {tol:.1e}")
-
-    def _phi_direct(self, u, lam: float):
-        """The spot check's reference for phi: the bump's quotient series
-        and the gap's closed form (_gap_quotient), both in float64."""
+    def _phi(self, u, lam: float):
+        """phi at u: the bump's quotient series and the gap's closed form
+        (_gap_quotient), both in float64."""
         u = np.asarray(u, dtype=np.float64)
         return ((1.0 - lam) * eval_spectrum(self.bump_quotient, u)
                 + lam * self._gap_q[0](u))
@@ -758,8 +657,7 @@ def get_context(config: Optional[RunConfig] = None,
     threshold of the base body's transform.  The tables are cached across
     calls, keyed on (n, a, cap_u0); a cache hit returns a shallow copy
     that shares them but carries the caller's configuration for
-    everything read per call (eps, tolerances, sweep grid, spot-check
-    seed).
+    everything read per call (eps, tolerances, sweep grid).
     """
     cfg = config or RunConfig()
     cfg.validate()
@@ -860,7 +758,6 @@ def run_construction(config: Optional[RunConfig] = None) -> dict:
         "grids": {
             "bump_max_degree": cfg.bump_max_degree,
             "bump_theta_samples": cfg.bump_theta_samples,
-            "dense_eval_grid": cfg.dense_eval_grid,
             "section_quad_order": cfg.section_quad_order,
             "alpha_grid": cfg.alpha_grid,
             "curvature_grid": cfg.curvature_grid,

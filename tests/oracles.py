@@ -445,19 +445,32 @@ def section_centroid_axis(body, u_xi, order=256):
 
 
 def unfolded_sweep(ctx, lam, eps, u_grid):
-    """(lhs, section centroids) of ctx.identity_sweep with the profile
-    read at every node of the section rule, negative nodes included,
-    where the sweep reads the nonnegative half and mirrors it.  Same
-    rule, tables and operation order, so the two must agree bit for
-    bit."""
+    """lhs of ctx.identity_sweep with the bump series summed at every
+    direction and at 1, where the sweep sums it once per distinct |u| and
+    mirrors it.  Same series and operation order, so the two must agree
+    bit for bit."""
+    from centroid_sections.spherical_core import _rolling_accumulate
+    s = ctx.bump_series
+    b = _rolling_accumulate(s.coeffs, s.lambda_index, np.append(u_grid, 1.0))
+    scale = eps * (2.0 * np.pi) ** ctx.n / np.pi
+    return scale * ((1.0 - lam) * (b[:-1] - b[-1])
+                    + lam * np.asarray(ctx.gap(u_grid), dtype=float))
+
+
+def quadrature_lhs(ctx, lam, eps, u_grid, order):
+    """lhs of the section identity, the integral of s (rho_b^n + eps phi)(s)
+    over the unit subsphere orthogonal to each direction, by scipy's
+    Gauss-Jacobi rule of the given order; phi from the float64 bump
+    quotient series and the gap quotient's closed form."""
+    from centroid_sections import eval_spectrum
     n = ctx.n
-    r = np.sqrt(np.maximum(0.0, 1.0 - u_grid ** 2))
-    v = r[:, None] * ctx._ts[None, :]
-    f = (np.asarray(ctx.base.rho(v), dtype=np.float64) ** n
-         + eps * ctx._phi_bulk(v, lam))
-    lhs = ctx._subsurf * ((v * f) @ ctx._tw)
-    sec_vol = ctx._subsurf / (n - 1) * (f ** ((n - 1.0) / n) @ ctx._tw)
-    return lhs, lhs / (n * sec_vol)
+    beta = (n - 4) / 2.0
+    t, w = special.roots_jacobi(order, beta, beta)
+    v = np.sqrt(1.0 - np.asarray(u_grid) ** 2)[:, None] * t
+    phi = ((1.0 - lam) * eval_spectrum(ctx.bump_quotient, v)
+           + lam * ctx._gap_q[0](v))
+    f = np.asarray(ctx.base.rho(v), dtype=float) ** n + eps * phi
+    return surface_area(n - 2) * ((v * f) @ w)
 
 
 def quotient_theta_jet_ld(coeffs, lam, nodes):

@@ -1,4 +1,5 @@
 import argparse
+import copy
 import csv
 import dataclasses
 import json
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from centroid_sections import cli
+from centroid_sections import RunConfig, cli
 
 C5 = 16.0 * np.pi ** 2
 
@@ -90,10 +91,10 @@ def test_construct_eps_too_large_exits_3(tmp_path, capsys):
     pytest.param("intersection-test", 27, id="intersection-test")])
 def test_gauss_jacobi_failure_is_a_named_precondition(command, n, tmp_path,
                                                       subprocess_env):
-    # the float64 start of a beta = 12 rule fails: the order-1728 section
-    # rule at n = 28 (the smallest n where a construction reaches a failing
-    # rule; n = 27 ends in "eps too large"), the order-256 rule of the
-    # intersection test at n = 27.  A named construction failure (exit 3),
+    # the float64 start of an order-256 rule at beta = 12 fails: the
+    # section-volume rule of the sweep at n = 28 (the smallest n where a
+    # construction reaches a failing rule; n = 27 ends in "eps too large"),
+    # the expansion rule of the intersection test at n = 27.  A named construction failure (exit 3),
     # not a traceback
     res = subprocess.run([sys.executable, "-m", "centroid_sections.cli",
                           command, "--n", str(n), "--outdir", str(tmp_path)],
@@ -127,8 +128,7 @@ def test_large_n_failure_is_one_named_line(n, tmp_path, subprocess_env):
 
 
 def test_construct_and_verify_n7(tmp_path, capsys):
-    # the sweep's spot check holds at n = 7, where the near-pole table
-    # error once exceeded it (exit 3)
+    # n = 7 certifies, and its certificate verifies
     assert cli.main(["construct", "--n", "7", "--outdir", str(tmp_path)]) == 0
     assert cli.main(["verify", str(tmp_path / "certificate.json")]) == 0
     assert "verification PASSED" in capsys.readouterr().out
@@ -143,15 +143,20 @@ def test_construct_low_dimension_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("argv,message", [
     (["--alpha-grid", "0"], "alpha_grid must be at least 3"),
     (["--alpha-grid", "2"], "alpha_grid must be at least 3"),
-    (["--seed", "-1"], "seed must be nonnegative"),
     (["--eps", "nan"], "eps must be positive and finite"),
-], ids=["alpha_grid_0", "alpha_grid_2", "negative_seed", "nan_eps"])
+], ids=["alpha_grid_0", "alpha_grid_2", "nan_eps"])
 def test_construct_rejects_invalid_setting(argv, message, tmp_path, capsys):
     # each is invalid input, named on stderr, before any construction work
     rc = cli.main(["construct", *argv, "--outdir", str(tmp_path)])
     assert rc == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "diagnostic.json").exists()
+
+
+def test_construct_seed_is_accepted_and_ignored():
+    # the construction is deterministic; --seed stays for older scripts
+    args = cli._build_parser().parse_args(["construct", "--seed", "-1"])
+    assert cli._config_from_args(args) == RunConfig()
 
 
 @pytest.mark.parametrize("command", ["construct", "intersection-test"])
@@ -171,7 +176,7 @@ def test_verify_fresh_certificate_passes(cli_outdir, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "verification PASSED" in out
-    assert out.count("PASS ") == 8 and "FAIL" not in out
+    assert out.count("PASS ") == 9 and "FAIL" not in out
 
 
 def _tampered(cli_outdir, tmp_path, mutate):
@@ -219,8 +224,9 @@ def test_verify_honours_tightened_tolerance(cli_outdir, tmp_path, capsys):
 
 def test_verify_fails_when_recheck_precondition_fails(cli_outdir, tmp_path,
                                                       capsys):
-    # a stored identity_rel of 1e-30 makes the sweep's spot check raise;
-    # that refutes the certificate (exit 4), it is no construction failure
+    # a stored identity_rel of 1e-30 fails the sweep's identity on the
+    # doubled grid; that refutes the certificate (exit 4), it is no
+    # construction failure
     path = _tampered(
         cli_outdir, tmp_path,
         lambda c: c["config"]["tolerances"].update(identity_rel=1e-30))
@@ -228,8 +234,26 @@ def test_verify_fails_when_recheck_precondition_fails(cli_outdir, tmp_path,
     out = capsys.readouterr().out
     assert rc == 4
     assert "PASS centroid_at_recorded_root" in out
-    assert "FAIL recheck_completes" in out
+    assert "FAIL identity_on_doubled_grid" in out
     assert "verification FAILED" in out
+
+
+def test_verify_quadrature_route_refutes_a_scaled_seed_series(
+        cli_outdir, monkeypatch, capsys):
+    # the bump series that the sweep reads lhs from, scaled by 1 + 1e-6:
+    # the section quadrature over the quotient series disagrees
+    from centroid_sections import counterexample as cx
+    cert = json.loads((cli_outdir / "certificate.json").read_text())
+    p = cert["params"]
+    ctx = copy.copy(cx.get_context(RunConfig(n=p["n"], a=p["a"]),
+                                   p["cap_u0"]))
+    ctx.bump_series = dataclasses.replace(
+        ctx.bump_series, coeffs=ctx.bump_series.coeffs * (1.0 + 1e-6))
+    monkeypatch.setitem(cx._CTX_CACHE, (ctx.n, ctx.a, ctx.cap_u0), ctx)
+    rc = cli.main(["verify", str(cli_outdir / "certificate.json")])
+    out = capsys.readouterr().out
+    assert rc == 4
+    assert "FAIL identity_by_quadrature" in out
 
 
 def test_verify_fails_when_no_base_body_exists(cli_outdir, tmp_path,
@@ -286,8 +310,10 @@ DROPPED_CONFIG = {"cap_margin": 0.5, "quad_order": 256, "max_degree": 120,
                   "section_quad_order": 1728, "dense_eval_grid": 80001,
                   "curvature_grid": 4001, "equator_grid": 2001,
                   "eps_max_halvings": 20, "root_max_iter": 200,
-                  "auto_a_candidates": [0.5, 0.4, 0.3, 0.2, 0.1, 0.05]}
-DROPPED_GRIDS = {"u_switch": 0.05, "gl_order": 96, "bump_quad_order": 3392}
+                  "auto_a_candidates": [0.5, 0.4, 0.3, 0.2, 0.1, 0.05],
+                  "seed": 24301}
+DROPPED_GRIDS = {"u_switch": 0.05, "gl_order": 96, "bump_quad_order": 3392,
+                 "dense_eval_grid": 40001}
 DROPPED_KEYS = {"transform_slope_near_equator": 1.0,
                 "transform_slope_note": "grid-verified"}
 DROPPED_TOLERANCES = {"quadrature_exactness": 1e-12, "roundtrip_rel": 1e-8,
