@@ -86,10 +86,16 @@ def _config_from_args(args) -> RunConfig:
 # construct
 
 def _profiles_rows(res):
+    """Rows of profiles.csv.  The perturbed radius is the body's
+    (rho_base^n + eps phi)^{1/n}, from the same rho_base and phi columns,
+    so phi is summed once per row."""
+    from .counterexample import _root_jet
     ctx, lam0 = res["context"], res["root"]["lambda0"]
     u = np.linspace(-1.0, 1.0, PROFILE_GRID)
-    columns = (u, ctx.base.rho(u), ctx.perturbation(lam0)(u),
-               res["body"].rho(u), ctx.seed_value(u, lam0),
+    rho = np.asarray(ctx.base.rho(u), dtype=float)
+    phi = ctx.perturbation(lam0)(u)
+    rho_pert = _root_jet(ctx.n, res["body"].params["eps"], (rho,), (phi,))[0]
+    columns = (u, rho, phi, rho_pert, ctx.seed_value(u, lam0),
                ctx.blend_ft_value(u, lam0))
     return zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
 
@@ -294,7 +300,8 @@ def _recheck(lines, cert, cfg, ctx) -> bool:
                  <= 1e-6 * max(1.0, abs(km)),
                  f"certificate kappa_min = {cert['kappa_min_perturbed']:.6f}")
 
-    grid = np.linspace(-1.0, 1.0, 2 * (cfg.alpha_grid - 1) + 1)
+    from .counterexample import _mirrored_grid
+    grid = _mirrored_grid(2 * (cfg.alpha_grid - 1) + 1)
     sweep = ctx.identity_sweep(lam0, eps0, grid)
     ok &= _check(lines, "identity_on_doubled_grid",
                  sweep["max_rel_err"] <= tol["identity_rel"],

@@ -13,12 +13,14 @@ one whose centroid hits the body centroid.
 All heavy spectral work is done once per parameter set and cached in a
 ConstructionContext: the bump's transform is expanded in extended
 precision to a few thousand Gegenbauer degrees, from one FFT of its
-samples in theta, and divided by u once; the perturbed body's centroid
-and curvature read that quotient on theta = arccos u nodes, by FFTs of
-its cosine series and of their termwise theta-derivatives.  The section
+samples in theta, and divided by u once.  That quotient, and the bump's
+own series, whose coefficients are the transform's over its multipliers,
+are converted in extended precision into cosine series in theta =
+arccos u, which every float64 sum reads: the perturbed body's centroid
+and curvature by FFTs on theta nodes, the perturbation phi and the
+section sweep by block angle addition (spherical_core._cosine_sum).  The
 sweep needs no section quadrature: by Funk-Hecke its left side is a
-multiple of the bump's own series, whose coefficients are the
-transform's over its multipliers (identity_sweep).  The gap's transform
+multiple of the bump's own series (identity_sweep).  The gap's transform
 has a closed form, and so has its quotient by u (_gap_quotient).
 get_context returns the context; its methods are the
 per-(lam, eps) functionals (centroid, kappa_report, select_eps,
@@ -42,11 +44,11 @@ from .revolution_bodies import (ConvexityReport, RevolutionBody, _clears,
                                 _meridian_report, _theta_jet, curvature,
                                 make_base_body)
 from .spherical_core import (LD, _PI_LD, GegenbauerSpectrum, SphereProfile,
-                             _bochner_multipliers_ld, _cosine_coeffs,
-                             _divide_by_u, _gegenbauer_moments, _norm_ratios,
-                             _rolling_accumulate, bochner_multiplier,
-                             eval_spectrum, gauss_jacobi, parseval_residual,
-                             sphere_area)
+                             _accumulate_at_zero, _bochner_multipliers_ld,
+                             _cosine_coeffs, _cosine_sum, _divide_by_u,
+                             _gegenbauer_moments, _norm_ratios,
+                             bochner_multiplier, eval_spectrum, gauss_jacobi,
+                             parseval_residual, sphere_area)
 
 __all__ = [
     "ConstructionError", "negativity_threshold",
@@ -234,7 +236,7 @@ def _bump_transform_coeffs(bump: SphereProfile,
     y = np.asarray(bump(np.cos(theta)), dtype=LD) * np.sin(theta) ** (n - 2)
     moments = np.fft.rfft(np.concatenate([y, y[-2:0:-1]])).real[:md + 1]
     moments *= _PI_LD / (2 * k)
-    co = (_gegenbauer_moments(moments, lam) / _norm_ratios(lam, md)
+    co = (_gegenbauer_moments(moments, lam, "even") / _norm_ratios(lam, md)
           * _bochner_multipliers_ld(n, 1.0, np.arange(md + 1)))
     co[1::2] = 0
     return co
@@ -258,6 +260,19 @@ def _root_jet(n: int, eps: float, base, phi) -> list:
     return out
 
 
+def _mirrored_grid(size: int) -> np.ndarray:
+    """size points uniform in u on [-1, 1], ascending and mirrored bit for
+    bit (grid == -grid[::-1]): linspace(0, 1, (size + 1) // 2) and its
+    negation for an odd size; the nonnegative half of linspace(-1, 1,
+    size) and its negation for an even one.  A series of definite parity
+    is then summed once per distinct |u|."""
+    if size % 2:
+        half = np.linspace(0.0, 1.0, (size + 1) // 2)
+    else:
+        half = np.linspace(-1.0, 1.0, size)[size // 2:]
+    return np.concatenate([-half[::-1][:size // 2], half])
+
+
 def _mirror(half: np.ndarray, sign: int) -> np.ndarray:
     """Values on [0, pi/2] extended to [0, pi] by f(pi - t) = sign f(t)."""
     return np.concatenate([half, sign * half[-2::-1]])
@@ -271,11 +286,11 @@ _CTX_CACHE: dict = {}
 
 class ConstructionContext:
     """Everything expensive about one geometry (n, a, cap_u0), computed
-    once: the bump transform's spectrum, its odd quotient series and the
-    bump's own series that the transform coefficients stand for, the
-    node tables that make the centroid and curvature of the perturbed
-    family cheap per (lam, eps), and the section rule of the sweep's
-    volumes.
+    once: the bump transform's spectrum, its odd quotient series, and the
+    cosine series in theta of that quotient and of the bump's own series
+    that the transform coefficients stand for; the node tables that make
+    the centroid and curvature of the perturbed family cheap per (lam,
+    eps), and the section rule of the sweep's volumes.
     """
 
     def __init__(self, n: int, a: float, cap_u0: float, config: RunConfig):
@@ -296,48 +311,53 @@ class ConstructionContext:
         # the bump transform's coefficients co; one degree lower, those of
         # its odd quotient q_b(u) = (b(u) - b(0)) / u, by synthetic division
         # of the extended precision coefficients, so b(0) is never
-        # subtracted; and co / mu, mu the transform's multipliers, those of
-        # the degree-M bump series b_M that the sweep reads.  At large n
-        # they outgrow float64, which is named here, not warned about
+        # subtracted.  The float64 sums read cosine series in theta,
+        # converted in longdouble: quotient_cosine, q_b's, and
+        # bump_cosine, that of the degree-M bump series b_M = sum (co/mu)
+        # C_k, mu the transform's multipliers, which the sweep reads.  At
+        # large n they outgrow float64, which is named here, not warned
+        # about
+        lam = self.lam_index
         with np.errstate(over="ignore", invalid="ignore"):
             co_ld = _bump_transform_coeffs(self.bump, config)
-            qco_ld = _divide_by_u(co_ld, self.lam_index)
-            bco = (co_ld / _bochner_multipliers_ld(
-                n, 1.0, np.arange(co_ld.size))).astype(np.float64)
-            co, qco = co_ld.astype(np.float64), qco_ld.astype(np.float64)
-        for name, c in (("bump transform", co), ("odd quotient series", qco),
-                        ("bump series", bco)):
+            qco_ld = _divide_by_u(co_ld, lam)
+            self.quotient_cosine = _cosine_coeffs(qco_ld, lam, "odd")
+            self.bump_cosine = _cosine_coeffs(
+                co_ld / _bochner_multipliers_ld(n, 1.0,
+                                                np.arange(co_ld.size)),
+                lam, "even")
+            co, qco, bcos = (c.astype(np.float64)
+                             for c in (co_ld, qco_ld, self.bump_cosine))
+        for name, kind, c in (("bump transform", "Gegenbauer", co),
+                              ("odd quotient series", "Gegenbauer", qco),
+                              ("bump series", "cosine", bcos)):
             bad = int(np.count_nonzero(~np.isfinite(c)))
             if bad:
                 raise ConstructionError(
-                    f"{name} has {bad} Gegenbauer coefficients that are not "
+                    f"{name} has {bad} {kind} coefficients that are not "
                     f"finite in float64 at n = {n}")
         self.bump_ft_spectrum = GegenbauerSpectrum(
-            n=n, lambda_index=self.lam_index, coeffs=co, parity="even")
+            n=n, lambda_index=lam, coeffs=co, parity="even")
         self.bump_quotient = GegenbauerSpectrum(
-            n=n, lambda_index=self.lam_index, coeffs=qco, parity="odd")
-        self.bump_series = GegenbauerSpectrum(
-            n=n, lambda_index=self.lam_index, coeffs=bco, parity="even")
+            n=n, lambda_index=lam, coeffs=qco, parity="odd")
         # equator value of the bump transform in extended precision; the
         # float64 series at 0 would add ~1e-14 relative noise to a value
         # that must cancel exactly in the odd quotient
-        self.bump_ft_at_zero = float(
-            _rolling_accumulate(co_ld, self.lam_index,
-                                np.zeros(1, dtype=co_ld.dtype))[0])
+        self.bump_ft_at_zero = float(_accumulate_at_zero(co_ld, lam))
         # the gap part: its closed-form transform and the quotient of that
         self._gap_ft = self.gap.ft_profile
         self._gap_q = _gap_quotient(n)
 
-        # mirrored bit for bit, so the folded series run once per |u|
-        eq = np.linspace(0.0, 1.0, (config.equator_grid + 1) // 2)
-        eq = np.concatenate([-eq[:0:-1], eq])
+        eq = _mirrored_grid(config.equator_grid)
         # at large n, C_m^lam near the poles outgrows float64: a series that
         # overflows is named below, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
             self._bft_eq = eval_spectrum(self.bump_ft_spectrum, eq)
-            # the division must give back b(u) - b(0) on the equator grid
+            # the division, and the quotient's conversion to its cosine
+            # series, must give back b(u) - b(0) on the equator grid, b the
+            # transform's own Gegenbauer series
             resid = float(np.max(np.abs(
-                eq * eval_spectrum(self.bump_quotient, eq)
+                eq * _cosine_sum(self.quotient_cosine, eq, "odd")
                 - (self._bft_eq - self.bump_ft_at_zero))))
         bad = int(np.count_nonzero(~np.isfinite(self._bft_eq)))
         if bad:
@@ -357,7 +377,7 @@ class ConstructionContext:
         # (curvature_grid - 1) on [0, pi/2], mirrored onto [pi/2, pi].
         # Their tables are theta-jets (f, f_theta, f_theta_theta).  The
         # bump's are q_b(cos theta) = sum d_m cos(m theta), d the cosine
-        # series of _cosine_coeffs, and its termwise derivatives
+        # series quotient_cosine, and its termwise derivatives
         # -sum m d_m sin(m theta) and -sum m^2 d_m cos(m theta): three real
         # FFTs of length 4 (K - 1), K nodes on [0, pi/2].  The first and
         # the third are odd about pi/2 (u = 0), where an FFT may leave
@@ -366,9 +386,9 @@ class ConstructionContext:
         # the angles rounded as every 20th point of a 20-fold finer
         # linspace rounds them: the node bits that certificates carry
         theta = np.linspace(0.0, np.pi / 2, 20 * (half - 1) + 1)[::20]
-        cos_co = _cosine_coeffs(qco_ld, self.lam_index)
-        m = np.arange(cos_co.size)
-        bq0, bq1, bq2 = (np.fft.rfft((m ** k * cos_co).astype(np.float64),
+        m = np.arange(self.quotient_cosine.size)
+        bq0, bq1, bq2 = (np.fft.rfft((m ** k * self.quotient_cosine)
+                                     .astype(np.float64),
                                      4 * (half - 1))[:half] for k in range(3))
         bq0[-1] = bq2[-1] = 0.0
         x = np.cos(theta)
@@ -564,7 +584,8 @@ class ConstructionContext:
     def identity_sweep(self, lam: float, eps: float,
                        u_grid: Optional[np.ndarray] = None) -> dict:
         """Compare n |section| <centroid, axis> against the closed-form
-        multiple of the seed over a grid of section directions.
+        multiple of the seed over a grid of section directions, by default
+        alpha_grid directions mirrored bit for bit (_mirrored_grid).
 
         Left side: the integral of s (rho_b^n + eps phi)(s), s = <eta, e_n>,
         over the unit subsphere orthogonal to the direction.  The rho_b^n
@@ -577,20 +598,21 @@ class ConstructionContext:
             lhs(u) = eps (2 pi)^n / pi [(1 - lam)(b_M(u) - b_M(1))
                                         + lam gap(u)],
 
-        b_M the bump series (bump_series), summed once per distinct |u| of
-        the grid and 1; the poles' lhs is exactly 0.  Right side: eps
-        (2 pi)^n / pi times the seed, so the two differ by the bump's
-        truncation b_M - b alone.  The reported section centroids divide
-        lhs by n times the base body's section volume: the perturbation's
-        first-order term is odd over the section and adds nothing to it.
+        b_M the bump series, summed from its cosine series bump_cosine
+        (_cosine_sum) once per distinct |u| of the grid and 1; the poles'
+        lhs is exactly 0.  Right side: eps (2 pi)^n / pi times the seed, so
+        the two differ by the bump's truncation b_M - b alone.  The
+        reported section centroids divide lhs by n times the base body's
+        section volume: the perturbation's first-order term is odd over
+        the section and adds nothing to it.
         """
         cfg = self.config
         if u_grid is None:
-            u_grid = np.linspace(-1.0, 1.0, cfg.alpha_grid)
+            u_grid = _mirrored_grid(cfg.alpha_grid)
         u_grid = np.asarray(u_grid, dtype=float)
         n = self.n
         scale = eps * (2.0 * np.pi) ** n / np.pi
-        b = eval_spectrum(self.bump_series, np.append(u_grid, 1.0))
+        b = _cosine_sum(self.bump_cosine, np.append(u_grid, 1.0), "even")
         lhs = scale * ((1.0 - lam) * (b[:-1] - b[-1])
                        + lam * np.asarray(self.gap(u_grid), dtype=float))
         rhs = scale * np.asarray(self.seed_value(u_grid, lam), dtype=float)
@@ -623,23 +645,42 @@ class ConstructionContext:
     def quadrature_lhs(self, lam: float, eps: float, u) -> np.ndarray:
         """The sweep's lhs at directions u by the other route: the section
         rule of order section_quad_order over (rho_b^n + eps phi) at the
-        rule's nodes, phi the quotient series (_phi).  verify compares it
-        with identity_sweep's."""
+        rule's nodes, phi's bump part from the quotient's Gegenbauer
+        series by the three-term recurrence (eval_spectrum), so that this
+        route shares no summation code with identity_sweep's.  verify
+        compares the two."""
         n = self.n
         qs = gauss_jacobi(self.config.section_quad_order, (n - 4) / 2)
         ts, tw = (np.asarray(x, dtype=np.float64)
                   for x in (qs.nodes, qs.weights))
         v = np.sqrt(np.maximum(0.0, 1.0 - np.asarray(u) ** 2))[:, None] * ts
-        f = (np.asarray(self.base.rho(v), dtype=np.float64) ** n
-             + eps * self._phi(v, lam))
+        phi = ((1.0 - lam) * eval_spectrum(self.bump_quotient, v)
+               + lam * self._gap_q[0](v))
+        f = np.asarray(self.base.rho(v), dtype=np.float64) ** n + eps * phi
         return self._subsurf * ((v * f) @ tw)
 
     def _phi(self, u, lam: float):
-        """phi at u: the bump's quotient series and the gap's closed form
+        """phi at u: the bump's quotient from its cosine series
+        (quotient_cosine, _cosine_sum) and the gap's closed form
         (_gap_quotient), both in float64."""
         u = np.asarray(u, dtype=np.float64)
-        return ((1.0 - lam) * eval_spectrum(self.bump_quotient, u)
+        return ((1.0 - lam) * _cosine_sum(self.quotient_cosine, u, "odd")
                 + lam * self._gap_q[0](u))
+
+    def pole_report(self, lam: float, seed_max: float) -> dict:
+        """The sweep's S_M = (1 - lam)(b_M - b_M(1)) + lam gap at the
+        poles, from the longdouble cosine series e of b_M: the truncation
+        |b_M(+-1)| = |sum e_m| relative to seed_max, and the two parts of
+        S_M's curvature in theta there, S_M''(0) = curvature_bump +
+        curvature_gap, with curvature_bump = -(1 - lam) sum m^2 e_m and
+        curvature_gap = 3 lam (the gap's d^2/dtheta^2 at the pole is 3).
+        The sum of m^2 e_m cancels by five orders, which longdouble
+        holds."""
+        e = self.bump_cosine
+        m2 = np.arange(e.size, dtype=LD) ** 2
+        return {"truncation_rel": float(abs(np.sum(e))) / seed_max,
+                "curvature_bump": float(-(1 - LD(lam)) * np.sum(m2 * e)),
+                "curvature_gap": 3.0 * lam}
 
     def diameter(self, lam: float, eps: float) -> float:
         """Max over the nodes of rho(u) + rho(-u) (axial symmetry makes
@@ -700,6 +741,8 @@ def run_construction(config: Optional[RunConfig] = None) -> dict:
     lam0 = root["lambda0"]
 
     sweep = ctx.identity_sweep(lam0, eps0)
+    pole = ctx.pole_report(
+        lam0, float(np.max(ctx.seed_value(sweep["u_grid"], lam0))))
 
     body = ctx.perturbed_body(lam0, eps0)
     rep_base = curvature(ctx.base, margin=tol["convexity_margin"])
@@ -753,6 +796,7 @@ def run_construction(config: Optional[RunConfig] = None) -> dict:
         "identity_max_relerr": sweep["max_rel_err"],
         "pole_section_abs": sweep["pole_abs"],
         "near_pole_section_abs": sweep["near_pole_abs"],
+        "pole_series": pole,
         "negativity_threshold": negativity_threshold(ctx.n, ctx.a),
         "config": asdict(cfg),
         "grids": {

@@ -6,6 +6,11 @@ that one-dimensional representation:
 
   - Gauss-Jacobi quadrature against the weight (1-u^2)^beta,
   - expansion in Gegenbauer polynomials C_m^lambda with lambda = (n-2)/2,
+    summed by their three-term recurrence,
+  - the conversion of a Gegenbauer series into a cosine series in
+    theta = arccos u, and the float64 sum of such a series at many points
+    by block angle addition (_cosine_sum), whose summation order is fixed
+    point by point,
   - the diagonal multiplier action realizing the Fourier transform of
     homogeneous extensions |x|^{-p} f(x/|x|) for 0 < p < n,
   - a Parseval-type pairing residual.
@@ -32,6 +37,11 @@ import numpy as np
 from .config import ConstructionError, RunConfig
 
 LD = np.longdouble
+_PI_LD = np.arccos(LD(-1))
+_TWO_PI_LD = 2 * _PI_LD
+
+# the parities of a series of definite parity, by the parity of its degrees
+_PARITIES = ("even", "odd")
 
 __all__ = [
     "GegenbauerSpectrum", "SphereProfile", "Quadrature", "gauss_jacobi",
@@ -169,6 +179,22 @@ def _rolling_accumulate(coeffs, lam, u, dtype=None):
     return acc.reshape(u.shape)
 
 
+def _accumulate_at_zero(coeffs, lam):
+    """_rolling_accumulate of an even series at u = 0, bit for bit, as one
+    longdouble (or coeffs' dtype) scalar: at u = 0 the recurrence's step
+    is C_j(0) = -((j + 2 lam - 2) C_{j-2}(0)) / j, the odd C_j(0) vanish,
+    and the terms are added in the same order."""
+    c = np.asarray(coeffs)
+    t = c.dtype.type
+    lam = t(lam)
+    acc, p = c[0], t(1)
+    for j in range(2, len(c), 2):
+        p = -(p * (t(j) + 2 * lam - 2)) / t(j)
+        if c[j] != 0:
+            acc += c[j] * p
+    return acc
+
+
 def _divide_by_u(coeffs, lam):
     """Coefficients of (f(u) - f(0)) / u, one degree lower, for the series
     f = sum_m coeffs[m] C_m^lam: synthetic division from the top degree
@@ -193,37 +219,43 @@ def _connection_weights(lam, size: int, dtype) -> np.ndarray:
                            np.cumprod((dtype(lam) + j - 1) / j)])
 
 
-def _cosine_coeffs(coeffs, lam):
+def _cosine_coeffs(coeffs, lam, parity):
     """Coefficients d of sum_m d[m] cos(m theta) = f(cos theta) for the
-    series f = sum_k coeffs[k] C_k^lam, in the dtype of coeffs:
+    series f = sum_k coeffs[k] C_k^lam of the given parity ("even" or
+    "odd"), in the dtype of coeffs:
     d_m = 2 sum_s coeffs[m+2s] g_s g_{m+s} for m >= 1, g the connection
-    weights.  They are positive, so the conversion adds no cancellation of
-    its own; for the bump quotient sum |d_m| is about twice max |f|."""
+    weights.  Only the degrees of that parity are formed; the others are
+    exactly 0.  They are positive combinations, so the conversion adds no
+    cancellation of its own; for the bump quotient sum |d_m| is about
+    twice max |f|."""
     c = np.asarray(coeffs)
     size = len(c)
+    p = _PARITIES.index(parity)
     g = _connection_weights(lam, size, c.dtype.type)
     d = np.zeros(size, dtype=c.dtype)
     for s in range((size + 1) // 2):
         top = size - 2 * s
-        d[:top] += g[s] * (c[2 * s:] * g[s:s + top])
+        d[p:top:2] += g[s] * (c[2 * s + p::2] * g[s + p:s + top:2])
     d[1:] *= 2
     return d
 
 
-def _gegenbauer_moments(moments, lam):
+def _gegenbauer_moments(moments, lam, parity):
     """The transpose of _cosine_coeffs: from the cosine moments
     F_k = int f(cos theta) cos(k theta) dtheta of a function, its moments
     P_m = int f(cos theta) C_m^lam(cos theta) dtheta
         = sum_j g_j g_{m-j} F_{|m-2j|},
-    m < len(moments), in the dtype of moments."""
+    m < len(moments), in the dtype of moments, for the degrees m of the
+    given parity; the others are left 0."""
     f = np.array(moments)
     size = len(f)
+    q = _PARITIES.index(parity)
     g = _connection_weights(lam, size, f.dtype.type)
     f[1:] *= 2
     p = np.zeros(size, dtype=f.dtype)
     for s in range((size + 1) // 2):
         top = size - 2 * s
-        p[2 * s:] += g[s] * (f[:top] * g[s:s + top])
+        p[2 * s + q::2] += g[s] * (f[q:top:2] * g[s + q:s + top:2])
     return p
 
 
@@ -237,6 +269,67 @@ def _folded_accumulate(coeffs, lam, u, parity):
     a, inv = np.unique(np.abs(u).ravel(), return_inverse=True)
     out = _rolling_accumulate(coeffs, lam, a)[inv].reshape(u.shape)
     if parity == "odd":
+        np.negative(out, out=out, where=u < 0)
+    return out
+
+
+# degrees per block of _cosine_sum, and the bytes that the temporaries of
+# one chunk of its points may take
+_COS_BLOCK = 64
+_COS_CHUNK_BYTES = 1 << 19
+
+
+def _reduced_angles(theta, k):
+    """k theta reduced by a multiple of 2 pi to about [-pi, pi] in
+    longdouble, as float64: within 2e-16 of the exact angle for longdouble
+    theta, where float64 k theta would carry k theta times its rounding."""
+    x = theta * k
+    return (x - _TWO_PI_LD * np.rint(x * (1 / _TWO_PI_LD))).astype(np.float64)
+
+
+def _cosine_sum(d, u, parity):
+    """sum_m d[m] cos(m theta), theta = arccos |u|, for a cosine series d
+    of the given parity ("even" or "odd"; its other entries are not read),
+    summed in float64 and shaped like u.  It is folded: an odd series
+    changes sign with u and is exactly 0 at u = 0.
+
+    Block angle addition: with m = 2(a B + b) + p, B = _COS_BLOCK and p
+    the parity,
+        cos(m theta) = cos((2aB + p) theta) cos(2b theta)
+                       - sin((2aB + p) theta) sin(2b theta),
+    so per point the series is the A x B coefficient matrix contracted
+    with two length-B trig rows, and the results with two length-A rows.
+    The angles are formed and reduced in longdouble from theta =
+    arccos |u| in longdouble.  The contractions are np.einsum's, whose
+    summation order depends on the operand shapes alone, not on BLAS
+    threads or on which points share the call: a point's value has the
+    same bits however it is batched.  Each distinct |u| is summed once,
+    in chunks whose temporaries stay under _COS_CHUNK_BYTES.
+    """
+    p = _PARITIES.index(parity)
+    c = np.asarray(d, dtype=np.float64)[p::2]
+    rows = -(-c.size // _COS_BLOCK)
+    table = np.zeros(rows * _COS_BLOCK)
+    table[:c.size] = c
+    table = table.reshape(rows, _COS_BLOCK)
+    inner = 2 * np.arange(_COS_BLOCK, dtype=LD)
+    outer = 2 * _COS_BLOCK * np.arange(rows, dtype=LD) + p
+    u = np.asarray(u, dtype=np.float64)
+    a, inv = np.unique(np.abs(u).ravel(), return_inverse=True)
+    theta = np.arccos(a.astype(LD))[:, None]
+    out = np.empty(a.size)
+    # about 12 longdouble and float64 temporaries per angle of a point
+    chunk = max(1, _COS_CHUNK_BYTES // (96 * (_COS_BLOCK + rows)))
+    for start in range(0, a.size, chunk):
+        t = theta[start:start + chunk]
+        b, o = _reduced_angles(t, inner), _reduced_angles(t, outer)
+        x = np.einsum("pb,ab->pa", np.cos(b), table)
+        y = np.einsum("pb,ab->pa", np.sin(b), table)
+        out[start:start + chunk] = (np.einsum("pa,pa->p", np.cos(o), x)
+                                    - np.einsum("pa,pa->p", np.sin(o), y))
+    out = out[inv].reshape(u.shape)
+    if p:
+        out[u == 0] = 0.0
         np.negative(out, out=out, where=u < 0)
     return out
 
@@ -449,9 +542,6 @@ def eval_spectrum_deriv(s: GegenbauerSpectrum, u, k: int = 1):
 
 # ---------------------------------------------------------------------------
 # Fourier side
-
-_PI_LD = np.arccos(LD(-1))
-
 
 def _gamma_ld(x: float):
     """Gamma(x) in longdouble.  When 2x is a positive integer it is the

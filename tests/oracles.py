@@ -445,23 +445,70 @@ def section_centroid_axis(body, u_xi, order=256):
 
 
 def unfolded_sweep(ctx, lam, eps, u_grid):
-    """lhs of ctx.identity_sweep with the bump series summed at every
-    direction and at 1, where the sweep sums it once per distinct |u| and
-    mirrors it.  Same series and operation order, so the two must agree
-    bit for bit."""
-    from centroid_sections.spherical_core import _rolling_accumulate
-    s = ctx.bump_series
-    b = _rolling_accumulate(s.coeffs, s.lambda_index, np.append(u_grid, 1.0))
+    """lhs of ctx.identity_sweep with the bump's cosine series summed at
+    every direction and at 1 by its own call, where the sweep sums it once
+    per distinct |u| of one call and mirrors it.  Same kernel and
+    operation order, so the two must agree bit for bit."""
+    from centroid_sections.spherical_core import _cosine_sum
+    b = np.array([_cosine_sum(ctx.bump_cosine, np.array([x]), "even")[0]
+                  for x in np.append(u_grid, 1.0)])
     scale = eps * (2.0 * np.pi) ** ctx.n / np.pi
     return scale * ((1.0 - lam) * (b[:-1] - b[-1])
                     + lam * np.asarray(ctx.gap(u_grid), dtype=float))
+
+
+def gegenbauer_series_ld(coeffs, lam, u):
+    """Sum_m coeffs[m] C_m^lam(u) by the plain three-term recurrence in
+    longdouble, at the float64 points u taken exactly; returned in
+    longdouble."""
+    LD = np.longdouble
+    return gegenbauer_series_plain(np.asarray(coeffs, dtype=LD), lam,
+                                   np.asarray(u, dtype=np.float64).astype(LD),
+                                   LD)
+
+
+def cosine_coeffs_full(coeffs, lam):
+    """The Gegenbauer-to-cosine conversion d_m = 2 sum_s coeffs[m+2s] g_s
+    g_{m+s} (d_0 without the 2) over every degree, whatever the parity:
+    the package's loop before it skipped the degrees a definite parity
+    leaves 0, in its operation order, so the entries of that parity must
+    agree bit for bit."""
+    c = np.asarray(coeffs)
+    size = len(c)
+    t = c.dtype.type
+    j = np.arange(1, size, dtype=t)
+    g = np.concatenate([np.ones(1, dtype=t), np.cumprod((t(lam) + j - 1) / j)])
+    d = np.zeros(size, dtype=c.dtype)
+    for s in range((size + 1) // 2):
+        top = size - 2 * s
+        d[:top] += g[s] * (c[2 * s:] * g[s:s + top])
+    d[1:] *= 2
+    return d
+
+
+def gegenbauer_moments_full(moments, lam):
+    """The transpose of cosine_coeffs_full, P_m = sum_j g_j g_{m-j}
+    F_{|m-2j|} over every degree m: the package's loop before it skipped
+    the degrees of the other parity, in its operation order."""
+    f = np.array(moments)
+    size = len(f)
+    t = f.dtype.type
+    j = np.arange(1, size, dtype=t)
+    g = np.concatenate([np.ones(1, dtype=t), np.cumprod((t(lam) + j - 1) / j)])
+    f[1:] *= 2
+    p = np.zeros(size, dtype=f.dtype)
+    for s in range((size + 1) // 2):
+        top = size - 2 * s
+        p[2 * s:] += g[s] * (f[:top] * g[s:s + top])
+    return p
 
 
 def quadrature_lhs(ctx, lam, eps, u_grid, order):
     """lhs of the section identity, the integral of s (rho_b^n + eps phi)(s)
     over the unit subsphere orthogonal to each direction, by scipy's
     Gauss-Jacobi rule of the given order; phi from the float64 bump
-    quotient series and the gap quotient's closed form."""
+    quotient's Gegenbauer series (three-term recurrence) and the gap
+    quotient's closed form."""
     from centroid_sections import eval_spectrum
     n = ctx.n
     beta = (n - 4) / 2.0

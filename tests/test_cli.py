@@ -61,6 +61,59 @@ def test_body_json_describes_perturbed_body(cli_outdir):
     assert np.all(samples[:, 1] > 0)
 
 
+def test_profiles_rows_sum_the_perturbation_once(construct_result,
+                                                 monkeypatch):
+    # rho_perturbed comes from the perturbation column through the body's
+    # chain rule, so profiles.csv sums the bump quotient's series once (a
+    # second pass inside the body's radius took it to two), and the column
+    # keeps the body's bits
+    from centroid_sections import counterexample as cx
+    ctx = construct_result["context"]
+    quotient = [ctx.bump_quotient, getattr(ctx, "quotient_cosine", None)]
+    calls = []
+    # every name the construction sums a series through
+    for name in ("eval_spectrum", "_cosine_sum"):
+        real = getattr(cx, name, None)
+        if real is None:
+            continue
+
+        def counted(series, u, *args, real=real):
+            if any(series is q for q in quotient):
+                calls.append(np.size(u))
+            return real(series, u, *args)
+
+        monkeypatch.setattr(cx, name, counted)
+    rows = np.array(list(cli._profiles_rows(construct_result)))
+    assert calls == [cli.PROFILE_GRID]
+    monkeypatch.undo()
+    assert np.array_equal(rows[:, 3],
+                          construct_result["body"].rho(rows[:, 0]))
+
+
+def _construct_files(tmp_path, env, name):
+    out = tmp_path / name
+    res = subprocess.run([sys.executable, "-m", "centroid_sections.cli",
+                          "construct", "--n", "5", "--outdir", str(out)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    cert = json.loads((out / "certificate.json").read_text())
+    del cert["meta"]
+    return cert, [(out / f).read_bytes()
+                  for f in ("profiles.csv", "sections.csv", "body.json")]
+
+
+def test_construct_output_independent_of_blas_threads(tmp_path,
+                                                      subprocess_env):
+    # the float64 sums fix their own summation order: one BLAS thread and
+    # the default write the same certificate outside meta and the same
+    # files
+    default = {k: v for k, v in subprocess_env.items()
+               if k != "OPENBLAS_NUM_THREADS"}
+    one = dict(default, OPENBLAS_NUM_THREADS="1")
+    assert (_construct_files(tmp_path, one, "one")
+            == _construct_files(tmp_path, default, "default"))
+
+
 def test_construct_idempotent(cli_outdir, tmp_path, capsys):
     out2 = tmp_path / "again"
     rc = cli.main(["construct", "--outdir", str(out2)])
@@ -240,20 +293,51 @@ def test_verify_fails_when_recheck_precondition_fails(cli_outdir, tmp_path,
 
 def test_verify_quadrature_route_refutes_a_scaled_seed_series(
         cli_outdir, monkeypatch, capsys):
-    # the bump series that the sweep reads lhs from, scaled by 1 + 1e-6:
-    # the section quadrature over the quotient series disagrees
+    # the bump series' cosine coefficients that the sweep reads lhs from,
+    # scaled by 1 + 1e-6: the section quadrature over the quotient's
+    # Gegenbauer series disagrees
     from centroid_sections import counterexample as cx
     cert = json.loads((cli_outdir / "certificate.json").read_text())
     p = cert["params"]
     ctx = copy.copy(cx.get_context(RunConfig(n=p["n"], a=p["a"]),
                                    p["cap_u0"]))
-    ctx.bump_series = dataclasses.replace(
-        ctx.bump_series, coeffs=ctx.bump_series.coeffs * (1.0 + 1e-6))
+    ctx.bump_cosine = ctx.bump_cosine * (1.0 + 1e-6)
     monkeypatch.setitem(cx._CTX_CACHE, (ctx.n, ctx.a, ctx.cap_u0), ctx)
     rc = cli.main(["verify", str(cli_outdir / "certificate.json")])
     out = capsys.readouterr().out
     assert rc == 4
     assert "FAIL identity_by_quadrature" in out
+
+
+def test_verify_sweeps_a_grid_mirrored_bit_for_bit(cli_outdir, monkeypatch,
+                                                   capsys):
+    # the doubled grid has 1441 directions and 721 distinct |u|, where
+    # linspace(-1, 1, 1441) has 1116
+    from centroid_sections import counterexample as cx
+    grids = []
+    real = cx.ConstructionContext.identity_sweep
+
+    def recorded(self, lam, eps, u_grid=None):
+        grids.append(u_grid)
+        return real(self, lam, eps, u_grid)
+
+    monkeypatch.setattr(cx.ConstructionContext, "identity_sweep", recorded)
+    assert cli.main(["verify", str(cli_outdir / "certificate.json")]) == 0
+    (grid,) = grids
+    assert grid.size == 1441 and np.array_equal(grid, -grid[::-1])
+    assert np.unique(np.abs(grid)).size == 721
+
+
+def test_verify_does_not_read_the_pole_series(cli_outdir, tmp_path, capsys):
+    # the pole block records; it is not a check, and verify reads none of
+    # it: replaced by nonsense, the same nine lines pass
+    cli.main(["verify", str(cli_outdir / "certificate.json")])
+    want = capsys.readouterr().out
+    path = _tampered(cli_outdir, tmp_path,
+                     lambda c: c.update(pole_series="not a record"))
+    assert cli.main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out == want
+    assert want.count("PASS ") == 9
 
 
 def test_verify_fails_when_no_base_body_exists(cli_outdir, tmp_path,

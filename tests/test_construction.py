@@ -12,15 +12,19 @@ from centroid_sections import (ConstructionError, RunConfig, curvature,
                                make_cap_bump, make_oblate_gap_profile,
                                negativity_threshold, run_construction)
 
-from centroid_sections.spherical_core import (_bochner_multipliers_ld,
+from centroid_sections.spherical_core import (_accumulate_at_zero,
+                                              _bochner_multipliers_ld,
+                                              _cosine_coeffs, _cosine_sum,
                                               _divide_by_u,
                                               _rolling_accumulate,
                                               ft_homogeneous, sphere_area)
-from oracles import (SEED, bisect_sign_change, fd_deriv, gap_quotient_mp,
-                     kappa_series_route, odd_quotient_difference,
-                     odd_quotient_integral, quadrature_lhs,
-                     quotient_theta_jet_ld, section_centroid_axis,
-                     section_volume, sphere_integral, unfolded_sweep)
+from oracles import (SEED, bisect_sign_change, cosine_coeffs_full, fd_deriv,
+                     gap_quotient_mp, gegenbauer_moments_full,
+                     gegenbauer_series_ld, kappa_series_route,
+                     odd_quotient_difference, odd_quotient_integral,
+                     quadrature_lhs, quotient_theta_jet_ld,
+                     section_centroid_axis, section_volume, sphere_integral,
+                     unfolded_sweep)
 
 C5 = 16.0 * np.pi ** 2
 
@@ -421,8 +425,8 @@ def test_pole_plateau_is_the_equator_transform(ctx5, n):
     # b_M(+-1) = pi |S^{n-2}| / (2 pi)^n ghat_b(0): the plateau the sweep
     # subtracts is the bump transform's equator value.  With the longdouble
     # coefficients co / mu it holds to 5.6e-12, 5.6e-10 and 6.0e-12
-    # relative; the sweep's float64 series gives it to float64 rounding of
-    # the bump's peak exp(-4), and exactly alike at both poles
+    # relative; the sweep's float64 cosine series gives it to float64
+    # rounding of the bump's peak exp(-4), and exactly alike at both poles
     ctx = ctx5 if n == 5 else get_context(RunConfig(n=n))
     LD = np.longdouble
     want = (np.pi * sphere_area(n - 2) / (2 * np.pi) ** n
@@ -431,7 +435,7 @@ def test_pole_plateau_is_the_equator_transform(ctx5, n):
     series = co / _bochner_multipliers_ld(n, 1.0, np.arange(co.size))
     got = _rolling_accumulate(series, ctx.lam_index, np.ones(1, dtype=LD))[0]
     assert abs(float(got) - want) <= 1e-9 * abs(want)
-    poles = eval_spectrum(ctx.bump_series, np.array([-1.0, 1.0]))
+    poles = _cosine_sum(ctx.bump_cosine, np.array([-1.0, 1.0]), "even")
     assert poles[0] == poles[1]
     assert abs(poles[1] - want) <= 1e-15 * np.exp(-4.0)
 
@@ -453,6 +457,22 @@ def test_identity_sweep_at_a_direction_next_to_the_pole(ctx5, cert5):
     assert sweep["lhs"][grid == u] == alone["lhs"]
 
 
+def test_default_sweep_grid_mirrored_bit_for_bit(construct_result):
+    # linspace(-1, 1, 721) is not mirrored bit for bit (559 distinct |u|);
+    # the default grid is linspace(0, 1, 361) and its negated mirror, so
+    # the sweep sums the bump series at 361 distinct |u|
+    grid = construct_result["sweep"]["u_grid"]
+    assert grid.size == RunConfig.alpha_grid
+    assert np.array_equal(grid, -grid[::-1])
+    assert np.unique(np.abs(grid)).size == 361
+    assert np.array_equal(grid[360:], np.linspace(0.0, 1.0, 361))
+    # an even size has no 0 and mirrors the nonnegative half of linspace
+    for size in (3, 4, 720):
+        g = counterexample._mirrored_grid(size)
+        assert g.size == size and np.array_equal(g, -g[::-1])
+        assert g[0] == -1.0 and np.all(np.diff(g) > 0)
+
+
 def test_section_rule_exactly_antisymmetric(ctx5):
     # the sweep's section volumes read rho_b on the nonnegative nodes with
     # doubled weights, which needs every negative node to be a nonnegative
@@ -464,19 +484,21 @@ def test_section_rule_exactly_antisymmetric(ctx5):
 
 
 def test_identity_sweep_bit_equal_to_unfolded_sweep(ctx5, cert5):
-    # the sweep sums the bump series once per distinct |u| and mirrors it;
-    # a reference that sums it at every direction must give the same lhs
-    # bit for bit, at the recorded root (n = 5) and at a root of n = 6
+    # the sweep sums the bump's cosine series once per distinct |u| and
+    # mirrors it; a reference that sums it at every direction, one call
+    # each, must give the same lhs bit for bit, at the recorded root
+    # (n = 5) and at a root of n = 6, on linspace grids and mirrored ones
     ctx6 = get_context(RunConfig(n=6))
     eps6 = ctx6.select_eps()["eps"]
     for ctx, lam, eps in ((ctx5, cert5["lambda0"], cert5["eps0"]),
                           (ctx6, ctx6.find_root(eps6)["lambda0"], eps6)):
         for size in (361, 721, 1441):
-            grid = np.linspace(-1.0, 1.0, size)
-            got = ctx.identity_sweep(lam, eps, grid)
-            assert np.array_equal(got["lhs"], unfolded_sweep(ctx, lam, eps,
-                                                             grid))
-            assert np.all(got["lhs"][[0, -1]] == 0.0)
+            for grid in (np.linspace(-1.0, 1.0, size),
+                         counterexample._mirrored_grid(size)):
+                got = ctx.identity_sweep(lam, eps, grid)
+                assert np.array_equal(got["lhs"],
+                                      unfolded_sweep(ctx, lam, eps, grid))
+                assert np.all(got["lhs"][[0, -1]] == 0.0)
 
 
 def test_theta_table_matches_series_at_knots(ctx5):
@@ -543,6 +565,100 @@ def test_bump_quotient_series_matches_oracles(ctx5, n):
     assert np.array_equal(eval_spectrum(q, -big), -got_big)
 
 
+# the float64 sums read cosine series in theta; their longdouble
+# conversions, and the longdouble transform at u = 0
+
+
+def _series_ld(ctx):
+    # longdouble Gegenbauer coefficients of b_M = sum (co / mu) C_k and of
+    # q_b, the synthetic quotient of co
+    co = counterexample._bump_transform_coeffs(ctx.bump, ctx.config)
+    n, lam = ctx.n, ctx.lam_index
+    return (co / _bochner_multipliers_ld(n, 1.0, np.arange(co.size)),
+            _divide_by_u(co, lam))
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_cosine_sums_match_longdouble_series(ctx5, n):
+    # b_M and q_b from their float64 cosine series (_cosine_sum) against
+    # their longdouble Gegenbauer series by the plain recurrence, on the
+    # mirrored 361, 721 and 1441 grids and at +-(1 - 10^-k).  b_M is held
+    # to its scale exp(-4), the bump's peak, and q_b to its max; measured
+    # <= 6.7e-16 and <= 9.5e-16.  The float64 recurrence was off by
+    # 1.5e-14 to 4.1e-14 (b_M) and 2.5e-14 to 5.2e-12 (q_b)
+    ctx = ctx5 if n == 5 else get_context(RunConfig(n=n))
+    edge = 1.0 - 10.0 ** -np.arange(1, 16)
+    u = np.unique(np.concatenate(
+        [counterexample._mirrored_grid(k) for k in (361, 721, 1441)]
+        + [edge, -edge]))
+    bser, qser = _series_ld(ctx)
+    for cos_series, parity, series, scale in (
+            (ctx.bump_cosine, "even", bser, np.exp(-4.0)),
+            (ctx.quotient_cosine, "odd", qser, None)):
+        want = gegenbauer_series_ld(series, ctx.lam_index, u)
+        got = _cosine_sum(cos_series, u, parity)
+        if scale is None:
+            scale = float(np.max(np.abs(want)))
+        assert float(np.max(np.abs(got - want))) <= 2e-15 * scale
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_parity_halved_conversions_bit_equal_to_full_loops(ctx5, n,
+                                                           monkeypatch):
+    # the Gegenbauer-to-cosine conversions of q_b (odd) and b_M (even), and
+    # the transpose that gives the bump's Gegenbauer moments (even), loop
+    # only over the degrees of their parity: every such entry keeps its
+    # operations, so the results equal the full loops bit for bit, and the
+    # other entries are exactly 0
+    ctx = ctx5 if n == 5 else get_context(RunConfig(n=n))
+    bser, qser = _series_ld(ctx)
+    lam = ctx.lam_index
+    for series, parity, other in ((qser, "odd", slice(0, None, 2)),
+                                  (bser, "even", slice(1, None, 2))):
+        got = _cosine_coeffs(series, lam, parity)
+        assert np.array_equal(got, cosine_coeffs_full(series, lam))
+        assert np.all(got[other] == 0)
+    assert np.array_equal(ctx.quotient_cosine,
+                          cosine_coeffs_full(qser, lam))
+    assert np.array_equal(ctx.bump_cosine, cosine_coeffs_full(bser, lam))
+    halved = counterexample._bump_transform_coeffs(ctx.bump, ctx.config)
+    monkeypatch.setattr(counterexample, "_gegenbauer_moments",
+                        lambda f, lam, parity: gegenbauer_moments_full(f, lam))
+    full = counterexample._bump_transform_coeffs(ctx.bump, ctx.config)
+    assert np.array_equal(halved, full)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_transform_at_zero_bit_equal_to_array_recurrence(ctx5, n):
+    # the recurrence's scalar steps at u = 0 against the array recurrence
+    # at the one point 0, in longdouble
+    ctx = ctx5 if n == 5 else get_context(RunConfig(n=n))
+    co = counterexample._bump_transform_coeffs(ctx.bump, ctx.config)
+    want = _rolling_accumulate(co, ctx.lam_index,
+                               np.zeros(1, dtype=co.dtype))[0]
+    got = _accumulate_at_zero(co, ctx.lam_index)
+    assert got.dtype == co.dtype and got == want
+    assert ctx.bump_ft_at_zero == float(want)
+
+
+def test_context_build_names_a_nonfinite_bump_cosine_series(ctx5,
+                                                            monkeypatch):
+    # cosine coefficients of b_M beyond float64 are a named failure
+    real = counterexample._cosine_coeffs
+
+    def overflowing(coeffs, lam, parity):
+        d = real(coeffs, lam, parity)
+        if parity == "even":
+            d[2] = np.longdouble(1e308) * 10
+        return d
+
+    monkeypatch.setattr(counterexample, "_cosine_coeffs", overflowing)
+    with pytest.raises(ConstructionError,
+                       match="bump series has 1 cosine coefficients"):
+        counterexample.ConstructionContext(5, ctx5.a, ctx5.cap_u0,
+                                           RunConfig())
+
+
 def _flipped_division(coeffs, lam):
     # the package's synthetic division with one sign flipped
     c = np.asarray(coeffs)
@@ -572,9 +688,10 @@ def test_context_build_rejects_a_wrong_quotient_series(ctx5, monkeypatch,
 
 
 def test_context_build_series_work_budget(ctx5, monkeypatch):
-    # points x coefficients over every series sum of one n = 5 build; the
-    # old value, derivative and quotient tables took ~475 M and the u-grid
-    # quotient table 128 M; the theta table, filled by FFT, takes none
+    # points x coefficients over every Gegenbauer series sum of one n = 5
+    # build; the old value, derivative and quotient tables took ~475 M and
+    # the u-grid quotient table 128 M; the theta table, filled by FFT,
+    # takes none
     from centroid_sections import spherical_core
     work = []
     real = spherical_core._rolling_accumulate
@@ -584,12 +701,13 @@ def test_context_build_series_work_budget(ctx5, monkeypatch):
         return real(coeffs, lam, u, dtype)
 
     monkeypatch.setattr(spherical_core, "_rolling_accumulate", counted)
-    monkeypatch.setattr(counterexample, "_rolling_accumulate", counted)
+    assert not hasattr(counterexample, "_rolling_accumulate")
     counterexample.ConstructionContext(5, ctx5.a, ctx5.cap_u0, RunConfig())
-    # measured 6.41 M: the bump transform and its quotient on the equator
-    # grid (1001 distinct |u| each) and the transform at u = 0; the
-    # curvature and diameter tables come from FFTs and take none
-    assert sum(work) <= 6_500_000
+    # measured 3.20 M: the bump transform on the equator grid (1001
+    # distinct |u|); its quotient there is summed from its cosine series,
+    # the transform at u = 0 by scalar steps, and the curvature and
+    # diameter tables come from FFTs, so none of them takes any
+    assert sum(work) <= 3_300_000
 
 
 def test_construction_makes_no_derivative_series_call(monkeypatch):
@@ -736,6 +854,25 @@ def test_certificate_structure_and_checks(cert5):
     assert abs(cert5["negativity_threshold"] - ref) <= 1e-15
     assert cert5["config"] == dataclasses.asdict(RunConfig())
     assert cert5["equator_scan"]["1.00"] == 0.0
+
+
+# |b_M(+-1)| / max seed and the bump and gap parts of S_M''(0), as
+# measured for the sweep's Funk-Hecke form, to two digits
+POLE_SERIES = {5: ("9.1e-09", "4.1e-04", "1.9e-05"),
+               6: ("5.6e-10", "2.3e-05", "6.7e-06"),
+               7: ("3.9e-07", "1.2e-02", "5.4e-07")}
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_certificate_records_pole_series(cert5, n):
+    # recorded from the longdouble cosine series of b_M, and no check
+    cert = cert5 if n == 5 else run_construction(RunConfig(n=n))["certificate"]
+    pole = cert["pole_series"]
+    got = tuple(f"{pole[k]:.1e}" for k in
+                ("truncation_rel", "curvature_bump", "curvature_gap"))
+    assert got == POLE_SERIES[n]
+    assert pole["curvature_gap"] == 3.0 * cert["lambda0"]
+    assert not any("pole_series" in name for name in cert["checks"])
 
 
 def test_certificate_reproducible_bit_stable(construct_result):

@@ -183,3 +183,65 @@ def test_folded_projection_matches_full_node_projection(parity, order):
     scale = float(np.max(np.abs(full)))
     assert float(np.max(np.abs(got[keep] - full[keep]))) <= 1e-17 * scale
     assert float(np.max(np.abs(full[wrong]))) <= 1e-17 * scale
+
+
+def _cosine_series(parity, size=3200):
+    # a decaying random cosine series of one parity
+    rng = np.random.default_rng(SEED)
+    d = rng.standard_normal(size) * np.exp(-np.arange(size) / 400.0)
+    d[slice(1 if parity == "even" else 0, None, 2)] = 0.0
+    return d
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("size", [1, 2, 63, 64, 65, 129, 3200])
+def test_cosine_sum_matches_direct_longdouble_sum(parity, size):
+    # block angle addition against sum d_m cos(m theta) term by term in
+    # longdouble, theta = arccos |u|, for series lengths around the block
+    d = _cosine_series(parity, size)
+    rng = np.random.default_rng(SEED)
+    u = np.concatenate([rng.uniform(-1.0, 1.0, 200), [-1.0, 1.0, 0.5]])
+    theta = np.arccos(np.abs(u).astype(LD))
+    want = np.cos(np.outer(theta, np.arange(size, dtype=LD))) @ d.astype(LD)
+    if parity == "odd":
+        want = np.sign(u) * want
+    got = sc._cosine_sum(d, u, parity)
+    assert got.shape == u.shape and got.dtype == np.float64
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.sum(np.abs(d))
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_cosine_sum_exact_parity_and_zero(parity):
+    # folded: an even series is the same at -u and u, an odd one negated,
+    # bit for bit, and an odd one is exactly 0 at u = 0 and u = -0
+    d = _cosine_series(parity)
+    rng = np.random.default_rng(SEED)
+    u = rng.uniform(0.0, 1.0, (37, 41))
+    u.flat[:3] = 0.0, 1.0, 5e-324
+    pos = sc._cosine_sum(d, u, parity)
+    neg = sc._cosine_sum(d, -u, parity)
+    assert np.array_equal(neg, pos if parity == "even" else -pos)
+    if parity == "odd":
+        zero = sc._cosine_sum(d, np.array([0.0, -0.0]), parity)
+        assert np.array_equal(zero, [0.0, 0.0])
+        assert not np.any(np.signbit(zero))
+    # the unused entries are not read
+    other = d.copy()
+    other[slice(1 if parity == "even" else 0, None, 2)] = np.nan
+    assert np.array_equal(sc._cosine_sum(other, u, parity), pos)
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_cosine_sum_same_bits_however_batched(parity):
+    # a grid of more points than one chunk holds, against each point in a
+    # call of its own and against a shuffled grid: the summation order of
+    # each point is fixed by the kernel, not by its neighbours
+    d = _cosine_series(parity)
+    u = np.linspace(-1.0, 1.0, 1441)
+    got = sc._cosine_sum(d, u, parity)
+    one = np.array([sc._cosine_sum(d, u[i:i + 1], parity)[0]
+                    for i in range(u.size)])
+    assert np.array_equal(got, one)
+    perm = np.random.default_rng(SEED).permutation(u.size)
+    assert np.array_equal(sc._cosine_sum(d, u[perm], parity), got[perm])
+    assert sc._cosine_sum(d, np.array(0.3), parity).shape == ()
