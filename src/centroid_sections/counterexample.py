@@ -242,21 +242,28 @@ def _bump_transform_coeffs(bump: SphereProfile,
     return co
 
 
-def _root_jet(n: int, eps: float, base, phi) -> list:
+def _root_jet(n: int, eps: float, base, phi, powers=None) -> list:
     """r = (rho_b^n + eps phi)^{1/n} and its u-derivatives, to the order
     that base (rho_b, rho_b', rho_b'') and phi (phi, phi', phi'') carry:
-    one entry each gives [r], all three give [r, r', r'']."""
+    one entry each gives [r], all three give [r, r', r''].  powers, when
+    given, holds rho_b^n, rho_b^{n-1} and rho_b^{n-2} (as many as the
+    order needs), as rho_b ** (n - i) forms them; f^{1/n - 1} is formed
+    once, so the jet takes three fractional powers of f and none of
+    rho_b."""
     rb, p = base[0], phi[0]
-    f = rb ** n + eps * p
+    if powers is None:
+        powers = [rb ** (n - i) for i in range(len(base))]
+    f = powers[0] + eps * p
     out = [f ** (1.0 / n)]
     if len(base) > 1:
-        f1 = n * rb ** (n - 1) * base[1] + eps * phi[1]
-        out.append((1.0 / n) * f ** (1.0 / n - 1) * f1)
+        g1 = f ** (1.0 / n - 1)
+        f1 = n * powers[1] * base[1] + eps * phi[1]
+        out.append((1.0 / n) * g1 * f1)
     if len(base) > 2:
-        f2 = (n * (n - 1) * rb ** (n - 2) * base[1] ** 2
-              + n * rb ** (n - 1) * base[2] + eps * phi[2])
+        f2 = (n * (n - 1) * powers[2] * base[1] ** 2
+              + n * powers[1] * base[2] + eps * phi[2])
         out.append((1.0 / n) * (1.0 / n - 1) * f ** (1.0 / n - 2) * f1 ** 2
-                   + (1.0 / n) * f ** (1.0 / n - 1) * f2)
+                   + (1.0 / n) * g1 * f2)
     return out
 
 
@@ -403,7 +410,8 @@ class ConstructionContext:
         self._rho = _theta_jet(
             self._x, s, *(np.asarray(f(self._x), dtype=np.float64)
                           for f in (self.base.rho, *self.base.rho.derivs)))
-        self._rho_n = self._rho[0] ** n
+        # rho_b^n, rho_b^{n-1} and rho_b^{n-2}, which every jet reads
+        self._rho_pow = [self._rho[0] ** (n - i) for i in range(3)]
         # centroid quadrature: the trapezoid rule in theta on the nodes.
         # The weight of S^{n-1} in theta is sin^{n-2} theta; the integrands
         # are periodic and band-limited far below the rule's aliasing degree
@@ -482,12 +490,13 @@ class ConstructionContext:
 
     def centroid(self, lam: float, eps: float) -> Optional[float]:
         """Axis centroid of the perturbed body; None if the radial power
-        profile loses positivity at the quadrature nodes."""
+        profile is not positive and finite at the quadrature nodes."""
         if eps == 0.0:
             # unperturbed body: symmetric, so the centroid is exactly 0
             return 0.0
         f = self._power(lam, eps)
-        if np.any(f <= 0):
+        # NaN fails the first test, inf the second
+        if not (f.min() > 0 and f.max() < np.inf):
             return None
         n = self.n
         vol = self._surf / n * (self._w @ f)
@@ -497,8 +506,8 @@ class ConstructionContext:
 
     def _power(self, lam: float, eps: float) -> np.ndarray:
         """rho_base^n + eps phi at the nodes."""
-        return self._rho_n + eps * ((1.0 - lam) * self._bq[0]
-                                    + lam * self._gq[0])
+        return self._rho_pow[0] + eps * ((1.0 - lam) * self._bq[0]
+                                         + lam * self._gq[0])
 
     def kappa_min(self, lam: float, eps: float) -> float:
         """Minimum meridian curvature of the perturbed body."""
@@ -511,7 +520,7 @@ class ConstructionContext:
         # where rho^n + eps phi < 0 the root is NaN, and so is kappa_min,
         # which the report's guard (_clears) counts as not convex
         with np.errstate(invalid="ignore"):
-            r = _root_jet(self.n, eps, self._rho, phi)
+            r = _root_jet(self.n, eps, self._rho, phi, self._rho_pow)
             return _meridian_report(
                 self._theta, *r, self.config.tolerances["convexity_margin"])
 
@@ -617,14 +626,20 @@ class ConstructionContext:
                        + lam * np.asarray(self.gap(u_grid), dtype=float))
         rhs = scale * np.asarray(self.seed_value(u_grid, lam), dtype=float)
         rel = np.abs(lhs - rhs) / max(float(np.max(np.abs(rhs))), 1e-300)
-        # the rule is mirrored bit for bit and rho_b is even: the volume
-        # reads rho_b on the nonnegative nodes, with doubled weights
+        # the section volumes depend on u^2 alone: once per distinct |u|.
+        # The rule is mirrored bit for bit and rho_b is even, so rho_b is
+        # read on the nonnegative nodes, with doubled weights.  Each volume
+        # is the pairwise sum of its own row (np.sum along the nodes), so
+        # it has the same bits whichever directions share the call; a BLAS
+        # product does not fix that, and np.einsum's running sum is about
+        # twice as far from the longdouble sum
+        a, inv = np.unique(np.abs(u_grid), return_inverse=True)
         half = self._ts.size // 2
-        r = np.sqrt(np.maximum(0.0, 1.0 - u_grid ** 2))
+        r = np.sqrt(np.maximum(0.0, 1.0 - a ** 2))
         rho = np.asarray(self.base.rho(r[:, None] * self._ts[half:]),
                          dtype=float)
-        sec_vol = (self._subsurf / (n - 1)
-                   * (rho ** (n - 1) @ (2.0 * self._tw[half:])))
+        sec_vol = (self._subsurf / (n - 1) * np.sum(
+            rho ** (n - 1) * (2.0 * self._tw[half:]), axis=1))[inv]
         centroids = lhs / (n * sec_vol)
         inner = np.abs(u_grid) < 1.0
         pole = ~inner
@@ -686,7 +701,7 @@ class ConstructionContext:
         """Max over the nodes of rho(u) + rho(-u) (axial symmetry makes
         antipodal pairs along meridians the extremal chords)."""
         phi = (1.0 - lam) * self._bq[0] + lam * self._gq[0]
-        r = _root_jet(self.n, eps, self._rho[:1], (phi,))[0]
+        r = _root_jet(self.n, eps, self._rho[:1], (phi,), self._rho_pow)[0]
         return float(np.max(r + r[::-1]))
 
 

@@ -127,11 +127,13 @@ def _polygon_radius(v: np.ndarray, theta: np.ndarray) -> np.ndarray:
     # vertex hits can validate two edges with equal s; take the min
     s = np.where(valid, s, np.inf)
     out = np.min(s, axis=1)
-    if np.any(~np.isfinite(out)):
-        # relax the half-open endpoint rule for rays through a vertex
-        valid = (s0 := pxe[None, :] / np.where(dxe == 0, np.nan, dxe)) > 0
-        valid &= (t >= -1e-12) & (t <= 1.0 + 1e-12)
-        out = np.min(np.where(valid, s0, np.inf), axis=1)
+    miss = ~np.isfinite(out)
+    if np.any(miss):
+        # relax the half-open endpoint rule for the rays through a vertex
+        # that it missed, and for those alone
+        s0 = pxe[None, :] / np.where(dxe[miss] == 0, np.nan, dxe[miss])
+        valid = (s0 > 0) & (t[miss] >= -1e-12) & (t[miss] <= 1.0 + 1e-12)
+        out[miss] = np.min(np.where(valid, s0, np.inf), axis=1)
         if np.any(~np.isfinite(out)):
             raise ValueError("ray misses the polygon boundary")
     if np.ndim(theta) == 0:
@@ -227,7 +229,12 @@ def _shifted_radii(fn: Callable, c: np.ndarray,
 
 
 def _chord_defect(body: PlanarBody, theta):
-    return body.radius(theta) - body.radius(np.asarray(theta) + np.pi)
+    """rho(theta) - rho(theta + pi) for 1-d theta, from one radius call on
+    both ends; a direction's radius does not depend on the others that
+    share the call."""
+    theta = np.asarray(theta)
+    r = body.radius(np.concatenate([theta, theta + np.pi]))
+    return r[:theta.size] - r[theta.size:]
 
 
 def bisected_chords(body: PlanarBody) -> dict:

@@ -9,8 +9,10 @@ that one-dimensional representation:
     summed by their three-term recurrence,
   - the conversion of a Gegenbauer series into a cosine series in
     theta = arccos u, and the float64 sum of such a series at many points
-    by block angle addition (_cosine_sum), whose summation order is fixed
-    point by point,
+    by two-sided block angle addition (_cosine_sum), whose summation order
+    is fixed point by point and whose angles are reduced by 2 pi in
+    float64 with one rounding, from theta formed in longdouble once per
+    point (_split_theta, _reduced_angles),
   - the diagonal multiplier action realizing the Fourier transform of
     homogeneous extensions |x|^{-p} f(x/|x|) for 0 < p < n,
   - a Parseval-type pairing residual.
@@ -24,7 +26,9 @@ application just like the even case.
 Internal arithmetic runs in extended precision (numpy longdouble).  The
 multiplier grows like m^{(n-2)/2} relative to c_n, which amplifies
 coefficient noise near u = +-1; 64-bit coefficients would cap pole accuracy
-near 1e-9 while extended precision reaches ~1e-13.
+near 1e-9 while extended precision reaches ~1e-13.  The cosine sums are
+the exception: their coefficients are cast once, and everything per angle
+is float64.
 """
 
 import math
@@ -38,7 +42,6 @@ from .config import ConstructionError, RunConfig
 
 LD = np.longdouble
 _PI_LD = np.arccos(LD(-1))
-_TWO_PI_LD = 2 * _PI_LD
 
 # the parities of a series of definite parity, by the parity of its degrees
 _PARITIES = ("even", "odd")
@@ -278,13 +281,48 @@ def _folded_accumulate(coeffs, lam, u, parity):
 _COS_BLOCK = 64
 _COS_CHUNK_BYTES = 1 << 19
 
+# theta's high part keeps _THETA_BITS significant bits, so k theta_hi is
+# exact in float64 for every degree k < _MAX_DEGREE = 2^(53 - _THETA_BITS)
+_THETA_BITS = 40
+_MAX_DEGREE = 1 << (53 - _THETA_BITS)
+_THETA_MASK = ~np.uint64(_MAX_DEGREE - 1)
+# 2 pi = _TWO_PI_HI + _TWO_PI_LO + O(5e-29): the high part has 40
+# significant bits, so n _TWO_PI_HI is exact for n < 2^13
+_TWO_PI_HI = float.fromhex("0x1.921fb54442000p+2")
+_TWO_PI_LO = float.fromhex("0x1.a308d313198a3p-39")
 
-def _reduced_angles(theta, k):
-    """k theta reduced by a multiple of 2 pi to about [-pi, pi] in
-    longdouble, as float64: within 2e-16 of the exact angle for longdouble
-    theta, where float64 k theta would carry k theta times its rounding."""
-    x = theta * k
-    return (x - _TWO_PI_LD * np.rint(x * (1 / _TWO_PI_LD))).astype(np.float64)
+
+def _split_theta(a):
+    """theta = arccos a for float64 a in [0, 1], in longdouble, as two
+    float64 parts: theta_hi, theta rounded to float64 and cut to
+    _THETA_BITS significant bits, and theta_lo = theta - theta_hi, which
+    has at most 25 significant bits and so is exact."""
+    theta = np.arccos(a.astype(LD))
+    hi = (theta.astype(np.float64).view(np.uint64) & _THETA_MASK).view(
+        np.float64)
+    return hi, (theta - hi).astype(np.float64)
+
+
+def _reduced_angles(hi, lo, k):
+    """k theta - 2 pi n, n = rint(k theta_hi / 2 pi), in float64 for the
+    split theta = hi + lo (columns) and the integer degrees k < 8192 (a
+    row): within one rounding of the exact angle, so within half an ulp
+    of pi of k theta mod 2 pi.
+
+    Cody and Waite's reduction.  k hi is exact (40 + 13 bits), and so is
+    n _TWO_PI_HI (n <= 4096).  n >= 1 only when k hi >= pi, so hi >=
+    pi / k > 2^-12: k hi and n _TWO_PI_HI are then both multiples of
+    2^(e - 39) >= 2^-51, e the exponent of hi, and k hi - n _TWO_PI_HI,
+    below pi + 1e-8 in magnitude, is fewer than 2^53 of those units, so
+    exact too (with n = 0 it is k hi itself).  The small part k lo -
+    n _TWO_PI_LO is below 3e-8 and off by about 1e-24; the one rounding
+    left is their sum's.
+    """
+    x = hi * k
+    n = np.rint(x * (1 / (2 * np.pi)))
+    x -= n * _TWO_PI_HI
+    x += lo * k - n * _TWO_PI_LO
+    return x
 
 
 def _cosine_sum(d, u, parity):
@@ -293,40 +331,62 @@ def _cosine_sum(d, u, parity):
     summed in float64 and shaped like u.  It is folded: an odd series
     changes sign with u and is exactly 0 at u = 0.
 
-    Block angle addition: with m = 2(a B + b) + p, B = _COS_BLOCK and p
-    the parity,
-        cos(m theta) = cos((2aB + p) theta) cos(2b theta)
-                       - sin((2aB + p) theta) sin(2b theta),
-    so per point the series is the A x B coefficient matrix contracted
-    with two length-B trig rows, and the results with two length-A rows.
-    The angles are formed and reduced in longdouble from theta =
-    arccos |u| in longdouble.  The contractions are np.einsum's, whose
+    Two-sided block angle addition: write each degree as m = O_a + 2b,
+    O_a = 2aB + p, B = _COS_BLOCK, p the parity and b in [-B/2, B/2).
+    The degrees O_a +- 2b share
+        cos((O_a +- 2b) theta) = cos(O_a theta) cos(2b theta)
+                                 -+ sin(O_a theta) sin(2b theta),
+    so per point the series is sum_a cos(O_a theta) x_a - sin(O_a theta)
+    y_a with
+        x_a = sum_{b=0}^{B/2} (c+_ab + c-_ab) cos(2b theta),
+        y_a = sum_{b=1}^{B/2} (c+_ab - c-_ab) sin(2b theta),
+    c+_ab and c-_ab the coefficients of degrees O_a + 2b and O_a - 2b in
+    block a (0 where the block or the series has none): B/2 + 1 inner
+    angles, A outer ones and two A x (B/2 + 1) contractions, half the
+    products of one-sided blocks.  theta = arccos |u| is formed in
+    longdouble once per point and split into two float64 parts, from
+    which every angle is formed and reduced by 2 pi in float64 with one
+    rounding (_reduced_angles).  The contractions are np.einsum's, whose
     summation order depends on the operand shapes alone, not on BLAS
     threads or on which points share the call: a point's value has the
-    same bits however it is batched.  Each distinct |u| is summed once,
-    in chunks whose temporaries stay under _COS_CHUNK_BYTES.
+    same bits however it is batched.  Each distinct |u| is summed once, in
+    chunks whose temporaries stay under _COS_CHUNK_BYTES.
     """
     p = _PARITIES.index(parity)
     c = np.asarray(d, dtype=np.float64)[p::2]
-    rows = -(-c.size // _COS_BLOCK)
-    table = np.zeros(rows * _COS_BLOCK)
-    table[:c.size] = c
-    table = table.reshape(rows, _COS_BLOCK)
-    inner = 2 * np.arange(_COS_BLOCK, dtype=LD)
-    outer = 2 * _COS_BLOCK * np.arange(rows, dtype=LD) + p
+    half = _COS_BLOCK // 2
+    rows = (c.size - 1 + half) // _COS_BLOCK + 1
+    # c_j, the coefficient of degree 2j + p, at j + half of a zero-padded
+    # copy; block a's offset b is at j = aB + b.  b = B/2 belongs to the
+    # next block and b = 0 has no c-
+    padded = np.zeros((rows + 1) * _COS_BLOCK)
+    padded[half:half + c.size] = c
+    zero = _COS_BLOCK * np.arange(rows)[:, None] + half
+    b = np.arange(half + 1)
+    cp, cm = padded[zero + b], padded[zero - b]
+    cp[:, half] = cm[:, 0] = 0.0
+    csum, cdiff = cp + cm, (cp - cm)[:, 1:]
+    k = np.concatenate([2 * np.arange(half + 1),
+                        2 * _COS_BLOCK * np.arange(rows) + p]).astype(
+                            np.float64)
+    if k[-1] >= _MAX_DEGREE:
+        raise ValueError(f"cosine series of {len(d)} terms: _cosine_sum "
+                         f"reduces angles exactly below degree {_MAX_DEGREE}")
     u = np.asarray(u, dtype=np.float64)
     a, inv = np.unique(np.abs(u).ravel(), return_inverse=True)
-    theta = np.arccos(a.astype(LD))[:, None]
+    hi, lo = _split_theta(a)
+    hi, lo = hi[:, None], lo[:, None]
     out = np.empty(a.size)
-    # about 12 longdouble and float64 temporaries per angle of a point
-    chunk = max(1, _COS_CHUNK_BYTES // (96 * (_COS_BLOCK + rows)))
+    # about 12 float64 temporaries per angle of a point
+    chunk = max(1, _COS_CHUNK_BYTES // (96 * k.size))
     for start in range(0, a.size, chunk):
-        t = theta[start:start + chunk]
-        b, o = _reduced_angles(t, inner), _reduced_angles(t, outer)
-        x = np.einsum("pb,ab->pa", np.cos(b), table)
-        y = np.einsum("pb,ab->pa", np.sin(b), table)
-        out[start:start + chunk] = (np.einsum("pa,pa->p", np.cos(o), x)
-                                    - np.einsum("pa,pa->p", np.sin(o), y))
+        part = slice(start, start + chunk)
+        t = _reduced_angles(hi[part], lo[part], k)
+        cos, sin = np.cos(t), np.sin(t)
+        x = np.einsum("pb,ab->pa", cos[:, :half + 1], csum)
+        y = np.einsum("pb,ab->pa", sin[:, 1:half + 1], cdiff)
+        out[part] = (np.einsum("pa,pa->p", cos[:, half + 1:], x)
+                     - np.einsum("pa,pa->p", sin[:, half + 1:], y))
     out = out[inv].reshape(u.shape)
     if p:
         out[u == 0] = 0.0

@@ -570,3 +570,36 @@ def kappa_series_route(ctx, lam, eps):
              / (r * r + s * s * r1 * r1) ** 1.5)
     i = int(np.argmin(kappa))
     return float(kappa[i]), float(theta[i])
+
+
+def angle_reduction_error(hi, lo, k, reduced, shift=300):
+    """max |reduced - (k theta mod 2 pi)| over the entries, theta = hi + lo
+    the exact sum of two float64 columns and k a row of integers, as a
+    float: exact integer arithmetic on the grid 2^-shift, on which every
+    float64 of magnitude above 2^-shift lies, with 2 pi rounded to it (by
+    mpmath).  A reduced angle a multiple of 2 pi away counts as equal."""
+    from fractions import Fraction
+    with mpmath.workprec(shift + 16):
+        two_pi = int(mpmath.nint(mpmath.ldexp(2 * mpmath.pi, shift)))
+    scale = Fraction(2) ** shift
+
+    def fixed(x):
+        q = Fraction(float(x)) * scale
+        assert q.denominator == 1
+        return q.numerator
+
+    hi, lo, reduced = (np.broadcast_to(x, np.broadcast(hi, k).shape)
+                       for x in (hi, lo, reduced))
+    worst = 0
+    for h, l, kk, r in zip(hi.ravel(), lo.ravel(),
+                           np.broadcast_to(k, hi.shape).ravel(),
+                           reduced.ravel()):
+        d = fixed(r) - int(kk) * (fixed(h) + fixed(l))
+        d = (d + two_pi // 2) % two_pi - two_pi // 2
+        worst = max(worst, abs(d))
+    return float(Fraction(worst) / scale)
+
+
+def chord_defect_two_calls(body, theta):
+    """rho(theta) - rho(theta + pi) from two radius calls, one per end."""
+    return body.radius(theta) - body.radius(np.asarray(theta) + np.pi)

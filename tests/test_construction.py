@@ -12,6 +12,7 @@ from centroid_sections import (ConstructionError, RunConfig, curvature,
                                make_cap_bump, make_oblate_gap_profile,
                                negativity_threshold, run_construction)
 
+from centroid_sections.revolution_bodies import _meridian_report
 from centroid_sections.spherical_core import (_accumulate_at_zero,
                                               _bochner_multipliers_ld,
                                               _cosine_coeffs, _cosine_sum,
@@ -271,6 +272,17 @@ def test_centroid_nearly_linear_in_eps(ctx5):
     assert abs(r1 - r2) <= 0.02 * abs(r2)
 
 
+def test_centroid_none_for_non_finite_power(ctx5):
+    # the positivity guard fails NaN and inf as it fails a value <= 0: a
+    # context copy with one NaN node, then one inf node, in rho_b^n
+    for bad in (np.nan, np.inf, -1.0):
+        ctx = copy.copy(ctx5)
+        ctx._rho_pow = [p.copy() for p in ctx5._rho_pow]
+        ctx._rho_pow[0][1234] = bad
+        assert ctx.centroid(0.3, 1e-5) is None
+    assert ctx5.centroid(0.3, 1e-5) is not None
+
+
 def test_centroid_functional_wrapper(cert5):
     # the centroid at recorded parameters, through a context for the
     # recorded n, a and cap edge, as verify builds it
@@ -499,6 +511,20 @@ def test_identity_sweep_bit_equal_to_unfolded_sweep(ctx5, cert5):
                 assert np.array_equal(got["lhs"],
                                       unfolded_sweep(ctx, lam, eps, grid))
                 assert np.all(got["lhs"][[0, -1]] == 0.0)
+
+
+def test_sweep_centroids_same_bits_one_direction_at_a_time(ctx5, cert5):
+    # the section centroids, lhs over n times the section volume, of each
+    # direction swept alone against the whole mirrored grid of 1441 and
+    # linspace(-1, 1, 721): no value depends on which directions share
+    # the call
+    lam, eps = cert5["lambda0"], cert5["eps0"]
+    for grid in (counterexample._mirrored_grid(1441),
+                 np.linspace(-1.0, 1.0, 721)):
+        whole = ctx5.identity_sweep(lam, eps, grid)["centroid_quadrature"]
+        alone = [ctx5.identity_sweep(lam, eps, grid[i:i + 1])
+                 ["centroid_quadrature"][0] for i in range(grid.size)]
+        assert np.array_equal(whole, alone)
 
 
 def test_theta_table_matches_series_at_knots(ctx5):
@@ -761,6 +787,30 @@ def test_kappa_min_tracks_base_as_eps_vanishes(ctx5):
     fitted = devs[0] / eps_values[0]
     for e, d in zip(eps_values[1:], devs[1:]):
         assert d <= 1.5 * fitted * e
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("eps", [1e-3, 1e-5, 4.6e-8])
+def test_kappa_report_bit_equal_to_plain_root_jet(n, lam, eps):
+    # kappa_report reads rho_b^n, rho_b^(n-1) and rho_b^(n-2) from the
+    # context; the chain rule forming them itself must give the same jet
+    # and report bit for bit, NaN rows (rho^n + eps phi < 0, as at n = 6
+    # and eps = 1e-3) included
+    ctx = get_context(RunConfig(n=n))
+    phi = [(1.0 - lam) * b + lam * g for b, g in zip(ctx._bq, ctx._gq)]
+    with np.errstate(invalid="ignore"):
+        want = counterexample._root_jet(n, eps, ctx._rho, phi)
+        got = counterexample._root_jet(n, eps, ctx._rho, phi, ctx._rho_pow)
+        plain = _meridian_report(ctx._theta, *want,
+                                 ctx.config.tolerances["convexity_margin"])
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w, equal_nan=True)
+    assert np.isnan(want[0]).any() == (n == 6 and eps == 1e-3)
+    rep = ctx.kappa_report(lam, eps)
+    assert np.array_equal(rep.kappa_min, plain.kappa_min, equal_nan=True)
+    assert rep.argmin_theta == plain.argmin_theta
+    assert rep.is_convex == plain.is_convex
 
 
 def _assert_kappa_matches_series_route(ctx, cert):

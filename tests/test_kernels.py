@@ -8,8 +8,8 @@ from scipy.special import roots_jacobi
 from centroid_sections import (ConstructionError, gauss_jacobi,
                                spherical_core as sc)
 
-from oracles import (SEED, gauss_jacobi_full_newton, gegenbauer_series_plain,
-                     weight_moment)
+from oracles import (SEED, angle_reduction_error, gauss_jacobi_full_newton,
+                     gegenbauer_series_plain, weight_moment)
 
 LD = np.longdouble
 B = sc._BLOCK
@@ -245,3 +245,80 @@ def test_cosine_sum_same_bits_however_batched(parity):
     perm = np.random.default_rng(SEED).permutation(u.size)
     assert np.array_equal(sc._cosine_sum(d, u[perm], parity), got[perm])
     assert sc._cosine_sum(d, np.array(0.3), parity).shape == ()
+
+
+def _reduction_points():
+    # |u| of the sweep's grids, linspace and mirrored, 1 - 10^-k, 0 and 1
+    from centroid_sections.counterexample import _mirrored_grid
+    grids = [g(size) for size in (361, 721, 1441)
+             for g in (lambda k: np.linspace(-1.0, 1.0, k), _mirrored_grid)]
+    near = 1.0 - 10.0 ** -np.arange(1, 17)
+    return np.unique(np.abs(np.concatenate([*grids, near, [0.0, 1.0]])))
+
+
+def _low_bits(x):
+    # the 13 low significand bits of float64 values, 0 for 40-bit values
+    return np.asarray(x, dtype=np.float64).view(np.uint64) & np.uint64(
+        sc._MAX_DEGREE - 1)
+
+
+def test_theta_split_is_exact():
+    # theta_hi has 40 significant bits and theta_hi + theta_lo is the
+    # longdouble arccos exactly; so has 2 pi's high part, and the two
+    # parts of 2 pi sum to it within 1e-28
+    import mpmath
+    a = _reduction_points()
+    hi, lo = sc._split_theta(a)
+    assert np.all(_low_bits(hi) == 0)
+    assert np.array_equal(hi.astype(LD) + lo.astype(LD),
+                          np.arccos(a.astype(LD)))
+    assert _low_bits(sc._TWO_PI_HI) == 0
+    with mpmath.workdps(50):
+        rest = 2 * mpmath.pi - mpmath.mpf(sc._TWO_PI_HI) - sc._TWO_PI_LO
+        assert abs(rest) < 1e-28
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_reduced_angles_within_half_ulp_of_pi(parity, monkeypatch):
+    # every angle the kernel forms for a series of the shipped length, at
+    # the sweep grids' |u|, 1 - 10^-k, 0 and 1, against k theta mod 2 pi
+    # in exact arithmetic: one rounding, so within half an ulp of pi, and
+    # in [-pi, pi] up to that rounding
+    seen = []
+    real = sc._reduced_angles
+
+    def record(hi, lo, k):
+        out = real(hi, lo, k)
+        seen.append((hi, lo, k, out))
+        return out
+
+    monkeypatch.setattr(sc, "_reduced_angles", record)
+    d = _cosine_series(parity, 3201)
+    sc._cosine_sum(d, _reduction_points(), parity)
+    ulp_pi = np.spacing(np.pi)
+    k_all = set()
+    for hi, lo, k, out in seen:
+        assert np.all(np.abs(out) <= np.pi + ulp_pi)
+        err = angle_reduction_error(hi, lo, k, out)
+        assert err <= 0.5 * ulp_pi * (1 + 1e-6)
+        k_all.update(k.tolist())
+    assert max(k_all) == 2 * sc._COS_BLOCK * 25 + (parity == "odd")
+
+
+def test_reduced_angles_every_degree_below_the_bound():
+    # all k < 8192, where k theta_hi stays exact, at points whose angles
+    # wrap many times, and at theta just above pi / k for the largest k
+    a = np.concatenate([[0.0, 0.3, 1.0 - 1e-3, 1.0 - 1e-9],
+                        np.cos([np.pi / 8191 * (1 + 1e-12)])])
+    hi, lo = sc._split_theta(a)
+    k = np.arange(sc._MAX_DEGREE, dtype=np.float64)
+    out = sc._reduced_angles(hi[:, None], lo[:, None], k)
+    err = angle_reduction_error(hi[:, None], lo[:, None], k, out)
+    assert err <= 0.5 * np.spacing(np.pi) * (1 + 1e-6)
+
+
+def test_cosine_sum_refuses_degrees_beyond_exact_reduction():
+    # 8128 terms form outer degrees up to 8064; 8129 would need 8192
+    assert np.isfinite(sc._cosine_sum(np.ones(8128), np.array([0.5]), "even"))
+    with pytest.raises(ValueError, match="exactly below degree 8192"):
+        sc._cosine_sum(np.ones(8129), np.array([0.5]), "even")

@@ -6,7 +6,7 @@ from centroid_sections import (ConstructionError, bisected_chords,
                                recenter)
 
 from centroid_sections import planar
-from oracles import (SEED, chord_defect_orthogonality,
+from oracles import (SEED, chord_defect_orthogonality, chord_defect_two_calls,
                      count_antipodal_sign_changes, random_convex_hull,
                      shifted_radius_loop)
 
@@ -281,3 +281,58 @@ def test_radial_rejects_nonpositive_profile():
 def test_polygon_accepts_clockwise_vertex_order():
     cw = polygon_body([(-1, -1), (-1, 1), (1, 1), (1, -1)])
     assert np.max(np.abs(planar_centroid(cw))) <= 1e-15
+
+
+@pytest.mark.parametrize("name", ["blob", "ellipse", "triangle", "polygon"])
+def test_chord_defect_one_radius_call_bit_equal_to_two(name, monkeypatch):
+    # the chord defect from one radius call on [theta, theta + pi] against
+    # the two-call oracle: the same result, bit for bit, for the CLI's
+    # demos and a seeded polygon, from half the radius calls of the defect
+    from centroid_sections import cli
+    if name == "polygon":
+        body = polygon_body(random_convex_hull(np.random.default_rng(SEED)))
+    else:
+        body = cli._DEMOS[name]()
+    calls = {}
+    radius = planar.PlanarBody.radius
+
+    def counted_radius(self, theta):
+        calls["radius"] += 1
+        return radius(self, theta)
+
+    def counted(defect):
+        def wrapped(body, theta):
+            calls["defect"] += 1
+            return defect(body, theta)
+        return wrapped
+
+    monkeypatch.setattr(planar.PlanarBody, "radius", counted_radius)
+    runs = {}
+    for label, defect in (("one", planar._chord_defect),
+                          ("two", chord_defect_two_calls)):
+        monkeypatch.setattr(planar, "_chord_defect", counted(defect))
+        calls.update(radius=0, defect=0)
+        runs[label] = repr(bisected_chords(body)), dict(calls)
+    (got, one), (want, two) = runs["one"], runs["two"]
+    assert got == want
+    assert one["defect"] == two["defect"] > 0
+    elsewhere = one["radius"] - one["defect"]
+    assert two["radius"] - elsewhere == 2 * one["defect"]
+
+
+def test_polygon_radius_same_bits_however_batched():
+    # rays through a vertex, and a float either side of it, that the
+    # half-open edge rule can miss: the relaxed rule applies to the rays
+    # it missed alone, so a direction's radius does not depend on the
+    # others in the call (in three of these 100 polygons a missed ray
+    # used to move the radii of others)
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        v = random_convex_hull(rng, 12)
+        v = polygon_body(v - v.mean(axis=0)).vertices
+        th = np.arctan2(v[:, 1], v[:, 0])
+        th = np.concatenate([th, np.nextafter(th, 10), np.nextafter(th, -10)])
+        batch = planar._polygon_radius(v, th)
+        alone = [planar._polygon_radius(v, th[i:i + 1])[0]
+                 for i in range(th.size)]
+        assert np.array_equal(batch, alone)
