@@ -1,8 +1,8 @@
 """Numerical construction of a convex body in R^n (n >= 5) whose centroid
 is the centroid of exactly one central hyperplane section, together with
 the spectral toolkit (Gegenbauer expansions, homogeneous-extension
-transforms, the pairing check) used to certify it, and the planar
-three-chords counterpart.
+transforms, a pairing residual) behind it, and the planar three-chords
+counterpart.
 
 Importing the package loads none of its submodules, numpy or scipy: each
 name below is imported from its submodule on first access (PEP 562), so a

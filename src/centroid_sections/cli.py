@@ -100,13 +100,6 @@ def _profiles_rows(res):
     return zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
 
 
-def _sections_rows(sweep):
-    u = sweep["u_grid"]
-    return [(float(u[i]), float(sweep["centroid_quadrature"][i]),
-             float(sweep["centroid_analytic"][i]),
-             float(sweep["rel_err"][i])) for i in range(len(u))]
-
-
 def cmd_construct(args) -> int:
     from . import counterexample as cx
     from .revolution_bodies import body_to_dict
@@ -124,19 +117,20 @@ def cmd_construct(args) -> int:
                                   "error": str(exc)}))
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCT
-    cert = res["certificate"]
-    _write_atomic(os.path.join(out, "certificate.json"), _json_text(cert))
-    _write_atomic(
-        os.path.join(out, "profiles.csv"),
-        _csv_text(["u", "rho_base", "perturbation", "rho_perturbed",
-                   "blend", "blend_transform"],
-                  _profiles_rows(res)))
-    _write_atomic(
-        os.path.join(out, "sections.csv"),
-        _csv_text(["u_xi", "centroid_quadrature", "centroid_analytic",
-                   "rel_err"], _sections_rows(res["sweep"])))
-    _write_atomic(os.path.join(out, "body.json"),
-                  _json_text(body_to_dict(res["body"])))
+    cert, columns = res["certificate"], ("u_grid", "centroid_quadrature",
+                                         "centroid_analytic", "rel_err")
+    files = {
+        "certificate.json": _json_text(cert),
+        "profiles.csv": _csv_text(
+            ["u", "rho_base", "perturbation", "rho_perturbed", "blend",
+             "blend_transform"], _profiles_rows(res)),
+        "sections.csv": _csv_text(
+            ["u_xi", *columns[1:]],
+            zip(*(res["sweep"][c].tolist() for c in columns))),
+        "body.json": _json_text(body_to_dict(res["body"])),
+    }
+    for name, text in files.items():
+        _write_atomic(os.path.join(out, name), text)
     status = "valid" if cert["valid"] else "INVALID"
     print(f"certificate {status}: lambda0={cert['lambda0']:.9e} "
           f"eps0={cert['eps0']:.3e} "
@@ -150,8 +144,8 @@ def cmd_construct(args) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-def _check(lines, name, ok, detail):
-    lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+def _check(name, ok, detail):
+    print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     return ok
 
 
@@ -167,10 +161,14 @@ def _malformed(cert) -> Optional[str]:
     """Why a value that verify reads from the certificate is missing or
     not a finite number, or None if every one is."""
     params, config = cert.get("params"), cert.get("config", {})
-    if not (isinstance(params, dict) and isinstance(config, dict)
-            and isinstance(config.get("tolerances", {}), dict)):
-        return "params, config and config.tolerances must be objects"
-    entries = [("params.n", params.get("n"), int)]
+    grids = cert.get("grids")
+    if not all(isinstance(x, dict) for x in (
+            params, config, config.get("tolerances", {}), cert.get("checks"),
+            grids)):
+        return ("params, checks, grids, config and config.tolerances must "
+                "be objects")
+    entries = [("params.n", params.get("n"), int),
+               ("grids.alpha_grid", grids.get("alpha_grid"), int)]
     entries += [(f"params.{k}", params.get(k), float) for k in
                 ("a", "cap_u0", "cap_margin", "eps", "lambda")]
     entries += [(k, cert.get(k), float) for k in
@@ -206,10 +204,11 @@ def _load_certificate(args):
 
     Every value that verify reads must be present and a finite number.
     The recorded parameters set the geometry.  Grid sizes are package
-    constants, never read from the file, and the sweep grid can only be
-    raised above the package's.  A stored tolerance can only tighten the
-    package default: the check uses the smaller of the two, so a
-    certificate cannot loosen or coarsen its own checks.
+    constants, never read from the file; grids.alpha_grid only names the
+    sweep directions of the certificate's record, which verify refines to
+    at least twice the package's grid.  A stored tolerance can only
+    tighten the package default: the check uses the smaller of the two,
+    so a certificate cannot loosen or coarsen its own checks.
     """
     from . import counterexample as cx
     try:
@@ -237,24 +236,15 @@ def _load_certificate(args):
             setattr(cfg, f.name, stored[f.name])
     try:
         cfg.validate()
+        cfg.alpha_grid = cert["grids"]["alpha_grid"]
+        cfg.validate()
     except ValueError as exc:
         print(f"error: invalid certificate configuration: {exc}",
               file=sys.stderr)
         return None
     p = cert["params"]
     cfg.n, cfg.a = p["n"], p["a"]
-    cfg.alpha_grid = max(cfg.alpha_grid, RunConfig.alpha_grid)
     return cert, cfg, p["cap_u0"]
-
-
-def _context(cfg, cap_u0):
-    """The construction context for recorded parameters; parameters that
-    admit no body are a failed precondition, not a crash."""
-    from . import counterexample as cx
-    try:
-        return cx.get_context(cfg, cap_u0)
-    except ValueError as exc:
-        raise ConstructionError(str(exc)) from exc
 
 
 def cmd_verify(args) -> int:
@@ -262,50 +252,57 @@ def cmd_verify(args) -> int:
     if loaded is None:
         return EXIT_USAGE
     cert, cfg, cap_u0 = loaded
-    lines = []
     try:
-        ok = _recheck(lines, cert, cfg, _context(cfg, cap_u0))
+        ok = _recheck(cert, cfg, cap_u0)
     except ConstructionError as exc:
-        # a precondition that fails on the recorded parameters refutes the
-        # certificate; it is not a construction run that failed
-        ok = _check(lines, "recheck_completes", False, str(exc))
-    for line in lines:
-        print(line)
+        # a precondition that fails on the recorded parameters (as one that
+        # admits no body) refutes the certificate; no construction failed
+        ok = _check("recheck_completes", False, str(exc))
     print("verification " + ("PASSED" if ok else "FAILED"))
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def _recheck(lines, cert, cfg, ctx) -> bool:
-    """Recompute the certificate's checks, one PASS/FAIL line each."""
-    tol = cfg.tolerances
-    lam0, eps0 = cert["lambda0"], cert["eps0"]
-    ok = True
+# the record entry that each of the certificate's checks bounds
+_CHECK_READS = {
+    "lambda0_interior": "lambda0",
+    "root_within_tolerance": "centroid_at_root",
+    "bracket_sign_change": "bracket",
+    "base_convex": "kappa_min_base",
+    "perturbed_convex": "kappa_min_perturbed",
+    "identity_within_tolerance": "identity_max_relerr",
+    "margin_positive": "min_section_margin",
+    "pole_sections_zero": "pole_section_abs",
+    "equator_within_tolerance": "equator_residual_rel",
+}
 
-    c = ctx.centroid(lam0, eps0)
-    ok &= _check(lines, "centroid_at_recorded_root",
-                 c is not None and abs(c) <= tol["root_abs"],
-                 f"|c| = {abs(c):.3e}" if c is not None else "positivity lost")
+
+def _recheck(cert, cfg, cap_u0) -> bool:
+    """Recompute the certificate's checks at its (lambda0, eps0) with
+    construct's own code (ConstructionContext.certify), one PASS/FAIL line
+    each, then verify's own: the root found again, lhs by the quadrature
+    route, and the file's record against the recomputed one."""
+    from .counterexample import _mirrored_grid, get_context
+    try:
+        ctx = get_context(cfg, cap_u0)
+    except ValueError as exc:
+        raise ConstructionError(str(exc)) from exc
+    lam0, eps0 = cert["lambda0"], cert["eps0"]
+    # the sweep directions of the file's record, refined stride/2-fold to
+    # at least twice the package's grid: every stride-th direction is one
+    size = cfg.alpha_grid
+    stride = 2 * -(-(RunConfig.alpha_grid - 1) // (size - 1))
+    grid = _mirrored_grid(stride * (size - 1) + 1)
+    record, sweep = ctx.certify(lam0, eps0, grid)
+    ok = True
+    for name, passed in record["checks"].items():
+        key = _CHECK_READS[name]
+        ok &= _check(name, passed, f"{key} = {record[key]!r}")
 
     root = ctx.find_root(eps0)
-    ok &= _check(lines, "root_reproduces",
+    ok &= _check("root_reproduces",
                  abs(root["lambda0"] - lam0) <= 1e-8,
                  f"recomputed lambda0 = {root['lambda0']:.9e}")
 
-    rep = ctx.kappa_report(lam0, eps0)
-    km = rep.kappa_min
-    ok &= _check(lines, "perturbed_convex", rep.is_convex,
-                 f"kappa_min = {km:.6f}, margin = {rep.margin:.1e}")
-    ok &= _check(lines, "kappa_matches_certificate",
-                 abs(km - cert["kappa_min_perturbed"])
-                 <= 1e-6 * max(1.0, abs(km)),
-                 f"certificate kappa_min = {cert['kappa_min_perturbed']:.6f}")
-
-    from .counterexample import _mirrored_grid
-    grid = _mirrored_grid(2 * (cfg.alpha_grid - 1) + 1)
-    sweep = ctx.identity_sweep(lam0, eps0, grid)
-    ok &= _check(lines, "identity_on_doubled_grid",
-                 sweep["max_rel_err"] <= tol["identity_rel"],
-                 f"max rel err = {sweep['max_rel_err']:.3e}")
     # the other route for lhs, at the 4 worst directions and the 2 interior
     # ones nearest each pole
     picks = np.union1d(np.argsort(sweep["rel_err"])[-4:],
@@ -313,22 +310,24 @@ def _recheck(lines, cert, cfg, ctx) -> bool:
     dev = (np.max(np.abs(ctx.quadrature_lhs(lam0, eps0, grid[picks])
                          - sweep["lhs"][picks]))
            / max(float(np.max(np.abs(sweep["rhs"]))), 1e-300))
-    ok &= _check(lines, "identity_by_quadrature",
-                 dev <= tol["identity_rel"] / 10.0,
+    ok &= _check("identity_by_quadrature",
+                 dev <= cfg.tolerances["identity_rel"] / 10.0,
                  f"max |lhs difference| = {dev:.3e} of max |rhs| at "
                  f"{picks.size} directions")
-    ok &= _check(lines, "margin_positive",
-                 sweep["min_margin"] > 0.0
-                 and cert["min_section_margin"] > 0.0,
-                 f"recomputed margin = {sweep['min_margin']:.3e}, "
-                 f"recorded = {cert['min_section_margin']:.3e}")
-    ok &= _check(lines, "pole_sections_zero",
-                 sweep["pole_abs"] <= tol["pole_section_abs"],
-                 f"max |centroid| at poles = {sweep['pole_abs']:.3e}")
 
-    eq = ctx.equator_ratio(lam0)
-    ok &= _check(lines, "equator_within_tolerance",
-                 eq <= tol["equator_rel"], f"ratio = {eq:.3e}")
+    # the file's flags, and two of its values to 1e-6 relative, the margin
+    # over the record's own directions
+    recomputed = {"kappa_min_perturbed": record["kappa_min_perturbed"],
+                  "min_section_margin": float(np.min(
+                      sweep["centroid_quadrature"][stride:-stride:stride])
+                      / record["diameter"])}
+    differ = [f"checks.{name}" for name, flag in record["checks"].items()
+              if cert["checks"].get(name) is not flag]
+    differ += [key for key, value in recomputed.items()
+               if not abs(value - cert[key]) <= 1e-6 * abs(value)]
+    ok &= _check("record_matches_recomputation", not differ,
+                 "differ: " + ", ".join(differ) if differ else
+                 "checks, kappa_min_perturbed and min_section_margin agree")
     return ok
 
 

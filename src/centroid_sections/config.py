@@ -13,7 +13,6 @@ class ConstructionError(RuntimeError):
 
 def default_tolerances() -> dict:
     return {
-        "parseval_rel": 1e-8,
         "equator_rel": 1e-8,
         "identity_rel": 1e-6,
         "root_abs": 1e-13,
@@ -45,8 +44,9 @@ class RunConfig:
     cap_margin: ClassVar[float] = 0.5
 
     # quadrature order and degree of the analytic profiles' expansions
-    # (pairing check, intersection-body test, body.json samples); the
-    # order of the rule for the sweep's section volumes
+    # (intersection-body test), the body.json samples of a body that
+    # carries none, and the order of the rule for the sweep's section
+    # volumes
     quad_order: ClassVar[int] = 256
     max_degree: ClassVar[int] = 120
 

@@ -24,8 +24,8 @@ multiple of the bump's own series (identity_sweep).  The gap's transform
 has a closed form, and so has its quotient by u (_gap_quotient).
 get_context returns the context; its methods are the
 per-(lam, eps) functionals (centroid, kappa_report, select_eps,
-find_root, identity_sweep), and run_construction chains them into the
-certificate.  The context is also the only producer of the odd
+find_root, identity_sweep, certify), and run_construction chains them
+into the certificate.  The context is also the only producer of the odd
 perturbation phi = (ghat(u) - ghat(0)) / u of the blended transform ghat
 and of the perturbed body (rho_base^n + eps phi)^{1/n}: perturbation and
 perturbed_body.
@@ -48,7 +48,7 @@ from .spherical_core import (LD, _PI_LD, GegenbauerSpectrum, SphereProfile,
                              _cosine_coeffs, _cosine_sum, _divide_by_u,
                              _gegenbauer_moments, _norm_ratios,
                              bochner_multiplier, eval_spectrum, gauss_jacobi,
-                             parseval_residual, sphere_area)
+                             sphere_area)
 
 __all__ = [
     "ConstructionError", "negativity_threshold",
@@ -438,35 +438,40 @@ class ConstructionContext:
         g = self._gap_ft(u)
         return (1.0 - lam) * b + lam * np.asarray(g, dtype=np.float64)
 
-    def blend_ft_at_zero(self, lam: float) -> float:
-        return (1.0 - lam) * self.bump_ft_at_zero
-
     def perturbation(self, lam: float) -> SphereProfile:
         """Odd profile phi = (ghat(u) - ghat(0)) / u of the blended
-        transform ghat, values only (see _phi).  Raises unless ghat
-        vanishes at the equator to the configured tolerance, relative to
-        its max over the equator grid."""
+        transform ghat, values only: the bump's quotient from its cosine
+        series (quotient_cosine, _cosine_sum) and the gap's closed form
+        (_gap_quotient), both in float64.  Raises unless ghat vanishes at
+        the equator to the configured tolerance, relative to its max over
+        the equator grid."""
         ratio = self.equator_ratio(lam)
         tol = self.config.tolerances["equator_rel"]
         if not ratio <= tol:
             raise ConstructionError(
                 f"transform does not vanish at the equator: |value| is "
                 f"{ratio:.3e} of its max, above {tol:.1e}")
-        return SphereProfile(n=self.n, eval=partial(self._phi, lam=lam),
-                             parity="odd")
+
+        def phi(u):
+            u = np.asarray(u, dtype=np.float64)
+            return ((1.0 - lam) * _cosine_sum(self.quotient_cosine, u, "odd")
+                    + lam * self._gap_q[0](u))
+
+        return SphereProfile(n=self.n, eval=phi, parity="odd")
 
     def perturbed_body(self, lam: float, eps: float) -> RevolutionBody:
         """Body with radial profile (rho_base^n + eps phi)^{1/n}, phi the
         perturbation at lam, so that the section and centroid integrands,
         which involve rho^n, are exactly linear in eps.  Raises unless
         rho_base^n + eps phi > 0 at the nodes (NaN or inf fails).  Values
-        only: convexity is kappa_report's."""
+        only: convexity is kappa_report's.  Its samples are its (u, rho)
+        rows at the nodes, from their tables, ascending in u."""
         if eps < 0:
             raise ValueError("perturbation size must be nonnegative")
-        fmin = np.min(self._power(lam, eps))
-        if not fmin > 0:
-            raise ConstructionError(
-                f"rho^n + eps phi reaches {fmin:.3e} <= 0: eps too large")
+        f = self._power(lam, eps)
+        if not np.min(f) > 0:
+            raise ConstructionError(f"rho^n + eps phi reaches "
+                                    f"{np.min(f):.3e} <= 0: eps too large")
         n, rho, phi = self.n, self.base.rho, self.perturbation(lam)
 
         def value(u):
@@ -476,15 +481,16 @@ class ConstructionContext:
         params = dict(self.base.params, eps=float(eps), n=n,
                       cap_u0=self.cap_u0)
         params["lambda"] = float(lam)
+        samples = np.stack([self._x, f ** (1.0 / n)], axis=1)[::-1]
         return RevolutionBody(n=n, rho=SphereProfile(n=n, eval=value),
                               kind="perturbed", params=params,
-                              samples=self._x.size)
+                              samples=samples)
 
     def equator_ratio(self, lam: float) -> float:
         """|transform at equator| relative to its max over the grid."""
         vals = (1.0 - lam) * self._bft_eq + lam * self._gft_eq
         scale = float(np.max(np.abs(vals)))
-        return abs(self.blend_ft_at_zero(lam)) / max(scale, 1e-300)
+        return abs((1.0 - lam) * self.bump_ft_at_zero) / max(scale, 1e-300)
 
     # -- fast per-(lam, eps) functionals ----------------------------------
 
@@ -674,14 +680,6 @@ class ConstructionContext:
         f = np.asarray(self.base.rho(v), dtype=np.float64) ** n + eps * phi
         return self._subsurf * ((v * f) @ tw)
 
-    def _phi(self, u, lam: float):
-        """phi at u: the bump's quotient from its cosine series
-        (quotient_cosine, _cosine_sum) and the gap's closed form
-        (_gap_quotient), both in float64."""
-        u = np.asarray(u, dtype=np.float64)
-        return ((1.0 - lam) * _cosine_sum(self.quotient_cosine, u, "odd")
-                + lam * self._gap_q[0](u))
-
     def pole_report(self, lam: float, seed_max: float) -> dict:
         """The sweep's S_M = (1 - lam)(b_M - b_M(1)) + lam gap at the
         poles, from the longdouble cosine series e of b_M: the truncation
@@ -700,9 +698,54 @@ class ConstructionContext:
     def diameter(self, lam: float, eps: float) -> float:
         """Max over the nodes of rho(u) + rho(-u) (axial symmetry makes
         antipodal pairs along meridians the extremal chords)."""
-        phi = (1.0 - lam) * self._bq[0] + lam * self._gq[0]
-        r = _root_jet(self.n, eps, self._rho[:1], (phi,), self._rho_pow)[0]
+        r = self._power(lam, eps) ** (1.0 / self.n)
         return float(np.max(r + r[::-1]))
+
+    def certify(self, lam: float, eps: float,
+                u_grid: Optional[np.ndarray] = None) -> tuple:
+        """(record, sweep): every certificate entry that (lam, eps)
+        determine, with the checks that hold them to the configured
+        tolerances, and the identity sweep over u_grid behind them.  A
+        centroid that is None (positivity lost) fails its checks."""
+        tol = self.config.tolerances
+        c, c0, c1 = (self.centroid(x, eps) for x in (lam, 0.0, 1.0))
+        sweep = self.identity_sweep(lam, eps, u_grid)
+        base = curvature(self.base, margin=tol["convexity_margin"])
+        pert = self.kappa_report(lam, eps)
+        eq_rel = self.equator_ratio(lam)
+        checks = {
+            "lambda0_interior": 0.0 < lam < 1.0,
+            "root_within_tolerance": c is not None
+                                     and abs(c) <= tol["root_abs"],
+            "bracket_sign_change": None not in (c0, c1) and c0 < 0.0 < c1,
+            "base_convex": base.is_convex,
+            "perturbed_convex": pert.is_convex,
+            "identity_within_tolerance":
+                sweep["max_rel_err"] <= tol["identity_rel"],
+            "margin_positive": sweep["min_margin"] > 0.0,
+            "pole_sections_zero": sweep["pole_abs"] <= tol["pole_section_abs"],
+            "equator_within_tolerance": eq_rel <= tol["equator_rel"],
+        }
+        record = {
+            "lambda0": lam, "eps0": eps, "centroid_at_root": c,
+            "bracket": {"centroid_at_0": c0, "centroid_at_1": c1},
+            "kappa_min_base": base.kappa_min,
+            "kappa_min_perturbed": pert.kappa_min,
+            "kappa_argmin_theta": pert.argmin_theta,
+            "min_section_margin": sweep["min_margin"],
+            "diameter": self.diameter(lam, eps),
+            "equator_residual": abs((1.0 - lam) * self.bump_ft_at_zero),
+            "equator_residual_rel": eq_rel,
+            "equator_scan": {f"{x:.2f}": self.equator_ratio(x)
+                             for x in (0.0, 0.25, 0.5, 0.75, 1.0)},
+            "identity_max_relerr": sweep["max_rel_err"],
+            "pole_section_abs": sweep["pole_abs"],
+            "near_pole_section_abs": sweep["near_pole_abs"],
+            "pole_series": self.pole_report(
+                lam, float(np.max(self.seed_value(sweep["u_grid"], lam)))),
+            "checks": checks,
+        }
+        return record, sweep
 
 
 def get_context(config: Optional[RunConfig] = None,
@@ -733,58 +776,22 @@ def get_context(config: Optional[RunConfig] = None,
 
 
 def run_construction(config: Optional[RunConfig] = None) -> dict:
-    """Run the full construction: the certificate dict, with the context,
-    sweep, perturbed body, root and eps selection behind it.
-
-    Pipeline: pick the geometry, expand the bump transform, halve eps to
-    an admissible size, bisect the blend weight to put the centroid at
-    the origin, then check everything the claim needs: convexity of base
-    and perturbed bodies, the section-centroid identity along the sweep,
-    equator residuals, a transform-pairing residual, and pole sections.
-    The certificate records every residual with the tolerance it was held
-    to, and valid is True only if all of them pass.
-    """
+    """The certificate dict, with the context, sweep, perturbed body, root
+    and eps selection behind it: halve eps to an admissible size
+    (select_eps), bisect the blend weight to put the centroid at the
+    origin (find_root), and record and check at that (lambda0, eps0)
+    everything the claim needs (certify).  valid only if every check
+    passes."""
     t0 = time.perf_counter()
     cfg = config or RunConfig()
-    cfg.validate()
     ctx = get_context(cfg)
-    tol = cfg.tolerances
 
     sel = ctx.select_eps(cfg.eps)
     eps0 = sel["eps"]
     root = ctx.find_root(eps0)
     lam0 = root["lambda0"]
-
-    sweep = ctx.identity_sweep(lam0, eps0)
-    pole = ctx.pole_report(
-        lam0, float(np.max(ctx.seed_value(sweep["u_grid"], lam0))))
-
-    body = ctx.perturbed_body(lam0, eps0)
-    rep_base = curvature(ctx.base, margin=tol["convexity_margin"])
-    rep_pert = ctx.kappa_report(lam0, eps0)
-
-    eq_scan = {lam: ctx.equator_ratio(lam)
-               for lam in (0.0, 0.25, 0.5, 0.75, 1.0)}
-    eq_rel0 = ctx.equator_ratio(lam0)
-    eq_abs0 = abs(ctx.blend_ft_at_zero(lam0))
-
-    pv = parseval_residual(ctx.base.rho, ctx.gap, 1.0)
-
-    diam = ctx.diameter(lam0, eps0)
-
-    checks = {
-        "lambda0_interior": 0.0 < lam0 < 1.0,
-        "root_within_tolerance": abs(root["centroid_at_root"]) <= tol["root_abs"],
-        "bracket_sign_change": sel["centroid_at_0"] < 0.0 < sel["centroid_at_1"],
-        "base_convex": _clears(rep_base.kappa_min, tol["convexity_margin"]),
-        "perturbed_convex": rep_pert.is_convex,
-        "identity_within_tolerance": sweep["max_rel_err"] <= tol["identity_rel"],
-        "margin_positive": sweep["min_margin"] > 0.0,
-        "pole_sections_zero": sweep["pole_abs"] <= tol["pole_section_abs"],
-        "equator_within_tolerance": eq_rel0 <= tol["equator_rel"],
-        "pairing_within_tolerance": pv <= tol["parseval_rel"],
-    }
-    failures = sorted(name for name, ok in checks.items() if not ok)
+    record, sweep = ctx.certify(lam0, eps0)
+    failures = sorted(name for name, ok in record["checks"].items() if not ok)
 
     cert = {
         "schema": CERTIFICATE_SCHEMA,
@@ -792,38 +799,15 @@ def run_construction(config: Optional[RunConfig] = None) -> dict:
                    "cap_margin": cfg.cap_margin, "eps": eps0,
                    "lambda": lam0},
         "bump_form": "exp(-1/s - 1/(1-s)) on s = (|u| - cap_u0)/(1 - cap_u0)",
-        "lambda0": lam0,
-        "eps0": eps0,
-        "centroid_at_root": root["centroid_at_root"],
+        **record,
         "root_iterations": root["iterations"],
         "eps_halvings": sel["halvings"],
-        "bracket": {"centroid_at_0": sel["centroid_at_0"],
-                    "centroid_at_1": sel["centroid_at_1"]},
-        "kappa_min_base": rep_base.kappa_min,
-        "kappa_min_perturbed": rep_pert.kappa_min,
-        "kappa_argmin_theta": rep_pert.argmin_theta,
-        "min_section_margin": sweep["min_margin"],
-        "diameter": diam,
-        "equator_residual": eq_abs0,
-        "equator_residual_rel": eq_rel0,
-        "equator_scan": {f"{k:.2f}": v for k, v in eq_scan.items()},
-        "parseval_residual": pv,
-        "identity_max_relerr": sweep["max_rel_err"],
-        "pole_section_abs": sweep["pole_abs"],
-        "near_pole_section_abs": sweep["near_pole_abs"],
-        "pole_series": pole,
         "negativity_threshold": negativity_threshold(ctx.n, ctx.a),
         "config": asdict(cfg),
-        "grids": {
-            "bump_max_degree": cfg.bump_max_degree,
-            "bump_theta_samples": cfg.bump_theta_samples,
-            "section_quad_order": cfg.section_quad_order,
-            "alpha_grid": cfg.alpha_grid,
-            "curvature_grid": cfg.curvature_grid,
-            "equator_grid": cfg.equator_grid,
-        },
-        "tolerances": dict(tol),
-        "checks": checks,
+        "grids": {k: getattr(cfg, k) for k in (
+            "bump_max_degree", "bump_theta_samples", "section_quad_order",
+            "alpha_grid", "curvature_grid", "equator_grid")},
+        "tolerances": dict(cfg.tolerances),
         "valid": not failures,
         "failures": failures,
         "meta": {
@@ -833,4 +817,5 @@ def run_construction(config: Optional[RunConfig] = None) -> dict:
         },
     }
     return {"certificate": cert, "context": ctx, "sweep": sweep,
-            "body": body, "root": root, "selection": sel}
+            "body": ctx.perturbed_body(lam0, eps0), "root": root,
+            "selection": sel}

@@ -21,6 +21,10 @@ __all__ = ["PlanarBody", "polygon_body", "radial_body", "planar_centroid",
 
 # uniform angles of the centroid quadrature and of the first chord scan
 _GRID = 4096
+# the chord scan's rescans of clustered crossings (see bisected_chords)
+_REFINE = 64
+_REFINE_LEVELS = 6
+_SCAN_MAX = 8 * _GRID
 # angles at which a radial profile is checked and a body's size is read
 _CHECK_GRID = 720
 # largest accepted |coordinate| of a polygon vertex: the centroid sums are
@@ -245,58 +249,69 @@ def bisected_chords(body: PlanarBody) -> dict:
     sign changes and sharpens each by bisection.  Returns
     {"symmetric_all": True, ...} when the defect stays within 1e-10 of
     the largest radius (centrally symmetric body), else a direction
-    list with an odd count >= 3, each to within 1e-10.  Tightly clustered
-    roots trigger a rescan at doubled resolution, up to three times,
-    rather than a miscount; a scan that still cannot resolve them raises
-    ConstructionError.
+    list with an odd count >= 3, each to within 1e-10.  Crossings fewer
+    than 3 scan intervals apart (all of them, while the count is even or
+    below 3) are rescanned _REFINE times finer with their neighbouring
+    intervals, up to _REFINE_LEVELS times and _SCAN_MAX angles a rescan;
+    a scan that still cannot resolve them raises ConstructionError.
     """
     body = recenter(body)
     scale = float(np.max(body.radius(np.linspace(0, 2 * np.pi, _CHECK_GRID,
                                                  endpoint=False))))
-    for attempt in range(4):
-        m = _GRID * 2 ** attempt
-        th = np.linspace(0.0, np.pi, m, endpoint=False)
-        f = _chord_defect(body, th)
-        fmax = float(np.max(np.abs(f)))
-        if fmax <= 1e-10 * scale:
-            return {"symmetric_all": True, "count": None, "directions": [],
-                    "max_defect": fmax}
-        g = np.append(f, -f[0])          # f(pi) = -f(0) by antiperiodicity
+    th = np.linspace(0.0, np.pi, _GRID, endpoint=False)
+    f = _chord_defect(body, th)
+    fmax = float(np.max(np.abs(f)))
+    if fmax <= 1e-10 * scale:
+        return {"symmetric_all": True, "count": None, "directions": [],
+                "max_defect": fmax}
+    # f(pi) = -f(0) by antiperiodicity closes the scan; w is the width of
+    # the interval that starts at each angle
+    th, g = np.append(th, np.pi), np.append(f, -f[0])
+    w = np.full(th.size, np.pi / _GRID)
+    for level in range(_REFINE_LEVELS + 1):
+        # a zero takes the sign before it (+ first), so a grid hit is not
+        # counted twice
         sign = np.sign(g)
-        # walk zeros onto a side so a grid hit is not counted twice
-        for i in range(len(sign)):
-            if sign[i] == 0:
-                sign[i] = sign[i - 1] if i else 1.0
+        sign[0] = sign[0] or 1.0
+        last = np.maximum.accumulate(np.where(sign, np.arange(g.size), 0))
+        sign = sign[last]
         idx = np.nonzero(sign[1:] != sign[:-1])[0]
-        spacing = np.pi / m
-        gaps = np.diff(np.concatenate([idx, [idx[0] + m]])) if idx.size else []
-        if idx.size and np.min(gaps) < 3:
-            continue                      # clustered: refine the scan
-        # sharpen every crossing at once; each stops on its own rule
-        lo, hi = th[idx], th[idx] + spacing
-        flo = _chord_defect(body, lo)
-        # a zero defect at the left end is the root; the side test below
-        # would count it as positive
-        hi[flo == 0.0] = lo[flo == 0.0]
-        k = np.arange(idx.size)
-        for _ in range(200):
-            k = k[hi[k] - lo[k] > 1e-10]
-            if not k.size:
-                break
-            mid = 0.5 * (lo[k] + hi[k])
-            fm = _chord_defect(body, mid)
-            hit = fm == 0.0
-            lo[k[hit]] = hi[k[hit]] = mid[hit]
-            left = ~hit & ((fm < 0) == (flo[k] < 0))
-            lo[k[left]], flo[k[left]] = mid[left], fm[left]
-            right = ~hit & ~left
-            hi[k[right]] = mid[right]
-        roots = sorted(float(t) for t in 0.5 * (lo + hi) % np.pi)
-        count = len(roots)
-        if count >= 3 and count % 2 == 1:
-            return {"symmetric_all": False, "count": count,
-                    "directions": roots, "max_defect": fmax}
-        # even or short counts mean the scan missed a crossing
-    raise ConstructionError(
-        "could not resolve an odd number (>= 3) of bisected chords; "
-        "boundary may be non-convex or degenerate")
+        near = np.diff(np.append(idx, idx[:1] + th.size - 1)) < 3
+        miscount = idx.size < 3 or idx.size % 2 == 0
+        flagged = idx if miscount else idx[near | np.roll(near, 1)]
+        if not (miscount or flagged.size):
+            break
+        refine = np.unique((flagged[:, None] + [-1, 0, 1]) % (th.size - 1))
+        if (not refine.size or level == _REFINE_LEVELS
+                or refine.size * (_REFINE - 1) > _SCAN_MAX):
+            raise ConstructionError(
+                "could not resolve an odd number (>= 3) of bisected chords; "
+                "boundary may be non-convex or degenerate")
+        w[refine] /= _REFINE
+        new = (th[refine, None] + w[refine, None] * np.arange(1, _REFINE))
+        order = np.argsort(np.append(th, new), kind="stable")
+        th = np.append(th, new)[order]
+        g = np.append(g, _chord_defect(body, new.ravel()))[order]
+        w = np.append(w, np.repeat(w[refine], _REFINE - 1))[order]
+    # sharpen every crossing at once; each stops on its own rule
+    lo, flo = th[idx], g[idx]
+    hi = lo + w[idx]
+    # a zero defect at the left end is the root; the side test below
+    # would count it as positive
+    hi[flo == 0.0] = lo[flo == 0.0]
+    k = np.arange(idx.size)
+    for _ in range(200):
+        k = k[hi[k] - lo[k] > 1e-10]
+        if not k.size:
+            break
+        mid = 0.5 * (lo[k] + hi[k])
+        fm = _chord_defect(body, mid)
+        hit = fm == 0.0
+        lo[k[hit]] = hi[k[hit]] = mid[hit]
+        left = ~hit & ((fm < 0) == (flo[k] < 0))
+        lo[k[left]], flo[k[left]] = mid[left], fm[left]
+        right = ~hit & ~left
+        hi[k[right]] = mid[right]
+    roots = sorted(float(t) for t in 0.5 * (lo + hi) % np.pi)
+    return {"symmetric_all": False, "count": len(roots),
+            "directions": roots, "max_defect": fmax}

@@ -23,9 +23,8 @@ class RevolutionBody:
 
     rho is the radial profile as a function of u = <xi, e_n>.  kind is one
     of "base" (closed-form flattened ball), "perturbed" (base plus odd
-    perturbation), "custom".  samples, when set, is the number of points
-    uniform in theta = arccos u that resolve the profile's spectral
-    content; body_to_dict samples at max(RunConfig.quad_order, samples).
+    perturbation), "custom".  samples, when set, holds (u, rho) rows of
+    the profile, ascending in u, that body_to_dict writes.
     """
 
     n: int
@@ -33,7 +32,7 @@ class RevolutionBody:
     kind: str = "custom"
     params: dict = field(default_factory=dict)
     ft_profile: Optional[SphereProfile] = None
-    samples: Optional[int] = None
+    samples: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -161,16 +160,17 @@ def intersection_body_test(body: RevolutionBody,
 # serialization
 
 def body_to_dict(body: RevolutionBody) -> dict:
-    """The body's parameters and its radial profile at the N points
-    u = -cos(i pi / (N - 1)), N = max(RunConfig.quad_order, body.samples),
-    ascending."""
-    count = max(RunConfig.quad_order, body.samples or 0)
-    u = -np.cos(np.linspace(0.0, np.pi, count))
-    rho = np.asarray(body.rho(u), dtype=float)
+    """The body's parameters and its radial profile: the body's own
+    samples, or for a body without them its values at the N points
+    u = -cos(i pi / (N - 1)), N = RunConfig.quad_order, ascending."""
+    rows = body.samples
+    if rows is None:
+        u = -np.cos(np.linspace(0.0, np.pi, RunConfig.quad_order))
+        rows = np.stack([u, np.asarray(body.rho(u), dtype=float)], axis=1)
     return {
         "n": body.n,
         "kind": body.kind,
         "params": {k: float(v) for k, v in body.params.items()},
-        "profile_samples": [[float(a), float(b)] for a, b in zip(u, rho)],
+        "profile_samples": np.asarray(rows, dtype=float).tolist(),
     }
 

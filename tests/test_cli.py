@@ -229,7 +229,7 @@ def test_verify_fresh_certificate_passes(cli_outdir, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "verification PASSED" in out
-    assert out.count("PASS ") == 9 and "FAIL" not in out
+    assert out.count("PASS ") == 12 and "FAIL" not in out
 
 
 def _tampered(cli_outdir, tmp_path, mutate):
@@ -246,7 +246,7 @@ def test_verify_rejects_shifted_root(cli_outdir, tmp_path, capsys):
     rc = cli.main(["verify", str(path)])
     out = capsys.readouterr().out
     assert rc == 4
-    assert "FAIL centroid_at_recorded_root" in out
+    assert "FAIL root_within_tolerance" in out
     assert "verification FAILED" in out
 
 
@@ -261,7 +261,7 @@ def test_verify_holds_nudged_root_to_package_tolerance(cli_outdir, tmp_path,
     rc = cli.main(["verify", str(path)])
     out = capsys.readouterr().out
     assert rc == 4
-    assert "FAIL centroid_at_recorded_root" in out
+    assert "FAIL root_within_tolerance" in out
 
 
 def test_verify_honours_tightened_tolerance(cli_outdir, tmp_path, capsys):
@@ -272,7 +272,7 @@ def test_verify_honours_tightened_tolerance(cli_outdir, tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 4
     assert "FAIL equator_within_tolerance" in out
-    assert "PASS centroid_at_recorded_root" in out
+    assert "PASS root_within_tolerance" in out
 
 
 def test_verify_fails_when_recheck_precondition_fails(cli_outdir, tmp_path,
@@ -286,8 +286,8 @@ def test_verify_fails_when_recheck_precondition_fails(cli_outdir, tmp_path,
     rc = cli.main(["verify", str(path)])
     out = capsys.readouterr().out
     assert rc == 4
-    assert "PASS centroid_at_recorded_root" in out
-    assert "FAIL identity_on_doubled_grid" in out
+    assert "PASS root_within_tolerance" in out
+    assert "FAIL identity_within_tolerance" in out
     assert "verification FAILED" in out
 
 
@@ -330,14 +330,14 @@ def test_verify_sweeps_a_grid_mirrored_bit_for_bit(cli_outdir, monkeypatch,
 
 def test_verify_does_not_read_the_pole_series(cli_outdir, tmp_path, capsys):
     # the pole block records; it is not a check, and verify reads none of
-    # it: replaced by nonsense, the same nine lines pass
+    # it: replaced by nonsense, the same twelve lines pass
     cli.main(["verify", str(cli_outdir / "certificate.json")])
     want = capsys.readouterr().out
     path = _tampered(cli_outdir, tmp_path,
                      lambda c: c.update(pole_series="not a record"))
     assert cli.main(["verify", str(path)]) == 0
     assert capsys.readouterr().out == want
-    assert want.count("PASS ") == 9
+    assert want.count("PASS ") == 12
 
 
 def test_verify_fails_when_no_base_body_exists(cli_outdir, tmp_path,
@@ -375,13 +375,96 @@ def test_verify_holds_perturbed_convexity_to_margin(cli_outdir, monkeypatch,
 
 
 def test_verify_rejects_forged_margin(cli_outdir, tmp_path, capsys):
+    # the stored margin is no operand of margin_positive, which passes on
+    # the recomputation; the line that holds the file to it fails
     path = _tampered(
         cli_outdir, tmp_path,
         lambda c: c.update(min_section_margin=-c["min_section_margin"]))
     rc = cli.main(["verify", str(path)])
     out = capsys.readouterr().out
     assert rc == 4
-    assert "FAIL margin_positive" in out
+    assert "PASS margin_positive" in out
+    assert ("FAIL record_matches_recomputation: differ: min_section_margin"
+            in out)
+
+
+def _flip_check(cert):
+    cert["checks"]["base_convex"] = False
+
+
+@pytest.mark.parametrize("mutate,line", [
+    (lambda c: c.update(lambda0=1.5), "lambda0_interior"),
+    (lambda c: c.update(lambda0=-0.5), "margin_positive"),
+    (lambda c: c.update(eps0=c["eps0"] * 1e3), "perturbed_convex"),
+    (lambda c: c.update(eps0=c["eps0"] * 1e4), "bracket_sign_change"),
+    (_flip_check, "record_matches_recomputation"),
+], ids=["lambda0_above_1", "lambda0_below_0", "eps0_times_1e3",
+        "eps0_times_1e4", "flipped_flag"])
+def test_verify_refutes_forged_certificate(cli_outdir, tmp_path, capsys,
+                                           mutate, line):
+    # each forgery fails verify on its own named line.  At lambda0 = -0.5
+    # the seed is negative near the equator, and so is the recomputed
+    # margin; eps0 times 1e3 keeps the bracket (c(0) = -1.2e-7) but bends
+    # the body concave, times 1e4 moves c(0) to +6.4e-5
+    path = _tampered(cli_outdir, tmp_path, mutate)
+    rc = cli.main(["verify", str(path)])
+    out = capsys.readouterr().out
+    assert rc == 4
+    assert f"FAIL {line}: " in out
+    assert "verification FAILED" in out
+
+
+@pytest.mark.parametrize("entry,line", [
+    ("pole_abs", "pole_sections_zero"), ("min_margin", "margin_positive")])
+def test_verify_refutes_a_sweep_off_its_bound(cli_outdir, monkeypatch,
+                                             capsys, entry, line):
+    # a section centroid of 1e-9 at a pole, or a negative margin, from the
+    # recomputed sweep fails its check
+    from centroid_sections import counterexample as cx
+    real = cx.ConstructionContext.identity_sweep
+
+    def sweep(self, lam, eps, u_grid=None):
+        out = real(self, lam, eps, u_grid)
+        out[entry] = 1e-9 if entry == "pole_abs" else -out[entry]
+        return out
+
+    monkeypatch.setattr(cx.ConstructionContext, "identity_sweep", sweep)
+    rc = cli.main(["verify", str(cli_outdir / "certificate.json")])
+    out = capsys.readouterr().out
+    assert rc == 4
+    assert f"FAIL {line}: " in out
+
+
+def test_verify_refutes_a_base_body_below_the_margin(cli_outdir, monkeypatch,
+                                                     capsys):
+    # verify recomputes the base body's curvature: a minimum below the
+    # convexity margin fails base_convex
+    from centroid_sections import counterexample as cx
+    real = cx.curvature
+
+    def curvature(body, margin):
+        k = margin / 2
+        return dataclasses.replace(real(body, margin=margin), kappa_min=k,
+                                   is_convex=cx._clears(k, margin))
+
+    monkeypatch.setattr(cx, "curvature", curvature)
+    rc = cli.main(["verify", str(cli_outdir / "certificate.json")])
+    out = capsys.readouterr().out
+    assert rc == 4
+    assert "FAIL base_convex: kappa_min_base = " in out
+
+
+def test_verify_lines_are_the_certificate_checks(construct_result,
+                                                 cli_outdir, capsys):
+    # verify prints one line per check of construct's table, under its
+    # name and in its order, then its own three
+    checks = construct_result["certificate"]["checks"]
+    assert cli.main(["verify", str(cli_outdir / "certificate.json")]) == 0
+    names = [line.split(":")[0].split()[1]
+             for line in capsys.readouterr().out.splitlines()[:-1]]
+    assert names == [*checks, "root_reproduces", "identity_by_quadrature",
+                     "record_matches_recomputation"]
+    assert set(cli._CHECK_READS) == set(checks)
 
 
 # configuration keys, grids, tolerances and records that certificates
@@ -399,10 +482,13 @@ DROPPED_CONFIG = {"cap_margin": 0.5, "quad_order": 256, "max_degree": 120,
 DROPPED_GRIDS = {"u_switch": 0.05, "gl_order": 96, "bump_quad_order": 3392,
                  "dense_eval_grid": 40001}
 DROPPED_KEYS = {"transform_slope_near_equator": 1.0,
-                "transform_slope_note": "grid-verified"}
+                "transform_slope_note": "grid-verified",
+                "parseval_residual": 8.0e-18,
+                "checks.pairing_within_tolerance": True}
 DROPPED_TOLERANCES = {"quadrature_exactness": 1e-12, "roundtrip_rel": 1e-8,
                       "route_agreement_rel": 1e-7, "symmetric_rel": 1e-10,
-                      "branch_consistency_rel": 1e-9, "tail_warn_rel": 1e-6}
+                      "branch_consistency_rel": 1e-9, "tail_warn_rel": 1e-6,
+                      "parseval_rel": 1e-8}
 
 
 def test_verify_accepts_certificate_with_dropped_keys(cli_outdir, tmp_path,
@@ -412,7 +498,12 @@ def test_verify_accepts_certificate_with_dropped_keys(cli_outdir, tmp_path,
         cert["grids"].update(DROPPED_GRIDS)
         cert["config"]["tolerances"].update(DROPPED_TOLERANCES)
         cert["tolerances"].update(DROPPED_TOLERANCES)
-        cert.update(DROPPED_KEYS)
+        for key, value in DROPPED_KEYS.items():
+            *path, name = key.split(".")
+            target = cert
+            for part in path:
+                target = target[part]
+            target[name] = value
     path = _tampered(cli_outdir, tmp_path, mutate)
     rc = cli.main(["verify", str(path)])
     out = capsys.readouterr().out
@@ -429,6 +520,11 @@ def test_verify_rejects_invalid_stored_config(cli_outdir, tmp_path, capsys):
                          lambda c: c["config"].update({key: value}))
         assert cli.main(["verify", str(path)]) == 2
         assert message in capsys.readouterr().err
+    # and so are two sweep directions recorded in grids
+    path = _tampered(cli_outdir, tmp_path,
+                     lambda c: c["grids"].update(alpha_grid=2))
+    assert cli.main(["verify", str(path)]) == 2
+    assert "alpha_grid must be at least 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("stored", [
@@ -448,6 +544,30 @@ def test_verify_ignores_coarse_stored_grids(cli_outdir, tmp_path, capsys,
     monkeypatch.setattr(cx, "_CTX_CACHE", {})
     assert cli.main(["verify", str(path)]) == 0
     assert capsys.readouterr().out == want
+
+
+def test_verify_holds_the_margin_over_the_certificate_directions(
+        tmp_path, monkeypatch, capsys):
+    # a certificate swept at 361 directions records the margin over them;
+    # verify sweeps them refined 4-fold, 1441 directions, and reads the
+    # stored margin back from every 4th
+    from centroid_sections import counterexample as cx
+    assert cli.main(["construct", "--alpha-grid", "361", "--outdir",
+                     str(tmp_path)]) == 0
+    grids = []
+    real = cx.ConstructionContext.identity_sweep
+
+    def recorded(self, lam, eps, u_grid=None):
+        grids.append(u_grid)
+        return real(self, lam, eps, u_grid)
+
+    monkeypatch.setattr(cx.ConstructionContext, "identity_sweep", recorded)
+    capsys.readouterr()
+    assert cli.main(["verify", str(tmp_path / "certificate.json")]) == 0
+    assert "PASS record_matches_recomputation" in capsys.readouterr().out
+    (grid,) = grids
+    assert grid.size == 1441
+    assert np.max(np.abs(grid[::4] - cx._mirrored_grid(361))) <= 1e-16
 
 
 def _drop_params(cert):
@@ -605,9 +725,9 @@ def test_planar_huge_coordinates_exit_2(tmp_path, capsys, size):
 
 
 def test_planar_unresolved_thin_triangle_exits_3(tmp_path, capsys):
-    # three crossings within ~1e-6 rad that the scan cannot separate
+    # three crossings within ~2e-16 rad that no float64 scan can separate
     path = tmp_path / "thin.csv"
-    path.write_text("x,y\n0,0\n1,0\n0.5,1e-6\n")
+    path.write_text("x,y\n0,0\n1,0\n0.5,1e-16\n")
     assert cli.main(["planar", "--input", str(path)]) == 3
     assert ("construction failed: could not resolve"
             in capsys.readouterr().err)

@@ -242,11 +242,14 @@ def test_perturbed_body_rejects_huge_eps(ctx5, cert5):
 def test_context_perturbed_body_bit_equal_to_public_route(ctx5, cert5):
     # the context gates on its tables; the body it returns must be
     # (rho_base^n + eps phi)^{1/n} of its public base body and
-    # perturbation, values only, serialized at the 4001 theta nodes
+    # perturbation, values only, serialized at the 4001 theta nodes from
+    # their tables, which give the body's own values there
     lam, eps = cert5["lambda0"], cert5["eps0"]
     n = ctx5.n
     got = ctx5.perturbed_body(lam, eps)
-    assert got.samples == 4001
+    nodes, rows = got.samples.T
+    assert nodes.size == 4001 and np.array_equal(nodes, -ctx5._x)
+    assert np.array_equal(rows, got.rho(nodes))
     assert got.rho.derivs is None
     u = np.linspace(-1.0, 1.0, 1001)
     f = (np.asarray(ctx5.base.rho(u), dtype=float) ** n
@@ -755,9 +758,10 @@ def test_construction_makes_no_derivative_series_call(monkeypatch):
 def test_construction_requests_no_rule_above_order_256(ctx5, monkeypatch):
     # a whole n = 5 construction and its body.json samples: the bump's
     # coefficients come from one FFT in theta, the centroid integrates on
-    # the theta nodes and the sweep reads lhs from the bump series, so no
-    # rule exceeds the analytic profiles' order 256; the section volumes
-    # take that order at beta = (n - 4)/2
+    # the theta nodes, the sweep reads lhs from the bump series and
+    # body.json reads the node tables, so the one rule is the section
+    # volumes' order 256 at beta = (n - 4)/2, and no expansion or pairing
+    # runs
     from centroid_sections import revolution_bodies, spherical_core
     rules = set()
     real = spherical_core.gauss_jacobi
@@ -766,14 +770,20 @@ def test_construction_requests_no_rule_above_order_256(ctx5, monkeypatch):
         rules.add((order, beta))
         return real(order, beta)
 
+    def refused(*args, **kwargs):
+        raise AssertionError("expansion or pairing called")
+
     for module in (spherical_core, counterexample, revolution_bodies):
         if hasattr(module, "gauss_jacobi"):
             monkeypatch.setattr(module, "gauss_jacobi", counted)
+        for name in ("parseval_residual", "expand", "ft_homogeneous"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refused)
     monkeypatch.setattr(counterexample, "_CTX_CACHE", {})
     res = run_construction(RunConfig())
     revolution_bodies.body_to_dict(res["body"])
-    assert (256, 0.5) in rules
-    assert max(order for order, _ in rules) <= 256
+    assert rules == {(256, 0.5)}
+    assert res["certificate"]["valid"]
 
 
 # convexity of the perturbed body

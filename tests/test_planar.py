@@ -181,15 +181,18 @@ def test_equilateral_triangle_three_side_directions():
 
 
 def test_scalene_triangle_directions_parallel_to_sides():
-    verts = [(0.0, 0.0), (2.0, 0.0), (0.6, 1.5)]
-    sides = []
-    for i in range(3):
-        dx, dy = (np.asarray(verts[(i + 1) % 3]) - np.asarray(verts[i]))
-        sides.append(np.arctan2(dy, dx) % np.pi)
-    res = bisected_chords(polygon_body(verts))
-    assert res["count"] == 3
-    got = np.sort(np.asarray(res["directions"]))
-    assert np.max(np.abs(got - np.sort(sides))) <= 1e-8
+    # the thin triangles' three directions lie within 2e-4 and 2e-6 rad of
+    # each other, across the scan's wrap at 0 = pi: clustered windows of
+    # the scan are rescanned until they separate
+    for verts in ([(0.0, 0.0), (2.0, 0.0), (0.6, 1.5)],
+                  [(0.0, 0.0), (1.0, 0.0), (0.5, 1e-4)],
+                  [(0.0, 0.0), (1.0, 0.0), (0.5, 1e-6)]):
+        v = np.asarray(verts)
+        sides = np.arctan2(*(np.roll(v, -1, axis=0) - v).T[::-1]) % np.pi
+        res = bisected_chords(polygon_body(verts))
+        assert res["count"] == 3
+        got = np.sort(np.asarray(res["directions"]))
+        assert np.max(np.abs(got - np.sort(sides))) <= 1e-10, verts
 
 
 def test_centered_ellipse_symmetric():
@@ -269,8 +272,10 @@ def test_polygon_rejects_huge_coordinates():
 
 
 def test_unresolved_scan_is_a_construction_error():
+    # directions 2e-16 rad apart across the scan's wrap, finer than the
+    # angles near pi that float64 holds
     with pytest.raises(ConstructionError, match="could not resolve"):
-        bisected_chords(polygon_body([(0.0, 0.0), (1.0, 0.0), (0.5, 1e-6)]))
+        bisected_chords(polygon_body([(0.0, 0.0), (1.0, 0.0), (0.5, 1e-16)]))
 
 
 def test_radial_rejects_nonpositive_profile():
