@@ -64,6 +64,10 @@ CERTIFICATE_SCHEMA = "v1"
 _U_SWITCH = 0.05
 _GAP_SERIES_TERMS = 16
 
+# the most distinct |u| whose b_M and section volume a context keeps for
+# its sweeps (ConstructionContext._bump_and_volume); 400 KB of tables
+_SWEPT_MAX = 1 << 14
+
 def negativity_threshold(n: int, a: float) -> float:
     """Smallest u0 such that the base body's transform is negative for
     |u| > u0.  Closed form from setting the transform to zero:
@@ -293,11 +297,14 @@ _CTX_CACHE: dict = {}
 
 class ConstructionContext:
     """Everything expensive about one geometry (n, a, cap_u0), computed
-    once: the bump transform's spectrum, its odd quotient series, and the
-    cosine series in theta of that quotient and of the bump's own series
-    that the transform coefficients stand for; the node tables that make
-    the centroid and curvature of the perturbed family cheap per (lam,
-    eps), and the section rule of the sweep's volumes.
+    once at the build: the bump transform's spectrum, its odd quotient
+    series, and the cosine series in theta of that quotient and of the
+    bump's own series that the transform coefficients stand for; the node
+    tables that make the centroid and curvature of the perturbed family
+    cheap per (lam, eps), and the section rule of the sweep's volumes.
+    What depends on a sweep direction's |u| alone, the bump series b_M and
+    the base body's section volume, is computed the first time a sweep
+    reaches that |u| and kept for the later sweeps (_bump_and_volume).
     """
 
     def __init__(self, n: int, a: float, cap_u0: float, config: RunConfig):
@@ -427,6 +434,10 @@ class ConstructionContext:
         self._tw = np.asarray(qs.weights, dtype=np.float64)
         # slices of the section subsphere S^{n-2} are of dimension n-3
         self._subsurf = sphere_area(n - 3)
+        # rows |u|, b_M and the section volume at each |u| <= 1 a sweep has
+        # reached, ascending in |u|.  The shallow copies of get_context
+        # share this one-entry list, and a sweep replaces its entry whole
+        self._swept = [np.empty((3, 0))]
 
         self.build_seconds = time.perf_counter() - t_start
 
@@ -613,13 +624,16 @@ class ConstructionContext:
             lhs(u) = eps (2 pi)^n / pi [(1 - lam)(b_M(u) - b_M(1))
                                         + lam gap(u)],
 
-        b_M the bump series, summed from its cosine series bump_cosine
-        (_cosine_sum) once per distinct |u| of the grid and 1; the poles'
-        lhs is exactly 0.  Right side: eps (2 pi)^n / pi times the seed, so
-        the two differ by the bump's truncation b_M - b alone.  The
-        reported section centroids divide lhs by n times the base body's
-        section volume: the perturbation's first-order term is odd over
-        the section and adds nothing to it.
+        b_M the bump series at the grid's distinct |u| and 1, summed the
+        first time a sweep on the context reaches a |u| and read back
+        after (_bump_and_volume), so that a sweep at a later (lam, eps)
+        only forms this combination; the poles' lhs is exactly 0.  Right
+        side: eps (2 pi)^n / pi times the seed, so the two differ by the
+        bump's truncation b_M - b alone; rel_err is their difference over
+        rhs_max, that multiple of _seed_max.  The reported section
+        centroids divide lhs by n times the base body's section volume,
+        read back like b_M: the perturbation's first-order term is odd
+        over the section and adds nothing to it.
         """
         cfg = self.config
         if u_grid is None:
@@ -627,25 +641,15 @@ class ConstructionContext:
         u_grid = np.asarray(u_grid, dtype=float)
         n = self.n
         scale = eps * (2.0 * np.pi) ** n / np.pi
-        b = _cosine_sum(self.bump_cosine, np.append(u_grid, 1.0), "even")
-        lhs = scale * ((1.0 - lam) * (b[:-1] - b[-1])
+        a, inv = np.unique(np.append(np.abs(u_grid), 1.0),
+                           return_inverse=True)
+        b, vol = self._bump_and_volume(a)
+        sec_vol = vol[inv[:-1]]
+        lhs = scale * ((1.0 - lam) * (b[inv[:-1]] - b[inv[-1]])
                        + lam * np.asarray(self.gap(u_grid), dtype=float))
         rhs = scale * np.asarray(self.seed_value(u_grid, lam), dtype=float)
-        rel = np.abs(lhs - rhs) / max(float(np.max(np.abs(rhs))), 1e-300)
-        # the section volumes depend on u^2 alone: once per distinct |u|.
-        # The rule is mirrored bit for bit and rho_b is even, so rho_b is
-        # read on the nonnegative nodes, with doubled weights.  Each volume
-        # is the pairwise sum of its own row (np.sum along the nodes), so
-        # it has the same bits whichever directions share the call; a BLAS
-        # product does not fix that, and np.einsum's running sum is about
-        # twice as far from the longdouble sum
-        a, inv = np.unique(np.abs(u_grid), return_inverse=True)
-        half = self._ts.size // 2
-        r = np.sqrt(np.maximum(0.0, 1.0 - a ** 2))
-        rho = np.asarray(self.base.rho(r[:, None] * self._ts[half:]),
-                         dtype=float)
-        sec_vol = (self._subsurf / (n - 1) * np.sum(
-            rho ** (n - 1) * (2.0 * self._tw[half:]), axis=1))[inv]
+        rhs_max = scale * self._seed_max(lam, u_grid)
+        rel = np.abs(lhs - rhs) / max(rhs_max, 1e-300)
         centroids = lhs / (n * sec_vol)
         inner = np.abs(u_grid) < 1.0
         pole = ~inner
@@ -653,7 +657,7 @@ class ConstructionContext:
         margin = float(np.min(centroids[inner]) / diam) if inner.any() else np.nan
         return {
             "u_grid": u_grid,
-            "lhs": lhs, "rhs": rhs, "rel_err": rel,
+            "lhs": lhs, "rhs": rhs, "rel_err": rel, "rhs_max": rhs_max,
             "centroid_quadrature": centroids,
             "centroid_analytic": rhs / (n * sec_vol),
             "max_rel_err": float(np.max(rel)),
@@ -662,6 +666,54 @@ class ConstructionContext:
             "near_pole_abs": float(min(abs(centroids[1]), abs(centroids[-2])))
                              if u_grid.size > 2 else np.nan,
         }
+
+    def _bump_and_volume(self, a: np.ndarray) -> tuple:
+        """(b_M, V) at the ascending distinct |u| a: the bump series, summed
+        from its cosine series bump_cosine (_cosine_sum), and the base
+        body's section volume, both of which depend on |u| alone.  They are
+        read back where an earlier sweep stored them; the rest are summed
+        and stored, ascending in |u|, if |u| <= 1 (NaN is not), while
+        fewer than _SWEPT_MAX are.  Either way a value has the same bits,
+        since both sums give each point its bits in any batch."""
+        known = self._swept[0]
+        at = np.searchsorted(known[0], a)
+        hit = at < known.shape[1]
+        hit[hit] = known[0, at[hit]] == a[hit]
+        b, vol = np.empty(a.size), np.empty(a.size)
+        b[hit], vol[hit] = known[1:, at[hit]]
+        new = ~hit
+        if new.any():
+            b[new] = _cosine_sum(self.bump_cosine, a[new], "even")
+            # the section volumes, on the order-quad_order subsphere rule.
+            # The rule is mirrored bit for bit and rho_b is even, so rho_b
+            # is read on the nonnegative nodes, with doubled weights.  Each
+            # volume is the pairwise sum of its own row (np.sum along the
+            # nodes), so it has the same bits whichever directions share
+            # the call; a BLAS product does not fix that, and np.einsum's
+            # running sum is about twice as far from the longdouble sum
+            n, half = self.n, self._ts.size // 2
+            r = np.sqrt(np.maximum(0.0, 1.0 - a[new] ** 2))
+            rho = np.asarray(self.base.rho(r[:, None] * self._ts[half:]),
+                             dtype=float)
+            vol[new] = self._subsurf / (n - 1) * np.sum(
+                rho ** (n - 1) * (2.0 * self._tw[half:]), axis=1)
+            # NaN fails a <= 1; a new |u| goes in before known[0, at]
+            keep = (new & (a <= 1.0)).nonzero()[0]
+            keep = keep[:_SWEPT_MAX - known.shape[1]]
+            if keep.size:
+                self._swept[0] = np.insert(known, at[keep],
+                                           np.stack([a, b, vol])[:, keep],
+                                           axis=1)
+        return b, vol
+
+    def _seed_max(self, lam: float, u) -> float:
+        """max |seed| over the directions u, the equator and the bump's
+        peaks +-(1 + cap_u0)/2: the scale of the sweep's rel_err and of
+        the pole truncation, which a grid that misses the caps' interior
+        would understate."""
+        peak = 0.5 * (1.0 + self.cap_u0)
+        u = np.append(u, [0.0, -peak, peak])
+        return float(np.max(np.abs(self.seed_value(u, lam))))
 
     def quadrature_lhs(self, lam: float, eps: float, u) -> np.ndarray:
         """The sweep's lhs at directions u by the other route: the section
@@ -742,7 +794,7 @@ class ConstructionContext:
             "pole_section_abs": sweep["pole_abs"],
             "near_pole_section_abs": sweep["near_pole_abs"],
             "pole_series": self.pole_report(
-                lam, float(np.max(self.seed_value(sweep["u_grid"], lam)))),
+                lam, self._seed_max(lam, sweep["u_grid"])),
             "checks": checks,
         }
         return record, sweep

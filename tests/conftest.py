@@ -1,7 +1,9 @@
+import copy
 import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import centroid_sections
@@ -21,6 +23,17 @@ def subprocess_env():
 def ctx5():
     """Shared default-parameter construction context (n=5, auto a)."""
     return get_context(RunConfig())
+
+
+@pytest.fixture(scope="session")
+def cold():
+    """cold(ctx): a shallow copy of a context whose sweep store is empty,
+    so that its sweeps sum b_M and the section volumes afresh."""
+    def copy_with_empty_store(ctx):
+        out = copy.copy(ctx)
+        out._swept = [np.empty((3, 0))]
+        return out
+    return copy_with_empty_store
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,4 @@
 import argparse
-import copy
 import csv
 import dataclasses
 import json
@@ -187,6 +186,36 @@ def test_construct_and_verify_n7(tmp_path, capsys):
     assert "verification PASSED" in capsys.readouterr().out
 
 
+def test_verify_holds_the_root_relative_to_lambda0(tmp_path, capsys):
+    # at n = 7, lambda0 = 1.8e-7 and bisection resolves it to 2^-24: a
+    # root nudged by 1 % still has |c| below root_abs, and it lies 1.8e-9
+    # from the recomputed one, which the absolute 1e-8 of root_reproduces
+    # let pass; the bound is now 1e-6 lambda0
+    assert cli.main(["construct", "--n", "7", "--outdir", str(tmp_path)]) == 0
+    path = tmp_path / "certificate.json"
+    cert = json.loads(path.read_text())
+    cert["lambda0"] *= 1.01
+    path.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert cli.main(["verify", str(path)]) == 4
+    out = capsys.readouterr().out
+    assert "PASS root_within_tolerance" in out
+    assert "FAIL root_reproduces: " in out
+
+
+def test_construct_coarse_grid_is_valid(tmp_path, capsys):
+    # 101 directions put only u = +-0.98 and +-1 in the caps |u| > 0.97987;
+    # the identity's scale includes the bump's peaks, so the error is
+    # measured as on the default grid (8.74e-9 against 8.77e-9), not
+    # against the grid's own max |rhs| (5.0e-5)
+    rc = cli.main(["construct", "--alpha-grid", "101",
+                   "--outdir", str(tmp_path)])
+    cert = json.loads((tmp_path / "certificate.json").read_text())
+    assert rc == 0 and cert["valid"]
+    assert 8e-9 <= cert["identity_max_relerr"] <= 1e-8
+    assert "identity=8.74" in capsys.readouterr().out
+
+
 def test_construct_low_dimension_exits_2(tmp_path, capsys):
     rc = cli.main(["construct", "--n", "4", "--outdir", str(tmp_path)])
     assert rc == 2
@@ -292,15 +321,15 @@ def test_verify_fails_when_recheck_precondition_fails(cli_outdir, tmp_path,
 
 
 def test_verify_quadrature_route_refutes_a_scaled_seed_series(
-        cli_outdir, monkeypatch, capsys):
+        cli_outdir, monkeypatch, capsys, cold):
     # the bump series' cosine coefficients that the sweep reads lhs from,
     # scaled by 1 + 1e-6: the section quadrature over the quotient's
-    # Gegenbauer series disagrees
+    # Gegenbauer series disagrees.  The copy's sweep store starts empty, or
+    # it would give back the unscaled series' sums
     from centroid_sections import counterexample as cx
     cert = json.loads((cli_outdir / "certificate.json").read_text())
     p = cert["params"]
-    ctx = copy.copy(cx.get_context(RunConfig(n=p["n"], a=p["a"]),
-                                   p["cap_u0"]))
+    ctx = cold(cx.get_context(RunConfig(n=p["n"], a=p["a"]), p["cap_u0"]))
     ctx.bump_cosine = ctx.bump_cosine * (1.0 + 1e-6)
     monkeypatch.setitem(cx._CTX_CACHE, (ctx.n, ctx.a, ctx.cap_u0), ctx)
     rc = cli.main(["verify", str(cli_outdir / "certificate.json")])

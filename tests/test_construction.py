@@ -498,11 +498,12 @@ def test_section_rule_exactly_antisymmetric(ctx5):
     assert np.array_equal(ts, -ts[::-1]) and np.array_equal(tw, tw[::-1])
 
 
-def test_identity_sweep_bit_equal_to_unfolded_sweep(ctx5, cert5):
+def test_identity_sweep_bit_equal_to_unfolded_sweep(ctx5, cert5, cold):
     # the sweep sums the bump's cosine series once per distinct |u| and
     # mirrors it; a reference that sums it at every direction, one call
     # each, must give the same lhs bit for bit, at the recorded root
-    # (n = 5) and at a root of n = 6, on linspace grids and mirrored ones
+    # (n = 5) and at a root of n = 6, on linspace grids and mirrored ones.
+    # Each sweep starts from an empty store, so it sums the series itself
     ctx6 = get_context(RunConfig(n=6))
     eps6 = ctx6.select_eps()["eps"]
     for ctx, lam, eps in ((ctx5, cert5["lambda0"], cert5["eps0"]),
@@ -510,24 +511,104 @@ def test_identity_sweep_bit_equal_to_unfolded_sweep(ctx5, cert5):
         for size in (361, 721, 1441):
             for grid in (np.linspace(-1.0, 1.0, size),
                          counterexample._mirrored_grid(size)):
-                got = ctx.identity_sweep(lam, eps, grid)
+                got = cold(ctx).identity_sweep(lam, eps, grid)
                 assert np.array_equal(got["lhs"],
                                       unfolded_sweep(ctx, lam, eps, grid))
                 assert np.all(got["lhs"][[0, -1]] == 0.0)
 
 
-def test_sweep_centroids_same_bits_one_direction_at_a_time(ctx5, cert5):
+def test_sweep_centroids_same_bits_one_direction_at_a_time(ctx5, cert5,
+                                                          cold):
     # the section centroids, lhs over n times the section volume, of each
     # direction swept alone against the whole mirrored grid of 1441 and
     # linspace(-1, 1, 721): no value depends on which directions share
-    # the call
+    # the call.  Every sweep starts from an empty store, so each sums b_M
+    # and its section volumes itself
     lam, eps = cert5["lambda0"], cert5["eps0"]
     for grid in (counterexample._mirrored_grid(1441),
                  np.linspace(-1.0, 1.0, 721)):
-        whole = ctx5.identity_sweep(lam, eps, grid)["centroid_quadrature"]
-        alone = [ctx5.identity_sweep(lam, eps, grid[i:i + 1])
+        whole = cold(ctx5).identity_sweep(lam, eps, grid)
+        alone = [cold(ctx5).identity_sweep(lam, eps, grid[i:i + 1])
                  ["centroid_quadrature"][0] for i in range(grid.size)]
-        assert np.array_equal(whole, alone)
+        assert np.array_equal(whole["centroid_quadrature"], alone)
+
+
+def _assert_same_sweep(got, want):
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        assert np.array_equal(got[key], value, equal_nan=True), key
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_warm_sweep_bit_equal_to_cold_sweep(ctx5, cold, n):
+    # b_M and the section volume depend on |u| alone, and a context keeps
+    # them for its later sweeps: linspace and mirrored grids of 361, 721
+    # and 1441 directions, interleaved, at two (lam, eps), on one context
+    # whose store fills as it goes, give every key of a sweep that sums
+    # them afresh, bit for bit
+    ctx = cold(ctx5 if n == 5 else get_context(RunConfig(n=n)))
+    eps = ctx.select_eps()["eps"]
+    lam = ctx.find_root(eps)["lambda0"]
+    grids = [g for size in (361, 721, 1441)
+             for g in (np.linspace(-1.0, 1.0, size),
+                       counterexample._mirrored_grid(size))]
+    for rnd, (lam_, eps_) in enumerate(((lam, eps), (0.3, 0.5 * eps))):
+        for grid in grids[rnd:] + grids[:rnd]:
+            _assert_same_sweep(ctx.identity_sweep(lam_, eps_, grid),
+                               cold(ctx).identity_sweep(lam_, eps_, grid))
+    # 181 + 361 + 721 distinct |u| of the mirrored grids, and those of
+    # the linspace grids that are none of them
+    known = ctx._swept[0][0]
+    assert known.size == np.unique(np.abs(np.concatenate(grids))).size
+    assert np.all(np.diff(known) > 0)
+
+
+def test_repeated_sweep_sums_no_series(ctx5, cert5, cold, monkeypatch):
+    # a sweep over directions whose |u| an earlier sweep on the context (or
+    # a shallow copy of it) reached reads b_M and the section volumes back:
+    # it calls neither _cosine_sum nor the base body's radius
+    calls = []
+    real = counterexample._cosine_sum
+    monkeypatch.setattr(counterexample, "_cosine_sum",
+                        lambda *a: calls.append("_cosine_sum") or real(*a))
+    ctx = cold(ctx5)
+    ctx.base = copy.copy(ctx.base)
+    rho = ctx.base.rho
+    ctx.base.rho = lambda u: calls.append("rho") or rho(u)
+    lam, eps = cert5["lambda0"], cert5["eps0"]
+    grid = counterexample._mirrored_grid(721)
+    first = ctx.identity_sweep(lam, eps, grid)
+    assert sorted(set(calls)) == ["_cosine_sum", "rho"]
+    calls.clear()
+    again = copy.copy(ctx).identity_sweep(0.5 * lam, 2.0 * eps, grid[::-3])
+    ctx.identity_sweep(lam, eps, grid)
+    assert calls == []
+    assert np.array_equal(again["lhs"],
+                          cold(ctx5).identity_sweep(0.5 * lam, 2.0 * eps,
+                                                    grid[::-3])["lhs"])
+    assert first["max_rel_err"] == cert5["identity_max_relerr"]
+
+
+def test_sweep_store_keeps_finite_directions_within_its_bound(
+        ctx5, cert5, cold, monkeypatch):
+    # NaN, inf and |u| > 1 are summed as before, to NaN lhs, and never
+    # stored; the store holds at most _SWEPT_MAX distinct |u|, and a sweep
+    # past the bound still gives a fresh sweep's bits
+    lam, eps = cert5["lambda0"], cert5["eps0"]
+    ctx = cold(ctx5)
+    bad = np.array([np.nan, 0.3, 1.5, -np.inf, -2.0, 0.5, np.inf, -1.0])
+    with np.errstate(invalid="ignore"):
+        for _ in range(2):
+            got = ctx.identity_sweep(lam, eps, bad)
+            _assert_same_sweep(got, cold(ctx5).identity_sweep(lam, eps, bad))
+    assert np.array_equal(np.isnan(got["lhs"]), ~(np.abs(bad) <= 1.0))
+    assert np.array_equal(ctx._swept[0][0], [0.3, 0.5, 1.0])
+    monkeypatch.setattr(counterexample, "_SWEPT_MAX", 100)
+    for size in (721, 1441):
+        grid = counterexample._mirrored_grid(size)
+        _assert_same_sweep(ctx.identity_sweep(lam, eps, grid),
+                           cold(ctx5).identity_sweep(lam, eps, grid))
+        assert ctx._swept[0].shape == (3, 100)
 
 
 def test_theta_table_matches_series_at_knots(ctx5):
@@ -917,8 +998,9 @@ def test_certificate_structure_and_checks(cert5):
 
 
 # |b_M(+-1)| / max seed and the bump and gap parts of S_M''(0), as
-# measured for the sweep's Funk-Hecke form, to two digits
-POLE_SERIES = {5: ("9.1e-09", "4.1e-04", "1.9e-05"),
+# measured for the sweep's Funk-Hecke form, to two digits; max seed is
+# taken with the bump's peaks (_seed_max)
+POLE_SERIES = {5: ("8.7e-09", "4.1e-04", "1.9e-05"),
                6: ("5.6e-10", "2.3e-05", "6.7e-06"),
                7: ("3.9e-07", "1.2e-02", "5.4e-07")}
 
