@@ -43,10 +43,10 @@ class RunConfig:
     # base transform towards the pole: cap_u0 = u* + cap_margin (1 - u*)
     cap_margin: ClassVar[float] = 0.5
 
-    # quadrature order and degree of the analytic profiles' expansions
-    # (intersection-body test), the body.json samples of a body that
-    # carries none, and the order of the rule for the sweep's section
-    # volumes
+    # order of the uniform-angle rule (spherical_core._uniform_rule) and
+    # degree of the analytic profiles' expansions (intersection-body test),
+    # the body.json samples of a body that carries none, and the order of
+    # the rule for the sweep's section volumes
     quad_order: ClassVar[int] = 256
     max_degree: ClassVar[int] = 120
 
@@ -54,14 +54,15 @@ class RunConfig:
     # coefficients decay sub-geometrically, so it needs far more degrees than
     # the analytic profiles covered by max_degree
     bump_max_degree: ClassVar[int] = 3200
-    # intervals of the uniform theta grid on [0, pi] whose trapezoid sums,
-    # one longdouble FFT, give the bump's cosine moments
+    # order of the uniform-angle rule whose weighted samples, one longdouble
+    # FFT, give the bump's cosine moments (expand)
     bump_theta_samples: ClassVar[int] = 8192
 
-    # subsphere rule of verify's quadrature route for the section sweep,
-    # over rho^n with the perturbation read from its degree bump_max_degree
-    # - 1 series: it must resolve that degree to avoid aliasing
-    section_quad_order: ClassVar[int] = 1728
+    # order N of the subsphere rule of verify's quadrature route, over
+    # s (rho^n + eps phi)(s), s phi of degree M = bump_max_degree.  At
+    # k = n - 3 the rule is exact to degree N - k + 1 for odd k (2N - k - 1
+    # for even k), so N = M + 256 is exact to degree M + n for n <= 130
+    section_quad_order: ClassVar[int] = 3456
 
     curvature_grid: ClassVar[int] = 4001
     equator_grid: ClassVar[int] = 2001

@@ -43,12 +43,11 @@ from .config import ConstructionError, RunConfig
 from .revolution_bodies import (ConvexityReport, RevolutionBody, _clears,
                                 _meridian_report, _theta_jet, curvature,
                                 make_base_body)
-from .spherical_core import (LD, _PI_LD, GegenbauerSpectrum, SphereProfile,
+from .spherical_core import (LD, GegenbauerSpectrum, SphereProfile,
                              _accumulate_at_zero, _bochner_multipliers_ld,
                              _cosine_coeffs, _cosine_sum, _divide_by_u,
-                             _gegenbauer_moments, _norm_ratios,
-                             bochner_multiplier, eval_spectrum, gauss_jacobi,
-                             sphere_area)
+                             _uniform_rule, bochner_multiplier, eval_spectrum,
+                             ft_homogeneous, sphere_area)
 
 __all__ = [
     "ConstructionError", "negativity_threshold",
@@ -62,7 +61,7 @@ CERTIFICATE_SCHEMA = "v1"
 # the derivatives of the gap's odd quotient are summed as a series of
 # _GAP_SERIES_TERMS terms for |u| < _U_SWITCH (see _gap_quotient)
 _U_SWITCH = 0.05
-_GAP_SERIES_TERMS = 16
+_GAP_SERIES_TERMS = 20
 
 # the most distinct |u| whose b_M and section volume a context keeps for
 # its sweeps (ConstructionContext._bump_and_volume); 400 KB of tables
@@ -177,10 +176,12 @@ def _gap_quotient(n: int) -> tuple:
     below it, where those terms cancel, they are the termwise derivatives
     of q_g = sum_{k>=1} a_k u^{2k-1}, a_k = c_n (-1)^{k+1}
     binom(q+k-1, k) 3^k, by Horner in u^2.  The term ratio there is
-    3u^2 (q+k)/(k+1) <= 0.0075 (q+k)/(k+1), so _GAP_SERIES_TERMS terms
-    reach float64 for every n up to 27 (beyond that the section rule of
-    the context build fails first).  Against mpmath the three are within
-    5e-16, 5e-16 and 4e-15 of their max over [-1, 1] at n = 5 to 27.  A
+    3u^2 (q+k)/(k+1) <= 0.0075 (q+k)/(k+1), so with _GAP_SERIES_TERMS
+    terms the first omitted term of each of the three series is below
+    3e-18 of its first for every n up to 228, where c_n reaches the
+    float64 limit (16 terms left 4.4e-14 in q_g'' at n = 200).  Against
+    mpmath the three are within 5e-16, 5e-16 and 4e-15 of their max over
+    [-1, 1] at n = 5 to 200.  A
     Gegenbauer quotient series, as for the bump, is no substitute: at
     degree 120 and n = 5 its second derivative is off by 2.2e-9 of max at
     the poles.
@@ -218,32 +219,6 @@ def _gap_quotient(n: int) -> tuple:
         return np.where(small, series, closed)
 
     return value, partial(derivative, k=1), partial(derivative, k=2)
-
-
-def _bump_transform_coeffs(bump: SphereProfile,
-                           config: RunConfig) -> np.ndarray:
-    """Longdouble Gegenbauer coefficients, degrees 0..bump_max_degree, of
-    the transform of the bump's degree -1 extension.
-
-    The cosine moments F_k = int_0^pi b(cos theta) sin^{n-2} theta
-    cos(k theta) dtheta are trapezoid sums over theta_i = i pi / K,
-    K = bump_theta_samples: one real FFT of the samples, mirrored to the
-    full period.  b vanishes to all orders at the poles, so the sums are
-    spectrally accurate.  The moments against C_m follow by the
-    transpose of the cosine conversion (_gegenbauer_moments), and each
-    coefficient is that moment over the norm h_m times the multiplier
-    mu_m.  The odd coefficients of the even bump are set to exactly 0.
-    """
-    n, md, k = bump.n, config.bump_max_degree, config.bump_theta_samples
-    lam = (n - 2) / 2
-    theta = np.arange(k + 1, dtype=LD) * (_PI_LD / k)
-    y = np.asarray(bump(np.cos(theta)), dtype=LD) * np.sin(theta) ** (n - 2)
-    moments = np.fft.rfft(np.concatenate([y, y[-2:0:-1]])).real[:md + 1]
-    moments *= _PI_LD / (2 * k)
-    co = (_gegenbauer_moments(moments, lam, "even") / _norm_ratios(lam, md)
-          * _bochner_multipliers_ld(n, 1.0, np.arange(md + 1)))
-    co[1::2] = 0
-    return co
 
 
 def _root_jet(n: int, eps: float, base, phi, powers=None) -> list:
@@ -322,18 +297,19 @@ class ConstructionContext:
             raise ConstructionError(
                 f"transform constant c_n overflows float64 at n = {n}")
 
-        # the bump transform's coefficients co; one degree lower, those of
-        # its odd quotient q_b(u) = (b(u) - b(0)) / u, by synthetic division
-        # of the extended precision coefficients, so b(0) is never
-        # subtracted.  The float64 sums read cosine series in theta,
-        # converted in longdouble: quotient_cosine, q_b's, and
-        # bump_cosine, that of the degree-M bump series b_M = sum (co/mu)
-        # C_k, mu the transform's multipliers, which the sweep reads.  At
-        # large n they outgrow float64, which is named here, not warned
-        # about
+        # the bump transform's coefficients co (ft_homogeneous, by one FFT
+        # in theta); one degree lower, those of its odd quotient q_b(u) =
+        # (b(u) - b(0)) / u, by synthetic division of the extended
+        # precision coefficients, so b(0) is never subtracted.  The float64
+        # sums read cosine series in theta, converted in longdouble:
+        # quotient_cosine, q_b's, and bump_cosine, that of the degree-M
+        # bump series b_M = sum (co/mu) C_k, mu the transform's
+        # multipliers, which the sweep reads.  At large n they outgrow
+        # float64, which is named here, not warned about
         lam = self.lam_index
         with np.errstate(over="ignore", invalid="ignore"):
-            co_ld = _bump_transform_coeffs(self.bump, config)
+            co_ld = ft_homogeneous(self.bump, 1.0, config.bump_max_degree,
+                                   order=config.bump_theta_samples).coeffs
             qco_ld = _divide_by_u(co_ld, lam)
             self.quotient_cosine = _cosine_coeffs(qco_ld, lam, "odd")
             self.bump_cosine = _cosine_coeffs(
@@ -428,10 +404,14 @@ class ConstructionContext:
 
         # subsphere rule for the sweep's section volumes, which are the
         # base body's: rho_b^{n-1} is analytic, and order 256 is within
-        # 1.3e-15 of order 1728 at n = 5 to 7
-        qs = gauss_jacobi(config.quad_order, (n - 4) / 2)
-        self._ts = np.asarray(qs.nodes, dtype=np.float64)
-        self._tw = np.asarray(qs.weights, dtype=np.float64)
+        # 1e-15 of order-1728 Gauss-Jacobi at n = 5 to 8.  rho_b is even
+        # and the rule mirrored, so it is folded onto its nonnegative
+        # nodes, the weights doubled but at the middle node u = 0
+        qs = _uniform_rule(config.quad_order, (n - 4) / 2)
+        half = config.quad_order // 2 + 1
+        self._ts = qs.nodes[:half].astype(np.float64)
+        self._tw = (qs.weights[:half]
+                    * np.where(self._ts > 0, 2, 1)).astype(np.float64)
         # slices of the section subsphere S^{n-2} are of dimension n-3
         self._subsurf = sphere_area(n - 3)
         # rows |u|, b_M and the section volume at each |u| <= 1 a sweep has
@@ -684,19 +664,17 @@ class ConstructionContext:
         new = ~hit
         if new.any():
             b[new] = _cosine_sum(self.bump_cosine, a[new], "even")
-            # the section volumes, on the order-quad_order subsphere rule.
-            # The rule is mirrored bit for bit and rho_b is even, so rho_b
-            # is read on the nonnegative nodes, with doubled weights.  Each
-            # volume is the pairwise sum of its own row (np.sum along the
-            # nodes), so it has the same bits whichever directions share
-            # the call; a BLAS product does not fix that, and np.einsum's
-            # running sum is about twice as far from the longdouble sum
-            n, half = self.n, self._ts.size // 2
+            # the section volumes on the folded subsphere rule, each the
+            # pairwise sum of its own row (np.sum along the nodes), so it
+            # has the same bits whichever directions share the call (a BLAS
+            # product does not fix that, and np.einsum's running sum is
+            # about twice as far from the longdouble sum)
+            n = self.n
             r = np.sqrt(np.maximum(0.0, 1.0 - a[new] ** 2))
-            rho = np.asarray(self.base.rho(r[:, None] * self._ts[half:]),
+            rho = np.asarray(self.base.rho(r[:, None] * self._ts),
                              dtype=float)
             vol[new] = self._subsurf / (n - 1) * np.sum(
-                rho ** (n - 1) * (2.0 * self._tw[half:]), axis=1)
+                rho ** (n - 1) * self._tw, axis=1)
             # NaN fails a <= 1; a new |u| goes in before known[0, at]
             keep = (new & (a <= 1.0)).nonzero()[0]
             keep = keep[:_SWEPT_MAX - known.shape[1]]
@@ -717,15 +695,14 @@ class ConstructionContext:
 
     def quadrature_lhs(self, lam: float, eps: float, u) -> np.ndarray:
         """The sweep's lhs at directions u by the other route: the section
-        rule of order section_quad_order over (rho_b^n + eps phi) at the
-        rule's nodes, phi's bump part from the quotient's Gegenbauer
-        series by the three-term recurrence (eval_spectrum), so that this
-        route shares no summation code with identity_sweep's.  verify
-        compares the two."""
+        rule of order section_quad_order (_uniform_rule) over (rho_b^n +
+        eps phi) at the rule's nodes, phi's bump part from the quotient's
+        Gegenbauer series by the three-term recurrence (eval_spectrum), so
+        that this route shares no summation code with identity_sweep's.
+        verify compares the two."""
         n = self.n
-        qs = gauss_jacobi(self.config.section_quad_order, (n - 4) / 2)
-        ts, tw = (np.asarray(x, dtype=np.float64)
-                  for x in (qs.nodes, qs.weights))
+        qs = _uniform_rule(self.config.section_quad_order, (n - 4) / 2)
+        ts, tw = qs.nodes.astype(np.float64), qs.weights.astype(np.float64)
         v = np.sqrt(np.maximum(0.0, 1.0 - np.asarray(u) ** 2))[:, None] * ts
         phi = ((1.0 - lam) * eval_spectrum(self.bump_quotient, v)
                + lam * self._gap_q[0](v))

@@ -1,12 +1,12 @@
 """Star and convex bodies of revolution: profiles, convexity, the
 intersection-body test and serialization."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .config import RunConfig
+from .config import ConstructionError, RunConfig
 from .spherical_core import (
     SphereProfile, bochner_multiplier, eval_spectrum, ft_homogeneous,
 )
@@ -137,21 +137,33 @@ def intersection_body_test(body: RevolutionBody,
     radial profile is nonnegative.
 
     Always evaluates the numerical spectral transform, to degree
-    RunConfig.max_degree by RunConfig.quad_order nodes, on
+    M = RunConfig.max_degree by the order-RunConfig.quad_order rule, on
     RunConfig.equator_grid points (an attached closed form, when present,
     is deliberately not consulted here so that test bodies and constructed
-    bodies share one code path).
+    bodies share one code path).  No verdict rests on an unresolved
+    transform: a ConstructionError unless every value is finite and the
+    largest gap between the degree-M and degree-M/2 transforms on the grid
+    is below the distance of the minimum from the threshold.
     """
     fhat = ft_homogeneous(body.rho, 1.0, order=RunConfig.quad_order)
     u = np.linspace(-1.0, 1.0, RunConfig.equator_grid)
-    vals = eval_spectrum(fhat, u)
+    half = replace(fhat, coeffs=fhat.coeffs[:fhat.max_degree // 2 + 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = eval_spectrum(fhat, u)
+        gap = float(np.max(np.abs(vals - eval_spectrum(half, u))))
     i = int(np.argmin(vals))
     scale = float(np.max(np.abs(vals)))
     min_value = float(vals[i])
+    threshold = -rel_tol * max(scale, 1e-300)
+    if not (np.all(np.isfinite(vals)) and abs(min_value - threshold) > gap):
+        raise ConstructionError(
+            f"intersection test unresolved at n = {body.n}: the degree "
+            f"{fhat.max_degree} and {half.max_degree} transforms differ by "
+            f"up to {gap:.3e} against a minimum of {min_value:.3e}")
     return {
         "min_value": min_value,
         "argmin_u": float(u[i]),
-        "is_intersection": bool(min_value >= -rel_tol * max(scale, 1e-300)),
+        "is_intersection": bool(min_value >= threshold),
         "truncation_warning": fhat.truncation_warning,
     }
 

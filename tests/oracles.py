@@ -300,6 +300,36 @@ def gauss_jacobi_full_newton(order, beta, x64):
     return x, 2 * (lam + order - 1) / order * h / (cqm1 * dcq)
 
 
+def gegenbauer_projection_gauss_jacobi(profile, n, max_degree, order):
+    """Gegenbauer coefficients, degrees 0..max_degree, of the transform of
+    the degree -1 extension of profile: scipy's Gauss-Jacobi rule of the
+    given order for (1-u^2)^{(n-3)/2}, polished by one longdouble Newton
+    step at every node (gauss_jacobi_full_newton), sum_i w_i f(u_i) C_m(u_i)
+    by the textbook three-term recurrence in longdouble, over the norm h_m =
+    pi 2^{1-2 lam} Gamma(m + 2 lam) / (m! (m + lam) Gamma(lam)^2) and times
+    the multiplier bochner_multiplier_mp(m, 1, n), both by mpmath.  Shares
+    no code with the package."""
+    LD = np.longdouble
+    beta = (n - 3) / 2.0
+    x, w = gauss_jacobi_full_newton(
+        order, beta, special.roots_jacobi(order, beta, beta)[0])
+    fw = np.asarray(profile(x), dtype=LD) * w
+    lam = LD(n - 2) / 2
+    out = np.empty(max_degree + 1, dtype=LD)
+    pm1, p = np.ones_like(x), 2 * lam * x
+    out[0], out[1] = fw.sum(), fw @ p
+    for m in range(2, max_degree + 1):
+        pm1, p = p, (2 * x * (m + lam - 1) * p - (m + 2 * lam - 2) * pm1) / m
+        out[m] = fw @ p
+    with mpmath.workdps(30):
+        lm = mpmath.mpf(n - 2) / 2
+        c = mpmath.pi * 2 ** (1 - 2 * lm) / mpmath.gamma(lm) ** 2
+        factor = [float(bochner_multiplier_mp(m, 1, n) * mpmath.factorial(m)
+                        * (m + lm) / (c * mpmath.gamma(m + 2 * lm)))
+                  for m in range(max_degree + 1)]
+    return out * np.array(factor, dtype=LD)
+
+
 def odd_quotient_integral(coeffs, lam, u, order=96):
     """(f(u) - f(0)) / u for f = sum_m coeffs[m] C_m^lam as the integral
     int_0^1 f'(s u) ds by order-point Gauss-Legendre, with

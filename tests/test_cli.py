@@ -139,26 +139,56 @@ def test_construct_eps_too_large_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command,n", [
-    pytest.param("construct", 28, id="construct"),
-    pytest.param("intersection-test", 27, id="intersection-test")])
-def test_gauss_jacobi_failure_is_a_named_precondition(command, n, tmp_path,
-                                                      subprocess_env):
-    # the float64 start of an order-256 rule at beta = 12 fails: the
-    # section-volume rule of the sweep at n = 28 (the smallest n where a
-    # construction reaches a failing rule; n = 27 ends in "eps too large"),
-    # the expansion rule of the intersection test at n = 27.  A named construction failure (exit 3),
-    # not a traceback
+    pytest.param("construct", 28, id="construct-28"),
+    pytest.param("intersection-test", 27, id="intersection-test-27"),
+    pytest.param("intersection-test", 100, id="intersection-test-100")])
+def test_large_n_outcomes_are_named(command, n, tmp_path, subprocess_env):
+    # no rule limits a large n: construct at n = 28 ends where n = 9 to 27
+    # do, on lost positivity at the eps floor, and the intersection test
+    # at n = 27 and 100 either gives a verdict or names an unresolved
+    # transform.  A named construction failure (exit 3), not a traceback
     res = subprocess.run([sys.executable, "-m", "centroid_sections.cli",
                           command, "--n", str(n), "--outdir", str(tmp_path)],
                          env=subprocess_env, capture_output=True, text=True,
                          timeout=120)
-    assert res.returncode == 3
     assert "Traceback" not in res.stderr
-    assert "construction failed: Gauss-Jacobi" in res.stderr
     if command == "construct":
+        assert res.returncode == 3
+        assert "construction failed: eps too large" in res.stderr
         diag = json.loads((tmp_path / "diagnostic.json").read_text())
         assert diag["stage"] == "construction"
-        assert "Gauss-Jacobi" in diag["error"]
+        assert "eps too large" in diag["error"]
+    else:
+        assert res.returncode in (0, 3)
+        if res.returncode == 3:
+            assert res.stderr.startswith("construction failed: intersection "
+                                         "test unresolved")
+        else:
+            assert "an intersection body" in res.stdout
+
+
+@pytest.mark.parametrize("n,verdict", [(5, "NOT an intersection body"),
+                                       (20, None)])
+def test_intersection_test_gives_no_verdict_on_an_unresolved_transform(
+        n, verdict, tmp_path, subprocess_env):
+    # at n = 20 the degree-120 transform is off by about 1e3 times its max
+    # (the closed form's min is -3.3e15); the verdict it gave is refused,
+    # named, with exit 3.  At n = 5 the degree-120 and degree-60
+    # transforms agree to 1.1e-6 against a min of -158, and the verdict
+    # stands
+    res = subprocess.run([sys.executable, "-m", "centroid_sections.cli",
+                          "intersection-test", "--n", str(n), "--outdir",
+                          str(tmp_path)],
+                         env=subprocess_env, capture_output=True, text=True,
+                         timeout=120)
+    assert "Traceback" not in res.stderr
+    if verdict is None:
+        assert res.returncode == 3 and res.stdout == ""
+        assert res.stderr.startswith("construction failed: intersection "
+                                     "test unresolved at n = 20")
+        assert not (tmp_path / "intersection.json").exists()
+    else:
+        assert res.returncode == 0 and verdict in res.stdout
 
 
 @pytest.mark.parametrize("n", [8, 200, 3000])

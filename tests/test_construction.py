@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from centroid_sections import counterexample
+from centroid_sections import counterexample, spherical_core
 from centroid_sections import (ConstructionError, RunConfig, curvature,
                                eval_spectrum, get_context, make_base_body,
                                make_cap_bump, make_oblate_gap_profile,
@@ -18,9 +18,11 @@ from centroid_sections.spherical_core import (_accumulate_at_zero,
                                               _cosine_coeffs, _cosine_sum,
                                               _divide_by_u,
                                               _rolling_accumulate,
-                                              ft_homogeneous, sphere_area)
+                                              _uniform_rule, ft_homogeneous,
+                                              sphere_area)
 from oracles import (SEED, bisect_sign_change, cosine_coeffs_full, fd_deriv,
                      gap_quotient_mp, gegenbauer_moments_full,
+                     gegenbauer_projection_gauss_jacobi,
                      gegenbauer_series_ld, kappa_series_route,
                      odd_quotient_difference, odd_quotient_integral,
                      quadrature_lhs, quotient_theta_jet_ld,
@@ -28,6 +30,14 @@ from oracles import (SEED, bisect_sign_change, cosine_coeffs_full, fd_deriv,
                      unfolded_sweep)
 
 C5 = 16.0 * np.pi ** 2
+
+
+def _bump_coeffs(ctx, order=None):
+    """The context's longdouble bump transform coefficients, as its build
+    forms them, from the rule of order bump_theta_samples by default."""
+    cfg = ctx.config
+    return ft_homogeneous(ctx.bump, 1.0, cfg.bump_max_degree,
+                          order=order or cfg.bump_theta_samples).coeffs
 
 
 # negativity region of the base transform
@@ -145,7 +155,7 @@ def test_gap_quotient_derivatives_match_finite_differences():
             assert np.max(np.abs(fns[k](u) - ref)) <= 1e-9 * scales[k]
 
 
-@pytest.mark.parametrize("n", [5, 6, 7, 10])
+@pytest.mark.parametrize("n", [5, 6, 7, 10, 40, 100, 200])
 def test_gap_quotient_matches_mpmath(n):
     # value, phi' and phi'' of the gap's quotient against mpmath at 40
     # digits: a grid over [-1, 1], random points about the series branch,
@@ -446,7 +456,7 @@ def test_pole_plateau_is_the_equator_transform(ctx5, n):
     LD = np.longdouble
     want = (np.pi * sphere_area(n - 2) / (2 * np.pi) ** n
             * ctx.bump_ft_at_zero)
-    co = counterexample._bump_transform_coeffs(ctx.bump, ctx.config)
+    co = _bump_coeffs(ctx)
     series = co / _bochner_multipliers_ld(n, 1.0, np.arange(co.size))
     got = _rolling_accumulate(series, ctx.lam_index, np.ones(1, dtype=LD))[0]
     assert abs(float(got) - want) <= 1e-9 * abs(want)
@@ -491,11 +501,30 @@ def test_default_sweep_grid_mirrored_bit_for_bit(construct_result):
 def test_section_rule_exactly_antisymmetric(ctx5):
     # the sweep's section volumes read rho_b on the nonnegative nodes with
     # doubled weights, which needs every negative node to be a nonnegative
-    # one negated and the weights mirrored
+    # one negated and the weights mirrored; the middle node u = 0 of the
+    # even order counts once
+    q = _uniform_rule(RunConfig.quad_order, (5 - 4) / 2)
+    x, w = q.nodes, q.weights
+    assert x.size == RunConfig.quad_order + 1
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    half = RunConfig.quad_order // 2 + 1
     ts, tw = ctx5._ts, ctx5._tw
-    assert ts.size == RunConfig.quad_order
-    assert ts.size % 2 == 0 and np.all(ts[ts.size // 2:] > 0.0)
-    assert np.array_equal(ts, -ts[::-1]) and np.array_equal(tw, tw[::-1])
+    assert np.array_equal(ts, x[:half].astype(float)) and ts[-1] == 0.0
+    assert np.all(ts[:-1] > 0.0)
+    assert np.array_equal(tw[:-1], (2 * w[:half - 1]).astype(float))
+    assert tw[-1] == float(w[half - 1])
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_section_volumes_match_order_1728_gauss_jacobi(ctx5, cold, n):
+    # V(|u|) on the order-256 uniform-angle rule against scipy's order-1728
+    # Gauss-Jacobi rule, at the sweep's |u| and near the pole; measured
+    # 5.4e-16, 4.5e-16, 4.8e-16 and 8.0e-16 relative at n = 5 to 8
+    ctx = ctx5 if n == 5 else get_context(RunConfig(n=n))
+    a = np.array([0.0, 0.1, 0.5, 0.9, 0.97, 0.999, 1.0 - 1e-9, 1.0])
+    got = cold(ctx)._bump_and_volume(a)[1]
+    want = np.array([section_volume(ctx.base, x, 1728) for x in a])
+    assert np.max(np.abs(got - want) / want) <= 1e-15
 
 
 def test_identity_sweep_bit_equal_to_unfolded_sweep(ctx5, cert5, cold):
@@ -622,8 +651,7 @@ def test_theta_table_matches_series_at_knots(ctx5):
         half = ctx._x.size // 2 + 1
         table = ctx._bq[0][:half]
         lam = ctx.lam_index
-        coeffs = _divide_by_u(counterexample._bump_transform_coeffs(
-            ctx.bump, ctx.config), lam)
+        coeffs = _divide_by_u(_bump_coeffs(ctx), lam)
         i = np.arange(half)
         want = _rolling_accumulate(coeffs, lam,
                                    np.cos(i * (pi / 2) / (half - 1)))
@@ -633,20 +661,20 @@ def test_theta_table_matches_series_at_knots(ctx5):
 
 
 @pytest.mark.parametrize("n", [5, 6])
-def test_bump_coefficients_match_order_4992_projection(ctx5, n,
-                                                       monkeypatch):
-    # the theta-FFT coefficients of the bump transform against a
-    # Gauss-Jacobi projection of order 4992 (an order-3392 projection is
-    # off by 2.2e-10 of max at n = 5 and 2.9e-11 at n = 6), and against
-    # themselves with the theta grid doubled
+def test_bump_coefficients_match_order_4992_projection(ctx5, n):
+    # the theta-FFT coefficients of the bump transform against a projection
+    # that shares no code with the package: scipy's Gauss-Jacobi rule of
+    # order 4992, polished by one longdouble Newton step, the plain
+    # recurrence and closed-form norms and multipliers (measured 6.0e-14
+    # and 5.0e-14 of max at n = 5 and 6; an order-3392 projection is off by
+    # 2.2e-10 and 2.9e-11); and against themselves with the theta rule's
+    # order doubled (9.5e-16 and 1.3e-14)
     ctx = ctx5 if n == 5 else get_context(RunConfig(n=n))
-    want = ft_homogeneous(ctx.bump, 1.0, 3200, order=4992).coeffs
-    got = counterexample._bump_transform_coeffs(ctx.bump, RunConfig(n=n))
+    want = gegenbauer_projection_gauss_jacobi(ctx.bump, n, 3200, 4992)
+    got = _bump_coeffs(ctx)
     scale = np.max(np.abs(want))
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
-    monkeypatch.setattr(RunConfig, "bump_theta_samples",
-                        2 * RunConfig.bump_theta_samples)
-    doubled = counterexample._bump_transform_coeffs(ctx.bump, RunConfig(n=n))
+    doubled = _bump_coeffs(ctx, 2 * RunConfig.bump_theta_samples)
     assert np.max(np.abs(doubled - got)) <= 1e-12 * scale
 
 
@@ -682,7 +710,7 @@ def test_bump_quotient_series_matches_oracles(ctx5, n):
 def _series_ld(ctx):
     # longdouble Gegenbauer coefficients of b_M = sum (co / mu) C_k and of
     # q_b, the synthetic quotient of co
-    co = counterexample._bump_transform_coeffs(ctx.bump, ctx.config)
+    co = _bump_coeffs(ctx)
     n, lam = ctx.n, ctx.lam_index
     return (co / _bochner_multipliers_ld(n, 1.0, np.arange(co.size)),
             _divide_by_u(co, lam))
@@ -731,10 +759,10 @@ def test_parity_halved_conversions_bit_equal_to_full_loops(ctx5, n,
     assert np.array_equal(ctx.quotient_cosine,
                           cosine_coeffs_full(qser, lam))
     assert np.array_equal(ctx.bump_cosine, cosine_coeffs_full(bser, lam))
-    halved = counterexample._bump_transform_coeffs(ctx.bump, ctx.config)
-    monkeypatch.setattr(counterexample, "_gegenbauer_moments",
+    halved = _bump_coeffs(ctx)
+    monkeypatch.setattr(spherical_core, "_gegenbauer_moments",
                         lambda f, lam, parity: gegenbauer_moments_full(f, lam))
-    full = counterexample._bump_transform_coeffs(ctx.bump, ctx.config)
+    full = _bump_coeffs(ctx)
     assert np.array_equal(halved, full)
 
 
@@ -743,7 +771,7 @@ def test_transform_at_zero_bit_equal_to_array_recurrence(ctx5, n):
     # the recurrence's scalar steps at u = 0 against the array recurrence
     # at the one point 0, in longdouble
     ctx = ctx5 if n == 5 else get_context(RunConfig(n=n))
-    co = counterexample._bump_transform_coeffs(ctx.bump, ctx.config)
+    co = _bump_coeffs(ctx)
     want = _rolling_accumulate(co, ctx.lam_index,
                                np.zeros(1, dtype=co.dtype))[0]
     got = _accumulate_at_zero(co, ctx.lam_index)
@@ -836,34 +864,41 @@ def test_construction_makes_no_derivative_series_call(monkeypatch):
     assert res["certificate"]["valid"]
 
 
-def test_construction_requests_no_rule_above_order_256(ctx5, monkeypatch):
+def test_construction_builds_two_uniform_rules(ctx5, monkeypatch):
     # a whole n = 5 construction and its body.json samples: the bump's
-    # coefficients come from one FFT in theta, the centroid integrates on
-    # the theta nodes, the sweep reads lhs from the bump series and
-    # body.json reads the node tables, so the one rule is the section
-    # volumes' order 256 at beta = (n - 4)/2, and no expansion or pairing
-    # runs
-    from centroid_sections import revolution_bodies, spherical_core
-    rules = set()
-    real = spherical_core.gauss_jacobi
+    # coefficients come from one FFT on the order-bump_theta_samples rule
+    # at beta = (n - 3)/2, the centroid integrates on the theta nodes, the
+    # sweep reads lhs from the bump series and body.json reads the node
+    # tables, so the only other rule is the section volumes' order 256 at
+    # beta = (n - 4)/2; the bump is the one expansion, and no pairing or
+    # Gauss-Jacobi rule runs
+    from centroid_sections import revolution_bodies
+    rules, expansions = set(), []
+    real_rule, real_expand = spherical_core._uniform_rule, spherical_core.expand
 
-    def counted(order, beta):
+    def counted_rule(order, beta, **kwargs):
         rules.add((order, beta))
-        return real(order, beta)
+        return real_rule(order, beta, **kwargs)
+
+    def counted_expand(f, *args, **kwargs):
+        expansions.append(f)
+        return real_expand(f, *args, **kwargs)
 
     def refused(*args, **kwargs):
-        raise AssertionError("expansion or pairing called")
+        raise AssertionError("pairing or Gauss-Jacobi rule called")
 
     for module in (spherical_core, counterexample, revolution_bodies):
-        if hasattr(module, "gauss_jacobi"):
-            monkeypatch.setattr(module, "gauss_jacobi", counted)
-        for name in ("parseval_residual", "expand", "ft_homogeneous"):
+        for name, fn in (("_uniform_rule", counted_rule),
+                         ("expand", counted_expand),
+                         ("parseval_residual", refused),
+                         ("gauss_jacobi", refused)):
             if hasattr(module, name):
-                monkeypatch.setattr(module, name, refused)
+                monkeypatch.setattr(module, name, fn)
     monkeypatch.setattr(counterexample, "_CTX_CACHE", {})
     res = run_construction(RunConfig())
     revolution_bodies.body_to_dict(res["body"])
-    assert rules == {(256, 0.5)}
+    assert rules == {(RunConfig.bump_theta_samples, 1.0), (256, 0.5)}
+    assert len(expansions) == 1 and expansions[0].parity == "even"
     assert res["certificate"]["valid"]
 
 
@@ -935,9 +970,7 @@ def test_bump_theta_jets_match_longdouble_series(n):
     # converted from u was off by 2.0e-13 (n = 6) and 1.3e-11 (n = 7)
     ctx = get_context(RunConfig(n=n))
     half = ctx._x.size // 2 + 1
-    qco = _divide_by_u(counterexample._bump_transform_coeffs(ctx.bump,
-                                                             ctx.config),
-                       ctx.lam_index)
+    qco = _divide_by_u(_bump_coeffs(ctx), ctx.lam_index)
     want = quotient_theta_jet_ld(qco, ctx.lam_index, half)
     for got, ref in zip(ctx._bq, want):
         assert np.max(np.abs(got[:half] - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -1000,9 +1033,12 @@ def test_certificate_structure_and_checks(cert5):
 # |b_M(+-1)| / max seed and the bump and gap parts of S_M''(0), as
 # measured for the sweep's Funk-Hecke form, to two digits; max seed is
 # taken with the bump's peaks (_seed_max)
+# (at n = 6 and 7 the truncation and the bump part are the projection's
+# longdouble rounding amplified by C_k(1): doubling bump_theta_samples
+# moves the truncation by 6 % and 0.4 %)
 POLE_SERIES = {5: ("8.7e-09", "4.1e-04", "1.9e-05"),
-               6: ("5.6e-10", "2.3e-05", "6.7e-06"),
-               7: ("3.9e-07", "1.2e-02", "5.4e-07")}
+               6: ("6.1e-10", "2.4e-05", "6.7e-06"),
+               7: ("4.0e-07", "1.2e-02", "5.4e-07")}
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])

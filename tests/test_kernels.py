@@ -1,15 +1,11 @@
-"""The shared Gegenbauer recurrence kernel and the one-step Gauss-Jacobi
-rule, against plain references."""
+"""The shared Gegenbauer recurrence kernel, the FFT projection and the
+cosine-series kernel, against plain references."""
 
 import numpy as np
 import pytest
-from scipy.special import roots_jacobi
+from centroid_sections import spherical_core as sc
 
-from centroid_sections import (ConstructionError, gauss_jacobi,
-                               spherical_core as sc)
-
-from oracles import (SEED, angle_reduction_error, gauss_jacobi_full_newton,
-                     gegenbauer_series_plain, weight_moment)
+from oracles import SEED, angle_reduction_error, gegenbauer_series_plain
 
 LD = np.longdouble
 B = sc._BLOCK
@@ -29,112 +25,6 @@ def test_accumulate_matches_plain_recurrence_bitwise(dtype, shape,
     got = sc._rolling_accumulate(coeffs, 1.5, u)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert np.array_equal(got, want)
-
-
-def test_projection_matches_plain_recurrence_bitwise():
-    rng = np.random.default_rng(SEED)
-    u = rng.uniform(-1.0, 1.0, 300).astype(LD)
-    fw = rng.standard_normal(300).astype(LD)
-    max_degree = 40
-    norms = sc._norm_ratios(1.5, max_degree)
-    want = [fw.sum() / norms[0]]
-    for m in range(1, max_degree + 1):
-        unit = np.zeros(m + 1)
-        unit[m] = 1.0
-        want.append((fw @ gegenbauer_series_plain(unit, 1.5, u, LD))
-                    / norms[m])
-    got = sc._project_onto_basis(fw, 1.5, u, max_degree, norms)
-    assert np.array_equal(got, np.array(want, dtype=LD))
-
-
-@pytest.mark.parametrize("order,beta", [(3392, 1.0), (1728, 0.5)])
-def test_one_step_quadrature_at_shipped_orders(order, beta):
-    q = gauss_jacobi(order, beta)
-    x, w = q.nodes, q.weights
-    assert x.dtype == LD and w.dtype == LD
-    assert np.all(np.diff(x) > 0)
-    assert x[0] > -1.0 and x[-1] < 1.0
-    assert np.all(w > 0)
-
-    # a further Newton step, with C_Q' = 2 lam C_{Q-1}^{lam+1} rather than
-    # the package's (1 - x^2) C_Q' identity, leaves the nodes in place.
-    # The recurrence's rounding noise is absolute, so nodes nearer 0 than
-    # 1/2 are held to the ulp of 1/2 instead of their own finer one.
-    lam = beta + 0.5
-    unit = np.zeros(order + 1)
-    unit[order] = 1.0
-    cq = gegenbauer_series_plain(unit, lam, x, LD)
-    dcq = 2 * LD(lam) * gegenbauer_series_plain(unit[1:], lam + 1, x, LD)
-    ulp = np.spacing(np.maximum(np.abs(x), LD(0.5)))
-    assert np.all(np.abs(cq / dcq) <= 4 * ulp)
-
-    for j in range(65):  # even moments up to degree 128
-        exact = weight_moment(j, beta)
-        got = float(w @ x ** (2 * j))
-        assert abs(got - exact) <= 1e-14 * exact
-
-
-def _full_start(order, beta):
-    """The package's float64 start, mirrored onto all order nodes."""
-    half = sc._gauss_jacobi_start(order, beta)
-    return np.concatenate([-half[order % 2:][::-1], half])
-
-
-@pytest.mark.parametrize("order,beta", [(96, 0.0), (256, 1.0), (257, 1.0),
-                                        (1728, 0.5), (1729, 0.5),
-                                        (3392, 1.0), (3392, 1.5)])
-def test_float64_start_within_two_ulp_of_scipy(order, beta):
-    # scipy's Golub-Welsch roots as the oracle; the recurrence's rounding
-    # noise is absolute, so nodes nearer 0 than 1/2 are held to the ulp of
-    # 1/2 instead of their own finer one
-    ref = np.sort(roots_jacobi(order, beta, beta)[0])
-    x = _full_start(order, beta)
-    assert x.dtype == np.float64 and x.shape == (order,)
-    assert np.array_equal(x, -x[::-1])
-    if order % 2:
-        assert x[order // 2] == 0.0
-    ulp = np.spacing(np.maximum(np.abs(ref), 0.5))
-    assert np.all(np.abs(x - ref) <= 2 * ulp)
-
-
-def test_newton_start_outside_basin_raises(monkeypatch):
-    x = sc._gauss_jacobi_start(64, 1.0)
-    monkeypatch.setattr(sc, "_gauss_jacobi_start",
-                        lambda order, beta: x + 1e-9)
-    with pytest.raises(ConstructionError, match="Newton basin"):
-        sc._gauss_jacobi_cached.__wrapped__(64, 1.0)
-
-
-def test_float64_start_iteration_cap_raises(monkeypatch):
-    # the guess for beta = 1 needs three Newton steps at order 64
-    monkeypatch.setattr(sc, "_START_MAX_ITER", 1)
-    with pytest.raises(ConstructionError, match="did not converge"):
-        sc._gauss_jacobi_start(64, 1.0)
-
-
-def test_float64_start_merged_nodes_raise(monkeypatch):
-    # a float64 function whose only root is 0.5 pulls every guess there:
-    # Newton converges, but the nodes do not separate
-    real = sc._top_pair
-
-    def one_root(lam, x, order):
-        if x.dtype != np.float64:
-            return real(lam, x, order)
-        return x - 0.5, None, np.ones_like(x)
-
-    monkeypatch.setattr(sc, "_top_pair", one_root)
-    with pytest.raises(ConstructionError, match="does not separate"):
-        sc._gauss_jacobi_start(64, 1.0)
-
-
-@pytest.mark.parametrize("order,beta", [(3392, 1.0), (3392, 1.5), (1728, 0.5),
-                                        (1728, 1.0), (256, 1.0), (257, 1.0),
-                                        (1729, 0.5)])
-def test_mirrored_half_step_bit_equal_to_full_node_step(order, beta):
-    x, w = gauss_jacobi_full_newton(order, beta, _full_start(order, beta))
-    q = gauss_jacobi(order, beta)
-    assert np.array_equal(q.nodes, x)
-    assert np.array_equal(q.weights, w)
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])
@@ -163,19 +53,18 @@ def test_folded_series_bit_equal_to_direct_sum(parity, shape, k):
 @pytest.mark.parametrize("parity", ["even", "odd"])
 @pytest.mark.parametrize("order", [256, 257])
 def test_folded_projection_matches_full_node_projection(parity, order):
-    # a declared parity projects on the nonnegative half of the symmetric
-    # rule with doubled weights (the middle node of an odd order counts
-    # once); the full-node projection is the reference
+    # a declared parity samples f on the nonnegative nodes of the mirrored
+    # rule and mirrors the values (the middle node of an even order
+    # counts once); the projection of the same f sampled at every node,
+    # parity undeclared, is the reference.  Its other-parity coefficients
+    # are the rule's rounding alone
     def f(u):
         u = np.asarray(u)
         g = np.exp(-3.0 * u * u) + 0.5 * u ** 4
         return g if parity == "even" else u * g
 
     max_degree = 200
-    q = gauss_jacobi(order, 1.0)
-    norms = sc._norm_ratios(1.5, max_degree)
-    full = sc._project_onto_basis(f(q.nodes) * q.weights, 1.5, q.nodes,
-                                  max_degree, norms)
+    full = sc.expand(f, 5, max_degree, order=order, parity="mixed").coeffs
     got = sc.expand(f, 5, max_degree, order=order, parity=parity).coeffs
     wrong = slice(1 if parity == "even" else 0, None, 2)
     assert np.all(got[wrong] == 0)
@@ -183,6 +72,34 @@ def test_folded_projection_matches_full_node_projection(parity, order):
     scale = float(np.max(np.abs(full)))
     assert float(np.max(np.abs(got[keep] - full[keep]))) <= 1e-17 * scale
     assert float(np.max(np.abs(full[wrong]))) <= 1e-17 * scale
+
+
+@pytest.mark.parametrize("order", [256, 257])
+@pytest.mark.parametrize("n", [5, 6])
+def test_expansion_matches_plain_recurrence_projection(n, order):
+    # the FFT projection against sum_i w_i f(u_i) C_m(u_i) / h_m on the
+    # same rule, C_m by the plain three-term recurrence in longdouble and
+    # h_m from scipy's gamma function, at every degree up to 200
+    from scipy.special import gammaln
+
+    def f(u):
+        u = np.asarray(u)
+        return np.exp(-3.0 * u * u) + 0.5 * u ** 3
+
+    max_degree, lam = 200, (n - 2) / 2
+    q = sc._uniform_rule(order, (n - 3) / 2)
+    fw = f(q.nodes) * q.weights
+    m = np.arange(max_degree + 1)
+    h = np.exp(np.log(np.pi) + (1 - 2 * lam) * np.log(2) + gammaln(m + 2 * lam)
+               - gammaln(m + 1) - 2 * gammaln(lam) - np.log(m + lam))
+    want = np.empty(max_degree + 1)
+    for k in m:
+        unit = np.zeros(k + 1)
+        unit[k] = 1.0
+        want[k] = float(fw @ gegenbauer_series_plain(unit, lam, q.nodes, LD))
+    want /= h
+    got = sc.expand(f, n, max_degree, order=order).coeffs
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def _cosine_series(parity, size=3200):

@@ -45,9 +45,9 @@ def test_traced_intersection_test_records_its_layers(subprocess_env):
     got = _traced(subprocess_env, "intersection-test", "--n", "5")
     assert {"cli.intersection_test",
             "revolution_bodies.intersection_body_test",
-            "spherical_core.ft_homogeneous", "spherical_core.expand",
-            "spherical_core.gauss_jacobi"} <= set(got["spans"])
-    assert got["counters"]["spherical_core.gauss_jacobi_calls"] > 0
+            "spherical_core.ft_homogeneous",
+            "spherical_core.expand"} <= set(got["spans"])
+    assert got["counters"]["spherical_core.expand_terms"] > 0
 
 
 def test_traced_construct_records_its_layers(subprocess_env, tmp_path):
