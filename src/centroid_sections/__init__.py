@@ -12,7 +12,7 @@ process pays only for the parts it uses.
 from importlib import import_module as _import_module
 
 _EXPORTS = {
-    "config": ("ConstructionError", "RunConfig", "default_tolerances"),
+    "config": ("ConstructionError", "RunConfig"),
     "spherical_core": (
         "GegenbauerSpectrum", "Quadrature", "SphereProfile",
         "bochner_multiplier", "eval_spectrum", "eval_spectrum_deriv",

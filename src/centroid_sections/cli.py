@@ -163,10 +163,8 @@ def _malformed(cert) -> Optional[str]:
     params, config = cert.get("params"), cert.get("config", {})
     grids = cert.get("grids")
     if not all(isinstance(x, dict) for x in (
-            params, config, config.get("tolerances", {}), cert.get("checks"),
-            grids)):
-        return ("params, checks, grids, config and config.tolerances must "
-                "be objects")
+            params, config, cert.get("checks"), grids)):
+        return "params, checks, grids and config must be objects"
     entries = [("params.n", params.get("n"), int),
                ("grids.alpha_grid", grids.get("alpha_grid"), int)]
     entries += [(f"params.{k}", params.get(k), float) for k in
@@ -181,11 +179,7 @@ def _malformed(cert) -> Optional[str]:
         if f.name not in config:
             continue
         v = config[f.name]
-        if f.name == "tolerances":
-            entries += [(f"config.tolerances.{name}", stored, float)
-                        for name, stored in v.items()
-                        if name in defaults.tolerances]
-        elif f.name == "a":
+        if f.name == "a":
             if v is not None:
                 entries.append(("config.a", v, float))
         else:
@@ -206,9 +200,9 @@ def _load_certificate(args):
     The recorded parameters set the geometry.  Grid sizes are package
     constants, never read from the file; grids.alpha_grid only names the
     sweep directions of the certificate's record, which verify refines to
-    at least twice the package's grid.  A stored tolerance can only
-    tighten the package default: the check uses the smaller of the two,
-    so a certificate cannot loosen or coarsen its own checks.
+    at least twice the package's grid.  Tolerances are package constants
+    too: the file's tolerances records only what construct used, so a
+    certificate cannot loosen, tighten or coarsen its own checks.
     """
     from . import counterexample as cx
     try:
@@ -228,11 +222,7 @@ def _load_certificate(args):
         return None
     cfg, stored = RunConfig(), cert.get("config", {})
     for f in dataclasses.fields(RunConfig):
-        if f.name == "tolerances":
-            for name, v in stored.get("tolerances", {}).items():
-                if name in cfg.tolerances:
-                    cfg.tolerances[name] = min(v, cfg.tolerances[name])
-        elif f.name in stored:
+        if f.name in stored:
             setattr(cfg, f.name, stored[f.name])
     try:
         cfg.validate()
@@ -308,14 +298,16 @@ def _recheck(cert, cfg, cap_u0) -> bool:
                  f"recomputed lambda0 = {root['lambda0']:.9e}")
 
     # the other route for lhs, at the 4 worst directions and the 2 interior
-    # ones nearest each pole
-    picks = np.union1d(np.argsort(sweep["rel_err"])[-4:],
-                       [1, 2, grid.size - 3, grid.size - 2])
+    # ones nearest each pole, in ascending order
+    picked = np.zeros(grid.size, dtype=bool)
+    picked[np.argsort(sweep["rel_err"])[-4:]] = True
+    picked[[1, 2, grid.size - 3, grid.size - 2]] = True
+    picks = picked.nonzero()[0]
     dev = (np.max(np.abs(ctx.quadrature_lhs(lam0, eps0, grid[picks])
                          - sweep["lhs"][picks]))
            / max(sweep["rhs_max"], 1e-300))
     ok &= _check("identity_by_quadrature",
-                 dev <= cfg.tolerances["identity_rel"] / 10.0,
+                 dev <= RunConfig.tolerances["identity_rel"] / 10.0,
                  f"max |lhs difference| = {dev:.3e} of max |rhs| at "
                  f"{picks.size} directions")
 
@@ -346,10 +338,10 @@ def cmd_intersection_test(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    a = cfg.a if cfg.a is not None else auto_select_a(cfg.n, cfg)
+    a = cfg.a if cfg.a is not None else auto_select_a(cfg.n)
     body = make_base_body(cfg.n, a)
-    res = intersection_body_test(body,
-                                 rel_tol=cfg.tolerances["intersection_rel"])
+    res = intersection_body_test(
+        body, rel_tol=RunConfig.tolerances["intersection_rel"])
     verdict = ("IS an intersection body" if res["is_intersection"]
                else "NOT an intersection body")
     print(f"base body n={cfg.n} a={a}: {verdict}; "

@@ -1,25 +1,15 @@
 """Run configuration shared by the construction pipeline and the CLI."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 from typing import ClassVar, Optional
 
-__all__ = ["ConstructionError", "RunConfig", "default_tolerances"]
+__all__ = ["ConstructionError", "RunConfig"]
 
 
 class ConstructionError(RuntimeError):
     """A precondition of the construction failed numerically."""
-
-
-def default_tolerances() -> dict:
-    return {
-        "equator_rel": 1e-8,
-        "identity_rel": 1e-6,
-        "root_abs": 1e-13,
-        "convexity_margin": 1e-6,
-        "pole_section_abs": 1e-12,
-        "intersection_rel": 1e-9,
-    }
 
 
 @dataclass
@@ -29,15 +19,25 @@ class RunConfig:
     The fields are what a caller sets; ``a`` is the flattening parameter
     of the base body, ``None`` selecting the largest candidate whose
     convexity certificate passes with margin.  The class constants are
-    the package's resolution: no caller sets them, and a certificate
-    records them in its ``grids`` block, not in its configuration.
+    the package's resolution and tolerances: no caller sets them, so a
+    context built for one geometry serves every caller, and verify holds
+    every certificate to them.  A certificate records them in its
+    ``grids`` and ``tolerances`` blocks, not in its configuration.
     """
 
     n: int = 5
     a: Optional[float] = None
     eps: float = 1e-3
     alpha_grid: int = 721
-    tolerances: dict = field(default_factory=default_tolerances)
+
+    tolerances: ClassVar = MappingProxyType({
+        "equator_rel": 1e-8,
+        "identity_rel": 1e-6,
+        "root_abs": 1e-13,
+        "convexity_margin": 1e-6,
+        "pole_section_abs": 1e-12,
+        "intersection_rel": 1e-9,
+    })
 
     # the polar caps start this far from the negativity threshold u* of the
     # base transform towards the pole: cap_u0 = u* + cap_margin (1 - u*)

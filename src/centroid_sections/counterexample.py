@@ -31,7 +31,6 @@ and of the perturbed body (rho_base^n + eps phi)^{1/n}: perturbation and
 perturbed_body.
 """
 
-import copy
 import time
 from dataclasses import asdict
 from functools import partial
@@ -85,13 +84,12 @@ def negativity_threshold(n: int, a: float) -> float:
     return float(np.sqrt(arg))
 
 
-def auto_select_a(n: int, config: Optional[RunConfig] = None) -> float:
+def auto_select_a(n: int) -> float:
     """First candidate flattening parameter whose base body passes the
     convexity margin; larger candidates flatten harder and are tried
     first."""
-    cfg = config or RunConfig(n=n)
-    margin = cfg.tolerances["convexity_margin"]
-    for a in cfg.auto_a_candidates:
+    margin = RunConfig.tolerances["convexity_margin"]
+    for a in RunConfig.auto_a_candidates:
         if 1 - 2 * a ** (n - 2) <= 0:
             continue
         try:
@@ -280,11 +278,16 @@ class ConstructionContext:
     What depends on a sweep direction's |u| alone, the bump series b_M and
     the base body's section volume, is computed the first time a sweep
     reaches that |u| and kept for the later sweeps (_bump_and_volume).
+    The settings it reads are RunConfig's class constants alone, so one
+    context serves every caller of its geometry.
     """
 
-    def __init__(self, n: int, a: float, cap_u0: float, config: RunConfig):
+    # the settings the context is built and checked to, RunConfig's class
+    # constants, under the name the benchmark (perfbench) reads them by
+    config = RunConfig
+
+    def __init__(self, n: int, a: float, cap_u0: float):
         t_start = time.perf_counter()
-        self.config = config
         self.n = int(n)
         self.a = float(a)
         self.cap_u0 = float(cap_u0)
@@ -308,8 +311,8 @@ class ConstructionContext:
         # float64, which is named here, not warned about
         lam = self.lam_index
         with np.errstate(over="ignore", invalid="ignore"):
-            co_ld = ft_homogeneous(self.bump, 1.0, config.bump_max_degree,
-                                   order=config.bump_theta_samples).coeffs
+            co_ld = ft_homogeneous(self.bump, 1.0, RunConfig.bump_max_degree,
+                                   order=RunConfig.bump_theta_samples).coeffs
             qco_ld = _divide_by_u(co_ld, lam)
             self.quotient_cosine = _cosine_coeffs(qco_ld, lam, "odd")
             self.bump_cosine = _cosine_coeffs(
@@ -338,7 +341,7 @@ class ConstructionContext:
         self._gap_ft = self.gap.ft_profile
         self._gap_q = _gap_quotient(n)
 
-        eq = _mirrored_grid(config.equator_grid)
+        eq = _mirrored_grid(RunConfig.equator_grid)
         # at large n, C_m^lam near the poles outgrows float64: a series that
         # overflows is named below, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
@@ -356,7 +359,7 @@ class ConstructionContext:
                 f"of {eq.size} equator-grid points (n = {n})")
         self._gft_eq = np.asarray(self._gap_ft(eq), dtype=np.float64)
         resid /= max(float(np.max(np.abs(self._bft_eq))), 1e-300)
-        tol = config.tolerances["identity_rel"] / 10.0
+        tol = RunConfig.tolerances["identity_rel"] / 10.0
         if not resid <= tol:
             raise ConstructionError(
                 f"odd quotient series does not reproduce the transform: "
@@ -372,7 +375,7 @@ class ConstructionContext:
         # FFTs of length 4 (K - 1), K nodes on [0, pi/2].  The first and
         # the third are odd about pi/2 (u = 0), where an FFT may leave
         # rounding noise: their samples there are set to exactly 0
-        half = (config.curvature_grid + 1) // 2
+        half = (RunConfig.curvature_grid + 1) // 2
         # the angles rounded as every 20th point of a 20-fold finer
         # linspace rounds them: the node bits that certificates carry
         theta = np.linspace(0.0, np.pi / 2, 20 * (half - 1) + 1)[::20]
@@ -407,17 +410,16 @@ class ConstructionContext:
         # 1e-15 of order-1728 Gauss-Jacobi at n = 5 to 8.  rho_b is even
         # and the rule mirrored, so it is folded onto its nonnegative
         # nodes, the weights doubled but at the middle node u = 0
-        qs = _uniform_rule(config.quad_order, (n - 4) / 2)
-        half = config.quad_order // 2 + 1
+        qs = _uniform_rule(RunConfig.quad_order, (n - 4) / 2)
+        half = RunConfig.quad_order // 2 + 1
         self._ts = qs.nodes[:half].astype(np.float64)
         self._tw = (qs.weights[:half]
                     * np.where(self._ts > 0, 2, 1)).astype(np.float64)
         # slices of the section subsphere S^{n-2} are of dimension n-3
         self._subsurf = sphere_area(n - 3)
         # rows |u|, b_M and the section volume at each |u| <= 1 a sweep has
-        # reached, ascending in |u|.  The shallow copies of get_context
-        # share this one-entry list, and a sweep replaces its entry whole
-        self._swept = [np.empty((3, 0))]
+        # reached, ascending in |u|
+        self._swept = np.empty((3, 0))
 
         self.build_seconds = time.perf_counter() - t_start
 
@@ -434,10 +436,10 @@ class ConstructionContext:
         transform ghat, values only: the bump's quotient from its cosine
         series (quotient_cosine, _cosine_sum) and the gap's closed form
         (_gap_quotient), both in float64.  Raises unless ghat vanishes at
-        the equator to the configured tolerance, relative to its max over
-        the equator grid."""
+        the equator to the package tolerance, relative to its max over the
+        equator grid."""
         ratio = self.equator_ratio(lam)
-        tol = self.config.tolerances["equator_rel"]
+        tol = RunConfig.tolerances["equator_rel"]
         if not ratio <= tol:
             raise ConstructionError(
                 f"transform does not vanish at the equator: |value| is "
@@ -512,26 +514,25 @@ class ConstructionContext:
 
     def kappa_report(self, lam: float, eps: float) -> ConvexityReport:
         """Meridian curvature report of the perturbed body from the
-        theta-jets at the nodes, held to the configured margin."""
+        theta-jets at the nodes, held to the package's convexity margin."""
         phi = [(1.0 - lam) * b + lam * g for b, g in zip(self._bq, self._gq)]
         # where rho^n + eps phi < 0 the root is NaN, and so is kappa_min,
         # which the report's guard (_clears) counts as not convex
         with np.errstate(invalid="ignore"):
             r = _root_jet(self.n, eps, self._rho, phi, self._rho_pow)
             return _meridian_report(
-                self._theta, *r, self.config.tolerances["convexity_margin"])
+                self._theta, *r, RunConfig.tolerances["convexity_margin"])
 
     def seed_value(self, u, lam: float):
         return (1.0 - lam) * self.bump(u) + lam * self.gap(u)
 
     # -- root finding ------------------------------------------------------
 
-    def select_eps(self, eps0: Optional[float] = None) -> dict:
-        """Halve eps until the centroid brackets zero across lam in [0,1]
-        and both endpoint bodies stay convex with margin."""
-        cfg = self.config
-        margin = cfg.tolerances["convexity_margin"]
-        eps = cfg.eps if eps0 is None else float(eps0)
+    def select_eps(self, eps0: float) -> dict:
+        """Halve eps from eps0 until the centroid brackets zero across lam
+        in [0,1] and both endpoint bodies stay convex with margin."""
+        margin = RunConfig.tolerances["convexity_margin"]
+        eps = float(eps0)
         halvings = 0
         while True:
             c0 = self.centroid(0.0, eps)
@@ -549,7 +550,7 @@ class ConstructionContext:
             else:
                 return {"eps": eps, "halvings": halvings,
                         "centroid_at_0": c0, "centroid_at_1": c1}
-            if halvings >= cfg.eps_max_halvings:
+            if halvings >= RunConfig.eps_max_halvings:
                 raise ConstructionError(
                     f"eps too large: no admissible value after "
                     f"{halvings} halvings (last {eps:.3e}: {reason})")
@@ -560,8 +561,7 @@ class ConstructionContext:
         """Bisect the blend weight over [0, 1] until the centroid is below
         the root tolerance.  The centroid is monotone enough in lam for
         plain bisection; no derivative information is required."""
-        cfg = self.config
-        tol = cfg.tolerances["root_abs"]
+        tol = RunConfig.tolerances["root_abs"]
         lo, hi = 0.0, 1.0
         clo = self.centroid(lo, eps)
         chi = self.centroid(hi, eps)
@@ -571,7 +571,7 @@ class ConstructionContext:
                 f"{clo} vs {chi}")
         mid, cm = lo, clo
         iters = 0
-        for iters in range(1, cfg.root_max_iter + 1):
+        for iters in range(1, RunConfig.root_max_iter + 1):
             mid = 0.5 * (lo + hi)
             cm = self.centroid(mid, eps)
             if cm is None:
@@ -588,10 +588,9 @@ class ConstructionContext:
     # -- section sweep ------------------------------------------------------
 
     def identity_sweep(self, lam: float, eps: float,
-                       u_grid: Optional[np.ndarray] = None) -> dict:
+                       u_grid: np.ndarray) -> dict:
         """Compare n |section| <centroid, axis> against the closed-form
-        multiple of the seed over a grid of section directions, by default
-        alpha_grid directions mirrored bit for bit (_mirrored_grid).
+        multiple of the seed over the section directions u_grid.
 
         Left side: the integral of s (rho_b^n + eps phi)(s), s = <eta, e_n>,
         over the unit subsphere orthogonal to the direction.  The rho_b^n
@@ -615,9 +614,6 @@ class ConstructionContext:
         read back like b_M: the perturbation's first-order term is odd
         over the section and adds nothing to it.
         """
-        cfg = self.config
-        if u_grid is None:
-            u_grid = _mirrored_grid(cfg.alpha_grid)
         u_grid = np.asarray(u_grid, dtype=float)
         n = self.n
         scale = eps * (2.0 * np.pi) ** n / np.pi
@@ -655,7 +651,7 @@ class ConstructionContext:
         and stored, ascending in |u|, if |u| <= 1 (NaN is not), while
         fewer than _SWEPT_MAX are.  Either way a value has the same bits,
         since both sums give each point its bits in any batch."""
-        known = self._swept[0]
+        known = self._swept
         at = np.searchsorted(known[0], a)
         hit = at < known.shape[1]
         hit[hit] = known[0, at[hit]] == a[hit]
@@ -679,9 +675,9 @@ class ConstructionContext:
             keep = (new & (a <= 1.0)).nonzero()[0]
             keep = keep[:_SWEPT_MAX - known.shape[1]]
             if keep.size:
-                self._swept[0] = np.insert(known, at[keep],
-                                           np.stack([a, b, vol])[:, keep],
-                                           axis=1)
+                self._swept = np.insert(known, at[keep],
+                                        np.stack([a, b, vol])[:, keep],
+                                        axis=1)
         return b, vol
 
     def _seed_max(self, lam: float, u) -> float:
@@ -701,7 +697,7 @@ class ConstructionContext:
         that this route shares no summation code with identity_sweep's.
         verify compares the two."""
         n = self.n
-        qs = _uniform_rule(self.config.section_quad_order, (n - 4) / 2)
+        qs = _uniform_rule(RunConfig.section_quad_order, (n - 4) / 2)
         ts, tw = qs.nodes.astype(np.float64), qs.weights.astype(np.float64)
         v = np.sqrt(np.maximum(0.0, 1.0 - np.asarray(u) ** 2))[:, None] * ts
         phi = ((1.0 - lam) * eval_spectrum(self.bump_quotient, v)
@@ -730,13 +726,12 @@ class ConstructionContext:
         r = self._power(lam, eps) ** (1.0 / self.n)
         return float(np.max(r + r[::-1]))
 
-    def certify(self, lam: float, eps: float,
-                u_grid: Optional[np.ndarray] = None) -> tuple:
+    def certify(self, lam: float, eps: float, u_grid: np.ndarray) -> tuple:
         """(record, sweep): every certificate entry that (lam, eps)
-        determine, with the checks that hold them to the configured
+        determine, with the checks that hold them to the package's
         tolerances, and the identity sweep over u_grid behind them.  A
         centroid that is None (positivity lost) fails its checks."""
-        tol = self.config.tolerances
+        tol = RunConfig.tolerances
         c, c0, c1 = (self.centroid(x, eps) for x in (lam, 0.0, 1.0))
         sweep = self.identity_sweep(lam, eps, u_grid)
         base = curvature(self.base, margin=tol["convexity_margin"])
@@ -779,29 +774,26 @@ class ConstructionContext:
 
 def get_context(config: Optional[RunConfig] = None,
                 cap_u0: Optional[float] = None) -> ConstructionContext:
-    """Context for (n, a, cap_u0) bound to the given configuration.
+    """The context for the geometry (n, a, cap_u0) of the configuration,
+    built on first use and cached, so every call for one geometry returns
+    the same context.  Of the configuration only n and a are read; what
+    else a caller sets (eps, alpha_grid) goes to the context's methods as
+    arguments.
 
     cap_u0 defaults to u* + cap_margin (1 - u*), u* the negativity
-    threshold of the base body's transform.  The tables are cached across
-    calls, keyed on (n, a, cap_u0); a cache hit returns a shallow copy
-    that shares them but carries the caller's configuration for
-    everything read per call (eps, tolerances, sweep grid).
+    threshold of the base body's transform.
     """
     cfg = config or RunConfig()
     cfg.validate()
     n = cfg.n
-    a = cfg.a if cfg.a is not None else auto_select_a(n, cfg)
+    a = cfg.a if cfg.a is not None else auto_select_a(n)
     if cap_u0 is None:
         us = negativity_threshold(n, a)
         cap_u0 = us + cfg.cap_margin * (1.0 - us)
     key = (n, a, float(cap_u0))
-    ctx = _CTX_CACHE.get(key)
-    if ctx is None:
-        ctx = _CTX_CACHE[key] = ConstructionContext(n, a, cap_u0, cfg)
-        return ctx
-    ctx = copy.copy(ctx)
-    ctx.config = cfg
-    return ctx
+    if key not in _CTX_CACHE:
+        _CTX_CACHE[key] = ConstructionContext(n, a, cap_u0)
+    return _CTX_CACHE[key]
 
 
 def run_construction(config: Optional[RunConfig] = None) -> dict:
@@ -819,7 +811,7 @@ def run_construction(config: Optional[RunConfig] = None) -> dict:
     eps0 = sel["eps"]
     root = ctx.find_root(eps0)
     lam0 = root["lambda0"]
-    record, sweep = ctx.certify(lam0, eps0)
+    record, sweep = ctx.certify(lam0, eps0, _mirrored_grid(cfg.alpha_grid))
     failures = sorted(name for name, ok in record["checks"].items() if not ok)
 
     cert = {

@@ -164,7 +164,6 @@ def intersection_body_test(body: RevolutionBody,
         "min_value": min_value,
         "argmin_u": float(u[i]),
         "is_intersection": bool(min_value >= threshold),
-        "truncation_warning": fhat.truncation_warning,
     }
 
 

@@ -81,8 +81,6 @@ class GegenbauerSpectrum:
     lambda_index: float
     coeffs: np.ndarray
     parity: str = "mixed"
-    tail_rel: float = 0.0
-    truncation_warning: bool = False
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs)
@@ -107,52 +105,6 @@ class Quadrature:
 # ---------------------------------------------------------------------------
 # Gegenbauer recurrences
 
-# points per block of the recurrence sweep: the four work buffers of a block
-# stay in a per-core cache while the sweep walks every degree
-_BLOCK = 1 << 14
-
-
-def _gegenbauer_sweep(lam, u, max_degree, dtype):
-    """Walk the three-term recurrence for C_m^lam over the flattened u.
-
-    Yields (block, m, values) for each block of at most _BLOCK points and,
-    inside it, for m = 0..max_degree; values holds C_m^lam(u[block]) in a
-    work buffer that the next step overwrites, so consumers read it at
-    once and never write to it.  Each step computes
-    ((2u * (m + lam - 1)) * C_{m-1} - (m + 2 lam - 2) * C_{m-2}) / m in
-    exactly that operation order, which every caller relies on for
-    bit-stable results.
-    """
-    dtype = np.dtype(dtype).type
-    u = np.asarray(u, dtype=dtype).reshape(-1)
-    lam = dtype(lam)
-    m = np.arange(max_degree + 1).astype(dtype)
-    a = m + lam - 1
-    b = m + 2 * lam - 2
-    two_lam = 2 * lam
-    size = min(u.size, _BLOCK)
-    u2_buf, pm1_buf, p_buf, t_buf = (np.empty(size, dtype) for _ in range(4))
-    for start in range(0, u.size, _BLOCK):
-        block = slice(start, min(start + _BLOCK, u.size))
-        k = block.stop - start
-        u2, pm1, p, t = u2_buf[:k], pm1_buf[:k], p_buf[:k], t_buf[:k]
-        pm1.fill(1)
-        yield block, 0, pm1
-        if max_degree == 0:
-            continue
-        np.multiply(u[block], two_lam, out=p)
-        yield block, 1, p
-        np.multiply(u[block], 2, out=u2)
-        for j in range(2, max_degree + 1):
-            np.multiply(u2, a[j], out=t)
-            t *= p
-            pm1 *= b[j]
-            t -= pm1
-            t /= m[j]
-            pm1, p, t = p, t, pm1
-            yield block, j, p
-
-
 def _norm_ratios(lam, max_degree, dtype=LD):
     """Norms h_m = integral of C_m^2 against (1-u^2)^(lam-1/2), by ratio
     recurrence from h_0 so only one gamma evaluation enters."""
@@ -168,18 +120,34 @@ def _norm_ratios(lam, max_degree, dtype=LD):
 
 
 def _rolling_accumulate(coeffs, lam, u, dtype=None):
-    """Sum_m coeffs[m] C_m^lam(u), shaped like u, without a value table."""
+    """Sum_m coeffs[m] C_m^lam(u), shaped like u, without a value table:
+    the three-term recurrence for C_m^lam walks the degrees over every
+    point at once, each step ((2u * (m + lam - 1)) * C_{m-1} - (m + 2 lam
+    - 2) * C_{m-2}) / m in exactly that operation order, which every
+    caller relies on for bit-stable results."""
     u = np.asarray(u)
     if dtype is None:
         dtype = np.result_type(coeffs.dtype, u.dtype, np.float64)
+    dtype = np.dtype(dtype).type
     c = np.asarray(coeffs, dtype=dtype)
-    acc = np.full(u.size, c[0], dtype=dtype)
-    term = np.empty(min(u.size, _BLOCK), dtype=dtype)
-    for block, m, p in _gegenbauer_sweep(lam, u, len(c) - 1, dtype):
-        if m and c[m] != 0:
-            tm = term[:p.size]
-            np.multiply(c[m], p, out=tm)
-            acc[block] += tm
+    x = np.asarray(u, dtype=dtype).reshape(-1)
+    lam = dtype(lam)
+    m = np.arange(len(c)).astype(dtype)
+    a, b = m + lam - 1, m + 2 * lam - 2
+    acc = np.full(x.size, c[0], dtype=dtype)
+    pm1, p, u2 = np.ones_like(x), x * (2 * lam), x * 2
+    t, term = np.empty_like(x), np.empty_like(x)
+    for j in range(1, len(c)):
+        if j > 1:
+            np.multiply(u2, a[j], out=t)
+            t *= p
+            pm1 *= b[j]
+            t -= pm1
+            t /= m[j]
+            pm1, p, t = p, t, pm1
+        if c[j] != 0:
+            np.multiply(c[j], p, out=term)
+            acc += term
     return acc.reshape(u.shape)
 
 
@@ -474,10 +442,7 @@ def expand(f, n: int, max_degree: int, order: Optional[int] = None,
     (_uniform_rule), on its nonnegative nodes only and mirrored if f
     declares itself even or odd.  One real FFT of the weighted samples
     gives the cosine moments, _gegenbauer_moments those against C_m for
-    each parity, and a coefficient is that over the norm h_m.  The tail
-    estimate is the largest coefficient among the last 10% of degrees
-    relative to the overall largest; a tail above 1e-6 of it flags
-    truncation_warning on the result rather than failing.
+    each parity, and a coefficient is that over the norm h_m.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
@@ -507,13 +472,8 @@ def expand(f, n: int, max_degree: int, order: Optional[int] = None,
     moments = np.fft.rfft(y).real[:max_degree + 1] * (_PI_LD / (2 * order))
     co = sum(_gegenbauer_moments(moments, lam, p) for p in parities)
     co /= _norm_ratios(lam, max_degree)
-    amax = float(np.max(np.abs(co.astype(np.float64))))
-    ntail = max(1, (max_degree + 1) // 10)
-    tail = float(np.max(np.abs(co[-ntail:].astype(np.float64))))
-    tail_rel = tail / amax if amax > 0 else 0.0
-    return GegenbauerSpectrum(
-        n=n, lambda_index=lam, coeffs=co, parity=parity, tail_rel=tail_rel,
-        truncation_warning=bool(tail_rel > 1e-6))
+    return GegenbauerSpectrum(n=n, lambda_index=lam, coeffs=co,
+                              parity=parity)
 
 
 def eval_spectrum(s: GegenbauerSpectrum, u):

@@ -2,6 +2,7 @@ import copy
 import json
 import os
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -28,12 +29,23 @@ def ctx5():
 @pytest.fixture(scope="session")
 def cold():
     """cold(ctx): a shallow copy of a context whose sweep store is empty,
-    so that its sweeps sum b_M and the section volumes afresh."""
+    so that its sweeps sum b_M and the section volumes afresh, and fill
+    the copy's store alone."""
     def copy_with_empty_store(ctx):
         out = copy.copy(ctx)
-        out._swept = [np.empty((3, 0))]
+        out._swept = np.empty((3, 0))
         return out
     return copy_with_empty_store
+
+
+@pytest.fixture
+def tolerance(monkeypatch):
+    """tolerance(name, value): the package tolerance name set to value for
+    the rest of one test."""
+    def set_tolerance(name, value):
+        monkeypatch.setattr(RunConfig, "tolerances", MappingProxyType(
+            {**RunConfig.tolerances, name: value}))
+    return set_tolerance
 
 
 @pytest.fixture(scope="session")

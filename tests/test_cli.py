@@ -311,11 +311,13 @@ def test_verify_rejects_shifted_root(cli_outdir, tmp_path, capsys):
 
 def test_verify_holds_nudged_root_to_package_tolerance(cli_outdir, tmp_path,
                                                       capsys):
-    # the file's root_abs of 1e-6 would pass |c| ~ 2.4e-13 at a root nudged
-    # by 0.1 %; a stored tolerance may only tighten the package's 1e-13
+    # a root_abs of 1e-6 would pass |c| ~ 2.4e-13 at a root nudged by
+    # 0.1 %; stored in the tolerances record, or in the config block that
+    # older certificates carried, it does not replace the package's 1e-13
     def mutate(cert):
         cert["lambda0"] *= 1.0 + 1e-3
-        cert["config"]["tolerances"]["root_abs"] = 1e-6
+        cert["tolerances"]["root_abs"] = 1e-6
+        cert["config"]["tolerances"] = dict(cert["tolerances"])
     path = _tampered(cli_outdir, tmp_path, mutate)
     rc = cli.main(["verify", str(path)])
     out = capsys.readouterr().out
@@ -323,31 +325,43 @@ def test_verify_holds_nudged_root_to_package_tolerance(cli_outdir, tmp_path,
     assert "FAIL root_within_tolerance" in out
 
 
-def test_verify_honours_tightened_tolerance(cli_outdir, tmp_path, capsys):
-    path = _tampered(
-        cli_outdir, tmp_path,
-        lambda c: c["config"]["tolerances"].update(equator_rel=1e-12))
-    rc = cli.main(["verify", str(path)])
-    out = capsys.readouterr().out
-    assert rc == 4
-    assert "FAIL equator_within_tolerance" in out
-    assert "PASS root_within_tolerance" in out
-
-
 def test_verify_fails_when_recheck_precondition_fails(cli_outdir, tmp_path,
                                                       capsys):
-    # a stored identity_rel of 1e-30 fails the sweep's identity on the
-    # doubled grid; that refutes the certificate (exit 4), it is no
-    # construction failure
-    path = _tampered(
-        cli_outdir, tmp_path,
-        lambda c: c["config"]["tolerances"].update(identity_rel=1e-30))
+    # at n = 5 a base body needs 2 a^3 < 1, so a recorded a = 0.8 admits
+    # none: the recheck cannot start, which refutes the certificate (exit
+    # 4) on one named line; it is no construction failure
+    path = _tampered(cli_outdir, tmp_path,
+                     lambda c: c["params"].update(a=0.8))
     rc = cli.main(["verify", str(path)])
     out = capsys.readouterr().out
     assert rc == 4
-    assert "PASS root_within_tolerance" in out
-    assert "FAIL identity_within_tolerance" in out
-    assert "verification FAILED" in out
+    assert out.splitlines() == [
+        "FAIL recheck_completes: profile not positive: a too large for "
+        "this n", "verification FAILED"]
+
+
+def _stored_identity_rel(cert):
+    cert["tolerances"]["identity_rel"] = 1e-30
+    cert["config"]["tolerances"] = dict(cert["tolerances"])
+
+
+@pytest.mark.parametrize("mutate", [lambda c: None, _stored_identity_rel],
+                         ids=["shipped", "stored_identity_rel_1e-30"])
+def test_verify_prints_the_same_lines_fresh_and_warm(
+        cli_outdir, tmp_path, ctx5, subprocess_env, capsys, mutate):
+    # in a new process, and after the session has built the default
+    # context, verify prints the same lines: every check reads the
+    # package's tolerances, and a tolerance stored in the file, in its
+    # tolerances record or in an older config block, changes none of them
+    path = _tampered(cli_outdir, tmp_path, mutate)
+    fresh = subprocess.run(
+        [sys.executable, "-m", "centroid_sections.cli", "verify", str(path)],
+        env=subprocess_env, capture_output=True, text=True, timeout=120)
+    capsys.readouterr()
+    assert cli.main(["verify", str(path)]) == 0 == fresh.returncode
+    warm = capsys.readouterr().out
+    assert warm == fresh.stdout
+    assert warm.count("PASS ") == 12 and "verification PASSED" in warm
 
 
 def test_verify_quadrature_route_refutes_a_scaled_seed_series(
@@ -528,7 +542,8 @@ def test_verify_lines_are_the_certificate_checks(construct_result,
 
 # configuration keys, grids, tolerances and records that certificates
 # carried while the package still had them, or while they were
-# configuration rather than package constants; nothing reads them now
+# configuration rather than package constants (config.tolerances among
+# them); nothing reads them now
 DROPPED_CONFIG = {"cap_margin": 0.5, "quad_order": 256, "max_degree": 120,
                   "plot_grid": 1001, "planar_resolution": 4096,
                   "planar_theta_tol": 1e-10, "u_switch": 0.05, "gl_order": 96,
@@ -555,8 +570,8 @@ def test_verify_accepts_certificate_with_dropped_keys(cli_outdir, tmp_path,
     def mutate(cert):
         cert["config"].update(DROPPED_CONFIG)
         cert["grids"].update(DROPPED_GRIDS)
-        cert["config"]["tolerances"].update(DROPPED_TOLERANCES)
         cert["tolerances"].update(DROPPED_TOLERANCES)
+        cert["config"]["tolerances"] = dict(cert["tolerances"])
         for key, value in DROPPED_KEYS.items():
             *path, name = key.split(".")
             target = cert

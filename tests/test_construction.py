@@ -35,7 +35,7 @@ C5 = 16.0 * np.pi ** 2
 def _bump_coeffs(ctx, order=None):
     """The context's longdouble bump transform coefficients, as its build
     forms them, from the rule of order bump_theta_samples by default."""
-    cfg = ctx.config
+    cfg = RunConfig
     return ft_homogeneous(ctx.bump, 1.0, cfg.bump_max_degree,
                           order=order or cfg.bump_theta_samples).coeffs
 
@@ -203,15 +203,15 @@ def test_odd_perturbation_branch_consistency(monkeypatch):
             assert np.max(np.abs(a - b)) <= 1e-13 * scale
 
 
-def test_odd_perturbation_rejects_nonvanishing_equator(ctx5, cert5):
+def test_odd_perturbation_rejects_nonvanishing_equator(ctx5, cert5,
+                                                       tolerance):
     # the blended transform must vanish at the equator, relative to the
-    # configured tolerance
-    tight = copy.deepcopy(ctx5.config)
-    tight.tolerances["equator_rel"] = 1e-30
+    # package tolerance, which the cached context reads when it runs
+    tolerance("equator_rel", 1e-30)
     with pytest.raises(ConstructionError, match="equator"):
-        get_context(tight).perturbation(0.5)
+        ctx5.perturbation(0.5)
     with pytest.raises(ConstructionError, match="equator"):
-        get_context(tight).perturbed_body(cert5["lambda0"], cert5["eps0"])
+        ctx5.perturbed_body(cert5["lambda0"], cert5["eps0"])
     # a transform that does not vanish at the equator, or is NaN there
     for g0 in (0.3 * np.max(np.abs(ctx5._bft_eq)), float("nan")):
         shifted = copy.copy(ctx5)
@@ -342,7 +342,8 @@ def test_find_root_module_level_matches(cert5):
 
 
 def test_identity_zero_eps_both_sides_vanish(ctx5):
-    sweep = ctx5.identity_sweep(0.5, 0.0)
+    sweep = ctx5.identity_sweep(0.5, 0.0,
+                                counterexample._mirrored_grid(721))
     assert np.max(np.abs(sweep["lhs"])) <= 1e-12
     assert np.all(sweep["rhs"] == 0.0)
 
@@ -384,7 +385,7 @@ def test_identity_check_public_wrapper(construct_result, cert5):
     u = np.linspace(-0.9, 0.9, 7)
     assert np.array_equal(ctx.perturbed_body(lam, eps).rho(u),
                           construct_result["body"].rho(u))
-    sweep = ctx.identity_sweep(lam, eps)
+    sweep = ctx.identity_sweep(lam, eps, counterexample._mirrored_grid(721))
     assert sweep["max_rel_err"] <= 1e-6
 
 
@@ -435,7 +436,7 @@ def test_sweep_lhs_matches_independent_quadrature(ctx5, n):
     # 3.8e-10 of max |rhs| at n = 5, 6 and 7; the rhs itself is 9.2e-9
     # from this lhs at n = 5
     ctx = ctx5 if n == 5 else get_context(RunConfig(n=n))
-    eps = ctx.select_eps()["eps"]
+    eps = ctx.select_eps(RunConfig.eps)["eps"]
     lam = ctx.find_root(eps)["lambda0"]
     grid = np.linspace(-1.0, 1.0, RunConfig.alpha_grid)
     scale = np.max(np.abs(ctx.identity_sweep(lam, eps, grid)["rhs"]))
@@ -534,7 +535,7 @@ def test_identity_sweep_bit_equal_to_unfolded_sweep(ctx5, cert5, cold):
     # (n = 5) and at a root of n = 6, on linspace grids and mirrored ones.
     # Each sweep starts from an empty store, so it sums the series itself
     ctx6 = get_context(RunConfig(n=6))
-    eps6 = ctx6.select_eps()["eps"]
+    eps6 = ctx6.select_eps(RunConfig.eps)["eps"]
     for ctx, lam, eps in ((ctx5, cert5["lambda0"], cert5["eps0"]),
                           (ctx6, ctx6.find_root(eps6)["lambda0"], eps6)):
         for size in (361, 721, 1441):
@@ -576,7 +577,7 @@ def test_warm_sweep_bit_equal_to_cold_sweep(ctx5, cold, n):
     # whose store fills as it goes, give every key of a sweep that sums
     # them afresh, bit for bit
     ctx = cold(ctx5 if n == 5 else get_context(RunConfig(n=n)))
-    eps = ctx.select_eps()["eps"]
+    eps = ctx.select_eps(RunConfig.eps)["eps"]
     lam = ctx.find_root(eps)["lambda0"]
     grids = [g for size in (361, 721, 1441)
              for g in (np.linspace(-1.0, 1.0, size),
@@ -587,15 +588,15 @@ def test_warm_sweep_bit_equal_to_cold_sweep(ctx5, cold, n):
                                cold(ctx).identity_sweep(lam_, eps_, grid))
     # 181 + 361 + 721 distinct |u| of the mirrored grids, and those of
     # the linspace grids that are none of them
-    known = ctx._swept[0][0]
+    known = ctx._swept[0]
     assert known.size == np.unique(np.abs(np.concatenate(grids))).size
     assert np.all(np.diff(known) > 0)
 
 
 def test_repeated_sweep_sums_no_series(ctx5, cert5, cold, monkeypatch):
-    # a sweep over directions whose |u| an earlier sweep on the context (or
-    # a shallow copy of it) reached reads b_M and the section volumes back:
-    # it calls neither _cosine_sum nor the base body's radius
+    # a sweep over directions whose |u| an earlier sweep on the context
+    # reached reads b_M and the section volumes back: it calls neither
+    # _cosine_sum nor the base body's radius
     calls = []
     real = counterexample._cosine_sum
     monkeypatch.setattr(counterexample, "_cosine_sum",
@@ -609,7 +610,7 @@ def test_repeated_sweep_sums_no_series(ctx5, cert5, cold, monkeypatch):
     first = ctx.identity_sweep(lam, eps, grid)
     assert sorted(set(calls)) == ["_cosine_sum", "rho"]
     calls.clear()
-    again = copy.copy(ctx).identity_sweep(0.5 * lam, 2.0 * eps, grid[::-3])
+    again = ctx.identity_sweep(0.5 * lam, 2.0 * eps, grid[::-3])
     ctx.identity_sweep(lam, eps, grid)
     assert calls == []
     assert np.array_equal(again["lhs"],
@@ -631,13 +632,13 @@ def test_sweep_store_keeps_finite_directions_within_its_bound(
             got = ctx.identity_sweep(lam, eps, bad)
             _assert_same_sweep(got, cold(ctx5).identity_sweep(lam, eps, bad))
     assert np.array_equal(np.isnan(got["lhs"]), ~(np.abs(bad) <= 1.0))
-    assert np.array_equal(ctx._swept[0][0], [0.3, 0.5, 1.0])
+    assert np.array_equal(ctx._swept[0], [0.3, 0.5, 1.0])
     monkeypatch.setattr(counterexample, "_SWEPT_MAX", 100)
     for size in (721, 1441):
         grid = counterexample._mirrored_grid(size)
         _assert_same_sweep(ctx.identity_sweep(lam, eps, grid),
                            cold(ctx5).identity_sweep(lam, eps, grid))
-        assert ctx._swept[0].shape == (3, 100)
+        assert ctx._swept.shape == (3, 100)
 
 
 def test_theta_table_matches_series_at_knots(ctx5):
@@ -793,8 +794,7 @@ def test_context_build_names_a_nonfinite_bump_cosine_series(ctx5,
     monkeypatch.setattr(counterexample, "_cosine_coeffs", overflowing)
     with pytest.raises(ConstructionError,
                        match="bump series has 1 cosine coefficients"):
-        counterexample.ConstructionContext(5, ctx5.a, ctx5.cap_u0,
-                                           RunConfig())
+        counterexample.ConstructionContext(5, ctx5.a, ctx5.cap_u0)
 
 
 def _flipped_division(coeffs, lam):
@@ -821,8 +821,7 @@ def test_context_build_rejects_a_wrong_quotient_series(ctx5, monkeypatch,
                                                        division):
     monkeypatch.setattr(counterexample, "_divide_by_u", division)
     with pytest.raises(ConstructionError, match="odd quotient series"):
-        counterexample.ConstructionContext(5, ctx5.a, ctx5.cap_u0,
-                                           RunConfig())
+        counterexample.ConstructionContext(5, ctx5.a, ctx5.cap_u0)
 
 
 def test_context_build_series_work_budget(ctx5, monkeypatch):
@@ -840,7 +839,7 @@ def test_context_build_series_work_budget(ctx5, monkeypatch):
 
     monkeypatch.setattr(spherical_core, "_rolling_accumulate", counted)
     assert not hasattr(counterexample, "_rolling_accumulate")
-    counterexample.ConstructionContext(5, ctx5.a, ctx5.cap_u0, RunConfig())
+    counterexample.ConstructionContext(5, ctx5.a, ctx5.cap_u0)
     # measured 3.20 M: the bump transform on the equator grid (1001
     # distinct |u|); its quotient there is summed from its cosine series,
     # the transform at u = 0 by scalar steps, and the curvature and
@@ -929,7 +928,7 @@ def test_kappa_report_bit_equal_to_plain_root_jet(n, lam, eps):
         want = counterexample._root_jet(n, eps, ctx._rho, phi)
         got = counterexample._root_jet(n, eps, ctx._rho, phi, ctx._rho_pow)
         plain = _meridian_report(ctx._theta, *want,
-                                 ctx.config.tolerances["convexity_margin"])
+                                 RunConfig.tolerances["convexity_margin"])
     for g, w in zip(got, want):
         assert np.array_equal(g, w, equal_nan=True)
     assert np.isnan(want[0]).any() == (n == 6 and eps == 1e-3)
@@ -993,21 +992,31 @@ def test_select_eps_treats_nan_curvature_as_violation(ctx5, monkeypatch):
     monkeypatch.setattr(ctx5, "kappa_min",
                         lambda lam, eps: float("nan") if lam == 1.0 else 1.0)
     with pytest.raises(ConstructionError, match="curvature"):
-        ctx5.select_eps()
+        ctx5.select_eps(RunConfig.eps)
 
 
-def test_context_cache_hit_binds_callers_config(ctx5, cert5):
-    cfg = RunConfig(eps=10.0, alpha_grid=361)
-    cfg.tolerances["root_abs"] = 1e-20
-    ctx = get_context(cfg)
-    assert ctx.config is cfg and ctx5.config is not cfg
-    # the sweep grid is not a build input: the tables are shared
-    assert ctx.bump_ft_spectrum is ctx5.bump_ft_spectrum
-    assert ctx._x is ctx5._x
-    # the caller's starting eps, not the cached context's
+def test_get_context_returns_one_context_per_geometry(ctx5):
+    # the context depends on (n, a, cap_u0) alone: a caller's eps and
+    # sweep grid neither rebuild it nor copy it
+    assert get_context(RunConfig()) is get_context(
+        RunConfig(eps=1e-2, alpha_grid=101)) is ctx5
+
+
+def test_context_cache_hit_binds_callers_config(ctx5, cert5, tolerance):
+    # run_construction hands its configuration's eps and sweep grid to the
+    # cached context as arguments
+    res = run_construction(RunConfig(alpha_grid=361))
+    assert res["context"] is ctx5
+    assert res["sweep"]["u_grid"].size == 361
     with pytest.raises(ConstructionError, match="after 20 halvings"):
-        ctx.select_eps()
-    assert ctx5.select_eps()["halvings"] == cert5["eps_halvings"]
+        run_construction(RunConfig(eps=10.0))
+    assert ctx5.select_eps(RunConfig.eps)["halvings"] == cert5["eps_halvings"]
+    # and the context reads the package's tolerances when it runs, not
+    # when it was built: a root tolerance below the centroid's rounding
+    # bisects to root_max_iter
+    tolerance("root_abs", 1e-20)
+    root = ctx5.find_root(cert5["eps0"])
+    assert root["iterations"] == RunConfig.root_max_iter
 
 
 # certificate

@@ -1,8 +1,9 @@
 """What each entry point loads.  Importing the package loads no submodule,
 numpy or scipy; `planar` runs on numpy alone; `construct`, `verify` and
-`intersection-test` load no scipy, and the only scipy import in the source
-is the one of the theta,rho CSV reader.  Fresh interpreters, so nothing
-that another test imported hides a regression."""
+`intersection-test` load no scipy and no numpy.ma, and the only scipy
+import in the source is the one of the theta,rho CSV reader.  Fresh
+interpreters, so nothing that another test imported hides a
+regression."""
 
 import ast
 import json
@@ -21,7 +22,7 @@ ROOT_NAMES = {
     "ConvexityReport", "GegenbauerSpectrum", "PlanarBody", "Quadrature",
     "RevolutionBody", "RunConfig", "SphereProfile", "auto_select_a",
     "bisected_chords", "bochner_multiplier", "body_to_dict", "config",
-    "counterexample", "curvature", "default_tolerances", "eval_spectrum",
+    "counterexample", "curvature", "eval_spectrum",
     "eval_spectrum_deriv", "expand", "ft_homogeneous", "gauss_jacobi",
     "get_context", "intersection_body_test", "make_base_body",
     "make_cap_bump", "make_oblate_gap_profile", "negativity_threshold",
@@ -65,6 +66,7 @@ def test_planar_demo_loads_no_scipy(fresh, tmp_path):
 
 
 def test_construct_verify_intersection_test_load_no_scipy(fresh, tmp_path):
+    # nor numpy.ma, which an integer np.unique (np.union1d) imports
     out = str(tmp_path)
     got = fresh("import json, os, sys\n"
                 "from centroid_sections import cli\n"
@@ -73,8 +75,9 @@ def test_construct_verify_intersection_test_load_no_scipy(fresh, tmp_path):
                 "      cli.main(['verify', "
                 "os.path.join(out, 'certificate.json')]),\n"
                 "      cli.main(['intersection-test', '--outdir', out])]\n"
-                f"print(json.dumps([rc, {_loaded('scipy')}]))")
-    assert got == [[0, 0, 0], []]
+                f"print(json.dumps([rc, {_loaded('scipy')}, "
+                "'numpy.ma' in sys.modules]))")
+    assert got == [[0, 0, 0], [], False]
 
 
 class _ScipyImports(ast.NodeVisitor):

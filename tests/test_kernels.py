@@ -8,12 +8,11 @@ from centroid_sections import spherical_core as sc
 from oracles import SEED, angle_reduction_error, gegenbauer_series_plain
 
 LD = np.longdouble
-B = sc._BLOCK
 
 
 @pytest.mark.parametrize("dtype", [np.float64, LD])
-@pytest.mark.parametrize("shape", [(), (1,), (B - 1,), (B,), (B + 1,),
-                                   (3, B // 2 + 1)])
+@pytest.mark.parametrize("shape", [(), (1,), (16383,), (16384,), (16385,),
+                                   (3, 8193)])
 @pytest.mark.parametrize("max_degree", [0, 1, 2, 7])
 def test_accumulate_matches_plain_recurrence_bitwise(dtype, shape,
                                                      max_degree):

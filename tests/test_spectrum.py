@@ -81,14 +81,6 @@ def test_parity_zeroes_complementary_coefficients():
     assert np.all(s.coeffs[0::2] == 0.0)
 
 
-def test_kink_profile_reports_truncation():
-    s = expand(np.abs, 5, 40)
-    assert s.truncation_warning
-    assert s.tail_rel > 1e-6
-    smooth = expand(lambda u: np.cos(u), 5, 40)
-    assert not smooth.truncation_warning
-
-
 def test_derivatives_match_finite_differences():
     def f(u):
         return np.exp(-u * u) + 0.3 * np.cos(2.0 * u)
