@@ -1,8 +1,7 @@
 """Numerical construction of a convex body in R^n (n >= 5) whose centroid
 is the centroid of exactly one central hyperplane section, together with
 the spectral toolkit (Gegenbauer expansions, homogeneous-extension
-transforms, a pairing residual) behind it, and the planar three-chords
-counterpart.
+transforms) behind it, and the planar three-chords counterpart.
 
 Importing the package loads none of its submodules, numpy or scipy: each
 name below is imported from its submodule on first access (PEP 562), so a
@@ -14,10 +13,8 @@ from importlib import import_module as _import_module
 _EXPORTS = {
     "config": ("ConstructionError", "RunConfig"),
     "spherical_core": (
-        "GegenbauerSpectrum", "Quadrature", "SphereProfile",
-        "bochner_multiplier", "eval_spectrum", "eval_spectrum_deriv",
-        "expand", "ft_homogeneous", "gauss_jacobi", "parseval_residual",
-        "sphere_area"),
+        "GegenbauerSpectrum", "SphereProfile", "bochner_multiplier",
+        "eval_spectrum", "expand", "ft_homogeneous", "sphere_area"),
     "revolution_bodies": (
         "ConvexityReport", "RevolutionBody", "body_to_dict", "curvature",
         "intersection_body_test", "make_base_body"),

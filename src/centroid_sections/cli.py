@@ -87,8 +87,10 @@ def _config_from_args(args) -> RunConfig:
 
 def _profiles_rows(res):
     """Rows of profiles.csv.  The perturbed radius is the body's
-    (rho_base^n + eps phi)^{1/n}, from the same rho_base and phi columns,
-    so phi is summed once per row."""
+    (rho_base^n + eps phi)^{1/n}, and the blended transform ghat is
+    ghat(0) + u phi, ghat(0) = (1 - lambda0) b(0) (the gap's transform
+    vanishes at the equator), both from the same rho_base and phi
+    columns, so phi is summed once per row."""
     from .counterexample import _root_jet
     ctx, lam0 = res["context"], res["root"]["lambda0"]
     u = np.linspace(-1.0, 1.0, PROFILE_GRID)
@@ -96,7 +98,7 @@ def _profiles_rows(res):
     phi = ctx.perturbation(lam0)(u)
     rho_pert = _root_jet(ctx.n, res["body"].params["eps"], (rho,), (phi,))[0]
     columns = (u, rho, phi, rho_pert, ctx.seed_value(u, lam0),
-               ctx.blend_ft_value(u, lam0))
+               (1.0 - lam0) * ctx.bump_ft_at_zero + u * phi)
     return zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
 
 
@@ -149,101 +151,78 @@ def _check(name, ok, detail):
     return ok
 
 
-def _is_number(value, kind) -> bool:
-    """True for a finite int (kind int) or a finite int or float (kind
-    float); a bool is not a number here."""
-    types = (int,) if kind is int else (int, float)
-    return (isinstance(value, types) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-def _malformed(cert) -> Optional[str]:
-    """Why a value that verify reads from the certificate is missing or
-    not a finite number, or None if every one is."""
-    params, config = cert.get("params"), cert.get("config", {})
-    grids = cert.get("grids")
-    if not all(isinstance(x, dict) for x in (
-            params, config, cert.get("checks"), grids)):
-        return "params, checks, grids and config must be objects"
-    entries = [("params.n", params.get("n"), int),
-               ("grids.alpha_grid", grids.get("alpha_grid"), int)]
-    entries += [(f"params.{k}", params.get(k), float) for k in
-                ("a", "cap_u0", "cap_margin", "eps", "lambda")]
-    entries += [(k, cert.get(k), float) for k in
-                ("lambda0", "eps0", "kappa_min_perturbed",
-                 "min_section_margin")]
-    defaults = RunConfig()
-    for f in dataclasses.fields(RunConfig):
-        # a stored config field replaces the default of the same type;
-        # a = None asks for the automatic choice
-        if f.name not in config:
-            continue
-        v = config[f.name]
-        if f.name == "a":
-            if v is not None:
-                entries.append(("config.a", v, float))
-        else:
-            entries.append((f"config.{f.name}", v,
-                            type(getattr(defaults, f.name))))
-    for name, value, kind in entries:
-        if not _is_number(value, kind):
-            what = "an integer" if kind is int else "a finite number"
-            return f"{name} must be {what}, not {value!r}"
-    return None
+def _unusable(why):
+    """Name on stderr why verify cannot use a certificate."""
+    print(f"error: {why}", file=sys.stderr)
 
 
 def _load_certificate(args):
-    """(certificate, config, cap_u0) for the certificate that verify
-    reads, or None after printing why it cannot be used.
+    """(config, read) for the certificate that verify checks, or None
+    after printing why it cannot be used.  One pass reads each value that
+    verify takes from the file once, and read maps its name ("lambda0",
+    "params.cap_u0", "checks", ...) to it.
 
-    Every value that verify reads must be present and a finite number.
-    The recorded parameters set the geometry.  Grid sizes are package
-    constants, never read from the file; grids.alpha_grid only names the
-    sweep directions of the certificate's record, which verify refines to
-    at least twice the package's grid.  Tolerances are package constants
-    too: the file's tolerances records only what construct used, so a
-    certificate cannot loosen, tighten or coarsen its own checks.
+    Every value that verify reads must be present and a finite number
+    (an integer for an integer field; a bool is neither).  The recorded
+    parameters set the geometry, and a stored configuration field replaces
+    its default (a = None asks for the automatic choice).  Grid sizes are
+    package constants, never read from the file; grids.alpha_grid only
+    names the sweep directions of the certificate's record, which verify
+    refines to at least twice the package's grid.  Tolerances are package
+    constants too: the file's tolerances records only what construct
+    used, so a certificate cannot loosen, tighten or coarsen its own
+    checks.
     """
     from . import counterexample as cx
     try:
         with open(args.certificate) as fh:
             cert = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read certificate: {exc}", file=sys.stderr)
-        return None
+        return _unusable(f"cannot read certificate: {exc}")
     schema = cert.get("schema") if isinstance(cert, dict) else None
     if schema != cx.CERTIFICATE_SCHEMA:
-        print(f"error: unsupported certificate schema {schema!r}",
-              file=sys.stderr)
-        return None
-    why = _malformed(cert)
-    if why is not None:
-        print(f"error: invalid certificate: {why}", file=sys.stderr)
-        return None
-    cfg, stored = RunConfig(), cert.get("config", {})
-    for f in dataclasses.fields(RunConfig):
-        if f.name in stored:
-            setattr(cfg, f.name, stored[f.name])
+        return _unusable(f"unsupported certificate schema {schema!r}")
+    params, grids, checks = (cert.get(k)
+                             for k in ("params", "grids", "checks"))
+    stored = cert.get("config", {})
+    if not all(isinstance(x, dict) for x in (params, stored, checks, grids)):
+        return _unusable("invalid certificate: params, checks, grids and "
+                         "config must be objects")
+    fields = {f.name: type(f.default) for f in dataclasses.fields(RunConfig)}
+    reads = [("params.n", params.get("n"), int),
+             ("grids.alpha_grid", grids.get("alpha_grid"), int)]
+    reads += [(f"params.{k}", params.get(k), float) for k in
+              ("a", "cap_u0", "cap_margin", "eps", "lambda")]
+    reads += [(k, cert.get(k), float) for k in
+              ("lambda0", "eps0", "kappa_min_perturbed", "min_section_margin")]
+    reads += [(f"config.{k}", stored[k], float if k == "a" else kind)
+              for k, kind in fields.items()
+              if k in stored and not (k == "a" and stored[k] is None)]
+    for name, value, kind in reads:
+        types = (int,) if kind is int else (int, float)
+        if not (isinstance(value, types) and not isinstance(value, bool)
+                and math.isfinite(value)):
+            what = "an integer" if kind is int else "a finite number"
+            return _unusable(f"invalid certificate: {name} must be {what}, "
+                             f"not {value!r}")
+    read = {name: value for name, value, _ in reads}
+    cfg = RunConfig(**{k: stored[k] for k in fields if k in stored})
     try:
         cfg.validate()
-        cfg.alpha_grid = cert["grids"]["alpha_grid"]
+        cfg.alpha_grid = read["grids.alpha_grid"]
         cfg.validate()
     except ValueError as exc:
-        print(f"error: invalid certificate configuration: {exc}",
-              file=sys.stderr)
-        return None
-    p = cert["params"]
-    cfg.n, cfg.a = p["n"], p["a"]
-    return cert, cfg, p["cap_u0"]
+        return _unusable(f"invalid certificate configuration: {exc}")
+    cfg.n, cfg.a = read["params.n"], read["params.a"]
+    return cfg, dict(read, checks=checks)
 
 
 def cmd_verify(args) -> int:
     loaded = _load_certificate(args)
     if loaded is None:
         return EXIT_USAGE
-    cert, cfg, cap_u0 = loaded
     try:
-        ok = _recheck(cert, cfg, cap_u0)
+        ok = _recheck(*loaded)
     except ConstructionError as exc:
         # a precondition that fails on the recorded parameters (as one that
         # admits no body) refutes the certificate; no construction failed
@@ -265,22 +244,22 @@ _CHECK_READS = {
     "perturbed_convex": "kappa_min_perturbed",
     "identity_within_tolerance": "identity_max_relerr",
     "margin_positive": "min_section_margin",
-    "pole_sections_zero": "pole_section_abs",
     "equator_within_tolerance": "equator_residual_rel",
 }
 
 
-def _recheck(cert, cfg, cap_u0) -> bool:
+def _recheck(cfg, read) -> bool:
     """Recompute the certificate's checks at its (lambda0, eps0) with
     construct's own code (ConstructionContext.certify), one PASS/FAIL line
     each, then verify's own: the root found again, lhs by the quadrature
-    route, and the file's record against the recomputed one."""
+    route, and the file's record (read, see _load_certificate) against the
+    recomputed one."""
     from .counterexample import _mirrored_grid, get_context
     try:
-        ctx = get_context(cfg, cap_u0)
+        ctx = get_context(cfg, read["params.cap_u0"])
     except ValueError as exc:
         raise ConstructionError(str(exc)) from exc
-    lam0, eps0 = cert["lambda0"], cert["eps0"]
+    lam0, eps0 = read["lambda0"], read["eps0"]
     # the sweep directions of the file's record, refined stride/2-fold to
     # at least twice the package's grid: every stride-th direction is one
     size = cfg.alpha_grid
@@ -318,9 +297,9 @@ def _recheck(cert, cfg, cap_u0) -> bool:
                       sweep["centroid_quadrature"][stride:-stride:stride])
                       / record["diameter"])}
     differ = [f"checks.{name}" for name, flag in record["checks"].items()
-              if cert["checks"].get(name) is not flag]
+              if read["checks"].get(name) is not flag]
     differ += [key for key, value in recomputed.items()
-               if not abs(value - cert[key]) <= 1e-6 * abs(value)]
+               if not abs(value - read[key]) <= 1e-6 * abs(value)]
     ok &= _check("record_matches_recomputation", not differ,
                  "differ: " + ", ".join(differ) if differ else
                  "checks, kappa_min_perturbed and min_section_margin agree")
@@ -340,8 +319,7 @@ def cmd_intersection_test(args) -> int:
         return EXIT_USAGE
     a = cfg.a if cfg.a is not None else auto_select_a(cfg.n)
     body = make_base_body(cfg.n, a)
-    res = intersection_body_test(
-        body, rel_tol=RunConfig.tolerances["intersection_rel"])
+    res = intersection_body_test(body)
     verdict = ("IS an intersection body" if res["is_intersection"]
                else "NOT an intersection body")
     print(f"base body n={cfg.n} a={a}: {verdict}; "

@@ -35,7 +35,6 @@ class RunConfig:
         "identity_rel": 1e-6,
         "root_abs": 1e-13,
         "convexity_margin": 1e-6,
-        "pole_section_abs": 1e-12,
         "intersection_rel": 1e-9,
     })
 

@@ -88,7 +88,6 @@ def auto_select_a(n: int) -> float:
     """First candidate flattening parameter whose base body passes the
     convexity margin; larger candidates flatten harder and are tried
     first."""
-    margin = RunConfig.tolerances["convexity_margin"]
     for a in RunConfig.auto_a_candidates:
         if 1 - 2 * a ** (n - 2) <= 0:
             continue
@@ -96,9 +95,7 @@ def auto_select_a(n: int) -> float:
             negativity_threshold(n, a)
         except ConstructionError:
             continue
-        body = make_base_body(n, a)
-        rep = curvature(body, margin=margin)
-        if rep.kappa_min > margin:
+        if curvature(make_base_body(n, a)).is_convex:
             return float(a)
     raise ConstructionError("no candidate flattening parameter is convex "
                             "with the configured margin")
@@ -337,8 +334,7 @@ class ConstructionContext:
         # float64 series at 0 would add ~1e-14 relative noise to a value
         # that must cancel exactly in the odd quotient
         self.bump_ft_at_zero = float(_accumulate_at_zero(co_ld, lam))
-        # the gap part: its closed-form transform and the quotient of that
-        self._gap_ft = self.gap.ft_profile
+        # the gap part: the closed-form quotient of its transform
         self._gap_q = _gap_quotient(n)
 
         eq = _mirrored_grid(RunConfig.equator_grid)
@@ -357,7 +353,7 @@ class ConstructionContext:
             raise ConstructionError(
                 f"bump transform series is not finite in float64 at {bad} "
                 f"of {eq.size} equator-grid points (n = {n})")
-        self._gft_eq = np.asarray(self._gap_ft(eq), dtype=np.float64)
+        self._gft_eq = np.asarray(self.gap.ft_profile(eq), dtype=np.float64)
         resid /= max(float(np.max(np.abs(self._bft_eq))), 1e-300)
         tol = RunConfig.tolerances["identity_rel"] / 10.0
         if not resid <= tol:
@@ -423,13 +419,7 @@ class ConstructionContext:
 
         self.build_seconds = time.perf_counter() - t_start
 
-    # -- transform of the blended seed ------------------------------------
-
-    def blend_ft_value(self, u, lam: float):
-        """The blended transform, direct series route."""
-        b = eval_spectrum(self.bump_ft_spectrum, u)
-        g = self._gap_ft(u)
-        return (1.0 - lam) * b + lam * np.asarray(g, dtype=np.float64)
+    # -- the blended seed's perturbation ----------------------------------
 
     def perturbation(self, lam: float) -> SphereProfile:
         """Odd profile phi = (ghat(u) - ghat(0)) / u of the blended
@@ -606,7 +596,8 @@ class ConstructionContext:
         b_M the bump series at the grid's distinct |u| and 1, summed the
         first time a sweep on the context reaches a |u| and read back
         after (_bump_and_volume), so that a sweep at a later (lam, eps)
-        only forms this combination; the poles' lhs is exactly 0.  Right
+        only forms this combination; the poles' lhs is exactly 0, b_M(1)
+        cancelling itself and gap(+-1) being 0.  Right
         side: eps (2 pi)^n / pi times the seed, so the two differ by the
         bump's truncation b_M - b alone; rel_err is their difference over
         rhs_max, that multiple of _seed_max.  The reported section
@@ -628,7 +619,6 @@ class ConstructionContext:
         rel = np.abs(lhs - rhs) / max(rhs_max, 1e-300)
         centroids = lhs / (n * sec_vol)
         inner = np.abs(u_grid) < 1.0
-        pole = ~inner
         diam = self.diameter(lam, eps)
         margin = float(np.min(centroids[inner]) / diam) if inner.any() else np.nan
         return {
@@ -638,7 +628,6 @@ class ConstructionContext:
             "centroid_analytic": rhs / (n * sec_vol),
             "max_rel_err": float(np.max(rel)),
             "min_margin": margin,
-            "pole_abs": float(np.max(np.abs(centroids[pole]))) if pole.any() else 0.0,
             "near_pole_abs": float(min(abs(centroids[1]), abs(centroids[-2])))
                              if u_grid.size > 2 else np.nan,
         }
@@ -730,11 +719,16 @@ class ConstructionContext:
         """(record, sweep): every certificate entry that (lam, eps)
         determine, with the checks that hold them to the package's
         tolerances, and the identity sweep over u_grid behind them.  A
-        centroid that is None (positivity lost) fails its checks."""
+        centroid that is None (positivity lost) fails its checks.  The
+        base body's convexity is read from the context's theta-jet of
+        rho_b at the nodes, as the perturbed body's is.  No check bounds
+        the poles' section centroids: the sweep's lhs is exactly 0 there
+        (identity_sweep)."""
         tol = RunConfig.tolerances
         c, c0, c1 = (self.centroid(x, eps) for x in (lam, 0.0, 1.0))
         sweep = self.identity_sweep(lam, eps, u_grid)
-        base = curvature(self.base, margin=tol["convexity_margin"])
+        base = _meridian_report(self._theta, *self._rho,
+                                tol["convexity_margin"])
         pert = self.kappa_report(lam, eps)
         eq_rel = self.equator_ratio(lam)
         checks = {
@@ -747,7 +741,6 @@ class ConstructionContext:
             "identity_within_tolerance":
                 sweep["max_rel_err"] <= tol["identity_rel"],
             "margin_positive": sweep["min_margin"] > 0.0,
-            "pole_sections_zero": sweep["pole_abs"] <= tol["pole_section_abs"],
             "equator_within_tolerance": eq_rel <= tol["equator_rel"],
         }
         record = {
@@ -763,7 +756,6 @@ class ConstructionContext:
             "equator_scan": {f"{x:.2f}": self.equator_ratio(x)
                              for x in (0.0, 0.25, 0.5, 0.75, 1.0)},
             "identity_max_relerr": sweep["max_rel_err"],
-            "pole_section_abs": sweep["pole_abs"],
             "near_pole_section_abs": sweep["near_pole_abs"],
             "pole_series": self.pole_report(
                 lam, self._seed_max(lam, sweep["u_grid"])),

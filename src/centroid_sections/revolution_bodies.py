@@ -92,19 +92,21 @@ def make_base_body(n: int, a: float) -> RevolutionBody:
                           ft_profile=ftprof)
 
 
-def curvature(body: RevolutionBody, margin: float = 1e-6) -> ConvexityReport:
+def curvature(body: RevolutionBody) -> ConvexityReport:
     """Minimum meridian curvature over RunConfig.curvature_grid angles
     theta on [0, pi], from the u-derivatives rho.derivs[0] and
-    rho.derivs[1], which the profile must carry (see _meridian_report).
-    The coordinate poles are regular points of the formula (even extension
-    in theta), so the inclusive endpoint grid covers them.
+    rho.derivs[1], which the profile must carry (see _meridian_report),
+    held to the package's convexity margin.  The coordinate poles are
+    regular points of the formula (even extension in theta), so the
+    inclusive endpoint grid covers them.
     """
     theta = np.linspace(0.0, np.pi, RunConfig.curvature_grid)
     u = np.cos(theta)
     r, r_u, r_uu = (np.asarray(f(u), dtype=float)
                     for f in (body.rho, *body.rho.derivs[:2]))
     jet = _theta_jet(u, np.sin(theta), r, r_u, r_uu)
-    return _meridian_report(theta, *jet, margin)
+    return _meridian_report(theta, *jet,
+                            RunConfig.tolerances["convexity_margin"])
 
 
 def _clears(kappa: float, margin: float) -> bool:
@@ -130,11 +132,11 @@ def _meridian_report(theta, r, r_t, r_tt, margin: float) -> ConvexityReport:
                            is_convex=_clears(kmin, margin), margin=margin)
 
 
-def intersection_body_test(body: RevolutionBody,
-                           rel_tol: float = 1e-9) -> dict:
+def intersection_body_test(body: RevolutionBody) -> dict:
     """Criterion for smooth origin-symmetric bodies: the body is an
     intersection body iff the transform of the degree -1 extension of its
-    radial profile is nonnegative.
+    radial profile is nonnegative, down to the package's intersection_rel
+    of its max.
 
     Always evaluates the numerical spectral transform, to degree
     M = RunConfig.max_degree by the order-RunConfig.quad_order rule, on
@@ -154,7 +156,7 @@ def intersection_body_test(body: RevolutionBody,
     i = int(np.argmin(vals))
     scale = float(np.max(np.abs(vals)))
     min_value = float(vals[i])
-    threshold = -rel_tol * max(scale, 1e-300)
+    threshold = -RunConfig.tolerances["intersection_rel"] * max(scale, 1e-300)
     if not (np.all(np.isfinite(vals)) and abs(min_value - threshold) > gap):
         raise ConstructionError(
             f"intersection test unresolved at n = {body.n}: the degree "

@@ -47,10 +47,13 @@ _PI_LD = np.arccos(LD(-1))
 # the parities of a series of definite parity, by the parity of its degrees
 _PARITIES = ("even", "odd")
 
+# gauss_jacobi, eval_spectrum_deriv and parseval_residual are no longer
+# public and nothing in the package calls them; they stay module attributes
+# only because the benchmark's tracer (perfbench/tracer.py) looks them up,
+# until the tracer reads a run's own record (ROADMAP item 4)
 __all__ = [
-    "GegenbauerSpectrum", "SphereProfile", "Quadrature", "gauss_jacobi",
-    "sphere_area", "expand", "eval_spectrum", "eval_spectrum_deriv",
-    "bochner_multiplier", "ft_homogeneous", "parseval_residual",
+    "GegenbauerSpectrum", "SphereProfile", "sphere_area", "expand",
+    "eval_spectrum", "bochner_multiplier", "ft_homogeneous",
 ]
 
 

@@ -580,7 +580,7 @@ def kappa_series_route(ctx, lam, eps):
 
         kappa = (r^2 + 2 s^2 r'^2 - r (s^2 r'' - u r'))
                 / (r^2 + s^2 r'^2)^{3/2},  s = sin theta."""
-    from centroid_sections import eval_spectrum_deriv
+    from centroid_sections.spherical_core import eval_spectrum_deriv
     n = ctx.n
     theta = np.linspace(0.0, np.pi, 4001)
     u, s = np.cos(theta), np.sin(theta)

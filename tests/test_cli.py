@@ -60,6 +60,23 @@ def test_body_json_describes_perturbed_body(cli_outdir):
     assert np.all(samples[:, 1] > 0)
 
 
+def test_profiles_rows_run_no_gegenbauer_recurrence(construct_result,
+                                                    monkeypatch):
+    # the blended transform is ghat(0) + u phi from the perturbation
+    # column, ghat(0) = (1 - lambda0) b(0) the context's extended precision
+    # value, so profiles.csv sums no series by its three-term recurrence
+    from centroid_sections import spherical_core
+
+    def refused(*args, **kwargs):
+        raise AssertionError("Gegenbauer recurrence run")
+
+    monkeypatch.setattr(spherical_core, "_rolling_accumulate", refused)
+    rows = np.array(list(cli._profiles_rows(construct_result)))
+    lam0 = construct_result["root"]["lambda0"]
+    ghat0 = (1.0 - lam0) * construct_result["context"].bump_ft_at_zero
+    assert np.array_equal(rows[:, 5], ghat0 + rows[:, 0] * rows[:, 2])
+
+
 def test_profiles_rows_sum_the_perturbation_once(construct_result,
                                                  monkeypatch):
     # rho_perturbed comes from the perturbation column through the body's
@@ -288,7 +305,7 @@ def test_verify_fresh_certificate_passes(cli_outdir, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "verification PASSED" in out
-    assert out.count("PASS ") == 12 and "FAIL" not in out
+    assert out.count("PASS ") == 11 and "FAIL" not in out
 
 
 def _tampered(cli_outdir, tmp_path, mutate):
@@ -361,7 +378,7 @@ def test_verify_prints_the_same_lines_fresh_and_warm(
     assert cli.main(["verify", str(path)]) == 0 == fresh.returncode
     warm = capsys.readouterr().out
     assert warm == fresh.stdout
-    assert warm.count("PASS ") == 12 and "verification PASSED" in warm
+    assert warm.count("PASS ") == 11 and "verification PASSED" in warm
 
 
 def test_verify_quadrature_route_refutes_a_scaled_seed_series(
@@ -403,14 +420,14 @@ def test_verify_sweeps_a_grid_mirrored_bit_for_bit(cli_outdir, monkeypatch,
 
 def test_verify_does_not_read_the_pole_series(cli_outdir, tmp_path, capsys):
     # the pole block records; it is not a check, and verify reads none of
-    # it: replaced by nonsense, the same twelve lines pass
+    # it: replaced by nonsense, the same eleven lines pass
     cli.main(["verify", str(cli_outdir / "certificate.json")])
     want = capsys.readouterr().out
     path = _tampered(cli_outdir, tmp_path,
                      lambda c: c.update(pole_series="not a record"))
     assert cli.main(["verify", str(path)]) == 0
     assert capsys.readouterr().out == want
-    assert want.count("PASS ") == 12
+    assert want.count("PASS ") == 11
 
 
 def test_verify_fails_when_no_base_body_exists(cli_outdir, tmp_path,
@@ -487,40 +504,40 @@ def test_verify_refutes_forged_certificate(cli_outdir, tmp_path, capsys,
     assert "verification FAILED" in out
 
 
-@pytest.mark.parametrize("entry,line", [
-    ("pole_abs", "pole_sections_zero"), ("min_margin", "margin_positive")])
-def test_verify_refutes_a_sweep_off_its_bound(cli_outdir, monkeypatch,
-                                             capsys, entry, line):
-    # a section centroid of 1e-9 at a pole, or a negative margin, from the
-    # recomputed sweep fails its check
+def test_verify_refutes_a_negative_sweep_margin(cli_outdir, monkeypatch,
+                                                capsys):
+    # a negative margin from the recomputed sweep fails its check
     from centroid_sections import counterexample as cx
     real = cx.ConstructionContext.identity_sweep
 
     def sweep(self, lam, eps, u_grid=None):
         out = real(self, lam, eps, u_grid)
-        out[entry] = 1e-9 if entry == "pole_abs" else -out[entry]
+        out["min_margin"] = -out["min_margin"]
         return out
 
     monkeypatch.setattr(cx.ConstructionContext, "identity_sweep", sweep)
     rc = cli.main(["verify", str(cli_outdir / "certificate.json")])
     out = capsys.readouterr().out
     assert rc == 4
-    assert f"FAIL {line}: " in out
+    assert "FAIL margin_positive: " in out
 
 
 def test_verify_refutes_a_base_body_below_the_margin(cli_outdir, monkeypatch,
-                                                     capsys):
-    # verify recomputes the base body's curvature: a minimum below the
-    # convexity margin fails base_convex
+                                                     capsys, cold):
+    # verify recomputes the base body's curvature from the context's
+    # theta-jet of rho_b: forged to a curvature of half the convexity
+    # margin at the node u = 0 (where r_t = 0, so kappa = (r - r_tt) / r^2),
+    # it fails base_convex
     from centroid_sections import counterexample as cx
-    real = cx.curvature
-
-    def curvature(body, margin):
-        k = margin / 2
-        return dataclasses.replace(real(body, margin=margin), kappa_min=k,
-                                   is_convex=cx._clears(k, margin))
-
-    monkeypatch.setattr(cx, "curvature", curvature)
+    cert = json.loads((cli_outdir / "certificate.json").read_text())
+    p = cert["params"]
+    ctx = cold(cx.get_context(RunConfig(n=p["n"], a=p["a"]), p["cap_u0"]))
+    r, r_t, r_tt = (f.copy() for f in ctx._rho)
+    i = r.size // 2
+    assert ctx._x[i] == 0.0 == r_t[i]
+    r_tt[i] = r[i] - RunConfig.tolerances["convexity_margin"] / 2 * r[i] ** 2
+    ctx._rho = (r, r_t, r_tt)
+    monkeypatch.setitem(cx._CTX_CACHE, (ctx.n, ctx.a, ctx.cap_u0), ctx)
     rc = cli.main(["verify", str(cli_outdir / "certificate.json")])
     out = capsys.readouterr().out
     assert rc == 4

@@ -112,13 +112,22 @@ def test_blend_endpoints(ctx5):
 
 
 def test_blend_transform_linearity(ctx5):
+    # profiles.csv's blended transform, (1 - lam) b(0) + u phi with phi
+    # the perturbation at lam, is linear in lam, and it is the direct
+    # route's (1 - lam) b(u) + lam gap_hat(u), b the Gegenbauer series
     lam = 0.3
     u = np.array([-0.9, -0.4, 0.1, 0.6, 0.999])
-    mixed = np.array([ctx5.blend_ft_value(v, lam) for v in u])
-    ends = np.array([(1.0 - lam) * ctx5.blend_ft_value(v, 0.0)
-                     + lam * ctx5.blend_ft_value(v, 1.0) for v in u])
+
+    def blend_transform(lam):
+        return ((1.0 - lam) * ctx5.bump_ft_at_zero
+                + u * ctx5.perturbation(lam)(u))
+
+    ends = (1.0 - lam) * blend_transform(0.0) + lam * blend_transform(1.0)
+    direct = ((1.0 - lam) * eval_spectrum(ctx5.bump_ft_spectrum, u)
+              + lam * ctx5.gap.ft_profile(u))
     scale = np.max(np.abs(ends))
-    assert np.max(np.abs(mixed - ends)) <= 1e-12 * scale
+    for got in (blend_transform(lam), direct):
+        assert np.max(np.abs(got - ends)) <= 1e-12 * scale
 
 
 def test_blend_pairing_changes_sign(ctx5):
@@ -353,7 +362,6 @@ def test_identity_shipped_run(construct_result):
     assert sweep["max_rel_err"] <= 1e-6
     assert sweep["max_rel_err"] <= 5e-8  # regression band around 1.1e-8
     assert sweep["min_margin"] > 0.0
-    assert sweep["pole_abs"] == 0.0
 
 
 def test_identity_poles_exactly_zero(construct_result):
@@ -902,6 +910,27 @@ def test_construction_builds_two_uniform_rules(ctx5, monkeypatch):
 
 
 # convexity of the perturbed body
+
+
+@pytest.mark.parametrize("n,a", [(5, None), (6, None), (7, None), (5, 0.1),
+                                 (5, 0.3), (6, 0.2), (9, 0.3), (12, 0.5)])
+def test_certify_reads_the_base_convexity_from_the_context(n, a,
+                                                           monkeypatch):
+    # certify takes the base body's curvature from the context's theta-jet
+    # of rho_b at the nodes, and runs no curvature() of its own: the
+    # record's kappa_min_base is curvature()'s bit for bit
+    from centroid_sections import revolution_bodies
+    ctx = get_context(RunConfig(n=n, a=a))
+    want = curvature(ctx.base)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("curvature called")
+
+    for module in (counterexample, revolution_bodies):
+        monkeypatch.setattr(module, "curvature", refused)
+    record, _ = ctx.certify(0.5, 0.0, counterexample._mirrored_grid(41))
+    assert record["kappa_min_base"] == want.kappa_min
+    assert record["checks"]["base_convex"] is want.is_convex is True
 
 
 def test_kappa_min_tracks_base_as_eps_vanishes(ctx5):

@@ -7,8 +7,8 @@ from scipy import special
 from centroid_sections import (GegenbauerSpectrum, SphereProfile,
                                bochner_multiplier, eval_spectrum,
                                ft_homogeneous, make_base_body,
-                               make_oblate_gap_profile, parseval_residual,
-                               sphere_area)
+                               make_oblate_gap_profile, sphere_area)
+from centroid_sections.spherical_core import parseval_residual
 
 from centroid_sections.spherical_core import _bochner_multipliers_ld
 from oracles import (SEED, bochner_multiplier_mp, ft_via_radon,

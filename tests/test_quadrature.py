@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from centroid_sections import gauss_jacobi
-from centroid_sections.spherical_core import _uniform_rule
+from centroid_sections.spherical_core import _uniform_rule, gauss_jacobi
 
 from oracles import weight_moment
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from centroid_sections import (GegenbauerSpectrum, eval_spectrum,
-                               eval_spectrum_deriv, expand, make_base_body)
+from centroid_sections import (GegenbauerSpectrum, eval_spectrum, expand,
+                               make_base_body)
+from centroid_sections.spherical_core import eval_spectrum_deriv
 
 from oracles import SEED, fd_deriv, gegenbauer_value, u_squared_coeffs
 
