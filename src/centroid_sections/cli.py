@@ -2,7 +2,8 @@
 
 Subcommands: construct (build the body and emit the certificate with
 its data files: profiles.csv, sections.csv and body.json), verify
-(recompute a certificate's checks from its parameters),
+(recompute a certificate's checks at the point it claims, then run
+construct again on the request it records and compare every entry),
 intersection-test, planar.  Exit codes: 0 success, 2 invalid input, 3
 construction or check failure, 4 certificate verification failure.  All
 files are written atomically (temp file + rename) so a crash never
@@ -72,32 +73,29 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig()
-    for f in dataclasses.fields(RunConfig):
-        val = getattr(args, f.name, None)
-        if val is not None:
-            setattr(cfg, f.name, val)
-    cfg.validate()
-    return cfg
+def _config_from_args(values) -> RunConfig:
+    """The validated RunConfig of a request, a mapping from field names
+    (the parsed options of construct or intersection-test, or the config
+    block of a certificate); a field it leaves out or sets to None keeps
+    its default, and other keys are ignored."""
+    return RunConfig(**{f.name: values[f.name]
+                        for f in dataclasses.fields(RunConfig)
+                        if values.get(f.name) is not None}).validate()
 
 
 # ---------------------------------------------------------------------------
 # construct
 
 def _profiles_rows(res):
-    """Rows of profiles.csv.  The perturbed radius is the body's
-    (rho_base^n + eps phi)^{1/n}, and the blended transform ghat is
-    ghat(0) + u phi, ghat(0) = (1 - lambda0) b(0) (the gap's transform
-    vanishes at the equator), both from the same rho_base and phi
-    columns, so phi is summed once per row."""
-    from .counterexample import _root_jet
+    """Rows of profiles.csv.  The perturbed radius is the body's own
+    profile, and the blended transform ghat is ghat(0) + u phi, ghat(0) =
+    (1 - lambda0) b(0) (the gap's transform vanishes at the equator), from
+    the phi column."""
     ctx, lam0 = res["context"], res["root"]["lambda0"]
     u = np.linspace(-1.0, 1.0, PROFILE_GRID)
-    rho = np.asarray(ctx.base.rho(u), dtype=float)
     phi = ctx.perturbation(lam0)(u)
-    rho_pert = _root_jet(ctx.n, res["body"].params["eps"], (rho,), (phi,))[0]
-    columns = (u, rho, phi, rho_pert, ctx.seed_value(u, lam0),
+    columns = (u, ctx.base.rho(u), phi, res["body"].rho(u),
+               ctx.seed_value(u, lam0),
                (1.0 - lam0) * ctx.bump_ft_at_zero + u * phi)
     return zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
 
@@ -107,7 +105,7 @@ def cmd_construct(args) -> int:
     from .revolution_bodies import body_to_dict
     out = _outdir(args)
     try:
-        cfg = _config_from_args(args)
+        cfg = _config_from_args(vars(args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -156,48 +154,30 @@ def _unusable(why):
     print(f"error: {why}", file=sys.stderr)
 
 
-def _load_certificate(args):
-    """(config, read) for the certificate that verify checks, or None
-    after printing why it cannot be used.  One pass reads each value that
-    verify takes from the file once, and read maps its name ("lambda0",
-    "params.cap_u0", "checks", ...) to it.
-
-    Every value that verify reads must be present and a finite number
-    (an integer for an integer field; a bool is neither).  The recorded
-    parameters set the geometry, and a stored configuration field replaces
-    its default (a = None asks for the automatic choice).  Grid sizes are
-    package constants, never read from the file; grids.alpha_grid only
-    names the sweep directions of the certificate's record, which verify
-    refines to at least twice the package's grid.  Tolerances are package
-    constants too: the file's tolerances records only what construct
-    used, so a certificate cannot loosen, tighten or coarsen its own
-    checks.
-    """
+def _load_certificate(path):
+    """(cert, config) for the certificate that verify checks, or None
+    after printing why it cannot be used.  Its inputs are the request that
+    construct received, the config block, and the point it claims, lambda0
+    and eps0: each must be present and a finite number (an integer for an
+    integer field; a bool is neither), except that config.a = None asks
+    for the automatic choice, and the config must be one that construct
+    accepts.  Every other entry is compared, not read (_recheck)."""
     from . import counterexample as cx
     try:
-        with open(args.certificate) as fh:
+        with open(path) as fh:
             cert = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         return _unusable(f"cannot read certificate: {exc}")
     schema = cert.get("schema") if isinstance(cert, dict) else None
     if schema != cx.CERTIFICATE_SCHEMA:
         return _unusable(f"unsupported certificate schema {schema!r}")
-    params, grids, checks = (cert.get(k)
-                             for k in ("params", "grids", "checks"))
-    stored = cert.get("config", {})
-    if not all(isinstance(x, dict) for x in (params, stored, checks, grids)):
-        return _unusable("invalid certificate: params, checks, grids and "
-                         "config must be objects")
-    fields = {f.name: type(f.default) for f in dataclasses.fields(RunConfig)}
-    reads = [("params.n", params.get("n"), int),
-             ("grids.alpha_grid", grids.get("alpha_grid"), int)]
-    reads += [(f"params.{k}", params.get(k), float) for k in
-              ("a", "cap_u0", "cap_margin", "eps", "lambda")]
-    reads += [(k, cert.get(k), float) for k in
-              ("lambda0", "eps0", "kappa_min_perturbed", "min_section_margin")]
-    reads += [(f"config.{k}", stored[k], float if k == "a" else kind)
-              for k, kind in fields.items()
-              if k in stored and not (k == "a" and stored[k] is None)]
+    stored = cert.get("config")
+    if not isinstance(stored, dict):
+        return _unusable("invalid certificate: config must be an object")
+    reads = [(f"config.{f.name}", stored.get(f.name), f.type)
+             for f in dataclasses.fields(RunConfig)
+             if not (f.name == "a" and stored.get("a") is None)]
+    reads += [(k, cert.get(k), float) for k in ("lambda0", "eps0")]
     for name, value, kind in reads:
         types = (int,) if kind is int else (int, float)
         if not (isinstance(value, types) and not isinstance(value, bool)
@@ -205,35 +185,28 @@ def _load_certificate(args):
             what = "an integer" if kind is int else "a finite number"
             return _unusable(f"invalid certificate: {name} must be {what}, "
                              f"not {value!r}")
-    read = {name: value for name, value, _ in reads}
-    cfg = RunConfig(**{k: stored[k] for k in fields if k in stored})
     try:
-        cfg.validate()
-        cfg.alpha_grid = read["grids.alpha_grid"]
-        cfg.validate()
+        return cert, _config_from_args(stored)
     except ValueError as exc:
         return _unusable(f"invalid certificate configuration: {exc}")
-    cfg.n, cfg.a = read["params.n"], read["params.a"]
-    return cfg, dict(read, checks=checks)
 
 
 def cmd_verify(args) -> int:
-    loaded = _load_certificate(args)
+    loaded = _load_certificate(args.certificate)
     if loaded is None:
         return EXIT_USAGE
     try:
         ok = _recheck(*loaded)
     except ConstructionError as exc:
-        # a precondition that fails on the recorded parameters (as one that
-        # admits no body) refutes the certificate; no construction failed
+        # a recorded request whose context cannot be built (as at n = 3000)
+        # refutes the certificate; no construction failed
         ok = _check("recheck_completes", False, str(exc))
     print("verification " + ("PASSED" if ok else "FAILED"))
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-# how far, relative to the file's lambda0, the root bisected again may lie
-# from it: bisection from the file's eps0 gives its bits back
-_ROOT_REPRODUCES_REL = 1e-6
+# how far a number the file records may lie from construct's, relatively
+_RECORD_REL = 1e-6
 
 # the record entry that each of the certificate's checks bounds
 _CHECK_READS = {
@@ -248,33 +221,45 @@ _CHECK_READS = {
 }
 
 
-def _recheck(cfg, read) -> bool:
+def _differences(stored, redone, name="") -> list:
+    """Dotted names of the entries of redone that stored lacks or
+    contradicts: a number (a bool is none) must lie within _RECORD_REL of
+    redone's, relative to it, anything else be equal.  Keys that only
+    stored has are ignored."""
+    if isinstance(redone, dict):
+        if not isinstance(stored, dict):
+            return [name]
+        names = {key: f"{name}.{key}" if name else key for key in redone}
+        return [d for key, value in redone.items() for d in (
+            _differences(stored[key], value, names[key]) if key in stored
+            else [names[key]])]
+    if all(isinstance(x, (int, float)) and not isinstance(x, bool)
+           for x in (stored, redone)):
+        same = abs(stored - redone) <= _RECORD_REL * abs(redone)
+    else:
+        same = type(stored) is type(redone) and stored == redone
+    return [] if same else [name]
+
+
+def _recheck(cert, cfg) -> bool:
     """Recompute the certificate's checks at its (lambda0, eps0) with
     construct's own code (ConstructionContext.certify), one PASS/FAIL line
-    each, then verify's own: the root found again, lhs by the quadrature
-    route, and the file's record (read, see _load_certificate) against the
-    recomputed one."""
-    from .counterexample import _mirrored_grid, get_context
-    try:
-        ctx = get_context(cfg, read["params.cap_u0"])
-    except ValueError as exc:
-        raise ConstructionError(str(exc)) from exc
-    lam0, eps0 = read["lambda0"], read["eps0"]
-    # the sweep directions of the file's record, refined stride/2-fold to
-    # at least twice the package's grid: every stride-th direction is one
+    each, then verify's own two: lhs by the quadrature route, and the file
+    against the certificate that construct writes for its config
+    (run_construction), every entry but meta."""
+    from .counterexample import _mirrored_grid, get_context, run_construction
+    ctx = get_context(cfg)
+    lam0, eps0 = cert["lambda0"], cert["eps0"]
+    # the record's sweep directions, each gap split in an even number of
+    # gaps, to at least twice the package's grid
     size = cfg.alpha_grid
-    stride = 2 * -(-(RunConfig.alpha_grid - 1) // (size - 1))
-    grid = _mirrored_grid(stride * (size - 1) + 1)
+    split = 2 * -(-(RunConfig.alpha_grid - 1) // (size - 1))
+    grid = _mirrored_grid(split * (size - 1) + 1)
     record, sweep = ctx.certify(lam0, eps0, grid)
     ok = True
     for name, passed in record["checks"].items():
         key = _CHECK_READS[name]
         ok &= _check(name, passed, f"{key} = {record[key]!r}")
-
-    root = ctx.find_root(eps0)
-    ok &= _check("root_reproduces", abs(root["lambda0"] - lam0)
-                 <= _ROOT_REPRODUCES_REL * abs(lam0),
-                 f"recomputed lambda0 = {root['lambda0']:.9e}")
 
     # the other route for lhs, at the 4 worst directions and the 2 interior
     # ones nearest each pole, in ascending order
@@ -290,19 +275,15 @@ def _recheck(cfg, read) -> bool:
                  f"max |lhs difference| = {dev:.3e} of max |rhs| at "
                  f"{picks.size} directions")
 
-    # the file's flags, and two of its values to 1e-6 relative, the margin
-    # over the record's own directions
-    recomputed = {"kappa_min_perturbed": record["kappa_min_perturbed"],
-                  "min_section_margin": float(np.min(
-                      sweep["centroid_quadrature"][stride:-stride:stride])
-                      / record["diameter"])}
-    differ = [f"checks.{name}" for name, flag in record["checks"].items()
-              if read["checks"].get(name) is not flag]
-    differ += [key for key, value in recomputed.items()
-               if not abs(value - read[key]) <= 1e-6 * abs(value)]
-    ok &= _check("record_matches_recomputation", not differ,
-                 "differ: " + ", ".join(differ) if differ else
-                 "checks, kappa_min_perturbed and min_section_margin agree")
+    try:
+        redone = run_construction(cfg)["certificate"]
+        differ = _differences(cert, {k: v for k, v in redone.items()
+                                     if k != "meta"})
+        detail = ("differ: " + ", ".join(differ) if differ else
+                  "every entry outside meta agrees")
+    except ConstructionError as exc:
+        differ, detail = True, str(exc)
+    ok &= _check("record_matches_recomputation", not differ, detail)
     return ok
 
 
@@ -313,7 +294,7 @@ def cmd_intersection_test(args) -> int:
     from .counterexample import auto_select_a
     from .revolution_bodies import intersection_body_test, make_base_body
     try:
-        cfg = _config_from_args(args)
+        cfg = _config_from_args(vars(args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

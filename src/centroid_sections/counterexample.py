@@ -764,28 +764,23 @@ class ConstructionContext:
         return record, sweep
 
 
-def get_context(config: Optional[RunConfig] = None,
-                cap_u0: Optional[float] = None) -> ConstructionContext:
-    """The context for the geometry (n, a, cap_u0) of the configuration,
-    built on first use and cached, so every call for one geometry returns
-    the same context.  Of the configuration only n and a are read; what
-    else a caller sets (eps, alpha_grid) goes to the context's methods as
-    arguments.
-
-    cap_u0 defaults to u* + cap_margin (1 - u*), u* the negativity
-    threshold of the base body's transform.
+def get_context(config: Optional[RunConfig] = None) -> ConstructionContext:
+    """The context for the geometry (n, a) of the configuration, built on
+    first use and cached, so every call for one geometry returns the same
+    context.  Of the configuration only n and a are read; what else a
+    caller sets (eps, alpha_grid) goes to the context's methods as
+    arguments.  The cap edge is u* + cap_margin (1 - u*), u* the
+    negativity threshold of the base body's transform.
     """
     cfg = config or RunConfig()
     cfg.validate()
     n = cfg.n
     a = cfg.a if cfg.a is not None else auto_select_a(n)
-    if cap_u0 is None:
+    if (n, a) not in _CTX_CACHE:
         us = negativity_threshold(n, a)
-        cap_u0 = us + cfg.cap_margin * (1.0 - us)
-    key = (n, a, float(cap_u0))
-    if key not in _CTX_CACHE:
-        _CTX_CACHE[key] = ConstructionContext(n, a, cap_u0)
-    return _CTX_CACHE[key]
+        _CTX_CACHE[n, a] = ConstructionContext(
+            n, a, us + cfg.cap_margin * (1.0 - us))
+    return _CTX_CACHE[n, a]
 
 
 def run_construction(config: Optional[RunConfig] = None) -> dict:

@@ -77,31 +77,10 @@ def test_profiles_rows_run_no_gegenbauer_recurrence(construct_result,
     assert np.array_equal(rows[:, 5], ghat0 + rows[:, 0] * rows[:, 2])
 
 
-def test_profiles_rows_sum_the_perturbation_once(construct_result,
-                                                 monkeypatch):
-    # rho_perturbed comes from the perturbation column through the body's
-    # chain rule, so profiles.csv sums the bump quotient's series once (a
-    # second pass inside the body's radius took it to two), and the column
-    # keeps the body's bits
-    from centroid_sections import counterexample as cx
-    ctx = construct_result["context"]
-    quotient = [ctx.bump_quotient, getattr(ctx, "quotient_cosine", None)]
-    calls = []
-    # every name the construction sums a series through
-    for name in ("eval_spectrum", "_cosine_sum"):
-        real = getattr(cx, name, None)
-        if real is None:
-            continue
-
-        def counted(series, u, *args, real=real):
-            if any(series is q for q in quotient):
-                calls.append(np.size(u))
-            return real(series, u, *args)
-
-        monkeypatch.setattr(cx, name, counted)
+def test_profiles_rows_rho_perturbed_is_the_body_profile(construct_result):
+    # the rho_perturbed column is the perturbed body's own profile, bit for
+    # bit, at the rows' u
     rows = np.array(list(cli._profiles_rows(construct_result)))
-    assert calls == [cli.PROFILE_GRID]
-    monkeypatch.undo()
     assert np.array_equal(rows[:, 3],
                           construct_result["body"].rho(rows[:, 0]))
 
@@ -236,8 +215,8 @@ def test_construct_and_verify_n7(tmp_path, capsys):
 def test_verify_holds_the_root_relative_to_lambda0(tmp_path, capsys):
     # at n = 7, lambda0 = 1.8e-7 and bisection resolves it to 2^-24: a
     # root nudged by 1 % still has |c| below root_abs, and it lies 1.8e-9
-    # from the recomputed one, which the absolute 1e-8 of root_reproduces
-    # let pass; the bound is now 1e-6 lambda0
+    # from the recomputed one, which an absolute 1e-8 let pass; the file's
+    # lambda0 is held to construct's within 1e-6 of it
     assert cli.main(["construct", "--n", "7", "--outdir", str(tmp_path)]) == 0
     path = tmp_path / "certificate.json"
     cert = json.loads(path.read_text())
@@ -247,7 +226,8 @@ def test_verify_holds_the_root_relative_to_lambda0(tmp_path, capsys):
     assert cli.main(["verify", str(path)]) == 4
     out = capsys.readouterr().out
     assert "PASS root_within_tolerance" in out
-    assert "FAIL root_reproduces: " in out
+    assert ("FAIL record_matches_recomputation: differ: lambda0"
+            in out.splitlines())
 
 
 def test_construct_coarse_grid_is_valid(tmp_path, capsys):
@@ -285,7 +265,7 @@ def test_construct_rejects_invalid_setting(argv, message, tmp_path, capsys):
 def test_construct_seed_is_accepted_and_ignored():
     # the construction is deterministic; --seed stays for older scripts
     args = cli._build_parser().parse_args(["construct", "--seed", "-1"])
-    assert cli._config_from_args(args) == RunConfig()
+    assert cli._config_from_args(vars(args)) == RunConfig()
 
 
 @pytest.mark.parametrize("command", ["construct", "intersection-test"])
@@ -305,7 +285,7 @@ def test_verify_fresh_certificate_passes(cli_outdir, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "verification PASSED" in out
-    assert out.count("PASS ") == 11 and "FAIL" not in out
+    assert out.count("PASS ") == 10 and "FAIL" not in out
 
 
 def _tampered(cli_outdir, tmp_path, mutate):
@@ -344,17 +324,32 @@ def test_verify_holds_nudged_root_to_package_tolerance(cli_outdir, tmp_path,
 
 def test_verify_fails_when_recheck_precondition_fails(cli_outdir, tmp_path,
                                                       capsys):
-    # at n = 5 a base body needs 2 a^3 < 1, so a recorded a = 0.8 admits
-    # none: the recheck cannot start, which refutes the certificate (exit
-    # 4) on one named line; it is no construction failure
+    # a recorded request of eps = 10 admits no eps after 20 halvings: the
+    # checks at the file's (lambda0, eps0) pass, and running construct
+    # again on the request fails, which refutes the certificate (exit 4) on
+    # the record's named line; it is no construction failure
     path = _tampered(cli_outdir, tmp_path,
-                     lambda c: c["params"].update(a=0.8))
+                     lambda c: c["config"].update(eps=10.0))
     rc = cli.main(["verify", str(path)])
-    out = capsys.readouterr().out
+    out = capsys.readouterr().out.splitlines()
     assert rc == 4
-    assert out.splitlines() == [
-        "FAIL recheck_completes: profile not positive: a too large for "
-        "this n", "verification FAILED"]
+    assert out[-2].startswith("FAIL record_matches_recomputation: eps too "
+                              "large: no admissible value after 20 halvings")
+    assert out[-1] == "verification FAILED"
+    assert sum(line.startswith("PASS ") for line in out) == 9
+
+
+def test_verify_names_a_context_that_cannot_be_built(cli_outdir, tmp_path,
+                                                      capsys):
+    # at n = 3000 the transform constant overflows float64, so the context
+    # for the recorded request cannot be built and no check can run: one
+    # named line, exit 4
+    path = _tampered(cli_outdir, tmp_path,
+                     lambda c: c["config"].update(n=3000))
+    assert cli.main(["verify", str(path)]) == 4
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL recheck_completes: transform constant c_n overflows float64 "
+        "at n = 3000", "verification FAILED"]
 
 
 def _stored_identity_rel(cert):
@@ -369,16 +364,26 @@ def test_verify_prints_the_same_lines_fresh_and_warm(
     # in a new process, and after the session has built the default
     # context, verify prints the same lines: every check reads the
     # package's tolerances, and a tolerance stored in the file, in its
-    # tolerances record or in an older config block, changes none of them
+    # tolerances record or in an older config block, changes none of them;
+    # the record's line names the tolerance that differs from construct's
+    assert cli.main(["verify", str(cli_outdir / "certificate.json")]) == 0
+    shipped = capsys.readouterr().out.splitlines()
+    assert len(shipped) == 11 and shipped[-1] == "verification PASSED"
     path = _tampered(cli_outdir, tmp_path, mutate)
     fresh = subprocess.run(
         [sys.executable, "-m", "centroid_sections.cli", "verify", str(path)],
         env=subprocess_env, capture_output=True, text=True, timeout=120)
-    capsys.readouterr()
-    assert cli.main(["verify", str(path)]) == 0 == fresh.returncode
+    rc = cli.main(["verify", str(path)])
     warm = capsys.readouterr().out
-    assert warm == fresh.stdout
-    assert warm.count("PASS ") == 11 and "verification PASSED" in warm
+    assert rc == fresh.returncode and warm == fresh.stdout
+    lines = warm.splitlines()
+    assert lines[:9] == shipped[:9]
+    if mutate is _stored_identity_rel:
+        assert rc == 4
+        assert lines[9:] == ["FAIL record_matches_recomputation: differ: "
+                             "tolerances.identity_rel", "verification FAILED"]
+    else:
+        assert rc == 0 and lines == shipped
 
 
 def test_verify_quadrature_route_refutes_a_scaled_seed_series(
@@ -390,9 +395,9 @@ def test_verify_quadrature_route_refutes_a_scaled_seed_series(
     from centroid_sections import counterexample as cx
     cert = json.loads((cli_outdir / "certificate.json").read_text())
     p = cert["params"]
-    ctx = cold(cx.get_context(RunConfig(n=p["n"], a=p["a"]), p["cap_u0"]))
+    ctx = cold(cx.get_context(RunConfig(n=p["n"], a=p["a"])))
     ctx.bump_cosine = ctx.bump_cosine * (1.0 + 1e-6)
-    monkeypatch.setitem(cx._CTX_CACHE, (ctx.n, ctx.a, ctx.cap_u0), ctx)
+    monkeypatch.setitem(cx._CTX_CACHE, (ctx.n, ctx.a), ctx)
     rc = cli.main(["verify", str(cli_outdir / "certificate.json")])
     out = capsys.readouterr().out
     assert rc == 4
@@ -401,8 +406,9 @@ def test_verify_quadrature_route_refutes_a_scaled_seed_series(
 
 def test_verify_sweeps_a_grid_mirrored_bit_for_bit(cli_outdir, monkeypatch,
                                                    capsys):
-    # the doubled grid has 1441 directions and 721 distinct |u|, where
-    # linspace(-1, 1, 1441) has 1116
+    # the checks sweep the doubled grid, 1441 directions and 721 distinct
+    # |u|, where linspace(-1, 1, 1441) has 1116; construct, run again, then
+    # sweeps the record's own 721
     from centroid_sections import counterexample as cx
     grids = []
     real = cx.ConstructionContext.identity_sweep
@@ -413,34 +419,45 @@ def test_verify_sweeps_a_grid_mirrored_bit_for_bit(cli_outdir, monkeypatch,
 
     monkeypatch.setattr(cx.ConstructionContext, "identity_sweep", recorded)
     assert cli.main(["verify", str(cli_outdir / "certificate.json")]) == 0
-    (grid,) = grids
+    grid, record = grids
     assert grid.size == 1441 and np.array_equal(grid, -grid[::-1])
     assert np.unique(np.abs(grid)).size == 721
+    assert np.array_equal(record, cx._mirrored_grid(721))
 
 
-def test_verify_does_not_read_the_pole_series(cli_outdir, tmp_path, capsys):
-    # the pole block records; it is not a check, and verify reads none of
-    # it: replaced by nonsense, the same eleven lines pass
+@pytest.mark.parametrize("forged,named", [
+    ("not a record", "pole_series"),
+    ({"curvature_bump": -1.0}, "pole_series.curvature_bump"),
+], ids=["nonsense", "curvature_bump"])
+def test_verify_refutes_a_forged_pole_series(cli_outdir, tmp_path, capsys,
+                                              forged, named):
+    # the pole block is a record, not a check: forged, the checks' lines
+    # stay as they were, and the record's line names it
     cli.main(["verify", str(cli_outdir / "certificate.json")])
-    want = capsys.readouterr().out
-    path = _tampered(cli_outdir, tmp_path,
-                     lambda c: c.update(pole_series="not a record"))
-    assert cli.main(["verify", str(path)]) == 0
-    assert capsys.readouterr().out == want
-    assert want.count("PASS ") == 11
+    want = capsys.readouterr().out.splitlines()
+
+    def mutate(cert):
+        if isinstance(forged, dict):
+            cert["pole_series"].update(forged)
+        else:
+            cert["pole_series"] = forged
+    path = _tampered(cli_outdir, tmp_path, mutate)
+    assert cli.main(["verify", str(path)]) == 4
+    out = capsys.readouterr().out.splitlines()
+    assert out[:9] == want[:9]
+    assert out[9] == f"FAIL record_matches_recomputation: differ: {named}"
 
 
 def test_verify_fails_when_no_base_body_exists(cli_outdir, tmp_path,
                                                capsys):
-    # a = 0.9 makes the n = 5 base profile negative, so no context can be
-    # built for the recorded parameters
+    # a = 0.9 makes the n = 5 base profile negative: a recorded request
+    # that construct would reject is invalid input, like construct's
     path = _tampered(cli_outdir, tmp_path,
-                     lambda c: c["params"].update(a=0.9))
+                     lambda c: c["config"].update(a=0.9))
     rc = cli.main(["verify", str(path)])
-    out = capsys.readouterr().out
-    assert rc == 4
-    assert "FAIL recheck_completes: profile not positive" in out
-    assert "verification FAILED" in out
+    assert rc == 2
+    assert ("error: invalid certificate configuration: profile not "
+            "positive" in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("kappa", ["half_margin", "nan"])
@@ -504,6 +521,80 @@ def test_verify_refutes_forged_certificate(cli_outdir, tmp_path, capsys,
     assert "verification FAILED" in out
 
 
+def _leaves(entry, path=()):
+    if isinstance(entry, dict):
+        for key, value in entry.items():
+            yield from _leaves(value, (*path, key))
+    else:
+        yield path, entry
+
+
+def _forged(value):
+    """value moved just past verify's 1e-6: a float by 1e-3 of itself (by
+    1e-3 where it is 0), an int by 1, a bool flipped, a string extended;
+    None for a value of no such kind."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return value * (1.0 + 1e-3) if value else 1e-3
+    if isinstance(value, str):
+        return value + "x"
+    return None
+
+
+def test_verify_refutes_every_forged_entry(cli_outdir, tmp_path, capsys):
+    # every entry construct writes, meta aside, forged alone, exits 4; one
+    # outside config, the request that verify runs again, is named (a
+    # verify that held the file only to its check flags and two values
+    # passed most of these).  The schema is read before anything else (an
+    # unknown one is invalid input); config.a = None (automatic) and the
+    # empty failures list have no forgery
+    cert = json.loads((cli_outdir / "certificate.json").read_text())
+    unforged, wrong = [], []
+    for path, value in _leaves(cert):
+        forged = _forged(value)
+        if path[0] in ("meta", "schema") or forged is None:
+            unforged.append(".".join(path))
+            continue
+
+        def mutate(c, path=path, forged=forged):
+            *parents, key = path
+            for part in parents:
+                c = c[part]
+            c[key] = forged
+        rc = cli.main(["verify", str(_tampered(cli_outdir, tmp_path,
+                                               mutate))])
+        line = capsys.readouterr().out.splitlines()[-2]
+        names = line.split("differ: ")[-1].split(", ")
+        if rc != 4 or (path[0] != "config" and ".".join(path) not in names):
+            wrong.append((".".join(path), rc, names))
+    assert sorted(unforged) == ["config.a", "failures", "meta.created_utc",
+                                "meta.runtime_seconds", "schema"]
+    assert wrong == []
+
+
+@pytest.mark.parametrize("key,value,named", [
+    ("n", 7, "params.n"),
+    ("a", 0.3, "transform does not vanish at the equator"),
+    ("alpha_grid", 101, "grids.alpha_grid"),
+    ("alpha_grid", 3, "grids.alpha_grid"),
+], ids=["n_7", "a_0.3", "alpha_grid_101", "alpha_grid_3"])
+def test_verify_refutes_a_forged_request(cli_outdir, tmp_path, capsys, key,
+                                         value, named):
+    # the config block is the request that verify runs construct on again:
+    # forged, the record's line names what construct then writes otherwise
+    # (at a = 0.3 it writes nothing, its perturbation missing the equator)
+    path = _tampered(cli_outdir, tmp_path,
+                     lambda c: c["config"].update({key: value}))
+    rc = cli.main(["verify", str(path)])
+    line = capsys.readouterr().out.splitlines()[-2]
+    assert rc == 4
+    assert line.startswith("FAIL record_matches_recomputation: ")
+    assert named in line
+
+
 def test_verify_refutes_a_negative_sweep_margin(cli_outdir, monkeypatch,
                                                 capsys):
     # a negative margin from the recomputed sweep fails its check
@@ -531,13 +622,13 @@ def test_verify_refutes_a_base_body_below_the_margin(cli_outdir, monkeypatch,
     from centroid_sections import counterexample as cx
     cert = json.loads((cli_outdir / "certificate.json").read_text())
     p = cert["params"]
-    ctx = cold(cx.get_context(RunConfig(n=p["n"], a=p["a"]), p["cap_u0"]))
+    ctx = cold(cx.get_context(RunConfig(n=p["n"], a=p["a"])))
     r, r_t, r_tt = (f.copy() for f in ctx._rho)
     i = r.size // 2
     assert ctx._x[i] == 0.0 == r_t[i]
     r_tt[i] = r[i] - RunConfig.tolerances["convexity_margin"] / 2 * r[i] ** 2
     ctx._rho = (r, r_t, r_tt)
-    monkeypatch.setitem(cx._CTX_CACHE, (ctx.n, ctx.a, ctx.cap_u0), ctx)
+    monkeypatch.setitem(cx._CTX_CACHE, (ctx.n, ctx.a), ctx)
     rc = cli.main(["verify", str(cli_outdir / "certificate.json")])
     out = capsys.readouterr().out
     assert rc == 4
@@ -547,12 +638,12 @@ def test_verify_refutes_a_base_body_below_the_margin(cli_outdir, monkeypatch,
 def test_verify_lines_are_the_certificate_checks(construct_result,
                                                  cli_outdir, capsys):
     # verify prints one line per check of construct's table, under its
-    # name and in its order, then its own three
+    # name and in its order, then its own two
     checks = construct_result["certificate"]["checks"]
     assert cli.main(["verify", str(cli_outdir / "certificate.json")]) == 0
     names = [line.split(":")[0].split()[1]
              for line in capsys.readouterr().out.splitlines()[:-1]]
-    assert names == [*checks, "root_reproduces", "identity_by_quadrature",
+    assert names == [*checks, "identity_by_quadrature",
                      "record_matches_recomputation"]
     assert set(cli._CHECK_READS) == set(checks)
 
@@ -611,20 +702,21 @@ def test_verify_rejects_invalid_stored_config(cli_outdir, tmp_path, capsys):
                          lambda c: c["config"].update({key: value}))
         assert cli.main(["verify", str(path)]) == 2
         assert message in capsys.readouterr().err
-    # and so are two sweep directions recorded in grids
+    # two sweep directions recorded in grids are no input but a record
+    # that construct contradicts
     path = _tampered(cli_outdir, tmp_path,
                      lambda c: c["grids"].update(alpha_grid=2))
-    assert cli.main(["verify", str(path)]) == 2
-    assert "alpha_grid must be at least 3" in capsys.readouterr().err
+    assert cli.main(["verify", str(path)]) == 4
+    assert ("FAIL record_matches_recomputation: differ: grids.alpha_grid"
+            in capsys.readouterr().out.splitlines())
 
 
 @pytest.mark.parametrize("stored", [
-    {"curvature_grid": 41, "section_quad_order": 1000}, {"alpha_grid": 3},
-], ids=["grid_constants", "alpha_grid_3"])
+    {"curvature_grid": 41, "section_quad_order": 1000},
+], ids=["grid_constants"])
 def test_verify_ignores_coarse_stored_grids(cli_outdir, tmp_path, capsys,
                                             monkeypatch, stored):
-    # grid sizes are package constants, and a stored alpha_grid may raise
-    # the doubled sweep grid but never lower it: coarse grids in the file
+    # grid sizes are package constants: coarse grids in the file's config
     # change no line of the verdict
     from centroid_sections import counterexample as cx
     assert cli.main(["verify", str(cli_outdir / "certificate.json")]) == 0
@@ -637,11 +729,32 @@ def test_verify_ignores_coarse_stored_grids(cli_outdir, tmp_path, capsys,
     assert capsys.readouterr().out == want
 
 
+def test_verify_passes_a_certificate_built_on_three_directions(
+        tmp_path, monkeypatch, capsys):
+    # a request of 3 directions is certified on the poles and the equator;
+    # verify's checks sweep them refined to 1441
+    from centroid_sections import counterexample as cx
+    assert cli.main(["construct", "--alpha-grid", "3", "--outdir",
+                     str(tmp_path)]) == 0
+    grids = []
+    real = cx.ConstructionContext.identity_sweep
+
+    def recorded(self, lam, eps, u_grid=None):
+        grids.append(u_grid)
+        return real(self, lam, eps, u_grid)
+
+    monkeypatch.setattr(cx.ConstructionContext, "identity_sweep", recorded)
+    capsys.readouterr()
+    assert cli.main(["verify", str(tmp_path / "certificate.json")]) == 0
+    assert capsys.readouterr().out.count("PASS ") == 10
+    assert [g.size for g in grids] == [1441, 3]
+
+
 def test_verify_holds_the_margin_over_the_certificate_directions(
         tmp_path, monkeypatch, capsys):
     # a certificate swept at 361 directions records the margin over them;
-    # verify sweeps them refined 4-fold, 1441 directions, and reads the
-    # stored margin back from every 4th
+    # verify's checks sweep them refined 4-fold, 1441 directions, and
+    # construct, run again, sweeps the 361 themselves
     from centroid_sections import counterexample as cx
     assert cli.main(["construct", "--alpha-grid", "361", "--outdir",
                      str(tmp_path)]) == 0
@@ -656,9 +769,10 @@ def test_verify_holds_the_margin_over_the_certificate_directions(
     capsys.readouterr()
     assert cli.main(["verify", str(tmp_path / "certificate.json")]) == 0
     assert "PASS record_matches_recomputation" in capsys.readouterr().out
-    (grid,) = grids
+    grid, record = grids
     assert grid.size == 1441
     assert np.max(np.abs(grid[::4] - cx._mirrored_grid(361))) <= 1e-16
+    assert np.array_equal(record, cx._mirrored_grid(361))
 
 
 def _drop_params(cert):
@@ -677,17 +791,25 @@ def _fractional_grid(cert):
     cert["config"]["alpha_grid"] = 721.5
 
 
-@pytest.mark.parametrize("mutate", [_drop_params, _string_lambda0, _string_a,
-                                    _fractional_grid],
-                         ids=["no_params", "string_lambda0", "string_a",
-                              "fractional_grid"])
+@pytest.mark.parametrize("mutate,named", [
+    (_drop_params, "params"), (_string_lambda0, None), (_string_a, "params.a"),
+    (_fractional_grid, None)],
+    ids=["no_params", "string_lambda0", "string_a", "fractional_grid"])
 def test_verify_rejects_malformed_certificate(cli_outdir, tmp_path, capsys,
-                                              mutate):
-    # a value verify reads that is missing or not a number is invalid
-    # input, named on stderr, not a traceback
+                                              mutate, named):
+    # an input of verify (config, lambda0, eps0) that is missing or not a
+    # number is invalid input, named on stderr, not a traceback; any other
+    # entry is compared with construct's, and the record's line names it
     path = _tampered(cli_outdir, tmp_path, mutate)
-    assert cli.main(["verify", str(path)]) == 2
-    assert "error: invalid certificate: " in capsys.readouterr().err
+    rc = cli.main(["verify", str(path)])
+    got = capsys.readouterr()
+    if named is None:
+        assert rc == 2
+        assert "error: invalid certificate: " in got.err
+    else:
+        assert rc == 4
+        assert (f"FAIL record_matches_recomputation: differ: {named}"
+                in got.out.splitlines())
 
 
 def test_verify_rejects_unknown_schema(cli_outdir, tmp_path, capsys):

@@ -307,8 +307,8 @@ def test_centroid_none_for_non_finite_power(ctx5):
 
 def test_centroid_functional_wrapper(cert5):
     # the centroid at recorded parameters, through a context for the
-    # recorded n, a and cap edge, as verify builds it
-    ctx = get_context(RunConfig(n=5, a=0.4), cert5["params"]["cap_u0"])
+    # recorded n and a
+    ctx = get_context(RunConfig(n=5, a=0.4))
     val = ctx.centroid(cert5["lambda0"], cert5["eps0"])
     assert abs(val) <= 1e-12
 
@@ -387,8 +387,8 @@ def test_identity_at_spec_parameters():
 
 def test_identity_check_public_wrapper(construct_result, cert5):
     # the sweep at recorded parameters, through a context for the recorded
-    # n, a and cap edge, which builds the body the construction returned
-    ctx = get_context(RunConfig(n=5, a=0.4), cert5["params"]["cap_u0"])
+    # n and a, which builds the body the construction returned
+    ctx = get_context(RunConfig(n=5, a=0.4))
     lam, eps = cert5["lambda0"], cert5["eps0"]
     u = np.linspace(-0.9, 0.9, 7)
     assert np.array_equal(ctx.perturbed_body(lam, eps).rho(u),
@@ -1025,7 +1025,7 @@ def test_select_eps_treats_nan_curvature_as_violation(ctx5, monkeypatch):
 
 
 def test_get_context_returns_one_context_per_geometry(ctx5):
-    # the context depends on (n, a, cap_u0) alone: a caller's eps and
+    # the context depends on (n, a) alone: a caller's eps and
     # sweep grid neither rebuild it nor copy it
     assert get_context(RunConfig()) is get_context(
         RunConfig(eps=1e-2, alpha_grid=101)) is ctx5

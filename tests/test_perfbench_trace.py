@@ -67,6 +67,21 @@ def test_traced_construct_records_its_layers(subprocess_env, tmp_path):
     assert got["counters"]["counterexample.centroid_calls"] > 0
 
 
+def test_verify_worker_traces_the_construction_it_reruns(subprocess_env,
+                                                         cli_outdir, tmp_path):
+    # verify runs construct again through run_construction, which the
+    # tracer wraps: the worker's trace holds its span under cli.verify
+    out = tmp_path / "verify.json"
+    _run(subprocess_env, str(PERFBENCH / "worker.py"), "cli", str(out),
+         "none", "--", "verify", str(cli_outdir / "certificate.json"))
+    report = json.loads(out.read_text())
+    assert report["rc"] == 0
+    spans = report["spans"]
+    assert any(name == "counterexample.run_construction"
+               and spans[parent][0] == "cli.verify"
+               for name, _, _, parent, _ in spans)
+
+
 def test_sweep_worker_round_has_no_failures(subprocess_env, tmp_path):
     # the sweep-warm-n6 worker holds each operation to the package's
     # tolerances, which it reads as ctx.config.tolerances; one traced round
