@@ -21,7 +21,8 @@ and curvature by FFTs on theta nodes, the perturbation phi and the
 section sweep by block angle addition (spherical_core._cosine_sum).  The
 sweep needs no section quadrature: by Funk-Hecke its left side is a
 multiple of the bump's own series (identity_sweep).  The gap's transform
-has a closed form, and so has its quotient by u (_gap_quotient).
+has a closed form, and its quotient by u goes the bump quotient's way, as
+a cosine series in theta from one FFT of its samples (_gap_cosine).
 get_context returns the context; its methods are the
 per-(lam, eps) functionals (centroid, kappa_report, select_eps,
 find_root, identity_sweep, certify), and run_construction chains them
@@ -33,7 +34,6 @@ perturbed_body.
 
 import time
 from dataclasses import asdict
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -42,7 +42,7 @@ from .config import ConstructionError, RunConfig
 from .revolution_bodies import (ConvexityReport, RevolutionBody, _clears,
                                 _meridian_report, _theta_jet, curvature,
                                 make_base_body)
-from .spherical_core import (LD, GegenbauerSpectrum, SphereProfile,
+from .spherical_core import (LD, _PI_LD, GegenbauerSpectrum, SphereProfile,
                              _accumulate_at_zero, _bochner_multipliers_ld,
                              _cosine_coeffs, _cosine_sum, _divide_by_u,
                              _uniform_rule, bochner_multiplier, eval_spectrum,
@@ -57,10 +57,10 @@ __all__ = [
 
 CERTIFICATE_SCHEMA = "v1"
 
-# the derivatives of the gap's odd quotient are summed as a series of
-# _GAP_SERIES_TERMS terms for |u| < _U_SWITCH (see _gap_quotient)
-_U_SWITCH = 0.05
-_GAP_SERIES_TERMS = 20
+# samples of the gap's odd quotient on [0, pi] in theta behind its cosine
+# series (_gap_cosine), whose coefficients end below 1e-17 of their max by
+# degree 77 at n = 5 and by degree 227 at n = 200
+_GAP_THETA_SAMPLES = 512
 
 # the most distinct |u| whose b_M and section volume a context keeps for
 # its sweeps (ConstructionContext._bump_and_volume); 400 KB of tables
@@ -134,10 +134,11 @@ def make_oblate_gap_profile(n: int) -> SphereProfile:
     ball and the inscribed oblate ellipsoid with polar semi-axis 1/2.
 
     The degree -1 extension has transform c_n (1 - (1 + 3u^2)^{-(n-1)/2}),
-    attached as ft_profile: zero at the equator, positive elsewhere.  This
-    one-sided transform is what lets a blend weight move the centroid
-    without touching the equator value.  Its odd quotient is
-    _gap_quotient's.
+    attached as ft_profile in the form -c_n expm1(-q log1p(3u^2)), q =
+    (n-1)/2, which keeps its relative accuracy near the equator: zero
+    there, positive elsewhere.  This one-sided transform is what lets a
+    blend weight move the centroid without touching the equator value.
+    Its odd quotient by u is _gap_cosine's cosine series.
     """
     if n < 5:
         raise ValueError("gap profile used for n >= 5 only")
@@ -150,70 +151,31 @@ def make_oblate_gap_profile(n: int) -> SphereProfile:
 
     def ft(u):
         u = np.asarray(u)
-        return cn * (1.0 - (1.0 + 3.0 * u * u) ** -q)
+        return -cn * np.expm1(-q * np.log1p(3.0 * u * u))
 
     prof = SphereProfile(n=n, eval=gap, parity="even")
     prof.ft_profile = SphereProfile(n=n, eval=ft, parity="even")
     return prof
 
 
-def _gap_quotient(n: int) -> tuple:
-    """(q_g, q_g', q_g''): the gap's transform c_n E divided by u, where
-    E = 1 - B^{-q}, B = 1 + 3u^2 and q = (n - 1)/2, and its first two
-    derivatives.
-
-    q_g is -c_n expm1(-q log1p(3u^2)) / u, 0 at u = 0, at every u.  For
-    |u| >= _U_SWITCH the derivatives are the closed forms
-
-        q_g'  = c_n (6q B^{-q-1} - E / u^2),
-        q_g'' = c_n (2E / u^3 - 6q B^{-q-1} / u - 36q(q+1) u B^{-q-2});
-
-    below it, where those terms cancel, they are the termwise derivatives
-    of q_g = sum_{k>=1} a_k u^{2k-1}, a_k = c_n (-1)^{k+1}
-    binom(q+k-1, k) 3^k, by Horner in u^2.  The term ratio there is
-    3u^2 (q+k)/(k+1) <= 0.0075 (q+k)/(k+1), so with _GAP_SERIES_TERMS
-    terms the first omitted term of each of the three series is below
-    3e-18 of its first for every n up to 228, where c_n reaches the
-    float64 limit (16 terms left 4.4e-14 in q_g'' at n = 200).  Against
-    mpmath the three are within 5e-16, 5e-16 and 4e-15 of their max over
-    [-1, 1] at n = 5 to 200.  A
-    Gegenbauer quotient series, as for the bump, is no substitute: at
-    degree 120 and n = 5 its second derivative is off by 2.2e-9 of max at
-    the poles.
-    """
-    cn = bochner_multiplier(0, 1, n)
-    q = (n - 1) / 2.0
-    a = [3.0 * q * cn]
-    for k in range(1, _GAP_SERIES_TERMS):
-        a.append(-a[-1] * 3.0 * (q + k) / (k + 1))
-    # coefficients of q_g' and of q_g'' / u, by power of u^2
-    d1 = [(2 * k + 1) * ak for k, ak in enumerate(a)]
-    d2 = [(2 * k + 3) * (2 * k + 2) * ak for k, ak in enumerate(a[1:])]
-    polyval = np.polynomial.polynomial.polyval
-
-    def value(u):
-        u = np.asarray(u)
-        return (-cn * np.expm1(-q * np.log1p(3.0 * u * u))
-                / np.where(u == 0, 1.0, u))
-
-    def derivative(u, k):
-        u = np.asarray(u, dtype=np.float64)
-        small = np.abs(u) < _U_SWITCH
-        us = np.where(small, u, 0.0)
-        ub = np.where(small, _U_SWITCH, u)
-        log_b = np.log1p(3.0 * ub * ub)
-        e = -np.expm1(-q * log_b)
-        b1 = 6.0 * q * np.exp(-(q + 1) * log_b)
-        if k == 1:
-            series = polyval(us * us, d1)
-            closed = cn * (b1 - e / ub ** 2)
-        else:
-            series = us * polyval(us * us, d2)
-            closed = cn * (2.0 * e / ub ** 3 - b1 / ub - 36.0 * q * (q + 1)
-                           * ub * np.exp(-(q + 2) * log_b))
-        return np.where(small, series, closed)
-
-    return value, partial(derivative, k=1), partial(derivative, k=2)
+def _gap_cosine(n: int) -> np.ndarray:
+    """Longdouble coefficients d of the gap transform's odd quotient,
+    q_g(cos theta) = sum_m d_m cos(m theta), q_g = ft/u (ft the gap
+    profile's ft_profile): the trapezoid rule (a type-I cosine transform)
+    over its samples at theta_i = i pi / N, N = _GAP_THETA_SAMPLES, from
+    one real FFT of them extended evenly to the full period.  The samples
+    on (pi/2, pi] are those on [0, pi/2) negated, with 0 at pi/2 (u = 0),
+    and the even degrees are set to exactly 0: q_g is odd.  q_g is
+    analytic in a strip around the real theta-axis, so the coefficients
+    fall geometrically and the samples alias nothing float64 holds."""
+    ft = make_oblate_gap_profile(n).ft_profile
+    u = np.cos(np.arange(_GAP_THETA_SAMPLES // 2, dtype=LD)
+               * (_PI_LD / _GAP_THETA_SAMPLES))
+    half = ft(u) / u
+    f = np.concatenate([half, [LD(0)], -half[::-1]])
+    d = np.fft.rfft(np.concatenate([f, f[-2:0:-1]])).real / _GAP_THETA_SAMPLES
+    d[::2] = 0
+    return d
 
 
 def _root_jet(n: int, eps: float, base, phi, powers=None) -> list:
@@ -263,15 +225,18 @@ def _mirror(half: np.ndarray, sign: int) -> np.ndarray:
 # cached heavy machinery
 
 _CTX_CACHE: dict = {}
+# n -> auto_select_a(n): the automatic choice, made once per n
+_AUTO_A: dict = {}
 
 
 class ConstructionContext:
     """Everything expensive about one geometry (n, a, cap_u0), computed
     once at the build: the bump transform's spectrum, its odd quotient
-    series, and the cosine series in theta of that quotient and of the
-    bump's own series that the transform coefficients stand for; the node
-    tables that make the centroid and curvature of the perturbed family
-    cheap per (lam, eps), and the section rule of the sweep's volumes.
+    series, and the cosine series in theta of that quotient, of the gap
+    transform's and of the bump's own series that the transform
+    coefficients stand for; the node tables that make the centroid and
+    curvature of the perturbed family cheap per (lam, eps), and the
+    section rule of the sweep's volumes.
     What depends on a sweep direction's |u| alone, the bump series b_M and
     the base body's section volume, is computed the first time a sweep
     reaches that |u| and kept for the later sweeps (_bump_and_volume).
@@ -334,8 +299,8 @@ class ConstructionContext:
         # float64 series at 0 would add ~1e-14 relative noise to a value
         # that must cancel exactly in the odd quotient
         self.bump_ft_at_zero = float(_accumulate_at_zero(co_ld, lam))
-        # the gap part: the closed-form quotient of its transform
-        self._gap_q = _gap_quotient(n)
+        # the gap part: its transform's quotient as a cosine series too
+        self.gap_cosine = _gap_cosine(n)
 
         eq = _mirrored_grid(RunConfig.equator_grid)
         # at large n, C_m^lam near the poles outgrows float64: a series that
@@ -365,30 +330,34 @@ class ConstructionContext:
         # diameter and the positivity guard all read: theta_i = i pi /
         # (curvature_grid - 1) on [0, pi/2], mirrored onto [pi/2, pi].
         # Their tables are theta-jets (f, f_theta, f_theta_theta).  The
-        # bump's are q_b(cos theta) = sum d_m cos(m theta), d the cosine
-        # series quotient_cosine, and its termwise derivatives
-        # -sum m d_m sin(m theta) and -sum m^2 d_m cos(m theta): three real
-        # FFTs of length 4 (K - 1), K nodes on [0, pi/2].  The first and
-        # the third are odd about pi/2 (u = 0), where an FFT may leave
-        # rounding noise: their samples there are set to exactly 0
+        # bump's and the gap's quotients are q(cos theta) = sum d_m
+        # cos(m theta), d their cosine series quotient_cosine and
+        # gap_cosine, and their jets the termwise derivatives -sum m d_m
+        # sin(m theta) and -sum m^2 d_m cos(m theta): three real FFTs of
+        # length 4 (K - 1) each, K nodes on [0, pi/2].  The first and the
+        # third are odd about pi/2 (u = 0), where an FFT may leave rounding
+        # noise: their samples there are set to exactly 0
         half = (RunConfig.curvature_grid + 1) // 2
+
+        def jets(d):
+            m = np.arange(d.size)
+            f0, f1, f2 = (np.fft.rfft((m ** k * d).astype(np.float64),
+                                      4 * (half - 1))[:half]
+                          for k in range(3))
+            f0[-1] = f2[-1] = 0.0
+            return (_mirror(f0.real, -1), _mirror(f1.imag, 1),
+                    _mirror(-f2.real, -1))
+
         # the angles rounded as every 20th point of a 20-fold finer
         # linspace rounds them: the node bits that certificates carry
         theta = np.linspace(0.0, np.pi / 2, 20 * (half - 1) + 1)[::20]
-        m = np.arange(self.quotient_cosine.size)
-        bq0, bq1, bq2 = (np.fft.rfft((m ** k * self.quotient_cosine)
-                                     .astype(np.float64),
-                                     4 * (half - 1))[:half] for k in range(3))
-        bq0[-1] = bq2[-1] = 0.0
         x = np.cos(theta)
         # cos(pi/2) rounds to 6e-17; the last node is u = 0 exactly
         x[-1] = 0.0
         self._theta = np.concatenate([theta, np.pi - theta[-2::-1]])
         self._x = _mirror(x, -1)
         s = _mirror(np.sin(theta), 1)
-        self._bq = (_mirror(bq0.real, -1), _mirror(bq1.imag, 1),
-                    _mirror(-bq2.real, -1))
-        self._gq = _theta_jet(self._x, s, *(g(self._x) for g in self._gap_q))
+        self._bq, self._gq = jets(self.quotient_cosine), jets(self.gap_cosine)
         self._rho = _theta_jet(
             self._x, s, *(np.asarray(f(self._x), dtype=np.float64)
                           for f in (self.base.rho, *self.base.rho.derivs)))
@@ -423,22 +392,15 @@ class ConstructionContext:
 
     def perturbation(self, lam: float) -> SphereProfile:
         """Odd profile phi = (ghat(u) - ghat(0)) / u of the blended
-        transform ghat, values only: the bump's quotient from its cosine
-        series (quotient_cosine, _cosine_sum) and the gap's closed form
-        (_gap_quotient), both in float64.  Raises unless ghat vanishes at
-        the equator to the package tolerance, relative to its max over the
-        equator grid."""
-        ratio = self.equator_ratio(lam)
-        tol = RunConfig.tolerances["equator_rel"]
-        if not ratio <= tol:
-            raise ConstructionError(
-                f"transform does not vanish at the equator: |value| is "
-                f"{ratio:.3e} of its max, above {tol:.1e}")
+        transform ghat, values only: the bump's and the gap's quotients
+        from their cosine series (quotient_cosine and gap_cosine, each by
+        _cosine_sum), in float64.  It holds nothing to the equator: that
+        ghat vanishes there is certify's equator_within_tolerance check."""
 
         def phi(u):
             u = np.asarray(u, dtype=np.float64)
             return ((1.0 - lam) * _cosine_sum(self.quotient_cosine, u, "odd")
-                    + lam * self._gap_q[0](u))
+                    + lam * _cosine_sum(self.gap_cosine, u, "odd"))
 
         return SphereProfile(n=self.n, eval=phi, parity="odd")
 
@@ -682,15 +644,16 @@ class ConstructionContext:
         """The sweep's lhs at directions u by the other route: the section
         rule of order section_quad_order (_uniform_rule) over (rho_b^n +
         eps phi) at the rule's nodes, phi's bump part from the quotient's
-        Gegenbauer series by the three-term recurrence (eval_spectrum), so
-        that this route shares no summation code with identity_sweep's.
+        Gegenbauer series by the three-term recurrence (eval_spectrum) and
+        its gap part the gap's closed-form transform over u (0 at u = 0),
+        so that this route shares no summation code with identity_sweep's.
         verify compares the two."""
         n = self.n
         qs = _uniform_rule(RunConfig.section_quad_order, (n - 4) / 2)
         ts, tw = qs.nodes.astype(np.float64), qs.weights.astype(np.float64)
         v = np.sqrt(np.maximum(0.0, 1.0 - np.asarray(u) ** 2))[:, None] * ts
         phi = ((1.0 - lam) * eval_spectrum(self.bump_quotient, v)
-               + lam * self._gap_q[0](v))
+               + lam * (self.gap.ft_profile(v) / np.where(v == 0, 1.0, v)))
         f = np.asarray(self.base.rho(v), dtype=np.float64) ** n + eps * phi
         return self._subsurf * ((v * f) @ tw)
 
@@ -769,13 +732,17 @@ def get_context(config: Optional[RunConfig] = None) -> ConstructionContext:
     first use and cached, so every call for one geometry returns the same
     context.  Of the configuration only n and a are read; what else a
     caller sets (eps, alpha_grid) goes to the context's methods as
-    arguments.  The cap edge is u* + cap_margin (1 - u*), u* the
-    negativity threshold of the base body's transform.
+    arguments.  An a left None is auto_select_a's, chosen on the first
+    such call for n and kept.  The cap edge is u* + cap_margin (1 - u*),
+    u* the negativity threshold of the base body's transform.
     """
     cfg = config or RunConfig()
     cfg.validate()
-    n = cfg.n
-    a = cfg.a if cfg.a is not None else auto_select_a(n)
+    n, a = cfg.n, cfg.a
+    if a is None:
+        if n not in _AUTO_A:
+            _AUTO_A[n] = auto_select_a(n)
+        a = _AUTO_A[n]
     if (n, a) not in _CTX_CACHE:
         us = negativity_threshold(n, a)
         _CTX_CACHE[n, a] = ConstructionContext(

@@ -359,6 +359,74 @@ def gap_quotient_mp(n, u):
         return float(c[0]), float(c[1]), float(2 * c[2])
 
 
+# below this |u| gap_quotient_closed sums its derivatives as series of
+# GAP_SERIES_TERMS terms
+GAP_U_SWITCH = 0.05
+GAP_SERIES_TERMS = 20
+
+
+def gap_quotient_closed(n):
+    """(q_g, q_g', q_g''): the gap's transform c_n E divided by u, where
+    E = 1 - B^{-q}, B = 1 + 3u^2 and q = (n - 1)/2, and its first two
+    derivatives, as float64 closed forms in u, c_n rounded from mpmath.
+
+    q_g is -c_n expm1(-q log1p(3u^2)) / u, 0 at u = 0, at every u.  For
+    |u| >= GAP_U_SWITCH the derivatives are
+
+        q_g'  = c_n (6q B^{-q-1} - E / u^2),
+        q_g'' = c_n (2E / u^3 - 6q B^{-q-1} / u - 36q(q+1) u B^{-q-2});
+
+    below it, where those terms cancel, they are the termwise derivatives
+    of q_g = sum_{k>=1} a_k u^{2k-1}, a_k = c_n (-1)^{k+1}
+    binom(q+k-1, k) 3^k, by Horner in u^2.  The term ratio there is
+    3u^2 (q+k)/(k+1) <= 0.0075 (q+k)/(k+1), so with GAP_SERIES_TERMS
+    terms the first omitted term of each of the three series is below
+    3e-18 of its first for every n up to 228."""
+    cn = float(bochner_multiplier_mp(0, 1, n))
+    q = (n - 1) / 2.0
+    a = [3.0 * q * cn]
+    for k in range(1, GAP_SERIES_TERMS):
+        a.append(-a[-1] * 3.0 * (q + k) / (k + 1))
+    # coefficients of q_g' and of q_g'' / u, by power of u^2
+    d1 = [(2 * k + 1) * ak for k, ak in enumerate(a)]
+    d2 = [(2 * k + 3) * (2 * k + 2) * ak for k, ak in enumerate(a[1:])]
+    polyval = np.polynomial.polynomial.polyval
+
+    def value(u):
+        u = np.asarray(u)
+        return (-cn * np.expm1(-q * np.log1p(3.0 * u * u))
+                / np.where(u == 0, 1.0, u))
+
+    def derivative(u, k):
+        u = np.asarray(u, dtype=np.float64)
+        small = np.abs(u) < GAP_U_SWITCH
+        us = np.where(small, u, 0.0)
+        ub = np.where(small, GAP_U_SWITCH, u)
+        log_b = np.log1p(3.0 * ub * ub)
+        e = -np.expm1(-q * log_b)
+        b1 = 6.0 * q * np.exp(-(q + 1) * log_b)
+        if k == 1:
+            series = polyval(us * us, d1)
+            closed = cn * (b1 - e / ub ** 2)
+        else:
+            series = us * polyval(us * us, d2)
+            closed = cn * (2.0 * e / ub ** 3 - b1 / ub - 36.0 * q * (q + 1)
+                           * ub * np.exp(-(q + 2) * log_b))
+        return np.where(small, series, closed)
+
+    return value, lambda u: derivative(u, 1), lambda u: derivative(u, 2)
+
+
+def gap_theta_jet_mp(n, u):
+    """(q, q_theta, q_theta_theta) of the gap transform's odd quotient at
+    u = cos theta, from gap_quotient_mp's u-derivatives: d/dtheta =
+    -sin theta d/du.  Float64."""
+    u = np.asarray(u, dtype=float)
+    s = np.sqrt(1.0 - u * u)
+    q, q1, q2 = np.array([gap_quotient_mp(n, float(v)) for v in u]).T
+    return q, -s * q1, s * s * q2 - u * q1
+
+
 def bochner_multiplier_mp(m, p, n):
     """(-1)^{floor(m/2)} pi^{n/2} 2^{n-p} Gamma((n-p+m)/2) / Gamma((p+m)/2)
     by mpmath at 40 digits, as an mpf."""
@@ -537,15 +605,15 @@ def quadrature_lhs(ctx, lam, eps, u_grid, order):
     """lhs of the section identity, the integral of s (rho_b^n + eps phi)(s)
     over the unit subsphere orthogonal to each direction, by scipy's
     Gauss-Jacobi rule of the given order; phi from the float64 bump
-    quotient's Gegenbauer series (three-term recurrence) and the gap
-    quotient's closed form."""
+    quotient's Gegenbauer series (three-term recurrence) and the gap's
+    closed-form transform over u."""
     from centroid_sections import eval_spectrum
     n = ctx.n
     beta = (n - 4) / 2.0
     t, w = special.roots_jacobi(order, beta, beta)
     v = np.sqrt(1.0 - np.asarray(u_grid) ** 2)[:, None] * t
     phi = ((1.0 - lam) * eval_spectrum(ctx.bump_quotient, v)
-           + lam * ctx._gap_q[0](v))
+           + lam * (ctx.gap.ft_profile(v) / np.where(v == 0, 1.0, v)))
     f = np.asarray(ctx.base.rho(v), dtype=float) ** n + eps * phi
     return surface_area(n - 2) * ((v * f) @ w)
 
@@ -574,9 +642,9 @@ def kappa_series_route(ctx, lam, eps):
     """(kappa_min, argmin theta) of the perturbed body of a construction
     context by the u-form route: on theta_i = i pi / 4000, the bump
     quotient's derivatives from its float64 Gegenbauer series
-    (eval_spectrum_deriv), the gap quotient's from its closed forms, the
-    chain rule for r = (rho^n + eps phi)^{1/n} in u, and the meridian
-    curvature written in u-derivatives,
+    (eval_spectrum_deriv), the gap quotient's from its closed forms
+    (gap_quotient_closed), the chain rule for r = (rho^n + eps phi)^{1/n}
+    in u, and the meridian curvature written in u-derivatives,
 
         kappa = (r^2 + 2 s^2 r'^2 - r (s^2 r'' - u r'))
                 / (r^2 + s^2 r'^2)^{3/2},  s = sin theta."""
@@ -584,8 +652,9 @@ def kappa_series_route(ctx, lam, eps):
     n = ctx.n
     theta = np.linspace(0.0, np.pi, 4001)
     u, s = np.cos(theta), np.sin(theta)
+    gap = gap_quotient_closed(n)
     phi = [(1.0 - lam) * eval_spectrum_deriv(ctx.bump_quotient, u, k)
-           + lam * ctx._gap_q[k](u) for k in range(3)]
+           + lam * gap[k](u) for k in range(3)]
     rb, rb1, rb2 = (np.asarray(f(u), dtype=float)
                     for f in (ctx.base.rho, *ctx.base.rho.derivs))
     f = rb ** n + eps * phi[0]

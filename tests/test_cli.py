@@ -212,6 +212,27 @@ def test_construct_and_verify_n7(tmp_path, capsys):
     assert "verification PASSED" in capsys.readouterr().out
 
 
+def test_construct_writes_an_equator_failure_into_the_certificate(
+        tmp_path, capsys):
+    # at n = 5 and a = 0.3 the blended transform misses the equator by
+    # 1.8e-8 of its max, above equator_rel, and every other check passes:
+    # construct writes the INVALID certificate naming that check and exits
+    # 3, and verify fails the same check and exits 4
+    rc = cli.main(["construct", "--n", "5", "--a", "0.3", "--outdir",
+                   str(tmp_path)])
+    assert rc == 3
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "  failed: equator_within_tolerance"]
+    cert = json.loads((tmp_path / "certificate.json").read_text())
+    assert not cert["valid"]
+    assert cert["failures"] == ["equator_within_tolerance"]
+    assert cli.main(["verify", str(tmp_path / "certificate.json")]) == 4
+    fails = [line for line in capsys.readouterr().out.splitlines()
+             if not line.startswith("PASS ")]
+    assert fails[0].startswith("FAIL equator_within_tolerance: ")
+    assert fails[1:] == ["verification FAILED"]
+
+
 def test_verify_holds_the_root_relative_to_lambda0(tmp_path, capsys):
     # at n = 7, lambda0 = 1.8e-7 and bisection resolves it to 2^-24: a
     # root nudged by 1 % still has |c| below root_abs, and it lies 1.8e-9
@@ -577,7 +598,7 @@ def test_verify_refutes_every_forged_entry(cli_outdir, tmp_path, capsys):
 
 @pytest.mark.parametrize("key,value,named", [
     ("n", 7, "params.n"),
-    ("a", 0.3, "transform does not vanish at the equator"),
+    ("a", 0.3, "params.a"),
     ("alpha_grid", 101, "grids.alpha_grid"),
     ("alpha_grid", 3, "grids.alpha_grid"),
 ], ids=["n_7", "a_0.3", "alpha_grid_101", "alpha_grid_3"])
@@ -585,7 +606,8 @@ def test_verify_refutes_a_forged_request(cli_outdir, tmp_path, capsys, key,
                                          value, named):
     # the config block is the request that verify runs construct on again:
     # forged, the record's line names what construct then writes otherwise
-    # (at a = 0.3 it writes nothing, its perturbation missing the equator)
+    # (at a = 0.3 an INVALID certificate, its transform missing the
+    # equator)
     path = _tampered(cli_outdir, tmp_path,
                      lambda c: c["config"].update({key: value}))
     rc = cli.main(["verify", str(path)])

@@ -20,8 +20,10 @@ from centroid_sections.spherical_core import (_accumulate_at_zero,
                                               _rolling_accumulate,
                                               _uniform_rule, ft_homogeneous,
                                               sphere_area)
+import oracles
 from oracles import (SEED, bisect_sign_change, cosine_coeffs_full, fd_deriv,
-                     gap_quotient_mp, gegenbauer_moments_full,
+                     gap_quotient_closed, gap_quotient_mp, gap_theta_jet_mp,
+                     gegenbauer_moments_full,
                      gegenbauer_projection_gauss_jacobi,
                      gegenbauer_series_ld, kappa_series_route,
                      odd_quotient_difference, odd_quotient_integral,
@@ -149,13 +151,14 @@ def test_equator_vanishing(ctx5, lam):
 
 
 def test_gap_quotient_derivatives_match_finite_differences():
-    # the gap's quotient against the finite differences of its value, on
-    # both sides of the switch
+    # the closed-form reference of the gap's quotient (gap_quotient_closed)
+    # against the finite differences of its value, on both sides of the
+    # switch
     for n in (5, 6):
-        fns = counterexample._gap_quotient(n)
+        fns = gap_quotient_closed(n)
         grid = np.linspace(-1.0, 1.0, 2001)
         scales = [np.max(np.abs(f(grid))) for f in fns]
-        switch = counterexample._U_SWITCH
+        switch = oracles.GAP_U_SWITCH
         u = np.array([-0.8, -0.3, -switch, -0.02, 0.0, 0.01, 0.049, 0.051,
                       0.6])
         assert fns[0](0.0) == 0.0
@@ -164,33 +167,81 @@ def test_gap_quotient_derivatives_match_finite_differences():
             assert np.max(np.abs(fns[k](u) - ref)) <= 1e-9 * scales[k]
 
 
-@pytest.mark.parametrize("n", [5, 6, 7, 10, 40, 100, 200])
-def test_gap_quotient_matches_mpmath(n):
-    # value, phi' and phi'' of the gap's quotient against mpmath at 40
-    # digits: a grid over [-1, 1], random points about the series branch,
-    # the switch and its float neighbour, and points near and at the
-    # equator.  The bounds hold the multiplier c_n as well as the quotient
-    switch = counterexample._U_SWITCH
+def _gap_test_points():
+    # a grid over [-1, 1], random points about the equator, the closed-form
+    # reference's switch and its float neighbour, and points near and at
+    # the equator
+    switch = oracles.GAP_U_SWITCH
     edge = np.nextafter(switch, 0.0)
     rng = np.random.default_rng(SEED)
-    u = np.concatenate([np.linspace(-1.0, 1.0, 201),
-                        rng.uniform(-0.06, 0.06, 100),
-                        [switch, -switch, edge, -edge, 1e-8, 1e-300,
-                         -1e-300, 0.0]])
+    return np.concatenate([np.linspace(-1.0, 1.0, 201),
+                           rng.uniform(-0.06, 0.06, 100),
+                           [switch, -switch, edge, -edge, 1e-8, 1e-300,
+                            -1e-300, 0.0]])
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 10, 40, 100, 200])
+def test_gap_quotient_matches_mpmath(n):
+    # against mpmath at 40 digits: the value ft/u of the gap profile's
+    # transform, which the section quadrature reads, and phi' and phi'' of
+    # the closed-form reference that the u-form curvature route reads.
+    # The bounds hold the multiplier c_n as well as the quotient
+    u = _gap_test_points()
     want = np.array([gap_quotient_mp(n, float(v)) for v in u]).T
-    fns = counterexample._gap_quotient(n)
-    for f, w, bound in zip(fns, want, (1e-15, 5e-15, 3e-14)):
+    ft = make_oblate_gap_profile(n).ft_profile
+    value = np.asarray(ft(u) / np.where(u == 0, 1.0, u), dtype=float)
+    assert np.max(np.abs(value - want[0])) <= 1e-15 * np.max(np.abs(want[0]))
+    assert value[-1] == 0.0
+    fns = gap_quotient_closed(n)
+    for f, w, bound in zip(fns[1:], want[1:], (5e-15, 3e-14)):
         got = np.asarray(f(u), dtype=float)
         assert np.max(np.abs(got - w)) <= bound * np.max(np.abs(w))
-    assert fns[0](0.0) == 0.0 and fns[2](0.0) == 0.0
+    assert fns[2](0.0) == 0.0
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 10, 40, 100, 200])
+def test_gap_cosine_theta_jets_match_mpmath(n):
+    # the theta-jets of the gap quotient's cosine series, sum d_m cos(m
+    # theta) and its termwise derivatives over the float64 m^k d_m that
+    # the context's FFTs read, summed in longdouble at theta = arccos u,
+    # against mpmath's u-derivatives turned into theta-jets
+    u = _gap_test_points()
+    want = gap_theta_jet_mp(n, u)
+    d = counterexample._gap_cosine(n)
+    assert d.dtype == np.longdouble
+    assert np.all(d[::2] == 0)
+    assert d.size == counterexample._GAP_THETA_SAMPLES + 1
+    m = np.arange(d.size)
+    angles = np.outer(np.arccos(u.astype(np.longdouble)), m)
+    cos, sin = np.cos(angles), np.sin(angles)
+    got = [sign * (trig @ (m ** k * d).astype(np.float64)
+                   .astype(np.longdouble))
+           for k, sign, trig in ((0, 1, cos), (1, -1, sin), (2, -1, cos))]
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w))
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_gap_theta_jets_at_the_nodes_match_mpmath(n):
+    # the context's gap jets, three FFTs of its cosine series, at every
+    # tenth node on [0, pi/2] and the last, against mpmath; mirrored onto
+    # [pi/2, pi] with q and q_theta_theta odd, q_theta even
+    ctx = get_context(RunConfig(n=n))
+    half = ctx._x.size // 2 + 1
+    at = np.append(np.arange(0, half - 1, 10), half - 1)
+    want = gap_theta_jet_mp(n, ctx._x[at])
+    for got, ref in zip(ctx._gq, want):
+        assert np.max(np.abs(got[at] - ref)) <= 1e-14 * np.max(np.abs(ref))
+    for got, sign in zip(ctx._gq, (-1, 1, -1)):
+        assert np.array_equal(got[half - 1:], sign * got[half - 1::-1])
 
 
 def test_odd_perturbation_branch_consistency(monkeypatch):
-    # phi' and phi'': the closed-form and series branches of the gap's
-    # quotient hand off across +-_U_SWITCH
-    switch = counterexample._U_SWITCH
+    # phi' and phi'' of the closed-form reference: its closed-form and
+    # series branches hand off across +-GAP_U_SWITCH
+    switch = oracles.GAP_U_SWITCH
     for n in (5, 6, 7, 10):
-        fns = counterexample._gap_quotient(n)[1:]
+        fns = gap_quotient_closed(n)[1:]
         grid = np.linspace(-1.0, 1.0, 2001)
         scales = [np.max(np.abs(f(grid))) for f in fns]
         edge = np.nextafter(switch, 0.0)
@@ -203,9 +254,9 @@ def test_odd_perturbation_branch_consistency(monkeypatch):
         # both branches over a window around the switch
         window = switch * np.concatenate([np.linspace(0.9, 1.1, 21),
                                           -np.linspace(0.9, 1.1, 21)])
-        monkeypatch.setattr(counterexample, "_U_SWITCH", 0.8 * switch)
+        monkeypatch.setattr(oracles, "GAP_U_SWITCH", 0.8 * switch)
         closed = [f(window) for f in fns]
-        monkeypatch.setattr(counterexample, "_U_SWITCH", 1.2 * switch)
+        monkeypatch.setattr(oracles, "GAP_U_SWITCH", 1.2 * switch)
         series = [f(window) for f in fns]
         monkeypatch.undo()
         for a, b, scale in zip(closed, series, scales):
@@ -215,18 +266,26 @@ def test_odd_perturbation_branch_consistency(monkeypatch):
 def test_odd_perturbation_rejects_nonvanishing_equator(ctx5, cert5,
                                                        tolerance):
     # the blended transform must vanish at the equator, relative to the
-    # package tolerance, which the cached context reads when it runs
-    tolerance("equator_rel", 1e-30)
-    with pytest.raises(ConstructionError, match="equator"):
-        ctx5.perturbation(0.5)
-    with pytest.raises(ConstructionError, match="equator"):
-        ctx5.perturbed_body(cert5["lambda0"], cert5["eps0"])
+    # package tolerance, which the cached context reads when it runs:
+    # certify's check fails, while the perturbation and the body are still
+    # formed, so that the failure reaches the certificate
+    lam, eps = cert5["lambda0"], cert5["eps0"]
+    grid = counterexample._mirrored_grid(41)
+
+    def holds(ctx):
+        return ctx.certify(lam, eps, grid)[0]["checks"][
+            "equator_within_tolerance"]
+
+    assert holds(ctx5)
     # a transform that does not vanish at the equator, or is NaN there
     for g0 in (0.3 * np.max(np.abs(ctx5._bft_eq)), float("nan")):
         shifted = copy.copy(ctx5)
         shifted.bump_ft_at_zero = g0
-        with pytest.raises(ConstructionError, match="equator"):
-            shifted.perturbation(0.5)
+        assert not holds(shifted)
+        shifted.perturbation(0.5)
+    tolerance("equator_rel", 1e-30)
+    assert not holds(ctx5)
+    ctx5.perturbed_body(lam, eps)
 
 
 # perturbed body
@@ -696,10 +755,9 @@ def test_bump_quotient_series_matches_oracles(ctx5, n):
     q = ctx.bump_quotient
     assert q.parity == "odd" and q.max_degree == spec.max_degree - 1
     rng = np.random.default_rng(SEED)
-    u_switch = counterexample._U_SWITCH
-    small = np.concatenate([rng.uniform(-u_switch, u_switch, 150),
+    small = np.concatenate([rng.uniform(-0.05, 0.05, 150),
                             [1e-300, -1e-14, 1e-14]])
-    big = np.concatenate([rng.uniform(u_switch, 1.0, 300) *
+    big = np.concatenate([rng.uniform(0.05, 1.0, 300) *
                           rng.choice([-1.0, 1.0], 300), [-1.0, 1.0]])
     want_small = odd_quotient_integral(spec.coeffs, spec.lambda_index, small)
     want_big = odd_quotient_difference(spec.coeffs, spec.lambda_index, big)
@@ -1029,6 +1087,18 @@ def test_get_context_returns_one_context_per_geometry(ctx5):
     # sweep grid neither rebuild it nor copy it
     assert get_context(RunConfig()) is get_context(
         RunConfig(eps=1e-2, alpha_grid=101)) is ctx5
+
+
+def test_get_context_chooses_the_automatic_a_once_per_n(monkeypatch):
+    # after one call for n = 5 with a left None, a second makes no
+    # curvature pass (auto_select_a takes two) and returns the same context
+    ctx = get_context(RunConfig(n=5))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("curvature called")
+
+    monkeypatch.setattr(counterexample, "curvature", refused)
+    assert get_context(RunConfig(n=5)) is ctx
 
 
 def test_context_cache_hit_binds_callers_config(ctx5, cert5, tolerance):

@@ -70,7 +70,10 @@ def test_traced_construct_records_its_layers(subprocess_env, tmp_path):
 def test_verify_worker_traces_the_construction_it_reruns(subprocess_env,
                                                          cli_outdir, tmp_path):
     # verify runs construct again through run_construction, which the
-    # tracer wraps: the worker's trace holds its span under cli.verify
+    # tracer wraps: the worker's trace holds its span under cli.verify.
+    # Both ask get_context for the automatic a, which is chosen once: one
+    # auto_select_a span, and its two curvature passes (a = 0.5 rejected,
+    # then 0.4)
     out = tmp_path / "verify.json"
     _run(subprocess_env, str(PERFBENCH / "worker.py"), "cli", str(out),
          "none", "--", "verify", str(cli_outdir / "certificate.json"))
@@ -80,6 +83,8 @@ def test_verify_worker_traces_the_construction_it_reruns(subprocess_env,
     assert any(name == "counterexample.run_construction"
                and spans[parent][0] == "cli.verify"
                for name, _, _, parent, _ in spans)
+    assert [s[0] for s in spans].count("counterexample.auto_select_a") == 1
+    assert report["counters"]["revolution_bodies.curvature_calls"] == 2
 
 
 def test_sweep_worker_round_has_no_failures(subprocess_env, tmp_path):
