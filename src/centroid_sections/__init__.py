@@ -24,7 +24,7 @@ _EXPORTS = {
         "negativity_threshold", "run_construction"),
     "planar": (
         "PlanarBody", "bisected_chords", "planar_centroid", "polygon_body",
-        "radial_body", "recenter"),
+        "radial_body"),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items()
            for name in names}

@@ -392,15 +392,18 @@ class ConstructionContext:
 
     def perturbation(self, lam: float) -> SphereProfile:
         """Odd profile phi = (ghat(u) - ghat(0)) / u of the blended
-        transform ghat, values only: the bump's and the gap's quotients
-        from their cosine series (quotient_cosine and gap_cosine, each by
-        _cosine_sum), in float64.  It holds nothing to the equator: that
-        ghat vanishes there is certify's equator_within_tolerance check."""
+        transform ghat, values only: one cosine series, (1 - lam) times
+        the bump's quotient_cosine plus lam times the gap's gap_cosine,
+        zero-padded, summed by _cosine_sum in float64.  It holds nothing to
+        the equator: that ghat vanishes there is certify's
+        equator_within_tolerance check."""
+        q, g = self.quotient_cosine, self.gap_cosine
+        d = np.zeros(max(q.size, g.size))
+        d[:q.size] += (1.0 - lam) * q
+        d[:g.size] += lam * g
 
         def phi(u):
-            u = np.asarray(u, dtype=np.float64)
-            return ((1.0 - lam) * _cosine_sum(self.quotient_cosine, u, "odd")
-                    + lam * _cosine_sum(self.gap_cosine, u, "odd"))
+            return _cosine_sum(d, np.asarray(u, dtype=np.float64), "odd")
 
         return SphereProfile(n=self.n, eval=phi, parity="odd")
 

@@ -6,7 +6,9 @@ both cos and sin; that forces at least three sign changes mod pi, i.e.
 at least three chords through the centroid are bisected by it, and the
 count is odd unless every chord is bisected (central symmetry).  This
 module finds those directions numerically for polygons and for smooth
-radial profiles.
+radial profiles, with no body re-parametrised about its centroid c: the
+chord through c that ends at the boundary point P is bisected exactly
+when the reflection 2c - P lies on the boundary.
 """
 
 from dataclasses import dataclass
@@ -17,11 +19,12 @@ import numpy as np
 from .config import ConstructionError
 
 __all__ = ["PlanarBody", "polygon_body", "radial_body", "planar_centroid",
-           "recenter", "bisected_chords"]
+           "bisected_chords"]
 
-# uniform angles of the centroid quadrature and of the first chord scan
+# uniform angles of the centroid quadrature and of a polygon's chord scan
+# on [0, pi); a radial body's scan on [0, 2 pi) takes twice as many
 _GRID = 4096
-# the chord scan's rescans of clustered crossings (see bisected_chords)
+# a radial body's rescans of clustered crossings (see bisected_chords)
 _REFINE = 64
 _REFINE_LEVELS = 6
 _SCAN_MAX = 8 * _GRID
@@ -66,9 +69,10 @@ class PlanarBody:
 def polygon_body(vertices) -> PlanarBody:
     """Validate and orient a convex polygon.
 
-    Clockwise input is reversed; consecutive collinear vertices are
-    tolerated, reflex angles, non-finite coordinates and coordinates above
-    _COORD_MAX in magnitude are not.
+    Clockwise input is reversed; a vertex within 1e-8 of the polygon's size
+    of its predecessor, cyclically, is dropped; consecutive collinear
+    vertices are tolerated, reflex angles, non-finite coordinates and
+    coordinates above _COORD_MAX in magnitude are not.
     """
     v = np.asarray(vertices, dtype=float)
     if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
@@ -78,9 +82,10 @@ def polygon_body(vertices) -> PlanarBody:
     if np.max(np.abs(v)) > _COORD_MAX:
         raise ValueError(f"polygon coordinates must be at most "
                          f"{_COORD_MAX:.0e} in magnitude")
-    # a repeated closing vertex, to a tolerance relative to the size
-    if np.max(np.abs(v[0] - v[-1])) <= 1e-8 * np.max(np.ptp(v, axis=0)):
-        v = v[:-1]
+    # a vertex that repeats its predecessor, the closing one included, to a
+    # tolerance relative to the size; fewer than 3 left is degenerate
+    step = np.max(np.abs(v - np.roll(v, 1, axis=0)), axis=1)
+    v = v[step > 1e-8 * np.max(np.ptp(v, axis=0))]
     area2 = float(np.sum(_cross2(v, np.roll(v, -1, axis=0))))
     if area2 == 0.0:
         raise ValueError("degenerate polygon")
@@ -164,110 +169,65 @@ def planar_centroid(body: PlanarBody) -> np.ndarray:
     return np.array([cx, cy]) / area
 
 
-def recenter(body: PlanarBody) -> PlanarBody:
-    """Same region with its centroid moved to the origin.
-
-    Polygons translate exactly.  Radial profiles are re-parameterized
-    about the new center by solving, for each query angle, for the
-    boundary point of the old curve seen in that direction.
-    """
-    c = planar_centroid(body)
-    if body.is_polygon:
-        return PlanarBody(vertices=body.vertices - c[None, :])
-    if float(np.hypot(*c)) < 1e-14:
-        return body
-    fn = body.radial_fn
-
-    def shifted(theta):
-        th = np.atleast_1d(np.asarray(theta, dtype=float))
-        out = _shifted_radii(fn, c, th.ravel()).reshape(th.shape)
-        if np.ndim(theta) == 0:
-            return float(out[0])
-        return out
-
-    return PlanarBody(radial_fn=shifted)
-
-
-def _shifted_radii(fn: Callable, c: np.ndarray,
-                   alpha: np.ndarray) -> np.ndarray:
-    """Radii about center c in the directions alpha (1-d) for a boundary
-    given as a radial profile about the origin: per direction, the root of
-    the cross product of the ray direction with (boundary point - c).
-
-    One masked bisection runs over all directions; each direction widens
-    its own bracket and stops on its own rule, and fn is evaluated only at
-    the directions still working.
-    """
-    ca, sa = np.cos(alpha), np.sin(alpha)
-
-    def h(theta, i):
-        r = np.asarray(fn(theta), dtype=float)
-        return (ca[i] * (r * np.sin(theta) - c[1])
-                - sa[i] * (r * np.cos(theta) - c[0]))
-
-    every = np.arange(alpha.size)
-    lo, hi = alpha - np.pi / 2, alpha + np.pi / 2
-    flo, fhi = h(lo, every), h(hi, every)
-    for _ in range(20):
-        i = np.nonzero(flo * fhi > 0)[0]
-        if not i.size:
-            break
-        lo[i] -= np.pi / 16
-        hi[i] += np.pi / 16
-        flo[i], fhi[i] = h(lo[i], i), h(hi[i], i)
-    if np.any(flo * fhi > 0):
-        raise ValueError("failed to bracket the shifted boundary point")
-    i = every
-    for _ in range(100):
-        i = i[hi[i] - lo[i] >= 1e-14]
-        if not i.size:
-            break
-        mid = 0.5 * (lo[i] + hi[i])
-        fm = h(mid, i)
-        left = (fm < 0) == (flo[i] < 0)
-        lo[i[left]], flo[i[left]] = mid[left], fm[left]
-        hi[i[~left]] = mid[~left]
-    theta = 0.5 * (lo + hi)
-    r = np.asarray(fn(theta), dtype=float)
-    return np.hypot(r * np.cos(theta) - c[0], r * np.sin(theta) - c[1])
-
-
-def _chord_defect(body: PlanarBody, theta):
-    """rho(theta) - rho(theta + pi) for 1-d theta, from one radius call on
-    both ends; a direction's radius does not depend on the others that
-    share the call."""
+def _chord_defect(body: PlanarBody, c: np.ndarray, theta):
+    """For 1-d theta, a value with the sign of |P - c| less the distance
+    from c to the other end of the chord through c and the boundary point
+    P at theta.  About c = 0 it is rho(theta) - rho(theta + pi), from one
+    radius call on both ends; otherwise |Q| - rho(arg Q), Q = 2c - P, from
+    two (the body is star-shaped about the origin, and Q lies in it exactly
+    when that other end is at least as far from c as P).  A direction's
+    value does not depend on the others that share the call."""
     theta = np.asarray(theta)
-    r = body.radius(np.concatenate([theta, theta + np.pi]))
-    return r[:theta.size] - r[theta.size:]
+    if not np.any(c):
+        r = body.radius(np.concatenate([theta, theta + np.pi]))
+        return r[:theta.size] - r[theta.size:]
+    r = body.radius(theta)
+    qx, qy = 2.0 * c[0] - r * np.cos(theta), 2.0 * c[1] - r * np.sin(theta)
+    return np.hypot(qx, qy) - body.radius(np.arctan2(qy, qx))
 
 
 def bisected_chords(body: PlanarBody) -> dict:
-    """Directions of chords through the centroid that the centroid
-    bisects.
+    """Directions in [0, pi) of the chords through the centroid c that c
+    bisects: an odd count >= 3, or {"symmetric_all": True, ...} when the
+    defect stays within 1e-10 of the largest radius (central symmetry).
 
-    Recenters first, then scans rho(theta) - rho(theta+pi) on [0, pi) for
-    sign changes and sharpens each by bisection.  Returns
-    {"symmetric_all": True, ...} when the defect stays within 1e-10 of
-    the largest radius (centrally symmetric body), else a direction
-    list with an odd count >= 3, each to within 1e-10.  Crossings fewer
-    than 3 scan intervals apart (all of them, while the count is even or
-    below 3) are rescanned _REFINE times finer with their neighbouring
-    intervals, up to _REFINE_LEVELS times and _SCAN_MAX angles a rescan;
-    a scan that still cannot resolve them raises ConstructionError.
+    A polygon is translated so that c = 0 and scanned on [0, pi) at 4096
+    angles and its vertex directions mod pi: between two of these both
+    chord ends lie on fixed edges, where the defect has at most one zero,
+    a simple one, so each sign change is one chord.  A radial body keeps
+    its origin and is scanned over the boundary angles [0, 2 pi) at 8192
+    angles: its 2m sign changes are both ends of each chord, crossing i
+    and i + m of one chord, and the first m give the directions of P - c.
+    There, crossings fewer than 3 intervals apart (all of them, while m is
+    not odd and >= 3) are rescanned _REFINE times finer with their
+    neighbours, up to _REFINE_LEVELS times and _SCAN_MAX angles a rescan.
+    A miscount left raises ConstructionError.  Each sign change is bisected
+    to a bracket 1e-10 wide and placed by the secant through its ends.
     """
-    body = recenter(body)
+    c = planar_centroid(body)
+    if body.is_polygon:
+        body = PlanarBody(vertices=body.vertices - c[None, :])
+        c = np.zeros(2)
+        period, ends = np.pi, 1
+        vertex = np.arctan2(body.vertices[:, 1], body.vertices[:, 0]) % np.pi
+        # a vertex direction on a scan angle repeats it: an empty interval
+        th = np.sort(np.append(np.linspace(0.0, np.pi, _GRID, endpoint=False),
+                               vertex[vertex < np.pi]))
+    else:
+        period, ends = 2 * np.pi, 2
+        th = np.linspace(0.0, period, 2 * _GRID, endpoint=False)
     scale = float(np.max(body.radius(np.linspace(0, 2 * np.pi, _CHECK_GRID,
                                                  endpoint=False))))
-    th = np.linspace(0.0, np.pi, _GRID, endpoint=False)
-    f = _chord_defect(body, th)
+    f = _chord_defect(body, c, th)
     fmax = float(np.max(np.abs(f)))
     if fmax <= 1e-10 * scale:
         return {"symmetric_all": True, "count": None, "directions": [],
                 "max_defect": fmax}
-    # f(pi) = -f(0) by antiperiodicity closes the scan; w is the width of
-    # the interval that starts at each angle
-    th, g = np.append(th, np.pi), np.append(f, -f[0])
-    w = np.full(th.size, np.pi / _GRID)
+    # the defect at the period closes the scan: -f(0) on a polygon's
+    # [0, pi), f(0) on a radial body's [0, 2 pi); w is the width of the
+    # interval that starts at each angle
+    th, g = np.append(th, period), np.append(f, f[0] if ends == 2 else -f[0])
+    w = np.diff(th, append=period)
     for level in range(_REFINE_LEVELS + 1):
         # a zero takes the sign before it (+ first), so a grid hit is not
         # counted twice
@@ -277,12 +237,13 @@ def bisected_chords(body: PlanarBody) -> dict:
         sign = sign[last]
         idx = np.nonzero(sign[1:] != sign[:-1])[0]
         near = np.diff(np.append(idx, idx[:1] + th.size - 1)) < 3
-        miscount = idx.size < 3 or idx.size % 2 == 0
-        flagged = idx if miscount else idx[near | np.roll(near, 1)]
-        if not (miscount or flagged.size):
+        m, odd = divmod(idx.size, ends)
+        miscount = odd or m < 3 or m % 2 == 0
+        if not miscount and (body.is_polygon or not near.any()):
             break
+        flagged = idx if miscount else idx[near | np.roll(near, 1)]
         refine = np.unique((flagged[:, None] + [-1, 0, 1]) % (th.size - 1))
-        if (not refine.size or level == _REFINE_LEVELS
+        if (body.is_polygon or not refine.size or level == _REFINE_LEVELS
                 or refine.size * (_REFINE - 1) > _SCAN_MAX):
             raise ConstructionError(
                 "could not resolve an odd number (>= 3) of bisected chords; "
@@ -291,11 +252,10 @@ def bisected_chords(body: PlanarBody) -> dict:
         new = (th[refine, None] + w[refine, None] * np.arange(1, _REFINE))
         order = np.argsort(np.append(th, new), kind="stable")
         th = np.append(th, new)[order]
-        g = np.append(g, _chord_defect(body, new.ravel()))[order]
+        g = np.append(g, _chord_defect(body, c, new.ravel()))[order]
         w = np.append(w, np.repeat(w[refine], _REFINE - 1))[order]
     # sharpen every crossing at once; each stops on its own rule
-    lo, flo = th[idx], g[idx]
-    hi = lo + w[idx]
+    lo, hi, flo, fhi = th[idx], th[idx + 1], g[idx], g[idx + 1]
     # a zero defect at the left end is the root; the side test below
     # would count it as positive
     hi[flo == 0.0] = lo[flo == 0.0]
@@ -305,13 +265,21 @@ def bisected_chords(body: PlanarBody) -> dict:
         if not k.size:
             break
         mid = 0.5 * (lo[k] + hi[k])
-        fm = _chord_defect(body, mid)
+        fm = _chord_defect(body, c, mid)
         hit = fm == 0.0
         lo[k[hit]] = hi[k[hit]] = mid[hit]
         left = ~hit & ((fm < 0) == (flo[k] < 0))
         lo[k[left]], flo[k[left]] = mid[left], fm[left]
         right = ~hit & ~left
-        hi[k[right]] = mid[right]
-    roots = sorted(float(t) for t in 0.5 * (lo + hi) % np.pi)
+        hi[k[right]], fhi[k[right]] = mid[right], fm[right]
+    # the secant through the ends of each bracket, whose signs differ
+    roots = lo + (hi - lo) * (flo / (flo - fhi))
+    if not body.is_polygon:
+        roots = roots[:m]
+        r = body.radius(roots)
+        roots = np.arctan2(r * np.sin(roots) - c[1], r * np.cos(roots) - c[0])
+    # mod pi, a direction just below 0 rounds to pi
+    roots = roots % np.pi
+    roots = sorted(float(t) for t in np.where(roots < np.pi, roots, 0.0))
     return {"symmetric_all": False, "count": len(roots),
             "directions": roots, "max_defect": fmax}

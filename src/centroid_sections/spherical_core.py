@@ -50,7 +50,7 @@ _PARITIES = ("even", "odd")
 # gauss_jacobi, eval_spectrum_deriv and parseval_residual are no longer
 # public and nothing in the package calls them; they stay module attributes
 # only because the benchmark's tracer (perfbench/tracer.py) looks them up,
-# until the tracer reads a run's own record (ROADMAP item 4)
+# until the tracer reads a run's own record (see ROADMAP)
 __all__ = [
     "GegenbauerSpectrum", "SphereProfile", "sphere_area", "expand",
     "eval_spectrum", "bochner_multiplier", "ft_homogeneous",

@@ -224,10 +224,13 @@ def chord_defect_orthogonality(radius_fn, resolution=4096):
 def shifted_radius_loop(fn, c, alpha):
     """Radius about center c in the direction alpha (a float) of the curve
     with radial profile fn about the origin, one scalar bisection per
-    direction: the per-angle loop that planar.recenter vectorizes.
+    direction: the reference for the chord defect about c, which the
+    package reads from reflections through c instead.
 
-    Same bracket widening, stop rule and operation order as the package,
-    so with the same fn values the result is bit-equal.
+    The bisection finds a zero of the cross product of the ray direction
+    with (boundary point - c), which holds on the far end of the line too:
+    the bracket starts at alpha -+ pi/2 about the origin, so c must not be
+    so far from the origin that it holds that end instead.
     """
     ca, sa = np.cos(alpha), np.sin(alpha)
 

@@ -911,6 +911,37 @@ def test_planar_tiny_polygon_csv_input(tmp_path, capsys):
     assert "3 bisected chords" in capsys.readouterr().out
 
 
+def test_planar_repeated_vertex_csv_input(tmp_path, capsys):
+    # a vertex repeated in the middle of the list is dropped, as a repeated
+    # closing vertex is: the triangle's three directions
+    path = tmp_path / "repeated.csv"
+    path.write_text("x,y\n0,0\n1,0\n1,0\n0,1\n")
+    assert cli.main(["planar", "--input", str(path), "--outdir",
+                     str(tmp_path / "repeated")]) == 0
+    path.write_text("x,y\n0,0\n1,0\n0,1\n")
+    assert cli.main(["planar", "--input", str(path), "--outdir",
+                     str(tmp_path / "plain")]) == 0
+    assert "3 bisected chords" in capsys.readouterr().out
+    got, want = (json.loads((tmp_path / d / "planar.json").read_text())
+                 for d in ("repeated", "plain"))
+    assert got == want and got["count"] == 3
+
+
+@pytest.mark.parametrize("h", ["1e-14", "1e-15"])
+def test_planar_thin_triangle_csv_input(tmp_path, capsys, h):
+    # three directions within 2h rad of each other, across the scan's
+    # wrap at 0 = pi, each within 1e-10 of a side's direction
+    path = tmp_path / "thin.csv"
+    path.write_text(f"x,y\n0,0\n1,0\n0.5,{h}\n")
+    assert cli.main(["planar", "--input", str(path), "--outdir",
+                     str(tmp_path)]) == 0
+    assert "3 bisected chords" in capsys.readouterr().out
+    got = json.loads((tmp_path / "planar.json").read_text())["directions"]
+    sides = np.sort([0.0, np.arctan2(float(h), 0.5),
+                     np.pi - np.arctan2(float(h), 0.5)])
+    assert np.max(np.abs(np.sort(got) - sides)) <= 1e-10
+
+
 def test_planar_radial_csv_with_wrap_duplicate(tmp_path, capsys):
     # a full-period sample including theta = 2*pi, which coincides with
     # theta = 0 after closing the spline

@@ -132,6 +132,25 @@ def test_blend_transform_linearity(ctx5):
         assert np.max(np.abs(got - ends)) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_perturbation_is_one_cosine_sum(ctx5, n, monkeypatch):
+    # phi at lam sums the blended cosine series (1 - lam) quotient_cosine
+    # + lam gap_cosine in one _cosine_sum call, within 1e-15 of max|phi|
+    # of the two sums of the parts
+    ctx = ctx5 if n == 5 else get_context(RunConfig(n=n))
+    u = counterexample._mirrored_grid(1001)
+    calls = []
+    monkeypatch.setattr(counterexample, "_cosine_sum",
+                        lambda *a: calls.append(a) or _cosine_sum(*a))
+    for lam in (0.0, 0.3, 1.0):
+        calls.clear()
+        got = ctx.perturbation(lam)(u)
+        assert len(calls) == 1
+        want = ((1.0 - lam) * _cosine_sum(ctx.quotient_cosine, u, "odd")
+                + lam * _cosine_sum(ctx.gap_cosine, u, "odd"))
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 def test_blend_pairing_changes_sign(ctx5):
     base_ft = ctx5.base.ft_profile
 

@@ -97,3 +97,20 @@ def test_sweep_worker_round_has_no_failures(subprocess_env, tmp_path):
     ops = json.loads(out.read_text())["ops"]
     assert [op["traced"] for op in ops] == [False, True] * 3
     assert [op["failures"] for op in ops] == [[]] * 6
+
+
+def test_planar_worker_traces_the_radial_scan(subprocess_env, tmp_path):
+    # the planar worker's trace of a radial body holds both planar spans
+    # and counts its radius calls; the scan takes plain radius calls with
+    # no solve inside them, so the profile is evaluated at fewer than
+    # 100,000 points
+    out = tmp_path / "planar.json"
+    _run(subprocess_env, str(PERFBENCH / "worker.py"), "cli", str(out),
+         "radial", "--", "planar", "--demo", "blob")
+    report = json.loads(out.read_text())
+    assert report["rc"] == 0
+    assert {"planar.radial.bisected_chords",
+            "planar.radial.planar_centroid"} <= {s[0] for s in report["spans"]}
+    counters = report["counters"]
+    assert counters["planar.radial.radius_calls"] > 0
+    assert counters["planar.profile_points"] < 100_000

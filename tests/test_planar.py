@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from centroid_sections import (ConstructionError, bisected_chords,
-                               planar_centroid, polygon_body, radial_body,
-                               recenter)
+                               planar_centroid, polygon_body, radial_body)
 
 from centroid_sections import planar
 from oracles import (SEED, chord_defect_orthogonality, chord_defect_two_calls,
@@ -80,92 +79,113 @@ def test_radial_centroid_shifted_disk():
     assert abs(c[0] - 0.2) <= 1e-9 and abs(c[1]) <= 1e-12
 
 
-# recentering
+# the chord defect about the centroid
 
 
-def test_recenter_centered_disk_noop():
-    disk = radial_body(lambda t: np.full_like(np.asarray(t, float), 1.3))
-    again = recenter(disk)
-    t = np.linspace(0.0, 2.0 * np.pi, 64)
-    assert np.max(np.abs(again.radius(t) - 1.3)) <= 1e-12
+def _oracle_radius(rho, c):
+    """The oracle's radius about c of the curve with radial profile rho
+    about the origin, at each angle of t."""
+    def radius(t):
+        return np.reshape([shifted_radius_loop(rho, c, a) for a in np.ravel(t)],
+                          np.shape(t))
+    return radius
 
 
-def test_recenter_shifted_disk_kills_defect():
+def _blob_rho(t):
+    return 1.0 + 0.3 * np.cos(t) + 0.1 * np.sin(2.0 * t)
+
+
+def _assert_reflection_signs_match_oracle(rho, c):
+    # the reflection defect at 512 boundary angles has the sign of the
+    # oracle's chord defect about c in the direction of the boundary point
+    body = radial_body(rho)
+    t = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
+    r = rho(t)
+    alpha = np.arctan2(r * np.sin(t) - c[1], r * np.cos(t) - c[0])
+    radius = _oracle_radius(rho, c)
+    want = radius(alpha) - radius(alpha + np.pi)
+    got = planar._chord_defect(body, c, t)
+    assert np.min(np.abs(want)) > 1e-9
+    assert np.array_equal(np.sign(got), np.sign(want))
+
+
+def _assert_symmetric(rho):
+    # symmetric_all, and about a point off the centre, where the chord
+    # defect does not vanish, the reflection defect's signs are the
+    # oracle's.  The point lies about halfway to the profile's origin: the
+    # oracle's bracket, centred on the direction about the origin, can
+    # hold the chord's far end instead when c is far from the origin
+    res = bisected_chords(radial_body(rho))
+    assert res["symmetric_all"] is True and res["directions"] == []
+    _assert_reflection_signs_match_oracle(
+        rho, 0.5 * planar_centroid(radial_body(rho)) + [0.05, -0.03])
+
+
+def test_centered_disk_symmetric():
+    _assert_symmetric(lambda t: np.full_like(np.asarray(t, float), 1.3))
+
+
+def test_shifted_disk_symmetric():
     body = _shifted_disk()
     assert abs(body.radius(0.0) - body.radius(np.pi) - 0.4) <= 1e-12
-    centered = recenter(body)
-    assert abs(centered.radius(0.0) - centered.radius(np.pi)) <= 1e-9
-    assert np.max(np.abs(planar_centroid(centered))) <= 1e-9
+    _assert_symmetric(body.radial_fn)
 
 
 def test_recenter_triangle_keeps_asymmetry():
-    centered = recenter(_equilateral())
+    # the triangle translated so that its centroid is the origin, as the
+    # scan translates a polygon: its chord defect about 0 is far from 0
+    body = _equilateral()
+    centered = polygon_body(body.vertices - planar_centroid(body))
     assert np.max(np.abs(planar_centroid(centered))) <= 1e-12
     t = np.linspace(0.0, np.pi, 181, endpoint=False)
-    defect = centered.radius(t) - centered.radius(t + np.pi)
+    defect = planar._chord_defect(centered, np.zeros(2), t)
     assert np.max(np.abs(defect)) > 1e-2
+    assert bisected_chords(body)["symmetric_all"] is False
 
 
-def test_recenter_matches_scalar_loop_and_closed_form():
-    # off-center tilted ellipse: most directions widen the first bracket
+def test_off_centre_tilted_ellipse_symmetric():
+    # off-center tilted ellipse, whose radii about its center the oracle
+    # gives as the closed form does
     rho, center, Q = _tilted_ellipse_rho()
-    body = radial_body(rho)
-    c = planar_centroid(body)
+    c = planar_centroid(radial_body(rho))
     assert np.max(np.abs(c - center)) <= 1e-12
     t = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
-    ca, sa = np.cos(t), np.sin(t)
-
-    def cross(theta):
-        r = rho(theta)
-        return ca * (r * np.sin(theta) - c[1]) - sa * (r * np.cos(theta) - c[0])
-
-    widened = cross(t - np.pi / 2) * cross(t + np.pi / 2) > 0
-    assert 0 < widened.sum() < t.size
-    want = np.array([shifted_radius_loop(rho, c, a) for a in t])
-    got = recenter(body).radius(t)
-    assert np.array_equal(got, want)
-    # independent: the radial function of the ellipse about its center
-    u = np.stack([ca, sa], axis=-1)
+    u = np.stack([np.cos(t), np.sin(t)], axis=-1)
     exact = 1.0 / np.sqrt(np.einsum("...i,ij,...j->...", u, Q, u))
-    assert np.max(np.abs(got - exact)) <= 1e-12
-
-
-def test_recenter_scalar_and_2d_theta():
-    blob = radial_body(lambda t: 1.0 + 0.3 * np.cos(t) + 0.1 * np.sin(2.0 * t))
-    centered = recenter(blob)
-    t = np.linspace(0.0, 2.0 * np.pi, 12).reshape(3, 4)
-    grid = centered.radius(t)
-    assert grid.shape == (3, 4)
-    one = centered.radial_fn(0.7)
-    assert isinstance(one, float)
-    assert one == float(centered.radius(np.array([0.7]))[0])
-    assert np.array_equal(grid.ravel(), centered.radius(t.ravel()))
-
-
-def test_shifted_radii_raise_without_bracket():
-    # from (3, 0) the vertical line misses the unit circle, the horizontal
-    # one does not: one direction without a bracket fails the whole call
-    circle = lambda t: np.ones_like(np.asarray(t, float))
-    c = np.array([3.0, 0.0])
-    ok = planar._shifted_radii(circle, c, np.array([np.pi]))
-    assert np.all(np.isfinite(ok))
-    with pytest.raises(ValueError, match="bracket"):
-        planar._shifted_radii(circle, c, np.array([np.pi, np.pi / 2]))
+    assert np.max(np.abs(_oracle_radius(rho, c)(t) - exact)) <= 1e-12
+    _assert_symmetric(rho)
 
 
 def test_defect_orthogonality_after_recenter():
-    blob = radial_body(lambda t: 1.0 + 0.3 * np.cos(t) + 0.1 * np.sin(2.0 * t))
-    centered = recenter(blob)
-    res = chord_defect_orthogonality(centered.radius)
+    # the blob recentred by the oracle: its radii about the centroid
+    c = planar_centroid(radial_body(_blob_rho))
+    res = chord_defect_orthogonality(_oracle_radius(_blob_rho, c))
     assert np.max(np.abs(res)) <= 1e-8
 
 
 def test_defect_antiperiodic():
-    centered = recenter(_equilateral())
+    # the equilateral triangle as a radial profile about a point that is
+    # not its centroid: its chord defect about the centroid is
+    # antiperiodic and far from 0
+    v = _equilateral().vertices
+    c = planar_centroid(_equilateral())
+    origin = np.array([1.0, 0.3])
+    # its profile about origin: the nearest edge line ahead of the ray,
+    # h_i / cos(theta - a_i) for the outward unit normals a_i
+    e = np.roll(v, -1, axis=0) - v
+    normal = np.stack([e[:, 1], -e[:, 0]], axis=1) / np.hypot(*e.T)[:, None]
+    h = np.sum(normal * (v - origin), axis=1)
+
+    def rho(t):
+        cos = normal @ [np.cos(t), np.sin(t)]
+        return float(np.min(h[cos > 0] / cos[cos > 0]))
+
+    radius = _oracle_radius(rho, c - origin)
     t = np.linspace(0.0, 2.0 * np.pi, 257, endpoint=False)
-    f = centered.radius(t) - centered.radius(t + np.pi)
-    g = centered.radius(t + np.pi) - centered.radius(t + 2.0 * np.pi)
+    f = radius(t) - radius(t + np.pi)
+    g = radius(t + np.pi) - radius(t + 2.0 * np.pi)
     assert np.max(np.abs(f + g)) <= 1e-12
+    assert np.max(np.abs(f)) > 1e-2
 
 
 # bisected chords
@@ -181,18 +201,45 @@ def test_equilateral_triangle_three_side_directions():
 
 
 def test_scalene_triangle_directions_parallel_to_sides():
-    # the thin triangles' three directions lie within 2e-4 and 2e-6 rad of
-    # each other, across the scan's wrap at 0 = pi: clustered windows of
-    # the scan are rescanned until they separate
+    # the thin triangles' three directions lie within 2h rad of each
+    # other, across the scan's wrap at 0 = pi: the vertex directions among
+    # the scan angles separate them, down to h = 1e-15
     for verts in ([(0.0, 0.0), (2.0, 0.0), (0.6, 1.5)],
-                  [(0.0, 0.0), (1.0, 0.0), (0.5, 1e-4)],
-                  [(0.0, 0.0), (1.0, 0.0), (0.5, 1e-6)]):
+                  *([(0.0, 0.0), (1.0, 0.0), (0.5, h)]
+                    for h in (1e-4, 1e-6, 1e-14, 1e-15))):
         v = np.asarray(verts)
         sides = np.arctan2(*(np.roll(v, -1, axis=0) - v).T[::-1]) % np.pi
         res = bisected_chords(polygon_body(verts))
         assert res["count"] == 3
         got = np.sort(np.asarray(res["directions"]))
         assert np.max(np.abs(got - np.sort(sides))) <= 1e-10, verts
+
+
+@pytest.mark.parametrize("h", [1e-4, 1e-6])
+def test_thin_radial_triangle_is_resolved_by_rescans(h, monkeypatch):
+    # a thin triangle as a radial profile about a point that is not its
+    # centroid: the six ends of its three chords lie within about 4h of
+    # the boundary angles 0 and pi, closer than the 8192-angle scan's
+    # step, so the rescans resolve them.  The trapezoid centroid of a
+    # profile this sharp is not the triangle's; the chords are checked
+    # about the point c that the scan used
+    v = np.array([(0.0, 0.0), (1.0, 0.0), (0.5, h)])
+    origin = np.array([0.45, 0.25 * h])
+
+    def rho(t):
+        return planar._polygon_radius(v - origin, t)
+
+    body = radial_body(rho)
+    res = bisected_chords(body)
+    assert res["count"] == 3
+    radius = _oracle_radius(rho, planar_centroid(body))
+    for a in res["directions"]:
+        ends = np.array([a - 1e-8, a + 1e-8])
+        defect = radius(ends) - radius(ends + np.pi)
+        assert defect[0] * defect[1] < 0, a
+    monkeypatch.setattr(planar, "_REFINE_LEVELS", 0)
+    with pytest.raises(ConstructionError, match="could not resolve"):
+        bisected_chords(body)
 
 
 def test_centered_ellipse_symmetric():
@@ -207,11 +254,12 @@ def test_centered_ellipse_symmetric():
 
 
 def test_blob_count_matches_brute_scan():
-    blob = radial_body(lambda t: 1.0 + 0.3 * np.cos(t) + 0.1 * np.sin(2.0 * t))
-    centered = recenter(blob)
-    # oracle first: dense sign scan of the antipodal defect
-    expected = count_antipodal_sign_changes(centered.radius)
-    res = bisected_chords(centered)
+    blob = radial_body(_blob_rho)
+    # oracle first: a sign scan of the antipodal defect of the oracle's
+    # radii about the centroid (4096 angles: 0.2 ms a radius)
+    expected = count_antipodal_sign_changes(
+        _oracle_radius(_blob_rho, planar_centroid(blob)), resolution=4096)
+    res = bisected_chords(blob)
     assert res["count"] == expected
     assert res["count"] >= 3 and res["count"] % 2 == 1
 
@@ -290,9 +338,11 @@ def test_polygon_accepts_clockwise_vertex_order():
 
 @pytest.mark.parametrize("name", ["blob", "ellipse", "triangle", "polygon"])
 def test_chord_defect_one_radius_call_bit_equal_to_two(name, monkeypatch):
-    # the chord defect from one radius call on [theta, theta + pi] against
-    # the two-call oracle: the same result, bit for bit, for the CLI's
-    # demos and a seeded polygon, from half the radius calls of the defect
+    # a polygon's defect about c = 0 from one radius call on
+    # [theta, theta + pi] against the two-call oracle: the same result, bit
+    # for bit, from half the radius calls of the defect.  A radial body's
+    # reflection defect about its centroid c != 0, from each angle alone:
+    # the same result, bit for bit, however the angles are batched
     from centroid_sections import cli
     if name == "polygon":
         body = polygon_body(random_convex_hull(np.random.default_rng(SEED)))
@@ -300,29 +350,41 @@ def test_chord_defect_one_radius_call_bit_equal_to_two(name, monkeypatch):
         body = cli._DEMOS[name]()
     calls = {}
     radius = planar.PlanarBody.radius
+    batched = planar._chord_defect
 
     def counted_radius(self, theta):
         calls["radius"] += 1
         return radius(self, theta)
 
     def counted(defect):
-        def wrapped(body, theta):
+        def wrapped(body, c, theta):
             calls["defect"] += 1
-            return defect(body, theta)
+            return defect(body, c, theta)
         return wrapped
+
+    def two_calls(body, c, theta):
+        assert not np.any(c)
+        return chord_defect_two_calls(body, theta)
+
+    def one_by_one(body, c, theta):
+        assert np.any(c)
+        return np.concatenate([batched(body, c, theta[i:i + 1])
+                               for i in range(theta.size)])
 
     monkeypatch.setattr(planar.PlanarBody, "radius", counted_radius)
     runs = {}
-    for label, defect in (("one", planar._chord_defect),
-                          ("two", chord_defect_two_calls)):
+    for label, defect in (("one", batched), ("other", two_calls
+                                              if body.is_polygon
+                                              else one_by_one)):
         monkeypatch.setattr(planar, "_chord_defect", counted(defect))
         calls.update(radius=0, defect=0)
         runs[label] = repr(bisected_chords(body)), dict(calls)
-    (got, one), (want, two) = runs["one"], runs["two"]
+    (got, one), (want, other) = runs["one"], runs["other"]
     assert got == want
-    assert one["defect"] == two["defect"] > 0
-    elsewhere = one["radius"] - one["defect"]
-    assert two["radius"] - elsewhere == 2 * one["defect"]
+    assert one["defect"] == other["defect"] > 0
+    if body.is_polygon:
+        elsewhere = one["radius"] - one["defect"]
+        assert other["radius"] - elsewhere == 2 * one["defect"]
 
 
 def test_polygon_radius_same_bits_however_batched():
