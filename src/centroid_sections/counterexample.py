@@ -484,18 +484,25 @@ class ConstructionContext:
     # -- root finding ------------------------------------------------------
 
     def select_eps(self, eps0: float) -> dict:
-        """Halve eps from eps0 until the centroid brackets zero across lam
-        in [0,1] and both endpoint bodies stay convex with margin."""
+        """The first rung of eps0 2^-k, k = 0..eps_max_halvings, halvings of
+        float(eps0), where the centroid brackets zero over lam in [0, 1] and
+        both endpoint bodies stay convex with margin, found by bisecting k
+        in at most 5 probes.  It is the walk's rung when the admissible
+        rungs form a suffix of the ladder, as at small eps, where c = eps
+        c_1(lam) and kappa = kappa_base + O(eps); else it is admissible and
+        its double is not, and certify checks it again."""
         margin = RunConfig.tolerances["convexity_margin"]
-        eps = float(eps0)
-        halvings = 0
-        while True:
-            c0 = self.centroid(0.0, eps)
-            c1 = self.centroid(1.0, eps)
+        top = RunConfig.eps_max_halvings
+        ladder = [float(eps0)]
+        for _ in range(top):
+            ladder.append(ladder[-1] * 0.5)
+        lo, hi, trail = -1, top + 1, []     # rung lo fails, rung hi passes
+        while hi - lo > 1:
+            k = (lo + hi) // 2
+            eps = ladder[k]
+            c0, c1 = self.centroid(0.0, eps), self.centroid(1.0, eps)
             if c0 is None or c1 is None:
-                # a non-positive radial power is the hardest failure of
-                # the convexity guard: the body does not exist at this
-                # eps, so the same halving rescue applies
+                # no body at this eps: the hardest convexity failure
                 reason = "radial power profile loses positivity"
             elif not c0 < 0.0 < c1:
                 reason = f"centroid does not bracket zero ({c0}, {c1})"
@@ -503,14 +510,16 @@ class ConstructionContext:
                       and _clears(self.kappa_min(1.0, eps), margin)):
                 reason = "meridian curvature margin violated"
             else:
-                return {"eps": eps, "halvings": halvings,
-                        "centroid_at_0": c0, "centroid_at_1": c1}
-            if halvings >= RunConfig.eps_max_halvings:
-                raise ConstructionError(
-                    f"eps too large: no admissible value after "
-                    f"{halvings} halvings (last {eps:.3e}: {reason})")
-            eps *= 0.5
-            halvings += 1
+                hi, found = k, {"eps": eps, "halvings": k,
+                                "centroid_at_0": c0, "centroid_at_1": c1}
+                continue
+            lo = k
+            trail.append(f"{k}: {eps:.3e} ({reason})")
+        if hi > top:    # every probe failed, the last at rung top
+            raise ConstructionError(
+                f"eps too large: no admissible value after {top} halvings "
+                f"(last {eps:.3e}: {reason}); probed {', '.join(trail)}")
+        return found
 
     def find_root(self, eps: float) -> dict:
         """Bisect the blend weight over [0, 1] until the centroid is below

@@ -114,40 +114,19 @@ def radial_body(fn: Callable) -> PlanarBody:
 
 
 def _polygon_radius(v: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Distance from the origin to the boundary along each direction.
-
-    Ray s*d meets edge p + t e where s = (p x e)/(d x e), t = (p x d)/(d x e);
-    the origin must be strictly interior, so exactly one edge yields
-    s > 0 with t in [0, 1).
-    """
-    p = v
+    """Distance from the origin to the boundary along each direction: ray
+    s*d meets the line of edge p + t e at s = (p x e)/(d x e), and with
+    the origin strictly interior (p x e > 0) it leaves the intersection of
+    the edges' half-planes at the nearest line ahead, least s, d x e > 0."""
     e = np.roll(v, -1, axis=0) - v
-    if np.any(_cross2(p, np.roll(v, -1, axis=0)) <= 0):
+    pxe = _cross2(v, e)
+    if np.any(pxe <= 0):
         raise ValueError("origin is not strictly interior to the polygon")
     th = np.atleast_1d(theta)
-    d = np.stack([np.cos(th), np.sin(th)], axis=-1)       # (m, 2)
-    dxe = d[:, None, 0] * e[None, :, 1] - d[:, None, 1] * e[None, :, 0]
-    pxe = _cross2(p, e)                                    # (k,)
-    pxd = p[None, :, 0] * d[:, None, 1] - p[None, :, 1] * d[:, None, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = pxe[None, :] / dxe
-        t = pxd / dxe
-    valid = (s > 0) & (t >= -1e-14) & (t < 1.0 - 1e-14)
-    # vertex hits can validate two edges with equal s; take the min
-    s = np.where(valid, s, np.inf)
-    out = np.min(s, axis=1)
-    miss = ~np.isfinite(out)
-    if np.any(miss):
-        # relax the half-open endpoint rule for the rays through a vertex
-        # that it missed, and for those alone
-        s0 = pxe[None, :] / np.where(dxe[miss] == 0, np.nan, dxe[miss])
-        valid = (s0 > 0) & (t[miss] >= -1e-12) & (t[miss] <= 1.0 + 1e-12)
-        out[miss] = np.min(np.where(valid, s0, np.inf), axis=1)
-        if np.any(~np.isfinite(out)):
-            raise ValueError("ray misses the polygon boundary")
-    if np.ndim(theta) == 0:
-        return float(out[0])
-    return out
+    dxe = np.cos(th)[:, None] * e[:, 1] - np.sin(th)[:, None] * e[:, 0]
+    with np.errstate(divide="ignore"):
+        out = np.min(np.where(dxe > 0, pxe / dxe, np.inf), axis=1)
+    return float(out[0]) if np.ndim(theta) == 0 else out
 
 
 def planar_centroid(body: PlanarBody) -> np.ndarray:
@@ -194,15 +173,15 @@ def bisected_chords(body: PlanarBody) -> dict:
     A polygon is translated so that c = 0 and scanned on [0, pi) at 4096
     angles and its vertex directions mod pi: between two of these both
     chord ends lie on fixed edges, where the defect has at most one zero,
-    a simple one, so each sign change is one chord.  A radial body keeps
-    its origin and is scanned over the boundary angles [0, 2 pi) at 8192
-    angles: its 2m sign changes are both ends of each chord, crossing i
-    and i + m of one chord, and the first m give the directions of P - c.
-    There, crossings fewer than 3 intervals apart (all of them, while m is
-    not odd and >= 3) are rescanned _REFINE times finer with their
-    neighbours, up to _REFINE_LEVELS times and _SCAN_MAX angles a rescan.
-    A miscount left raises ConstructionError.  Each sign change is bisected
-    to a bracket 1e-10 wide and placed by the secant through its ends.
+    a simple one, so each sign change is one chord, at a sinusoid's root.
+    A radial body keeps its origin and is scanned over the boundary angles
+    [0, 2 pi) at 8192 angles: its 2m sign changes are both ends of each
+    chord, crossing i and i + m of one chord, and the first m give the
+    directions of P - c.  There, crossings fewer than 3 intervals apart
+    (all of them, while m is not odd and >= 3) are rescanned _REFINE times
+    finer with their neighbours, up to _REFINE_LEVELS times and _SCAN_MAX
+    angles a rescan, a miscount left raising ConstructionError, and each
+    of the first m is bisected to 1e-10 and placed by a secant.
     """
     c = planar_centroid(body)
     if body.is_polygon:
@@ -254,28 +233,40 @@ def bisected_chords(body: PlanarBody) -> dict:
         th = np.append(th, new)[order]
         g = np.append(g, _chord_defect(body, c, new.ravel()))[order]
         w = np.append(w, np.repeat(w[refine], _REFINE - 1))[order]
-    # sharpen every crossing at once; each stops on its own rule
+    # a radial body's first m crossings are its chords' ends P
+    idx = idx[:m]
     lo, hi, flo, fhi = th[idx], th[idx + 1], g[idx], g[idx + 1]
-    # a zero defect at the left end is the root; the side test below
-    # would count it as positive
-    hi[flo == 0.0] = lo[flo == 0.0]
-    k = np.arange(idx.size)
-    for _ in range(200):
-        k = k[hi[k] - lo[k] > 1e-10]
-        if not k.size:
-            break
-        mid = 0.5 * (lo[k] + hi[k])
-        fm = _chord_defect(body, c, mid)
-        hit = fm == 0.0
-        lo[k[hit]] = hi[k[hit]] = mid[hit]
-        left = ~hit & ((fm < 0) == (flo[k] < 0))
-        lo[k[left]], flo[k[left]] = mid[left], fm[left]
-        right = ~hit & ~left
-        hi[k[right]], fhi[k[right]] = mid[right], fm[right]
-    # the secant through the ends of each bracket, whose signs differ
-    roots = lo + (hi - lo) * (flo / (flo - fhi))
-    if not body.is_polygon:
-        roots = roots[:m]
+    if body.is_polygon:
+        # 1/rho(theta) is the largest of the sinusoids (d x e)/(p x e) over
+        # the edges (_polygon_radius), 1/rho(theta + pi) minus the least;
+        # between two scan angles both are at fixed edges, so the defect
+        # has the sign of the sinusoid -(largest + least), whose root is
+        # placed from its magnitudes a, b at the bracket's ends
+        v, t = body.vertices, np.stack([lo, hi])[..., None]
+        e = np.roll(v, -1, axis=0) - v
+        s = (np.cos(t) * e[:, 1] - np.sin(t) * e[:, 0]) / _cross2(v, e)
+        a, b = np.abs(s.max(axis=2) + s.min(axis=2))
+        roots = lo + np.arctan2(a * np.sin(hi - lo), a * np.cos(hi - lo) + b)
+    else:
+        # sharpen every crossing at once, each stopping on its own rule; a
+        # zero defect at the left end is the root, which the side test
+        # below would count as positive
+        hi[flo == 0.0] = lo[flo == 0.0]
+        k = np.arange(idx.size)
+        for _ in range(200):
+            k = k[hi[k] - lo[k] > 1e-10]
+            if not k.size:
+                break
+            mid = 0.5 * (lo[k] + hi[k])
+            fm = _chord_defect(body, c, mid)
+            hit = fm == 0.0
+            lo[k[hit]] = hi[k[hit]] = mid[hit]
+            left = ~hit & ((fm < 0) == (flo[k] < 0))
+            lo[k[left]], flo[k[left]] = mid[left], fm[left]
+            right = ~hit & ~left
+            hi[k[right]], fhi[k[right]] = mid[right], fm[right]
+        # the secant through the ends of each bracket, whose signs differ
+        roots = lo + (hi - lo) * (flo / (flo - fhi))
         r = body.radius(roots)
         roots = np.arctan2(r * np.sin(roots) - c[1], r * np.cos(roots) - c[0])
     # mod pi, a direction just below 0 rounds to pi

@@ -705,3 +705,33 @@ def angle_reduction_error(hi, lo, k, reduced, shift=300):
 def chord_defect_two_calls(body, theta):
     """rho(theta) - rho(theta + pi) from two radius calls, one per end."""
     return body.radius(theta) - body.radius(np.asarray(theta) + np.pi)
+
+
+def select_eps_walk(ctx, eps0):
+    """ConstructionContext.select_eps as a walk down its ladder: halve eps
+    from eps0 until the first admissible value, testing each rung in the
+    package's order (positivity, bracket, curvature at lam = 0 and 1)."""
+    from centroid_sections import ConstructionError, RunConfig
+    from centroid_sections.revolution_bodies import _clears
+    margin = RunConfig.tolerances["convexity_margin"]
+    eps = float(eps0)
+    halvings = 0
+    while True:
+        c0 = ctx.centroid(0.0, eps)
+        c1 = ctx.centroid(1.0, eps)
+        if c0 is None or c1 is None:
+            reason = "radial power profile loses positivity"
+        elif not c0 < 0.0 < c1:
+            reason = f"centroid does not bracket zero ({c0}, {c1})"
+        elif not (_clears(ctx.kappa_min(0.0, eps), margin)
+                  and _clears(ctx.kappa_min(1.0, eps), margin)):
+            reason = "meridian curvature margin violated"
+        else:
+            return {"eps": eps, "halvings": halvings,
+                    "centroid_at_0": c0, "centroid_at_1": c1}
+        if halvings >= RunConfig.eps_max_halvings:
+            raise ConstructionError(
+                f"eps too large: no admissible value after "
+                f"{halvings} halvings (last {eps:.3e}: {reason})")
+        eps *= 0.5
+        halvings += 1

@@ -2,6 +2,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 
@@ -127,11 +128,20 @@ def test_construct_idempotent(cli_outdir, tmp_path, capsys):
 def test_construct_eps_too_large_exits_3(tmp_path, capsys):
     rc = cli.main(["construct", "--eps", "10", "--outdir", str(tmp_path)])
     assert rc == 3
-    assert "eps too large" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "eps too large" in err
     diag = json.loads((tmp_path / "diagnostic.json").read_text())
     assert diag["stage"] == "construction"
     assert "eps too large" in diag["error"]
     assert not (tmp_path / "certificate.json").exists()
+    # the error names each rung the search probed, with its reason
+    trail = diag["error"].partition("; probed ")[2]
+    assert trail and trail in err
+    probes = [re.fullmatch(r"(\d+): (\S+) \((.+)\)", probe).groups()
+              for probe in re.split(r", (?=\d+: )", trail)]
+    assert [int(k) for k, _, _ in probes] == [10, 15, 18, 19, 20]
+    assert len({float(eps) for _, eps, _ in probes}) == 5
+    assert all(reason for _, _, reason in probes)
 
 
 @pytest.mark.parametrize("command,n", [

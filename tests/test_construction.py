@@ -1101,6 +1101,45 @@ def test_select_eps_treats_nan_curvature_as_violation(ctx5, monkeypatch):
         ctx5.select_eps(RunConfig.eps)
 
 
+def _select_or_message(select, ctx, eps0):
+    try:
+        return select(ctx, eps0)
+    except ConstructionError as exc:
+        return str(exc)
+
+
+def test_select_eps_matches_the_walk_down_its_ladder():
+    # the bisection returns the walk's first admissible rung and its
+    # centroids, or the walk's message followed by the probes it made
+    rng = np.random.default_rng(SEED)
+    starts = [(n, a, eps0) for n in (5, 6, 7, 8, 10) for a in (None, 0.3)
+              for eps0 in (1e-3, 0.1, 3e-5, 10.0)]
+    starts += [(6, None, float(eps0))
+               for eps0 in 10.0 ** rng.uniform(-4.0, -2.0, size=100)]
+    for n, a, eps0 in starts:
+        ctx = get_context(RunConfig(n=n, a=a))
+        want = _select_or_message(oracles.select_eps_walk, ctx, eps0)
+        got = _select_or_message(type(ctx).select_eps, ctx, eps0)
+        if isinstance(want, str):
+            assert got.startswith(want + "; probed "), (n, a, eps0)
+        else:
+            assert got == want, (n, a, eps0)
+
+
+def test_select_eps_probes_at_most_five_rungs(monkeypatch):
+    # a walk from RunConfig.eps at n = 6 halves 15 times, 32 centroid calls;
+    # a probe makes two centroid and at most two curvature calls
+    ctx = get_context(RunConfig(n=6))
+    calls = {"centroid": 0, "kappa_min": 0}
+    for name in calls:
+        def counted(lam, eps, name=name, method=getattr(ctx, name)):
+            calls[name] += 1
+            return method(lam, eps)
+        monkeypatch.setattr(ctx, name, counted)
+    assert ctx.select_eps(RunConfig.eps)["halvings"] == 15
+    assert calls["centroid"] <= 10 and calls["kappa_min"] <= 10, calls
+
+
 def test_get_context_returns_one_context_per_geometry(ctx5):
     # the context depends on (n, a) alone: a caller's eps and
     # sweep grid neither rebuild it nor copy it

@@ -203,16 +203,17 @@ def test_equilateral_triangle_three_side_directions():
 def test_scalene_triangle_directions_parallel_to_sides():
     # the thin triangles' three directions lie within 2h rad of each
     # other, across the scan's wrap at 0 = pi: the vertex directions among
-    # the scan angles separate them, down to h = 1e-15
+    # the scan angles separate them, down to h = 1e-15, and each is the
+    # root of a sinusoid in closed form, to the rounding of arctan2 mod pi
     for verts in ([(0.0, 0.0), (2.0, 0.0), (0.6, 1.5)],
                   *([(0.0, 0.0), (1.0, 0.0), (0.5, h)]
-                    for h in (1e-4, 1e-6, 1e-14, 1e-15))):
+                    for h in (1e-4, 1e-6, 1e-12, 1e-13, 1e-14, 1e-15))):
         v = np.asarray(verts)
         sides = np.arctan2(*(np.roll(v, -1, axis=0) - v).T[::-1]) % np.pi
         res = bisected_chords(polygon_body(verts))
         assert res["count"] == 3
         got = np.sort(np.asarray(res["directions"]))
-        assert np.max(np.abs(got - np.sort(sides))) <= 1e-10, verts
+        assert np.max(np.abs(got - np.sort(sides))) <= 1e-15, verts
 
 
 @pytest.mark.parametrize("h", [1e-4, 1e-6])
@@ -388,11 +389,10 @@ def test_chord_defect_one_radius_call_bit_equal_to_two(name, monkeypatch):
 
 
 def test_polygon_radius_same_bits_however_batched():
-    # rays through a vertex, and a float either side of it, that the
-    # half-open edge rule can miss: the relaxed rule applies to the rays
-    # it missed alone, so a direction's radius does not depend on the
-    # others in the call (in three of these 100 polygons a missed ray
-    # used to move the radii of others)
+    # rays through a vertex, and a float either side of it, where two
+    # edge lines are nearly equally near: a direction's radius does not
+    # depend on the others in the call (in three of these 100 polygons a
+    # ray missed by a half-open edge rule once moved the radii of others)
     rng = np.random.default_rng(0)
     for _ in range(100):
         v = random_convex_hull(rng, 12)
