@@ -178,26 +178,21 @@ def _gap_cosine(n: int) -> np.ndarray:
     return d
 
 
-def _root_jet(n: int, eps: float, base, phi, powers=None) -> list:
-    """r = (rho_b^n + eps phi)^{1/n} and its u-derivatives, to the order
-    that base (rho_b, rho_b', rho_b'') and phi (phi, phi', phi'') carry:
-    one entry each gives [r], all three give [r, r', r''].  powers, when
-    given, holds rho_b^n, rho_b^{n-1} and rho_b^{n-2} (as many as the
-    order needs), as rho_b ** (n - i) forms them; f^{1/n - 1} is formed
-    once, so the jet takes three fractional powers of f and none of
-    rho_b."""
-    rb, p = base[0], phi[0]
-    if powers is None:
-        powers = [rb ** (n - i) for i in range(len(base))]
-    f = powers[0] + eps * p
+def _root_jet(n: int, eps: float, power, phi) -> list:
+    """r = (rho_b^n + eps phi)^{1/n} and its derivatives, to the order that
+    power (P, P', P'') of P = rho_b^n and phi (phi, phi', phi'') carry: one
+    entry each gives [r], all three give [r, r', r''].  The chain rule's
+    rho_b half is in power, formed once by its holder (ConstructionContext
+    keeps its theta-jet); f^{1/n - 1} is formed once, so the jet takes
+    three fractional powers of f = P + eps phi."""
+    f = power[0] + eps * phi[0]
     out = [f ** (1.0 / n)]
-    if len(base) > 1:
+    if len(power) > 1:
         g1 = f ** (1.0 / n - 1)
-        f1 = n * powers[1] * base[1] + eps * phi[1]
+        f1 = power[1] + eps * phi[1]
         out.append((1.0 / n) * g1 * f1)
-    if len(base) > 2:
-        f2 = (n * (n - 1) * powers[2] * base[1] ** 2
-              + n * powers[1] * base[2] + eps * phi[2])
+    if len(power) > 2:
+        f2 = power[2] + eps * phi[2]
         out.append((1.0 / n) * (1.0 / n - 1) * f ** (1.0 / n - 2) * f1 ** 2
                    + (1.0 / n) * g1 * f2)
     return out
@@ -361,8 +356,14 @@ class ConstructionContext:
         self._rho = _theta_jet(
             self._x, s, *(np.asarray(f(self._x), dtype=np.float64)
                           for f in (self.base.rho, *self.base.rho.derivs)))
-        # rho_b^n, rho_b^{n-1} and rho_b^{n-2}, which every jet reads
-        self._rho_pow = [self._rho[0] ** (n - i) for i in range(3)]
+        # the theta-jet of rho_b^n, which every jet reads: (P, P', P'') =
+        # (rho^n, n rho^{n-1} rho', n (n-1) rho^{n-2} rho'^2 + n rho^{n-1}
+        # rho''), the rho_b half of _root_jet's chain rule, formed once
+        r = self._rho
+        rn1 = r[0] ** (n - 1)
+        self._rho_n = (r[0] ** n, n * rn1 * r[1],
+                       n * (n - 1) * r[0] ** (n - 2) * r[1] ** 2
+                       + n * rn1 * r[2])
         # centroid quadrature: the trapezoid rule in theta on the nodes.
         # The weight of S^{n-1} in theta is sin^{n-2} theta; the integrands
         # are periodic and band-limited far below the rule's aliasing degree
@@ -423,7 +424,7 @@ class ConstructionContext:
         n, rho, phi = self.n, self.base.rho, self.perturbation(lam)
 
         def value(u):
-            return _root_jet(n, eps, (np.asarray(rho(u), dtype=float),),
+            return _root_jet(n, eps, (np.asarray(rho(u), dtype=float) ** n,),
                              (phi(u),))[0]
 
         params = dict(self.base.params, eps=float(eps), n=n,
@@ -460,8 +461,8 @@ class ConstructionContext:
 
     def _power(self, lam: float, eps: float) -> np.ndarray:
         """rho_base^n + eps phi at the nodes."""
-        return self._rho_pow[0] + eps * ((1.0 - lam) * self._bq[0]
-                                         + lam * self._gq[0])
+        return self._rho_n[0] + eps * ((1.0 - lam) * self._bq[0]
+                                       + lam * self._gq[0])
 
     def kappa_min(self, lam: float, eps: float) -> float:
         """Minimum meridian curvature of the perturbed body."""
@@ -474,7 +475,7 @@ class ConstructionContext:
         # where rho^n + eps phi < 0 the root is NaN, and so is kappa_min,
         # which the report's guard (_clears) counts as not convex
         with np.errstate(invalid="ignore"):
-            r = _root_jet(self.n, eps, self._rho, phi, self._rho_pow)
+            r = _root_jet(self.n, eps, self._rho_n, phi)
             return _meridian_report(
                 self._theta, *r, RunConfig.tolerances["convexity_margin"])
 
@@ -522,9 +523,19 @@ class ConstructionContext:
         return found
 
     def find_root(self, eps: float) -> dict:
-        """Bisect the blend weight over [0, 1] until the centroid is below
-        the root tolerance.  The centroid is monotone enough in lam for
-        plain bisection; no derivative information is required."""
+        """Bisect the blend weight over [0, 1] until the centroid c is
+        within the root tolerance tol.
+
+        c = eps c_1(lam) + O(eps^2) with c_1 affine in lam, so the chord
+        through (0, c(0)) and (1, c(1)) predicts where |c| <= tol, and
+        that window widened 4 times gives (a, b).  When c(a) < -tol and
+        c(b) > tol, a midpoint at or below a moves the lower end, one at or
+        above b the upper end, and only midpoints inside (a, b) are
+        evaluated; when not, (a, b) is (0, 1) and every midpoint is.  So
+        the midpoints, the one it stops at and the iteration count are
+        those of a bisection that evaluates every midpoint, bit for bit,
+        whenever c increases at the scale of tol between a midpoint and
+        the bracket's end."""
         tol = RunConfig.tolerances["root_abs"]
         lo, hi = 0.0, 1.0
         clo = self.centroid(lo, eps)
@@ -533,19 +544,32 @@ class ConstructionContext:
             raise ConstructionError(
                 f"centroid does not change sign over the bracket: "
                 f"{clo} vs {chi}")
+        guess, half = -clo / (chi - clo), 4.0 * tol / (chi - clo)
+        a, b = guess - half, guess + half
+        ca, cb = self.centroid(a, eps), self.centroid(b, eps)
+        if ca is None or cb is None or not (ca < -tol and cb > tol):
+            a, b = 0.0, 1.0
         mid, cm = lo, clo
         iters = 0
         for iters in range(1, RunConfig.root_max_iter + 1):
             mid = 0.5 * (lo + hi)
-            cm = self.centroid(mid, eps)
-            if cm is None:
-                raise ConstructionError("positivity lost inside bracket")
-            if abs(cm) <= tol:
-                break
-            if (cm < 0.0) == (clo < 0.0):
-                lo, clo = mid, cm
+            if a < mid < b:
+                cm = self.centroid(mid, eps)
+                if cm is None:
+                    raise ConstructionError("positivity lost inside bracket")
+                if abs(cm) <= tol:
+                    break
+                below = cm < 0.0
+            else:
+                # c(mid) has the sign of c(a) < 0 or of c(b) > 0
+                cm, below = None, mid <= a
+            if below:
+                lo = mid
             else:
                 hi = mid
+        if cm is None:
+            # root_max_iter ran out on a midpoint the bracket settled
+            cm = self.centroid(mid, eps)
         return {"lambda0": float(mid), "centroid_at_root": float(cm),
                 "iterations": iters}
 
@@ -574,7 +598,8 @@ class ConstructionContext:
         cancelling itself and gap(+-1) being 0.  Right
         side: eps (2 pi)^n / pi times the seed, so the two differ by the
         bump's truncation b_M - b alone; rel_err is their difference over
-        rhs_max, that multiple of _seed_max.  The reported section
+        rhs_max, that multiple of seed_max (_seed_max), the gap and the
+        bump each evaluated once over the grid.  The reported section
         centroids divide lhs by n times the base body's section volume,
         read back like b_M: the perturbation's first-order term is odd
         over the section and adds nothing to it.
@@ -586,10 +611,14 @@ class ConstructionContext:
                            return_inverse=True)
         b, vol = self._bump_and_volume(a)
         sec_vol = vol[inv[:-1]]
-        lhs = scale * ((1.0 - lam) * (b[inv[:-1]] - b[inv[-1]])
-                       + lam * np.asarray(self.gap(u_grid), dtype=float))
-        rhs = scale * np.asarray(self.seed_value(u_grid, lam), dtype=float)
-        rhs_max = scale * self._seed_max(lam, u_grid)
+        # the seed's gap part, which lhs shares
+        lam_gap = lam * np.asarray(self.gap(u_grid), dtype=float)
+        lhs = scale * ((1.0 - lam) * (b[inv[:-1]] - b[inv[-1]]) + lam_gap)
+        seed = ((1.0 - lam) * np.asarray(self.bump(u_grid), dtype=float)
+                + lam_gap)
+        rhs = scale * seed
+        seed_max = self._seed_max(lam, seed)
+        rhs_max = scale * seed_max
         rel = np.abs(lhs - rhs) / max(rhs_max, 1e-300)
         centroids = lhs / (n * sec_vol)
         inner = np.abs(u_grid) < 1.0
@@ -600,7 +629,7 @@ class ConstructionContext:
             "lhs": lhs, "rhs": rhs, "rel_err": rel, "rhs_max": rhs_max,
             "centroid_quadrature": centroids,
             "centroid_analytic": rhs / (n * sec_vol),
-            "max_rel_err": float(np.max(rel)),
+            "seed_max": seed_max, "max_rel_err": float(np.max(rel)),
             "min_margin": margin,
             "near_pole_abs": float(min(abs(centroids[1]), abs(centroids[-2])))
                              if u_grid.size > 2 else np.nan,
@@ -643,14 +672,14 @@ class ConstructionContext:
                                         axis=1)
         return b, vol
 
-    def _seed_max(self, lam: float, u) -> float:
-        """max |seed| over the directions u, the equator and the bump's
-        peaks +-(1 + cap_u0)/2: the scale of the sweep's rel_err and of
-        the pole truncation, which a grid that misses the caps' interior
-        would understate."""
+    def _seed_max(self, lam: float, seed: np.ndarray) -> float:
+        """max |seed| over seed, its values at the sweep's directions, and
+        at the equator and the bump's peaks +-(1 + cap_u0)/2: the scale of
+        the sweep's rel_err and of the pole truncation, which a grid that
+        misses the caps' interior would understate."""
         peak = 0.5 * (1.0 + self.cap_u0)
-        u = np.append(u, [0.0, -peak, peak])
-        return float(np.max(np.abs(self.seed_value(u, lam))))
+        extra = self.seed_value(np.array([0.0, -peak, peak]), lam)
+        return float(np.max(np.abs(np.append(seed, extra))))
 
     def quadrature_lhs(self, lam: float, eps: float, u) -> np.ndarray:
         """The sweep's lhs at directions u by the other route: the section
@@ -732,8 +761,7 @@ class ConstructionContext:
                              for x in (0.0, 0.25, 0.5, 0.75, 1.0)},
             "identity_max_relerr": sweep["max_rel_err"],
             "near_pole_section_abs": sweep["near_pole_abs"],
-            "pole_series": self.pole_report(
-                lam, self._seed_max(lam, sweep["u_grid"])),
+            "pole_series": self.pole_report(lam, sweep["seed_max"]),
             "checks": checks,
         }
         return record, sweep

@@ -125,7 +125,8 @@ def _meridian_report(theta, r, r_t, r_tt, margin: float) -> ConvexityReport:
     """ConvexityReport of the meridian theta -> r (sin theta, cos theta),
     r_t and r_tt its theta-derivatives: its curvature is (r^2 + 2 r_t^2 -
     r r_tt) / (r^2 + r_t^2)^{3/2}, and the body is convex iff it is."""
-    kappa = (r * r + 2 * r_t * r_t - r * r_tt) / (r * r + r_t * r_t) ** 1.5
+    rr, tt = r * r, r_t * r_t
+    kappa = (rr + 2 * tt - r * r_tt) / (rr + tt) ** 1.5
     i = int(np.argmin(kappa))
     kmin = float(kappa[i])
     return ConvexityReport(kappa_min=kmin, argmin_theta=float(theta[i]),

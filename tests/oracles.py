@@ -735,3 +735,61 @@ def select_eps_walk(ctx, eps0):
                 f"{halvings} halvings (last {eps:.3e}: {reason})")
         eps *= 0.5
         halvings += 1
+
+
+def root_jet_plain(n, eps, base, phi):
+    """The jet [r, r', r''] of r = (rho_b^n + eps phi)^{1/n} by the chain
+    rule on the jets base = (rho_b, rho_b', rho_b'') and phi, forming
+    rho_b^n, rho_b^{n-1} and rho_b^{n-2} itself on every call: the
+    reference for the jet of rho_b^n that a context forms once."""
+    rb, p = base[0], phi[0]
+    powers = [rb ** (n - i) for i in range(len(base))]
+    f = powers[0] + eps * p
+    out = [f ** (1.0 / n)]
+    if len(base) > 1:
+        g1 = f ** (1.0 / n - 1)
+        f1 = n * powers[1] * base[1] + eps * phi[1]
+        out.append((1.0 / n) * g1 * f1)
+    if len(base) > 2:
+        f2 = (n * (n - 1) * powers[2] * base[1] ** 2
+              + n * powers[1] * base[2] + eps * phi[2])
+        out.append((1.0 / n) * (1.0 / n - 1) * f ** (1.0 / n - 2) * f1 ** 2
+                   + (1.0 / n) * g1 * f2)
+    return out
+
+
+def meridian_kappa_plain(r, r_t, r_tt):
+    """Curvature of the meridian theta -> r (sin theta, cos theta) from its
+    theta-jet, (r^2 + 2 r_t^2 - r r_tt) / (r^2 + r_t^2)^{3/2}, each square
+    formed where it is used."""
+    return (r * r + 2 * r_t * r_t - r * r_tt) / (r * r + r_t * r_t) ** 1.5
+
+
+def find_root_bisect(ctx, eps):
+    """ConstructionContext.find_root as plain bisection of the blend weight
+    over [0, 1], evaluating the centroid at every midpoint until it is
+    within root_abs, at most root_max_iter midpoints."""
+    from centroid_sections import ConstructionError, RunConfig
+    tol = RunConfig.tolerances["root_abs"]
+    lo, hi = 0.0, 1.0
+    clo = ctx.centroid(lo, eps)
+    chi = ctx.centroid(hi, eps)
+    if clo is None or chi is None or not clo < 0.0 < chi:
+        raise ConstructionError(
+            f"centroid does not change sign over the bracket: "
+            f"{clo} vs {chi}")
+    mid, cm = lo, clo
+    iters = 0
+    for iters in range(1, RunConfig.root_max_iter + 1):
+        mid = 0.5 * (lo + hi)
+        cm = ctx.centroid(mid, eps)
+        if cm is None:
+            raise ConstructionError("positivity lost inside bracket")
+        if abs(cm) <= tol:
+            break
+        if (cm < 0.0) == (clo < 0.0):
+            lo, clo = mid, cm
+        else:
+            hi = mid
+    return {"lambda0": float(mid), "centroid_at_root": float(cm),
+            "iterations": iters}

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from centroid_sections import RunConfig, cli
+from centroid_sections import RunConfig, cli, planar
 
 C5 = 16.0 * np.pi ** 2
 
@@ -1006,6 +1006,24 @@ def test_planar_unresolved_thin_triangle_exits_3(tmp_path, capsys):
     path.write_text("x,y\n0,0\n1,0\n0.5,1e-16\n")
     assert cli.main(["planar", "--input", str(path)]) == 3
     assert ("construction failed: could not resolve"
+            in capsys.readouterr().err)
+
+
+def test_planar_unresolved_radial_profile_exits_3(tmp_path, capsys):
+    # the thin triangle (0,0), (1,0), (0.5, 0.01) as a theta,rho CSV about
+    # (0.45, 0.0025), 360 samples: its spline is too sharp near 0 and pi
+    # for the 4096-angle centroid rule, whose every-other-angle sum is
+    # 1.1e-6 away, and planar refuses it instead of scanning about a
+    # wrong centroid
+    v = np.array([(0.0, 0.0), (1.0, 0.0), (0.5, 0.01)]) - [0.45, 0.0025]
+    th = np.linspace(0.0, 2.0 * np.pi, 360, endpoint=False)
+    path = tmp_path / "thin.csv"
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["theta", "rho"])
+        w.writerows(zip(th, planar._polygon_radius(v, th)))
+    assert cli.main(["planar", "--input", str(path)]) == 3
+    assert ("construction failed: radial profile not resolved"
             in capsys.readouterr().err)
 
 

@@ -12,7 +12,6 @@ from centroid_sections import (ConstructionError, RunConfig, curvature,
                                make_cap_bump, make_oblate_gap_profile,
                                negativity_threshold, run_construction)
 
-from centroid_sections.revolution_bodies import _meridian_report
 from centroid_sections.spherical_core import (_accumulate_at_zero,
                                               _bochner_multipliers_ld,
                                               _cosine_coeffs, _cosine_sum,
@@ -377,8 +376,8 @@ def test_centroid_none_for_non_finite_power(ctx5):
     # context copy with one NaN node, then one inf node, in rho_b^n
     for bad in (np.nan, np.inf, -1.0):
         ctx = copy.copy(ctx5)
-        ctx._rho_pow = [p.copy() for p in ctx5._rho_pow]
-        ctx._rho_pow[0][1234] = bad
+        ctx._rho_n = [p.copy() for p in ctx5._rho_n]
+        ctx._rho_n[0][1234] = bad
         assert ctx.centroid(0.3, 1e-5) is None
     assert ctx5.centroid(0.3, 1e-5) is not None
 
@@ -1024,24 +1023,26 @@ def test_kappa_min_tracks_base_as_eps_vanishes(ctx5):
 @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
 @pytest.mark.parametrize("eps", [1e-3, 1e-5, 4.6e-8])
 def test_kappa_report_bit_equal_to_plain_root_jet(n, lam, eps):
-    # kappa_report reads rho_b^n, rho_b^(n-1) and rho_b^(n-2) from the
-    # context; the chain rule forming them itself must give the same jet
-    # and report bit for bit, NaN rows (rho^n + eps phi < 0, as at n = 6
-    # and eps = 1e-3) included
+    # kappa_report reads the theta-jet of rho_b^n that the context formed
+    # once; the chain rule on the theta-jet of rho_b, forming the powers of
+    # rho_b itself (tests/oracles.py::root_jet_plain), must give the same
+    # jet, and the curvature formula on it the same report, bit for bit,
+    # NaN rows (rho^n + eps phi < 0, as at n = 6 and eps = 1e-3) included
     ctx = get_context(RunConfig(n=n))
     phi = [(1.0 - lam) * b + lam * g for b, g in zip(ctx._bq, ctx._gq)]
     with np.errstate(invalid="ignore"):
-        want = counterexample._root_jet(n, eps, ctx._rho, phi)
-        got = counterexample._root_jet(n, eps, ctx._rho, phi, ctx._rho_pow)
-        plain = _meridian_report(ctx._theta, *want,
-                                 RunConfig.tolerances["convexity_margin"])
+        want = oracles.root_jet_plain(n, eps, ctx._rho, phi)
+        got = counterexample._root_jet(n, eps, ctx._rho_n, phi)
+        kappa = oracles.meridian_kappa_plain(*want)
     for g, w in zip(got, want):
         assert np.array_equal(g, w, equal_nan=True)
     assert np.isnan(want[0]).any() == (n == 6 and eps == 1e-3)
+    i = int(np.argmin(kappa))
     rep = ctx.kappa_report(lam, eps)
-    assert np.array_equal(rep.kappa_min, plain.kappa_min, equal_nan=True)
-    assert rep.argmin_theta == plain.argmin_theta
-    assert rep.is_convex == plain.is_convex
+    assert np.array_equal(rep.kappa_min, kappa[i], equal_nan=True)
+    assert rep.argmin_theta == ctx._theta[i]
+    margin = RunConfig.tolerances["convexity_margin"]
+    assert rep.is_convex == bool(np.isfinite(kappa[i]) and kappa[i] > margin)
 
 
 def _assert_kappa_matches_series_route(ctx, cert):
@@ -1138,6 +1139,51 @@ def test_select_eps_probes_at_most_five_rungs(monkeypatch):
         monkeypatch.setattr(ctx, name, counted)
     assert ctx.select_eps(RunConfig.eps)["halvings"] == 15
     assert calls["centroid"] <= 10 and calls["kappa_min"] <= 10, calls
+
+
+def test_find_root_matches_plain_bisection():
+    # the chord bracket settles the bisection's early midpoints without a
+    # centroid; lambda0, the iteration count and the centroid at the root
+    # must be plain bisection's (tests/oracles.py::find_root_bisect) bit
+    # for bit, at the selected eps and at its half and quarter, from
+    # RunConfig.eps and 20 seeded log-uniform starts at n = 5, 6 and 7,
+    # and on a linear centroid
+    rng = np.random.default_rng(SEED)
+    for n in (5, 6, 7):
+        ctx = get_context(RunConfig(n=n))
+        for eps0 in (RunConfig.eps, *10.0 ** rng.uniform(-4.5, -3.0, 20)):
+            eps = ctx.select_eps(float(eps0))["eps"]
+            for e in (eps, eps / 2, eps / 4):
+                assert (ctx.find_root(e)
+                        == oracles.find_root_bisect(ctx, e)), (n, eps0, e)
+    # a linear centroid, also cut off after 3 midpoints, all of which the
+    # bracket settles: the centroid at the root is still evaluated
+    ctx = get_context(RunConfig())
+    with mock.patch.object(type(ctx), "centroid",
+                           lambda self, lam, eps: lam - 0.3):
+        assert ctx.find_root(1e-6) == oracles.find_root_bisect(ctx, 1e-6)
+        with mock.patch.object(RunConfig, "root_max_iter", 3):
+            root = ctx.find_root(1e-6)
+            assert root == oracles.find_root_bisect(ctx, 1e-6)
+    assert root == {"lambda0": 0.375, "centroid_at_root": 0.375 - 0.3,
+                    "iterations": 3}
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_find_root_makes_at_most_eight_centroid_calls(n, monkeypatch):
+    # plain bisection makes 28, 29 and 26 centroid calls at the default
+    # eps0; the chord bracket makes 4 (both ends and the bracket's) and
+    # then evaluates only the midpoints inside it
+    ctx = get_context(RunConfig(n=n))
+    eps = ctx.select_eps(RunConfig.eps)["eps"]
+    calls = []
+
+    def counted(lam, eps, method=ctx.centroid):
+        calls.append(lam)
+        return method(lam, eps)
+    monkeypatch.setattr(ctx, "centroid", counted)
+    root = ctx.find_root(eps)
+    assert len(calls) <= 8 < root["iterations"], calls
 
 
 def test_get_context_returns_one_context_per_geometry(ctx5):

@@ -64,7 +64,14 @@ def test_traced_construct_records_its_layers(subprocess_env, tmp_path):
             "counterexample.find_root", "counterexample.identity_sweep",
             "counterexample.kappa_min", "revolution_bodies.curvature",
             "revolution_bodies.body_to_dict"} <= set(got["spans"])
-    assert got["counters"]["counterexample.centroid_calls"] > 0
+    # the root's iterations are the certificate's (26); the centroid calls
+    # are select_eps's 8, find_root's 6 and certify's 3, where a find_root
+    # that evaluated every midpoint made 28 and 39 in all
+    cert = json.loads((tmp_path / "certificate.json").read_text())
+    counters = got["counters"]
+    assert counters["counterexample.root_iterations"] == \
+        cert["root_iterations"]
+    assert 0 < counters["counterexample.centroid_calls"] <= 20
 
 
 def test_verify_worker_traces_the_construction_it_reruns(subprocess_env,

@@ -219,11 +219,11 @@ def test_scalene_triangle_directions_parallel_to_sides():
 @pytest.mark.parametrize("h", [1e-4, 1e-6])
 def test_thin_radial_triangle_is_resolved_by_rescans(h, monkeypatch):
     # a thin triangle as a radial profile about a point that is not its
-    # centroid: the six ends of its three chords lie within about 4h of
-    # the boundary angles 0 and pi, closer than the 8192-angle scan's
-    # step, so the rescans resolve them.  The trapezoid centroid of a
-    # profile this sharp is not the triangle's; the chords are checked
-    # about the point c that the scan used
+    # centroid: the trapezoid rule does not resolve a profile this sharp,
+    # and planar_centroid refuses it.  About the triangle's own centroid,
+    # which the test supplies, the six ends of its three chords lie within
+    # about 4h of the boundary angles 0 and pi, closer than the
+    # 8192-angle scan's step, so the rescans resolve them
     v = np.array([(0.0, 0.0), (1.0, 0.0), (0.5, h)])
     origin = np.array([0.45, 0.25 * h])
 
@@ -231,9 +231,18 @@ def test_thin_radial_triangle_is_resolved_by_rescans(h, monkeypatch):
         return planar._polygon_radius(v - origin, t)
 
     body = radial_body(rho)
+    # at h = 1e-4 the 4096- and 2048-angle centroids differ by 1.6e-3,
+    # and the 4096-angle one is (0.097, 8.8e-7) about the profile's origin
+    # against the triangle's (0.05, h/12)
+    with pytest.raises(ConstructionError, match="4096 and 2048 angles"):
+        planar_centroid(body)
+    with pytest.raises(ConstructionError, match="not resolved"):
+        bisected_chords(body)
+    c = np.mean(v, axis=0) - origin
+    monkeypatch.setattr(planar, "planar_centroid", lambda body: c)
     res = bisected_chords(body)
     assert res["count"] == 3
-    radius = _oracle_radius(rho, planar_centroid(body))
+    radius = _oracle_radius(rho, c)
     for a in res["directions"]:
         ends = np.array([a - 1e-8, a + 1e-8])
         defect = radius(ends) - radius(ends + np.pi)
