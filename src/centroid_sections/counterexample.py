@@ -40,8 +40,8 @@ import numpy as np
 
 from .config import ConstructionError, RunConfig
 from .revolution_bodies import (ConvexityReport, RevolutionBody, _clears,
-                                _meridian_report, _theta_jet, curvature,
-                                make_base_body)
+                                _log_jet, _meridian_report, _theta_jet,
+                                curvature, make_base_body)
 from .spherical_core import (LD, _PI_LD, GegenbauerSpectrum, SphereProfile,
                              _accumulate_at_zero, _bochner_multipliers_ld,
                              _cosine_coeffs, _cosine_sum, _divide_by_u,
@@ -176,26 +176,6 @@ def _gap_cosine(n: int) -> np.ndarray:
     d = np.fft.rfft(np.concatenate([f, f[-2:0:-1]])).real / _GAP_THETA_SAMPLES
     d[::2] = 0
     return d
-
-
-def _root_jet(n: int, eps: float, power, phi) -> list:
-    """r = (rho_b^n + eps phi)^{1/n} and its derivatives, to the order that
-    power (P, P', P'') of P = rho_b^n and phi (phi, phi', phi'') carry: one
-    entry each gives [r], all three give [r, r', r''].  The chain rule's
-    rho_b half is in power, formed once by its holder (ConstructionContext
-    keeps its theta-jet); f^{1/n - 1} is formed once, so the jet takes
-    three fractional powers of f = P + eps phi."""
-    f = power[0] + eps * phi[0]
-    out = [f ** (1.0 / n)]
-    if len(power) > 1:
-        g1 = f ** (1.0 / n - 1)
-        f1 = power[1] + eps * phi[1]
-        out.append((1.0 / n) * g1 * f1)
-    if len(power) > 2:
-        f2 = power[2] + eps * phi[2]
-        out.append((1.0 / n) * (1.0 / n - 1) * f ** (1.0 / n - 2) * f1 ** 2
-                   + (1.0 / n) * g1 * f2)
-    return out
 
 
 def _mirrored_grid(size: int) -> np.ndarray:
@@ -358,7 +338,8 @@ class ConstructionContext:
                           for f in (self.base.rho, *self.base.rho.derivs)))
         # the theta-jet of rho_b^n, which every jet reads: (P, P', P'') =
         # (rho^n, n rho^{n-1} rho', n (n-1) rho^{n-2} rho'^2 + n rho^{n-1}
-        # rho''), the rho_b half of _root_jet's chain rule, formed once
+        # rho''), formed once; kappa_report adds eps phi's jet to it and
+        # takes the 1/n-th power's log-derivatives (_log_jet)
         r = self._rho
         rn1 = r[0] ** (n - 1)
         self._rho_n = (r[0] ** n, n * rn1 * r[1],
@@ -417,15 +398,15 @@ class ConstructionContext:
         rows at the nodes, from their tables, ascending in u."""
         if eps < 0:
             raise ValueError("perturbation size must be nonnegative")
-        f = self._power(lam, eps)
+        f = self._power(lam, eps)[0]
         if not np.min(f) > 0:
             raise ConstructionError(f"rho^n + eps phi reaches "
                                     f"{np.min(f):.3e} <= 0: eps too large")
         n, rho, phi = self.n, self.base.rho, self.perturbation(lam)
 
         def value(u):
-            return _root_jet(n, eps, (np.asarray(rho(u), dtype=float) ** n,),
-                             (phi(u),))[0]
+            return (np.asarray(rho(u), dtype=float) ** n
+                    + eps * phi(u)) ** (1.0 / n)
 
         params = dict(self.base.params, eps=float(eps), n=n,
                       cap_u0=self.cap_u0)
@@ -449,35 +430,55 @@ class ConstructionContext:
         if eps == 0.0:
             # unperturbed body: symmetric, so the centroid is exactly 0
             return 0.0
-        f = self._power(lam, eps)
+        f = self._power(lam, eps)[0]
         # NaN fails the first test, inf the second
         if not (f.min() > 0 and f.max() < np.inf):
             return None
         n = self.n
         vol = self._surf / n * (self._w @ f)
-        num = self._surf / (n + 1) * (
-            self._w @ (self._x * f ** ((n + 1.0) / n)))
-        return float(num / vol)
+        # f^{(n+1)/n} itself: the root's centroid sits on a cancellation,
+        # which f f^{1/n} would move by 1e-5 to 9e-5 of itself
+        g = np.power(f, (n + 1.0) / n)
+        g *= self._x
+        return float(self._surf / (n + 1) * (self._w @ g) / vol)
 
-    def _power(self, lam: float, eps: float) -> np.ndarray:
-        """rho_base^n + eps phi at the nodes."""
-        return self._rho_n[0] + eps * ((1.0 - lam) * self._bq[0]
-                                       + lam * self._gq[0])
+    def _blend(self, lam: float, order: int = 3) -> tuple:
+        """The first order entries of the theta-jet (1 - lam) B + lam G of
+        phi at the nodes, B and G the bump's and the gap's (_bq, _gq).  At
+        lam = 0 and 1 that is B or G itself, up to the sign of a zero that
+        nothing after reads: rho_b^n > 0 is added to it, and its first
+        derivative enters squared."""
+        if lam == 0.0 or lam == 1.0:
+            return (self._gq if lam else self._bq)[:order]
+        return tuple((1.0 - lam) * b + lam * g
+                     for b, g in zip(self._bq[:order], self._gq[:order]))
+
+    def _power(self, lam: float, eps: float, order: int = 1) -> list:
+        """The first order entries of the theta-jet of rho_base^n + eps phi
+        at the nodes."""
+        out = []
+        for p, d in zip(self._rho_n, self._blend(lam, order)):
+            f = eps * d
+            f += p
+            out.append(f)
+        return out
 
     def kappa_min(self, lam: float, eps: float) -> float:
         """Minimum meridian curvature of the perturbed body."""
         return self.kappa_report(lam, eps).kappa_min
 
     def kappa_report(self, lam: float, eps: float) -> ConvexityReport:
-        """Meridian curvature report of the perturbed body from the
-        theta-jets at the nodes, held to the package's convexity margin."""
-        phi = [(1.0 - lam) * b + lam * g for b, g in zip(self._bq, self._gq)]
-        # where rho^n + eps phi < 0 the root is NaN, and so is kappa_min,
-        # which the report's guard (_clears) counts as not convex
-        with np.errstate(invalid="ignore"):
-            r = _root_jet(self.n, eps, self._rho_n, phi)
-            return _meridian_report(
-                self._theta, *r, RunConfig.tolerances["convexity_margin"])
+        """Meridian curvature report of the perturbed body, held to the
+        package's convexity margin: r = f^{1/n} and the theta-derivatives
+        of log r from the theta-jet of f = rho_b^n + eps phi at the nodes
+        (_log_jet), one fractional power of f in all."""
+        # where f < 0 the root is NaN, and so is kappa_min, which the
+        # report's guard (_clears) counts as not convex; f = 0 makes the
+        # log-derivatives infinite
+        with np.errstate(invalid="ignore", divide="ignore"):
+            jet = _log_jet(1.0 / self.n, *self._power(lam, eps, 3))
+            return _meridian_report(self._theta, *jet,
+                                    RunConfig.tolerances["convexity_margin"])
 
     def seed_value(self, u, lam: float):
         return (1.0 - lam) * self.bump(u) + lam * self.gap(u)
@@ -716,7 +717,7 @@ class ConstructionContext:
     def diameter(self, lam: float, eps: float) -> float:
         """Max over the nodes of rho(u) + rho(-u) (axial symmetry makes
         antipodal pairs along meridians the extremal chords)."""
-        r = self._power(lam, eps) ** (1.0 / self.n)
+        r = self._power(lam, eps)[0] ** (1.0 / self.n)
         return float(np.max(r + r[::-1]))
 
     def certify(self, lam: float, eps: float, u_grid: np.ndarray) -> tuple:
@@ -731,7 +732,7 @@ class ConstructionContext:
         tol = RunConfig.tolerances
         c, c0, c1 = (self.centroid(x, eps) for x in (lam, 0.0, 1.0))
         sweep = self.identity_sweep(lam, eps, u_grid)
-        base = _meridian_report(self._theta, *self._rho,
+        base = _meridian_report(self._theta, *_log_jet(1, *self._rho),
                                 tol["convexity_margin"])
         pert = self.kappa_report(lam, eps)
         eq_rel = self.equator_ratio(lam)

@@ -105,7 +105,7 @@ def curvature(body: RevolutionBody) -> ConvexityReport:
     r, r_u, r_uu = (np.asarray(f(u), dtype=float)
                     for f in (body.rho, *body.rho.derivs[:2]))
     jet = _theta_jet(u, np.sin(theta), r, r_u, r_uu)
-    return _meridian_report(theta, *jet,
+    return _meridian_report(theta, *_log_jet(1, *jet),
                             RunConfig.tolerances["convexity_margin"])
 
 
@@ -121,12 +121,23 @@ def _theta_jet(u, s, f, f_u, f_uu) -> tuple:
     return f, -s * f_u, s * s * f_uu - u * f_u
 
 
-def _meridian_report(theta, r, r_t, r_tt, margin: float) -> ConvexityReport:
+def _log_jet(power, f, f_t, f_tt) -> tuple:
+    """(f^power, (log f^power)_theta, (log f^power)_theta_theta) from the
+    theta-jet of f > 0: (f^power, power f_t / f, power (f_tt / f - (f_t /
+    f)^2)), the one chain rule for the meridian; f^1 is f itself."""
+    g = f_t / f
+    return (f if power == 1 else f ** power, power * g,
+            power * (f_tt / f - g * g))
+
+
+def _meridian_report(theta, r, l1, l2, margin: float) -> ConvexityReport:
     """ConvexityReport of the meridian theta -> r (sin theta, cos theta),
-    r_t and r_tt its theta-derivatives: its curvature is (r^2 + 2 r_t^2 -
-    r r_tt) / (r^2 + r_t^2)^{3/2}, and the body is convex iff it is."""
-    rr, tt = r * r, r_t * r_t
-    kappa = (rr + 2 * tt - r * r_tt) / (rr + tt) ** 1.5
+    l1 and l2 the theta-derivatives of log r (_log_jet): its curvature is
+    (1 + l1^2 - l2) / (r (1 + l1^2)^{3/2}), which is (r^2 + 2 r_t^2 - r
+    r_tt) / (r^2 + r_t^2)^{3/2} divided through by r^2, and the body is
+    convex iff it is.  A NaN from the jet is a NaN kappa_min."""
+    q = 1.0 + l1 * l1
+    kappa = (q - l2) / (r * q * np.sqrt(q))
     i = int(np.argmin(kappa))
     kmin = float(kappa[i])
     return ConvexityReport(kappa_min=kmin, argmin_theta=float(theta[i]),

@@ -742,20 +742,50 @@ def root_jet_plain(n, eps, base, phi):
     rule on the jets base = (rho_b, rho_b', rho_b'') and phi, forming
     rho_b^n, rho_b^{n-1} and rho_b^{n-2} itself on every call: the
     reference for the jet of rho_b^n that a context forms once."""
+    return root_of_power_jet(n, power_jet_plain(n, eps, base, phi))
+
+
+def power_jet_plain(n, eps, base, phi):
+    """The jet of f = rho_b^n + eps phi, to the order of base."""
     rb, p = base[0], phi[0]
     powers = [rb ** (n - i) for i in range(len(base))]
-    f = powers[0] + eps * p
-    out = [f ** (1.0 / n)]
+    out = [powers[0] + eps * p]
     if len(base) > 1:
-        g1 = f ** (1.0 / n - 1)
-        f1 = n * powers[1] * base[1] + eps * phi[1]
-        out.append((1.0 / n) * g1 * f1)
+        out.append(n * powers[1] * base[1] + eps * phi[1])
     if len(base) > 2:
-        f2 = (n * (n - 1) * powers[2] * base[1] ** 2
-              + n * powers[1] * base[2] + eps * phi[2])
-        out.append((1.0 / n) * (1.0 / n - 1) * f ** (1.0 / n - 2) * f1 ** 2
-                   + (1.0 / n) * g1 * f2)
+        out.append(n * (n - 1) * powers[2] * base[1] ** 2
+                   + n * powers[1] * base[2] + eps * phi[2])
     return out
+
+
+def root_of_power_jet(n, jet):
+    """The jet [r, r', r''] of r = f^{1/n} from the jet of f, to its order,
+    by the chain rule in fractional powers of f."""
+    f = jet[0]
+    out = [f ** (1.0 / n)]
+    if len(jet) > 1:
+        g1 = f ** (1.0 / n - 1)
+        out.append((1.0 / n) * g1 * jet[1])
+    if len(jet) > 2:
+        out.append((1.0 / n) * (1.0 / n - 1) * f ** (1.0 / n - 2)
+                   * jet[1] ** 2 + (1.0 / n) * g1 * jet[2])
+    return out
+
+
+def centroid_plain(ctx, lam, eps):
+    """ConstructionContext.centroid as one expression: f = rho_b^n + eps
+    ((1 - lam) B + lam G) at the nodes from the context's tables, None
+    unless f is positive and finite, and the ratio of the trapezoid sums
+    of x f^{(n+1)/n} and f, each term formed where it is used."""
+    if eps == 0.0:
+        return 0.0
+    f = ctx._rho_n[0] + eps * ((1.0 - lam) * ctx._bq[0] + lam * ctx._gq[0])
+    if not (f.min() > 0 and f.max() < np.inf):
+        return None
+    n = ctx.n
+    vol = ctx._surf / n * (ctx._w @ f)
+    num = ctx._surf / (n + 1) * (ctx._w @ (ctx._x * f ** ((n + 1.0) / n)))
+    return float(num / vol)
 
 
 def meridian_kappa_plain(r, r_t, r_tt):

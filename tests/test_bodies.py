@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from centroid_sections import (RevolutionBody, SphereProfile, body_to_dict,
-                               bochner_multiplier, curvature,
+from centroid_sections import (RevolutionBody, RunConfig, SphereProfile,
+                               body_to_dict, bochner_multiplier, curvature,
                                intersection_body_test, make_base_body,
                                sphere_area)
 
@@ -63,7 +63,7 @@ def test_base_invalid_parameters(n, a):
 
 def test_curvature_unit_ball():
     rep = curvature(_ball(5))
-    assert abs(rep.kappa_min - 1.0) <= 1e-9
+    assert abs(rep.kappa_min - 1.0) <= 1e-15
     assert rep.is_convex
 
 
@@ -87,7 +87,27 @@ def test_curvature_ellipse_of_revolution():
         return 0.75 * A ** -1.5 + 1.6875 * u * u * A ** -2.5
 
     rep = curvature(_custom(5, prof, derivs=(prof_du, prof_du2)))
-    assert abs(rep.kappa_min - oracle) <= 1e-6
+    assert abs(rep.kappa_min - oracle) <= 1e-15
+
+
+def test_curvature_refuses_a_nan_node():
+    # a profile NaN at one node of the curvature grid: kappa_min is NaN,
+    # which the guard counts as not convex, whichever jet entry carries it
+    u_bad = np.cos(np.linspace(0.0, np.pi, RunConfig.curvature_grid))[1234]
+
+    def forged(f):
+        def g(u):
+            u = np.asarray(u, float)
+            return np.where(u == u_bad, np.nan, f(u))
+        return g
+
+    ball = _ball(5)
+    one, zero = ball.rho, ball.rho.derivs[0]
+    for r, d1, d2 in ((forged(one), zero, zero), (one, forged(zero), zero),
+                      (one, zero, forged(zero))):
+        rep = curvature(_custom(5, r, derivs=(d1, d2)))
+        assert np.isnan(rep.kappa_min)
+        assert rep.is_convex is False
 
 
 def test_curvature_base_body_matches_fd_oracle():
@@ -102,7 +122,7 @@ def test_curvature_base_body_matches_fd_oracle():
 def test_curvature_shipped_base_golden():
     # recorded after the first verified default run
     rep = curvature(make_base_body(5, 0.4))
-    assert abs(rep.kappa_min - 0.26302499789579986) <= 1e-9
+    assert abs(rep.kappa_min - 0.26302499789579986) <= 1e-15
 
 
 def test_flat_enough_profile_fails_convexity():

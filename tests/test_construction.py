@@ -19,6 +19,7 @@ from centroid_sections.spherical_core import (_accumulate_at_zero,
                                               _rolling_accumulate,
                                               _uniform_rule, ft_homogeneous,
                                               sphere_area)
+from centroid_sections.revolution_bodies import _log_jet, _meridian_report
 import oracles
 from oracles import (SEED, bisect_sign_change, cosine_coeffs_full, fd_deriv,
                      gap_quotient_closed, gap_quotient_mp, gap_theta_jet_mp,
@@ -380,6 +381,25 @@ def test_centroid_none_for_non_finite_power(ctx5):
         ctx._rho_n[0][1234] = bad
         assert ctx.centroid(0.3, 1e-5) is None
     assert ctx5.centroid(0.3, 1e-5) is not None
+
+
+def test_forged_power_node_is_refused(ctx5, cert5):
+    # NaN or inf at one node of rho_b^n, and 0 at the equator node, where
+    # phi is 0 and so f = rho_b^n + eps phi is 0: kappa_report is not
+    # convex there (kappa_min NaN, or 0.0 at inf, where l1 = l2 = 0 and
+    # r = inf) and the centroid is None, at both ends of the blend and
+    # inside it
+    eps = cert5["eps0"]
+    mid = ctx5._x.size // 2
+    assert ctx5._x[mid] == 0.0
+    for bad, node in ((0.0, mid), (np.inf, 1234), (np.nan, 1234)):
+        ctx = copy.copy(ctx5)
+        ctx._rho_n = [p.copy() for p in ctx5._rho_n]
+        ctx._rho_n[0][node] = bad
+        for lam in (0.0, cert5["lambda0"], 0.3, 1.0):
+            assert ctx.kappa_report(lam, eps).is_convex is False
+            assert ctx.centroid(lam, eps) is None
+    assert ctx5.kappa_report(0.3, eps).is_convex is True
 
 
 def test_centroid_functional_wrapper(cert5):
@@ -1019,30 +1039,136 @@ def test_kappa_min_tracks_base_as_eps_vanishes(ctx5):
         assert d <= 1.5 * fitted * e
 
 
+def _kappa_per_node(theta, r, l1, l2):
+    """The package's curvature at every node, one _meridian_report per
+    node, so that no second copy of the formula is needed to read it."""
+    margin = RunConfig.tolerances["convexity_margin"]
+    return np.array([
+        _meridian_report(theta[i:i + 1], r[i:i + 1], l1[i:i + 1],
+                         l2[i:i + 1], margin).kappa_min
+        for i in range(theta.size)])
+
+
 @pytest.mark.parametrize("n", [5, 6])
 @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
 @pytest.mark.parametrize("eps", [1e-3, 1e-5, 4.6e-8])
 def test_kappa_report_bit_equal_to_plain_root_jet(n, lam, eps):
-    # kappa_report reads the theta-jet of rho_b^n that the context formed
-    # once; the chain rule on the theta-jet of rho_b, forming the powers of
-    # rho_b itself (tests/oracles.py::root_jet_plain), must give the same
-    # jet, and the curvature formula on it the same report, bit for bit,
-    # NaN rows (rho^n + eps phi < 0, as at n = 6 and eps = 1e-3) included
+    # kappa_report's jet of f = rho_b^n + eps phi, from the theta-jet of
+    # rho_b^n the context formed once, and its root r = f^{1/n} are the
+    # plain chain rule's on the theta-jet of rho_b, bit for bit
+    # (tests/oracles.py::power_jet_plain, root_jet_plain).  Its curvature,
+    # from the log-derivatives l1, l2 of r, is held per node to the chain
+    # rule in fractional powers (root_of_power_jet) and the r-form
+    # curvature (meridian_kappa_plain) run in longdouble on that float64
+    # jet of f, phi blended in float64 as kappa_report blends it:
+    #
+    #   |kappa - kappa_ref| <= 8 u (1 + n l1^2 + |l2|) / (r (1 + l1^2)^{3/2}),
+    #
+    # u = 2^-53 and r, l1, l2 the reference's; n l1^2 is the scale of the
+    # cancellation in l2 = (f_tt / f - (f_t / f)^2) / n, f_t / f = n l1.
+    # The float64 r-form (root_jet_plain, meridian_kappa_plain) meets the
+    # same bound, so the bound is no looser than that form's own error.  NaN rows (f < 0, as at n = 6 and eps =
+    # 1e-3) sit where the reference's do; the argmin is the reference's
+    # node unless its two smallest values are within their bounds
     ctx = get_context(RunConfig(n=n))
     phi = [(1.0 - lam) * b + lam * g for b, g in zip(ctx._bq, ctx._gq)]
-    with np.errstate(invalid="ignore"):
-        want = oracles.root_jet_plain(n, eps, ctx._rho, phi)
-        got = counterexample._root_jet(n, eps, ctx._rho_n, phi)
-        kappa = oracles.meridian_kappa_plain(*want)
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w, equal_nan=True)
-    assert np.isnan(want[0]).any() == (n == 6 and eps == 1e-3)
-    i = int(np.argmin(kappa))
+    power = ctx._power(lam, eps, 3)
+    for got, want in zip(power, oracles.power_jet_plain(n, eps, ctx._rho,
+                                                        phi)):
+        assert np.array_equal(got, want)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        plain = oracles.root_jet_plain(n, eps, ctx._rho, phi)
+        jet = _log_jet(1.0 / n, *power)
+        kappa = _kappa_per_node(ctx._theta, *jet)
+        r_form = oracles.meridian_kappa_plain(*plain)
+        ld = np.longdouble
+        r, r_t, r_tt = oracles.root_of_power_jet(
+            ld(n), [f.astype(ld) for f in power])
+        ref = oracles.meridian_kappa_plain(r, r_t, r_tt).astype(float)
+        l1, l2 = r_t / r, r_tt / r - (r_t / r) ** 2
+        q = 1 + l1 * l1
+        bound = (8 * 2.0 ** -53 * (1 + n * l1 * l1 + abs(l2))
+                 / (r * q * np.sqrt(q))).astype(float)
+    assert np.array_equal(jet[0], plain[0], equal_nan=True)
+    nan = np.isnan(ref)
+    assert nan.any() == (n == 6 and eps == 1e-3)
+    assert np.array_equal(np.isnan(kappa), nan)
+    assert np.array_equal(np.isnan(r_form), nan)
+    assert np.all(np.abs(kappa - ref)[~nan] <= bound[~nan])
+    assert np.all(np.abs(r_form - ref)[~nan] <= bound[~nan])
     rep = ctx.kappa_report(lam, eps)
+    i = int(np.argmin(kappa))
     assert np.array_equal(rep.kappa_min, kappa[i], equal_nan=True)
     assert rep.argmin_theta == ctx._theta[i]
+    j = int(np.argmin(ref))
+    if i != j:
+        assert not nan.any()
+        assert i == int(np.argsort(ref)[1])
+        assert ref[i] - ref[j] <= bound[i] + bound[j]
     margin = RunConfig.tolerances["convexity_margin"]
     assert rep.is_convex == bool(np.isfinite(kappa[i]) and kappa[i] > margin)
+
+
+# (lambda0, eps0, centroid_at_root, root_iterations, eps_halvings) of the
+# shipped certificates, from RunConfig's defaults at each n
+_DECISIONS = {
+    5: (6.3925981521606445e-06, 2.44140625e-07, 7.333890148860073e-14,
+        26, 12),
+    6: (2.2277235984802246e-06, 3.0517578125e-08, 2.2082995896518838e-14,
+        27, 15),
+    7: (1.7881393432617188e-07, 1.9073486328125e-09, -7.740038628952106e-14,
+        24, 19),
+}
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_certificate_keeps_its_decisions(n):
+    # a rewrite of the centroid or the curvature that moves eps0's rung or
+    # a bisection step fails here, by name, before any reference digest
+    cert = run_construction(RunConfig(n=n))["certificate"]
+    got = tuple(cert[k] for k in ("lambda0", "eps0", "centroid_at_root",
+                                  "root_iterations", "eps_halvings"))
+    assert got == _DECISIONS[n]
+    assert cert["valid"]
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_centroid_bit_equal_to_plain(n):
+    # the centroid forms f and the sum of x f^{(n+1)/n} in place, and reads
+    # the bump's or the gap's table itself at lam = 0 and 1: the plain
+    # expression (tests/oracles.py::centroid_plain) gives the same bits,
+    # None (positivity lost) included
+    ctx = get_context(RunConfig(n=n))
+    rng = np.random.default_rng(SEED + n)
+    lams = (0.0, 1.0, 0.3, *rng.uniform(0.0, 1.0, 6))
+    nones = 0
+    for lam in lams:
+        for eps in (1e-3, 1e-5, 4.6e-8, _DECISIONS[n][1]):
+            want = oracles.centroid_plain(ctx, lam, eps)
+            assert ctx.centroid(lam, eps) == want, (lam, eps)
+            nones += want is None
+    assert nones > 0 if n in (6, 7) else nones == 0
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_kappa_report_at_the_blend_ends_reads_the_tables(n):
+    # at lam = 0 and 1 kappa_report reads the bump's or the gap's table as
+    # it is; the report from the general blend (1 - lam) B + lam G is the
+    # same, bit for bit, NaN minima included
+    ctx = get_context(RunConfig(n=n))
+    margin = RunConfig.tolerances["convexity_margin"]
+    for lam in (0.0, 1.0):
+        for eps in (1e-3, 1e-5, 4.6e-8, _DECISIONS[n][1]):
+            f = [p + eps * ((1.0 - lam) * b + lam * g)
+                 for p, b, g in zip(ctx._rho_n, ctx._bq, ctx._gq)]
+            with np.errstate(invalid="ignore", divide="ignore"):
+                want = _meridian_report(ctx._theta, *_log_jet(1.0 / n, *f),
+                                        margin)
+            got = ctx.kappa_report(lam, eps)
+            assert np.array_equal(got.kappa_min, want.kappa_min,
+                                  equal_nan=True)
+            assert (got.argmin_theta, got.is_convex) == (
+                want.argmin_theta, want.is_convex)
 
 
 def _assert_kappa_matches_series_route(ctx, cert):
