@@ -66,6 +66,11 @@ _GAP_THETA_SAMPLES = 512
 # its sweeps (ConstructionContext._bump_and_volume); 400 KB of tables
 _SWEPT_MAX = 1 << 14
 
+# halvings of the log2-eps interval, eps_max_halvings wide, in which a
+# context looks for select_eps's bracket: it leaves the bracket a factor
+# 2^(20/4096), 0.34 %, wide (_find_eps_bracket)
+_EPS_BRACKET_STEPS = 12
+
 def negativity_threshold(n: int, a: float) -> float:
     """Smallest u0 such that the base body's transform is negative for
     |u| > u0.  Closed form from setting the transform to zero:
@@ -211,7 +216,7 @@ class ConstructionContext:
     transform's and of the bump's own series that the transform
     coefficients stand for; the node tables that make the centroid and
     curvature of the perturbed family cheap per (lam, eps), and the
-    section rule of the sweep's volumes.
+    section rule of the sweep's volumes, and select_eps's eps bracket.
     What depends on a sweep direction's |u| alone, the bump series b_M and
     the base body's section volume, is computed the first time a sweep
     reaches that |u| and kept for the later sweeps (_bump_and_volume).
@@ -367,6 +372,17 @@ class ConstructionContext:
         # rows |u|, b_M and the section volume at each |u| <= 1 a sweep has
         # reached, ascending in |u|
         self._swept = np.empty((3, 0))
+        # (eps, c(0), c(1)) of the rung select_eps accepted last, which
+        # find_root and certify read back (_end_centroids)
+        self._last_rung = (None, None, None)
+        # select_eps's bracket, found last, as it reads the tables above,
+        # and kept with the convexity margin it holds for: select_eps reads
+        # it under that margin only
+        t_bracket = time.perf_counter()
+        self._bracket_margin = RunConfig.tolerances["convexity_margin"]
+        ok, bad, probes = self._find_eps_bracket()
+        self.eps_bracket = {"eps_ok": ok, "eps_bad": bad, "probes": probes,
+                            "seconds": time.perf_counter() - t_bracket}
 
         self.build_seconds = time.perf_counter() - t_start
 
@@ -485,43 +501,124 @@ class ConstructionContext:
 
     # -- root finding ------------------------------------------------------
 
+    def _convex_at_ends(self, eps: float) -> bool:
+        """Whether both endpoint bodies, lam = 0 and 1, are convex with the
+        package's margin at eps (NaN or inf fails)."""
+        margin = RunConfig.tolerances["convexity_margin"]
+        return (_clears(self.kappa_min(0.0, eps), margin)
+                and _clears(self.kappa_min(1.0, eps), margin))
+
+    def _probe(self, eps: float) -> tuple:
+        """(c(0), c(1), reason) at eps, reason None when eps is admissible:
+        the radial power profile positive (both centroids exist), c(0) < 0
+        < c(1) and both endpoint bodies convex with margin, tested in that
+        order; else the first test that fails."""
+        c0, c1 = self.centroid(0.0, eps), self.centroid(1.0, eps)
+        if c0 is None or c1 is None:
+            # no body at this eps: the hardest convexity failure
+            reason = "radial power profile loses positivity"
+        elif not c0 < 0.0 < c1:
+            reason = f"centroid does not bracket zero ({c0}, {c1})"
+        elif not self._convex_at_ends(eps):
+            reason = "meridian curvature margin violated"
+        else:
+            reason = None
+        return c0, c1, reason
+
+    def _find_eps_bracket(self) -> tuple:
+        """(eps_ok, eps_bad, probes): eps_ok, which _probe admits, eps_bad,
+        which it does not, and the probes made to find them.  The search
+        runs in log eps, from eps_pos 2^-eps_max_halvings up to eps_pos,
+        the tables' positivity bound: the least rho_b^n / -D over the nodes
+        where D, the bump's or the gap's table of phi, is negative.  With
+        the bottom end not admissible (as at n = 8 and 10 with the
+        automatic a) or both endpoint bodies convex at the top end, both
+        are None.  Else the exponent is halved _EPS_BRACKET_STEPS times on
+        the curvature test alone (_convex_at_ends), the one that fails
+        first in that range at n = 5 to 7: a value that fails it fails
+        _probe, so eps_bad is not admissible, and eps_ok is probed in full
+        at the end (no bracket if it fails)."""
+        rn = self._rho_n[0]
+        eps_pos = min((float(np.min(rn[d < 0] / -d[d < 0]))
+                       for d in (self._bq[0], self._gq[0]) if (d < 0).any()),
+                      default=np.inf)
+        if not np.isfinite(eps_pos):
+            return None, None, 0
+        lo, hi = -float(RunConfig.eps_max_halvings), 0.0    # exponents of 2
+        if self._probe(eps_pos * 2.0 ** lo)[2] is not None:
+            return None, None, 1
+        if self._convex_at_ends(eps_pos):
+            return None, None, 2
+        for _ in range(_EPS_BRACKET_STEPS):
+            mid = 0.5 * (lo + hi)
+            if self._convex_at_ends(eps_pos * 2.0 ** mid):
+                lo = mid
+            else:
+                hi = mid
+        ok = eps_pos * 2.0 ** lo
+        if self._probe(ok)[2] is not None:
+            return None, None, _EPS_BRACKET_STEPS + 3
+        return ok, eps_pos * 2.0 ** hi, _EPS_BRACKET_STEPS + 3
+
     def select_eps(self, eps0: float) -> dict:
         """The first rung of eps0 2^-k, k = 0..eps_max_halvings, halvings of
-        float(eps0), where the centroid brackets zero over lam in [0, 1] and
-        both endpoint bodies stay convex with margin, found by bisecting k
-        in at most 5 probes.  It is the walk's rung when the admissible
-        rungs form a suffix of the ladder, as at small eps, where c = eps
-        c_1(lam) and kappa = kappa_base + O(eps); else it is admissible and
-        its double is not, and certify checks it again."""
-        margin = RunConfig.tolerances["convexity_margin"]
+        float(eps0), that _probe admits (the centroid brackets zero over lam
+        in [0, 1] and both endpoint bodies stay convex with margin), found
+        by bisecting k.  The context's eps_bracket settles a rung at or
+        below eps_ok as admissible and one at or above eps_bad as not, with
+        no probe, and the rung the bisection stops at is probed in any
+        case; if that probe fails, or no rung passes, the bisection runs
+        again with nothing settled, in at most 5 probes, which a failure's
+        message lists.  So the rung is the plain bisection's whenever
+        admissibility does not change between a settled rung and the
+        bracket end that settles it.  That rung is the walk's when the
+        admissible rungs form a suffix of the ladder, as at small eps, where
+        c = eps c_1(lam) and kappa = kappa_base + O(eps); else it is
+        admissible and its double is not, and certify checks it again."""
         top = RunConfig.eps_max_halvings
         ladder = [float(eps0)]
         for _ in range(top):
             ladder.append(ladder[-1] * 0.5)
-        lo, hi, trail = -1, top + 1, []     # rung lo fails, rung hi passes
-        while hi - lo > 1:
-            k = (lo + hi) // 2
-            eps = ladder[k]
-            c0, c1 = self.centroid(0.0, eps), self.centroid(1.0, eps)
-            if c0 is None or c1 is None:
-                # no body at this eps: the hardest convexity failure
-                reason = "radial power profile loses positivity"
-            elif not c0 < 0.0 < c1:
-                reason = f"centroid does not bracket zero ({c0}, {c1})"
-            elif not (_clears(self.kappa_min(0.0, eps), margin)
-                      and _clears(self.kappa_min(1.0, eps), margin)):
-                reason = "meridian curvature margin violated"
-            else:
-                hi, found = k, {"eps": eps, "halvings": k,
-                                "centroid_at_0": c0, "centroid_at_1": c1}
-                continue
-            lo = k
-            trail.append(f"{k}: {eps:.3e} ({reason})")
-        if hi > top:    # every probe failed, the last at rung top
-            raise ConstructionError(
-                f"eps too large: no admissible value after {top} halvings "
-                f"(last {eps:.3e}: {reason}); probed {', '.join(trail)}")
-        return found
+        passes = [(None, None)]
+        if (self.eps_bracket["eps_ok"] is not None and self._bracket_margin
+                == RunConfig.tolerances["convexity_margin"]):
+            passes.insert(0, (self.eps_bracket["eps_ok"],
+                              self.eps_bracket["eps_bad"]))
+        for ok, bad in passes:
+            lo, hi, found, trail = -1, top + 1, None, []   # lo fails, hi passes
+            while hi - lo > 1:
+                k = (lo + hi) // 2
+                eps = ladder[k]
+                if ok is not None and eps <= ok:
+                    hi, found = k, None
+                    continue
+                if ok is not None and eps >= bad:
+                    lo = k
+                    continue
+                c0, c1, reason = self._probe(eps)
+                if reason is None:
+                    hi, found = k, (c0, c1, reason)
+                    continue
+                lo = k
+                trail.append(f"{k}: {eps:.3e} ({reason})")
+            if hi <= top:
+                c0, c1, reason = found or self._probe(ladder[hi])
+                if reason is None:
+                    self._last_rung = (ladder[hi], c0, c1)
+                    return {"eps": ladder[hi], "halvings": hi,
+                            "centroid_at_0": c0, "centroid_at_1": c1}
+        # every probe of the plain bisection failed, the last at rung top
+        raise ConstructionError(
+            f"eps too large: no admissible value after {top} halvings "
+            f"(last {eps:.3e}: {reason}); probed {', '.join(trail)}")
+
+    def _end_centroids(self, eps: float) -> tuple:
+        """(c(0), c(1)) at eps: those select_eps found when eps is the rung
+        it accepted last, evaluated otherwise."""
+        rung, c0, c1 = self._last_rung
+        if rung == eps:
+            return c0, c1
+        return self.centroid(0.0, eps), self.centroid(1.0, eps)
 
     def find_root(self, eps: float) -> dict:
         """Bisect the blend weight over [0, 1] until the centroid c is
@@ -539,8 +636,7 @@ class ConstructionContext:
         the bracket's end."""
         tol = RunConfig.tolerances["root_abs"]
         lo, hi = 0.0, 1.0
-        clo = self.centroid(lo, eps)
-        chi = self.centroid(hi, eps)
+        clo, chi = self._end_centroids(eps)
         if clo is None or chi is None or not clo < 0.0 < chi:
             raise ConstructionError(
                 f"centroid does not change sign over the bracket: "
@@ -631,7 +727,7 @@ class ConstructionContext:
             "centroid_quadrature": centroids,
             "centroid_analytic": rhs / (n * sec_vol),
             "seed_max": seed_max, "max_rel_err": float(np.max(rel)),
-            "min_margin": margin,
+            "min_margin": margin, "diameter": diam,
             "near_pole_abs": float(min(abs(centroids[1]), abs(centroids[-2])))
                              if u_grid.size > 2 else np.nan,
         }
@@ -730,7 +826,7 @@ class ConstructionContext:
         the poles' section centroids: the sweep's lhs is exactly 0 there
         (identity_sweep)."""
         tol = RunConfig.tolerances
-        c, c0, c1 = (self.centroid(x, eps) for x in (lam, 0.0, 1.0))
+        c, (c0, c1) = self.centroid(lam, eps), self._end_centroids(eps)
         sweep = self.identity_sweep(lam, eps, u_grid)
         base = _meridian_report(self._theta, *_log_jet(1, *self._rho),
                                 tol["convexity_margin"])
@@ -755,7 +851,7 @@ class ConstructionContext:
             "kappa_min_perturbed": pert.kappa_min,
             "kappa_argmin_theta": pert.argmin_theta,
             "min_section_margin": sweep["min_margin"],
-            "diameter": self.diameter(lam, eps),
+            "diameter": sweep["diameter"],
             "equator_residual": abs((1.0 - lam) * self.bump_ft_at_zero),
             "equator_residual_rel": eq_rel,
             "equator_scan": {f"{x:.2f}": self.equator_ratio(x)
@@ -830,6 +926,7 @@ def run_construction(config: Optional[RunConfig] = None) -> dict:
             "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "runtime_seconds": round(time.perf_counter() - t0
                                      + ctx.build_seconds, 3),
+            "eps_bracket": dict(ctx.eps_bracket),
         },
     }
     return {"certificate": cert, "context": ctx, "sweep": sweep,

@@ -737,6 +737,44 @@ def select_eps_walk(ctx, eps0):
         halvings += 1
 
 
+def select_eps_bisect(ctx, eps0):
+    """ConstructionContext.select_eps as plain bisection of its ladder:
+    every rung the bisection of k reaches is probed (positivity, bracket,
+    curvature at lam = 0 and 1, in that order), none settled by a
+    bracket; with no admissible rung, the message names the last probe's
+    reason and then every probe."""
+    from centroid_sections import ConstructionError, RunConfig
+    from centroid_sections.revolution_bodies import _clears
+    margin = RunConfig.tolerances["convexity_margin"]
+    top = RunConfig.eps_max_halvings
+    ladder = [float(eps0)]
+    for _ in range(top):
+        ladder.append(ladder[-1] * 0.5)
+    lo, hi, trail = -1, top + 1, []     # rung lo fails, rung hi passes
+    while hi - lo > 1:
+        k = (lo + hi) // 2
+        eps = ladder[k]
+        c0, c1 = ctx.centroid(0.0, eps), ctx.centroid(1.0, eps)
+        if c0 is None or c1 is None:
+            reason = "radial power profile loses positivity"
+        elif not c0 < 0.0 < c1:
+            reason = f"centroid does not bracket zero ({c0}, {c1})"
+        elif not (_clears(ctx.kappa_min(0.0, eps), margin)
+                  and _clears(ctx.kappa_min(1.0, eps), margin)):
+            reason = "meridian curvature margin violated"
+        else:
+            hi, found = k, {"eps": eps, "halvings": k,
+                            "centroid_at_0": c0, "centroid_at_1": c1}
+            continue
+        lo = k
+        trail.append(f"{k}: {eps:.3e} ({reason})")
+    if hi > top:
+        raise ConstructionError(
+            f"eps too large: no admissible value after {top} halvings "
+            f"(last {eps:.3e}: {reason}); probed {', '.join(trail)}")
+    return found
+
+
 def root_jet_plain(n, eps, base, phi):
     """The jet [r, r', r''] of r = (rho_b^n + eps phi)^{1/n} by the chain
     rule on the jets base = (rho_b, rho_b', rho_b'') and phi, forming

@@ -119,7 +119,7 @@ def test_construct_idempotent(cli_outdir, tmp_path, capsys):
     a = json.loads((cli_outdir / "certificate.json").read_text())
     b = json.loads((out2 / "certificate.json").read_text())
     assert set(a.pop("meta")) == set(b.pop("meta")) \
-        == {"created_utc", "runtime_seconds"}
+        == {"created_utc", "runtime_seconds", "eps_bracket"}
     assert a == b
     for name in ("profiles.csv", "sections.csv", "body.json"):
         assert (cli_outdir / name).read_bytes() == (out2 / name).read_bytes()
@@ -601,8 +601,10 @@ def test_verify_refutes_every_forged_entry(cli_outdir, tmp_path, capsys):
         names = line.split("differ: ")[-1].split(", ")
         if rc != 4 or (path[0] != "config" and ".".join(path) not in names):
             wrong.append((".".join(path), rc, names))
-    assert sorted(unforged) == ["config.a", "failures", "meta.created_utc",
-                                "meta.runtime_seconds", "schema"]
+    assert sorted(unforged) == [
+        "config.a", "failures", "meta.created_utc", "meta.eps_bracket.eps_bad",
+        "meta.eps_bracket.eps_ok", "meta.eps_bracket.probes",
+        "meta.eps_bracket.seconds", "meta.runtime_seconds", "schema"]
     assert wrong == []
 
 

@@ -1255,7 +1255,9 @@ def test_select_eps_matches_the_walk_down_its_ladder():
 
 def test_select_eps_probes_at_most_five_rungs(monkeypatch):
     # a walk from RunConfig.eps at n = 6 halves 15 times, 32 centroid calls;
-    # a probe makes two centroid and at most two curvature calls
+    # a probe makes two centroid and at most two curvature calls, and the
+    # plain bisection of the 21 rungs at most five probes, the bound held
+    # here (the context's bracket leaves one, test_select_eps_warm_call_*)
     ctx = get_context(RunConfig(n=6))
     calls = {"centroid": 0, "kappa_min": 0}
     for name in calls:
@@ -1265,6 +1267,87 @@ def test_select_eps_probes_at_most_five_rungs(monkeypatch):
         monkeypatch.setattr(ctx, name, counted)
     assert ctx.select_eps(RunConfig.eps)["halvings"] == 15
     assert calls["centroid"] <= 10 and calls["kappa_min"] <= 10, calls
+
+
+def test_select_eps_matches_plain_bisection():
+    # the bracket settles rungs without a probe; the dict must be plain
+    # bisection's (tests/oracles.py::select_eps_bisect) bit for bit, or the
+    # message its full trail of probes, from seeded log-uniform starts in
+    # [1e-6, 1], four fixed ones and three whose rung 10 is eps_ok, inside
+    # the bracket and eps_bad at n = 5, 6 and 7, and with no bracket at
+    # n = 8 and 10, where every start fails
+    rng = np.random.default_rng(SEED)
+    fixed = [1e-3, 0.1, 3e-5, 10.0]
+    geometries = [(n, a) for n in (5, 6, 7) for a in (None, 0.3)]
+    for n, a in geometries + [(8, None), (10, None)]:
+        ctx = get_context(RunConfig(n=n, a=a))
+        ok, bad = ctx.eps_bracket["eps_ok"], ctx.eps_bracket["eps_bad"]
+        assert (ok is None) == (n >= 8), (n, a)
+        starts = fixed + ([] if n >= 8 else [
+            *10.0 ** rng.uniform(-6.0, 0.0, 100),
+            *(2.0 ** 10 * e for e in (ok, np.sqrt(ok * bad), bad))])
+        for eps0 in starts:
+            want = _select_or_message(oracles.select_eps_bisect, ctx, eps0)
+            got = _select_or_message(type(ctx).select_eps, ctx, eps0)
+            assert repr(got) == repr(want), (n, a, eps0)
+            if n >= 8:
+                assert want.startswith("eps too large"), (n, eps0)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_eps_bracket_brackets_admissibility(n, monkeypatch):
+    # a fresh probe, the plain bisection of a one-rung ladder, admits eps_ok
+    # and refutes eps_bad, 2^(20/4096) apart at most
+    ctx = get_context(RunConfig(n=n))
+    ok, bad = ctx.eps_bracket["eps_ok"], ctx.eps_bracket["eps_bad"]
+    assert ctx.eps_bracket["probes"] == 15
+    assert 1.0 < bad / ok <= 1.0034
+    monkeypatch.setattr(RunConfig, "eps_max_halvings", 0)
+    assert oracles.select_eps_bisect(ctx, ok)["eps"] == ok
+    with pytest.raises(ConstructionError, match="curvature"):
+        oracles.select_eps_bisect(ctx, bad)
+
+
+def test_select_eps_warm_call_probes_only_its_rung(monkeypatch):
+    # with no rung of the ladder inside the bracket, the bisection settles
+    # every rung but the one it returns, which it probes: two centroid and
+    # two curvature calls.  find_root then reads c(0) and c(1) back, and
+    # still stops where plain bisection does
+    ctx = get_context(RunConfig(n=6))
+    ok, bad = ctx.eps_bracket["eps_ok"], ctx.eps_bracket["eps_bad"]
+    ladder = RunConfig.eps * 0.5 ** np.arange(RunConfig.eps_max_halvings + 1)
+    assert not np.any((ladder > ok) & (ladder < bad))
+    calls = {"centroid": [], "kappa_min": []}
+    for name in calls:
+        def counted(lam, eps, name=name, method=getattr(ctx, name)):
+            calls[name].append(lam)
+            return method(lam, eps)
+        monkeypatch.setattr(ctx, name, counted)
+    eps = ctx.select_eps(RunConfig.eps)["eps"]
+    assert calls == {"centroid": [0.0, 1.0], "kappa_min": [0.0, 1.0]}
+    calls["centroid"].clear()
+    root = ctx.find_root(eps)
+    assert 0 < len(calls["centroid"]) <= 6
+    assert 0.0 not in calls["centroid"] and 1.0 not in calls["centroid"]
+    assert root == oracles.find_root_bisect(ctx, eps)
+
+
+def test_select_eps_reads_the_bracket_under_its_margin_only(tolerance):
+    # at a convexity margin of -10 the admissible rungs reach past eps_bad:
+    # the bracket, found for the package's margin, is not read, and the
+    # rung is plain bisection's (16 times eps_ok's rung at 1e-3)
+    ctx = get_context(RunConfig(n=6))
+    tolerance("convexity_margin", -10.0)
+    got = ctx.select_eps(1e-3)
+    assert got == oracles.select_eps_bisect(ctx, 1e-3)
+    assert got["eps"] > ctx.eps_bracket["eps_bad"]
+
+
+def test_certificate_meta_records_the_eps_bracket(cert5, ctx5):
+    # the bracket's ends, probes and seconds go to meta, which verify
+    # never reads
+    assert cert5["meta"]["eps_bracket"] == ctx5.eps_bracket
+    assert cert5["eps0"] <= ctx5.eps_bracket["eps_ok"]
 
 
 def test_find_root_matches_plain_bisection():
@@ -1298,8 +1381,8 @@ def test_find_root_matches_plain_bisection():
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_find_root_makes_at_most_eight_centroid_calls(n, monkeypatch):
     # plain bisection makes 28, 29 and 26 centroid calls at the default
-    # eps0; the chord bracket makes 4 (both ends and the bracket's) and
-    # then evaluates only the midpoints inside it
+    # eps0; find_root reads both ends back from select_eps, evaluates the
+    # chord bracket's 2 and then only the midpoints inside it
     ctx = get_context(RunConfig(n=n))
     eps = ctx.select_eps(RunConfig.eps)["eps"]
     calls = []

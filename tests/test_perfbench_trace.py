@@ -65,8 +65,9 @@ def test_traced_construct_records_its_layers(subprocess_env, tmp_path):
             "counterexample.kappa_min", "revolution_bodies.curvature",
             "revolution_bodies.body_to_dict"} <= set(got["spans"])
     # the root's iterations are the certificate's (26); the centroid calls
-    # are select_eps's 8, find_root's 6 and certify's 3, where a find_root
-    # that evaluated every midpoint made 28 and 39 in all
+    # are the context build's 4 (its eps bracket's two full probes),
+    # select_eps's 2, find_root's 4 and certify's 1, where a find_root that
+    # evaluated every midpoint made 28 and 39 in all
     cert = json.loads((tmp_path / "certificate.json").read_text())
     counters = got["counters"]
     assert counters["counterexample.root_iterations"] == \
