@@ -342,12 +342,20 @@ _DEMOS.update(triangle=_demo_triangle, ellipse=_demo_ellipse,
 
 
 def _planar_from_csv(path: str) -> PlanarBody:
+    """The body of a CSV whose header is x,y (polygon vertices) or
+    theta,rho (a radial profile); blank lines are skipped, and a row
+    whose field count is not the header's is named by its line."""
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, r) for r in reader if r]
     if len(rows) < 2:
         raise ValueError("CSV needs a header and at least one data row")
-    header = [c.strip().lower() for c in rows[0]]
-    data = np.array([[float(x) for x in r] for r in rows[1:]])
+    header = [c.strip().lower() for c in rows[0][1]]
+    for line, r in rows[1:]:
+        if len(r) != len(header):
+            raise ValueError(f"CSV line {line} has {len(r)} fields, "
+                             f"the header {len(header)}")
+    data = np.array([[float(x) for x in r] for _, r in rows[1:]])
     if header[:2] == ["x", "y"]:
         return polygon_body(data[:, :2])
     if header[:2] == ["theta", "rho"]:
@@ -419,8 +427,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("construct", help="build the body and certificate")
     add_common(pc)
-    pc.add_argument("--eps", type=float, default=None,
-                    help="starting perturbation size")
     pc.add_argument("--alpha-grid", dest="alpha_grid", type=int, default=None,
                     help="number of section directions")
     pc.add_argument("--seed", type=int, default=None,

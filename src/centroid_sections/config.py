@@ -1,6 +1,5 @@
 """Run configuration shared by the construction pipeline and the CLI."""
 
-import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import ClassVar, Optional
@@ -19,15 +18,15 @@ class RunConfig:
     The fields are what a caller sets; ``a`` is the flattening parameter
     of the base body, ``None`` selecting the largest candidate whose
     convexity certificate passes with margin.  The class constants are
-    the package's resolution and tolerances: no caller sets them, so a
-    context built for one geometry serves every caller, and verify holds
-    every certificate to them.  A certificate records them in its
-    ``grids`` and ``tolerances`` blocks, not in its configuration.
+    the package's resolution, tolerances and eps ladder: no caller sets
+    them, so a context built for one geometry serves every caller, and
+    verify holds every certificate to them.  A certificate records the
+    grids and tolerances in its ``grids`` and ``tolerances`` blocks, not
+    in its configuration.
     """
 
     n: int = 5
     a: Optional[float] = None
-    eps: float = 1e-3
     alpha_grid: int = 721
 
     tolerances: ClassVar = MappingProxyType({
@@ -65,6 +64,9 @@ class RunConfig:
 
     curvature_grid: ClassVar[int] = 4001
     equator_grid: ClassVar[int] = 2001
+    # the ladder eps_start 2^-k, k = 0..eps_max_halvings, from which
+    # run_construction takes eps0 (ConstructionContext.select_eps)
+    eps_start: ClassVar[float] = 1e-3
     eps_max_halvings: ClassVar[int] = 20
     root_max_iter: ClassVar[int] = 200
 
@@ -79,8 +81,6 @@ class RunConfig:
             raise ValueError("a must lie in (0, 1)")
         if self.a is not None and 1 - 2 * self.a ** (self.n - 2) <= 0:
             raise ValueError("profile not positive: a too large for this n")
-        if not 0 < self.eps < math.inf:
-            raise ValueError("eps must be positive and finite")
         if self.alpha_grid < 3:
             # the sweep needs both poles and a direction between them
             raise ValueError("alpha_grid must be at least 3")

@@ -375,13 +375,11 @@ class ConstructionContext:
         # (eps, c(0), c(1)) of the rung select_eps accepted last, which
         # find_root and certify read back (_end_centroids)
         self._last_rung = (None, None, None)
-        # select_eps's bracket, found last, as it reads the tables above,
-        # and kept with the convexity margin it holds for: select_eps reads
-        # it under that margin only
+        # select_eps's bracket, found last, as it reads the tables above
         t_bracket = time.perf_counter()
-        self._bracket_margin = RunConfig.tolerances["convexity_margin"]
-        ok, bad, probes = self._find_eps_bracket()
+        ok, bad, probes, reason = self._find_eps_bracket()
         self.eps_bracket = {"eps_ok": ok, "eps_bad": bad, "probes": probes,
+                            "reason": reason,
                             "seconds": time.perf_counter() - t_bracket}
 
         self.build_seconds = time.perf_counter() - t_start
@@ -517,8 +515,10 @@ class ConstructionContext:
         if c0 is None or c1 is None:
             # no body at this eps: the hardest convexity failure
             reason = "radial power profile loses positivity"
-        elif not c0 < 0.0 < c1:
-            reason = f"centroid does not bracket zero ({c0}, {c1})"
+        elif not c0 < 0.0:
+            reason = f"centroid does not bracket zero: c(0) = {c0:.3e} >= 0"
+        elif not c1 > 0.0:
+            reason = f"centroid does not bracket zero: c(1) = {c1:.3e} <= 0"
         elif not self._convex_at_ends(eps):
             reason = "meridian curvature margin violated"
         else:
@@ -526,91 +526,80 @@ class ConstructionContext:
         return c0, c1, reason
 
     def _find_eps_bracket(self) -> tuple:
-        """(eps_ok, eps_bad, probes): eps_ok, which _probe admits, eps_bad,
-        which it does not, and the probes made to find them.  The search
-        runs in log eps, from eps_pos 2^-eps_max_halvings up to eps_pos,
-        the tables' positivity bound: the least rho_b^n / -D over the nodes
-        where D, the bump's or the gap's table of phi, is negative.  With
-        the bottom end not admissible (as at n = 8 and 10 with the
-        automatic a) or both endpoint bodies convex at the top end, both
-        are None.  Else the exponent is halved _EPS_BRACKET_STEPS times on
-        the curvature test alone (_convex_at_ends), the one that fails
-        first in that range at n = 5 to 7: a value that fails it fails
-        _probe, so eps_bad is not admissible, and eps_ok is probed in full
-        at the end (no bracket if it fails)."""
+        """(eps_ok, eps_bad, probes, reason): eps_ok, which _probe admits,
+        eps_bad, which it does not, the probes made to find them, and, with
+        no bracket, why not (else None).  The search runs in log eps, from
+        eps_pos 2^-eps_max_halvings up to eps_pos, the tables' positivity
+        bound: the least rho_b^n / -D over the nodes where D, the bump's or
+        the gap's table of phi, is negative.  There is no bracket when the
+        bottom end is not admissible (as at n = 8 and 10 with the automatic
+        a) or both endpoint bodies are convex at the top end.  Else the
+        exponent is halved _EPS_BRACKET_STEPS times on the curvature test
+        alone (_convex_at_ends), the one that fails first in that range at
+        n = 5 to 7: a value that fails it fails _probe, so eps_bad is not
+        admissible, and eps_ok is probed in full at the end (no bracket if
+        it fails)."""
         rn = self._rho_n[0]
         eps_pos = min((float(np.min(rn[d < 0] / -d[d < 0]))
                        for d in (self._bq[0], self._gq[0]) if (d < 0).any()),
                       default=np.inf)
         if not np.isfinite(eps_pos):
-            return None, None, 0
-        lo, hi = -float(RunConfig.eps_max_halvings), 0.0    # exponents of 2
-        if self._probe(eps_pos * 2.0 ** lo)[2] is not None:
-            return None, None, 1
+            return None, None, 0, "no eps bracket: phi's tables never negative"
+        top = RunConfig.eps_max_halvings
+        lo, hi = -float(top), 0.0                           # exponents of 2
+        bottom = eps_pos * 2.0 ** lo
+        reason = self._probe(bottom)[2]
+        if reason is not None:
+            return None, None, 1, (
+                f"no eps bracket: eps_pos 2^-{top} = {bottom:.3e}, the bottom "
+                f"end, fails: {reason}")
         if self._convex_at_ends(eps_pos):
-            return None, None, 2
+            return None, None, 2, (
+                f"no eps bracket: both endpoint bodies are convex at the "
+                f"top end, eps_pos = {eps_pos:.3e}")
         for _ in range(_EPS_BRACKET_STEPS):
             mid = 0.5 * (lo + hi)
             if self._convex_at_ends(eps_pos * 2.0 ** mid):
                 lo = mid
             else:
                 hi = mid
-        ok = eps_pos * 2.0 ** lo
-        if self._probe(ok)[2] is not None:
-            return None, None, _EPS_BRACKET_STEPS + 3
-        return ok, eps_pos * 2.0 ** hi, _EPS_BRACKET_STEPS + 3
+        ok, probes = eps_pos * 2.0 ** lo, _EPS_BRACKET_STEPS + 3
+        reason = self._probe(ok)[2]
+        if reason is not None:
+            return None, None, probes, (
+                f"no eps bracket: eps_ok = {ok:.3e} fails: {reason}")
+        return ok, eps_pos * 2.0 ** hi, probes, None
 
     def select_eps(self, eps0: float) -> dict:
-        """The first rung of eps0 2^-k, k = 0..eps_max_halvings, halvings of
-        float(eps0), that _probe admits (the centroid brackets zero over lam
-        in [0, 1] and both endpoint bodies stay convex with margin), found
-        by bisecting k.  The context's eps_bracket settles a rung at or
-        below eps_ok as admissible and one at or above eps_bad as not, with
-        no probe, and the rung the bisection stops at is probed in any
-        case; if that probe fails, or no rung passes, the bisection runs
-        again with nothing settled, in at most 5 probes, which a failure's
-        message lists.  So the rung is the plain bisection's whenever
-        admissibility does not change between a settled rung and the
-        bracket end that settles it.  That rung is the walk's when the
-        admissible rungs form a suffix of the ladder, as at small eps, where
-        c = eps c_1(lam) and kappa = kappa_base + O(eps); else it is
-        admissible and its double is not, and certify checks it again."""
+        """The admissible rung (_probe) of the ladder eps0 2^-k, k =
+        0..eps_max_halvings, halvings of float(eps0), that the context's
+        eps_bracket points to: rung j, the first below eps_bad, or, when
+        rung j lies above eps_ok and fails, rung j + 1.  Every rung it
+        returns has passed its own probe.  With no bracket it raises the
+        bracket's reason; else it names eps_ok below the last rung, or the
+        rung that failed its probe."""
+        ok, bad = self.eps_bracket["eps_ok"], self.eps_bracket["eps_bad"]
+        if ok is None:
+            raise ConstructionError(self.eps_bracket["reason"])
         top = RunConfig.eps_max_halvings
-        ladder = [float(eps0)]
-        for _ in range(top):
-            ladder.append(ladder[-1] * 0.5)
-        passes = [(None, None)]
-        if (self.eps_bracket["eps_ok"] is not None and self._bracket_margin
-                == RunConfig.tolerances["convexity_margin"]):
-            passes.insert(0, (self.eps_bracket["eps_ok"],
-                              self.eps_bracket["eps_bad"]))
-        for ok, bad in passes:
-            lo, hi, found, trail = -1, top + 1, None, []   # lo fails, hi passes
-            while hi - lo > 1:
-                k = (lo + hi) // 2
-                eps = ladder[k]
-                if ok is not None and eps <= ok:
-                    hi, found = k, None
-                    continue
-                if ok is not None and eps >= bad:
-                    lo = k
-                    continue
-                c0, c1, reason = self._probe(eps)
-                if reason is None:
-                    hi, found = k, (c0, c1, reason)
-                    continue
-                lo = k
-                trail.append(f"{k}: {eps:.3e} ({reason})")
-            if hi <= top:
-                c0, c1, reason = found or self._probe(ladder[hi])
-                if reason is None:
-                    self._last_rung = (ladder[hi], c0, c1)
-                    return {"eps": ladder[hi], "halvings": hi,
-                            "centroid_at_0": c0, "centroid_at_1": c1}
-        # every probe of the plain bisection failed, the last at rung top
-        raise ConstructionError(
-            f"eps too large: no admissible value after {top} halvings "
-            f"(last {eps:.3e}: {reason}); probed {', '.join(trail)}")
+        eps, k = float(eps0), 0
+        while eps >= bad and k < top:
+            eps, k = eps * 0.5, k + 1
+        if eps >= bad:
+            raise ConstructionError(
+                f"eps too large: eps_ok = {ok:.3e} lies below the last rung, "
+                f"{eps:.3e} after {top} halvings of {eps0:.3e}")
+        c0, c1, reason = self._probe(eps)
+        if reason is not None and eps > ok and k < top:
+            eps, k = eps * 0.5, k + 1
+            c0, c1, reason = self._probe(eps)
+        if reason is not None:
+            raise ConstructionError(
+                f"eps {eps:.3e}, rung {k} of the ladder from "
+                f"{eps0:.3e}, fails: {reason}")
+        self._last_rung = (eps, c0, c1)
+        return {"eps": eps, "halvings": k,
+                "centroid_at_0": c0, "centroid_at_1": c1}
 
     def _end_centroids(self, eps: float) -> tuple:
         """(c(0), c(1)) at eps: those select_eps found when eps is the rung
@@ -867,9 +856,9 @@ class ConstructionContext:
 def get_context(config: Optional[RunConfig] = None) -> ConstructionContext:
     """The context for the geometry (n, a) of the configuration, built on
     first use and cached, so every call for one geometry returns the same
-    context.  Of the configuration only n and a are read; what else a
-    caller sets (eps, alpha_grid) goes to the context's methods as
-    arguments.  An a left None is auto_select_a's, chosen on the first
+    context.  Of the configuration only n and a are read; the sweep grid
+    a caller sets (alpha_grid) goes to the context's methods as an
+    argument.  An a left None is auto_select_a's, chosen on the first
     such call for n and kept.  The cap edge is u* + cap_margin (1 - u*),
     u* the negativity threshold of the base body's transform.
     """
@@ -889,16 +878,16 @@ def get_context(config: Optional[RunConfig] = None) -> ConstructionContext:
 
 def run_construction(config: Optional[RunConfig] = None) -> dict:
     """The certificate dict, with the context, sweep, perturbed body, root
-    and eps selection behind it: halve eps to an admissible size
-    (select_eps), bisect the blend weight to put the centroid at the
-    origin (find_root), and record and check at that (lambda0, eps0)
-    everything the claim needs (certify).  valid only if every check
-    passes."""
+    and eps selection behind it: halve RunConfig.eps_start to an
+    admissible size (select_eps), bisect the blend weight to put the
+    centroid at the origin (find_root), and record and check at that
+    (lambda0, eps0) everything the claim needs (certify).  valid only if
+    every check passes."""
     t0 = time.perf_counter()
     cfg = config or RunConfig()
     ctx = get_context(cfg)
 
-    sel = ctx.select_eps(cfg.eps)
+    sel = ctx.select_eps(RunConfig.eps_start)
     eps0 = sel["eps"]
     root = ctx.find_root(eps0)
     lam0 = root["lambda0"]

@@ -738,8 +738,9 @@ def select_eps_walk(ctx, eps0):
 
 
 def select_eps_bisect(ctx, eps0):
-    """ConstructionContext.select_eps as plain bisection of its ladder:
-    every rung the bisection of k reaches is probed (positivity, bracket,
+    """The first admissible rung of ConstructionContext.select_eps's ladder,
+    eps0 2^-k for k = 0..eps_max_halvings, by plain bisection of k: every
+    rung the bisection reaches is probed (positivity, bracket,
     curvature at lam = 0 and 1, in that order), none settled by a
     bracket; with no admissible rung, the message names the last probe's
     reason and then every probe."""

@@ -125,23 +125,47 @@ def test_construct_idempotent(cli_outdir, tmp_path, capsys):
         assert (cli_outdir / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_construct_eps_too_large_exits_3(tmp_path, capsys):
-    rc = cli.main(["construct", "--eps", "10", "--outdir", str(tmp_path)])
+def _construct_fails(tmp_path, capsys, argv) -> str:
+    """The error of a construct that exits 3 with no certificate, as
+    stderr and diagnostic.json both give it."""
+    rc = cli.main(["construct", *argv, "--outdir", str(tmp_path)])
     assert rc == 3
     err = capsys.readouterr().err
-    assert "eps too large" in err
     diag = json.loads((tmp_path / "diagnostic.json").read_text())
     assert diag["stage"] == "construction"
-    assert "eps too large" in diag["error"]
+    assert f"construction failed: {diag['error']}" in err
     assert not (tmp_path / "certificate.json").exists()
-    # the error names each rung the search probed, with its reason
-    trail = diag["error"].partition("; probed ")[2]
-    assert trail and trail in err
-    probes = [re.fullmatch(r"(\d+): (\S+) \((.+)\)", probe).groups()
-              for probe in re.split(r", (?=\d+: )", trail)]
-    assert [int(k) for k, _, _ in probes] == [10, 15, 18, 19, 20]
-    assert len({float(eps) for _, eps, _ in probes}) == 5
-    assert all(reason for _, _, reason in probes)
+    return diag["error"]
+
+
+def test_construct_eps_too_large_exits_3(tmp_path, capsys):
+    # at n = 8 the centroid at lam = 0 is positive already at the bottom of
+    # the context's eps search, so there is no bracket, and the error names
+    # that end and the centroid that failed it
+    error = _construct_fails(tmp_path, capsys, ["--n", "8"])
+    assert re.fullmatch(r"no eps bracket: eps_pos 2\^-20 = \S+, the bottom "
+                        r"end, fails: centroid does not bracket zero: "
+                        r"c\(0\) = \S+ >= 0", error), error
+
+
+def test_construct_eps_ok_below_the_ladder_exits_3(tmp_path, capsys):
+    # at n = 7 and a = 0.3 the bracket lies below the ladder's last rung,
+    # eps_start 2^-20
+    error = _construct_fails(tmp_path, capsys, ["--n", "7", "--a", "0.3"])
+    assert error == ("eps too large: eps_ok = 4.585e-11 lies below the last "
+                     "rung, 9.537e-10 after 20 halvings of 1.000e-03")
+
+
+def test_construct_names_the_rung_that_fails_its_probe(tmp_path, capsys,
+                                                       monkeypatch):
+    # a ladder from 1e-300 lies below the bracket: its first rung is probed,
+    # and the centroid, lost in rounding there, fails it; eps is not too
+    # large
+    monkeypatch.setattr(RunConfig, "eps_start", 1e-300)
+    error = _construct_fails(tmp_path, capsys, [])
+    assert error.startswith("eps 1.000e-300, rung 0 of the ladder from "
+                            "1.000e-300, fails: centroid does not bracket "
+                            "zero: c("), error
 
 
 @pytest.mark.parametrize("command,n", [
@@ -149,8 +173,9 @@ def test_construct_eps_too_large_exits_3(tmp_path, capsys):
     pytest.param("intersection-test", 27, id="intersection-test-27"),
     pytest.param("intersection-test", 100, id="intersection-test-100")])
 def test_large_n_outcomes_are_named(command, n, tmp_path, subprocess_env):
-    # no rule limits a large n: construct at n = 28 ends where n = 9 to 27
-    # do, on lost positivity at the eps floor, and the intersection test
+    # no rule limits a large n: construct at n = 28 ends where n = 13 to 27
+    # do, with no eps bracket, its bottom end's centroid not bracketing
+    # zero (at the rounding of c, about 1e-18), and the intersection test
     # at n = 27 and 100 either gives a verdict or names an unresolved
     # transform.  A named construction failure (exit 3), not a traceback
     res = subprocess.run([sys.executable, "-m", "centroid_sections.cli",
@@ -160,10 +185,12 @@ def test_large_n_outcomes_are_named(command, n, tmp_path, subprocess_env):
     assert "Traceback" not in res.stderr
     if command == "construct":
         assert res.returncode == 3
-        assert "construction failed: eps too large" in res.stderr
+        assert "construction failed: no eps bracket" in res.stderr
         diag = json.loads((tmp_path / "diagnostic.json").read_text())
         assert diag["stage"] == "construction"
-        assert "eps too large" in diag["error"]
+        assert re.fullmatch(r"no eps bracket: eps_pos 2\^-20 = \S+, the "
+                            r"bottom end, fails: centroid does not bracket "
+                            r"zero: c\([01]\) = \S+ [<>]= 0", diag["error"])
     else:
         assert res.returncode in (0, 3)
         if res.returncode == 3:
@@ -283,8 +310,7 @@ def test_construct_low_dimension_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("argv,message", [
     (["--alpha-grid", "0"], "alpha_grid must be at least 3"),
     (["--alpha-grid", "2"], "alpha_grid must be at least 3"),
-    (["--eps", "nan"], "eps must be positive and finite"),
-], ids=["alpha_grid_0", "alpha_grid_2", "nan_eps"])
+], ids=["alpha_grid_0", "alpha_grid_2"])
 def test_construct_rejects_invalid_setting(argv, message, tmp_path, capsys):
     # each is invalid input, named on stderr, before any construction work
     rc = cli.main(["construct", *argv, "--outdir", str(tmp_path)])
@@ -355,19 +381,19 @@ def test_verify_holds_nudged_root_to_package_tolerance(cli_outdir, tmp_path,
 
 def test_verify_fails_when_recheck_precondition_fails(cli_outdir, tmp_path,
                                                       capsys):
-    # a recorded request of eps = 10 admits no eps after 20 halvings: the
-    # checks at the file's (lambda0, eps0) pass, and running construct
+    # a recorded request of n = 8 has a context but no eps bracket: the
+    # checks run at the file's (lambda0, eps0), and running construct
     # again on the request fails, which refutes the certificate (exit 4) on
     # the record's named line; it is no construction failure
     path = _tampered(cli_outdir, tmp_path,
-                     lambda c: c["config"].update(eps=10.0))
+                     lambda c: c["config"].update(n=8))
     rc = cli.main(["verify", str(path)])
     out = capsys.readouterr().out.splitlines()
     assert rc == 4
-    assert out[-2].startswith("FAIL record_matches_recomputation: eps too "
-                              "large: no admissible value after 20 halvings")
+    assert out[-2].startswith("FAIL record_matches_recomputation: no eps "
+                              "bracket: eps_pos 2^-20")
     assert out[-1] == "verification FAILED"
-    assert sum(line.startswith("PASS ") for line in out) == 9
+    assert len(out) == 2 + len(cli._CHECK_READS) + 1
 
 
 def test_verify_names_a_context_that_cannot_be_built(cli_outdir, tmp_path,
@@ -604,7 +630,8 @@ def test_verify_refutes_every_forged_entry(cli_outdir, tmp_path, capsys):
     assert sorted(unforged) == [
         "config.a", "failures", "meta.created_utc", "meta.eps_bracket.eps_bad",
         "meta.eps_bracket.eps_ok", "meta.eps_bracket.probes",
-        "meta.eps_bracket.seconds", "meta.runtime_seconds", "schema"]
+        "meta.eps_bracket.reason", "meta.eps_bracket.seconds",
+        "meta.runtime_seconds", "schema"]
     assert wrong == []
 
 
@@ -685,14 +712,15 @@ def test_verify_lines_are_the_certificate_checks(construct_result,
 # configuration keys, grids, tolerances and records that certificates
 # carried while the package still had them, or while they were
 # configuration rather than package constants (config.tolerances among
-# them); nothing reads them now
+# them, and config.eps, the eps ladder's start before it was
+# RunConfig.eps_start); nothing reads them now
 DROPPED_CONFIG = {"cap_margin": 0.5, "quad_order": 256, "max_degree": 120,
                   "plot_grid": 1001, "planar_resolution": 4096,
                   "planar_theta_tol": 1e-10, "u_switch": 0.05, "gl_order": 96,
                   "bump_max_degree": 3200, "bump_quad_pad": 192,
                   "section_quad_order": 1728, "dense_eval_grid": 80001,
                   "curvature_grid": 4001, "equator_grid": 2001,
-                  "eps_max_halvings": 20, "root_max_iter": 200,
+                  "eps": 1e-3, "eps_max_halvings": 20, "root_max_iter": 200,
                   "auto_a_candidates": [0.5, 0.4, 0.3, 0.2, 0.1, 0.05],
                   "seed": 24301}
 DROPPED_GRIDS = {"u_switch": 0.05, "gl_order": 96, "bump_quad_order": 3392,
@@ -985,6 +1013,40 @@ def test_planar_header_without_data_exits_2(tmp_path, capsys, header):
     assert "data row" in capsys.readouterr().err
 
 
+def _planar_csv_lines(header) -> list:
+    """A triangle's vertices, or the blob's radius at 720 angles."""
+    if header == "x,y":
+        rows = [(0.0, 0.0), (1.0, 0.0), (0.3, 1.0)]
+    else:
+        th = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+        rows = zip(th, 1.0 + 0.3 * np.cos(th) + 0.1 * np.sin(2.0 * th))
+    return [header, *(f"{float(a)!r},{float(b)!r}" for a, b in rows)]
+
+
+@pytest.mark.parametrize("header", ["x,y", "theta,rho"])
+def test_planar_csv_skips_blank_lines(tmp_path, capsys, header):
+    # a blank line between rows or at the end of the file is no row: with
+    # it, numpy refused the rows as an inhomogeneous shape (exit 2)
+    lines = _planar_csv_lines(header)
+    path = tmp_path / "body.csv"
+    path.write_text("\n".join([*lines[:2], "", *lines[2:]]) + "\n\n")
+    assert cli.main(["planar", "--input", str(path)]) == 0
+    assert "3 bisected chords" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("header", ["x,y", "theta,rho"])
+def test_planar_csv_row_with_wrong_field_count_exits_2(tmp_path, capsys,
+                                                       header):
+    # the row is named by its line in the file, blank lines counted
+    lines = _planar_csv_lines(header)
+    lines[2] += ",1.0"
+    path = tmp_path / "body.csv"
+    path.write_text("\n".join(["", *lines]) + "\n")
+    assert cli.main(["planar", "--input", str(path)]) == 2
+    assert ("error: CSV line 4 has 3 fields, the header 2"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_planar_nonfinite_vertex_exits_2(tmp_path, capsys, bad):
     path = tmp_path / "bad.csv"
@@ -1053,6 +1115,7 @@ def test_unknown_flag_exits_2(capsys):
     # unknown now, like any other
     for argv in (["construct", "--bogus"],
                  ["construct", "--cap-margin", "0.5"],
+                 ["construct", "--eps", "1e-3"],
                  ["construct", "--quad-order", "2"],
                  ["construct", "--max-degree", "0"],
                  ["planar", "--demo", "blob", "--resolution", "0"],
@@ -1064,8 +1127,7 @@ def test_unknown_flag_exits_2(capsys):
 # every option string of every subcommand; a flag is added or removed
 # together with this table
 SUBCOMMAND_OPTIONS = {
-    "construct": {"--n", "--a", "--outdir", "--eps", "--alpha-grid",
-                  "--seed"},
+    "construct": {"--n", "--a", "--outdir", "--alpha-grid", "--seed"},
     "verify": set(),
     "intersection-test": {"--n", "--a", "--outdir"},
     "planar": {"--input", "--demo", "--outdir"},

@@ -438,7 +438,7 @@ def test_root_of_default_run(cert5):
 def test_find_root_module_level_matches(cert5):
     # eps selection and bisection again, on the package-level context
     ctx = get_context(RunConfig())
-    sel = ctx.select_eps(RunConfig().eps)
+    sel = ctx.select_eps(RunConfig.eps_start)
     res = ctx.find_root(sel["eps"])
     assert abs(res["lambda0"] - cert5["lambda0"]) <= 1e-15
     assert sel["eps"] == cert5["eps0"]
@@ -541,7 +541,7 @@ def test_sweep_lhs_matches_independent_quadrature(ctx5, n):
     # 3.8e-10 of max |rhs| at n = 5, 6 and 7; the rhs itself is 9.2e-9
     # from this lhs at n = 5
     ctx = ctx5 if n == 5 else get_context(RunConfig(n=n))
-    eps = ctx.select_eps(RunConfig.eps)["eps"]
+    eps = ctx.select_eps(RunConfig.eps_start)["eps"]
     lam = ctx.find_root(eps)["lambda0"]
     grid = np.linspace(-1.0, 1.0, RunConfig.alpha_grid)
     scale = np.max(np.abs(ctx.identity_sweep(lam, eps, grid)["rhs"]))
@@ -640,7 +640,7 @@ def test_identity_sweep_bit_equal_to_unfolded_sweep(ctx5, cert5, cold):
     # (n = 5) and at a root of n = 6, on linspace grids and mirrored ones.
     # Each sweep starts from an empty store, so it sums the series itself
     ctx6 = get_context(RunConfig(n=6))
-    eps6 = ctx6.select_eps(RunConfig.eps)["eps"]
+    eps6 = ctx6.select_eps(RunConfig.eps_start)["eps"]
     for ctx, lam, eps in ((ctx5, cert5["lambda0"], cert5["eps0"]),
                           (ctx6, ctx6.find_root(eps6)["lambda0"], eps6)):
         for size in (361, 721, 1441):
@@ -682,7 +682,7 @@ def test_warm_sweep_bit_equal_to_cold_sweep(ctx5, cold, n):
     # whose store fills as it goes, give every key of a sweep that sums
     # them afresh, bit for bit
     ctx = cold(ctx5 if n == 5 else get_context(RunConfig(n=n)))
-    eps = ctx.select_eps(RunConfig.eps)["eps"]
+    eps = ctx.select_eps(RunConfig.eps_start)["eps"]
     lam = ctx.find_root(eps)["lambda0"]
     grids = [g for size in (361, 721, 1441)
              for g in (np.linspace(-1.0, 1.0, size),
@@ -1225,7 +1225,7 @@ def test_select_eps_treats_nan_curvature_as_violation(ctx5, monkeypatch):
     monkeypatch.setattr(ctx5, "kappa_min",
                         lambda lam, eps: float("nan") if lam == 1.0 else 1.0)
     with pytest.raises(ConstructionError, match="curvature"):
-        ctx5.select_eps(RunConfig.eps)
+        ctx5.select_eps(RunConfig.eps_start)
 
 
 def _select_or_message(select, ctx, eps0):
@@ -1236,46 +1236,42 @@ def _select_or_message(select, ctx, eps0):
 
 
 def test_select_eps_matches_the_walk_down_its_ladder():
-    # the bisection returns the walk's first admissible rung and its
-    # centroids, or the walk's message followed by the probes it made
+    # the rung the bracket points to is the walk's first admissible rung,
+    # dict for dict, and one fails where the other does, at n = 5, 6, 7, 8
+    # and 10 with the automatic a and a = 0.3: from five fixed starts (10
+    # fails at every geometry, 1e-300 at every rung) and, where there is a
+    # bracket, 100 seeded log-uniform starts in [1e-6, 1] and those whose
+    # rung 0, 10 or 20 is eps_ok, the bracket's geometric mean or eps_bad.
+    # With no bracket (n = 8 and 10, and 10 at a = 0.3) every start fails
     rng = np.random.default_rng(SEED)
-    starts = [(n, a, eps0) for n in (5, 6, 7, 8, 10) for a in (None, 0.3)
-              for eps0 in (1e-3, 0.1, 3e-5, 10.0)]
-    starts += [(6, None, float(eps0))
-               for eps0 in 10.0 ** rng.uniform(-4.0, -2.0, size=100)]
-    for n, a, eps0 in starts:
+    fixed = [1e-3, 0.1, 3e-5, 10.0, 1e-300]
+    for n, a in [(n, a) for n in (5, 6, 7, 8, 10) for a in (None, 0.3)]:
         ctx = get_context(RunConfig(n=n, a=a))
-        want = _select_or_message(oracles.select_eps_walk, ctx, eps0)
-        got = _select_or_message(type(ctx).select_eps, ctx, eps0)
-        if isinstance(want, str):
-            assert got.startswith(want + "; probed "), (n, a, eps0)
-        else:
-            assert got == want, (n, a, eps0)
-
-
-def test_select_eps_probes_at_most_five_rungs(monkeypatch):
-    # a walk from RunConfig.eps at n = 6 halves 15 times, 32 centroid calls;
-    # a probe makes two centroid and at most two curvature calls, and the
-    # plain bisection of the 21 rungs at most five probes, the bound held
-    # here (the context's bracket leaves one, test_select_eps_warm_call_*)
-    ctx = get_context(RunConfig(n=6))
-    calls = {"centroid": 0, "kappa_min": 0}
-    for name in calls:
-        def counted(lam, eps, name=name, method=getattr(ctx, name)):
-            calls[name] += 1
-            return method(lam, eps)
-        monkeypatch.setattr(ctx, name, counted)
-    assert ctx.select_eps(RunConfig.eps)["halvings"] == 15
-    assert calls["centroid"] <= 10 and calls["kappa_min"] <= 10, calls
+        ok, bad = ctx.eps_bracket["eps_ok"], ctx.eps_bracket["eps_bad"]
+        assert (ok is None) == ((n, a) in {(8, None), (10, None), (10, 0.3)})
+        starts = fixed + ([] if ok is None else [
+            *10.0 ** rng.uniform(-6.0, 0.0, 100),
+            *(2.0 ** k * e for k in (0, 10, 20)
+              for e in (ok, np.sqrt(ok * bad), bad))])
+        for eps0 in starts:
+            want = _select_or_message(oracles.select_eps_walk, ctx, eps0)
+            got = _select_or_message(type(ctx).select_eps, ctx, eps0)
+            if isinstance(want, str) or isinstance(got, str):
+                assert isinstance(want, str) and isinstance(got, str), (
+                    n, a, eps0, want, got)
+            else:
+                assert got == want, (n, a, eps0)
+            if ok is None:
+                assert got.startswith("no eps bracket"), (n, a, eps0)
 
 
 def test_select_eps_matches_plain_bisection():
-    # the bracket settles rungs without a probe; the dict must be plain
-    # bisection's (tests/oracles.py::select_eps_bisect) bit for bit, or the
-    # message its full trail of probes, from seeded log-uniform starts in
-    # [1e-6, 1], four fixed ones and three whose rung 10 is eps_ok, inside
-    # the bracket and eps_bad at n = 5, 6 and 7, and with no bracket at
-    # n = 8 and 10, where every start fails
+    # select_eps probes one rung or two; the dict must be plain bisection's
+    # (tests/oracles.py::select_eps_bisect) bit for bit, and one fails
+    # where the other does, from seeded log-uniform starts in [1e-6, 1],
+    # four fixed ones and three whose rung 10 is eps_ok, inside the bracket
+    # and eps_bad at n = 5, 6 and 7, and with no bracket at n = 8 and 10,
+    # where every start fails and select_eps names the missing bracket
     rng = np.random.default_rng(SEED)
     fixed = [1e-3, 0.1, 3e-5, 10.0]
     geometries = [(n, a) for n in (5, 6, 7) for a in (None, 0.3)]
@@ -1289,33 +1285,62 @@ def test_select_eps_matches_plain_bisection():
         for eps0 in starts:
             want = _select_or_message(oracles.select_eps_bisect, ctx, eps0)
             got = _select_or_message(type(ctx).select_eps, ctx, eps0)
-            assert repr(got) == repr(want), (n, a, eps0)
+            if isinstance(want, str) or isinstance(got, str):
+                assert isinstance(want, str) and isinstance(got, str), (
+                    n, a, eps0, want, got)
+                assert want.startswith("eps too large"), (n, a, eps0)
+            else:
+                assert repr(got) == repr(want), (n, a, eps0)
             if n >= 8:
-                assert want.startswith("eps too large"), (n, eps0)
+                assert got.startswith("no eps bracket"), (n, eps0)
+
+
+def test_select_eps_probes_one_rung_or_two(monkeypatch):
+    # a walk from RunConfig.eps_start at n = 6 halves 15 times, 32 centroid
+    # calls; a probe makes two centroid and at most two curvature calls,
+    # and select_eps probes the first rung below eps_bad and, only when
+    # that rung lies inside the bracket and fails, the next
+    ctx = get_context(RunConfig(n=6))
+    ok, bad = ctx.eps_bracket["eps_ok"], ctx.eps_bracket["eps_bad"]
+    probes = []
+    real = ctx._probe
+    monkeypatch.setattr(ctx, "_probe",
+                        lambda eps: probes.append(eps) or real(eps))
+    assert ctx.select_eps(RunConfig.eps_start)["halvings"] == 15
+    assert probes == [RunConfig.eps_start * 0.5 ** 15]
+    # rung 10 inside the bracket, and failing there: rungs 10 and 11
+    inside = 2.0 ** 10 * np.sqrt(ok * bad)
+    probes.clear()
+    monkeypatch.setattr(ctx, "_probe", lambda eps: probes.append(eps) or (
+        real(eps)[:2] + ("forced",) if eps > ok else real(eps)))
+    assert ctx.select_eps(inside)["halvings"] == 11
+    assert probes == [inside * 0.5 ** 10, inside * 0.5 ** 11]
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_eps_bracket_brackets_admissibility(n, monkeypatch):
-    # a fresh probe, the plain bisection of a one-rung ladder, admits eps_ok
-    # and refutes eps_bad, 2^(20/4096) apart at most
+    # a fresh probe, the walk down a one-rung ladder, admits eps_ok and
+    # refutes eps_bad, 2^(20/4096) apart at most
     ctx = get_context(RunConfig(n=n))
     ok, bad = ctx.eps_bracket["eps_ok"], ctx.eps_bracket["eps_bad"]
     assert ctx.eps_bracket["probes"] == 15
+    assert ctx.eps_bracket["reason"] is None
     assert 1.0 < bad / ok <= 1.0034
     monkeypatch.setattr(RunConfig, "eps_max_halvings", 0)
-    assert oracles.select_eps_bisect(ctx, ok)["eps"] == ok
+    assert oracles.select_eps_walk(ctx, ok)["eps"] == ok
     with pytest.raises(ConstructionError, match="curvature"):
-        oracles.select_eps_bisect(ctx, bad)
+        oracles.select_eps_walk(ctx, bad)
 
 
 def test_select_eps_warm_call_probes_only_its_rung(monkeypatch):
-    # with no rung of the ladder inside the bracket, the bisection settles
-    # every rung but the one it returns, which it probes: two centroid and
-    # two curvature calls.  find_root then reads c(0) and c(1) back, and
-    # still stops where plain bisection does
+    # with no rung of the ladder inside the bracket, select_eps probes the
+    # one it returns and no other: two centroid and two curvature calls.
+    # find_root then reads c(0) and c(1) back, and still stops where plain
+    # bisection does
     ctx = get_context(RunConfig(n=6))
     ok, bad = ctx.eps_bracket["eps_ok"], ctx.eps_bracket["eps_bad"]
-    ladder = RunConfig.eps * 0.5 ** np.arange(RunConfig.eps_max_halvings + 1)
+    ladder = (RunConfig.eps_start
+              * 0.5 ** np.arange(RunConfig.eps_max_halvings + 1))
     assert not np.any((ladder > ok) & (ladder < bad))
     calls = {"centroid": [], "kappa_min": []}
     for name in calls:
@@ -1323,24 +1348,13 @@ def test_select_eps_warm_call_probes_only_its_rung(monkeypatch):
             calls[name].append(lam)
             return method(lam, eps)
         monkeypatch.setattr(ctx, name, counted)
-    eps = ctx.select_eps(RunConfig.eps)["eps"]
+    eps = ctx.select_eps(RunConfig.eps_start)["eps"]
     assert calls == {"centroid": [0.0, 1.0], "kappa_min": [0.0, 1.0]}
     calls["centroid"].clear()
     root = ctx.find_root(eps)
     assert 0 < len(calls["centroid"]) <= 6
     assert 0.0 not in calls["centroid"] and 1.0 not in calls["centroid"]
     assert root == oracles.find_root_bisect(ctx, eps)
-
-
-def test_select_eps_reads_the_bracket_under_its_margin_only(tolerance):
-    # at a convexity margin of -10 the admissible rungs reach past eps_bad:
-    # the bracket, found for the package's margin, is not read, and the
-    # rung is plain bisection's (16 times eps_ok's rung at 1e-3)
-    ctx = get_context(RunConfig(n=6))
-    tolerance("convexity_margin", -10.0)
-    got = ctx.select_eps(1e-3)
-    assert got == oracles.select_eps_bisect(ctx, 1e-3)
-    assert got["eps"] > ctx.eps_bracket["eps_bad"]
 
 
 def test_certificate_meta_records_the_eps_bracket(cert5, ctx5):
@@ -1355,12 +1369,13 @@ def test_find_root_matches_plain_bisection():
     # centroid; lambda0, the iteration count and the centroid at the root
     # must be plain bisection's (tests/oracles.py::find_root_bisect) bit
     # for bit, at the selected eps and at its half and quarter, from
-    # RunConfig.eps and 20 seeded log-uniform starts at n = 5, 6 and 7,
+    # RunConfig.eps_start and 20 seeded log-uniform starts at n = 5, 6 and 7,
     # and on a linear centroid
     rng = np.random.default_rng(SEED)
     for n in (5, 6, 7):
         ctx = get_context(RunConfig(n=n))
-        for eps0 in (RunConfig.eps, *10.0 ** rng.uniform(-4.5, -3.0, 20)):
+        starts = 10.0 ** rng.uniform(-4.5, -3.0, 20)
+        for eps0 in (RunConfig.eps_start, *starts):
             eps = ctx.select_eps(float(eps0))["eps"]
             for e in (eps, eps / 2, eps / 4):
                 assert (ctx.find_root(e)
@@ -1384,7 +1399,7 @@ def test_find_root_makes_at_most_eight_centroid_calls(n, monkeypatch):
     # eps0; find_root reads both ends back from select_eps, evaluates the
     # chord bracket's 2 and then only the midpoints inside it
     ctx = get_context(RunConfig(n=n))
-    eps = ctx.select_eps(RunConfig.eps)["eps"]
+    eps = ctx.select_eps(RunConfig.eps_start)["eps"]
     calls = []
 
     def counted(lam, eps, method=ctx.centroid):
@@ -1396,10 +1411,10 @@ def test_find_root_makes_at_most_eight_centroid_calls(n, monkeypatch):
 
 
 def test_get_context_returns_one_context_per_geometry(ctx5):
-    # the context depends on (n, a) alone: a caller's eps and
-    # sweep grid neither rebuild it nor copy it
+    # the context depends on (n, a) alone: a caller's sweep grid neither
+    # rebuilds it nor copies it
     assert get_context(RunConfig()) is get_context(
-        RunConfig(eps=1e-2, alpha_grid=101)) is ctx5
+        RunConfig(alpha_grid=101)) is ctx5
 
 
 def test_get_context_chooses_the_automatic_a_once_per_n(monkeypatch):
@@ -1415,14 +1430,16 @@ def test_get_context_chooses_the_automatic_a_once_per_n(monkeypatch):
 
 
 def test_context_cache_hit_binds_callers_config(ctx5, cert5, tolerance):
-    # run_construction hands its configuration's eps and sweep grid to the
-    # cached context as arguments
+    # run_construction hands its configuration's sweep grid, and the eps
+    # ladder's start as it reads it then, to the cached context as arguments
     res = run_construction(RunConfig(alpha_grid=361))
     assert res["context"] is ctx5
     assert res["sweep"]["u_grid"].size == 361
-    with pytest.raises(ConstructionError, match="after 20 halvings"):
-        run_construction(RunConfig(eps=10.0))
-    assert ctx5.select_eps(RunConfig.eps)["halvings"] == cert5["eps_halvings"]
+    with mock.patch.object(RunConfig, "eps_start", 10.0):
+        with pytest.raises(ConstructionError, match="after 20 halvings"):
+            run_construction(RunConfig())
+    assert (ctx5.select_eps(RunConfig.eps_start)["halvings"]
+            == cert5["eps_halvings"])
     # and the context reads the package's tolerances when it runs, not
     # when it was built: a root tolerance below the centroid's rounding
     # bisects to root_max_iter
