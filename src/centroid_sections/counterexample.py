@@ -62,9 +62,9 @@ CERTIFICATE_SCHEMA = "v1"
 # degree 77 at n = 5 and by degree 227 at n = 200
 _GAP_THETA_SAMPLES = 512
 
-# the most distinct |u| whose b_M and section volume a context keeps for
-# its sweeps (ConstructionContext._bump_and_volume); 400 KB of tables
-_SWEPT_MAX = 1 << 14
+# the most sweep directions, over all its grids, whose tables a context
+# keeps (ConstructionContext._grid_tables): about 700 KB of tables
+_SWEEP_DIRECTIONS_MAX = 1 << 14
 
 # halvings of the log2-eps interval, eps_max_halvings wide, in which a
 # context looks for select_eps's bracket: it leaves the bracket a factor
@@ -217,9 +217,8 @@ class ConstructionContext:
     coefficients stand for; the node tables that make the centroid and
     curvature of the perturbed family cheap per (lam, eps), and the
     section rule of the sweep's volumes, and select_eps's eps bracket.
-    What depends on a sweep direction's |u| alone, the bump series b_M and
-    the base body's section volume, is computed the first time a sweep
-    reaches that |u| and kept for the later sweeps (_bump_and_volume).
+    What a sweep reads of its grid alone is tabled on the first sweep of
+    that grid and kept for the later sweeps of its content (_grid_tables).
     The settings it reads are RunConfig's class constants alone, so one
     context serves every caller of its geometry.
     """
@@ -338,6 +337,8 @@ class ConstructionContext:
         self._x = _mirror(x, -1)
         s = _mirror(np.sin(theta), 1)
         self._bq, self._gq = jets(self.quotient_cosine), jets(self.gap_cosine)
+        # max |phi| over the nodes at lam = 0 and 1 (_sign_failure)
+        self._phi_max = [np.max(np.abs(d[0])) for d in (self._bq, self._gq)]
         self._rho = _theta_jet(
             self._x, s, *(np.asarray(f(self._x), dtype=np.float64)
                           for f in (self.base.rho, *self.base.rho.derivs)))
@@ -369,9 +370,8 @@ class ConstructionContext:
                     * np.where(self._ts > 0, 2, 1)).astype(np.float64)
         # slices of the section subsphere S^{n-2} are of dimension n-3
         self._subsurf = sphere_area(n - 3)
-        # rows |u|, b_M and the section volume at each |u| <= 1 a sweep has
-        # reached, ascending in |u|
-        self._swept = np.empty((3, 0))
+        # the tables of each grid swept, by its float64 bytes, oldest first
+        self._sweep_tables = {}
         # (eps, c(0), c(1)) of the rung select_eps accepted last, which
         # find_root and certify read back (_end_centroids)
         self._last_rung = (None, None, None)
@@ -444,7 +444,7 @@ class ConstructionContext:
         if eps == 0.0:
             # unperturbed body: symmetric, so the centroid is exactly 0
             return 0.0
-        f = self._power(lam, eps)[0]
+        f, g = self._power(lam, eps, 1, 1)
         # NaN fails the first test, inf the second
         if not (f.min() > 0 and f.max() < np.inf):
             return None
@@ -452,30 +452,28 @@ class ConstructionContext:
         vol = self._surf / n * (self._w @ f)
         # f^{(n+1)/n} itself: the root's centroid sits on a cancellation,
         # which f f^{1/n} would move by 1e-5 to 9e-5 of itself
-        g = np.power(f, (n + 1.0) / n)
+        np.power(f, (n + 1.0) / n, out=g)
         g *= self._x
         return float(self._surf / (n + 1) * (self._w @ g) / vol)
 
-    def _blend(self, lam: float, order: int = 3) -> tuple:
-        """The first order entries of the theta-jet (1 - lam) B + lam G of
-        phi at the nodes, B and G the bump's and the gap's (_bq, _gq).  At
-        lam = 0 and 1 that is B or G itself, up to the sign of a zero that
-        nothing after reads: rho_b^n > 0 is added to it, and its first
-        derivative enters squared."""
-        if lam == 0.0 or lam == 1.0:
-            return (self._gq if lam else self._bq)[:order]
-        return tuple((1.0 - lam) * b + lam * g
-                     for b, g in zip(self._bq[:order], self._gq[:order]))
-
-    def _power(self, lam: float, eps: float, order: int = 1) -> list:
-        """The first order entries of the theta-jet of rho_base^n + eps phi
-        at the nodes."""
-        out = []
-        for p, d in zip(self._rho_n, self._blend(lam, order)):
-            f = eps * d
-            f += p
-            out.append(f)
-        return out
+    def _power(self, lam: float, eps: float, order: int = 1,
+               spare: int = 0) -> np.ndarray:
+        """Rows of one fresh block: the theta-jet of rho_base^n + eps phi at
+        the nodes to order, then spare rows of scratch.  phi's jet is (1 -
+        lam) B + lam G (_bq, _gq), blended in the row past the jet, and B
+        or G itself at lam = 0 or 1, up to the sign of a zero that nothing
+        after reads (rho_b^n > 0 is added, and f_theta enters squared)."""
+        block = np.empty((order + max(spare, 1), self._x.size))
+        scratch = block[order]
+        for i, f in enumerate(block[:order]):
+            if lam == 0.0 or lam == 1.0:
+                np.multiply((self._gq if lam else self._bq)[i], eps, out=f)
+            else:
+                np.multiply(self._gq[i], lam, out=f)
+                f += np.multiply(self._bq[i], 1.0 - lam, out=scratch)
+                f *= eps
+            f += self._rho_n[i]
+        return block[:order + spare]
 
     def kappa_min(self, lam: float, eps: float) -> float:
         """Minimum meridian curvature of the perturbed body."""
@@ -486,9 +484,8 @@ class ConstructionContext:
         package's convexity margin: r = f^{1/n} and the theta-derivatives
         of log r from the theta-jet of f = rho_b^n + eps phi at the nodes
         (_log_jet), one fractional power of f in all."""
-        # where f < 0 the root is NaN, and so is kappa_min, which the
-        # report's guard (_clears) counts as not convex; f = 0 makes the
-        # log-derivatives infinite
+        # where f < 0 the root is NaN, and so is kappa_min, which _clears
+        # counts as not convex; f = 0 makes the log-derivatives infinite
         with np.errstate(invalid="ignore", divide="ignore"):
             jet = _log_jet(1.0 / self.n, *self._power(lam, eps, 3))
             return _meridian_report(self._theta, *jet,
@@ -508,37 +505,55 @@ class ConstructionContext:
 
     def _probe(self, eps: float) -> tuple:
         """(c(0), c(1), reason) at eps, reason None when eps is admissible:
-        the radial power profile positive (both centroids exist), c(0) < 0
-        < c(1) and both endpoint bodies convex with margin, tested in that
-        order; else the first test that fails."""
+        both centroids exist, c(0) < 0 < c(1), each above its rounding
+        floor (_sign_failure), and both endpoint bodies convex with margin,
+        tested in that order; else the first test that fails."""
         c0, c1 = self.centroid(0.0, eps), self.centroid(1.0, eps)
         if c0 is None or c1 is None:
             # no body at this eps: the hardest convexity failure
             reason = "radial power profile loses positivity"
-        elif not c0 < 0.0:
-            reason = f"centroid does not bracket zero: c(0) = {c0:.3e} >= 0"
-        elif not c1 > 0.0:
-            reason = f"centroid does not bracket zero: c(1) = {c1:.3e} <= 0"
+        elif sign := (self._sign_failure(0, eps, c0)
+                      or self._sign_failure(1, eps, c1)):
+            reason = f"centroid does not bracket zero: {sign}"
         elif not self._convex_at_ends(eps):
             reason = "meridian curvature margin violated"
         else:
             reason = None
         return c0, c1, reason
 
+    def _sign_failure(self, end: int, eps: float, c: float) -> Optional[str]:
+        """Why the centroid c at lam = end, 0 or 1, fails its end of the
+        bracket, or None: |c| within its rounding floor, where its sign is
+        noise, or the wrong sign.  The floor is 8 u (|S^{n-2}| / (n + 1))
+        (w . |x f^{(n+1)/n}|) / vol, u = 2^-53, of the centroid's own sums,
+        formed only when |c| is not above the bound 8 u n / (n + 1) (1 +
+        eps max|phi|)^{1/n} that |x| <= 1 and rho_b <= 1 give."""
+        n = self.n
+        scale = 8 * 2.0 ** -53 * n / (n + 1)
+        floor = scale * (1.0 + eps * self._phi_max[end]) ** (1.0 / n)
+        if not abs(c) > floor:
+            f, g = self._power(end, eps, 1, 1)
+            np.power(f, (n + 1.0) / n, out=g)
+            g *= self._x
+            floor = scale * (self._w @ np.abs(g, out=g)) / (self._w @ f)
+        if not abs(c) > floor:
+            return (f"c({end}) = {c:.3e} lies within its rounding floor "
+                    f"{floor:.3e}")
+        wrong = (c > 0.0) == (end == 0)
+        return f"c({end}) = {c:.3e} {'><'[end]}= 0" if wrong else None
+
     def _find_eps_bracket(self) -> tuple:
         """(eps_ok, eps_bad, probes, reason): eps_ok, which _probe admits,
-        eps_bad, which it does not, the probes made to find them, and, with
-        no bracket, why not (else None).  The search runs in log eps, from
-        eps_pos 2^-eps_max_halvings up to eps_pos, the tables' positivity
-        bound: the least rho_b^n / -D over the nodes where D, the bump's or
-        the gap's table of phi, is negative.  There is no bracket when the
-        bottom end is not admissible (as at n = 8 and 10 with the automatic
-        a) or both endpoint bodies are convex at the top end.  Else the
-        exponent is halved _EPS_BRACKET_STEPS times on the curvature test
-        alone (_convex_at_ends), the one that fails first in that range at
-        n = 5 to 7: a value that fails it fails _probe, so eps_bad is not
-        admissible, and eps_ok is probed in full at the end (no bracket if
-        it fails)."""
+        eps_bad, which it does not, the probes made, and why there is no
+        bracket (else None).  The search runs in log eps, from eps_pos
+        2^-eps_max_halvings up to eps_pos, the least rho_b^n / -D over the
+        nodes where D, the bump's or the gap's table of phi, is negative.
+        There is no bracket when the bottom end is not admissible (as from
+        n = 8 on with the automatic a) or both endpoint bodies are convex
+        at the top end.  Else the exponent is halved _EPS_BRACKET_STEPS
+        times on the curvature test alone (_convex_at_ends), which fails
+        first in that range at n = 5 to 7 and fails _probe with it, and
+        eps_ok is probed in full at the end (no bracket if it fails)."""
         rn = self._rho_n[0]
         eps_pos = min((float(np.min(rn[d < 0] / -d[d < 0]))
                        for d in (self._bq[0], self._gq[0]) if (d < 0).any()),
@@ -615,14 +630,15 @@ class ConstructionContext:
 
         c = eps c_1(lam) + O(eps^2) with c_1 affine in lam, so the chord
         through (0, c(0)) and (1, c(1)) predicts where |c| <= tol, and
-        that window widened 4 times gives (a, b).  When c(a) < -tol and
-        c(b) > tol, a midpoint at or below a moves the lower end, one at or
-        above b the upper end, and only midpoints inside (a, b) are
-        evaluated; when not, (a, b) is (0, 1) and every midpoint is.  So
-        the midpoints, the one it stops at and the iteration count are
-        those of a bisection that evaluates every midpoint, bit for bit,
-        whenever c increases at the scale of tol between a midpoint and
-        the bracket's end."""
+        that window widened by 1/16 gives (a, b) (|c| at the chord's guess
+        stayed under 5e-4 tol over 300 warm starts each at n = 5, 6, 7 and
+        at a = 0.3).  When c(a) < -tol and c(b) > tol, a midpoint at or
+        below a moves the lower end, one at or above b the upper end, and
+        only midpoints inside (a, b) are evaluated; when not, (a, b) is
+        (0, 1) and every midpoint is.  So the midpoints, the one it stops
+        at and the iteration count are those of a bisection that evaluates
+        every midpoint, bit for bit, whenever c increases at the scale of
+        tol between a midpoint and the bracket's end."""
         tol = RunConfig.tolerances["root_abs"]
         lo, hi = 0.0, 1.0
         clo, chi = self._end_centroids(eps)
@@ -630,7 +646,8 @@ class ConstructionContext:
             raise ConstructionError(
                 f"centroid does not change sign over the bracket: "
                 f"{clo} vs {chi}")
-        guess, half = -clo / (chi - clo), 4.0 * tol / (chi - clo)
+        guess = -clo / (chi - clo)
+        half = (1.0 + 1.0 / 16) * tol / (chi - clo)
         a, b = guess - half, guess + half
         ca, cb = self.centroid(a, eps), self.centroid(b, eps)
         if ca is None or cb is None or not (ca < -tol and cb > tol):
@@ -677,95 +694,83 @@ class ConstructionContext:
             lhs(u) = eps (2 pi)^n / pi [(1 - lam)(b_M(u) - b_M(1))
                                         + lam gap(u)],
 
-        b_M the bump series at the grid's distinct |u| and 1, summed the
-        first time a sweep on the context reaches a |u| and read back
-        after (_bump_and_volume), so that a sweep at a later (lam, eps)
-        only forms this combination; the poles' lhs is exactly 0, b_M(1)
-        cancelling itself and gap(+-1) being 0.  Right
-        side: eps (2 pi)^n / pi times the seed, so the two differ by the
-        bump's truncation b_M - b alone; rel_err is their difference over
-        rhs_max, that multiple of seed_max (_seed_max), the gap and the
-        bump each evaluated once over the grid.  The reported section
-        centroids divide lhs by n times the base body's section volume,
-        read back like b_M: the perturbation's first-order term is odd
-        over the section and adds nothing to it.
+        b_M the bump series, tabled per grid with all else a sweep reads
+        of the grid alone (_grid_tables), so that a later sweep of it only
+        forms this combination; the poles' lhs is exactly 0.  Right side:
+        eps (2 pi)^n / pi times the seed, so the two differ by the bump's
+        truncation b_M - b alone; rel_err is their difference over
+        rhs_max, that multiple of seed_max, max |seed| over the grid, the
+        equator and the bump's peaks +-(1 + cap_u0)/2, which a grid that
+        misses the caps' interior would understate.  The section centroids
+        divide lhs by n times the base body's section volume: the
+        perturbation's first-order term is odd over the section.
         """
         u_grid = np.asarray(u_grid, dtype=float)
-        n = self.n
+        size, n = u_grid.size, self.n
         scale = eps * (2.0 * np.pi) ** n / np.pi
-        a, inv = np.unique(np.append(np.abs(u_grid), 1.0),
-                           return_inverse=True)
-        b, vol = self._bump_and_volume(a)
-        sec_vol = vol[inv[:-1]]
-        # the seed's gap part, which lhs shares
-        lam_gap = lam * np.asarray(self.gap(u_grid), dtype=float)
-        lhs = scale * ((1.0 - lam) * (b[inv[:-1]] - b[inv[-1]]) + lam_gap)
-        seed = ((1.0 - lam) * np.asarray(self.bump(u_grid), dtype=float)
-                + lam_gap)
-        rhs = scale * seed
-        seed_max = self._seed_max(lam, seed)
+        bump_diff, n_vol, bump, gap, inner = self._grid_tables(u_grid)
+        # the seed's gap part, which lhs shares; seed_max reads 3 past size
+        lam_gap = lam * gap
+        lhs = (1.0 - lam) * bump_diff
+        lhs += lam_gap[:size]
+        lhs *= scale
+        seed = (1.0 - lam) * bump
+        seed += lam_gap
+        seed_max = float(np.max(np.abs(seed)))
+        rhs = scale * seed[:size]
         rhs_max = scale * seed_max
         rel = np.abs(lhs - rhs) / max(rhs_max, 1e-300)
-        centroids = lhs / (n * sec_vol)
-        inner = np.abs(u_grid) < 1.0
+        centroids = lhs / n_vol
         diam = self.diameter(lam, eps)
         margin = float(np.min(centroids[inner]) / diam) if inner.any() else np.nan
         return {
             "u_grid": u_grid,
             "lhs": lhs, "rhs": rhs, "rel_err": rel, "rhs_max": rhs_max,
             "centroid_quadrature": centroids,
-            "centroid_analytic": rhs / (n * sec_vol),
+            "centroid_analytic": rhs / n_vol,
             "seed_max": seed_max, "max_rel_err": float(np.max(rel)),
             "min_margin": margin, "diameter": diam,
             "near_pole_abs": float(min(abs(centroids[1]), abs(centroids[-2])))
-                             if u_grid.size > 2 else np.nan,
+                             if size > 2 else np.nan,
         }
 
-    def _bump_and_volume(self, a: np.ndarray) -> tuple:
-        """(b_M, V) at the ascending distinct |u| a: the bump series, summed
-        from its cosine series bump_cosine (_cosine_sum), and the base
-        body's section volume, both of which depend on |u| alone.  They are
-        read back where an earlier sweep stored them; the rest are summed
-        and stored, ascending in |u|, if |u| <= 1 (NaN is not), while
-        fewer than _SWEPT_MAX are.  Either way a value has the same bits,
-        since both sums give each point its bits in any batch."""
-        known = self._swept
-        at = np.searchsorted(known[0], a)
-        hit = at < known.shape[1]
-        hit[hit] = known[0, at[hit]] == a[hit]
-        b, vol = np.empty(a.size), np.empty(a.size)
-        b[hit], vol[hit] = known[1:, at[hit]]
-        new = ~hit
-        if new.any():
-            b[new] = _cosine_sum(self.bump_cosine, a[new], "even")
-            # the section volumes on the folded subsphere rule, each the
-            # pairwise sum of its own row (np.sum along the nodes), so it
-            # has the same bits whichever directions share the call (a BLAS
-            # product does not fix that, and np.einsum's running sum is
-            # about twice as far from the longdouble sum)
-            n = self.n
-            r = np.sqrt(np.maximum(0.0, 1.0 - a[new] ** 2))
-            rho = np.asarray(self.base.rho(r[:, None] * self._ts),
-                             dtype=float)
-            vol[new] = self._subsurf / (n - 1) * np.sum(
-                rho ** (n - 1) * self._tw, axis=1)
-            # NaN fails a <= 1; a new |u| goes in before known[0, at]
-            keep = (new & (a <= 1.0)).nonzero()[0]
-            keep = keep[:_SWEPT_MAX - known.shape[1]]
-            if keep.size:
-                self._swept = np.insert(known, at[keep],
-                                        np.stack([a, b, vol])[:, keep],
-                                        axis=1)
-        return b, vol
+    def _grid_tables(self, u_grid: np.ndarray) -> tuple:
+        """identity_sweep's tables of u_grid alone: per direction b_M(|u|)
+        - b_M(1) and n V(|u|), from the sums at the distinct |u|
+        (_bump_and_volume), the bump and the gap, then at seed_max's three
+        points, and the mask |u| < 1.  They are kept by the grid's float64
+        bytes, so a grid changed in place is tabled afresh, the oldest
+        dropped first past _SWEEP_DIRECTIONS_MAX directions in all."""
+        key, kept = (u_grid.shape, u_grid.tobytes()), self._sweep_tables
+        if key in kept:
+            return kept[key]
+        a, inv = np.unique(np.append(np.abs(u_grid), 1.0),
+                           return_inverse=True)
+        b, vol = self._bump_and_volume(a)
+        extra = 0.5 * (1.0 + self.cap_u0) * np.array([0.0, -1.0, 1.0])
+        tables = (b[inv[:-1]] - b[inv[-1]], self.n * vol[inv[:-1]],
+                  *(np.concatenate([np.asarray(f(u_grid), dtype=float),
+                                    f(extra)]) for f in (self.bump, self.gap)),
+                  np.abs(u_grid) < 1.0)
+        if u_grid.size <= _SWEEP_DIRECTIONS_MAX:
+            while (u_grid.size + sum(t[0].size for t in kept.values())
+                   > _SWEEP_DIRECTIONS_MAX):
+                del kept[next(iter(kept))]
+            kept[key] = tables
+        return tables
 
-    def _seed_max(self, lam: float, seed: np.ndarray) -> float:
-        """max |seed| over seed, its values at the sweep's directions, and
-        at the equator and the bump's peaks +-(1 + cap_u0)/2: the scale of
-        the sweep's rel_err and of the pole truncation, which a grid that
-        misses the caps' interior would understate."""
-        peak = 0.5 * (1.0 + self.cap_u0)
-        extra = self.seed_value(np.array([0.0, -peak, peak]), lam)
-        return float(np.max(np.abs(np.append(seed, extra))))
+    def _bump_and_volume(self, a: np.ndarray) -> tuple:
+        """(b_M, V) at |u| a: the bump series (_cosine_sum), and the base
+        body's section volume on the folded subsphere rule, each the
+        pairwise sum of its own row, so each point has its bits in any
+        batch (a BLAS product does not, and np.einsum's running sum is
+        about twice as far from the longdouble sum)."""
+        n = self.n
+        r = np.sqrt(np.maximum(0.0, 1.0 - a ** 2))
+        rho = np.asarray(self.base.rho(r[:, None] * self._ts), dtype=float)
+        return (_cosine_sum(self.bump_cosine, a, "even"),
+                self._subsurf / (n - 1) * np.sum(rho ** (n - 1) * self._tw,
+                                                 axis=1))
 
     def quadrature_lhs(self, lam: float, eps: float, u) -> np.ndarray:
         """The sweep's lhs at directions u by the other route: the section
@@ -802,8 +807,11 @@ class ConstructionContext:
     def diameter(self, lam: float, eps: float) -> float:
         """Max over the nodes of rho(u) + rho(-u) (axial symmetry makes
         antipodal pairs along meridians the extremal chords)."""
-        r = self._power(lam, eps)[0] ** (1.0 / self.n)
-        return float(np.max(r + r[::-1]))
+        r, chord = self._power(lam, eps, 1, 1)
+        # NaN where rho_b^n + eps phi < 0, which fails the sweep's margin
+        with np.errstate(invalid="ignore"):
+            np.power(r, 1.0 / self.n, out=r)
+        return float(np.max(np.add(r, r[::-1], out=chord)))
 
     def certify(self, lam: float, eps: float, u_grid: np.ndarray) -> tuple:
         """(record, sweep): every certificate entry that (lam, eps)

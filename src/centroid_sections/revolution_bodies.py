@@ -124,10 +124,13 @@ def _theta_jet(u, s, f, f_u, f_uu) -> tuple:
 def _log_jet(power, f, f_t, f_tt) -> tuple:
     """(f^power, (log f^power)_theta, (log f^power)_theta_theta) from the
     theta-jet of f > 0: (f^power, power f_t / f, power (f_tt / f - (f_t /
-    f)^2)), the one chain rule for the meridian; f^1 is f itself."""
-    g = f_t / f
-    return (f if power == 1 else f ** power, power * g,
-            power * (f_tt / f - g * g))
+    f)^2)), the one chain rule for the meridian, in one block; f^1 is f."""
+    r, l1, l2 = np.empty((3,) + np.shape(f))
+    np.divide(f_tt, f, out=l2)
+    l2 -= np.square(np.divide(f_t, f, out=l1), out=r)
+    l1 *= power
+    l2 *= power
+    return f if power == 1 else np.power(f, power, out=r), l1, l2
 
 
 def _meridian_report(theta, r, l1, l2, margin: float) -> ConvexityReport:
@@ -135,9 +138,13 @@ def _meridian_report(theta, r, l1, l2, margin: float) -> ConvexityReport:
     l1 and l2 the theta-derivatives of log r (_log_jet): its curvature is
     (1 + l1^2 - l2) / (r (1 + l1^2)^{3/2}), which is (r^2 + 2 r_t^2 - r
     r_tt) / (r^2 + r_t^2)^{3/2} divided through by r^2, and the body is
-    convex iff it is.  A NaN from the jet is a NaN kappa_min."""
-    q = 1.0 + l1 * l1
-    kappa = (q - l2) / (r * q * np.sqrt(q))
+    convex iff it is, its terms formed in one block.  A NaN from the jet is
+    a NaN kappa_min."""
+    q, kappa, den = np.empty((3,) + np.shape(r))
+    np.add(np.square(l1, out=q), 1.0, out=q)
+    np.subtract(q, l2, out=kappa)
+    np.multiply(r, q, out=den)
+    kappa /= np.multiply(den, np.sqrt(q, out=q), out=den)
     i = int(np.argmin(kappa))
     kmin = float(kappa[i])
     return ConvexityReport(kappa_min=kmin, argmin_theta=float(theta[i]),

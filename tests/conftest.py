@@ -4,7 +4,6 @@ import os
 from pathlib import Path
 from types import MappingProxyType
 
-import numpy as np
 import pytest
 
 import centroid_sections
@@ -28,12 +27,12 @@ def ctx5():
 
 @pytest.fixture(scope="session")
 def cold():
-    """cold(ctx): a shallow copy of a context whose sweep store is empty,
-    so that its sweeps sum b_M and the section volumes afresh, and fill
-    the copy's store alone."""
+    """cold(ctx): a shallow copy of a context whose store of sweep grid
+    tables is empty, so that its sweeps sum b_M and the section volumes
+    afresh, and fill the copy's store alone."""
     def copy_with_empty_store(ctx):
         out = copy.copy(ctx)
-        out._swept = np.empty((3, 0))
+        out._sweep_tables = {}
         return out
     return copy_with_empty_store
 

@@ -159,13 +159,26 @@ def test_construct_eps_ok_below_the_ladder_exits_3(tmp_path, capsys):
 def test_construct_names_the_rung_that_fails_its_probe(tmp_path, capsys,
                                                        monkeypatch):
     # a ladder from 1e-300 lies below the bracket: its first rung is probed,
-    # and the centroid, lost in rounding there, fails it; eps is not too
-    # large
+    # and the centroid at lam = 0, lost in rounding there, lies within its
+    # rounding floor, which fails it; eps is not too large
     monkeypatch.setattr(RunConfig, "eps_start", 1e-300)
     error = _construct_fails(tmp_path, capsys, [])
-    assert error.startswith("eps 1.000e-300, rung 0 of the ladder from "
-                            "1.000e-300, fails: centroid does not bracket "
-                            "zero: c("), error
+    assert re.fullmatch(r"eps 1\.000e-300, rung 0 of the ladder from "
+                        r"1\.000e-300, fails: centroid does not bracket "
+                        r"zero: c\(0\) = \S+ lies within its rounding "
+                        r"floor \S+", error), error
+
+
+def test_construct_names_the_rounding_floor_at_n12(tmp_path, capsys):
+    # at n = 12 the bracket search's bottom end, eps_pos 2^-20 = 1.977e-26,
+    # has c(0) = -1.313e-18, 0.05 of the rounding scale of its own sums:
+    # its sign is noise, and the error names the floor there, not an eps
+    # bracket that lies below the ladder
+    error = _construct_fails(tmp_path, capsys, ["--n", "12"])
+    assert re.fullmatch(r"no eps bracket: eps_pos 2\^-20 = 1\.977e-26, the "
+                        r"bottom end, fails: centroid does not bracket zero: "
+                        r"c\(0\) = -1\.313e-18 lies within its rounding "
+                        r"floor \S+", error), error
 
 
 @pytest.mark.parametrize("command,n", [
@@ -173,9 +186,9 @@ def test_construct_names_the_rung_that_fails_its_probe(tmp_path, capsys,
     pytest.param("intersection-test", 27, id="intersection-test-27"),
     pytest.param("intersection-test", 100, id="intersection-test-100")])
 def test_large_n_outcomes_are_named(command, n, tmp_path, subprocess_env):
-    # no rule limits a large n: construct at n = 28 ends where n = 13 to 27
-    # do, with no eps bracket, its bottom end's centroid not bracketing
-    # zero (at the rounding of c, about 1e-18), and the intersection test
+    # no rule limits a large n: construct at n = 28 ends where n = 9 to 27
+    # do, with no eps bracket, its bottom end's c(0), about 1e-18, within
+    # the rounding floor of its own sums, and the intersection test
     # at n = 27 and 100 either gives a verdict or names an unresolved
     # transform.  A named construction failure (exit 3), not a traceback
     res = subprocess.run([sys.executable, "-m", "centroid_sections.cli",
@@ -190,7 +203,8 @@ def test_large_n_outcomes_are_named(command, n, tmp_path, subprocess_env):
         assert diag["stage"] == "construction"
         assert re.fullmatch(r"no eps bracket: eps_pos 2\^-20 = \S+, the "
                             r"bottom end, fails: centroid does not bracket "
-                            r"zero: c\([01]\) = \S+ [<>]= 0", diag["error"])
+                            r"zero: c\(0\) = \S+ lies within its rounding "
+                            r"floor \S+", diag["error"])
     else:
         assert res.returncode in (0, 3)
         if res.returncode == 3:

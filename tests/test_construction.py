@@ -1,6 +1,10 @@
 import copy
 import dataclasses
+import importlib.util
 import json
+import sys
+import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -676,11 +680,12 @@ def _assert_same_sweep(got, want):
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_warm_sweep_bit_equal_to_cold_sweep(ctx5, cold, n):
-    # b_M and the section volume depend on |u| alone, and a context keeps
-    # them for its later sweeps: linspace and mirrored grids of 361, 721
-    # and 1441 directions, interleaved, at two (lam, eps), on one context
-    # whose store fills as it goes, give every key of a sweep that sums
-    # them afresh, bit for bit
+    # what a sweep reads of its grid alone, a context tables once per grid
+    # and keeps for its later sweeps: linspace and mirrored grids of 361,
+    # 721 and 1441 directions, interleaved, at two (lam, eps), on one
+    # context whose store fills as it goes, give every key of a sweep that
+    # tables them afresh, bit for bit.  Each of the six grids is tabled
+    # once, the second round reading all six back
     ctx = cold(ctx5 if n == 5 else get_context(RunConfig(n=n)))
     eps = ctx.select_eps(RunConfig.eps_start)["eps"]
     lam = ctx.find_root(eps)["lambda0"]
@@ -691,17 +696,14 @@ def test_warm_sweep_bit_equal_to_cold_sweep(ctx5, cold, n):
         for grid in grids[rnd:] + grids[:rnd]:
             _assert_same_sweep(ctx.identity_sweep(lam_, eps_, grid),
                                cold(ctx).identity_sweep(lam_, eps_, grid))
-    # 181 + 361 + 721 distinct |u| of the mirrored grids, and those of
-    # the linspace grids that are none of them
-    known = ctx._swept[0]
-    assert known.size == np.unique(np.abs(np.concatenate(grids))).size
-    assert np.all(np.diff(known) > 0)
+    assert len(ctx._sweep_tables) == len(grids)
 
 
 def test_repeated_sweep_sums_no_series(ctx5, cert5, cold, monkeypatch):
-    # a sweep over directions whose |u| an earlier sweep on the context
-    # reached reads b_M and the section volumes back: it calls neither
-    # _cosine_sum nor the base body's radius
+    # a sweep over a grid whose float64 content an earlier sweep on the
+    # context reached, the same array or a copy, reads its tables back: it
+    # calls neither _cosine_sum nor the base body's radius.  A sub-grid
+    # such as grid[::-3] is another grid, whose tables are summed afresh
     calls = []
     real = counterexample._cosine_sum
     monkeypatch.setattr(counterexample, "_cosine_sum",
@@ -715,20 +717,43 @@ def test_repeated_sweep_sums_no_series(ctx5, cert5, cold, monkeypatch):
     first = ctx.identity_sweep(lam, eps, grid)
     assert sorted(set(calls)) == ["_cosine_sum", "rho"]
     calls.clear()
-    again = ctx.identity_sweep(0.5 * lam, 2.0 * eps, grid[::-3])
+    again = ctx.identity_sweep(0.5 * lam, 2.0 * eps, grid.copy())
     ctx.identity_sweep(lam, eps, grid)
     assert calls == []
     assert np.array_equal(again["lhs"],
                           cold(ctx5).identity_sweep(0.5 * lam, 2.0 * eps,
-                                                    grid[::-3])["lhs"])
+                                                    grid)["lhs"])
     assert first["max_rel_err"] == cert5["identity_max_relerr"]
+    sub = ctx.identity_sweep(lam, eps, grid[::-3])
+    assert sorted(set(calls)) == ["_cosine_sum", "rho"]
+    assert np.array_equal(sub["lhs"], first["lhs"][::-3])
+
+
+def test_sweep_grid_changed_in_place_is_tabled_afresh(ctx5, cert5, cold):
+    # the tables are kept by the grid's float64 bytes, not by the array:
+    # a grid written in place after a sweep is swept as the grid it now
+    # is, bit for bit, and with its first value back it reads its first
+    # tables again: three grids' tables in all
+    lam, eps = cert5["lambda0"], cert5["eps0"]
+    ctx = cold(ctx5)
+    grid = np.linspace(-1.0, 1.0, 721)
+    first = ctx.identity_sweep(lam, eps, grid)
+    for value in (0.123, np.nan, grid[100]):
+        grid[100] = value
+        got = ctx.identity_sweep(lam, eps, grid)
+        with np.errstate(invalid="ignore"):
+            _assert_same_sweep(got, cold(ctx5).identity_sweep(lam, eps, grid))
+    _assert_same_sweep(got, first)
+    assert len(ctx._sweep_tables) == 3
 
 
 def test_sweep_store_keeps_finite_directions_within_its_bound(
         ctx5, cert5, cold, monkeypatch):
-    # NaN, inf and |u| > 1 are summed as before, to NaN lhs, and never
-    # stored; the store holds at most _SWEPT_MAX distinct |u|, and a sweep
-    # past the bound still gives a fresh sweep's bits
+    # NaN, inf and |u| > 1 sum to NaN lhs, the first sweep of such a grid
+    # and the second, which reads its tables back, alike.  The store keeps
+    # at most _SWEEP_DIRECTIONS_MAX directions over all its grids: past the
+    # bound the oldest grids are dropped, a grid larger than the bound is
+    # swept but not kept, and every sweep still gives a fresh sweep's bits
     lam, eps = cert5["lambda0"], cert5["eps0"]
     ctx = cold(ctx5)
     bad = np.array([np.nan, 0.3, 1.5, -np.inf, -2.0, 0.5, np.inf, -1.0])
@@ -737,13 +762,15 @@ def test_sweep_store_keeps_finite_directions_within_its_bound(
             got = ctx.identity_sweep(lam, eps, bad)
             _assert_same_sweep(got, cold(ctx5).identity_sweep(lam, eps, bad))
     assert np.array_equal(np.isnan(got["lhs"]), ~(np.abs(bad) <= 1.0))
-    assert np.array_equal(ctx._swept[0], [0.3, 0.5, 1.0])
-    monkeypatch.setattr(counterexample, "_SWEPT_MAX", 100)
-    for size in (721, 1441):
+    assert len(ctx._sweep_tables) == 1
+    monkeypatch.setattr(counterexample, "_SWEEP_DIRECTIONS_MAX", 1100)
+    for size, kept in ((361, [8, 361]), (721, [8, 361, 721]),
+                       (101, [721, 101]), (1441, [721, 101]),
+                       (361, [101, 361])):
         grid = counterexample._mirrored_grid(size)
         _assert_same_sweep(ctx.identity_sweep(lam, eps, grid),
                            cold(ctx5).identity_sweep(lam, eps, grid))
-        assert ctx._swept.shape == (3, 100)
+        assert [shape[0] for shape, _ in ctx._sweep_tables] == kept
 
 
 def test_theta_table_matches_series_at_knots(ctx5):
@@ -1049,6 +1076,22 @@ def _kappa_per_node(theta, r, l1, l2):
         for i in range(theta.size)])
 
 
+def _kappa_reference(n, power):
+    """(kappa_ref, bound) per node: the chain rule in fractional powers
+    (root_of_power_jet) and the r-form curvature (meridian_kappa_plain)
+    run in longdouble on the float64 jet power of f = rho_b^n + eps phi,
+    and the bound 8 u (1 + n l1^2 + |l2|) / (r (1 + l1^2)^{3/2}), u =
+    2^-53, r, l1, l2 the reference's, that float64 curvature meets."""
+    ld = np.longdouble
+    r, r_t, r_tt = oracles.root_of_power_jet(ld(n),
+                                             [f.astype(ld) for f in power])
+    ref = oracles.meridian_kappa_plain(r, r_t, r_tt).astype(float)
+    l1, l2 = r_t / r, r_tt / r - (r_t / r) ** 2
+    q = 1 + l1 * l1
+    return ref, (8 * 2.0 ** -53 * (1 + n * l1 * l1 + abs(l2))
+                 / (r * q * np.sqrt(q))).astype(float)
+
+
 @pytest.mark.parametrize("n", [5, 6])
 @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
 @pytest.mark.parametrize("eps", [1e-3, 1e-5, 4.6e-8])
@@ -1081,14 +1124,7 @@ def test_kappa_report_bit_equal_to_plain_root_jet(n, lam, eps):
         jet = _log_jet(1.0 / n, *power)
         kappa = _kappa_per_node(ctx._theta, *jet)
         r_form = oracles.meridian_kappa_plain(*plain)
-        ld = np.longdouble
-        r, r_t, r_tt = oracles.root_of_power_jet(
-            ld(n), [f.astype(ld) for f in power])
-        ref = oracles.meridian_kappa_plain(r, r_t, r_tt).astype(float)
-        l1, l2 = r_t / r, r_tt / r - (r_t / r) ** 2
-        q = 1 + l1 * l1
-        bound = (8 * 2.0 ** -53 * (1 + n * l1 * l1 + abs(l2))
-                 / (r * q * np.sqrt(q))).astype(float)
+        ref, bound = _kappa_reference(n, power)
     assert np.array_equal(jet[0], plain[0], equal_nan=True)
     nan = np.isnan(ref)
     assert nan.any() == (n == 6 and eps == 1e-3)
@@ -1352,7 +1388,7 @@ def test_select_eps_warm_call_probes_only_its_rung(monkeypatch):
     assert calls == {"centroid": [0.0, 1.0], "kappa_min": [0.0, 1.0]}
     calls["centroid"].clear()
     root = ctx.find_root(eps)
-    assert 0 < len(calls["centroid"]) <= 6
+    assert 0 < len(calls["centroid"]) <= 4
     assert 0.0 not in calls["centroid"] and 1.0 not in calls["centroid"]
     assert root == oracles.find_root_bisect(ctx, eps)
 
@@ -1394,10 +1430,11 @@ def test_find_root_matches_plain_bisection():
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])
-def test_find_root_makes_at_most_eight_centroid_calls(n, monkeypatch):
+def test_find_root_makes_at_most_four_centroid_calls(n, monkeypatch):
     # plain bisection makes 28, 29 and 26 centroid calls at the default
     # eps0; find_root reads both ends back from select_eps, evaluates the
-    # chord bracket's 2 and then only the midpoints inside it
+    # chord bracket's 2 and then only the midpoints inside it, where |c|
+    # is within tol nearly everywhere
     ctx = get_context(RunConfig(n=n))
     eps = ctx.select_eps(RunConfig.eps_start)["eps"]
     calls = []
@@ -1407,7 +1444,93 @@ def test_find_root_makes_at_most_eight_centroid_calls(n, monkeypatch):
         return method(lam, eps)
     monkeypatch.setattr(ctx, "centroid", counted)
     root = ctx.find_root(eps)
-    assert len(calls) <= 8 < root["iterations"], calls
+    assert len(calls) <= 4 < root["iterations"], calls
+
+
+@pytest.mark.parametrize("n,a", [(5, None), (6, None), (7, None),
+                                 (5, 0.3), (6, 0.3)])
+def test_find_root_window_never_falls_back(n, a, monkeypatch):
+    # the chord's window, 1 + 1/16 times where it predicts |c| <= tol, has
+    # c(a) < -tol and c(b) > tol at every seeded warm start, so find_root
+    # never bisects (0, 1) with every midpoint evaluated: its first two
+    # centroid calls are the window's ends, and it makes at most four.
+    # The starts are log-uniform in [1e-4, 2e-3], the benchmark's range
+    # cut where n = 7's ladder ends above its bracket
+    tol = RunConfig.tolerances["root_abs"]
+    ctx = get_context(RunConfig(n=n, a=a))
+    calls = []
+
+    def counted(lam, eps, method=ctx.centroid):
+        calls.append(method(lam, eps))
+        return calls[-1]
+    rng = np.random.default_rng(SEED + n)
+    for eps0 in 10.0 ** rng.uniform(-4.0, -2.7, 100):
+        eps = ctx.select_eps(float(eps0))["eps"]
+        calls.clear()
+        monkeypatch.setattr(ctx, "centroid", counted)
+        ctx.find_root(eps)
+        monkeypatch.undo()
+        assert calls[0] < -tol and calls[1] > tol, (eps0, calls)
+        assert len(calls) <= 4, (eps0, calls)
+
+
+def test_diameter_nan_fails_the_margin_quietly():
+    # at n = 6, lam = 0.3 and eps = 1e-2, rho_b^n + eps phi < 0 at some
+    # nodes: the diameter is NaN without a warning, as kappa_report is and
+    # as the centroid is None, and the NaN fails margin_positive
+    ctx = get_context(RunConfig(n=6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(ctx.diameter(0.3, 1e-2))
+        record, sweep = ctx.certify(0.3, 1e-2,
+                                    counterexample._mirrored_grid(361))
+    assert np.isnan(sweep["min_margin"])
+    assert record["checks"]["margin_positive"] is False
+
+
+def test_benchmark_sweep_operation_matches_the_oracles(cold, monkeypatch):
+    # the benchmark's sweep-warm-n6 operation (perfbench/worker.py) on its
+    # own inputs (perfbench/inputs.py::sweep_rounds, read without writing
+    # under perfbench/): 20 rounds of three operations on one warm n = 6
+    # context.  Each passes the benchmark's gates and is held to the slow
+    # routes of tests/oracles.py: select_eps to the walk down its ladder,
+    # find_root to plain bisection, the centroid at the root to the plain
+    # expression, the sweep to a cold context's and its lhs to the series
+    # summed one direction at a time, and kappa_min to the longdouble
+    # chain rule within its bound
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs",
+        Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    ctx = get_context(RunConfig(n=6))
+    rounds = inputs.sweep_rounds(1)
+    for _ in range(20):
+        for size, eps_start in next(rounds):
+            sel = ctx.select_eps(eps_start)
+            eps = sel["eps"]
+            root = ctx.find_root(eps)
+            lam = root["lambda0"]
+            grid = np.linspace(-1.0, 1.0, size)
+            sweep = ctx.identity_sweep(lam, eps, grid)
+            kappa_min = ctx.kappa_min(lam, eps)
+            assert inputs.sweep_failures(
+                {"sweep": sweep, "kappa_min": kappa_min},
+                RunConfig.tolerances) == []
+            assert sel == oracles.select_eps_walk(ctx, eps_start)
+            assert root == oracles.find_root_bisect(ctx, eps)
+            assert (oracles.centroid_plain(ctx, lam, eps)
+                    == root["centroid_at_root"])
+            _assert_same_sweep(sweep, cold(ctx).identity_sweep(lam, eps,
+                                                               grid))
+            assert np.array_equal(sweep["lhs"],
+                                  oracles.unfolded_sweep(ctx, lam, eps, grid))
+            phi = [(1.0 - lam) * b + lam * g
+                   for b, g in zip(ctx._bq, ctx._gq)]
+            ref, bound = _kappa_reference(
+                6, oracles.power_jet_plain(6, eps, ctx._rho, phi))
+            assert abs(kappa_min - np.min(ref)) <= np.max(bound)
 
 
 def test_get_context_returns_one_context_per_geometry(ctx5):
