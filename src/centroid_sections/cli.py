@@ -250,11 +250,8 @@ def _recheck(cert, cfg) -> bool:
     from .counterexample import _mirrored_grid, get_context, run_construction
     ctx = get_context(cfg)
     lam0, eps0 = cert["lambda0"], cert["eps0"]
-    # the record's sweep directions, each gap split in an even number of
-    # gaps, to at least twice the package's grid
-    size = cfg.alpha_grid
-    split = 2 * -(-(RunConfig.alpha_grid - 1) // (size - 1))
-    grid = _mirrored_grid(split * (size - 1) + 1)
+    # construct's sweep directions and one between each pair
+    grid = _mirrored_grid(2 * RunConfig.alpha_grid - 1)
     record, sweep = ctx.certify(lam0, eps0, grid)
     ok = True
     for name, passed in record["checks"].items():
@@ -344,7 +341,8 @@ _DEMOS.update(triangle=_demo_triangle, ellipse=_demo_ellipse,
 def _planar_from_csv(path: str) -> PlanarBody:
     """The body of a CSV whose header is x,y (polygon vertices) or
     theta,rho (a radial profile); blank lines are skipped, and a row
-    whose field count is not the header's is named by its line."""
+    whose field count is not the header's, or whose angle an earlier row
+    has, is named by its line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         rows = [(reader.line_num, r) for r in reader if r]
@@ -360,8 +358,14 @@ def _planar_from_csv(path: str) -> PlanarBody:
         return polygon_body(data[:, :2])
     if header[:2] == ["theta", "rho"]:
         th, r = data[:, 0], data[:, 1]
-        order = np.argsort(th)
+        order = np.argsort(th, kind="stable")
         th, r = th[order], r[order]
+        repeats = np.flatnonzero(th[1:] == th[:-1])
+        if repeats.size:
+            i = repeats[0]
+            raise ValueError(f"CSV line {rows[1 + order[i + 1]][0]} repeats "
+                             f"the angle {float(th[i])!r} of line "
+                             f"{rows[1 + order[i]][0]}")
         # drop samples that already sit on the wrap point so the knot
         # sequence stays strictly increasing after closing the period
         keep = th < th[0] + 2 * np.pi - 1e-12
@@ -427,8 +431,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("construct", help="build the body and certificate")
     add_common(pc)
-    pc.add_argument("--alpha-grid", dest="alpha_grid", type=int, default=None,
-                    help="number of section directions")
     pc.add_argument("--seed", type=int, default=None,
                     help="accepted and ignored: the construction is "
                          "deterministic")

@@ -15,19 +15,18 @@ class ConstructionError(RuntimeError):
 class RunConfig:
     """Numerical parameters for one end-to-end run.
 
-    The fields are what a caller sets; ``a`` is the flattening parameter
-    of the base body, ``None`` selecting the largest candidate whose
-    convexity certificate passes with margin.  The class constants are
-    the package's resolution, tolerances and eps ladder: no caller sets
-    them, so a context built for one geometry serves every caller, and
-    verify holds every certificate to them.  A certificate records the
-    grids and tolerances in its ``grids`` and ``tolerances`` blocks, not
-    in its configuration.
+    The fields are the request: the dimension ``n`` and the flattening
+    parameter ``a`` of the base body, ``None`` selecting the largest
+    candidate whose convexity certificate passes with margin.  The class
+    constants are the package's resolution, tolerances and eps ladder: no
+    caller sets them, so a context built for one geometry serves every
+    caller, and verify holds every certificate to them.  A certificate
+    records the grids and tolerances in its ``grids`` and ``tolerances``
+    blocks, not in its configuration.
     """
 
     n: int = 5
     a: Optional[float] = None
-    alpha_grid: int = 721
 
     tolerances: ClassVar = MappingProxyType({
         "equator_rel": 1e-8,
@@ -62,6 +61,10 @@ class RunConfig:
     # for even k), so N = M + 256 is exact to degree M + n for n <= 130
     section_quad_order: ClassVar[int] = 3456
 
+    # directions of construct's sweep (verify's: 2 alpha_grid - 1), uniform
+    # in u; the claim is about every direction, so their count is the
+    # package's resolution and no part of the request
+    alpha_grid: ClassVar[int] = 721
     curvature_grid: ClassVar[int] = 4001
     equator_grid: ClassVar[int] = 2001
     # the ladder eps_start 2^-k, k = 0..eps_max_halvings, from which
@@ -81,7 +84,4 @@ class RunConfig:
             raise ValueError("a must lie in (0, 1)")
         if self.a is not None and 1 - 2 * self.a ** (self.n - 2) <= 0:
             raise ValueError("profile not positive: a too large for this n")
-        if self.alpha_grid < 3:
-            # the sweep needs both poles and a direction between them
-            raise ValueError("alpha_grid must be at least 3")
         return self

@@ -184,16 +184,12 @@ def _gap_cosine(n: int) -> np.ndarray:
 
 
 def _mirrored_grid(size: int) -> np.ndarray:
-    """size points uniform in u on [-1, 1], ascending and mirrored bit for
-    bit (grid == -grid[::-1]): linspace(0, 1, (size + 1) // 2) and its
-    negation for an odd size; the nonnegative half of linspace(-1, 1,
-    size) and its negation for an even one.  A series of definite parity
-    is then summed once per distinct |u|."""
-    if size % 2:
-        half = np.linspace(0.0, 1.0, (size + 1) // 2)
-    else:
-        half = np.linspace(-1.0, 1.0, size)[size // 2:]
-    return np.concatenate([-half[::-1][:size // 2], half])
+    """size points, size odd, uniform in u on [-1, 1], ascending and
+    mirrored bit for bit (grid == -grid[::-1]): linspace(0, 1, (size + 1)
+    // 2) and its negation.  A series of definite parity is then summed
+    once per distinct |u|."""
+    half = np.linspace(0.0, 1.0, (size + 1) // 2)
+    return np.concatenate([-half[:0:-1], half])
 
 
 def _mirror(half: np.ndarray, sign: int) -> np.ndarray:
@@ -485,8 +481,9 @@ class ConstructionContext:
         of log r from the theta-jet of f = rho_b^n + eps phi at the nodes
         (_log_jet), one fractional power of f in all."""
         # where f < 0 the root is NaN, and so is kappa_min, which _clears
-        # counts as not convex; f = 0 makes the log-derivatives infinite
-        with np.errstate(invalid="ignore", divide="ignore"):
+        # counts as not convex; f = 0 makes the log-derivatives infinite,
+        # and a huge eps or lambda overflows their squares to inf
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             jet = _log_jet(1.0 / self.n, *self._power(lam, eps, 3))
             return _meridian_report(self._theta, *jet,
                                     RunConfig.tolerances["convexity_margin"])
@@ -864,9 +861,7 @@ class ConstructionContext:
 def get_context(config: Optional[RunConfig] = None) -> ConstructionContext:
     """The context for the geometry (n, a) of the configuration, built on
     first use and cached, so every call for one geometry returns the same
-    context.  Of the configuration only n and a are read; the sweep grid
-    a caller sets (alpha_grid) goes to the context's methods as an
-    argument.  An a left None is auto_select_a's, chosen on the first
+    context.  An a left None is auto_select_a's, chosen on the first
     such call for n and kept.  The cap edge is u* + cap_margin (1 - u*),
     u* the negativity threshold of the base body's transform.
     """
@@ -899,7 +894,8 @@ def run_construction(config: Optional[RunConfig] = None) -> dict:
     eps0 = sel["eps"]
     root = ctx.find_root(eps0)
     lam0 = root["lambda0"]
-    record, sweep = ctx.certify(lam0, eps0, _mirrored_grid(cfg.alpha_grid))
+    record, sweep = ctx.certify(lam0, eps0,
+                                 _mirrored_grid(RunConfig.alpha_grid))
     failures = sorted(name for name, ok in record["checks"].items() if not ok)
 
     cert = {

@@ -108,30 +108,30 @@ class Quadrature:
 # ---------------------------------------------------------------------------
 # Gegenbauer recurrences
 
-def _norm_ratios(lam, max_degree, dtype=LD):
-    """Norms h_m = integral of C_m^2 against (1-u^2)^(lam-1/2), by ratio
-    recurrence from h_0 so only one gamma evaluation enters."""
+def _norm_ratios(lam, max_degree):
+    """Norms h_m = integral of C_m^2 against (1-u^2)^(lam-1/2), in
+    longdouble, by ratio recurrence from h_0 so only one gamma evaluation
+    enters."""
     lam_f = float(lam)
-    h = np.empty(max_degree + 1, dtype=dtype)
+    h = np.empty(max_degree + 1, dtype=LD)
     h0 = np.sqrt(np.pi) * np.exp(math.lgamma(lam_f + 0.5)
                                  - math.lgamma(lam_f + 1.0))
-    h[0] = dtype(h0)
-    lam = dtype(lam)
+    h[0] = LD(h0)
+    lam = LD(lam)
     for m in range(1, max_degree + 1):
         h[m] = h[m - 1] * (m - 1 + 2 * lam) * (m - 1 + lam) / ((m + lam) * m)
     return h
 
 
-def _rolling_accumulate(coeffs, lam, u, dtype=None):
-    """Sum_m coeffs[m] C_m^lam(u), shaped like u, without a value table:
-    the three-term recurrence for C_m^lam walks the degrees over every
-    point at once, each step ((2u * (m + lam - 1)) * C_{m-1} - (m + 2 lam
-    - 2) * C_{m-2}) / m in exactly that operation order, which every
-    caller relies on for bit-stable results."""
+def _rolling_accumulate(coeffs, lam, u):
+    """Sum_m coeffs[m] C_m^lam(u), shaped like u, without a value table,
+    in the wider of coeffs' and u's dtypes and float64: the three-term
+    recurrence for C_m^lam walks the degrees over every point at once,
+    each step ((2u * (m + lam - 1)) * C_{m-1} - (m + 2 lam - 2) * C_{m-2})
+    / m in exactly that operation order, which every caller relies on for
+    bit-stable results."""
     u = np.asarray(u)
-    if dtype is None:
-        dtype = np.result_type(coeffs.dtype, u.dtype, np.float64)
-    dtype = np.dtype(dtype).type
+    dtype = np.result_type(coeffs.dtype, u.dtype, np.float64).type
     c = np.asarray(coeffs, dtype=dtype)
     x = np.asarray(u, dtype=dtype).reshape(-1)
     lam = dtype(lam)

@@ -156,7 +156,8 @@ def test_c07_construction_certificate(n, budget, tmp_path, subprocess_env):
     assert 0.0 < cert["lambda0"] < 1.0
     assert abs(cert["centroid_at_root"]) <= 1e-12
     assert cert["kappa_min_perturbed"] > 0.0
-    assert cert["config"]["alpha_grid"] == 721
+    assert cert["config"] == {"n": n, "a": None}
+    assert cert["grids"]["alpha_grid"] == 721
     assert cert["identity_max_relerr"] <= 1e-6
     assert cert["min_section_margin"] > 0.0
 

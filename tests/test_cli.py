@@ -5,6 +5,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -302,19 +303,6 @@ def test_verify_holds_the_root_relative_to_lambda0(tmp_path, capsys):
             in out.splitlines())
 
 
-def test_construct_coarse_grid_is_valid(tmp_path, capsys):
-    # 101 directions put only u = +-0.98 and +-1 in the caps |u| > 0.97987;
-    # the identity's scale includes the bump's peaks, so the error is
-    # measured as on the default grid (8.74e-9 against 8.77e-9), not
-    # against the grid's own max |rhs| (5.0e-5)
-    rc = cli.main(["construct", "--alpha-grid", "101",
-                   "--outdir", str(tmp_path)])
-    cert = json.loads((tmp_path / "certificate.json").read_text())
-    assert rc == 0 and cert["valid"]
-    assert 8e-9 <= cert["identity_max_relerr"] <= 1e-8
-    assert "identity=8.74" in capsys.readouterr().out
-
-
 def test_construct_low_dimension_exits_2(tmp_path, capsys):
     rc = cli.main(["construct", "--n", "4", "--outdir", str(tmp_path)])
     assert rc == 2
@@ -322,11 +310,15 @@ def test_construct_low_dimension_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["--alpha-grid", "0"], "alpha_grid must be at least 3"),
-    (["--alpha-grid", "2"], "alpha_grid must be at least 3"),
-], ids=["alpha_grid_0", "alpha_grid_2"])
+    (["--alpha-grid", "0"], "unrecognized arguments: --alpha-grid 0"),
+    (["--alpha-grid", "2"], "unrecognized arguments: --alpha-grid 2"),
+    (["--a", "0"], "a must lie in (0, 1)"),
+    (["--a", "0.9"], "profile not positive: a too large for this n"),
+], ids=["alpha_grid_0", "alpha_grid_2", "a_0", "a_0.9"])
 def test_construct_rejects_invalid_setting(argv, message, tmp_path, capsys):
-    # each is invalid input, named on stderr, before any construction work
+    # each is invalid input, named on stderr, before any construction work;
+    # the sweep's direction count is the package's (RunConfig.alpha_grid),
+    # so no grid is a setting
     rc = cli.main(["construct", *argv, "--outdir", str(tmp_path)])
     assert rc == 2
     assert f"error: {message}" in capsys.readouterr().err
@@ -615,6 +607,23 @@ def _forged(value):
     return None
 
 
+@pytest.mark.parametrize("key", ["eps0", "lambda0"])
+def test_verify_refutes_a_huge_point_quietly(cli_outdir, tmp_path, capsys,
+                                             key):
+    # at eps0 or lambda0 = 1e300 the log-derivatives of the perturbed
+    # meridian overflow when squared: kappa_min is NaN without a warning,
+    # and perturbed_convex fails
+    path = _tampered(cli_outdir, tmp_path, lambda c: c.update({key: 1e300}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["verify", str(path)])
+    got = capsys.readouterr()
+    assert rc == 4
+    assert ("FAIL perturbed_convex: kappa_min_perturbed = nan"
+            in got.out.splitlines())
+    assert got.err == ""
+
+
 def test_verify_refutes_every_forged_entry(cli_outdir, tmp_path, capsys):
     # every entry construct writes, meta aside, forged alone, exits 4; one
     # outside config, the request that verify runs again, is named (a
@@ -660,9 +669,14 @@ def test_verify_refutes_a_forged_request(cli_outdir, tmp_path, capsys, key,
     # the config block is the request that verify runs construct on again:
     # forged, the record's line names what construct then writes otherwise
     # (at a = 0.3 an INVALID certificate, its transform missing the
-    # equator)
-    path = _tampered(cli_outdir, tmp_path,
-                     lambda c: c["config"].update({key: value}))
+    # equator).  A sweep grid was once part of the request, recorded in
+    # both blocks; such a certificate's grid is no request but a record
+    # that construct contradicts
+    def mutate(cert):
+        cert["config"][key] = value
+        if key == "alpha_grid":
+            cert["grids"][key] = value
+    path = _tampered(cli_outdir, tmp_path, mutate)
     rc = cli.main(["verify", str(path)])
     line = capsys.readouterr().out.splitlines()[-2]
     assert rc == 4
@@ -726,8 +740,9 @@ def test_verify_lines_are_the_certificate_checks(construct_result,
 # configuration keys, grids, tolerances and records that certificates
 # carried while the package still had them, or while they were
 # configuration rather than package constants (config.tolerances among
-# them, and config.eps, the eps ladder's start before it was
-# RunConfig.eps_start); nothing reads them now
+# them, config.eps, the eps ladder's start before it was
+# RunConfig.eps_start, and config.alpha_grid, the sweep's direction count
+# before it was RunConfig.alpha_grid); nothing reads them now
 DROPPED_CONFIG = {"cap_margin": 0.5, "quad_order": 256, "max_degree": 120,
                   "plot_grid": 1001, "planar_resolution": 4096,
                   "planar_theta_tol": 1e-10, "u_switch": 0.05, "gl_order": 96,
@@ -736,7 +751,7 @@ DROPPED_CONFIG = {"cap_margin": 0.5, "quad_order": 256, "max_degree": 120,
                   "curvature_grid": 4001, "equator_grid": 2001,
                   "eps": 1e-3, "eps_max_halvings": 20, "root_max_iter": 200,
                   "auto_a_candidates": [0.5, 0.4, 0.3, 0.2, 0.1, 0.05],
-                  "seed": 24301}
+                  "seed": 24301, "alpha_grid": 721}
 DROPPED_GRIDS = {"u_switch": 0.05, "gl_order": 96, "bump_quad_order": 3392,
                  "dense_eval_grid": 40001}
 DROPPED_KEYS = {"transform_slope_near_equator": 1.0,
@@ -772,8 +787,7 @@ def test_verify_accepts_certificate_with_dropped_keys(cli_outdir, tmp_path,
 def test_verify_rejects_invalid_stored_config(cli_outdir, tmp_path, capsys):
     # a stored setting that construct would reject is invalid input
     for key, value, message in (("a", 0.9, "profile not positive"),
-                                ("alpha_grid", 0,
-                                 "alpha_grid must be at least 3")):
+                                ("n", 4, "requires dimension n >= 5")):
         path = _tampered(cli_outdir, tmp_path,
                          lambda c: c["config"].update({key: value}))
         assert cli.main(["verify", str(path)]) == 2
@@ -805,50 +819,65 @@ def test_verify_ignores_coarse_stored_grids(cli_outdir, tmp_path, capsys,
     assert capsys.readouterr().out == want
 
 
-def test_verify_passes_a_certificate_built_on_three_directions(
-        tmp_path, monkeypatch, capsys):
-    # a request of 3 directions is certified on the poles and the equator;
-    # verify's checks sweep them refined to 1441
+def test_verify_sweeps_1441_directions_whatever_the_file_records(
+        cli_outdir, tmp_path, monkeypatch, capsys):
+    # 3 sweep directions recorded in the config block (where a request
+    # once put them), in grids, or in both: verify's checks sweep
+    # 2 RunConfig.alpha_grid - 1 = 1441 directions and construct, run
+    # again, its 721 each time, so only the grids entry is refuted
     from centroid_sections import counterexample as cx
-    assert cli.main(["construct", "--alpha-grid", "3", "--outdir",
-                     str(tmp_path)]) == 0
-    grids = []
+    sizes = []
     real = cx.ConstructionContext.identity_sweep
 
     def recorded(self, lam, eps, u_grid=None):
-        grids.append(u_grid)
+        sizes.append(u_grid.size)
         return real(self, lam, eps, u_grid)
 
     monkeypatch.setattr(cx.ConstructionContext, "identity_sweep", recorded)
-    capsys.readouterr()
-    assert cli.main(["verify", str(tmp_path / "certificate.json")]) == 0
-    assert capsys.readouterr().out.count("PASS ") == 10
-    assert [g.size for g in grids] == [1441, 3]
+    for blocks in (("config",), ("grids",), ("config", "grids")):
+        def mutate(cert, blocks=blocks):
+            for block in blocks:
+                cert[block]["alpha_grid"] = 3
+        sizes.clear()
+        rc = cli.main(["verify", str(_tampered(cli_outdir, tmp_path,
+                                                 mutate))])
+        lines = capsys.readouterr().out.splitlines()
+        refuted = "grids" in blocks
+        assert sizes == [1441, 721]
+        assert rc == (4 if refuted else 0)
+        assert sum(line.startswith("PASS ") for line in lines) == 10 - refuted
+        assert lines[-2] == (
+            "FAIL record_matches_recomputation: differ: grids.alpha_grid"
+            if refuted else "PASS record_matches_recomputation: every entry "
+            "outside meta agrees")
 
 
 def test_verify_holds_the_margin_over_the_certificate_directions(
-        tmp_path, monkeypatch, capsys):
-    # a certificate swept at 361 directions records the margin over them;
-    # verify's checks sweep them refined 4-fold, 1441 directions, and
-    # construct, run again, sweeps the 361 themselves
+        cli_outdir, monkeypatch, capsys):
+    # the certificate records the margin over construct's 721 directions;
+    # verify's checks sweep those, bit for bit, and one between each pair,
+    # so the margin they hold is at most the recorded one, and construct,
+    # run again, sweeps the 721 themselves
     from centroid_sections import counterexample as cx
-    assert cli.main(["construct", "--alpha-grid", "361", "--outdir",
-                     str(tmp_path)]) == 0
-    grids = []
+    sweeps = []
     real = cx.ConstructionContext.identity_sweep
 
     def recorded(self, lam, eps, u_grid=None):
-        grids.append(u_grid)
-        return real(self, lam, eps, u_grid)
+        out = real(self, lam, eps, u_grid)
+        sweeps.append((u_grid, out["min_margin"]))
+        return out
 
     monkeypatch.setattr(cx.ConstructionContext, "identity_sweep", recorded)
-    capsys.readouterr()
-    assert cli.main(["verify", str(tmp_path / "certificate.json")]) == 0
+    path = cli_outdir / "certificate.json"
+    assert cli.main(["verify", str(path)]) == 0
     assert "PASS record_matches_recomputation" in capsys.readouterr().out
-    grid, record = grids
+    (grid, margin), (record, recorded_margin) = sweeps
     assert grid.size == 1441
-    assert np.max(np.abs(grid[::4] - cx._mirrored_grid(361))) <= 1e-16
-    assert np.array_equal(record, cx._mirrored_grid(361))
+    assert np.array_equal(grid[::2], cx._mirrored_grid(721))
+    assert np.array_equal(record, cx._mirrored_grid(721))
+    assert recorded_margin == json.loads(
+        path.read_text())["min_section_margin"]
+    assert 0.0 < margin <= recorded_margin
 
 
 def _drop_params(cert):
@@ -864,12 +893,12 @@ def _string_a(cert):
 
 
 def _fractional_grid(cert):
-    cert["config"]["alpha_grid"] = 721.5
+    cert["grids"]["alpha_grid"] = 721.5
 
 
 @pytest.mark.parametrize("mutate,named", [
     (_drop_params, "params"), (_string_lambda0, None), (_string_a, "params.a"),
-    (_fractional_grid, None)],
+    (_fractional_grid, "grids.alpha_grid")],
     ids=["no_params", "string_lambda0", "string_a", "fractional_grid"])
 def test_verify_rejects_malformed_certificate(cli_outdir, tmp_path, capsys,
                                               mutate, named):
@@ -1012,6 +1041,17 @@ def test_planar_radial_csv_with_wrap_duplicate(tmp_path, capsys):
     assert "3 bisected chords" in capsys.readouterr().out
 
 
+def test_planar_radial_csv_with_repeated_angle_exits_2(tmp_path, capsys):
+    # two rows at one angle leave the spline no strictly increasing knots;
+    # the later row is named by its line, blank lines counted, and the
+    # earlier by its own
+    path = tmp_path / "repeat.csv"
+    path.write_text("theta,rho\n4,1\n\n2,1\n0.5,1\n2,1.5\n")
+    assert cli.main(["planar", "--input", str(path)]) == 2
+    assert (capsys.readouterr().err
+            == "error: CSV line 6 repeats the angle 2.0 of line 4\n")
+
+
 def test_planar_bad_header_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("r,t\n1.0,0.0\n")
@@ -1130,6 +1170,7 @@ def test_unknown_flag_exits_2(capsys):
     for argv in (["construct", "--bogus"],
                  ["construct", "--cap-margin", "0.5"],
                  ["construct", "--eps", "1e-3"],
+                 ["construct", "--alpha-grid", "3"],
                  ["construct", "--quad-order", "2"],
                  ["construct", "--max-degree", "0"],
                  ["planar", "--demo", "blob", "--resolution", "0"],
@@ -1141,7 +1182,7 @@ def test_unknown_flag_exits_2(capsys):
 # every option string of every subcommand; a flag is added or removed
 # together with this table
 SUBCOMMAND_OPTIONS = {
-    "construct": {"--n", "--a", "--outdir", "--alpha-grid", "--seed"},
+    "construct": {"--n", "--a", "--outdir", "--seed"},
     "verify": set(),
     "intersection-test": {"--n", "--a", "--outdir"},
     "planar": {"--input", "--demo", "--outdir"},

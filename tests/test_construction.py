@@ -601,11 +601,13 @@ def test_default_sweep_grid_mirrored_bit_for_bit(construct_result):
     assert np.array_equal(grid, -grid[::-1])
     assert np.unique(np.abs(grid)).size == 361
     assert np.array_equal(grid[360:], np.linspace(0.0, 1.0, 361))
-    # an even size has no 0 and mirrors the nonnegative half of linspace
-    for size in (3, 4, 720):
+    # any odd size is mirrored alike; verify's 1441 directions are
+    # construct's and one between each pair
+    for size in (3, 2 * RunConfig.alpha_grid - 1):
         g = counterexample._mirrored_grid(size)
         assert g.size == size and np.array_equal(g, -g[::-1])
         assert g[0] == -1.0 and np.all(np.diff(g) > 0)
+    assert np.array_equal(g[::2], grid)
 
 
 def test_section_rule_exactly_antisymmetric(ctx5):
@@ -964,9 +966,9 @@ def test_context_build_series_work_budget(ctx5, monkeypatch):
     work = []
     real = spherical_core._rolling_accumulate
 
-    def counted(coeffs, lam, u, dtype=None):
+    def counted(coeffs, lam, u):
         work.append(np.size(u) * len(coeffs))
-        return real(coeffs, lam, u, dtype)
+        return real(coeffs, lam, u)
 
     monkeypatch.setattr(spherical_core, "_rolling_accumulate", counted)
     assert not hasattr(counterexample, "_rolling_accumulate")
@@ -1534,10 +1536,11 @@ def test_benchmark_sweep_operation_matches_the_oracles(cold, monkeypatch):
 
 
 def test_get_context_returns_one_context_per_geometry(ctx5):
-    # the context depends on (n, a) alone: a caller's sweep grid neither
-    # rebuilds it nor copies it
+    # the context depends on (n, a) alone: the automatic a and the same a
+    # asked for by value give one context, neither rebuilt nor copied
     assert get_context(RunConfig()) is get_context(
-        RunConfig(alpha_grid=101)) is ctx5
+        RunConfig(n=5, a=ctx5.a)) is ctx5
+    assert dataclasses.asdict(RunConfig()) == {"n": 5, "a": None}
 
 
 def test_get_context_chooses_the_automatic_a_once_per_n(monkeypatch):
@@ -1553,11 +1556,11 @@ def test_get_context_chooses_the_automatic_a_once_per_n(monkeypatch):
 
 
 def test_context_cache_hit_binds_callers_config(ctx5, cert5, tolerance):
-    # run_construction hands its configuration's sweep grid, and the eps
+    # run_construction hands the package's sweep grid, and the eps
     # ladder's start as it reads it then, to the cached context as arguments
-    res = run_construction(RunConfig(alpha_grid=361))
+    res = run_construction(RunConfig())
     assert res["context"] is ctx5
-    assert res["sweep"]["u_grid"].size == 361
+    assert res["sweep"]["u_grid"].size == RunConfig.alpha_grid
     with mock.patch.object(RunConfig, "eps_start", 10.0):
         with pytest.raises(ConstructionError, match="after 20 halvings"):
             run_construction(RunConfig())
