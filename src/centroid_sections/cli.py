@@ -208,18 +208,6 @@ def cmd_verify(args) -> int:
 # how far a number the file records may lie from construct's, relatively
 _RECORD_REL = 1e-6
 
-# the record entry that each of the certificate's checks bounds
-_CHECK_READS = {
-    "lambda0_interior": "lambda0",
-    "root_within_tolerance": "centroid_at_root",
-    "bracket_sign_change": "bracket",
-    "base_convex": "kappa_min_base",
-    "perturbed_convex": "kappa_min_perturbed",
-    "identity_within_tolerance": "identity_max_relerr",
-    "margin_positive": "min_section_margin",
-    "equator_within_tolerance": "equator_residual_rel",
-}
-
 
 def _differences(stored, redone, name="") -> list:
     """Dotted names of the entries of redone that stored lacks or
@@ -247,16 +235,16 @@ def _recheck(cert, cfg) -> bool:
     each, then verify's own two: lhs by the quadrature route, and the file
     against the certificate that construct writes for its config
     (run_construction), every entry but meta."""
-    from .counterexample import _mirrored_grid, get_context, run_construction
+    from .counterexample import (_CHECKS, _mirrored_grid, get_context,
+                                 run_construction)
     ctx = get_context(cfg)
     lam0, eps0 = cert["lambda0"], cert["eps0"]
     # construct's sweep directions and one between each pair
     grid = _mirrored_grid(2 * RunConfig.alpha_grid - 1)
     record, sweep = ctx.certify(lam0, eps0, grid)
     ok = True
-    for name, passed in record["checks"].items():
-        key = _CHECK_READS[name]
-        ok &= _check(name, passed, f"{key} = {record[key]!r}")
+    for name, (key, _) in _CHECKS.items():
+        ok &= _check(name, record["checks"][name], f"{key} = {record[key]!r}")
 
     # the other route for lhs, at the 4 worst directions and the 2 interior
     # ones nearest each pole, in ascending order
@@ -341,8 +329,8 @@ _DEMOS.update(triangle=_demo_triangle, ellipse=_demo_ellipse,
 def _planar_from_csv(path: str) -> PlanarBody:
     """The body of a CSV whose header is x,y (polygon vertices) or
     theta,rho (a radial profile); blank lines are skipped, and a row
-    whose field count is not the header's, or whose angle an earlier row
-    has, is named by its line."""
+    whose field count is not the header's, whose two values are not both
+    finite, or whose angle an earlier row has, is named by its line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         rows = [(reader.line_num, r) for r in reader if r]
@@ -353,6 +341,9 @@ def _planar_from_csv(path: str) -> PlanarBody:
         if len(r) != len(header):
             raise ValueError(f"CSV line {line} has {len(r)} fields, "
                              f"the header {len(header)}")
+        if not all(map(math.isfinite, map(float, r[:2]))):
+            raise ValueError(f"CSV line {line} holds a value that is not "
+                             f"finite: {','.join(r)}")
     data = np.array([[float(x) for x in r] for _, r in rows[1:]])
     if header[:2] == ["x", "y"]:
         return polygon_body(data[:, :2])
@@ -402,9 +393,8 @@ def cmd_planar(args) -> int:
     else:
         payload = {"count": res["count"],
                    "directions": [float(t) for t in res["directions"]]}
-        dirs = ", ".join(f"{t:.6f}" for t in res["directions"])
         print(f"{res['count']} bisected chords through the centroid "
-              f"at angles [{dirs}]")
+              f"at angles {payload['directions']}")
     out = getattr(args, "outdir", None) or os.environ.get(ENV_OUTDIR)
     if out:
         os.makedirs(out, exist_ok=True)

@@ -71,6 +71,26 @@ _SWEEP_DIRECTIONS_MAX = 1 << 14
 # 2^(20/4096), 0.34 %, wide (_find_eps_bracket)
 _EPS_BRACKET_STEPS = 12
 
+# the certificate's checks, in order: the record entry each reads, and its
+# test of it against the package's tolerances, which None and NaN fail
+_CHECKS = {
+    "lambda0_interior": ("lambda0", lambda x, tol: 0.0 < x < 1.0),
+    "root_within_tolerance": ("centroid_at_root", lambda x, tol:
+                              x is not None and abs(x) <= tol["root_abs"]),
+    "bracket_sign_change": ("bracket", lambda x, tol: None not in x.values()
+                            and x["centroid_at_0"] < 0 < x["centroid_at_1"]),
+    "base_convex": ("kappa_min_base", lambda x, tol:
+                    _clears(x, tol["convexity_margin"])),
+    "perturbed_convex": ("kappa_min_perturbed", lambda x, tol:
+                         _clears(x, tol["convexity_margin"])),
+    "identity_within_tolerance": ("identity_max_relerr", lambda x, tol:
+                                  x <= tol["identity_rel"]),
+    "margin_positive": ("min_section_margin", lambda x, tol: x > 0.0),
+    "equator_within_tolerance": ("equator_residual_rel", lambda x, tol:
+                                 x <= tol["equator_rel"]),
+}
+
+
 def negativity_threshold(n: int, a: float) -> float:
     """Smallest u0 such that the base body's transform is negative for
     |u| > u0.  Closed form from setting the transform to zero:
@@ -811,49 +831,37 @@ class ConstructionContext:
         return float(np.max(np.add(r, r[::-1], out=chord)))
 
     def certify(self, lam: float, eps: float, u_grid: np.ndarray) -> tuple:
-        """(record, sweep): every certificate entry that (lam, eps)
-        determine, with the checks that hold them to the package's
-        tolerances, and the identity sweep over u_grid behind them.  A
-        centroid that is None (positivity lost) fails its checks.  The
-        base body's convexity is read from the context's theta-jet of
-        rho_b at the nodes, as the perturbed body's is.  No check bounds
-        the poles' section centroids: the sweep's lhs is exactly 0 there
-        (identity_sweep)."""
-        tol = RunConfig.tolerances
+        """(record, sweep): the claim (lam, eps), the entries that _CHECKS
+        reads, the checks on them and, under "meta", the values that no
+        check reads; and the identity sweep over u_grid behind them.  A
+        centroid that is None (positivity lost) fails its checks.  The base body's convexity is read from the
+        context's theta-jet of rho_b at the nodes, as the perturbed body's
+        is.  No check bounds the poles' section centroids: the sweep's lhs
+        is exactly 0 there (identity_sweep)."""
         c, (c0, c1) = self.centroid(lam, eps), self._end_centroids(eps)
         sweep = self.identity_sweep(lam, eps, u_grid)
         base = _meridian_report(self._theta, *_log_jet(1, *self._rho),
-                                tol["convexity_margin"])
+                                RunConfig.tolerances["convexity_margin"])
         pert = self.kappa_report(lam, eps)
-        eq_rel = self.equator_ratio(lam)
-        checks = {
-            "lambda0_interior": 0.0 < lam < 1.0,
-            "root_within_tolerance": c is not None
-                                     and abs(c) <= tol["root_abs"],
-            "bracket_sign_change": None not in (c0, c1) and c0 < 0.0 < c1,
-            "base_convex": base.is_convex,
-            "perturbed_convex": pert.is_convex,
-            "identity_within_tolerance":
-                sweep["max_rel_err"] <= tol["identity_rel"],
-            "margin_positive": sweep["min_margin"] > 0.0,
-            "equator_within_tolerance": eq_rel <= tol["equator_rel"],
-        }
         record = {
             "lambda0": lam, "eps0": eps, "centroid_at_root": c,
             "bracket": {"centroid_at_0": c0, "centroid_at_1": c1},
             "kappa_min_base": base.kappa_min,
             "kappa_min_perturbed": pert.kappa_min,
-            "kappa_argmin_theta": pert.argmin_theta,
             "min_section_margin": sweep["min_margin"],
+            "equator_residual_rel": self.equator_ratio(lam),
+            "identity_max_relerr": sweep["max_rel_err"],
+        }
+        record["checks"] = {name: test(record[key], RunConfig.tolerances)
+                            for name, (key, test) in _CHECKS.items()}
+        record["meta"] = {
+            "kappa_argmin_theta": pert.argmin_theta,
             "diameter": sweep["diameter"],
             "equator_residual": abs((1.0 - lam) * self.bump_ft_at_zero),
-            "equator_residual_rel": eq_rel,
             "equator_scan": {f"{x:.2f}": self.equator_ratio(x)
                              for x in (0.0, 0.25, 0.5, 0.75, 1.0)},
-            "identity_max_relerr": sweep["max_rel_err"],
             "near_pole_section_abs": sweep["near_pole_abs"],
             "pole_series": self.pole_report(lam, sweep["seed_max"]),
-            "checks": checks,
         }
         return record, sweep
 
@@ -885,7 +893,8 @@ def run_construction(config: Optional[RunConfig] = None) -> dict:
     admissible size (select_eps), bisect the blend weight to put the
     centroid at the origin (find_root), and record and check at that
     (lambda0, eps0) everything the claim needs (certify).  valid only if
-    every check passes."""
+    every check passes.  verify reproduces all but meta, the run's report
+    and the values that no check reads."""
     t0 = time.perf_counter()
     cfg = config or RunConfig()
     ctx = get_context(cfg)
@@ -897,29 +906,29 @@ def run_construction(config: Optional[RunConfig] = None) -> dict:
     record, sweep = ctx.certify(lam0, eps0,
                                  _mirrored_grid(RunConfig.alpha_grid))
     failures = sorted(name for name, ok in record["checks"].items() if not ok)
+    unchecked = record.pop("meta")
 
     cert = {
         "schema": CERTIFICATE_SCHEMA,
-        "params": {"n": ctx.n, "a": ctx.a, "cap_u0": ctx.cap_u0,
-                   "cap_margin": cfg.cap_margin, "eps": eps0,
-                   "lambda": lam0},
-        "bump_form": "exp(-1/s - 1/(1-s)) on s = (|u| - cap_u0)/(1 - cap_u0)",
-        **record,
-        "root_iterations": root["iterations"],
-        "eps_halvings": sel["halvings"],
-        "negativity_threshold": negativity_threshold(ctx.n, ctx.a),
         "config": asdict(cfg),
+        "params": {"a": ctx.a, "cap_u0": ctx.cap_u0},
+        **record,
+        "valid": not failures,
+        "failures": failures,
         "grids": {k: getattr(cfg, k) for k in (
             "bump_max_degree", "bump_theta_samples", "section_quad_order",
             "alpha_grid", "curvature_grid", "equator_grid")},
         "tolerances": dict(cfg.tolerances),
-        "valid": not failures,
-        "failures": failures,
+        # the run's report, then certify's values that no check reads
         "meta": {
             "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "runtime_seconds": round(time.perf_counter() - t0
                                      + ctx.build_seconds, 3),
             "eps_bracket": dict(ctx.eps_bracket),
+            "root_iterations": root["iterations"],
+            "eps_halvings": sel["halvings"],
+            "negativity_threshold": negativity_threshold(ctx.n, ctx.a),
+            **unchecked,
         },
     }
     return {"certificate": cert, "context": ctx, "sweep": sweep,

@@ -21,8 +21,8 @@ from .config import ConstructionError
 __all__ = ["PlanarBody", "polygon_body", "radial_body", "planar_centroid",
            "bisected_chords"]
 
-# uniform angles of the centroid quadrature and of a polygon's chord scan
-# on [0, pi); a radial body's scan on [0, 2 pi) takes twice as many
+# uniform angles of a radial body's centroid quadrature on [0, 2 pi); its
+# chord scan on [0, 2 pi) takes twice as many
 _GRID = 4096
 # a radial body's rescans of clustered crossings (see bisected_chords)
 _REFINE = 64
@@ -184,10 +184,10 @@ def bisected_chords(body: PlanarBody) -> dict:
     bisects: an odd count >= 3, or {"symmetric_all": True, ...} when the
     defect stays within 1e-10 of the largest radius (central symmetry).
 
-    A polygon is translated so that c = 0 and scanned on [0, pi) at 4096
-    angles and its vertex directions mod pi: between two of these both
-    chord ends lie on fixed edges, where the defect has at most one zero,
-    a simple one, so each sign change is one chord, at a sinusoid's root.
+    A polygon is translated so that c = 0 and scanned at its vertex
+    directions mod pi alone: between two of these both chord ends lie on
+    fixed edges, where the defect has at most one zero, a simple one, so
+    each sign change is one chord, at a sinusoid's root.
     A radial body keeps its origin and is scanned over the boundary angles
     [0, 2 pi) at 8192 angles: its 2m sign changes are both ends of each
     chord, crossing i and i + m of one chord, and the first m give the
@@ -203,9 +203,8 @@ def bisected_chords(body: PlanarBody) -> dict:
         c = np.zeros(2)
         period, ends = np.pi, 1
         vertex = np.arctan2(body.vertices[:, 1], body.vertices[:, 0]) % np.pi
-        # a vertex direction on a scan angle repeats it: an empty interval
-        th = np.sort(np.append(np.linspace(0.0, np.pi, _GRID, endpoint=False),
-                               vertex[vertex < np.pi]))
+        # % rounds a direction just below 0 up to pi: read it as 0
+        th = np.sort(np.where(vertex < np.pi, vertex, 0.0))
     else:
         period, ends = 2 * np.pi, 2
         th = np.linspace(0.0, period, 2 * _GRID, endpoint=False)
@@ -216,11 +215,12 @@ def bisected_chords(body: PlanarBody) -> dict:
     if fmax <= 1e-10 * scale:
         return {"symmetric_all": True, "count": None, "directions": [],
                 "max_defect": fmax}
-    # the defect at the period closes the scan: -f(0) on a polygon's
-    # [0, pi), f(0) on a radial body's [0, 2 pi); w is the width of the
-    # interval that starts at each angle
-    th, g = np.append(th, period), np.append(f, f[0] if ends == 2 else -f[0])
-    w = np.diff(th, append=period)
+    # the defect a period past the first angle closes the scan: -f(th_0)
+    # on a polygon's, f(0) on a radial body's [0, 2 pi); w is the width of
+    # the interval that starts at each angle
+    th = np.append(th, th[0] + period)
+    g = np.append(f, f[0] if ends == 2 else -f[0])
+    w = np.diff(th, append=th[-1])
     for level in range(_REFINE_LEVELS + 1):
         # a zero takes the sign before it (+ first), so a grid hit is not
         # counted twice

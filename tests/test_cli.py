@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from centroid_sections import RunConfig, cli, planar
+from centroid_sections import RunConfig, cli, counterexample, planar
 
 C5 = 16.0 * np.pi ** 2
 
@@ -119,8 +119,8 @@ def test_construct_idempotent(cli_outdir, tmp_path, capsys):
 
     a = json.loads((cli_outdir / "certificate.json").read_text())
     b = json.loads((out2 / "certificate.json").read_text())
-    assert set(a.pop("meta")) == set(b.pop("meta")) \
-        == {"created_utc", "runtime_seconds", "eps_bracket"}
+    assert set(a.pop("meta")) == set(b.pop("meta")) == {
+        "created_utc", "runtime_seconds", "eps_bracket", *MOVED_TO_META}
     assert a == b
     for name in ("profiles.csv", "sections.csv", "body.json"):
         assert (cli_outdir / name).read_bytes() == (out2 / name).read_bytes()
@@ -399,7 +399,7 @@ def test_verify_fails_when_recheck_precondition_fails(cli_outdir, tmp_path,
     assert out[-2].startswith("FAIL record_matches_recomputation: no eps "
                               "bracket: eps_pos 2^-20")
     assert out[-1] == "verification FAILED"
-    assert len(out) == 2 + len(cli._CHECK_READS) + 1
+    assert len(out) == 2 + len(counterexample._CHECKS) + 1
 
 
 def test_verify_names_a_context_that_cannot_be_built(cli_outdir, tmp_path,
@@ -457,8 +457,8 @@ def test_verify_quadrature_route_refutes_a_scaled_seed_series(
     # it would give back the unscaled series' sums
     from centroid_sections import counterexample as cx
     cert = json.loads((cli_outdir / "certificate.json").read_text())
-    p = cert["params"]
-    ctx = cold(cx.get_context(RunConfig(n=p["n"], a=p["a"])))
+    ctx = cold(cx.get_context(RunConfig(n=cert["config"]["n"],
+                                        a=cert["params"]["a"])))
     ctx.bump_cosine = ctx.bump_cosine * (1.0 + 1e-6)
     monkeypatch.setitem(cx._CTX_CACHE, (ctx.n, ctx.a), ctx)
     rc = cli.main(["verify", str(cli_outdir / "certificate.json")])
@@ -486,29 +486,6 @@ def test_verify_sweeps_a_grid_mirrored_bit_for_bit(cli_outdir, monkeypatch,
     assert grid.size == 1441 and np.array_equal(grid, -grid[::-1])
     assert np.unique(np.abs(grid)).size == 721
     assert np.array_equal(record, cx._mirrored_grid(721))
-
-
-@pytest.mark.parametrize("forged,named", [
-    ("not a record", "pole_series"),
-    ({"curvature_bump": -1.0}, "pole_series.curvature_bump"),
-], ids=["nonsense", "curvature_bump"])
-def test_verify_refutes_a_forged_pole_series(cli_outdir, tmp_path, capsys,
-                                              forged, named):
-    # the pole block is a record, not a check: forged, the checks' lines
-    # stay as they were, and the record's line names it
-    cli.main(["verify", str(cli_outdir / "certificate.json")])
-    want = capsys.readouterr().out.splitlines()
-
-    def mutate(cert):
-        if isinstance(forged, dict):
-            cert["pole_series"].update(forged)
-        else:
-            cert["pole_series"] = forged
-    path = _tampered(cli_outdir, tmp_path, mutate)
-    assert cli.main(["verify", str(path)]) == 4
-    out = capsys.readouterr().out.splitlines()
-    assert out[:9] == want[:9]
-    assert out[9] == f"FAIL record_matches_recomputation: differ: {named}"
 
 
 def test_verify_fails_when_no_base_body_exists(cli_outdir, tmp_path,
@@ -651,15 +628,22 @@ def test_verify_refutes_every_forged_entry(cli_outdir, tmp_path, capsys):
         if rc != 4 or (path[0] != "config" and ".".join(path) not in names):
             wrong.append((".".join(path), rc, names))
     assert sorted(unforged) == [
-        "config.a", "failures", "meta.created_utc", "meta.eps_bracket.eps_bad",
-        "meta.eps_bracket.eps_ok", "meta.eps_bracket.probes",
-        "meta.eps_bracket.reason", "meta.eps_bracket.seconds",
-        "meta.runtime_seconds", "schema"]
+        "config.a", "failures", "meta.created_utc", "meta.diameter",
+        "meta.eps_bracket.eps_bad", "meta.eps_bracket.eps_ok",
+        "meta.eps_bracket.probes", "meta.eps_bracket.reason",
+        "meta.eps_bracket.seconds", "meta.eps_halvings",
+        "meta.equator_residual", "meta.equator_scan.0.00",
+        "meta.equator_scan.0.25", "meta.equator_scan.0.50",
+        "meta.equator_scan.0.75", "meta.equator_scan.1.00",
+        "meta.kappa_argmin_theta", "meta.near_pole_section_abs",
+        "meta.negativity_threshold", "meta.pole_series.curvature_bump",
+        "meta.pole_series.curvature_gap", "meta.pole_series.truncation_rel",
+        "meta.root_iterations", "meta.runtime_seconds", "schema"]
     assert wrong == []
 
 
 @pytest.mark.parametrize("key,value,named", [
-    ("n", 7, "params.n"),
+    ("n", 7, "params.cap_u0"),
     ("a", 0.3, "params.a"),
     ("alpha_grid", 101, "grids.alpha_grid"),
     ("alpha_grid", 3, "grids.alpha_grid"),
@@ -710,8 +694,8 @@ def test_verify_refutes_a_base_body_below_the_margin(cli_outdir, monkeypatch,
     # it fails base_convex
     from centroid_sections import counterexample as cx
     cert = json.loads((cli_outdir / "certificate.json").read_text())
-    p = cert["params"]
-    ctx = cold(cx.get_context(RunConfig(n=p["n"], a=p["a"])))
+    ctx = cold(cx.get_context(RunConfig(n=cert["config"]["n"],
+                                        a=cert["params"]["a"])))
     r, r_t, r_tt = (f.copy() for f in ctx._rho)
     i = r.size // 2
     assert ctx._x[i] == 0.0 == r_t[i]
@@ -727,14 +711,17 @@ def test_verify_refutes_a_base_body_below_the_margin(cli_outdir, monkeypatch,
 def test_verify_lines_are_the_certificate_checks(construct_result,
                                                  cli_outdir, capsys):
     # verify prints one line per check of construct's table, under its
-    # name and in its order, then its own two
-    checks = construct_result["certificate"]["checks"]
+    # name and in its order, with the record entry that the table says it
+    # bounds (as verify's own, finer sweep recomputes it), then its own two
+    cert = construct_result["certificate"]
+    assert list(cert["checks"]) == list(counterexample._CHECKS)
     assert cli.main(["verify", str(cli_outdir / "certificate.json")]) == 0
-    names = [line.split(":")[0].split()[1]
-             for line in capsys.readouterr().out.splitlines()[:-1]]
-    assert names == [*checks, "identity_by_quadrature",
+    lines = capsys.readouterr().out.splitlines()[:-1]
+    names = [line.split(":")[0].split()[1] for line in lines]
+    assert names == [*cert["checks"], "identity_by_quadrature",
                      "record_matches_recomputation"]
-    assert set(cli._CHECK_READS) == set(checks)
+    for line, (key, _) in zip(lines, counterexample._CHECKS.values()):
+        assert line.split(": ", 1)[1].startswith(f"{key} = ")
 
 
 # configuration keys, grids, tolerances and records that certificates
@@ -757,7 +744,14 @@ DROPPED_GRIDS = {"u_switch": 0.05, "gl_order": 96, "bump_quad_order": 3392,
 DROPPED_KEYS = {"transform_slope_near_equator": 1.0,
                 "transform_slope_note": "grid-verified",
                 "parseval_residual": 8.0e-18,
-                "checks.pairing_within_tolerance": True}
+                "checks.pairing_within_tolerance": True,
+                "bump_form": "exp(-1/s - 1/(1-s)) on s = (|u| - cap_u0)/"
+                             "(1 - cap_u0)"}
+# the entries that certificates carried outside meta while they recorded
+# values no check reads, which meta holds now
+MOVED_TO_META = ("root_iterations", "eps_halvings", "negativity_threshold",
+                 "equator_residual", "equator_scan", "kappa_argmin_theta",
+                 "diameter", "near_pole_section_abs", "pole_series")
 DROPPED_TOLERANCES = {"quadrature_exactness": 1e-12, "roundtrip_rel": 1e-8,
                       "route_agreement_rel": 1e-7, "symmetric_rel": 1e-10,
                       "branch_consistency_rel": 1e-9, "tail_warn_rel": 1e-6,
@@ -771,6 +765,11 @@ def test_verify_accepts_certificate_with_dropped_keys(cli_outdir, tmp_path,
         cert["grids"].update(DROPPED_GRIDS)
         cert["tolerances"].update(DROPPED_TOLERANCES)
         cert["config"]["tolerances"] = dict(cert["tolerances"])
+        for key in MOVED_TO_META:
+            cert[key] = cert["meta"].pop(key)
+        # the copies of the request, the claim and the cap margin
+        cert["params"].update({"n": cert["config"]["n"], "eps": cert["eps0"],
+                               "lambda": cert["lambda0"], "cap_margin": 0.5})
         for key, value in DROPPED_KEYS.items():
             *path, name = key.split(".")
             target = cert
@@ -782,6 +781,45 @@ def test_verify_accepts_certificate_with_dropped_keys(cli_outdir, tmp_path,
     out = capsys.readouterr().out
     assert rc == 0
     assert "verification PASSED" in out
+
+
+# construct at n = 5, 6 and 7 where numpy's longdouble is float64, as on
+# platforms without an 80-bit long double: numpy.longdouble is set before
+# the package is imported, which reads it once (spherical_core.LD)
+FLOAT64_LONGDOUBLE = """
+import json, sys
+import numpy
+numpy.longdouble = numpy.float64
+from centroid_sections import RunConfig, run_construction
+for n in (5, 6, 7):
+    cert = run_construction(RunConfig(n=n))["certificate"]
+    with open(f"{sys.argv[1]}/certificate{n}.json", "w") as fh:
+        json.dump(cert, fh)
+"""
+
+
+def test_only_checked_values_depend_on_the_long_double(tmp_path, capsys,
+                                                       subprocess_env):
+    # verify, here with 80 bits, of those certificates: every check passes
+    # at their (lambda0, eps0), and the record's line names no entry but
+    # one that a check reads, or a part of one; the values no check reads,
+    # which differ with the long double, are in meta, which is not compared
+    subprocess.run([sys.executable, "-c", FLOAT64_LONGDOUBLE, str(tmp_path)],
+                   env=subprocess_env, check=True, timeout=300)
+    read = {key for key, _ in counterexample._CHECKS.values()}
+    for n in (5, 6, 7):
+        cli.main(["verify", str(tmp_path / f"certificate{n}.json")])
+        lines = capsys.readouterr().out.splitlines()
+        assert all(line.startswith("PASS ")
+                   for line in lines[:len(counterexample._CHECKS)])
+        record = lines[-2]
+        assert record.startswith(("PASS record_matches_recomputation: ",
+                                  "FAIL record_matches_recomputation: "
+                                  "differ: "))
+        named = (record.split("differ: ")[1].split(", ")
+                 if "differ: " in record else [])
+        assert [name for name in named
+                if name.split(".")[0] not in read] == [], n
 
 
 def test_verify_rejects_invalid_stored_config(cli_outdir, tmp_path, capsys):
@@ -1107,6 +1145,42 @@ def test_planar_nonfinite_vertex_exits_2(tmp_path, capsys, bad):
     path.write_text(f"x,y\n0.0,0.0\n2.0,0.0\n0.6,{bad}\n")
     assert cli.main(["planar", "--input", str(path)]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header,rows,line", [
+    ("theta,rho", "0,1\nnan,5\n2,1\n4,1", 3),
+    ("theta,rho", "0,1\n2,nan\n4,1", 3),
+    ("theta,rho", "0,1\n\n2,1\n4,-inf", 5),
+    ("x,y", "0,0\n2,0\n\nnan,1.5", 5),
+    ("x,y", "0,0\ninf,0\n0.6,1.5", 3),
+], ids=["nan_angle", "nan_radius", "inf_radius", "nan_vertex",
+        "inf_vertex"])
+def test_planar_csv_nonfinite_value_exits_2_naming_its_line(
+        tmp_path, capsys, header, rows, line):
+    # the first row whose value is not finite is invalid input, named by
+    # its line, blank lines counted: a NaN angle is not dropped (leaving a
+    # "centrally symmetric" body), and no spline or polygon sees it
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{header}\n{rows}\n")
+    assert cli.main(["planar", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: CSV line {line} holds a value that is "
+                          f"not finite: ")
+
+
+def test_planar_prints_the_directions_it_writes(tmp_path, capsys):
+    # the thin triangle's three directions lie within 2e-13 rad of 0 or
+    # pi: printed as repr prints them, they are the values planar.json
+    # holds, and distinct
+    path = tmp_path / "thin.csv"
+    path.write_text("x,y\n0,0\n1,0\n0.5,1e-13\n")
+    assert cli.main(["planar", "--input", str(path), "--outdir",
+                     str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    printed = json.loads(out[out.index("["):].strip())
+    written = json.loads((tmp_path / "planar.json").read_text())["directions"]
+    assert printed == written
+    assert len(set(printed)) == 3
 
 
 @pytest.mark.parametrize("size", ["1e110", "1e300"])

@@ -1164,8 +1164,8 @@ def test_certificate_keeps_its_decisions(n):
     # a rewrite of the centroid or the curvature that moves eps0's rung or
     # a bisection step fails here, by name, before any reference digest
     cert = run_construction(RunConfig(n=n))["certificate"]
-    got = tuple(cert[k] for k in ("lambda0", "eps0", "centroid_at_root",
-                                  "root_iterations", "eps_halvings"))
+    got = (*(cert[k] for k in ("lambda0", "eps0", "centroid_at_root")),
+           *(cert["meta"][k] for k in ("root_iterations", "eps_halvings")))
     assert got == _DECISIONS[n]
     assert cert["valid"]
 
@@ -1217,7 +1217,7 @@ def _assert_kappa_matches_series_route(ctx, cert):
     rep = ctx.kappa_report(lam, eps)
     assert rep.kappa_min > 0.0
     assert rep.kappa_min == cert["kappa_min_perturbed"]
-    assert rep.argmin_theta == cert["kappa_argmin_theta"]
+    assert rep.argmin_theta == cert["meta"]["kappa_argmin_theta"]
     kmin, argmin = kappa_series_route(ctx, lam, eps)
     assert abs(rep.kappa_min - kmin) <= 1e-13 * kmin
     assert abs(rep.argmin_theta - argmin) < np.pi / 8000
@@ -1565,7 +1565,7 @@ def test_context_cache_hit_binds_callers_config(ctx5, cert5, tolerance):
         with pytest.raises(ConstructionError, match="after 20 halvings"):
             run_construction(RunConfig())
     assert (ctx5.select_eps(RunConfig.eps_start)["halvings"]
-            == cert5["eps_halvings"])
+            == cert5["meta"]["eps_halvings"])
     # and the context reads the package's tolerances when it runs, not
     # when it was built: a root tolerance below the centroid's rounding
     # bisects to root_max_iter
@@ -1582,16 +1582,22 @@ def test_certificate_structure_and_checks(cert5):
     assert cert5["valid"] is True
     assert cert5["failures"] == []
     assert all(cert5["checks"].values())
-    assert cert5["params"]["n"] == 5
+    assert list(cert5["checks"]) == list(counterexample._CHECKS)
+    # outside meta: the request, the geometry it resolved to, the claim,
+    # the values the checks read, the decisions and the constants
+    read = {key for key, _ in counterexample._CHECKS.values()}
+    assert set(cert5) == {"schema", "config", "params", "eps0", "checks",
+                          "valid", "failures", "grids", "tolerances",
+                          "meta", *read}
+    assert len(cert5) == 18
+    assert set(cert5["params"]) == {"a", "cap_u0"}
     assert cert5["params"]["a"] == 0.4
     assert 0.0 < cert5["params"]["cap_u0"] < 1.0
-    assert "exp(-1/s - 1/(1-s))" in cert5["bump_form"]
-    assert "transform_slope_near_equator" not in cert5
-    assert "transform_slope_note" not in cert5
-    ref = negativity_threshold(5, 0.4)
-    assert abs(cert5["negativity_threshold"] - ref) <= 1e-15
     assert cert5["config"] == dataclasses.asdict(RunConfig())
-    assert cert5["equator_scan"]["1.00"] == 0.0
+    meta = cert5["meta"]
+    ref = negativity_threshold(5, 0.4)
+    assert abs(meta["negativity_threshold"] - ref) <= 1e-15
+    assert meta["equator_scan"]["1.00"] == 0.0
 
 
 # |b_M(+-1)| / max seed and the bump and gap parts of S_M''(0), as
@@ -1607,9 +1613,10 @@ POLE_SERIES = {5: ("8.7e-09", "4.1e-04", "1.9e-05"),
 
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_certificate_records_pole_series(cert5, n):
-    # recorded from the longdouble cosine series of b_M, and no check
+    # recorded in meta from the longdouble cosine series of b_M, and no
+    # check
     cert = cert5 if n == 5 else run_construction(RunConfig(n=n))["certificate"]
-    pole = cert["pole_series"]
+    pole = cert["meta"]["pole_series"]
     got = tuple(f"{pole[k]:.1e}" for k in
                 ("truncation_rel", "curvature_bump", "curvature_gap"))
     assert got == POLE_SERIES[n]

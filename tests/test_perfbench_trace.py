@@ -71,7 +71,7 @@ def test_traced_construct_records_its_layers(subprocess_env, tmp_path):
     cert = json.loads((tmp_path / "certificate.json").read_text())
     counters = got["counters"]
     assert counters["counterexample.root_iterations"] == \
-        cert["root_iterations"]
+        cert["meta"]["root_iterations"]
     assert 0 < counters["counterexample.centroid_calls"] <= 20
 
 

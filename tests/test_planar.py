@@ -202,12 +202,17 @@ def test_equilateral_triangle_three_side_directions():
 
 def test_scalene_triangle_directions_parallel_to_sides():
     # the thin triangles' three directions lie within 2h rad of each
-    # other, across the scan's wrap at 0 = pi: the vertex directions among
-    # the scan angles separate them, down to h = 1e-15, and each is the
-    # root of a sinusoid in closed form, to the rounding of arctan2 mod pi
+    # other, across the scan's wrap at 0 = pi: the vertex directions, the
+    # scan's angles, separate them, down to h = 1e-15, and each is the
+    # root of a sinusoid in closed form, to the rounding of arctan2 mod pi.
+    # The last triangles' vertex (2, -d) lies just below the horizontal
+    # through c, where arctan2 mod pi rounds up to pi: the scan reads that
+    # direction as 0
     for verts in ([(0.0, 0.0), (2.0, 0.0), (0.6, 1.5)],
                   *([(0.0, 0.0), (1.0, 0.0), (0.5, h)]
-                    for h in (1e-4, 1e-6, 1e-12, 1e-13, 1e-14, 1e-15))):
+                    for h in (1e-4, 1e-6, 1e-12, 1e-13, 1e-14, 1e-15)),
+                  *([(-1.0, -1.0), (2.0, -d), (-1.0, 1.0)]
+                    for d in (1e-20, 1e-17))):
         v = np.asarray(verts)
         sides = np.arctan2(*(np.roll(v, -1, axis=0) - v).T[::-1]) % np.pi
         res = bisected_chords(polygon_body(verts))
@@ -275,9 +280,9 @@ def test_blob_count_matches_brute_scan():
 
 
 def test_root_on_a_scan_angle_is_that_angle():
-    # the chord defect of this triangle is exactly 0 at the scan angles 0
-    # and pi/2 and rises through 0 at pi/2: the bracket's left end is the
-    # root, not a point one scan step beyond it
+    # the chord defect of this triangle is exactly 0 at 0 and pi/2 and
+    # rises through 0 at pi/2, between the vertex directions pi/4 and
+    # 2.03: the sinusoid's root placed there is pi/2, not a point beside it
     res = bisected_chords(polygon_body([(0.0, 0.0), (3.0, 0.0), (0.0, 3.0)]))
     assert res["count"] == 3
     got = np.asarray(res["directions"])
