@@ -327,49 +327,67 @@ _DEMOS.update(triangle=_demo_triangle, ellipse=_demo_ellipse,
 
 
 def _planar_from_csv(path: str) -> PlanarBody:
-    """The body of a CSV whose header is x,y (polygon vertices) or
-    theta,rho (a radial profile); blank lines are skipped, and a row
-    whose field count is not the header's, whose two values are not both
-    finite, or whose angle an earlier row has, is named by its line."""
-    with open(path, newline="") as fh:
+    """The body of a CSV, UTF-8 with or without a byte-order mark, whose
+    header begins x,y (polygon vertices) or theta,rho (a radial profile);
+    columns past these two are not read, blank lines are skipped, and a
+    row whose field count is not the header's, whose two values are not
+    both finite numbers, or whose angle an earlier row has, is named by
+    its line.  A theta,rho row a full turn or more past the least angle is
+    dropped when it is that row's closing sample, else named with the
+    least angle's line."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         rows = [(reader.line_num, r) for r in reader if r]
     if len(rows) < 2:
         raise ValueError("CSV needs a header and at least one data row")
     header = [c.strip().lower() for c in rows[0][1]]
+    if header[:2] not in (["x", "y"], ["theta", "rho"]):
+        raise ValueError("CSV must have header x,y or theta,rho")
+    data = []
     for line, r in rows[1:]:
         if len(r) != len(header):
             raise ValueError(f"CSV line {line} has {len(r)} fields, "
                              f"the header {len(header)}")
-        if not all(map(math.isfinite, map(float, r[:2]))):
+        try:
+            pair = float(r[0]), float(r[1])
+        except ValueError:
+            raise ValueError(f"CSV line {line} holds a value that is not a "
+                             f"number: {','.join(r)}") from None
+        if not all(map(math.isfinite, pair)):
             raise ValueError(f"CSV line {line} holds a value that is not "
                              f"finite: {','.join(r)}")
-    data = np.array([[float(x) for x in r] for _, r in rows[1:]])
-    if header[:2] == ["x", "y"]:
-        return polygon_body(data[:, :2])
-    if header[:2] == ["theta", "rho"]:
-        th, r = data[:, 0], data[:, 1]
-        order = np.argsort(th, kind="stable")
-        th, r = th[order], r[order]
-        repeats = np.flatnonzero(th[1:] == th[:-1])
-        if repeats.size:
-            i = repeats[0]
-            raise ValueError(f"CSV line {rows[1 + order[i + 1]][0]} repeats "
-                             f"the angle {float(th[i])!r} of line "
-                             f"{rows[1 + order[i]][0]}")
-        # drop samples that already sit on the wrap point so the knot
-        # sequence stays strictly increasing after closing the period
-        keep = th < th[0] + 2 * np.pi - 1e-12
-        th, r = th[keep], r[keep]
-        from scipy.interpolate import CubicSpline
-        spl = CubicSpline(np.append(th, th[0] + 2 * np.pi),
-                          np.append(r, r[0]), bc_type="periodic")
+        data.append(pair)
+    data = np.array(data)
+    if header[0] == "x":
+        return polygon_body(data)
+    order = np.argsort(data[:, 0], kind="stable")
+    (th, r), lines = data[order].T, [rows[1 + i][0] for i in order]
+    repeats = np.flatnonzero(th[1:] == th[:-1])
+    if repeats.size:
+        i = repeats[0]
+        raise ValueError(f"CSV line {lines[i + 1]} repeats the angle "
+                         f"{float(th[i])!r} of line {lines[i]}")
+    # rows a full turn or more past th[0], which the spline's closing knot
+    # th[0] + 2 pi stands for, must be closing samples: the angle within
+    # 1e-12 of that knot, the radius within radial_body's periodicity
+    # tolerance, 1e-9 of the largest radius, of r[0]
+    turn = th >= th[0] + 2 * np.pi - 1e-12
+    closing = ((np.abs(th - (th[0] + 2 * np.pi)) <= 1e-12)
+               & (np.abs(r - r[0]) <= 1e-9 * np.max(r)))
+    stray = np.flatnonzero(turn & ~closing)
+    if stray.size:
+        raise ValueError(f"CSV line {lines[stray[0]]} lies a full turn or "
+                         f"more past the least angle {float(th[0])!r}, of "
+                         f"line {lines[0]}, and is not its closing sample")
+    th, r = th[~turn], r[~turn]
+    from scipy.interpolate import CubicSpline
+    spl = CubicSpline(np.append(th, th[0] + 2 * np.pi), np.append(r, r[0]),
+                      bc_type="periodic")
 
-        def rho(t):
-            return spl(np.mod(t, 2 * np.pi))
+    def rho(t):
+        return spl(np.mod(t, 2 * np.pi))
 
-        return radial_body(rho)
-    raise ValueError("CSV must have header x,y or theta,rho")
+    return radial_body(rho)
 
 
 def cmd_planar(args) -> int:

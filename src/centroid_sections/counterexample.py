@@ -72,22 +72,21 @@ _SWEEP_DIRECTIONS_MAX = 1 << 14
 _EPS_BRACKET_STEPS = 12
 
 # the certificate's checks, in order: the record entry each reads, and its
-# test of it against the package's tolerances, which None and NaN fail
+# test of that value alone, which None and NaN fail; _clears and the other
+# tests read their margin and tolerances from RunConfig.tolerances
 _CHECKS = {
-    "lambda0_interior": ("lambda0", lambda x, tol: 0.0 < x < 1.0),
-    "root_within_tolerance": ("centroid_at_root", lambda x, tol:
-                              x is not None and abs(x) <= tol["root_abs"]),
-    "bracket_sign_change": ("bracket", lambda x, tol: None not in x.values()
+    "lambda0_interior": ("lambda0", lambda x: 0.0 < x < 1.0),
+    "root_within_tolerance": ("centroid_at_root", lambda x: x is not None
+                              and abs(x) <= RunConfig.tolerances["root_abs"]),
+    "bracket_sign_change": ("bracket", lambda x: None not in x.values()
                             and x["centroid_at_0"] < 0 < x["centroid_at_1"]),
-    "base_convex": ("kappa_min_base", lambda x, tol:
-                    _clears(x, tol["convexity_margin"])),
-    "perturbed_convex": ("kappa_min_perturbed", lambda x, tol:
-                         _clears(x, tol["convexity_margin"])),
-    "identity_within_tolerance": ("identity_max_relerr", lambda x, tol:
-                                  x <= tol["identity_rel"]),
-    "margin_positive": ("min_section_margin", lambda x, tol: x > 0.0),
-    "equator_within_tolerance": ("equator_residual_rel", lambda x, tol:
-                                 x <= tol["equator_rel"]),
+    "base_convex": ("kappa_min_base", _clears),
+    "perturbed_convex": ("kappa_min_perturbed", _clears),
+    "identity_within_tolerance": ("identity_max_relerr", lambda x:
+                                  x <= RunConfig.tolerances["identity_rel"]),
+    "margin_positive": ("min_section_margin", lambda x: x > 0.0),
+    "equator_within_tolerance": ("equator_residual_rel", lambda x:
+                                 x <= RunConfig.tolerances["equator_rel"]),
 }
 
 
@@ -505,8 +504,7 @@ class ConstructionContext:
         # and a huge eps or lambda overflows their squares to inf
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             jet = _log_jet(1.0 / self.n, *self._power(lam, eps, 3))
-            return _meridian_report(self._theta, *jet,
-                                    RunConfig.tolerances["convexity_margin"])
+            return _meridian_report(self._theta, *jet)
 
     def seed_value(self, u, lam: float):
         return (1.0 - lam) * self.bump(u) + lam * self.gap(u)
@@ -516,9 +514,8 @@ class ConstructionContext:
     def _convex_at_ends(self, eps: float) -> bool:
         """Whether both endpoint bodies, lam = 0 and 1, are convex with the
         package's margin at eps (NaN or inf fails)."""
-        margin = RunConfig.tolerances["convexity_margin"]
-        return (_clears(self.kappa_min(0.0, eps), margin)
-                and _clears(self.kappa_min(1.0, eps), margin))
+        return (_clears(self.kappa_min(0.0, eps))
+                and _clears(self.kappa_min(1.0, eps)))
 
     def _probe(self, eps: float) -> tuple:
         """(c(0), c(1), reason) at eps, reason None when eps is admissible:
@@ -739,7 +736,8 @@ class ConstructionContext:
         rel = np.abs(lhs - rhs) / max(rhs_max, 1e-300)
         centroids = lhs / n_vol
         diam = self.diameter(lam, eps)
-        margin = float(np.min(centroids[inner]) / diam) if inner.any() else np.nan
+        margin = (float(np.min(centroids[inner]) / diam) if inner.any()
+                  else np.nan)
         return {
             "u_grid": u_grid,
             "lhs": lhs, "rhs": rhs, "rel_err": rel, "rhs_max": rhs_max,
@@ -834,14 +832,14 @@ class ConstructionContext:
         """(record, sweep): the claim (lam, eps), the entries that _CHECKS
         reads, the checks on them and, under "meta", the values that no
         check reads; and the identity sweep over u_grid behind them.  A
-        centroid that is None (positivity lost) fails its checks.  The base body's convexity is read from the
-        context's theta-jet of rho_b at the nodes, as the perturbed body's
-        is.  No check bounds the poles' section centroids: the sweep's lhs
-        is exactly 0 there (identity_sweep)."""
+        centroid that is None (positivity lost) fails its checks.  The
+        base body's convexity is read from the context's theta-jet of rho_b
+        at the nodes, as the perturbed body's is.  No check bounds the
+        poles' section centroids: the sweep's lhs is exactly 0 there
+        (identity_sweep)."""
         c, (c0, c1) = self.centroid(lam, eps), self._end_centroids(eps)
         sweep = self.identity_sweep(lam, eps, u_grid)
-        base = _meridian_report(self._theta, *_log_jet(1, *self._rho),
-                                RunConfig.tolerances["convexity_margin"])
+        base = _meridian_report(self._theta, *_log_jet(1, *self._rho))
         pert = self.kappa_report(lam, eps)
         record = {
             "lambda0": lam, "eps0": eps, "centroid_at_root": c,
@@ -852,7 +850,7 @@ class ConstructionContext:
             "equator_residual_rel": self.equator_ratio(lam),
             "identity_max_relerr": sweep["max_rel_err"],
         }
-        record["checks"] = {name: test(record[key], RunConfig.tolerances)
+        record["checks"] = {name: test(record[key])
                             for name, (key, test) in _CHECKS.items()}
         record["meta"] = {
             "kappa_argmin_theta": pert.argmin_theta,
@@ -888,10 +886,10 @@ def get_context(config: Optional[RunConfig] = None) -> ConstructionContext:
 
 
 def run_construction(config: Optional[RunConfig] = None) -> dict:
-    """The certificate dict, with the context, sweep, perturbed body, root
-    and eps selection behind it: halve RunConfig.eps_start to an
-    admissible size (select_eps), bisect the blend weight to put the
-    centroid at the origin (find_root), and record and check at that
+    """The certificate dict, with the context, sweep, perturbed body and
+    root behind it: halve RunConfig.eps_start to an admissible size
+    (select_eps), bisect the blend weight to put the centroid at the
+    origin (find_root), and record and check at that
     (lambda0, eps0) everything the claim needs (certify).  valid only if
     every check passes.  verify reproduces all but meta, the run's report
     and the values that no check reads."""
@@ -932,5 +930,4 @@ def run_construction(config: Optional[RunConfig] = None) -> dict:
         },
     }
     return {"certificate": cert, "context": ctx, "sweep": sweep,
-            "body": ctx.perturbed_body(lam0, eps0), "root": root,
-            "selection": sel}
+            "body": ctx.perturbed_body(lam0, eps0), "root": root}

@@ -211,10 +211,8 @@ def bisected_chords(body: PlanarBody) -> dict:
     scale = float(np.max(body.radius(np.linspace(0, 2 * np.pi, _CHECK_GRID,
                                                  endpoint=False))))
     f = _chord_defect(body, c, th)
-    fmax = float(np.max(np.abs(f)))
-    if fmax <= 1e-10 * scale:
-        return {"symmetric_all": True, "count": None, "directions": [],
-                "max_defect": fmax}
+    if float(np.max(np.abs(f))) <= 1e-10 * scale:
+        return {"symmetric_all": True, "count": None, "directions": []}
     # the defect a period past the first angle closes the scan: -f(th_0)
     # on a polygon's, f(0) on a radial body's [0, 2 pi); w is the width of
     # the interval that starts at each angle
@@ -287,4 +285,4 @@ def bisected_chords(body: PlanarBody) -> dict:
     roots = roots % np.pi
     roots = sorted(float(t) for t in np.where(roots < np.pi, roots, 0.0))
     return {"symmetric_all": False, "count": len(roots),
-            "directions": roots, "max_defect": fmax}
+            "directions": roots}

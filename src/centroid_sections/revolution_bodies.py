@@ -37,10 +37,12 @@ class RevolutionBody:
 
 @dataclass
 class ConvexityReport:
+    """Least meridian curvature, where it is reached, and whether it
+    clears RunConfig.tolerances["convexity_margin"] (_clears)."""
+
     kappa_min: float
     argmin_theta: float
     is_convex: bool
-    margin: float
 
 
 def make_base_body(n: int, a: float) -> RevolutionBody:
@@ -83,7 +85,8 @@ def make_base_body(n: int, a: float) -> RevolutionBody:
 
     def ft(u):
         u = np.asarray(u)
-        return cn * (1.0 - 2 * an1 * (1 - u * u + a * a * u * u) ** (-(n - 1) / 2.0))
+        D = 1 - u * u + a * a * u * u
+        return cn * (1.0 - 2 * an1 * D ** (-(n - 1) / 2.0))
 
     prof = SphereProfile(n=n, eval=rho, parity="even",
                          derivs=(rho_du, rho_du2))
@@ -105,14 +108,15 @@ def curvature(body: RevolutionBody) -> ConvexityReport:
     r, r_u, r_uu = (np.asarray(f(u), dtype=float)
                     for f in (body.rho, *body.rho.derivs[:2]))
     jet = _theta_jet(u, np.sin(theta), r, r_u, r_uu)
-    return _meridian_report(theta, *_log_jet(1, *jet),
-                            RunConfig.tolerances["convexity_margin"])
+    return _meridian_report(theta, *_log_jet(1, *jet))
 
 
-def _clears(kappa: float, margin: float) -> bool:
-    """Curvature guard: True only for a finite kappa above the margin, so
-    NaN or inf from a degenerate profile counts as a violation."""
-    return bool(np.isfinite(kappa) and kappa > margin)
+def _clears(kappa: float) -> bool:
+    """Curvature guard: True only for a finite kappa above
+    RunConfig.tolerances["convexity_margin"], read here, so NaN or inf
+    from a degenerate profile counts as a violation."""
+    return bool(np.isfinite(kappa)
+                and kappa > RunConfig.tolerances["convexity_margin"])
 
 
 def _theta_jet(u, s, f, f_u, f_uu) -> tuple:
@@ -124,31 +128,26 @@ def _theta_jet(u, s, f, f_u, f_uu) -> tuple:
 def _log_jet(power, f, f_t, f_tt) -> tuple:
     """(f^power, (log f^power)_theta, (log f^power)_theta_theta) from the
     theta-jet of f > 0: (f^power, power f_t / f, power (f_tt / f - (f_t /
-    f)^2)), the one chain rule for the meridian, in one block; f^1 is f."""
-    r, l1, l2 = np.empty((3,) + np.shape(f))
-    np.divide(f_tt, f, out=l2)
-    l2 -= np.square(np.divide(f_t, f, out=l1), out=r)
-    l1 *= power
-    l2 *= power
-    return f if power == 1 else np.power(f, power, out=r), l1, l2
+    f)^2)), the one chain rule for the meridian; f^1 is f.  It takes no
+    margin: _meridian_report's _clears reads it from RunConfig."""
+    l1 = f_t / f
+    l2 = (f_tt / f - np.square(l1)) * power
+    return f if power == 1 else np.power(f, power), l1 * power, l2
 
 
-def _meridian_report(theta, r, l1, l2, margin: float) -> ConvexityReport:
+def _meridian_report(theta, r, l1, l2) -> ConvexityReport:
     """ConvexityReport of the meridian theta -> r (sin theta, cos theta),
     l1 and l2 the theta-derivatives of log r (_log_jet): its curvature is
     (1 + l1^2 - l2) / (r (1 + l1^2)^{3/2}), which is (r^2 + 2 r_t^2 - r
     r_tt) / (r^2 + r_t^2)^{3/2} divided through by r^2, and the body is
-    convex iff it is, its terms formed in one block.  A NaN from the jet is
-    a NaN kappa_min."""
-    q, kappa, den = np.empty((3,) + np.shape(r))
-    np.add(np.square(l1, out=q), 1.0, out=q)
-    np.subtract(q, l2, out=kappa)
-    np.multiply(r, q, out=den)
-    kappa /= np.multiply(den, np.sqrt(q, out=q), out=den)
+    convex iff the least clears the margin that _clears reads from
+    RunConfig.  A NaN from the jet is a NaN kappa_min."""
+    q = np.square(l1) + 1.0
+    kappa = (q - l2) / (r * q * np.sqrt(q))
     i = int(np.argmin(kappa))
     kmin = float(kappa[i])
     return ConvexityReport(kappa_min=kmin, argmin_theta=float(theta[i]),
-                           is_convex=_clears(kmin, margin), margin=margin)
+                           is_convex=_clears(kmin))
 
 
 def intersection_body_test(body: RevolutionBody) -> dict:

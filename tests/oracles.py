@@ -713,7 +713,6 @@ def select_eps_walk(ctx, eps0):
     package's order (positivity, bracket, curvature at lam = 0 and 1)."""
     from centroid_sections import ConstructionError, RunConfig
     from centroid_sections.revolution_bodies import _clears
-    margin = RunConfig.tolerances["convexity_margin"]
     eps = float(eps0)
     halvings = 0
     while True:
@@ -723,8 +722,8 @@ def select_eps_walk(ctx, eps0):
             reason = "radial power profile loses positivity"
         elif not c0 < 0.0 < c1:
             reason = f"centroid does not bracket zero ({c0}, {c1})"
-        elif not (_clears(ctx.kappa_min(0.0, eps), margin)
-                  and _clears(ctx.kappa_min(1.0, eps), margin)):
+        elif not (_clears(ctx.kappa_min(0.0, eps))
+                  and _clears(ctx.kappa_min(1.0, eps))):
             reason = "meridian curvature margin violated"
         else:
             return {"eps": eps, "halvings": halvings,
@@ -746,7 +745,6 @@ def select_eps_bisect(ctx, eps0):
     reason and then every probe."""
     from centroid_sections import ConstructionError, RunConfig
     from centroid_sections.revolution_bodies import _clears
-    margin = RunConfig.tolerances["convexity_margin"]
     top = RunConfig.eps_max_halvings
     ladder = [float(eps0)]
     for _ in range(top):
@@ -760,8 +758,8 @@ def select_eps_bisect(ctx, eps0):
             reason = "radial power profile loses positivity"
         elif not c0 < 0.0 < c1:
             reason = f"centroid does not bracket zero ({c0}, {c1})"
-        elif not (_clears(ctx.kappa_min(0.0, eps), margin)
-                  and _clears(ctx.kappa_min(1.0, eps), margin)):
+        elif not (_clears(ctx.kappa_min(0.0, eps))
+                  and _clears(ctx.kappa_min(1.0, eps))):
             reason = "meridian curvature margin violated"
         else:
             hi, found = k, {"eps": eps, "halvings": k,

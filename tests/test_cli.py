@@ -510,9 +510,9 @@ def test_verify_holds_perturbed_convexity_to_margin(cli_outdir, monkeypatch,
 
     def report(self, lam, eps):
         rep = real(self, lam, eps)
-        k = rep.margin / 2 if kappa == "half_margin" else float("nan")
-        return dataclasses.replace(rep, kappa_min=k,
-                                   is_convex=cx._clears(k, rep.margin))
+        k = (RunConfig.tolerances["convexity_margin"] / 2
+             if kappa == "half_margin" else float("nan"))
+        return dataclasses.replace(rep, kappa_min=k, is_convex=cx._clears(k))
 
     monkeypatch.setattr(cx.ConstructionContext, "kappa_report", report)
     rc = cli.main(["verify", str(cli_outdir / "certificate.json")])
@@ -934,10 +934,20 @@ def _fractional_grid(cert):
     cert["grids"]["alpha_grid"] = 721.5
 
 
+def _scalar_bracket(cert):
+    cert["bracket"] = 0
+
+
+def _list_checks(cert):
+    cert["checks"] = []
+
+
 @pytest.mark.parametrize("mutate,named", [
     (_drop_params, "params"), (_string_lambda0, None), (_string_a, "params.a"),
-    (_fractional_grid, "grids.alpha_grid")],
-    ids=["no_params", "string_lambda0", "string_a", "fractional_grid"])
+    (_fractional_grid, "grids.alpha_grid"), (_scalar_bracket, "bracket"),
+    (_list_checks, "checks")],
+    ids=["no_params", "string_lambda0", "string_a", "fractional_grid",
+         "scalar_bracket", "list_checks"])
 def test_verify_rejects_malformed_certificate(cli_outdir, tmp_path, capsys,
                                               mutate, named):
     # an input of verify (config, lambda0, eps0) that is missing or not a
@@ -953,6 +963,14 @@ def test_verify_rejects_malformed_certificate(cli_outdir, tmp_path, capsys,
         assert rc == 4
         assert (f"FAIL record_matches_recomputation: differ: {named}"
                 in got.out.splitlines())
+
+
+def test_verify_rejects_a_config_that_is_not_an_object(cli_outdir, tmp_path,
+                                                        capsys):
+    path = _tampered(cli_outdir, tmp_path, lambda c: c.update(config=[5]))
+    assert cli.main(["verify", str(path)]) == 2
+    assert (capsys.readouterr().err
+            == "error: invalid certificate: config must be an object\n")
 
 
 def test_verify_rejects_unknown_schema(cli_outdir, tmp_path, capsys):
@@ -1168,6 +1186,70 @@ def test_planar_csv_nonfinite_value_exits_2_naming_its_line(
                           f"not finite: ")
 
 
+def test_planar_csv_value_that_is_not_a_number_exits_2_naming_its_line(
+        tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text("x,y\n0,0\n1,abc\n0,1\n")
+    assert cli.main(["planar", "--input", str(path)]) == 2
+    assert (capsys.readouterr().err
+            == "error: CSV line 3 holds a value that is not a number: 1,abc\n")
+
+
+@pytest.mark.parametrize("header", ["x,y", "theta,rho"])
+def test_planar_csv_reads_only_the_two_named_columns(tmp_path, capsys,
+                                                     header):
+    # a third column of text labels is not read: the body is the one the
+    # two named columns give alone
+    lines = _planar_csv_lines(header)
+    labelled = [lines[0] + ",label",
+                *(f"{line},point {i}" for i, line in enumerate(lines[1:]))]
+    for name, rows in (("plain", lines), ("labelled", labelled)):
+        path = tmp_path / f"{name}.csv"
+        path.write_text("\n".join(rows) + "\n")
+        assert cli.main(["planar", "--input", str(path), "--outdir",
+                         str(tmp_path / name)]) == 0
+    assert "3 bisected chords" in capsys.readouterr().out
+    got, want = (json.loads((tmp_path / d / "planar.json").read_text())
+                 for d in ("labelled", "plain"))
+    assert got == want
+
+
+@pytest.mark.parametrize("header", ["x,y", "theta,rho"])
+def test_planar_csv_with_a_byte_order_mark(tmp_path, capsys, header):
+    # a UTF-8 byte-order mark before the header, as spreadsheet exports
+    # write it, is no part of the header's first name
+    text = "\n".join(_planar_csv_lines(header)) + "\n"
+    for name, encoding in (("plain", "utf-8"), ("marked", "utf-8-sig")):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(text.encode(encoding))
+        assert cli.main(["planar", "--input", str(path), "--outdir",
+                         str(tmp_path / name)]) == 0
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert "3 bisected chords" in capsys.readouterr().out
+    got, want = (json.loads((tmp_path / d / "planar.json").read_text())
+                 for d in ("marked", "plain"))
+    assert got == want
+
+
+@pytest.mark.parametrize("row", ["7,3", "6.283185307179586,3"],
+                         ids=["past_a_turn", "closing_angle_other_radius"])
+def test_planar_radial_csv_row_a_full_turn_past_exits_2(tmp_path, capsys,
+                                                        row):
+    # a row a full turn or more past the least angle that is not that
+    # row's closing sample is named with the least angle's line, not
+    # dropped: dropping 7,3 left a circle ("centrally symmetric"), and the
+    # same sample at 7 - 2 pi gives three chords
+    path = tmp_path / "turn.csv"
+    path.write_text(f"theta,rho\n0,1\n2,1\n4,1\n{row}\n")
+    assert cli.main(["planar", "--input", str(path)]) == 2
+    assert (capsys.readouterr().err
+            == "error: CSV line 5 lies a full turn or more past the least "
+               "angle 0.0, of line 2, and is not its closing sample\n")
+    path.write_text("theta,rho\n0,1\n2,1\n4,1\n0.7168146928204138,3\n")
+    assert cli.main(["planar", "--input", str(path)]) == 0
+    assert "3 bisected chords" in capsys.readouterr().out
+
+
 def test_planar_prints_the_directions_it_writes(tmp_path, capsys):
     # the thin triangle's three directions lie within 2e-13 rad of 0 or
     # pi: printed as repr prints them, they are the values planar.json
@@ -1230,6 +1312,18 @@ def test_planar_missing_input_file_exits_2(tmp_path, capsys):
 
 
 # plumbing
+
+
+def test_construct_leaves_no_file_when_a_rename_fails(tmp_path, monkeypatch):
+    # _write_atomic removes its temporary file when the rename fails, so
+    # neither it nor a certificate.json is left behind
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        cli.main(["construct", "--outdir", str(tmp_path)])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_outdir_env_var(tmp_path, monkeypatch):

@@ -424,8 +424,8 @@ def test_bisection_harness_linear_self_test(ctx5):
     assert abs(res["lambda0"] - 0.3) <= 1e-12
 
 
-def test_eps_selection_shipped(construct_result):
-    sel = construct_result["selection"]
+def test_eps_selection_shipped():
+    sel = get_context(RunConfig()).select_eps(RunConfig.eps_start)
     assert sel["eps"] == 2.44140625e-07
     assert sel["halvings"] == 12
     assert sel["centroid_at_0"] < 0.0 < sel["centroid_at_1"]
@@ -1071,10 +1071,9 @@ def test_kappa_min_tracks_base_as_eps_vanishes(ctx5):
 def _kappa_per_node(theta, r, l1, l2):
     """The package's curvature at every node, one _meridian_report per
     node, so that no second copy of the formula is needed to read it."""
-    margin = RunConfig.tolerances["convexity_margin"]
     return np.array([
         _meridian_report(theta[i:i + 1], r[i:i + 1], l1[i:i + 1],
-                         l2[i:i + 1], margin).kappa_min
+                         l2[i:i + 1]).kappa_min
         for i in range(theta.size)])
 
 
@@ -1194,14 +1193,12 @@ def test_kappa_report_at_the_blend_ends_reads_the_tables(n):
     # it is; the report from the general blend (1 - lam) B + lam G is the
     # same, bit for bit, NaN minima included
     ctx = get_context(RunConfig(n=n))
-    margin = RunConfig.tolerances["convexity_margin"]
     for lam in (0.0, 1.0):
         for eps in (1e-3, 1e-5, 4.6e-8, _DECISIONS[n][1]):
             f = [p + eps * ((1.0 - lam) * b + lam * g)
                  for p, b, g in zip(ctx._rho_n, ctx._bq, ctx._gq)]
             with np.errstate(invalid="ignore", divide="ignore"):
-                want = _meridian_report(ctx._theta, *_log_jet(1.0 / n, *f),
-                                        margin)
+                want = _meridian_report(ctx._theta, *_log_jet(1.0 / n, *f))
             got = ctx.kappa_report(lam, eps)
             assert np.array_equal(got.kappa_min, want.kappa_min,
                                   equal_nan=True)
