@@ -329,15 +329,16 @@ _DEMOS.update(triangle=_demo_triangle, ellipse=_demo_ellipse,
 def _planar_from_csv(path: str) -> PlanarBody:
     """The body of a CSV, UTF-8 with or without a byte-order mark, whose
     header begins x,y (polygon vertices) or theta,rho (a radial profile);
-    columns past these two are not read, blank lines are skipped, and a
-    row whose field count is not the header's, whose two values are not
-    both finite numbers, or whose angle an earlier row has, is named by
-    its line.  A theta,rho row a full turn or more past the least angle is
-    dropped when it is that row's closing sample, else named with the
-    least angle's line."""
+    columns past these two are not read, lines empty or of whitespace alone
+    are skipped, and a row whose field count is not the header's, whose
+    two values are not both finite numbers, or whose angle an earlier row
+    has, is named by its line.  A theta,rho row a full turn or more past
+    the least angle is dropped when it is that row's closing sample, else
+    named with the least angle's line."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        rows = [(reader.line_num, r) for r in reader if r]
+        rows = [(reader.line_num, r) for r in reader
+                if r[1:] or "".join(r).strip()]
     if len(rows) < 2:
         raise ValueError("CSV needs a header and at least one data row")
     header = [c.strip().lower() for c in rows[0][1]]
@@ -400,7 +401,7 @@ def cmd_planar(args) -> int:
             print("error: provide --input CSV or --demo name",
                   file=sys.stderr)
             return EXIT_USAGE
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     res = bisected_chords(body)

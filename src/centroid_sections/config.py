@@ -55,11 +55,11 @@ class RunConfig:
     # FFT, give the bump's cosine moments (expand)
     bump_theta_samples: ClassVar[int] = 8192
 
-    # order N of the subsphere rule of verify's quadrature route, over
-    # s (rho^n + eps phi)(s), s phi of degree M = bump_max_degree.  At
+    # order N = M + 256 of the subsphere rule of verify's quadrature route,
+    # over s (rho^n + eps phi)(s), s phi of degree M = bump_max_degree.  At
     # k = n - 3 the rule is exact to degree N - k + 1 for odd k (2N - k - 1
-    # for even k), so N = M + 256 is exact to degree M + n for n <= 130
-    section_quad_order: ClassVar[int] = 3456
+    # for even k), so N is exact to degree M + n for n <= 130
+    section_quad_order: ClassVar[int] = bump_max_degree + 256
 
     # directions of construct's sweep (verify's: 2 alpha_grid - 1), uniform
     # in u; the claim is about every direction, so their count is the

@@ -40,8 +40,9 @@ import numpy as np
 
 from .config import ConstructionError, RunConfig
 from .revolution_bodies import (ConvexityReport, RevolutionBody, _clears,
-                                _log_jet, _meridian_report, _theta_jet,
-                                curvature, make_base_body)
+                                _log_jet, _meridian_nodes, _meridian_report,
+                                _mirror, _theta_jet, curvature,
+                                make_base_body)
 from .spherical_core import (LD, _PI_LD, GegenbauerSpectrum, SphereProfile,
                              _accumulate_at_zero, _bochner_multipliers_ld,
                              _cosine_coeffs, _cosine_sum, _divide_by_u,
@@ -113,8 +114,6 @@ def auto_select_a(n: int) -> float:
     convexity margin; larger candidates flatten harder and are tried
     first."""
     for a in RunConfig.auto_a_candidates:
-        if 1 - 2 * a ** (n - 2) <= 0:
-            continue
         try:
             negativity_threshold(n, a)
         except ConstructionError:
@@ -162,10 +161,10 @@ def make_oblate_gap_profile(n: int) -> SphereProfile:
     (n-1)/2, which keeps its relative accuracy near the equator: zero
     there, positive elsewhere.  This one-sided transform is what lets a
     blend weight move the centroid without touching the equator value.
-    Its odd quotient by u is _gap_cosine's cosine series.
+    Its odd quotient by u is _gap_cosine's cosine series.  RunConfig.validate
+    holds n.
     """
-    if n < 5:
-        raise ValueError("gap profile used for n >= 5 only")
+    RunConfig(n=n).validate()
     cn = bochner_multiplier(0, 1, n)
     q = (n - 1) / 2.0
 
@@ -182,17 +181,16 @@ def make_oblate_gap_profile(n: int) -> SphereProfile:
     return prof
 
 
-def _gap_cosine(n: int) -> np.ndarray:
+def _gap_cosine(ft: SphereProfile) -> np.ndarray:
     """Longdouble coefficients d of the gap transform's odd quotient,
-    q_g(cos theta) = sum_m d_m cos(m theta), q_g = ft/u (ft the gap
-    profile's ft_profile): the trapezoid rule (a type-I cosine transform)
-    over its samples at theta_i = i pi / N, N = _GAP_THETA_SAMPLES, from
-    one real FFT of them extended evenly to the full period.  The samples
-    on (pi/2, pi] are those on [0, pi/2) negated, with 0 at pi/2 (u = 0),
+    q_g(cos theta) = sum_m d_m cos(m theta), q_g = ft/u (ft the context's
+    gap.ft_profile): the trapezoid rule (a type-I cosine transform) over
+    its samples at theta_i = i pi / N, N = _GAP_THETA_SAMPLES, from one
+    real FFT of them extended evenly to the full period.  The samples on
+    (pi/2, pi] are those on [0, pi/2) negated, with 0 at pi/2 (u = 0),
     and the even degrees are set to exactly 0: q_g is odd.  q_g is
     analytic in a strip around the real theta-axis, so the coefficients
     fall geometrically and the samples alias nothing float64 holds."""
-    ft = make_oblate_gap_profile(n).ft_profile
     u = np.cos(np.arange(_GAP_THETA_SAMPLES // 2, dtype=LD)
                * (_PI_LD / _GAP_THETA_SAMPLES))
     half = ft(u) / u
@@ -211,11 +209,6 @@ def _mirrored_grid(size: int) -> np.ndarray:
     return np.concatenate([-half[:0:-1], half])
 
 
-def _mirror(half: np.ndarray, sign: int) -> np.ndarray:
-    """Values on [0, pi/2] extended to [0, pi] by f(pi - t) = sign f(t)."""
-    return np.concatenate([half, sign * half[-2::-1]])
-
-
 # ---------------------------------------------------------------------------
 # cached heavy machinery
 
@@ -225,31 +218,33 @@ _AUTO_A: dict = {}
 
 
 class ConstructionContext:
-    """Everything expensive about one geometry (n, a, cap_u0), computed
-    once at the build: the bump transform's spectrum, its odd quotient
-    series, and the cosine series in theta of that quotient, of the gap
-    transform's and of the bump's own series that the transform
-    coefficients stand for; the node tables that make the centroid and
-    curvature of the perturbed family cheap per (lam, eps), and the
-    section rule of the sweep's volumes, and select_eps's eps bracket.
-    What a sweep reads of its grid alone is tabled on the first sweep of
-    that grid and kept for the later sweeps of its content (_grid_tables).
-    The settings it reads are RunConfig's class constants alone, so one
-    context serves every caller of its geometry.
+    """Everything about one request (n, a), derived once at the build: the
+    negativity threshold u* of the base body's transform, the cap edge
+    cap_u0 = u* + cap_margin (1 - u*), the bump transform's spectrum, its
+    odd quotient series, and the cosine series in theta of that quotient,
+    of the gap transform's and of the bump's own series that the transform
+    coefficients stand for; the meridian nodes, curvature()'s, and the
+    tables on them that make the centroid and curvature of the perturbed
+    family cheap per (lam, eps), the section rule of the sweep's volumes,
+    and select_eps's eps bracket.  What a sweep reads of its grid alone is
+    tabled on the first sweep of that grid and kept for the later sweeps
+    of its content (_grid_tables).  The settings it reads are RunConfig's
+    class constants alone, so one context serves every caller of (n, a).
     """
 
     # the settings the context is built and checked to, RunConfig's class
     # constants, under the name the benchmark (perfbench) reads them by
     config = RunConfig
 
-    def __init__(self, n: int, a: float, cap_u0: float):
+    def __init__(self, n: int, a: float):
         t_start = time.perf_counter()
         self.n = int(n)
         self.a = float(a)
-        self.cap_u0 = float(cap_u0)
-        self.lam_index = (n - 2) / 2.0
         self.base = make_base_body(n, a)
-        self.bump = make_cap_bump(n, cap_u0)
+        self.u_star = negativity_threshold(n, a)
+        self.cap_u0 = self.u_star + RunConfig.cap_margin * (1.0 - self.u_star)
+        self.lam_index = (n - 2) / 2.0
+        self.bump = make_cap_bump(n, self.cap_u0)
         self.gap = make_oblate_gap_profile(n)
         # c_n outgrows float64 from n = 229: named here, not warned about
         if not np.isfinite(bochner_multiplier(0, 1, n)):
@@ -294,7 +289,7 @@ class ConstructionContext:
         # that must cancel exactly in the odd quotient
         self.bump_ft_at_zero = float(_accumulate_at_zero(co_ld, lam))
         # the gap part: its transform's quotient as a cosine series too
-        self.gap_cosine = _gap_cosine(n)
+        self.gap_cosine = _gap_cosine(self.gap.ft_profile)
 
         eq = _mirrored_grid(RunConfig.equator_grid)
         # at large n, C_m^lam near the poles outgrows float64: a series that
@@ -320,18 +315,18 @@ class ConstructionContext:
                 f"odd quotient series does not reproduce the transform: "
                 f"rel {resid:.3e} > {tol:.1e}")
 
-        # the perturbed body's nodes, which the centroid, the curvature, the
-        # diameter and the positivity guard all read: theta_i = i pi /
-        # (curvature_grid - 1) on [0, pi/2], mirrored onto [pi/2, pi].
-        # Their tables are theta-jets (f, f_theta, f_theta_theta).  The
-        # bump's and the gap's quotients are q(cos theta) = sum d_m
+        # the perturbed body's nodes (_meridian_nodes, curvature()'s), which
+        # the centroid, the curvature, the diameter and the positivity guard
+        # all read.  Their tables are theta-jets (f, f_theta, f_theta_theta).
+        # The bump's and the gap's quotients are q(cos theta) = sum d_m
         # cos(m theta), d their cosine series quotient_cosine and
         # gap_cosine, and their jets the termwise derivatives -sum m d_m
         # sin(m theta) and -sum m^2 d_m cos(m theta): three real FFTs of
         # length 4 (K - 1) each, K nodes on [0, pi/2].  The first and the
         # third are odd about pi/2 (u = 0), where an FFT may leave rounding
         # noise: their samples there are set to exactly 0
-        half = (RunConfig.curvature_grid + 1) // 2
+        self._theta, self._x, s = _meridian_nodes()
+        half = self._x.size // 2 + 1
 
         def jets(d):
             m = np.arange(d.size)
@@ -342,15 +337,6 @@ class ConstructionContext:
             return (_mirror(f0.real, -1), _mirror(f1.imag, 1),
                     _mirror(-f2.real, -1))
 
-        # the angles rounded as every 20th point of a 20-fold finer
-        # linspace rounds them: the node bits that certificates carry
-        theta = np.linspace(0.0, np.pi / 2, 20 * (half - 1) + 1)[::20]
-        x = np.cos(theta)
-        # cos(pi/2) rounds to 6e-17; the last node is u = 0 exactly
-        x[-1] = 0.0
-        self._theta = np.concatenate([theta, np.pi - theta[-2::-1]])
-        self._x = _mirror(x, -1)
-        s = _mirror(np.sin(theta), 1)
         self._bq, self._gq = jets(self.quotient_cosine), jets(self.gap_cosine)
         # max |phi| over the nodes at lam = 0 and 1 (_sign_failure)
         self._phi_max = [np.max(np.abs(d[0])) for d in (self._bq, self._gq)]
@@ -868,20 +854,17 @@ def get_context(config: Optional[RunConfig] = None) -> ConstructionContext:
     """The context for the geometry (n, a) of the configuration, built on
     first use and cached, so every call for one geometry returns the same
     context.  An a left None is auto_select_a's, chosen on the first
-    such call for n and kept.  The cap edge is u* + cap_margin (1 - u*),
-    u* the negativity threshold of the base body's transform.
+    such call for n and kept.  The context derives the rest of the
+    geometry, u* and the cap edge among it, from (n, a).
     """
-    cfg = config or RunConfig()
-    cfg.validate()
+    cfg = (config or RunConfig()).validate()
     n, a = cfg.n, cfg.a
     if a is None:
         if n not in _AUTO_A:
             _AUTO_A[n] = auto_select_a(n)
         a = _AUTO_A[n]
     if (n, a) not in _CTX_CACHE:
-        us = negativity_threshold(n, a)
-        _CTX_CACHE[n, a] = ConstructionContext(
-            n, a, us + cfg.cap_margin * (1.0 - us))
+        _CTX_CACHE[n, a] = ConstructionContext(n, a)
     return _CTX_CACHE[n, a]
 
 
@@ -925,7 +908,7 @@ def run_construction(config: Optional[RunConfig] = None) -> dict:
             "eps_bracket": dict(ctx.eps_bracket),
             "root_iterations": root["iterations"],
             "eps_halvings": sel["halvings"],
-            "negativity_threshold": negativity_threshold(ctx.n, ctx.a),
+            "negativity_threshold": ctx.u_star,
             **unchecked,
         },
     }

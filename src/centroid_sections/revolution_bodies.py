@@ -53,15 +53,10 @@ def make_base_body(n: int, a: float) -> RevolutionBody:
     The degree -1 extension has the closed-form transform
     c_n (1 - 2 a^{n-1} (1 - u^2 + a^2 u^2)^{-(n-1)/2}), attached as
     ft_profile; it is negative in caps around u = +-1, so the body is not
-    an intersection body.
+    an intersection body.  RunConfig.validate holds (n, a): rho > 0 asks
+    2 a^{n-2} < 1, the subtracted term's peak, at u = 0.
     """
-    if n < 5:
-        raise ValueError("base body defined for n >= 5")
-    if not 0 < a < 1:
-        raise ValueError("flattening parameter a must lie in (0, 1)")
-    # subtracted term peaks at u = 0 with value 2 a^{n-2}
-    if 1 - 2 * a ** (n - 2) <= 0:
-        raise ValueError("profile not positive: a too large for this n")
+    RunConfig(n=n, a=a).validate()
     an2 = a ** (n - 2)
     an1 = a ** (n - 1)
     inv_a2 = 1.0 / (a * a)
@@ -96,19 +91,36 @@ def make_base_body(n: int, a: float) -> RevolutionBody:
 
 
 def curvature(body: RevolutionBody) -> ConvexityReport:
-    """Minimum meridian curvature over RunConfig.curvature_grid angles
-    theta on [0, pi], from the u-derivatives rho.derivs[0] and
-    rho.derivs[1], which the profile must carry (see _meridian_report),
-    held to the package's convexity margin.  The coordinate poles are
-    regular points of the formula (even extension in theta), so the
-    inclusive endpoint grid covers them.
+    """Minimum meridian curvature at the meridian nodes (_meridian_nodes),
+    the context's, from the u-derivatives rho.derivs[0] and rho.derivs[1],
+    which the profile must carry (see _meridian_report), held to the
+    package's convexity margin.  The coordinate poles are regular points
+    of the formula (even extension in theta), so the nodes include them.
     """
-    theta = np.linspace(0.0, np.pi, RunConfig.curvature_grid)
-    u = np.cos(theta)
+    theta, u, s = _meridian_nodes()
     r, r_u, r_uu = (np.asarray(f(u), dtype=float)
                     for f in (body.rho, *body.rho.derivs[:2]))
-    jet = _theta_jet(u, np.sin(theta), r, r_u, r_uu)
+    jet = _theta_jet(u, s, r, r_u, r_uu)
     return _meridian_report(theta, *_log_jet(1, *jet))
+
+
+def _mirror(half: np.ndarray, sign: int) -> np.ndarray:
+    """Values on [0, pi/2] extended to [0, pi] by f(pi - t) = sign f(t)."""
+    return np.concatenate([half, sign * half[-2::-1]])
+
+
+def _meridian_nodes() -> tuple:
+    """(theta, u, sin theta) at the meridian nodes, curvature()'s and the
+    context's: theta_i = i pi / (curvature_grid - 1) on [0, pi/2], rounded
+    as every 20th point of a 20-fold finer linspace rounds them (the bits
+    certificates carry), mirrored onto [pi/2, pi]; u = 0 exactly at pi/2,
+    where cos rounds to 6e-17."""
+    half = (RunConfig.curvature_grid + 1) // 2
+    theta = np.linspace(0.0, np.pi / 2, 20 * (half - 1) + 1)[::20]
+    u = np.cos(theta)
+    u[-1] = 0.0
+    return (np.concatenate([theta, np.pi - theta[-2::-1]]), _mirror(u, -1),
+            _mirror(np.sin(theta), 1))
 
 
 def _clears(kappa: float) -> bool:

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from centroid_sections import (RevolutionBody, RunConfig, SphereProfile,
-                               body_to_dict, bochner_multiplier, curvature,
+from centroid_sections import (RevolutionBody, SphereProfile, body_to_dict,
+                               bochner_multiplier, curvature,
                                intersection_body_test, make_base_body,
                                sphere_area)
+from centroid_sections.revolution_bodies import _meridian_nodes
 
 from oracles import (ball_volume, centroid_axis, fd_curvature,
                      mc_membership, mc_subsphere_integral, quad_weighted,
@@ -91,9 +92,9 @@ def test_curvature_ellipse_of_revolution():
 
 
 def test_curvature_refuses_a_nan_node():
-    # a profile NaN at one node of the curvature grid: kappa_min is NaN,
-    # which the guard counts as not convex, whichever jet entry carries it
-    u_bad = np.cos(np.linspace(0.0, np.pi, RunConfig.curvature_grid))[1234]
+    # a profile NaN at one meridian node: kappa_min is NaN, which the guard
+    # counts as not convex, whichever jet entry carries it
+    u_bad = _meridian_nodes()[1][1234]
 
     def forged(f):
         def g(u):

@@ -1031,6 +1031,24 @@ def test_planar_demo_blob(capsys):
     assert "3 bisected chords" in out
 
 
+def test_planar_unknown_demo_exits_2(capsys):
+    # argparse's choices refuse a demo that is not one of _DEMOS
+    assert cli.main(["planar", "--demo", "square"]) == 2
+    assert "invalid choice: 'square'" in capsys.readouterr().err
+
+
+def test_planar_key_error_inside_a_demo_propagates(monkeypatch):
+    # an unknown --demo never reaches cmd_planar, so a KeyError there is a
+    # bug in a demo's body function, not invalid input, and is not turned
+    # into exit 2
+    def broken():
+        raise KeyError("inside the demo")
+
+    monkeypatch.setitem(cli._DEMOS, "blob", broken)
+    with pytest.raises(KeyError, match="inside the demo"):
+        cli.main(["planar", "--demo", "blob"])
+
+
 def test_planar_polygon_csv_input(tmp_path, capsys):
     path = tmp_path / "tri.csv"
     with open(path, "w", newline="") as fh:
@@ -1142,6 +1160,31 @@ def test_planar_csv_skips_blank_lines(tmp_path, capsys, header):
     path.write_text("\n".join([*lines[:2], "", *lines[2:]]) + "\n\n")
     assert cli.main(["planar", "--input", str(path)]) == 0
     assert "3 bisected chords" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("blank", [" ", " \t  "], ids=["space", "tab"])
+@pytest.mark.parametrize("header", ["x,y", "theta,rho"])
+def test_planar_csv_skips_lines_of_spaces(tmp_path, capsys, header, blank):
+    # a line of spaces or tabs alone is a blank line, as an empty one is:
+    # it was refused as a row of 1 field against the header's 2 (exit 2)
+    lines = _planar_csv_lines(header)
+    path = tmp_path / "body.csv"
+    path.write_text("\n".join([*lines[:2], blank, *lines[2:], blank]) + "\n")
+    assert cli.main(["planar", "--input", str(path)]) == 0
+    assert "3 bisected chords" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("header", ["x,y", "theta,rho"])
+def test_planar_csv_row_of_empty_fields_exits_2_naming_its_line(
+        tmp_path, capsys, header):
+    # "," is a row of two empty fields, not a blank line: neither is a
+    # number, and the row is named by its line
+    lines = _planar_csv_lines(header)
+    path = tmp_path / "body.csv"
+    path.write_text("\n".join([*lines[:2], ",", *lines[2:]]) + "\n")
+    assert cli.main(["planar", "--input", str(path)]) == 2
+    assert (capsys.readouterr().err
+            == "error: CSV line 3 holds a value that is not a number: ,\n")
 
 
 @pytest.mark.parametrize("header", ["x,y", "theta,rho"])

@@ -23,7 +23,8 @@ from centroid_sections.spherical_core import (_accumulate_at_zero,
                                               _rolling_accumulate,
                                               _uniform_rule, ft_homogeneous,
                                               sphere_area)
-from centroid_sections.revolution_bodies import _log_jet, _meridian_report
+from centroid_sections.revolution_bodies import (_log_jet, _meridian_nodes,
+                                                 _meridian_report)
 import oracles
 from oracles import (SEED, bisect_sign_change, cosine_coeffs_full, fd_deriv,
                      gap_quotient_closed, gap_quotient_mp, gap_theta_jet_mp,
@@ -230,7 +231,7 @@ def test_gap_cosine_theta_jets_match_mpmath(n):
     # against mpmath's u-derivatives turned into theta-jets
     u = _gap_test_points()
     want = gap_theta_jet_mp(n, u)
-    d = counterexample._gap_cosine(n)
+    d = counterexample._gap_cosine(make_oblate_gap_profile(n).ft_profile)
     assert d.dtype == np.longdouble
     assert np.all(d[::2] == 0)
     assert d.size == counterexample._GAP_THETA_SAMPLES + 1
@@ -927,7 +928,7 @@ def test_context_build_names_a_nonfinite_bump_cosine_series(ctx5,
     monkeypatch.setattr(counterexample, "_cosine_coeffs", overflowing)
     with pytest.raises(ConstructionError,
                        match="bump series has 1 cosine coefficients"):
-        counterexample.ConstructionContext(5, ctx5.a, ctx5.cap_u0)
+        counterexample.ConstructionContext(5, ctx5.a)
 
 
 def _flipped_division(coeffs, lam):
@@ -954,7 +955,66 @@ def test_context_build_rejects_a_wrong_quotient_series(ctx5, monkeypatch,
                                                        division):
     monkeypatch.setattr(counterexample, "_divide_by_u", division)
     with pytest.raises(ConstructionError, match="odd quotient series"):
-        counterexample.ConstructionContext(5, ctx5.a, ctx5.cap_u0)
+        counterexample.ConstructionContext(5, ctx5.a)
+
+
+def test_context_build_derives_the_request_once(ctx5, monkeypatch):
+    # the request (n, a) becomes its geometry in the context build alone:
+    # one build forms u* and the gap profile once each, and a construction
+    # from a cold cache forms neither again past its build
+    calls = dict.fromkeys(("negativity_threshold", "make_oblate_gap_profile"),
+                          0)
+    for name in calls:
+        def counted(*args, real=getattr(counterexample, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(counterexample, name, counted)
+    ctx = counterexample.ConstructionContext(5, ctx5.a)
+    assert calls == dict.fromkeys(calls, 1)
+    monkeypatch.setattr(counterexample, "_CTX_CACHE", {})
+    calls.update(dict.fromkeys(calls, 0))
+    cert = run_construction(RunConfig(n=5, a=ctx5.a))["certificate"]
+    assert calls == dict.fromkeys(calls, 1)
+    assert cert["meta"]["negativity_threshold"] == ctx.u_star
+    assert cert["params"]["cap_u0"] == ctx.cap_u0
+
+
+@pytest.mark.parametrize("n,a,cap_u0", [
+    (5, None, 0.9798703414974719), (6, None, 0.9726249472561996),
+    (7, None, 0.9778492570976338), (5, 0.3, 0.9896513615577828),
+    (6, 0.3, 0.992036664415612)])
+def test_context_cap_edge_keeps_its_bits(n, a, cap_u0):
+    # the context forms cap_u0 = u* + cap_margin (1 - u*) itself, with the
+    # bits get_context's own formula gave it
+    ctx = get_context(RunConfig(n=n, a=a))
+    us = negativity_threshold(n, ctx.a)
+    assert ctx.u_star == us
+    assert ctx.cap_u0 == us + RunConfig.cap_margin * (1.0 - us) == cap_u0
+
+
+def test_curvature_reads_the_context_nodes(ctx5):
+    # one node set decides convexity: curvature()'s is the context's, u = 0
+    # exactly at its middle node, and the least curvature is at a node
+    theta, u, s = _meridian_nodes()
+    assert theta.size == RunConfig.curvature_grid
+    for got, want in ((theta, ctx5._theta), (u, ctx5._x)):
+        assert np.array_equal(got, want)
+    assert u[u.size // 2] == 0.0
+    assert curvature(ctx5.base).argmin_theta in ctx5._theta
+
+
+@pytest.mark.parametrize("n,a", [(4, 0.3), (5, 0.0), (5, 1.0), (5, 0.9)])
+def test_body_makers_refuse_what_validate_refuses(n, a):
+    # the makers defer to RunConfig.validate: the same error, word for word
+    with pytest.raises(ValueError) as want:
+        RunConfig(n=n, a=a).validate()
+    with pytest.raises(ValueError) as got:
+        make_base_body(n, a)
+    assert str(got.value) == str(want.value)
+    if n < 5:
+        with pytest.raises(ValueError) as got:
+            make_oblate_gap_profile(n)
+        assert str(got.value) == str(want.value)
 
 
 def test_context_build_series_work_budget(ctx5, monkeypatch):
@@ -972,7 +1032,7 @@ def test_context_build_series_work_budget(ctx5, monkeypatch):
 
     monkeypatch.setattr(spherical_core, "_rolling_accumulate", counted)
     assert not hasattr(counterexample, "_rolling_accumulate")
-    counterexample.ConstructionContext(5, ctx5.a, ctx5.cap_u0)
+    counterexample.ConstructionContext(5, ctx5.a)
     # measured 3.20 M: the bump transform on the equator grid (1001
     # distinct |u|); its quotient there is summed from its cosine series,
     # the transform at u = 0 by scalar steps, and the curvature and
